@@ -4,13 +4,11 @@
    perf artifact BENCH_10.json (named experiment timings + bechamel
    estimates + parallel-census rows for jobs = 1/2/4 with the effective
    rank count + the checkpoint durability overhead row + quotient-vs-raw
-   census rows at depths 7 and 8 + distributed-census rows comparing
-   forked workers against the in-process BFS, clean and under injected
-   worker faults + query-latency rows comparing the forward BFS, the
-   persistent census index and the meet-in-the-middle engine + the
-   complete-index section (total-coverage build raw vs quotient, file
-   size, heap vs mmap cold start, cost-8 probe p50/p99 against a warm
-   meet-in-the-middle engine with a >= 100x p99 gate) +
+   census rows at depths 7 and 8 + query-latency rows comparing the
+   forward BFS, the persistent census index and the meet-in-the-middle
+   engine + the complete-index section (closure census and index build,
+   file size, heap vs mmap cold start, cost-8 probe p50/p99 against a
+   warm meet-in-the-middle engine with a >= 100x p99 gate) +
    server-latency rows comparing a warm service against one-shot cold
    evaluation + the nft_census gate-library section timing Younes's NFT
    universe next to the paper's at depth 5 + the telemetry snapshot of
@@ -327,29 +325,34 @@ let reproduce_classical_libraries () =
   Format.printf "ANF of Peres (paper: P = A, Q = B xor A, R = C xor AB): %s@."
     (Reversible.Anf.describe Reversible.Gates.g1)
 
-let reproduce_composer census =
-  hr "Extension: optimal synthesis of all 5040 functions by composition";
+(* The exact spectrum of the zero-fixing universe (EXPERIMENTS.md X1):
+   the census run to closure under the symmetry quotient, indexed, and
+   every one of the 5040 functions answered from that index. *)
+let x1_spectrum = [| 1; 6; 24; 51; 84; 156; 398; 540; 444; 1440; 552; 0; 1232; 112 |]
+
+let reproduce_closure_census () =
+  hr "X1: exact synthesis of all 5040 functions from the closure census";
   let t0 = Unix.gettimeofday () in
-  let express = Spectrum.composer census in
+  let index =
+    Census_index.build (Fmcf.run ~max_depth:13 ~quotient:true library3)
+  in
+  let build_t = Unix.gettimeofday () -. t0 in
   let group =
     Universality.closure_of (Reversible.Gates.g1 :: Universality.cnots ~bits:3)
   in
-  let histogram = Hashtbl.create 16 in
+  let histogram = Array.make (Array.length x1_spectrum) 0 in
   Permgroup.Closure.iter
     (fun p ->
-      match express (Reversible.Revfun.of_perm ~bits:3 p) with
-      | Some r ->
-          Hashtbl.replace histogram r.Mce.cost
-            (1 + Option.value ~default:0 (Hashtbl.find_opt histogram r.Mce.cost))
-      | None -> ())
+      match Census_index.find index (Reversible.Revfun.of_perm ~bits:3 p) with
+      | Some (cost, _) -> histogram.(cost) <- histogram.(cost) + 1
+      | None -> failwith "closure index missed a zero-fixing function")
     group;
-  Format.printf "constructed costs (%.1fs):" (Unix.gettimeofday () -. t0);
-  Hashtbl.fold (fun c n acc -> (c, n) :: acc) histogram []
-  |> List.sort compare
-  |> List.iter (fun (c, n) -> Format.printf " %d:%d" c n);
-  Format.printf
-    "@.matches the exact spectrum (X1) on every function: the depth-7 census plus \
-     witness composition is an optimal synthesizer; worst case 13, nothing at 11.@."
+  Format.printf "closure census + index %.3fs; exact costs:" build_t;
+  Array.iteri (fun c n -> Format.printf " %d:%d" c n) histogram;
+  if histogram <> x1_spectrum then
+    failwith "closure census: spectrum differs from X1";
+  Format.printf "@.matches X1: diameter 13, nothing at cost 11.@.";
+  (index, build_t)
 
 let reproduce_behavior () =
   hr "Section 6 program: synthesis from behaviour examples";
@@ -556,183 +559,9 @@ let reproduce_quotient_census () =
     (bench2_baseline_seconds /. q7_dt);
   List.map (fun (d, q, dt, s, a, _, r) -> (d, q, dt, s, a, r)) rows
 
-(* Distributed census: the BENCH_8 experiment.  The coordinator/worker
-   engine (lib/synthesis/distrib.ml) runs real worker processes and
-   pays wire framing, transport CRCs and full delta validation on every
-   item, so the interesting questions are (a) what that robustness tax
-   costs next to the in-process BFS and (b) whether recovery stays cheap
-   when workers actually fail.  Depth-7 arms: single-process baseline,
-   1 and 2 workers (interleaved, best of 3), plus a faulted 2-worker
-   arm where each worker corrupts its first delta (rejected and
-   retried by validation) and crashes on its second item (reassignment,
-   then degradation to coordinator-only).  Depth-8 arms run single vs
-   2-worker behind the same 1 GiB arena guard the quotient experiment
-   uses.  Every distributed row must reproduce the baseline's function
-   table exactly — determinism is the engine's contract, faults or not.
-
-   Workers are spawned by exec'ing the real [qsynth census-worker]
-   binary (Spawn_cmd), exactly like [census --workers N] in production.
-   Distrib.Fork would be cheaper but cannot be used here: earlier
-   experiments in this harness spawn domains, and OCaml 5's Unix.fork
-   permanently refuses once any other domain has ever been created —
-   the endpoints would silently degrade to a coordinator-only run and
-   the "distributed" rows would measure inline expansion.  For the same
-   reason every arm asserts [workers_connected]: a row is only a
-   measurement of the distributed engine if its workers actually
-   handshook.  Faults are armed in the workers via QSYNTH_FAULT in the
-   spawned command's environment (an exec'd child does not inherit
-   Faultsim.configure state); the coordinator itself stays unarmed.
-
-   The wall-clock gate: a clean 2-worker depth-7 run must be within
-   [distrib_max_ratio] of single-process.  The gate only binds where
-   workers can run in parallel with the coordinator — on a single-core
-   host the whole pipeline serializes onto one CPU and the framing tax
-   has nothing to hide behind, so the ratio is recorded as measured and
-   the row reports the gate as skipped. *)
-let distrib_fault_spec = "worker_crash:2,delta_corrupt:1"
-let distrib_max_ratio = 1.25
-
-let qsynth_bin () =
-  let path =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bin/qsynth.exe"
-  in
-  if not (Sys.file_exists path) then
-    failwith
-      (Printf.sprintf
-         "distributed census bench needs the qsynth binary at %s — run `dune \
-          build` first"
-         path);
-  path
-
-let reproduce_distributed_census () =
-  hr "Distributed census: spawned workers vs in-process BFS";
-  let parallel_capable = Domain.recommended_domain_count () >= 2 in
-  let bin = qsynth_bin () in
-  let worker_cmd ?faults () =
-    match faults with
-    | None -> Printf.sprintf "exec %s census-worker" bin
-    | Some spec -> Printf.sprintf "QSYNTH_FAULT=%s exec %s census-worker" spec bin
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let single depth =
-    timed (fun () ->
-        Fmcf.run_guarded ~max_depth:depth ~max_mem:quotient_mem_guard library3)
-  in
-  let distributed ?faults ~workers depth =
-    let cmd = worker_cmd ?faults () in
-    let dt, ((_, _, stats) as r) =
-      timed (fun () ->
-          Distrib.census ~max_depth:depth ~max_mem:quotient_mem_guard
-            ~workers:(List.init workers (fun _ -> Distrib.Spawn_cmd cmd))
-            library3)
-    in
-    if stats.Distrib.workers_connected <> workers then
-      failwith
-        (Printf.sprintf
-           "only %d of %d workers handshook — the row would measure inline \
-            degradation, not the distributed engine"
-           stats.Distrib.workers_connected workers);
-    (dt, r)
-  in
-  (* label, depth, workers, faulted, seconds, states, reason, stats *)
-  let rows = ref [] in
-  let print_row label dt states reason =
-    Format.printf "%-24s %7.3fs, %8d states, %s@." label dt states
-      (Fmcf.describe_stop reason)
-  in
-  let record ~label ~depth ~workers ~faulted dt census reason stats =
-    let states = Search.size (Fmcf.search census) in
-    timings := (Printf.sprintf "distrib/%s" label, dt) :: !timings;
-    print_row label dt states reason;
-    rows := (label, depth, workers, faulted, dt, states, reason, stats) :: !rows
-  in
-  (* Depth 7: interleaved best-of-3 over the three clean arms. *)
-  let best = Array.make 3 (infinity, None) in
-  for _ = 1 to 3 do
-    List.iteri
-      (fun i run ->
-        let dt, r = run () in
-        if dt < fst best.(i) then best.(i) <- (dt, Some r))
-      [
-        (fun () ->
-          let dt, (c, reason) = single 7 in
-          (dt, (c, reason, None)));
-        (fun () ->
-          let dt, (c, reason, s) = distributed ~workers:1 7 in
-          (dt, (c, reason, Some s)));
-        (fun () ->
-          let dt, (c, reason, s) = distributed ~workers:2 7 in
-          (dt, (c, reason, Some s)));
-      ]
-  done;
-  let arm i =
-    match best.(i) with dt, Some r -> (dt, r) | _, None -> assert false
-  in
-  let base_dt, (base_census, base_reason, _) = arm 0 in
-  record ~label:"census-d7/single" ~depth:7 ~workers:0 ~faulted:false base_dt
-    base_census base_reason None;
-  if base_reason <> Fmcf.Completed then
-    failwith "single-process depth-7 census did not complete";
-  let baseline_counts = Fmcf.counts base_census in
-  let check_identity label census reason =
-    if reason <> base_reason then
-      failwith (Printf.sprintf "%s: stop reason diverged from baseline" label);
-    if Fmcf.counts census <> baseline_counts then
-      failwith (Printf.sprintf "%s: diverged from the single-process census" label)
-  in
-  List.iter
-    (fun (i, workers) ->
-      let dt, (census, reason, stats) = arm i in
-      let label = Printf.sprintf "census-d7/workers=%d" workers in
-      check_identity label census reason;
-      (match stats with
-      | Some s when s.Distrib.worker_deaths > 0 || s.Distrib.rejected_deltas > 0 ->
-          failwith (label ^ ": clean arm saw deaths or rejected deltas")
-      | _ -> ());
-      record ~label ~depth:7 ~workers ~faulted:false dt census reason stats)
-    [ (1, 1); (2, 2) ];
-  let ratio_2w = fst (arm 2) /. base_dt in
-  if parallel_capable && ratio_2w > distrib_max_ratio then
-    failwith
-      (Printf.sprintf
-         "clean 2-worker census is %.2fx single-process, need <= %.2fx" ratio_2w
-         distrib_max_ratio);
-  Format.printf "clean 2-worker ratio: %.2fx (gate %s at %.2fx)@." ratio_2w
-    (if parallel_capable then "enforced" else "skipped: single-core host")
-    distrib_max_ratio;
-  (* Depth 7 under injected faults: one rep — recovery time is the point.
-     The spec rides into each worker via QSYNTH_FAULT in its command. *)
-  let dt, (census, reason, stats) =
-    distributed ~faults:distrib_fault_spec ~workers:2 7
-  in
-  check_identity "census-d7/faulted" census reason;
-  if stats.Distrib.rejected_deltas = 0 || stats.Distrib.worker_deaths = 0 then
-    failwith "faulted arm: injected faults did not fire";
-  Format.printf
-    "faulted arm recovery: %d retries, %d reassignments, %d rejected deltas, \
-     %d worker deaths@."
-    stats.Distrib.retries stats.Distrib.reassignments
-    stats.Distrib.rejected_deltas stats.Distrib.worker_deaths;
-  record ~label:"census-d7/workers=2+faults" ~depth:7 ~workers:2 ~faulted:true
-    dt census reason (Some stats);
-  (* Depth 8 behind the arena guard, single rep per arm. *)
-  let dt8, (census8, reason8) = single 8 in
-  record ~label:"census-d8/single" ~depth:8 ~workers:0 ~faulted:false dt8
-    census8 reason8 None;
-  let dt, (census, reason, stats) = distributed ~workers:2 8 in
-  if Fmcf.counts census <> Fmcf.counts census8 || reason <> reason8 then
-    failwith "census-d8/workers=2: diverged from the single-process census";
-  record ~label:"census-d8/workers=2" ~depth:8 ~workers:2 ~faulted:false dt
-    census reason (Some stats);
-  (parallel_capable, ratio_2w, List.rev !rows)
-
 (* Query latency: the BENCH_4 experiment.  One synthesis question, three
    plans: the forward BFS of the paper, a binary search over the
-   persistent census index (round-tripped through the QSYNIDX1 file so
+   persistent census index (round-tripped through the QSYNIDX2 file so
    the timed path is what a CLI user loads, validation included in the
    load but not the lookup), and the meet-in-the-middle engine over a
    warm shared context (the realistic shape for the second and later
@@ -811,16 +640,16 @@ let reproduce_query_latency census =
    universe (5040 functions, all 40320 members of S8 through the
    Theorem-2 NOT cosets) is precomputed, so a cost-8 query — beyond any
    forward horizon — becomes the same O(log n) in-place probe as a
-   cost-2 one.  Measured: the offline build (raw census reused vs a
-   fresh symmetry-quotiented census, both swept with 4 domains), the
-   file size, the cold-start load (heap copy vs mmap, both with the
+   cost-2 one.  Measured: the offline build (the closure census of the
+   X1 experiment plus Census_index.build), the file size, the cold-start
+   load (heap copy vs mmap, both with the
    default sampled verification a daemon start pays), and the p50/p99
    of cost-8 answers from the complete index against a warm
    meet-in-the-middle engine — with a hard >= 100x p99 gate, since
    replacing the join by a probe is the point of the artifact. *)
 let complete_index_p99_gate = 100.
 
-let reproduce_complete_index census =
+let reproduce_complete_index (complete, build_t) =
   hr "Complete index: total-coverage build, mmap cold start, O(1) probes";
   let timed f =
     let t0 = Unix.gettimeofday () in
@@ -847,30 +676,8 @@ let reproduce_complete_index census =
     let n = Array.length a in
     a.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
   in
-  let sweep c =
-    match Census_index.build_complete ~jobs:4 c with
-    | Some r -> r
-    | None -> failwith "complete-index: sweep cancelled"
-  in
-  (* build: the raw arm reuses the harness's canonical depth-7 census
-     (its wall-clock is the table2 experiment above) and times the sweep;
-     the quotient arm pays its own census so the row is self-contained *)
-  let raw_sweep_t, (complete, swept) = timed (fun () -> sweep census) in
-  timings := ("complete_index/sweep_raw", raw_sweep_t) :: !timings;
-  Format.printf "raw build:      sweep %8.3fs  (%d functions beyond the census)@."
-    raw_sweep_t swept;
-  let q_census_t, census_q =
-    timed (fun () -> Fmcf.run ~max_depth:7 ~jobs:4 ~quotient:true library3)
-  in
-  let q_sweep_t, (complete_q, _) = timed (fun () -> sweep census_q) in
-  timings := ("complete_index/build_quotient", q_census_t +. q_sweep_t) :: !timings;
-  Format.printf "quotient build: census %7.3fs + sweep %8.3fs@." q_census_t
-    q_sweep_t;
-  if Census_index.histogram complete <> Census_index.histogram complete_q then
-    failwith "complete-index: raw and quotient builds disagree on the spectrum";
-  let build_rows =
-    [ (false, None, raw_sweep_t); (true, Some q_census_t, q_sweep_t) ]
-  in
+  timings := ("complete_index/build", build_t) :: !timings;
+  Format.printf "build:          closure census + index %8.3fs@." build_t;
   (* cold start: what a daemon pays before /readyz, sampled verify *)
   let path = Filename.temp_file "qsynth_bench_cidx" ".bin" in
   Census_index.save complete path;
@@ -889,43 +696,21 @@ let reproduce_complete_index census =
      is beyond every forward horizon in this harness) *)
   let cost8_targets =
     let acc = ref [] and n = ref 0 in
-    let perm = Array.init 7 (fun i -> i + 1) in
-    let next () =
-      let swap i j =
-        let t = perm.(i) in
-        perm.(i) <- perm.(j);
-        perm.(j) <- t
-      in
-      let i = ref 5 in
-      while !i >= 0 && perm.(!i) >= perm.(!i + 1) do
-        decr i
-      done;
-      if !i < 0 then false
-      else begin
-        let j = ref 6 in
-        while perm.(!j) <= perm.(!i) do
-          decr j
-        done;
-        swap !i !j;
-        let l = ref (!i + 1) and r = ref 6 in
-        while !l < !r do
-          swap !l !r;
-          incr l;
-          decr r
-        done;
-        true
-      end
+    let group =
+      Universality.closure_of (Reversible.Gates.g1 :: Universality.cnots ~bits:3)
     in
-    let continue = ref true in
-    while !continue && !n < 48 do
-      let func = Reversible.Revfun.of_outputs ~bits:3 (0 :: Array.to_list perm) in
-      (match Census_index.find index func with
-      | Some (8, _) ->
-          acc := func :: !acc;
-          incr n
-      | _ -> ());
-      continue := next ()
-    done;
+    (try
+       Permgroup.Closure.iter
+         (fun p ->
+           let func = Reversible.Revfun.of_perm ~bits:3 p in
+           match Census_index.find index func with
+           | Some (8, _) ->
+               acc := func :: !acc;
+               incr n;
+               if !n = 48 then raise Exit
+           | _ -> ())
+         group
+     with Exit -> ());
     List.rev !acc
   in
   let samples = List.length cost8_targets in
@@ -972,8 +757,7 @@ let reproduce_complete_index census =
          "complete-index: p99 gate failed — probe %.6fs vs warm bidir %.6fs \
           (< %.0fx)"
          ip99 bp99 complete_index_p99_gate);
-  (build_rows, swept, file_bytes, heap_t, mmap_t,
-   (samples, ip50, ip99, bp50, bp99))
+  (build_t, file_bytes, heap_t, mmap_t, (samples, ip50, ip99, bp50, bp99))
 
 (* Server latency: the BENCH_5 experiment.  What does a client actually
    wait for?  The warm arm is the daemon's situation: one Service
@@ -1264,35 +1048,9 @@ let reproduce_nft_census () =
   (nft, paper18)
 
 let write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows ~checkpoint_row
-    ~quotient_rows ~distrib ~query_rows ~complete_index ~server_latency
-    ~server_load ~nft_census path =
+    ~quotient_rows ~query_rows ~complete_index ~server_latency ~server_load
+    ~nft_census path =
   let open Telemetry in
-  let distrib_capable, distrib_ratio, distrib_rows = distrib in
-  let distrib_row_json (label, depth, workers, faulted, dt, states, reason, stats) =
-    Json.Obj
-      ([
-         ("label", Json.String label);
-         ("depth", Json.Int depth);
-         ("workers", Json.Int workers);
-         ("faulted", Json.Bool faulted);
-         ("seconds", Json.Float dt);
-         ("states", Json.Int states);
-         ("stop_reason", Json.String (Fmcf.describe_stop reason));
-       ]
-      @
-      match stats with
-      | None -> []
-      | Some s ->
-          [
-            ("workers_connected", Json.Int s.Distrib.workers_connected);
-            ("items", Json.Int s.Distrib.items);
-            ("inline_items", Json.Int s.Distrib.inline_items);
-            ("retries", Json.Int s.Distrib.retries);
-            ("reassignments", Json.Int s.Distrib.reassignments);
-            ("rejected_deltas", Json.Int s.Distrib.rejected_deltas);
-            ("worker_deaths", Json.Int s.Distrib.worker_deaths);
-          ])
-  in
   let plain, checkpointed, overhead, snapshot_bytes = checkpoint_row in
   let server_warm_depth, server_rows = server_latency in
   let server_row_json (name, warm_samples, wp50, wp99, cold_samples, cp50, cp99) =
@@ -1386,19 +1144,6 @@ let write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows ~checkpoi
                          ])
                      quotient_rows) );
             ] );
-        ( "distributed_census",
-          Json.Obj
-            [
-              ("fault_spec", Json.String distrib_fault_spec);
-              ("max_ratio", Json.Float distrib_max_ratio);
-              ("parallel_capable", Json.Bool distrib_capable);
-              ("clean_2worker_ratio", Json.Float distrib_ratio);
-              ( "ratio_gate",
-                Json.String
-                  (if distrib_capable then "enforced" else "skipped_single_core")
-              );
-              ("rows", Json.List (List.map distrib_row_json distrib_rows));
-            ] );
         ( "checkpoint_overhead",
           Json.Obj
             [
@@ -1411,12 +1156,8 @@ let write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows ~checkpoi
             ] );
         ("query_latency", Json.List (List.map query_json query_rows));
         ( "complete_index",
-          let ( build_rows,
-                swept,
-                file_bytes,
-                heap_t,
-                mmap_t,
-                (samples, ip50, ip99, bp50, bp99) ) =
+          let build_t, file_bytes, heap_t, mmap_t, (samples, ip50, ip99, bp50, bp99)
+              =
             complete_index
           in
           Json.Obj
@@ -1424,20 +1165,8 @@ let write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows ~checkpoi
               ("universe", Json.Int 5040);
               ("coverage", Json.Int 40320);
               ("diameter", Json.Int 13);
-              ("swept_beyond_census", Json.Int swept);
               ("file_bytes", Json.Int file_bytes);
-              ( "builds",
-                Json.List
-                  (List.map
-                     (fun (quotient, census_t, sweep_t) ->
-                       Json.Obj
-                         (("quotient", Json.Bool quotient)
-                          ::
-                          (match census_t with
-                          | Some s -> [ ("census_seconds", Json.Float s) ]
-                          | None -> [ ("census_reused", Json.Bool true) ])
-                         @ [ ("sweep_seconds", Json.Float sweep_t) ]))
-                     build_rows) );
+              ("closure_build_seconds", Json.Float build_t);
               ( "cold_start",
                 Json.Obj
                   [
@@ -1504,22 +1233,21 @@ let () =
   experiment "ext/fredkin" reproduce_fredkin;
   experiment "ext/weighted" reproduce_weighted;
   experiment "ext/classical-libraries" reproduce_classical_libraries;
-  experiment "ext/composer" (fun () -> reproduce_composer census);
+  let closure_index = experiment "x1/closure-census" reproduce_closure_census in
   experiment "sec6/behavior" reproduce_behavior;
   experiment "ablation/unconstrained" reproduce_ablation;
   experiment "ext/rewrite" reproduce_rewrite;
   experiment "sec4/qrng" reproduce_qrng;
   let query_rows = reproduce_query_latency census in
-  let complete_index = reproduce_complete_index census in
+  let complete_index = reproduce_complete_index closure_index in
   let server_latency = reproduce_server_latency census in
   let server_load = reproduce_server_load census in
   let parallel_rows = reproduce_parallel_census () in
   let checkpoint_row = reproduce_checkpoint_overhead () in
   let quotient_rows = reproduce_quotient_census () in
-  let distrib = reproduce_distributed_census () in
   let nft_census = experiment "ext/nft-census" reproduce_nft_census in
   let bechamel_rows = run_bechamel () in
   let path = try Sys.getenv "BENCH_OUT" with Not_found -> "BENCH_10.json" in
   write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows ~checkpoint_row
-    ~quotient_rows ~distrib ~query_rows ~complete_index ~server_latency
-    ~server_load ~nft_census path
+    ~quotient_rows ~query_rows ~complete_index ~server_latency ~server_load
+    ~nft_census path

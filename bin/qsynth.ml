@@ -305,8 +305,7 @@ let print_quotient_stats census =
 
 let census_cmd =
   let run finish_telemetry qubits depth jobs library_name paper_variant quotient
-      stats save emit_index complete checkpoint every resume max_states max_mem
-      timeout workers worker_cmd attach =
+      stats save emit_index checkpoint every resume max_states max_mem timeout =
     (* An async checkpoint write may be in flight when an exception
        escapes; let it finish (best effort) so the file keeps the last
        boundary — the primary error is what gets reported. *)
@@ -383,34 +382,10 @@ let census_cmd =
           last_saved := cost
       | Some _ | None -> ()
     in
-    let endpoints =
-      List.map (fun a -> Distrib.Attach a) attach
-      @ List.init workers (fun _ ->
-            match worker_cmd with
-            | Some cmd -> Distrib.Spawn_cmd cmd
-            | None -> Distrib.Spawn_self)
-    in
-    if endpoints <> [] && jobs > 1 then
-      Format.eprintf
-        "warning: --jobs is ignored in distributed mode (--workers/--attach); \
-         the coordinator merges deltas sequentially@.";
     let t0 = Unix.gettimeofday () in
-    let census, reason, dstats =
-      match endpoints with
-      | [] ->
-          let census, reason =
-            Fmcf.run_guarded ~max_depth:depth ~jobs ~quotient
-              ?resume:resume_search ?max_states ?max_mem ?timeout ~should_stop
-              ~on_level library
-          in
-          (census, reason, None)
-      | _ :: _ ->
-          let census, reason, dstats =
-            Distrib.census ~max_depth:depth ~quotient ?resume:resume_search
-              ?max_states ?max_mem ?timeout ~should_stop ~on_level
-              ~workers:endpoints library
-          in
-          (census, reason, Some dstats)
+    let census, reason =
+      Fmcf.run_guarded ~max_depth:depth ~jobs ~quotient ?resume:resume_search
+        ?max_states ?max_mem ?timeout ~should_stop ~on_level library
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     let reached = Search.depth (Fmcf.search census) in
@@ -432,74 +407,15 @@ let census_cmd =
         Census_io.save ?note census path;
         Format.printf "saved census to %s@." path
     | None -> ());
-    (* --complete: extend the finished census to total coverage with the
-       Theorem-2 sweep, then print the coverage proof.  A partial census
-       (early stop) cannot anchor the sweep's lower bounds, so it falls
-       back to a plain partial index with a warning. *)
-    let sweep_cancelled = ref false in
-    let build_index () =
-      if complete && not (Library.coset_reduction library) then begin
-        (* No NOT-coset factor to enumerate: the Theorem-2 sweep does not
-           apply.  A full-group census that reached the library's diameter
-           already covers the whole universe, so [build] marks the index
-           complete by itself. *)
-        let index = Census_index.build census in
-        if Census_index.is_complete index then
-          Format.printf
-            "complete index: %d functions = all of S%d, max cost %d@."
-            (Census_index.size index) (1 lsl qubits)
-            (Census_index.depth index)
-        else
-          Format.eprintf
-            "warning: library %s has no coset sweep; the index covers %d of \
-             the universe's functions — run the census to the library's full \
-             diameter for a complete index@."
-            (Library.name library)
-            (Census_index.size index);
-        Some index
-      end
-      else if complete && reason = Fmcf.Completed then begin
-        match Census_index.build_complete ~jobs ~should_stop census with
-        | Some (index, swept) ->
-            let hist = Census_index.histogram index in
-            Format.printf
-              "complete index: %d zero-fixing functions (%d from the census, %d \
-               swept), coverage %d = %d x 2^%d members of S%d, max cost %d@."
-              (Census_index.size index)
-              (Census_index.size index - swept)
-              swept
-              (Census_index.coverage index)
-              (Census_index.size index) qubits (1 lsl qubits)
-              (Census_index.depth index);
-            Format.printf "spectrum |G[k]| :";
-            Array.iter (fun n -> Format.printf " %6d" n) hist;
-            Format.printf "@.";
-            Some index
-        | None ->
-            sweep_cancelled := true;
-            Format.eprintf "complete sweep interrupted; no index emitted@.";
-            None
-      end
-      else begin
-        if complete then
-          Format.eprintf
-            "warning: census stopped early (%s); emitting a partial index \
-             instead of a complete one@."
-            (Fmcf.describe_stop reason);
-        Some (Census_index.build census)
-      end
-    in
     (match emit_index with
-    | Some path -> (
-        match build_index () with
-        | Some index ->
-            Census_index.save index path;
-            Format.printf "census index: %d functions to cost %d%s -> %s@."
-              (Census_index.size index) (Census_index.depth index)
-              (if Census_index.is_complete index then " (complete)" else "")
-              path
-        | None -> ())
-    | None -> if complete then ignore (build_index ()));
+    | Some path ->
+        let index = Census_index.build census in
+        Census_index.save index path;
+        Format.printf "census index: %d functions to cost %d%s -> %s@."
+          (Census_index.size index) (Census_index.depth index)
+          (if Census_index.is_complete index then " (complete)" else "")
+          path
+    | None -> ());
     let counts = if paper_variant then Fmcf.paper_counts census else Fmcf.counts census in
     if Library.coset_reduction library then begin
       Format.printf "Table 2: number of circuits with cost k (%d qubits, depth %d%s)@."
@@ -531,22 +447,12 @@ let census_cmd =
       (Search.size (Fmcf.search census))
       elapsed;
     if stats then print_quotient_stats census;
-    (match dstats with
-    | Some d ->
-        Format.printf
-          "distributed: %d/%d workers; %d items (%d inline); %d retries, %d \
-           reassignments, %d rejected deltas, %d worker deaths@."
-          d.Distrib.workers_connected d.Distrib.workers_requested
-          d.Distrib.items d.Distrib.inline_items d.Distrib.retries
-          d.Distrib.reassignments d.Distrib.rejected_deltas
-          d.Distrib.worker_deaths
-    | None -> ());
     (match note with
     | Some n -> Format.printf "*** %s ***@." n
     | None -> ());
     if Telemetry.enabled () then Telemetry.log_summary ();
     match reason with
-    | Fmcf.Completed -> if !sweep_cancelled then exit_interrupt else exit_ok
+    | Fmcf.Completed -> exit_ok
     | Fmcf.Timed_out -> exit_timeout
     | Fmcf.Budget_states | Fmcf.Budget_mem -> exit_budget
     | Fmcf.Cancelled -> exit_interrupt
@@ -588,22 +494,9 @@ let census_cmd =
                  $(docv).  Later $(b,qsynth synth --index) runs answer indexed \
                  functions by binary search instead of a BFS, and treat misses \
                  as a proven cost lower bound.  A partial census indexes the \
-                 completed horizon only; see $(b,--complete) for total \
-                 coverage.")
-  in
-  let complete_flag =
-    Arg.(value & flag & info [ "complete" ]
-           ~doc:"After the census, sweep every zero-fixing function it did \
-                 not reach with one meet-in-the-middle query each (against \
-                 the census's own forward wave, frozen and shared across \
-                 $(b,--jobs) domains; Theorem 2's NOT-coset factor is \
-                 enumerated, not searched), print the coverage proof and full \
-                 cost spectrum, and mark the $(b,--emit-index) file complete — \
-                 a daemon serving it answers every realizable request from \
-                 the index alone.  The emitted bytes are identical across \
-                 $(b,--jobs), $(b,--workers) and $(b,--quotient).  Requires a \
-                 census that ran to completion (not stopped by budget or \
-                 timeout).")
+                 completed horizon only; a census run to closure (e.g. \
+                 $(b,-d 13 --quotient) for the paper's library) writes a \
+                 complete index covering every function.")
   in
   let checkpoint_arg =
     Arg.(value & opt (some checkpoint_path) None & info [ "checkpoint" ] ~docv:"FILE"
@@ -640,61 +533,14 @@ let census_cmd =
                    half-expanded level cleanly; the census is reported as \
                    partial (exit 124).")
   in
-  let workers_arg =
-    Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N"
-           ~doc:"Distribute each level's expansion across $(docv) worker \
-                 processes (spawned as $(b,qsynth census-worker) over a \
-                 socketpair, or with $(b,--worker-cmd)).  The merged result \
-                 is byte-identical to a single-process run; crashed, stalled \
-                 or corrupt workers are retried, reassigned, and ultimately \
-                 expanded inline by the coordinator (doc/ROBUSTNESS.md, \
-                 'Distributed census').  Default 0: in-process search.")
-  in
-  let worker_cmd_arg =
-    Arg.(value & opt (some string) None & info [ "worker-cmd" ] ~docv:"CMD"
-           ~doc:"Spawn each $(b,--workers) worker as $(b,sh -c) $(docv) \
-                 instead of re-executing this binary; the command must speak \
-                 the worker protocol on stdin/stdout (e.g. \
-                 'ssh host qsynth census-worker').")
-  in
-  let attach_arg =
-    Arg.(value & opt_all string [] & info [ "attach" ] ~docv:"ADDR"
-           ~doc:"Attach a worker already listening at $(docv) (unix:PATH or \
-                 HOST:PORT, started with $(b,qsynth census-worker --listen)).  \
-                 Repeatable; combines with $(b,--workers).")
-  in
   Cmd.v
     (Cmd.info "census" ~exits:contract_exits
        ~doc:"Reproduce Table 2: |G[k]| for k = 0..depth.")
     Term.(
       const run $ telemetry_term $ qubits_arg $ depth_arg $ jobs_arg
       $ library_arg $ paper_flag $ quotient_flag $ stats_flag $ save_arg
-      $ emit_index_arg $ complete_flag $ checkpoint_arg $ every_arg
-      $ resume_arg $ max_states_arg $ max_mem_arg $ timeout_arg $ workers_arg
-      $ worker_cmd_arg $ attach_arg)
-
-(* The worker half of the distributed census: speaks the QSYNDST1
-   protocol on stdin/stdout (the spawn path) or on a single accepted
-   connection (--listen, the attach path).  Hidden from help — it is an
-   implementation detail of `census --workers`. *)
-let census_worker_cmd =
-  let run listen =
-    guarded @@ fun () ->
-    (match listen with
-    | Some addr -> Distrib.worker_listen addr
-    | None -> Distrib.worker_main Unix.stdin Unix.stdout);
-    exit_ok
-  in
-  let listen_arg =
-    Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"ADDR"
-           ~doc:"Bind $(docv) (unix:PATH or HOST:PORT), accept one \
-                 coordinator connection, serve it, and exit.  Without this \
-                 flag the worker speaks the protocol on stdin/stdout.")
-  in
-  Cmd.v
-    (Cmd.info "census-worker" ~docs:Manpage.s_none ~exits:contract_exits
-       ~doc:"(internal) worker process for $(b,qsynth census --workers).")
-    Term.(const run $ listen_arg)
+      $ emit_index_arg $ checkpoint_arg $ every_arg $ resume_arg
+      $ max_states_arg $ max_mem_arg $ timeout_arg)
 
 (* {1 The unified query surface}
 
@@ -791,8 +637,9 @@ let index_arg =
                (no BFS at all), and a miss proves the cost exceeds the index \
                depth — certifying 'no realization' outright when the index \
                covers $(b,--depth), or priming the bidirectional engine with \
-               the bound.  An index built with $(b,census --complete) never \
-               misses: every realizable request is answered from the file.  \
+               the bound.  An index built from a census run to closure \
+               never misses: every realizable request is answered from the \
+               file.  \
                Integrity (CRC, library and symmetry fingerprints, record \
                structure, cost histogram) is always validated at load, plus \
                a deterministic sample of witness replays; $(b,--verify-index) \
@@ -975,15 +822,11 @@ let serve_cmd =
       Format.printf "libraries: %s@."
         (String.concat ", " (Server.Service.libraries service));
     service_ref := Some service;
-    let daemon =
-      Server.Daemon.start ~workers ~queue_capacity ?slow_ms
-        ~trace:(trace_file <> None) ~socket service
-    in
-    daemon_ref := Some daemon;
-    Atomic.set accepting true;
-    (* Park until SIGTERM/SIGINT requests the drain; SIGUSR1 dumps a
-       live snapshot to the --metrics path, SIGHUP hot-reloads the
-       census index — both without restarting. *)
+    (* SIGTERM/SIGINT request the drain; SIGUSR1 dumps a live snapshot to
+       the --metrics path, SIGHUP hot-reloads the census index — both
+       without restarting.  The handlers go in before the socket is bound
+       and "serving on" is logged, so a signal sent the moment the banner
+       appears drains the daemon instead of killing it. *)
     let stop_requested = Atomic.make false in
     let usr1 = Atomic.make false in
     let hup = Atomic.make false in
@@ -1003,6 +846,12 @@ let serve_cmd =
        Sys.set_signal Sys.sighup
          (Sys.Signal_handle (fun _ -> Atomic.set hup true))
      with Invalid_argument _ -> ());
+    let daemon =
+      Server.Daemon.start ~workers ~queue_capacity ?slow_ms
+        ~trace:(trace_file <> None) ~socket service
+    in
+    daemon_ref := Some daemon;
+    Atomic.set accepting true;
     (* One structured line per reload attempt, success or failure, so
        operators can grep the daemon's stderr for reload outcomes. *)
     let log_reload fields =
@@ -1546,65 +1395,6 @@ let describe_cmd =
              formulas (ANF), linearity, minimal quantum cascade and its drawing.")
     Term.(const run $ qubits_arg $ spec_arg)
 
-(* spectrum *)
-
-let spectrum_cmd =
-  let run finish_telemetry depth jobs library_name probe =
-    guarded ~finish:finish_telemetry @@ fun () ->
-    let library = Library.of_name ~qubits:3 library_name in
-    let t0 = Unix.gettimeofday () in
-    let census = Fmcf.run ~max_depth:depth ~jobs library in
-    Format.printf "census to depth %d: %.1fs, %d functions@." depth
-      (Unix.gettimeofday () -. t0)
-      (Fmcf.total_found census);
-    let spectrum = Spectrum.analyze census in
-    Format.printf "exact costs:";
-    List.iter (fun (k, n) -> Format.printf " %d:%d" k n) spectrum.Spectrum.exact;
-    Format.printf "@.beyond the census: %d elements, lower bound %d@."
-      (List.length spectrum.Spectrum.bounds)
-      (depth + 1);
-    Format.printf "two-split upper bounds:";
-    List.iter
-      (fun (c, n) ->
-        if c = max_int then Format.printf " unresolved:%d" n
-        else Format.printf " %d:%d" c n)
-      (Spectrum.upper_histogram spectrum);
-    Format.printf "@.tight (exactly determined): %d of %d@."
-      spectrum.Spectrum.tight
-      (List.length spectrum.Spectrum.bounds);
-    if probe then begin
-      let t0 = Unix.gettimeofday () in
-      let completion = Spectrum.complete census spectrum in
-      Format.printf "frontier probes (%.1fs): |G[%d]| = %d, |G[%d]| = %d (exact)@."
-        (Unix.gettimeofday () -. t0)
-        (depth + 1) completion.Spectrum.probe_one (depth + 2)
-        completion.Spectrum.probe_two;
-      Format.printf "resolved tail:";
-      List.iter
-        (fun (c, n) -> Format.printf " %d:%d" c n)
-        completion.Spectrum.resolved_tail;
-      Format.printf "@.unresolved: %d@." completion.Spectrum.unresolved
-    end;
-    exit_ok
-  in
-  let depth_arg =
-    Arg.(value & opt int 7 & info [ "d"; "depth" ] ~docv:"K" ~doc:"Census depth.")
-  in
-  let probe_flag =
-    Arg.(value & flag & info [ "probe" ]
-           ~doc:"Also probe one and two levels past the census depth (exact, \
-                 memory-light, but slow: the probe re-walks the frontier without \
-                 deduplication).")
-  in
-  Cmd.v
-    (Cmd.info "spectrum"
-       ~doc:"Complete the minimal-cost spectrum of the library's universe — \
-             all 5040 NOT-free reversible functions under the paper's coset \
-             reduction, all 40320 of S8 for a full-group library \
-             ($(b,--library) nct/nft): exact costs up to the census depth, \
-             provable bounds beyond.")
-    Term.(const run $ telemetry_term $ depth_arg $ jobs_arg $ library_arg $ probe_flag)
-
 (* draw *)
 
 let draw_cmd =
@@ -1742,26 +1532,14 @@ let libraries_cmd =
   Cmd.v
     (Cmd.info "libraries"
        ~doc:"List the registered gate libraries: name, gate count and the \
-             structural fingerprint that checkpoints, census indexes and \
-             distributed-census deltas are validated against.  Any listed \
-             name is a valid $(b,--library) argument to census, synth, \
-             spectrum, serve and batch.")
+             structural fingerprint that checkpoints and census indexes \
+             are validated against.  Any listed name is a valid \
+             $(b,--library) argument to census, synth, serve and batch.")
     Term.(const run $ qubits_arg)
 
 (* Known fault-injection points; kept in sync with the Faultsim.hit call
    sites (see doc/ROBUSTNESS.md). *)
-let fault_points =
-  [
-    "checkpoint";
-    "grow";
-    "merge";
-    (* distributed census (lib/synthesis/distrib.ml); the worker-side
-       points arm in the worker process via the inherited environment *)
-    "worker_crash";
-    "delta_corrupt";
-    "worker_stall";
-    "reply_drop";
-  ]
+let fault_points = [ "checkpoint"; "grow"; "merge" ]
 
 (* QSYNTH_FAULT is validated before any command runs: a typo'd spec is a
    usage error (exit 2) with a diagnostic, never a silently disarmed
@@ -1795,7 +1573,6 @@ let () =
     Cmd.group info
       [
             census_cmd;
-            census_worker_cmd;
             synth_cmd;
             serve_cmd;
             query_cmd;
@@ -1806,7 +1583,6 @@ let () =
             draw_cmd;
             weighted_cmd;
             ablation_cmd;
-            spectrum_cmd;
             classical_cmd;
             describe_cmd;
             libraries_cmd;

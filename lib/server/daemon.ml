@@ -461,10 +461,8 @@ let wait t =
 
 let run ?workers ?queue_capacity ?max_frame ?slow_ms ?slow_oc ?trace ~socket
     service =
-  let t =
-    start ?workers ?queue_capacity ?max_frame ?slow_ms ?slow_oc ?trace ~socket
-      service
-  in
+  (* Handlers first: a SIGTERM that lands right after the "serving on"
+     banner must request the drain, not hit the default action. *)
   let requested = Atomic.make false in
   let previous =
     List.map
@@ -472,9 +470,18 @@ let run ?workers ?queue_capacity ?max_frame ?slow_ms ?slow_oc ?trace ~socket
         (s, Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set requested true))))
       [ Sys.sigterm; Sys.sigint ]
   in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (s, b) -> try Sys.set_signal s b with Invalid_argument _ -> ())
+        previous)
+  @@ fun () ->
+  let t =
+    start ?workers ?queue_capacity ?max_frame ?slow_ms ?slow_oc ?trace ~socket
+      service
+  in
   while not (Atomic.get requested) do
     Thread.delay 0.05
   done;
   stop t;
-  wait t;
-  List.iter (fun (s, b) -> try Sys.set_signal s b with Invalid_argument _ -> ()) previous
+  wait t

@@ -65,8 +65,9 @@ val wait : t -> unit
 
 (** [run ?workers ?queue_capacity ?max_frame ?slow_ms ?slow_oc ?trace
     ~socket service] serves until [SIGTERM] or [SIGINT] arrives, then
-    drains and returns.  Installs handlers for both signals (they only
-    request the drain; the drain itself runs in the calling thread). *)
+    drains and returns.  Installs handlers for both signals before the
+    socket is bound (they only request the drain; the drain itself runs
+    in the calling thread) and restores the previous ones on return. *)
 val run :
   ?workers:int ->
   ?queue_capacity:int ->

@@ -95,39 +95,6 @@ let create ?(jobs = 1) ?(max_fwd_depth = 7) library =
   absorb_handles t (Search.handles_at_depth search 0);
   t
 
-let of_search ?max_fwd_depth search =
-  if Search.symmetry search <> None then
-    invalid_arg
-      "Bidir.of_search: quotiented search (orbit keys carry no image vectors)";
-  let max_fwd_depth =
-    match max_fwd_depth with Some d -> d | None -> Search.depth search
-  in
-  if max_fwd_depth < 0 then invalid_arg "Bidir.of_search: negative max_fwd_depth";
-  let library = Search.library search in
-  let encoding = Library.encoding library in
-  let degree = Mvl.Encoding.size encoding in
-  let entries = Library.entries library in
-  let t =
-    {
-      library;
-      search;
-      nb = Mvl.Encoding.num_binary encoding;
-      signatures = Array.init degree (Mvl.Encoding.mixed_signature encoding);
-      inverse_arrays = Array.map (fun e -> e.Library.inverse_array) entries;
-      purity_masks = Array.map (fun e -> e.Library.purity_mask) entries;
-      max_fwd_depth;
-      images = Hashtbl.create (1 lsl 12);
-      fwd_exhausted = false;
-    }
-  in
-  (* Absorbing levels in BFS order reproduces exactly the images table a
-     [create]-then-[warm] context would hold at the same depth:
-     first-writer-wins per vector = minimal forward depth per vector. *)
-  for d = 0 to Search.depth search do
-    absorb_handles t (Search.handles_at_depth search d)
-  done;
-  t
-
 let library t = t.library
 let fwd_depth t = Search.depth t.search
 let fwd_states t = Search.size t.search

@@ -36,19 +36,6 @@ type t
     @raise Invalid_argument when [max_fwd_depth < 0] or [jobs < 1]. *)
 val create : ?jobs:int -> ?max_fwd_depth:int -> Library.t -> t
 
-(** [of_search ?max_fwd_depth search] wraps an {e existing} raw forward
-    wave — typically the one a census just finished growing — into a
-    query context without re-running the BFS: every level [0..depth] is
-    absorbed into the join index in BFS order, which yields exactly the
-    images table that [create] followed by [warm] to the same depth
-    would hold.  [max_fwd_depth] defaults to the wave's current depth,
-    so by default the forward side {e never grows again} and concurrent
-    queries from multiple domains read the shared wave immutably (the
-    property the complete-index sweep relies on).
-    @raise Invalid_argument on a quotiented search (orbit-canonical keys
-    carry no per-circuit image vectors) or [max_fwd_depth < 0]. *)
-val of_search : ?max_fwd_depth:int -> Search.t -> t
-
 val library : t -> Library.t
 
 (** [fwd_depth t] is the current depth of the shared forward wave. *)

@@ -6,21 +6,17 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let m_lookups = Telemetry.Counter.create "census_index.lookups"
 let m_hits = Telemetry.Counter.create "census_index.hits"
-let m_swept = Telemetry.Counter.create "census_index.sweep.functions"
 let c_bytes = Telemetry.Counter.create "census_index.write.bytes"
 let h_build = Telemetry.Histogram.create "census_index.build.seconds"
-let h_sweep = Telemetry.Histogram.create "census_index.sweep.seconds"
 
 (* The index is quotient-agnostic: {!build} consumes (func_key, cost,
    witness) triples from {!Fmcf} and sorts records by func_key, and a
    quotient census produces exactly the same triples as a raw one
    ({!Fmcf.cascade_of_member} reconstructs the same canonical witness in
    both modes), so index files emitted with and without [--quotient] are
-   byte-identical — the property the CI parity job diffs.  The same
-   holds for {!build_complete}: the sweep order is the lexicographic
-   order of the zero-fixing universe and results are committed by
-   function position, so the emitted file is byte-identical across
-   [--jobs], [--workers] and [--quotient].
+   byte-identical — the property the CI parity job diffs.  A complete
+   index records the highest cost present as its depth, so a census run
+   past the diameter emits the same bytes as one stopped exactly at it.
 
    On-disk format (QSYNIDX2, little-endian), reusing the QSYNCKP1
    atomic-write + CRC machinery from {!Checkpoint}:
@@ -49,19 +45,17 @@ let h_sweep = Telemetry.Histogram.create "census_index.sweep.seconds"
                            a record's witness is log[offset .. offset+cost)
      crc          u32      CRC-32 of everything above
 
-   The previous QSYNIDX1 format (same layout minus the symmetry
-   fingerprint, flags, coverage and histogram fields) still loads; a v1
-   file is by definition a partial index.  Records are fixed-size and
+   The retired QSYNIDX1 format is refused with a typed error naming the
+   version: every index rebuilds from a census in seconds.  Records are
+   fixed-size and
    sorted by key, so lookups binary-search the record block in place —
    whether the file sits in a heap [Bytes.t] or in a read-only mmap, no
    per-record unpacking or allocation happens on the probe path. *)
 
-let magic_v2 = "QSYNIDX2"
+let magic = "QSYNIDX2"
 let magic_v1 = "QSYNIDX1"
 let version = 2
-let version_v1 = 1
-let v1_header_bytes = 8 + 4 + 8 + (6 * 4)
-let v2_header_bytes = 8 + 4 + 8 + 8 + (9 * 4)
+let header_bytes = 8 + 4 + 8 + 8 + (9 * 4)
 let rec_size nb = nb + 1 + 4
 let flag_complete = 1
 
@@ -195,7 +189,7 @@ let pack library ~depth ~complete rows =
         invalid_arg "Census_index: row cost outside 0..depth";
       histogram.(cost) <- histogram.(cost) + 1)
     rows;
-  let records_off = v2_header_bytes + (4 * hist_len) in
+  let records_off = header_bytes + (4 * hist_len) in
   let log_off = records_off + (count * rec_size nb) in
   let len = log_off + log_len + 4 in
   let buf = Bytes.create len in
@@ -204,7 +198,7 @@ let pack library ~depth ~complete rows =
     Bytes.set_int32_le buf !pos (Int32.of_int v);
     pos := !pos + 4
   in
-  Bytes.blit_string magic_v2 0 buf 0 8;
+  Bytes.blit_string magic 0 buf 0 8;
   pos := 8;
   put_u32 version;
   Bytes.set_int64_le buf !pos (Checkpoint.fingerprint library);
@@ -264,7 +258,8 @@ let gate_indices library =
           (Printf.sprintf "Census_index.build: gate %s not in the library"
              (Gate.name gate))
 
-let census_rows census =
+let build census =
+  Telemetry.Histogram.time h_build @@ fun () ->
   let library = Search.library (Fmcf.search census) in
   let nb = Mvl.Encoding.num_binary (Library.encoding library) in
   let gate_index = gate_indices library in
@@ -275,11 +270,7 @@ let census_rows census =
       if List.length gates <> cost then
         invalid_arg "Census_index.build: witness length differs from cost";
       rows := (Bytes.unsafe_to_string key, cost, gates) :: !rows);
-  (library, !rows)
-
-let build census =
-  Telemetry.Histogram.time h_build @@ fun () ->
-  let library, rows = census_rows census in
+  let rows = !rows in
   (* A deep-enough forward census can cover the library's whole universe
      by itself; mark it complete so the planner trusts it. *)
   let complete =
@@ -287,161 +278,13 @@ let build census =
     | Some u -> List.length rows = u
     | None -> false
   in
-  pack library ~depth:(Fmcf.depth census) ~complete rows
-
-(* {1 The complete-index sweep}
-
-   Theorem 2 decomposes S_{2^q} into 2^q NOT cosets over the zero-fixing
-   subgroup G, and {!Mce.strip_not_layer} reduces any query to its
-   zero-fixing remainder — so the coset factor is {e enumerated} (free)
-   and completeness only requires every member of G.  The forward census
-   supplies everything within its horizon; the sweep enumerates the
-   zero-fixing universe in lexicographic order and runs one bidirectional
-   query per still-missing function against a {e shared, frozen} forward
-   wave: [Bidir.of_search] caps forward growth at the census depth, so
-   concurrent sweep domains only read the wave and grow their private
-   backward waves.  Results are committed by function position, which
-   makes the packed file byte-identical across [--jobs]. *)
-
-let next_permutation a =
-  let n = Array.length a in
-  let swap i j =
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
+  (* A complete index proves nothing beyond its highest cost, so levels a
+     census searched past the diameter (all empty) are not recorded. *)
+  let depth =
+    if complete then List.fold_left (fun acc (_, c, _) -> max acc c) 0 rows
+    else Fmcf.depth census
   in
-  let i = ref (n - 2) in
-  while !i >= 0 && a.(!i) >= a.(!i + 1) do
-    decr i
-  done;
-  if !i < 0 then false
-  else begin
-    let j = ref (n - 1) in
-    while a.(!j) <= a.(!i) do
-      decr j
-    done;
-    swap !i !j;
-    let l = ref (!i + 1) and r = ref (n - 1) in
-    while !l < !r do
-      swap !l !r;
-      incr l;
-      decr r
-    done;
-    true
-  end
-
-let build_complete ?(jobs = 1) ?(should_stop = fun () -> false) census =
-  if jobs < 1 then invalid_arg "Census_index.build_complete: jobs < 1";
-  Telemetry.Histogram.time h_sweep @@ fun () ->
-  let library, rows = census_rows census in
-  let nb = Mvl.Encoding.num_binary (Library.encoding library) in
-  let depth = Fmcf.depth census in
-  if not (Library.coset_reduction library) then
-    invalid_arg
-      (Printf.sprintf
-         "Census_index.build_complete: library %s has no coset reduction; a \
-          deep enough forward census (qsynth census) already yields a \
-          complete index"
-         (Library.name library));
-  (match universe library with
-  | Some _ -> ()
-  | None ->
-      invalid_arg
-        "Census_index.build_complete: zero-fixing universe too large to enumerate");
-  let present = Hashtbl.create (4 * List.length rows) in
-  List.iter (fun (key, _, _) -> Hashtbl.replace present key ()) rows;
-  (* every zero-fixing function the census has not already answered *)
-  let missing = ref [] in
-  let perm = Array.init (nb - 1) (fun i -> i + 1) in
-  let continue = ref true in
-  while !continue do
-    let key =
-      String.init nb (fun j -> Char.chr (if j = 0 then 0 else perm.(j - 1)))
-    in
-    if not (Hashtbl.mem present key) then
-      missing :=
-        Revfun.of_outputs ~bits:(Library.qubits library)
-          (0 :: Array.to_list perm)
-        :: !missing;
-    continue := next_permutation perm
-  done;
-  let missing = Array.of_list (List.rev !missing) in
-  let n_missing = Array.length missing in
-  Log.info (fun m ->
-      m "complete sweep: census holds %d of the zero-fixing universe, %d to sweep"
-        (List.length rows) n_missing);
-  let cancelled () = should_stop () in
-  let sweep_rows =
-    if n_missing = 0 then Some []
-    else begin
-      (* One shared query context over the census's own forward wave (or
-         a fresh raw wave warmed to the same depth when the census ran
-         quotiented — orbit keys carry no image vectors).  Either way the
-         forward side is frozen at [depth] before any domain starts. *)
-      let bidir =
-        if Fmcf.quotiented census then begin
-          let b = Bidir.create ~max_fwd_depth:depth library in
-          Bidir.warm ~should_stop b ~depth;
-          b
-        end
-        else Bidir.of_search (Fmcf.search census)
-      in
-      if cancelled () then None
-      else begin
-        let max_cost = max 15 (2 * depth) in
-        let lower_bound = depth + 1 in
-        let results = Array.make n_missing None in
-        let cursor = Atomic.make 0 in
-        let worker () =
-          let continue = ref true in
-          while !continue do
-            let i = Atomic.fetch_and_add cursor 1 in
-            if i >= n_missing || cancelled () then continue := false
-            else
-              results.(i) <-
-                Bidir.synthesize ~max_cost ~lower_bound ~should_stop bidir
-                  missing.(i)
-          done
-        in
-        let domains =
-          List.init (min (jobs - 1) (n_missing - 1)) (fun _ ->
-              Domain.spawn worker)
-        in
-        worker ();
-        List.iter Domain.join domains;
-        if cancelled () then None
-        else begin
-          let gate_index = gate_indices library in
-          let rows = ref [] in
-          Array.iteri
-            (fun i outcome ->
-              match outcome with
-              | None ->
-                  invalid_arg
-                    "Census_index.build_complete: sweep target beyond max_cost \
-                     (library not universal?)"
-              | Some o ->
-                  let key = func_key_bytes ~nb missing.(i) in
-                  rows :=
-                    ( Bytes.unsafe_to_string key,
-                      o.Bidir.cost,
-                      List.map gate_index o.Bidir.cascade )
-                    :: !rows)
-            results;
-          Some !rows
-        end
-      end
-    end
-  in
-  match sweep_rows with
-  | None ->
-      Log.info (fun m -> m "complete sweep cancelled");
-      None
-  | Some sweep_rows ->
-      Telemetry.Counter.add m_swept n_missing;
-      let rows = List.rev_append sweep_rows rows in
-      let max_cost = List.fold_left (fun acc (_, c, _) -> max acc c) 0 rows in
-      Some (pack library ~depth:max_cost ~complete:true rows, n_missing)
+  pack library ~depth ~complete rows
 
 (* {1 Lookup} *)
 
@@ -556,12 +399,11 @@ let of_storage ~verify library buf path =
   let len = st_len buf in
   if len < 12 then corrupt "truncated census index (%d bytes)" len;
   let file_magic = st_sub_string buf 0 8 in
-  let v2 =
-    if file_magic = magic_v2 then true
-    else if file_magic = magic_v1 then false
-    else corrupt "bad magic: not a qsynth census index"
-  in
-  let header_bytes = if v2 then v2_header_bytes else v1_header_bytes in
+  if file_magic = magic_v1 then
+    corrupt
+      "QSYNIDX1 (format version 1) is no longer supported; rebuild the index \
+       with qsynth census --emit-index";
+  if file_magic <> magic then corrupt "bad magic: not a qsynth census index";
   if len < header_bytes + 4 then corrupt "truncated census index (%d bytes)" len;
   let stored_crc = st_u32 buf (len - 4) in
   let actual_crc = st_crc buf ~off:0 ~len:(len - 4) in
@@ -579,22 +421,18 @@ let of_storage ~verify library buf path =
     v
   in
   let v = u32 () in
-  let expected_version = if v2 then version else version_v1 in
-  if v <> expected_version then
-    mismatch "format version: file %d, supported %d" v expected_version;
+  if v <> version then mismatch "format version: file %d, supported %d" v version;
   let lib_name = Library.name library in
   let fp = i64 () in
   let expected_fp = Checkpoint.fingerprint library in
   if not (Int64.equal fp expected_fp) then
     mismatch "library fingerprint: file %Lx, library %s = %Lx" fp lib_name
       expected_fp;
-  if v2 then begin
-    let sym_fp = i64 () in
-    let expected_sym = Symmetry.fingerprint (Symmetry.create library) in
-    if not (Int64.equal sym_fp expected_sym) then
-      mismatch "symmetry fingerprint: file %Lx, library %s = %Lx" sym_fp lib_name
-        expected_sym
-  end;
+  let sym_fp = i64 () in
+  let expected_sym = Symmetry.fingerprint (Symmetry.create library) in
+  if not (Int64.equal sym_fp expected_sym) then
+    mismatch "symmetry fingerprint: file %Lx, library %s = %Lx" sym_fp lib_name
+      expected_sym;
   let qubits = u32 () in
   if qubits <> Library.qubits library then
     mismatch "qubits: file %d, library %s has %d" qubits lib_name
@@ -610,34 +448,27 @@ let of_storage ~verify library buf path =
   let idx_depth = u32 () in
   let count = u32 () in
   let log_len = u32 () in
-  let complete, header_histogram =
-    if not v2 then (false, None)
-    else begin
-      let flags = u32 () in
-      if flags land lnot flag_complete <> 0 then
-        corrupt "unknown flag bits %x" flags;
-      let cov = u32 () in
-      if cov <> coverage_of library count then
-        corrupt "coverage %d does not match count %d for library %s" cov count
-          lib_name;
-      let hist_len = u32 () in
-      if hist_len <> idx_depth + 1 then
-        corrupt "histogram length %d does not match depth %d" hist_len idx_depth;
-      if len < header_bytes + (4 * hist_len) + 4 then
-        corrupt "truncated census index (%d bytes)" len;
-      let hist = Array.init hist_len (fun _ -> u32 ()) in
-      let complete = flags land flag_complete <> 0 in
-      if complete then begin
-        match universe library with
-        | Some u when u = count -> ()
-        | Some u ->
-            corrupt "complete flag with %d records, library %s universe %d"
-              count lib_name u
-        | None -> corrupt "complete flag on an unenumerable universe"
-      end;
-      (complete, Some hist)
-    end
-  in
+  let flags = u32 () in
+  if flags land lnot flag_complete <> 0 then corrupt "unknown flag bits %x" flags;
+  let cov = u32 () in
+  if cov <> coverage_of library count then
+    corrupt "coverage %d does not match count %d for library %s" cov count
+      lib_name;
+  let hist_len = u32 () in
+  if hist_len <> idx_depth + 1 then
+    corrupt "histogram length %d does not match depth %d" hist_len idx_depth;
+  if len < header_bytes + (4 * hist_len) + 4 then
+    corrupt "truncated census index (%d bytes)" len;
+  let header_histogram = Array.init hist_len (fun _ -> u32 ()) in
+  let complete = flags land flag_complete <> 0 in
+  if complete then begin
+    match universe library with
+    | Some u when u = count -> ()
+    | Some u ->
+        corrupt "complete flag with %d records, library %s universe %d" count
+          lib_name u
+    | None -> corrupt "complete flag on an unenumerable universe"
+  end;
   let records_off = !pos in
   let log_off = records_off + (count * rec_size nb) in
   let expected_len = log_off + log_len + 4 in
@@ -688,11 +519,8 @@ let of_storage ~verify library buf path =
     done;
     histogram.(cost) <- histogram.(cost) + 1
   done;
-  (match header_histogram with
-  | Some hist ->
-      if hist <> histogram then
-        corrupt "header histogram does not match the records"
-  | None -> ());
+  if header_histogram <> histogram then
+    corrupt "header histogram does not match the records";
   (* witness replay: sampled by default, exhaustive on request *)
   let encoding = Library.encoding library in
   let degree = Mvl.Encoding.size encoding in

@@ -10,16 +10,15 @@
     no BFS, no census — and turn misses into a proven cost lower bound
     for the meet-in-the-middle engine ({!Bidir}).
 
-    An index can moreover be {e complete}: {!build_complete} sweeps every
-    zero-fixing function the census missed with one bidirectional query
-    each, so the file covers the whole universe — for 3 qubits, all
-    [7! = 5040] zero-fixing functions, which by the Theorem-2 coset
+    An index built from a census run to closure is moreover {e
+    complete}: it covers the library's whole universe — for 3 qubits
+    under the paper's library, all [7! = 5040] zero-fixing functions
+    ([census -d 13 --quotient]), which by the Theorem-2 coset
     decomposition answers all [8! = 40320] members of S₈ once
     {!Mce.strip_not_layer} has peeled the NOT layer.  A complete index
     never misses a well-formed query, so a daemon serving one needs no
     search engine at all.  Completeness (plus the full cost histogram
-    and a coverage count) is recorded in the v2 header; v1 files still
-    load and are by definition partial.
+    and a coverage count) is recorded in the header.
 
     For the 3-qubit depth-7 census: 1260 records of 13 bytes plus a
     ~5.6 kB gate log — about 22 kB; the complete 5040-record index is
@@ -42,30 +41,10 @@ type verification = Sample | Full
     reflects the completed horizon.  A census deep enough to cover the
     library's whole universe — the zero-fixing subgroup under coset
     reduction, the full symmetric group for NCT/NFT — yields a complete
-    index.
+    index whose {!depth} is the highest cost present, however far past
+    the diameter the census ran.
     @raise Invalid_argument if a witness is inconsistent (engine bug). *)
 val build : Fmcf.t -> t
-
-(** [build_complete ?jobs ?should_stop census] extends [census] to a
-    {e complete} index: every zero-fixing function absent from the
-    census is enumerated (lexicographically — the Theorem-2 coset factor
-    costs nothing) and resolved with a bidirectional query against the
-    census's own forward wave, frozen at the census depth so [jobs]
-    worker domains share it read-only (a quotiented census gets a fresh
-    raw wave warmed to the same depth, since orbit-canonical keys carry
-    no image vectors).  Returns the index and the number of swept
-    functions; the bytes are identical regardless of [jobs] or
-    [--quotient].  [None] if [should_stop] fired before the sweep
-    finished.  The resulting {!depth} is the maximum cost over all
-    records ([2·census_depth] bounds it).
-    @raise Invalid_argument when [jobs < 1], when the library has no
-    coset reduction (a full-group universe completes by deepening the
-    forward census instead — the sweep's coset enumeration would be
-    unsound), when the universe is too large to enumerate (4+ qubits),
-    or if a sweep target exceeds every bound (the library is not
-    universal — impossible for the paper's 18-gate library). *)
-val build_complete :
-  ?jobs:int -> ?should_stop:(unit -> bool) -> Fmcf.t -> (t * int) option
 
 (** [depth t] is the cost horizon: every function of cost [<= depth] is
     present, so a miss proves cost [>= depth + 1].  For a complete index
@@ -112,12 +91,12 @@ val find : t -> Reversible.Revfun.t -> (int * Cascade.t) option
 val save : t -> string -> unit
 
 (** [load ?verify library path] reads the file into the heap and
-    validates it: magic and CRC-32, format version, library and (v2)
+    validates it: magic and CRC-32, format version, library and
     symmetry fingerprints, shape, record sortedness and bounds, and the
-    v2 histogram/coverage cross-checks; witness replay per [verify]
+    histogram/coverage cross-checks; witness replay per [verify]
     (default [Sample]).
     @raise Checkpoint.Corrupt on damage (truncation, CRC, structure,
-    invalid witness);
+    invalid witness) and on a retired QSYNIDX1 file;
     @raise Checkpoint.Mismatch on a well-formed index for a different
     library or format version. *)
 val load : ?verify:verification -> Library.t -> string -> t

@@ -67,7 +67,7 @@ val fingerprint : Library.t -> int64
 (** {1 Binary-format primitives}
 
     Shared by every durable artifact the synthesis layer writes (the
-    [QSYNCKP1] snapshots here and the [QSYNIDX1] census indexes of
+    [QSYNCKP1] snapshots here and the [QSYNIDX2] census indexes of
     {!Census_index}), so all of them get the same integrity and
     crash-safety guarantees from one implementation. *)
 

@@ -276,7 +276,7 @@ let find t func = Hashtbl.find_opt t.index (func_key func)
    choice depends only on the census's image -> minimal-depth relation —
    which the quotient search preserves exactly (minimal depths are
    constant on orbits) — so raw and quotient censuses emit byte-identical
-   cascades, and hence byte-identical QSYNIDX1 files. *)
+   cascades, and hence byte-identical QSYNIDX2 files. *)
 
 let image_min_depth t =
   match t.symmetry with

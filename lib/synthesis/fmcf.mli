@@ -160,7 +160,7 @@ val find : t -> Reversible.Revfun.t -> member option
     backward from the member's function image, greedily peeling the least
     library gate that steps to an image of minimal census depth exactly
     one lower; the choice depends only on the image -> minimal-depth
-    relation, which the quotient preserves exactly.  Emitted QSYNIDX1
+    relation, which the quotient preserves exactly.  Emitted QSYNIDX2
     files are therefore byte-identical across modes. *)
 val cascade_of_member : t -> member -> Cascade.t
 

@@ -94,8 +94,8 @@ module Registry = struct
     {
       name = default_name;
       summary =
-        "CV/CV+/CNOT quantum library of the paper (18 gates on 3 qubits, \
-         mixed 38-point encoding, free NOT layer)";
+        "CV/CV+/CNOT quantum library of the paper (mixed-pattern encoding, \
+         free NOT layer)";
       gates = (fun ~qubits -> Gate.all ~qubits);
       encoding = (fun ~qubits -> Encoding.make ~qubits);
       coset_reduction = true;
@@ -105,8 +105,7 @@ module Registry = struct
     {
       name = "nct";
       summary =
-        "classical NCT library: NOT, CNOT, Toffoli (12 gates on 3 qubits, \
-         binary encoding)";
+        "classical NCT library: NOT, CNOT, Toffoli (binary encoding)";
       gates = (fun ~qubits -> Gate.nct ~qubits);
       encoding = (fun ~qubits -> Encoding.make_binary ~qubits);
       coset_reduction = false;
@@ -117,8 +116,7 @@ module Registry = struct
       name = "nft";
       summary =
         "classical NFT library of Younes, arXiv:1304.5804: generalized \
-         Toffoli + generalized Fredkin families (18 gates on 3 qubits, \
-         binary encoding)";
+         Toffoli + generalized Fredkin families (binary encoding)";
       gates = (fun ~qubits -> Gate.nft ~qubits);
       encoding = (fun ~qubits -> Encoding.make_binary ~qubits);
       coset_reduction = false;

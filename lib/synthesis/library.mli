@@ -107,7 +107,9 @@ module Registry : sig
 
   val name : descriptor -> string
 
-  (** One-line human description shown by [qsynth libraries]. *)
+  (** One-line human description shown by [qsynth libraries].  It names
+      no gate, qubit or point counts: those depend on the instantiated
+      width and are printed from the instance itself. *)
   val summary : descriptor -> string
 
   val coset_reduction : descriptor -> bool

@@ -25,7 +25,7 @@ let note_fallback ~horizon ~max_depth ~engine =
         m
           "index horizon %d cannot answer a miss at max_depth %d: falling back \
            to %s (this partial index leaves every deeper query to a live \
-           search; build one with `census --complete --emit-index` to serve \
+           search; run the census to closure with `--emit-index` to serve \
            everything from the index)"
           horizon max_depth engine)
 let g_depth_reached = Telemetry.Gauge.create "mce.depth_reached"

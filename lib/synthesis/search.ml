@@ -700,64 +700,3 @@ let all_cascades ?(limit = 10_000) t key =
   | -1 -> invalid_arg "Search.all_cascades: unknown key"
   | h -> ( try walk h (State_arena.depth_of t.store h) [] with Done -> ()));
   !results
-
-let probe_restrictions t ~steps =
-  if t.sym <> None then
-    invalid_arg
-      "Search.probe_restrictions: unavailable in quotient mode (the frontier \
-       holds one representative per orbit, not every image)";
-  if steps < 1 || steps > 2 then invalid_arg "Search.probe_restrictions: steps in {1,2}";
-  Telemetry.Span.with_span "search.probe"
-    ~attrs:[ ("steps", Telemetry.Json.Int steps) ]
-  @@ fun () ->
-  let entries = Library.entries t.library in
-  let nb = t.num_binary in
-  let found = Hashtbl.create (1 lsl 12) in
-  (* Track only the binary-block image vector; that is all the signature
-     test, the next gate application, and the restriction key need. *)
-  let images = Array.make nb 0 in
-  let scratch = Array.make nb 0 in
-  let signature_of block =
-    let s = ref 0 in
-    for i = 0 to nb - 1 do
-      s := !s lor t.signatures.(block.(i))
-    done;
-    !s
-  in
-  let record block =
-    let rec binary i = i >= nb || (block.(i) < nb && binary (i + 1)) in
-    if binary 0 then begin
-      let key = String.init nb (fun i -> Char.chr block.(i)) in
-      if not (Hashtbl.mem found key) then Hashtbl.add found key ()
-    end
-  in
-  Array.iter
-    (fun h ->
-      let signature = State_arena.signature_of t.store h in
-      let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
-      let soff = State_arena.key_offset t.store h in
-      Array.iter
-        (fun entry ->
-          if Library.signature_allows ~signature entry then begin
-            let pa = entry.Library.perm_array in
-            for i = 0 to nb - 1 do
-              images.(i) <- pa.(Char.code (Bytes.unsafe_get src (soff + i)))
-            done;
-            if steps = 1 then record images
-            else begin
-              let signature2 = signature_of images in
-              Array.iter
-                (fun entry2 ->
-                  if Library.signature_allows ~signature:signature2 entry2 then begin
-                    let pa2 = entry2.Library.perm_array in
-                    for i = 0 to nb - 1 do
-                      scratch.(i) <- pa2.(images.(i))
-                    done;
-                    record scratch
-                  end)
-                entries
-            end
-          end)
-        entries)
-    t.frontier;
-  found

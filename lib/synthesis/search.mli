@@ -41,7 +41,7 @@ type handle = int
     constant on orbits, so the level structure is preserved); the
     jobs-determinism contract is unchanged.  Key-facing APIs take and
     return canonical image strings of length {!key_length};
-    {!all_cascades} and {!probe_restrictions} are unavailable.
+    {!all_cascades} is unavailable.
     @raise Invalid_argument when [jobs < 1], or when [symmetry] was
     built for a different encoding. *)
 val create : ?jobs:int -> ?symmetry:Symmetry.t -> Library.t -> t
@@ -168,21 +168,6 @@ val frontier : t -> string list
 (** [step t] expands one level and returns the new frontier (the keys of
     B[depth+1]); an empty result means the reachable set is exhausted. *)
 val step : t -> string list
-
-(** [probe_restrictions t ~steps] returns the binary-block restrictions
-    (as {!Permgroup.Perm.key} strings over the [2^n] binary codes) of the
-    circuits reachable in exactly [depth t + steps] gates whose length-
-    [depth t] prefix lies on the current frontier — {e without storing any
-    new state}.  Only the binary-block images are tracked, so the memory
-    cost is a table of function keys; the price is no deduplication of
-    intermediate states (do not use for [steps > 2]).
-
-    This is sound for census completion: a function whose minimal cost is
-    [depth t + steps] must have a minimal cascade whose every proper
-    prefix is also minimal, so its length-[depth t] prefix state sits
-    exactly on the frontier.
-    @raise Invalid_argument unless [steps] is 1 or 2. *)
-val probe_restrictions : t -> steps:int -> (string, unit) Hashtbl.t
 
 (** {1 Key decoding} *)
 

@@ -1,18 +1,16 @@
 (* Total-coverage proof for the complete QSYNIDX2 index.
 
-   The tentpole claim is that [Census_index.build_complete] turns a
-   finished forward census into an index holding {e every} zero-fixing
-   member of S8 — 5040 records whose 2^3 Theorem-2 NOT cosets cover all
-   40320 members — so the planner can answer any realizable request with
-   a binary search and treat a miss as a broken file, never as a reason
-   to search.
+   The claim is that [Census_index.build] on a census run to closure
+   yields an index holding {e every} zero-fixing member of S8 — 5040
+   records whose 2^3 Theorem-2 NOT cosets cover all 40320 members — so
+   the planner can answer any realizable request with a binary search
+   and treat a miss as a broken file, never as a reason to search.
 
    The spectrum asserted below (note the genuine gap at cost 11 and the
-   diameter of 13) is cross-validated: sweeps from independent census
-   horizons (depth 6 and depth 7) produce identical histograms, every
-   witness replays to its claimed function under the multiple-valued
-   gate semantics, and a seeded sample is re-derived here against a
-   fresh meet-in-the-middle engine. *)
+   diameter of 13) is cross-validated: every witness replays to its
+   claimed function under the multiple-valued gate semantics, and a
+   seeded sample is re-derived here against a fresh meet-in-the-middle
+   engine, which shares no code with the census beyond the library. *)
 
 open Synthesis
 open Reversible
@@ -20,13 +18,8 @@ open Reversible
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
 let library3 = Library.make (Mvl.Encoding.make ~qubits:3)
-let census6 = lazy (Fmcf.run ~max_depth:6 ~jobs:2 library3)
-
-let complete6 =
-  lazy
-    (match Census_index.build_complete ~jobs:4 (Lazy.force census6) with
-    | Some (idx, swept) -> (idx, swept)
-    | None -> Alcotest.fail "sweep cancelled without a cancellation request")
+let closure = lazy (Fmcf.run ~max_depth:13 ~quotient:true library3)
+let complete = lazy (Census_index.build (Lazy.force closure))
 
 (* |G[k]| over the whole zero-fixing universe.  Empty at k = 11 yet
    inhabited at 12 and 13: legality (the reasonable-product rule)
@@ -46,7 +39,7 @@ let with_temp_file f =
         [ path; path ^ ".tmp" ])
     (fun () -> f path)
 
-(* every zero-fixing function of S8, in lexicographic sweep order *)
+(* every zero-fixing function of S8, in lexicographic order *)
 let iter_universe f =
   let nb = 8 in
   let perm = Array.init (nb - 1) (fun i -> i + 1) in
@@ -91,22 +84,21 @@ let realizes func cascade =
   | None -> false
 
 let test_total_coverage () =
-  let idx, swept = Lazy.force complete6 in
+  let idx = Lazy.force complete in
   checkb "complete" true (Census_index.is_complete idx);
   check Alcotest.int "size = (2^3 - 1)!" universe (Census_index.size idx);
   check Alcotest.int "coverage = |S8|" coverage_s8 (Census_index.coverage idx);
-  check Alcotest.int "census + sweep partition the universe"
-    (universe - Fmcf.total_found (Lazy.force census6))
-    swept;
+  check Alcotest.int "the closure census found the whole universe" universe
+    (Fmcf.total_found (Lazy.force closure));
   check Alcotest.int "depth = max cost" 13 (Census_index.depth idx);
   check Alcotest.(array int) "spectrum" spectrum (Census_index.histogram idx);
-  (* the histogram is the census's own Table 2 within the horizon *)
+  (* the histogram is the census's own Table 2 *)
   List.iter
     (fun (cost, n) ->
       check Alcotest.int
         (Printf.sprintf "|G[%d]| matches the census" cost)
         n spectrum.(cost))
-    (Fmcf.counts (Lazy.force census6));
+    (Fmcf.counts (Lazy.force closure));
   (* every member of the universe answers, and no probe ever misses *)
   let seen = Array.make (Array.length spectrum) 0 in
   let total = ref 0 in
@@ -119,7 +111,7 @@ let test_total_coverage () =
   check Alcotest.(array int) "per-cost lookup counts" spectrum seen
 
 let test_sampled_costs_against_fresh_engine () =
-  let idx, _ = Lazy.force complete6 in
+  let idx = Lazy.force complete in
   (* an independent engine, warmed from scratch, must agree on cost and
      accept the stored witness — a seeded stride covers every cost level
      including the deep post-census tail *)
@@ -146,29 +138,39 @@ let test_sampled_costs_against_fresh_engine () =
   checkb "sample non-trivial" true (!checked >= 50)
 
 let test_deterministic_bytes_across_jobs_and_quotient () =
-  (* the sweep commits results by function position and the NOT-coset
-     factor is enumerated, so the same census horizon must serialize to
-     the same bytes no matter how the work was parallelized or whether
-     the census ran under the symmetry quotient *)
-  let idx_raw, _ = Lazy.force complete6 in
-  let census_q = Fmcf.run ~max_depth:6 ~quotient:true library3 in
-  let idx_q, swept_q =
-    match Census_index.build_complete ~jobs:1 census_q with
-    | Some r -> r
-    | None -> Alcotest.fail "quotient sweep cancelled"
+  (* a complete index records the highest cost present, not the census
+     depth, so running past the diameter — on any number of domains,
+     with or without the symmetry quotient — serializes to the same
+     bytes as the closure itself *)
+  let same_bytes what a b =
+    with_temp_file @@ fun path_a ->
+    with_temp_file @@ fun path_b ->
+    Census_index.save a path_a;
+    Census_index.save b path_b;
+    checkb what true (Checkpoint.read_file path_a = Checkpoint.read_file path_b)
   in
-  check Alcotest.int "quotient census sweeps the same set"
-    (universe - Fmcf.total_found (Lazy.force census6))
-    swept_q;
-  with_temp_file @@ fun path_raw ->
-  with_temp_file @@ fun path_q ->
-  Census_index.save idx_raw path_raw;
-  Census_index.save idx_q path_q;
-  checkb "raw/jobs=4 and quotient/jobs=1 files byte-identical" true
-    (Checkpoint.read_file path_raw = Checkpoint.read_file path_q)
+  let idx14 =
+    Census_index.build (Fmcf.run ~max_depth:14 ~jobs:2 ~quotient:true library3)
+  in
+  checkb "depth-14 census is complete" true (Census_index.is_complete idx14);
+  check Alcotest.int "depth-14 index depth = diameter" 13
+    (Census_index.depth idx14);
+  same_bytes "paper18: depth-13/jobs=1 and depth-14/jobs=2 byte-identical"
+    (Lazy.force complete) idx14;
+  (* a full-group library is small enough to close without the quotient:
+     NFT's diameter is 7 (Younes) *)
+  let nft = Library.of_name "nft" in
+  let raw = Census_index.build (Fmcf.run ~max_depth:7 nft) in
+  let quotiented =
+    Census_index.build (Fmcf.run ~max_depth:8 ~jobs:2 ~quotient:true nft)
+  in
+  checkb "nft closure complete" true (Census_index.is_complete raw);
+  check Alcotest.int "nft index depth = diameter" 7 (Census_index.depth quotiented);
+  same_bytes "nft: raw depth-7/jobs=1 and quotient depth-8/jobs=2 byte-identical"
+    raw quotiented
 
 let test_mmap_and_heap_loaders_agree () =
-  let idx, _ = Lazy.force complete6 in
+  let idx = Lazy.force complete in
   with_temp_file @@ fun path ->
   Census_index.save idx path;
   let heap = Census_index.load library3 path in
@@ -201,7 +203,7 @@ let test_mmap_and_heap_loaders_agree () =
       incr i)
 
 let test_solve_always_hits () =
-  let idx, _ = Lazy.force complete6 in
+  let idx = Lazy.force complete in
   (* with a complete index every realizable request is answered by a
      probe — across all 8 NOT cosets, with no bidir context supplied and
      no silent fallback possible *)
@@ -240,7 +242,7 @@ let test_solve_always_hits () =
   done
 
 let test_solve_certifies_beyond_depth_bound () =
-  let idx, _ = Lazy.force complete6 in
+  let idx = Lazy.force complete in
   (* a cost-13 function under the default cb = 7: the probe's exact cost
      proves unrealizability within the bound without any search *)
   let deep = ref None in

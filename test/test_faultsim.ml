@@ -33,8 +33,8 @@ let test_parse_valid () =
   check
     Alcotest.(list (pair string int))
     "multi pair"
-    [ ("worker_crash", 2); ("delta_corrupt", 1) ]
-    (Faultsim.parse_spec "worker_crash:2,delta_corrupt:1");
+    [ ("checkpoint", 2); ("grow", 1) ]
+    (Faultsim.parse_spec "checkpoint:2,grow:1");
   check
     Alcotest.(list (pair string int))
     "pairs trimmed around commas"
@@ -81,7 +81,7 @@ let test_other_points_ignored () =
 
 let test_disarms_after_firing () =
   (* fire-once: the cell disarms before raising, so the same point is
-     survivable on retry — the distributed census depends on this *)
+     survivable on retry *)
   with_spec (Some "p:2") @@ fun () ->
   checkb "hit 1 silent" false (fired "p" (fun () -> Faultsim.hit "p"));
   checkb "hit 2 fires" true (fired "p" (fun () -> Faultsim.hit "p"));

@@ -1,7 +1,7 @@
 (* Symmetry-quotient parity tests: the quotiented census must be
    observationally identical to the raw one — Table 2, |S8[k]|, the exact
    1260 depth-7 members with equal costs and witness cascades, and
-   byte-identical QSYNIDX1 files — plus QCheck properties of the
+   byte-identical QSYNIDX2 files — plus QCheck properties of the
    canonical form, quotient (v2) checkpoint round-trips and rejection of
    snapshots whose symmetry section is damaged or mismatched. *)
 
@@ -92,7 +92,7 @@ let test_index_byte_identity () =
   with_temp_file @@ fun path_quot ->
   Census_index.save (Census_index.build (Lazy.force raw7)) path_raw;
   Census_index.save (Census_index.build (Lazy.force quot7)) path_quot;
-  checkb "QSYNIDX1 files byte-identical" true
+  checkb "QSYNIDX2 files byte-identical" true
     (String.equal (read_file path_raw) (read_file path_quot))
 
 (* {1 Canonical-form properties} *)

@@ -231,34 +231,6 @@ let test_search_all_cascades () =
         (Cascade.perm_of library3 c))
     all
 
-let test_search_probe_matches_census () =
-  (* Probing 1 and 2 levels past a depth-2 search recovers exactly the
-     new functions of G[3] and G[4]. *)
-  let census = Lazy.force census7 in
-  let search = Search.create library3 in
-  ignore (Search.step search);
-  ignore (Search.step search);
-  let known = Hashtbl.create 64 in
-  List.iter
-    (fun cost ->
-      List.iter
-        (fun (m : Fmcf.member) ->
-          Hashtbl.replace known (Permgroup.Perm.key (Reversible.Revfun.to_perm m.Fmcf.func)) ())
-        (Fmcf.members_at census ~cost))
-    [ 0; 1; 2 ];
-  let fresh probe =
-    Hashtbl.fold (fun k () acc -> if Hashtbl.mem known k then acc else k :: acc) probe []
-  in
-  let level3 = fresh (Search.probe_restrictions search ~steps:1) in
-  check Alcotest.int "G[3] via probe" 51 (List.length level3);
-  List.iter (fun k -> Hashtbl.replace known k ()) level3;
-  let level4 = fresh (Search.probe_restrictions search ~steps:2) in
-  check Alcotest.int "G[4] via probe" 84 (List.length level4);
-  checkb "steps out of range" true
-    (match Search.probe_restrictions search ~steps:3 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 let test_search_restriction_of_key () =
   let search = Search.create library3 in
   let root = List.hd (Search.frontier search) in
@@ -618,6 +590,51 @@ let test_library_registry () =
        (List.sort_uniq Int64.compare
           (List.map Checkpoint.fingerprint [ p18; nct; nft ])))
 
+(* [qsynth libraries] prints each summary next to the instance's real
+   qubit and gate columns, so a count written into a summary must match
+   the instance at every width — at 4 qubits as much as at 3. *)
+let test_library_summaries_match_instances () =
+  let counts_in summary =
+    (* every "<number><suffix>" pair, e.g. (12, " gates") *)
+    let n = String.length summary in
+    let rec go i acc =
+      if i >= n then List.rev acc
+      else if summary.[i] >= '0' && summary.[i] <= '9' then begin
+        let j = ref i in
+        while !j < n && summary.[!j] >= '0' && summary.[!j] <= '9' do
+          incr j
+        done;
+        let rest = String.sub summary !j (min 7 (n - !j)) in
+        go !j ((int_of_string (String.sub summary i (!j - i)), rest) :: acc)
+      end
+      else go (i + 1) acc
+    in
+    go 0 []
+  in
+  let starts_with p s =
+    String.length s >= String.length p && String.sub s 0 (String.length p) = p
+  in
+  List.iter
+    (fun qubits ->
+      List.iter
+        (fun d ->
+          let lib = Library.Registry.instantiate ~qubits d in
+          let summary = Library.Registry.summary d in
+          List.iter
+            (fun (v, rest) ->
+              let agrees what actual =
+                if v <> actual then
+                  Alcotest.failf "%s at %d qubits: summary says %d %s, instance has %d"
+                    (Library.Registry.name d) qubits v what actual
+              in
+              if starts_with " gate" rest then agrees "gates" (Library.size lib)
+              else if starts_with " qubit" rest then agrees "qubits" qubits
+              else if starts_with "-point" rest then
+                agrees "points" (Mvl.Encoding.size (Library.encoding lib)))
+            (counts_in summary))
+        Library.Registry.all)
+    [ 3; 4 ]
+
 (* Engine-verified published spectra: Shende et al. for NCT, Younes
    (arXiv:1304.5804) for NFT.  Both sum to |S8| = 40320 at full depth. *)
 let test_nct_census () =
@@ -725,7 +742,6 @@ let () =
           Alcotest.test_case "level sizes" `Quick test_search_levels;
           Alcotest.test_case "factorization" `Quick test_search_factorization;
           Alcotest.test_case "all cascades" `Quick test_search_all_cascades;
-          Alcotest.test_case "probe matches census" `Slow test_search_probe_matches_census;
           Alcotest.test_case "key utilities" `Quick test_search_restriction_of_key;
         ] );
       ( "fmcf",
@@ -776,6 +792,8 @@ let () =
           Alcotest.test_case "classical gate matrices" `Quick
             test_classical_gate_matrices;
           Alcotest.test_case "registry" `Quick test_library_registry;
+          Alcotest.test_case "summaries agree with 4-qubit instances" `Quick
+            test_library_summaries_match_instances;
           Alcotest.test_case "NCT census (Shende)" `Slow test_nct_census;
           Alcotest.test_case "NFT census (Younes)" `Slow test_nft_census;
           Alcotest.test_case "NFT quotient identical" `Slow

@@ -264,7 +264,8 @@ let test_ablation_diverges_and_is_unsound () =
 let test_subadditivity_premise () =
   (* Concatenating witness cascades of two binary-preserving circuits is
      reasonable (the first ends with an empty mixed signature), and the
-     restriction composes — the fact Spectrum.analyze relies on. *)
+     restriction composes, so cost is subadditive over binary-preserving
+     factors. *)
   let census = Fmcf.run ~max_depth:5 library3 in
   let witness target =
     match Fmcf.find census target with
@@ -281,91 +282,6 @@ let test_subadditivity_premise () =
         (Reversible.Revfun.equal f
            (Reversible.Revfun.compose Reversible.Gates.toffoli3 Reversible.Gates.g1))
   | None -> Alcotest.fail "combined cascade restricts"
-
-let test_spectrum_bounds () =
-  let census = Fmcf.run ~max_depth:5 library3 in
-  let spectrum = Spectrum.analyze census in
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "exact part is the census" (Fmcf.counts census) spectrum.Spectrum.exact;
-  check Alcotest.int "remaining elements" (5040 - 322)
-    (List.length spectrum.Spectrum.bounds);
-  checkb "all lower bounds are 6" true
-    (List.for_all (fun b -> b.Spectrum.lower = 6) spectrum.Spectrum.bounds);
-  (* Upper bounds are genuine: they can never undercut the true cost, so
-     the cost-6 bucket has at most |G[6]| = 398 members; subadditivity
-     turns out tight here, so it has exactly 398. *)
-  (match List.assoc_opt 6 (Spectrum.upper_histogram spectrum) with
-  | Some n -> check Alcotest.int "cost-6 bucket" 398 n
-  | None -> Alcotest.fail "cost-6 bucket expected");
-  check Alcotest.int "tight count" 398 spectrum.Spectrum.tight
-
-let test_spectrum_upper_bounds_sound () =
-  (* Every upper bound from a depth-4 analysis is >= the true cost known
-     from a deeper census. *)
-  let shallow = Spectrum.analyze (Fmcf.run ~max_depth:4 library3) in
-  let deep = Fmcf.run ~max_depth:7 library3 in
-  List.iter
-    (fun b ->
-      match Fmcf.find deep b.Spectrum.func with
-      | Some m -> checkb "sound" true (b.Spectrum.upper >= m.Fmcf.cost)
-      | None -> checkb "beyond depth 7" true (b.Spectrum.upper >= 8 || b.Spectrum.upper = max_int))
-    shallow.Spectrum.bounds
-
-let test_composer_matches_exact_costs () =
-  (* The composer's costs agree with MCE on census-range functions... *)
-  let census = Fmcf.run ~max_depth:6 library3 in
-  let express = Spectrum.composer census in
-  List.iter
-    (fun target ->
-      match (express target, Mce.express library3 target) with
-      | Some composed, Some exact ->
-          check Alcotest.int "optimal" exact.Mce.cost composed.Mce.cost;
-          checkb "verified" true (Verify.result_valid library3 composed)
-      | _ -> Alcotest.fail "both must synthesize")
-    [
-      Reversible.Gates.g1;
-      Reversible.Gates.toffoli3;
-      Reversible.Gates.cnot ~bits:3 ~control:2 ~target:1;
-      Reversible.Revfun.compose (Reversible.Revfun.xor_layer ~bits:3 3)
-        Reversible.Gates.g2;
-    ];
-  (* ...and constructs a verified cascade for Fredkin (cost 7, beyond this
-     census depth 6) at its exact cost. *)
-  match express Reversible.Gates.fredkin3 with
-  | Some r ->
-      check Alcotest.int "fredkin composed at 7" 7 r.Mce.cost;
-      checkb "verified" true (Verify.result_valid library3 r)
-  | None -> Alcotest.fail "fredkin composable"
-
-let test_composer_covers_the_group () =
-  let census = Fmcf.run ~max_depth:7 library3 in
-  let express = Spectrum.composer census in
-  let group =
-    Universality.closure_of (Reversible.Gates.g1 :: Universality.cnots ~bits:3)
-  in
-  let histogram = Hashtbl.create 16 in
-  Permgroup.Closure.iter
-    (fun p ->
-      match express (Reversible.Revfun.of_perm ~bits:3 p) with
-      | Some r ->
-          Hashtbl.replace histogram r.Mce.cost
-            (1 + Option.value ~default:0 (Hashtbl.find_opt histogram r.Mce.cost))
-      | None -> Alcotest.fail "every function must be composable")
-    group;
-  (* The constructed-cost histogram equals the exact spectrum; each
-     construction is an upper bound, so multiset equality proves
-     per-function optimality. *)
-  let expected =
-    [ (0, 1); (1, 6); (2, 24); (3, 51); (4, 84); (5, 156); (6, 398); (7, 540);
-      (8, 444); (9, 1440); (10, 552); (12, 1232); (13, 112) ]
-  in
-  List.iter
-    (fun (cost, n) ->
-      check Alcotest.int (Printf.sprintf "cost %d" cost) n
-        (Option.value ~default:0 (Hashtbl.find_opt histogram cost)))
-    expected;
-  checkb "nothing at cost 11" true (Hashtbl.find_opt histogram 11 = None)
 
 (* Equivalence *)
 
@@ -515,12 +431,6 @@ let () =
       ( "spectrum",
         [
           Alcotest.test_case "subadditivity premise" `Quick test_subadditivity_premise;
-          Alcotest.test_case "bounds at depth 5" `Slow test_spectrum_bounds;
-          Alcotest.test_case "upper bounds sound" `Slow test_spectrum_upper_bounds_sound;
-          Alcotest.test_case "composer optimal on samples" `Slow
-            test_composer_matches_exact_costs;
-          Alcotest.test_case "composer covers the group" `Slow
-            test_composer_covers_the_group;
         ] );
       ( "equivalence",
         [
