@@ -222,16 +222,14 @@ let jobs_arg =
 
 (* census *)
 
-(* [--stats]: the per-depth symmetry-quotient analysis.  In quotient mode
-   the arena itself holds the orbit counts (and the search.quotient.*
-   telemetry the ISSUE names the reduction after); in raw mode the
-   analysis canonicalizes the stored arena post hoc, so the two modes
-   print mutually consistent tables. *)
+(* [--stats]: the per-depth symmetry-quotient analysis, read straight
+   from the quotient arena (and its search.quotient.* telemetry). *)
 let print_quotient_stats census =
   let search = Fmcf.search census in
-  let reached = Search.depth search in
-  let library = Search.library search in
   match Search.symmetry search with
+  | None ->
+      Format.printf
+        "--stats describes the symmetry quotient; run with --quotient to see it@."
   | Some sym ->
       Format.printf
         "Symmetry quotient: group order %d (wire relabelings), x%d NOT cosets \
@@ -239,7 +237,7 @@ let print_quotient_stats census =
         (Symmetry.order sym) (Symmetry.not_cosets sym);
       Format.printf "  depth    orbits    images  img/orbit@.";
       let tot_orbits = ref 0 and tot_images = ref 0 in
-      for d = 0 to reached do
+      for d = 0 to Search.depth search do
         let hs = Search.handles_at_depth search d in
         let orbits = Array.length hs in
         let images =
@@ -264,44 +262,6 @@ let print_quotient_stats census =
              representatives@."
             (hits + news) news
       | _ -> (* resumed engines only tally levels run after the resume *) ())
-  | None ->
-      (* Raw arena: canonicalize each state's binary image after the fact. *)
-      let sym = Symmetry.create library in
-      Format.printf
-        "Symmetry analysis of the raw arena (group order %d; run with \
-         --quotient to store one representative per orbit):@."
-        (Symmetry.order sym);
-      Format.printf "  depth    states    images    orbits  reduction@.";
-      let tot_s = ref 0 and tot_i = ref 0 and tot_o = ref 0 in
-      (* Images and orbits are attributed to the first depth they appear
-         at (a state at depth d can share its binary image with a
-         shallower state), so this table matches the quotient-mode one:
-         its per-depth orbit column is what [--quotient] would store. *)
-      let images = Hashtbl.create 4096 and orbits = Hashtbl.create 4096 in
-      for d = 0 to reached do
-        let hs = Search.handles_at_depth search d in
-        let ni = ref 0 and no = ref 0 in
-        Array.iter
-          (fun h ->
-            let img = Search.binary_image_of_handle search h in
-            if not (Hashtbl.mem images img) then begin
-              Hashtbl.add images img ();
-              incr ni;
-              let c, _ = Symmetry.canon sym img in
-              if not (Hashtbl.mem orbits c) then begin
-                Hashtbl.add orbits c ();
-                incr no
-              end
-            end)
-          hs;
-        tot_s := !tot_s + Array.length hs;
-        tot_i := !tot_i + !ni;
-        tot_o := !tot_o + !no;
-        Format.printf "  %5d %9d %9d %9d %9.1fx@." d (Array.length hs) !ni !no
-          (float_of_int (Array.length hs) /. float_of_int (max 1 !no))
-      done;
-      Format.printf "  total %9d %9d %9d %9.1fx@." !tot_s !tot_i !tot_o
-        (float_of_int !tot_s /. float_of_int (max 1 !tot_o))
 
 let census_cmd =
   let run finish_telemetry qubits depth jobs library_name paper_variant quotient
@@ -321,12 +281,6 @@ let census_cmd =
            "--paper-variant reproduces the paper's Table 2 and only applies \
             to its own library (%s); library %s counts a different universe"
            Library.default_name library_name);
-    if paper_variant && quotient then
-      failwith
-        "--paper-variant cannot be combined with --quotient: the paper's \
-         printed counts depend on duplicate candidates within a level, which \
-         a one-representative-per-orbit arena never re-materializes (the \
-         exact counts, |S8[k]| and all witnesses are identical in both modes)";
     let last_saved = ref (-1) in
     let resume_search =
       match resume with
@@ -352,11 +306,12 @@ let census_cmd =
                   deeper --depth to continue it"
                  path h.Checkpoint.depth depth);
           (* The snapshot's own mode wins: a v2 file resumes quotiented,
-             a v1 file resumes raw, whatever --quotient says. *)
+             a v3 file resumes unquotiented, whatever --quotient says. *)
           (match (h.Checkpoint.symmetry, quotient) with
           | None, true ->
               Format.eprintf
-                "warning: %s is a raw (v1) snapshot; resuming unquotiented@." path
+                "warning: %s is an unquotiented (v3) snapshot; resuming \
+                 unquotiented@." path
           | Some _, false ->
               Format.eprintf
                 "warning: %s is a quotient (v2) snapshot; resuming quotiented@."
@@ -460,26 +415,23 @@ let census_cmd =
   let paper_flag =
     Arg.(value & flag & info [ "paper-variant" ]
            ~doc:"Report the counts exactly as printed in the paper's Table 2 \
-                 (reproducing its two counting artifacts at k = 2, 3).  \
-                 Incompatible with $(b,--quotient).")
+                 (reproducing its two counting artifacts at k = 2, 3).")
   in
   let quotient_flag =
     Arg.(value & flag & info [ "quotient" ]
            ~doc:"Run the BFS over canonical orbit representatives under the \
                  library's wire-relabeling symmetry group (Schreier-verified; \
                  see doc/PERFORMANCE.md, 'Symmetry quotient').  The arena \
-                 stores ~200x fewer states at depth 7 and every reported \
+                 stores ~6x fewer states and every reported \
                  count, member, witness cascade and emitted index is \
                  byte-identical to the unquotiented run.  Checkpoints are \
                  written in the v2 format and resume quotiented.")
   in
   let stats_flag =
     Arg.(value & flag & info [ "stats" ]
-           ~doc:"After the census, print the per-depth symmetry-quotient \
-                 analysis: raw state counts vs orbit counts and the measured \
-                 reduction factor (from the search.quotient.* telemetry in \
-                 quotient mode; computed by canonicalizing the raw arena \
-                 otherwise).")
+           ~doc:"After a $(b,--quotient) census, print the per-depth \
+                 symmetry-quotient analysis: stored orbits vs the images \
+                 they stand for, and the measured reduction factor.")
   in
   let save_arg =
     Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE"

@@ -42,10 +42,13 @@ let sub a b = map2 "Dmatrix.sub" Dyadic.sub a b
 let mul a b =
   if cols a <> rows b then invalid_arg "Dmatrix.mul: dimension mismatch";
   let inner = cols a in
+  (* Gate matrices are sparse; a zero term adds exactly nothing to a
+     normalized sum, so skipping it leaves every entry unchanged. *)
   make (rows a) (cols b) (fun r c ->
       let acc = ref Dyadic.zero in
       for k = 0 to inner - 1 do
-        acc := Dyadic.add !acc (Dyadic.mul a.(r).(k) b.(k).(c))
+        let x = a.(r).(k) in
+        if not (Dyadic.is_zero x) then acc := Dyadic.add !acc (Dyadic.mul x b.(k).(c))
       done;
       !acc)
 

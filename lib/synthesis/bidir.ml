@@ -11,15 +11,15 @@ let g_fwd_depth = Telemetry.Gauge.create "bidir.forward.depth"
 let g_bwd_depth = Telemetry.Gauge.create "bidir.backward.depth"
 let h_query = Telemetry.Histogram.create "bidir.query.seconds"
 
-(* Why the backward wave runs over image vectors, not circuit states.
+(* Why both waves run over image vectors.
 
-   A forward state is a permutation of all encoding points, but whether a
-   gate may legally follow it (Definition 1's reasonable-product test)
-   and what binary function the composite finally computes depend only
-   on the state's image of the binary block — [num_binary] bytes.  So
-   for the purpose of completing a prefix into a realization of a target
-   function, two prefixes with equal binary images are interchangeable,
-   and the backward search can work in the (much smaller) quotient:
+   Whether a gate may legally follow a circuit (Definition 1's
+   reasonable-product test) and what binary function the composite
+   finally computes depend only on the circuit's image of the binary
+   block — [num_binary] bytes, the key of every forward {!Search} state.
+   So for the purpose of completing a prefix into a realization of a
+   target function, two prefixes with equal binary images are
+   interchangeable, and the backward search works in the same space:
    vectors v with an edge v --g--> w when w[j] = perm_g(v[j]) and
    signature(v) land purity_mask(g) = 0 — the constraint sits on the
    vector the gate is applied at, exactly as in the forward engine.
@@ -29,10 +29,9 @@ let h_query = Telemetry.Histogram.create "bidir.query.seconds"
    t <= Df + Db has been discovered as a join of total <= t.  Take a
    minimal cascade g1..gt and split at a = max (0, t - Db); the prefix
    g1..ga is itself minimal (substituting a shorter realization of the
-   same permutation would shorten the whole cascade — legality of the
-   suffix only reads the binary image, which is preserved), so its state
-   sits at forward depth a <= Df and its image vector is in the join
-   index at depth <= a.  The suffix chain makes the vector
+   same image would shorten the whole cascade — legality of the suffix
+   only reads the binary image, which is preserved), so its image is a
+   forward state at depth a <= Df.  The suffix chain makes the vector
    backward-reachable at depth <= t - a <= Db.  Both sides probe the
    other on insertion, so the pair was recorded with total <= t.
    Conversely any recorded join of total c yields a valid cascade of
@@ -52,48 +51,30 @@ type t = {
   inverse_arrays : int array array;
   purity_masks : int array;
   max_fwd_depth : int;
-  images : (string, Search.handle) Hashtbl.t;
-      (* binary image vector -> first (minimal-depth) forward state;
-         first-writer-wins over levels absorbed in BFS order *)
   mutable fwd_exhausted : bool;
 }
 
-let absorb_handles t ?on_new handles =
-  Array.iter
-    (fun h ->
-      let v = Search.binary_image_of_handle t.search h in
-      if not (Hashtbl.mem t.images v) then begin
-        Hashtbl.add t.images v h;
-        match on_new with None -> () | Some f -> f v h
-      end)
-    handles
-
 let create ?(jobs = 1) ?(max_fwd_depth = 7) library =
   if max_fwd_depth < 0 then invalid_arg "Bidir.create: negative max_fwd_depth";
-  (* The forward half is always a raw engine: the meet-in-the-middle
-     join keys on exact binary images (t.images) and replays via/parent
-     chains for the prefix cascade, neither of which survives orbit
-     canonicalization.  Bidir answers are therefore identical whether or
-     not the rest of the pipeline runs under --quotient. *)
+  (* The forward half is never quotiented: the join looks exact images up
+     in its arena and replays via/parent chains for the prefix cascade,
+     neither of which survives orbit canonicalization.  Bidir answers are
+     therefore identical whether or not the rest of the pipeline runs
+     under --quotient. *)
   let search = Search.create ~jobs library in
   let encoding = Library.encoding library in
   let degree = Mvl.Encoding.size encoding in
   let entries = Library.entries library in
-  let t =
-    {
-      library;
-      search;
-      nb = Mvl.Encoding.num_binary encoding;
-      signatures = Array.init degree (Mvl.Encoding.mixed_signature encoding);
-      inverse_arrays = Array.map (fun e -> e.Library.inverse_array) entries;
-      purity_masks = Array.map (fun e -> e.Library.purity_mask) entries;
-      max_fwd_depth;
-      images = Hashtbl.create (1 lsl 12);
-      fwd_exhausted = false;
-    }
-  in
-  absorb_handles t (Search.handles_at_depth search 0);
-  t
+  {
+    library;
+    search;
+    nb = Mvl.Encoding.num_binary encoding;
+    signatures = Array.init degree (Mvl.Encoding.mixed_signature encoding);
+    inverse_arrays = Array.map (fun e -> e.Library.inverse_array) entries;
+    purity_masks = Array.map (fun e -> e.Library.purity_mask) entries;
+    max_fwd_depth;
+    fwd_exhausted = false;
+  }
 
 let library t = t.library
 let fwd_depth t = Search.depth t.search
@@ -106,8 +87,7 @@ let rec warm ?(should_stop = fun () -> false) t ~depth =
     match Search.try_step t.search ~cancel:should_stop with
     | None -> () (* cancelled: leave the wave at its current depth *)
     | Some fresh ->
-        if Array.length fresh = 0 then t.fwd_exhausted <- true
-        else absorb_handles t fresh;
+        if Array.length fresh = 0 then t.fwd_exhausted <- true;
         warm ~should_stop t ~depth
 
 exception Cancelled
@@ -208,12 +188,9 @@ let synthesize ?(max_cost = 14) ?(lower_bound = 0) ?(should_stop = no_stop) t re
     | Some (c, _, _) when c <= total -> ()
     | _ -> best := Some (total, fh, bid)
   in
-  let probe_backward v fh =
-    match Hashtbl.find_opt bwd.seen v with Some bid -> consider fh bid | None -> ()
-  in
   (* seed: the target vector may already be a forward image (warm reuse
      answers any cost <= Df query with a single lookup here) *)
-  (match Hashtbl.find_opt t.images target with
+  (match Search.handle_of_key t.search target with
   | Some fh -> consider fh 0
   | None -> ());
   let grow_forward () =
@@ -221,7 +198,13 @@ let synthesize ?(max_cost = 14) ?(lower_bound = 0) ?(should_stop = no_stop) t re
     | None -> raise Cancelled
     | Some fresh ->
         if Array.length fresh = 0 then t.fwd_exhausted <- true
-        else absorb_handles t ~on_new:(fun v fh -> probe_backward v fh) fresh
+        else
+          Array.iter
+            (fun fh ->
+              match Hashtbl.find_opt bwd.seen (Search.key_of_handle t.search fh) with
+              | Some bid -> consider fh bid
+              | None -> ())
+            fresh
   in
   let scratch = Bytes.create nb in
   let grow_backward () =
@@ -243,7 +226,7 @@ let synthesize ?(max_cost = 14) ?(lower_bound = 0) ?(should_stop = no_stop) t re
             let v = Bytes.to_string scratch in
             if not (Hashtbl.mem bwd.seen v) then begin
               let vid = bwd_push bwd v ~via:g ~next:id ~dep:d in
-              (match Hashtbl.find_opt t.images v with
+              (match Search.handle_of_key t.search v with
               | Some fh -> consider fh vid
               | None -> ());
               next := vid :: !next

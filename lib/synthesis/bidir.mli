@@ -2,13 +2,12 @@
 
     Grows a forward BFS wave from the identity circuit (the ordinary
     {!Search} engine) and, per query, a backward wave from the target,
-    joining the two on the binary-block {e image vector} — the
-    [num_binary]-byte prefix of a state's key.  Under the
+    joining the two on the binary-block {e image vector} — the key of
+    every forward state.  Under the
     reasonable-product constraint (Definition 1), whether a gate
     sequence may legally follow a circuit and which binary function the
     composite computes depend only on that vector, so the backward wave
-    searches the small vector quotient instead of full point
-    permutations: vector [v] steps backward to every pre-image
+    searches the same vector space as the forward one: vector [v] steps backward to every pre-image
     [inverse_array(g) v] whose signature admits [g].  Each fresh state
     on either side probes the other side's table; the first join found
     is already a {e minimum}-cost realization, because every realization
@@ -23,8 +22,8 @@
     backward side. *)
 
 type t
-(** A reusable query context: the shared forward wave plus the
-    vector-join index.  Queries grow the forward wave lazily and never
+(** A reusable query context: the shared forward wave, whose arena is
+    the join index.  Queries grow the forward wave lazily and never
     shrink it. *)
 
 (** [create ?jobs ?max_fwd_depth library] builds an empty context.

@@ -22,9 +22,8 @@
 
     For the 3-qubit depth-7 census: 1260 records of 13 bytes plus a
     ~5.6 kB gate log — about 22 kB; the complete 5040-record index is
-    ~100 kB, versus ~7.6 MB for a full search snapshot, because the
-    index stores only binary {e functions} (G[k]), not all 689k circuit
-    states. *)
+    ~100 kB, because the index stores only binary {e functions} (G[k]),
+    not every image state of the search. *)
 
 type t
 

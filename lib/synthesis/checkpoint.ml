@@ -21,17 +21,20 @@ type header = {
   symmetry : int64 option;
       (* Some fp: quotient snapshot (format v2) — fp is the
          Symmetry.fingerprint of the group the arena was canonicalized
-         under.  None: raw snapshot (format v1). *)
+         under.  None: unquotiented snapshot (format v3). *)
 }
 
 let magic = "QSYNCKP1"
 
-(* v1: raw snapshots (no symmetry section, 11-byte state meta).
-   v2: quotient snapshots — an extra symmetry-group fingerprint after the
-   library fingerprint, and a per-state conjugator byte in the meta.  A
-   v1 file is explicitly "no quotient"; either version loads. *)
-let version_raw = 1
+(* v2: quotient snapshots — a symmetry-group fingerprint after the
+   library fingerprint, and a per-state conjugator byte in the meta.
+   v3: unquotiented snapshots (no symmetry section, 11-byte state meta).
+   Both describe binary-image states.  v1 (the same layout as v3, but
+   over full point permutations) is rejected: its parent chains describe
+   states the engine no longer stores. *)
+let version_full_point = 1
 let version_quotient = 2
+let version_image = 3
 
 (* {1 CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320)} *)
 
@@ -135,10 +138,9 @@ let fingerprint library =
 
    Key bytes are deliberately NOT captured or serialized: a state's key
    is a pure function of its parent chain ([root = identity],
-   [child.(j) = perm_array.(parent.(j))]), so {!load} replays the
-   recorded gates instead.  That makes snapshots ~[degree/11]x smaller —
-   the dominant cost of checkpointing is bytes CRC-ed, written and
-   fsynced. *)
+   [child.(j) = perm_array.(parent.(j))], canonicalized when quotiented),
+   so {!load} replays the recorded gates instead — the dominant cost of
+   checkpointing is bytes CRC-ed, written and fsynced. *)
 
 type capture = {
   header : header;
@@ -204,7 +206,7 @@ let serialize c =
   Bytes.blit_string magic 0 buf 0 8;
   pos := 8;
   let quotient = h.symmetry <> None in
-  put_u32 (if quotient then version_quotient else version_raw);
+  put_u32 (if quotient then version_quotient else version_image);
   Bytes.set_int64_le buf !pos h.fingerprint;
   pos := !pos + 8;
   (match h.symmetry with
@@ -422,16 +424,21 @@ let checked_reader path =
 
 let read_header r =
   let v = read_u32 r in
-  if v <> version_raw && v <> version_quotient then
+  if v = version_full_point then
+    raise
+      (Mismatch
+         "snapshot format version 1 holds full-point states, which this build \
+          no longer stores; re-run the census to regenerate it");
+  if v <> version_quotient && v <> version_image then
     raise
       (Mismatch
          (Printf.sprintf "snapshot format version %d, this build reads %d and %d" v
-            version_raw version_quotient));
+            version_quotient version_image));
   need r 8;
   let fingerprint = Bytes.get_int64_le r.buf r.pos in
   r.pos <- r.pos + 8;
   let symmetry =
-    if v = version_raw then None
+    if v = version_image then None
     else begin
       need r 8;
       let fp = Bytes.get_int64_le r.buf r.pos in
@@ -466,13 +473,7 @@ let check_library library (h : header) =
   if h.qubits <> Library.qubits library then
     fail "snapshot is for a %d-qubit library, this run uses %d qubits (%s)"
       h.qubits (Library.qubits library) name;
-  (* a quotient arena stores num_binary-byte image keys, not full point
-     permutations *)
-  let degree =
-    match h.symmetry with
-    | None -> Mvl.Encoding.size (Library.encoding library)
-    | Some _ -> Mvl.Encoding.num_binary (Library.encoding library)
-  in
+  let degree = Mvl.Encoding.num_binary (Library.encoding library) in
   if h.degree <> degree then
     fail "snapshot key length is %d bytes, library %s expects %d" h.degree name
       degree;
@@ -486,66 +487,18 @@ let check_library library (h : header) =
       h.fingerprint name fp
 
 (* [rebuild_keys] replays the recorded gates to recover every state's
-   key bytes: level-0 states get the identity permutation, and a level-d
+   key bytes: level-0 states get the identity image, and a level-d
    state's key is its parent's key mapped through its [via] gate —
-   exactly how the search computed it.  Parents sit strictly one level
-   up, so filling levels in depth order sees every parent key before its
-   children need it.  Structural lies in the metadata (bad via, dangling
-   or wrong-level parent) are rejected here; a key that lands in the
-   wrong shard is caught by [State_arena.restore_shard] below. *)
-let rebuild_keys library ~degree ~max_d ~counts ~depths ~vias ~parents =
-  let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt in
-  let perms =
-    Array.map (fun (e : Library.entry) -> e.Library.perm_array) (Library.entries library)
-  in
-  let num_gates = Array.length perms in
-  let num_shards = Array.length counts in
-  let keys = Array.init num_shards (fun s -> Bytes.create (counts.(s) * degree)) in
-  for d = 0 to max_d do
-    for s = 0 to num_shards - 1 do
-      let ds = depths.(s) in
-      for idx = 0 to counts.(s) - 1 do
-        if ds.(idx) = d then begin
-          let off = idx * degree in
-          if d = 0 then
-            for j = 0 to degree - 1 do
-              Bytes.set keys.(s) (off + j) (Char.chr j)
-            done
-          else begin
-            let via = vias.(s).(idx) in
-            let p = parents.(s).(idx) in
-            if via < 0 || via >= num_gates then
-              corrupt "state has gate index %d outside the %d-gate library" via num_gates;
-            if p < 0 then corrupt "non-root state at level %d has no parent" d;
-            let ps = State_arena.shard_of_handle p in
-            let pi = State_arena.index_of_handle p in
-            if pi >= counts.(ps) then
-              corrupt "parent handle %d points past shard %d (%d states)" p ps counts.(ps);
-            if depths.(ps).(pi) <> d - 1 then
-              corrupt "parent of a level-%d state sits at level %d" d depths.(ps).(pi);
-            let pa = perms.(via) in
-            let pkeys = keys.(ps) in
-            let poff = pi * degree in
-            let dst = keys.(s) in
-            for j = 0 to degree - 1 do
-              Bytes.unsafe_set dst (off + j)
-                (Char.unsafe_chr pa.(Char.code (Bytes.unsafe_get pkeys (poff + j))))
-            done
-          end
-        end
-      done
-    done
-  done;
-  keys
-
-(* [rebuild_keys_quotient] is the v2 replay: a child's key is the
-   {e canonical form} of its parent's key mapped through its [via] gate,
-   and the conjugator that canonicalization picks must equal the recorded
-   one — a snapshot whose conjugators disagree with its own parent chain
-   is rejected as corrupt rather than silently re-derived, since the
-   conjugators are what witness reconstruction conjugates through. *)
-let rebuild_keys_quotient sym library ~klen ~max_d ~counts ~depths ~vias ~parents
-    ~conjs =
+   canonicalized under [sym] for a quotient snapshot — exactly how the
+   search computed it.  Parents sit strictly one level up, so filling
+   levels in depth order sees every parent key before its children need
+   it.  Structural lies in the metadata (bad via, dangling or wrong-level
+   parent) are rejected here, and so is a recorded conjugator that
+   disagrees with the one canonicalization picks: the conjugators are
+   what witness reconstruction conjugates through, so they are never
+   silently re-derived.  A key that lands in the wrong shard is caught by
+   [State_arena.restore_shard] below. *)
+let rebuild_keys sym library ~klen ~max_d ~counts ~depths ~vias ~parents ~conjs =
   let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt in
   let perms =
     Array.map (fun (e : Library.entry) -> e.Library.perm_array) (Library.entries library)
@@ -584,7 +537,14 @@ let rebuild_keys_quotient sym library ~klen ~max_d ~counts ~depths ~vias ~parent
               Bytes.unsafe_set raw j
                 (Char.unsafe_chr pa.(Char.code (Bytes.unsafe_get pkeys (poff + j))))
             done;
-            let conj = Symmetry.canon_into sym ~src:raw ~soff:0 ~tmp ~dst:keys.(s) ~doff:off in
+            let conj =
+              match sym with
+              | None ->
+                  Bytes.blit raw 0 keys.(s) off klen;
+                  0
+              | Some sym ->
+                  Symmetry.canon_into sym ~src:raw ~soff:0 ~tmp ~dst:keys.(s) ~doff:off
+            in
             if conj <> Char.code (Bytes.get conjs.(s) idx) then
               corrupt
                 "level-%d state records conjugator %d but its parent chain \
@@ -665,17 +625,10 @@ let load ?(jobs = 1) library path =
          (Printf.sprintf "a state at level %d exceeds the header's depth %d" !max_d
             header.depth));
   let keys =
-    match symmetry with
-    | None -> rebuild_keys library ~degree ~max_d:!max_d ~counts ~depths ~vias ~parents
-    | Some sym ->
-        rebuild_keys_quotient sym library ~klen:degree ~max_d:!max_d ~counts ~depths
-          ~vias ~parents ~conjs
+    rebuild_keys symmetry library ~klen:degree ~max_d:!max_d ~counts ~depths ~vias
+      ~parents ~conjs
   in
-  let store =
-    State_arena.create ~degree
-      ~num_binary:(Mvl.Encoding.num_binary encoding)
-      ~signatures
-  in
+  let store = State_arena.create ~degree ~signatures in
   for shard = 0 to num_shards - 1 do
     try
       State_arena.restore_shard store ~shard ~count:counts.(shard) ~keys:keys.(shard)

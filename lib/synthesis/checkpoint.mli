@@ -3,12 +3,13 @@
     A checkpoint is a versioned, CRC-checked binary file holding the
     {!State_arena}'s per-state metadata (depth, via gate, parent handle)
     plus the completed BFS depth and a fingerprint of the compiled gate
-    library.  Key bytes are {e not} stored: a key is a pure function of
-    its parent chain, so loading replays the recorded gates from the
-    identity root (and hashes, signatures and the probe tables are in
-    turn recomputed from the keys).  Snapshots are therefore ~11 bytes
-    per state regardless of the encoding degree (12 for quotient
-    snapshots, which add a per-state conjugator byte).  Restoring yields a
+    library.  Key bytes are {e not} stored: a key (the state's
+    binary-image vector) is a pure function of its parent chain, so
+    loading replays the recorded gates from the identity root (and
+    hashes, signatures and the probe tables are in turn recomputed from
+    the keys).  Snapshots are therefore 11 bytes per state whatever the
+    qubit count (12 for quotient snapshots, which add a per-state
+    conjugator byte).  Restoring yields a
     {!Search.t} whose subsequent levels are {e byte-identical} to the
     ones the snapshotted engine would have produced: the arena columns
     are restored in index order, so every handle survives, and the
@@ -22,15 +23,17 @@
     ["checkpoint"] fault — leaves any previous snapshot at [path]
     intact.
 
-    Two format versions share the [QSYNCKP1] magic: v1 is a raw
-    snapshot — explicitly "no quotient" ([header.symmetry = None]) — and
-    v2 is a quotient snapshot, which additionally records the
-    {!Symmetry.fingerprint} of the canonicalizing group and each state's
-    conjugator index.  Loading a v2 file rebuilds the group from the
-    given library and rejects the file with {!Mismatch} if the recorded
-    fingerprint differs; the replay also re-canonicalizes every parent
-    chain and rejects with {!Corrupt} any state whose recorded
-    conjugator disagrees. *)
+    Two format versions share the [QSYNCKP1] magic: v3 is an
+    unquotiented snapshot ([header.symmetry = None]) and v2 a quotient
+    snapshot, which additionally records the {!Symmetry.fingerprint} of
+    the canonicalizing group and each state's conjugator index.  Loading
+    a v2 file rebuilds the group from the given library and rejects the
+    file with {!Mismatch} if the recorded fingerprint differs; the
+    replay also re-canonicalizes every parent chain and rejects with
+    {!Corrupt} any state whose recorded conjugator disagrees.  v1 files
+    held full point permutations, which the engine no longer stores:
+    loading one raises {!Mismatch} naming format version 1 (rerun the
+    census to regenerate it). *)
 
 (** Raised on a snapshot that is damaged: truncated, failing its CRC, or
     structurally inconsistent.  The payload names the defect. *)
@@ -38,7 +41,7 @@ exception Corrupt of string
 
 (** Raised on a well-formed snapshot that does not belong to this run
     configuration: wrong format version, or a library fingerprint /
-    qubit count / encoding degree differing from the library given to
+    qubit count / key length differing from the library given to
     {!load}.  The payload names the mismatched field and both values. *)
 exception Mismatch of string
 
@@ -46,7 +49,7 @@ exception Mismatch of string
 type header = {
   fingerprint : int64;  (** {!fingerprint} of the producing library *)
   qubits : int;
-  degree : int;
+  degree : int;  (** stored key length, the library's [num_binary] *)
   num_binary : int;
   num_gates : int;
   depth : int;  (** completed BFS levels *)
@@ -54,8 +57,8 @@ type header = {
   frontier_len : int;  (** states at [depth] *)
   symmetry : int64 option;
       (** [Some fp]: quotient snapshot (format v2), canonicalized under
-          the symmetry group fingerprinted [fp]; [None]: raw snapshot
-          (format v1). *)
+          the symmetry group fingerprinted [fp]; [None]: unquotiented
+          snapshot (format v3). *)
 }
 
 (** [fingerprint library] digests everything the search outcome depends

@@ -3,11 +3,8 @@ let log_src = Logs.Src.create "qsynth.fmcf" ~doc:"FMCF census (Table 2)"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let s_frontier = Telemetry.Series.create "fmcf.level.frontier"
-let s_pre_g = Telemetry.Series.create "fmcf.level.pre_g"
 let s_g = Telemetry.Series.create "fmcf.level.g"
 let s_paper_g = Telemetry.Series.create "fmcf.level.paper_g"
-let m_dedupe_level = Telemetry.Counter.create "fmcf.dedupe.level_hits"
-let m_dedupe_global = Telemetry.Counter.create "fmcf.dedupe.global_hits"
 let h_restrict = Telemetry.Histogram.create "fmcf.restriction.seconds"
 let m_budget_states = Telemetry.Counter.create "search.budget.states.hit"
 let m_budget_mem = Telemetry.Counter.create "search.budget.mem.hit"
@@ -16,12 +13,7 @@ let m_cancelled = Telemetry.Counter.create "search.cancelled"
 
 type member = { func : Reversible.Revfun.t; witness : string; cost : int }
 
-type level = {
-  cost : int;
-  frontier_size : int;
-  members : member list;
-  paper_count : int;
-}
+type level = { cost : int; frontier_size : int; members : member list }
 
 type t = {
   library : Library.t;
@@ -29,9 +21,6 @@ type t = {
   symmetry : Symmetry.t option; (* Some: the search ran quotiented *)
   levels : level list;
   index : (string, member) Hashtbl.t; (* func_key -> member, built at census time *)
-  mutable image_oracle : (string, int) Hashtbl.t option;
-      (* raw mode: lazily built binary-image -> minimal-depth table, the
-         witness-reconstruction oracle (quotient mode reads the arena) *)
 }
 
 type stop_reason = Completed | Budget_states | Budget_mem | Timed_out | Cancelled
@@ -45,108 +34,66 @@ let describe_stop = function
 
 let func_key func = Permgroup.Perm.key (Reversible.Revfun.to_perm func)
 
-(* Shared census state threaded through level processing; deterministic
-   given the frontier sequence, so replaying the frontiers of a restored
-   arena reproduces the levels of the interrupted run exactly. *)
-type acc = {
-  found : (string, unit) Hashtbl.t;
-  paper_found : (string, unit) Hashtbl.t;
-  idx : (string, member) Hashtbl.t;
-}
+(* The census index, func_key -> member, threaded through level
+   processing; deterministic given the frontier sequence, so replaying
+   the frontiers of a restored arena reproduces the levels of the
+   interrupted run exactly. *)
+type acc = (string, member) Hashtbl.t
 
-let collect_restrictions ~quotient search acc ~cost frontier members member_count
-    level_hits global_hits level_restrictions =
-  (* Record one member per newly discovered function.  A quotiented
-     frontier holds one representative per orbit, so the representative's
-     whole orbit of image vectors is re-expanded here: conjugate images
-     are distinct functions of the same minimal cost (minimal depths are
-     constant on orbits), which restores exactly the raw census's G[k]
-     sets — probe-verified byte-for-byte at depth 7. *)
+(* Every level-[cost] image that maps the binary block onto itself is a
+   new member: keys are unique across the arena, so each function shows
+   up once, at its minimal cost.  A quotiented frontier holds one
+   representative per orbit, so the representative's whole orbit of
+   images is re-expanded here: conjugate images are distinct functions
+   of the same minimal cost (minimal depths are constant on orbits), and
+   the orbits of distinct representatives are disjoint. *)
+let collect_members search (acc : acc) ~cost frontier =
+  let members = ref [] in
   let record func witness =
-    let fk = func_key func in
-    if not (Hashtbl.mem level_restrictions fk) then begin
-      Hashtbl.add level_restrictions fk witness;
-      if not (Hashtbl.mem acc.found fk) then begin
-        Hashtbl.add acc.found fk ();
-        let member = { func; witness; cost } in
-        Hashtbl.add acc.idx fk member;
-        members := member :: !members;
-        incr member_count
-      end
-      else incr global_hits
-    end
-    else incr level_hits
+    let member = { func; witness; cost } in
+    Hashtbl.replace acc (func_key func) member;
+    members := member :: !members
   in
-  let bits = Library.qubits (Search.library search) in
   Array.iter
     (fun h ->
       match Search.restriction_of_handle search h with
       | None -> ()
       | Some func -> (
-          match quotient with
-          | None -> record func (Search.key_of_handle search h)
+          let img = Search.key_of_handle search h in
+          match Search.symmetry search with
+          | None -> record func img
           | Some sym ->
-              let img = Search.key_of_handle search h in
               List.iter
                 (fun img' ->
-                  let func' =
-                    Reversible.Revfun.of_perm ~bits
-                      (Permgroup.Perm.unsafe_of_array
-                         (Array.init (String.length img') (fun i ->
-                              Char.code img'.[i])))
-                  in
-                  record func' img')
+                  Option.iter
+                    (fun func' -> record func' img')
+                    (Search.restriction_of_key search img'))
                 (Symmetry.orbit_images sym img)))
-    frontier
+    frontier;
+  List.rev !members
 
 let process_level search acc ~cost frontier =
   Telemetry.Span.with_span "fmcf.level" ~attrs:[ ("cost", Telemetry.Json.Int cost) ]
   @@ fun () ->
   let frontier_size = Array.length frontier in
-  let members = ref [] in
-  let member_count = ref 0 in
-  let level_hits = ref 0 and global_hits = ref 0 in
-  let level_restrictions = Hashtbl.create 256 in
-  Telemetry.Histogram.time h_restrict (fun () ->
-      collect_restrictions ~quotient:(Search.symmetry search) search acc ~cost frontier
-        members member_count level_hits global_hits level_restrictions);
-  (* Paper-variant count: level 2 skips subtraction of earlier levels;
-     other levels subtract everything recorded so far (which never
-     includes the identity, G[0]). *)
-  let paper_count = ref 0 in
-  Hashtbl.iter
-    (fun fk _ ->
-      if cost = 2 || not (Hashtbl.mem acc.paper_found fk) then incr paper_count)
-    level_restrictions;
-  Hashtbl.iter
-    (fun fk _ ->
-      if not (Hashtbl.mem acc.paper_found fk) then Hashtbl.add acc.paper_found fk ())
-    level_restrictions;
+  let members =
+    Telemetry.Histogram.time h_restrict (fun () ->
+        collect_members search acc ~cost frontier)
+  in
+  let count = List.length members in
   Telemetry.Series.set s_frontier ~index:cost frontier_size;
-  Telemetry.Series.set s_pre_g ~index:cost (Hashtbl.length level_restrictions);
-  Telemetry.Series.set s_g ~index:cost !member_count;
-  Telemetry.Series.set s_paper_g ~index:cost !paper_count;
-  Telemetry.Counter.add m_dedupe_level !level_hits;
-  Telemetry.Counter.add m_dedupe_global !global_hits;
-  Log.info (fun m ->
-      m "level %d: frontier %d, pre-G %d, |G[%d]| = %d (dedupe: %d in-level, %d global)"
-        cost frontier_size
-        (Hashtbl.length level_restrictions)
-        cost !member_count !level_hits !global_hits);
-  { cost; frontier_size; members = List.rev !members; paper_count = !paper_count }
+  Telemetry.Series.set s_g ~index:cost count;
+  Log.info (fun m -> m "level %d: frontier %d, |G[%d]| = %d" cost frontier_size cost count);
+  { cost; frontier_size; members }
 
 let level_zero search acc library =
   let identity_func = Reversible.Revfun.identity ~bits:(Library.qubits library) in
-  (* G[0] = {identity}; the paper's variant never subtracts it. *)
   let root = Search.key_of_handle search (Search.handles_at_depth search 0).(0) in
   let identity_member = { func = identity_func; witness = root; cost = 0 } in
-  Hashtbl.add acc.found (func_key identity_func) ();
-  Hashtbl.add acc.idx (func_key identity_func) identity_member;
+  Hashtbl.add acc (func_key identity_func) identity_member;
   Telemetry.Series.set s_frontier ~index:0 1;
-  Telemetry.Series.set s_pre_g ~index:0 1;
   Telemetry.Series.set s_g ~index:0 1;
-  Telemetry.Series.set s_paper_g ~index:0 1;
-  { cost = 0; frontier_size = 1; members = [ identity_member ]; paper_count = 1 }
+  { cost = 0; frontier_size = 1; members = [ identity_member ] }
 
 let no_stop () = false
 
@@ -174,10 +121,7 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
       (Printf.sprintf
          "Fmcf.run_guarded: resumed search is already at level %d, beyond max_depth %d"
          (Search.depth search) max_depth);
-  let acc =
-    { found = Hashtbl.create 4096; paper_found = Hashtbl.create 4096;
-      idx = Hashtbl.create 4096 }
-  in
+  let acc = Hashtbl.create 4096 in
   let levels = ref [ level_zero search acc library ] in
   (* Replay the completed levels of a restored arena through the same
      processing path: the reconstructed frontiers are byte-identical to
@@ -231,7 +175,7 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
   if Telemetry.enabled () then
     Telemetry.Span.set_attr "stop_reason" (Telemetry.Json.String (describe_stop reason));
   ( { library; search; symmetry = Search.symmetry search; levels = List.rev !levels;
-      index = acc.idx; image_oracle = None },
+      index = acc },
     reason )
 
 let run ?max_depth ?jobs ?quotient library =
@@ -240,18 +184,84 @@ let run ?max_depth ?jobs ?quotient library =
 let levels t = t.levels
 let search t = t.search
 let quotiented t = t.symmetry <> None
-
-(* The paper-variant numbers model duplicate {e candidates} inside a
-   level (V.V re-deriving a CNOT at level 2), and the quotient arena
-   keeps one state per orbit, so those duplicates never re-materialize:
-   the variant is only reproducible from a raw run. *)
-let paper_counts_exact t = t.symmetry = None
 let depth t = Search.depth t.search
 
 let iter_members t f =
   List.iter (fun level -> List.iter (f ~cost:level.cost) level.members) t.levels
 let counts t = List.map (fun l -> (l.cost, List.length l.members)) t.levels
-let paper_counts t = List.map (fun l -> (l.cost, l.paper_count)) t.levels
+
+(* {1 The paper's printed Table 2}
+
+   The printed row counts the functions of each level's {e circuits}
+   (full point permutations) with two artifacts of the original GAP
+   computation (DESIGN.md section 2): level 2 skips the subtraction of
+   earlier levels, and G[0] = {identity} is never subtracted.  Both need
+   the raw circuits, which the image-keyed engine never stores, so a
+   private BFS over full point permutations replays the levels.
+
+   It stops early.  Write R_k for the functions of the raw level-k
+   circuits and P_k for the union of R_1 .. R_k.  Every function of
+   minimal cost k lies in R_k, and every member of R_k costs at most k,
+   so P_{k-1} holds every function of cost 1 .. k-1.  Once the identity
+   has re-entered some R_j, P_{k-1} is the whole of G[0 .. k-1], and
+   from level 3 on the printed count |R_k \ P_{k-1}| is exactly |G[k]|. *)
+let paper_counts t =
+  let entries = Library.entries t.library in
+  let encoding = Library.encoding t.library in
+  let degree = Mvl.Encoding.size encoding in
+  let nb = Mvl.Encoding.num_binary encoding in
+  let signatures = Array.init degree (Mvl.Encoding.mixed_signature encoding) in
+  let seen = Hashtbl.create 4096 in
+  let frontier = ref [ String.init degree Char.chr ] in
+  Hashtbl.replace seen (List.hd !frontier) ();
+  let printed = Hashtbl.create 256 in
+  let identity = String.init nb Char.chr in
+  let raw_level () =
+    let fresh = ref [] and funcs = Hashtbl.create 256 in
+    List.iter
+      (fun key ->
+        let sg = ref 0 in
+        for b = 0 to nb - 1 do
+          sg := !sg lor signatures.(Char.code key.[b])
+        done;
+        Array.iter
+          (fun (e : Library.entry) ->
+            if !sg land e.Library.purity_mask = 0 then begin
+              let child =
+                String.map (fun c -> Char.chr e.Library.perm_array.(Char.code c)) key
+              in
+              if not (Hashtbl.mem seen child) then begin
+                Hashtbl.replace seen child ();
+                fresh := child :: !fresh;
+                let img = String.sub child 0 nb in
+                if String.for_all (fun c -> Char.code c < nb) img then
+                  Hashtbl.replace funcs img ()
+              end
+            end)
+          entries)
+      !frontier;
+    frontier := !fresh;
+    funcs
+  in
+  (* levels in order: each raw level extends the previous frontier *)
+  let counts =
+    List.rev
+      (List.fold_left
+         (fun acc (cost, n) ->
+           if cost = 0 || (cost >= 3 && Hashtbl.mem printed identity) then (cost, n) :: acc
+           else begin
+             let funcs = raw_level () in
+             let count = ref 0 in
+             Hashtbl.iter
+               (fun f () -> if cost = 2 || not (Hashtbl.mem printed f) then incr count)
+               funcs;
+             Hashtbl.iter (fun f () -> Hashtbl.replace printed f ()) funcs;
+             (cost, !count) :: acc
+           end)
+         [] (counts t))
+  in
+  List.iter (fun (cost, n) -> Telemetry.Series.set s_paper_g ~index:cost n) counts;
+  counts
 
 let s8_counts t =
   (* the 2^n scale-up is the Theorem-2 free NOT layer: it only exists for
@@ -275,27 +285,13 @@ let find t func = Hashtbl.find_opt t.index (func_key func)
    (respecting the reasonable-product constraint at the step).  The
    choice depends only on the census's image -> minimal-depth relation —
    which the quotient search preserves exactly (minimal depths are
-   constant on orbits) — so raw and quotient censuses emit byte-identical
+   constant on orbits) — so plain and quotient censuses emit byte-identical
    cascades, and hence byte-identical QSYNIDX2 files. *)
 
 let image_min_depth t =
   match t.symmetry with
-  | Some sym ->
-      fun img -> Search.depth_of_key t.search (fst (Symmetry.canon sym img))
-  | None -> (
-      match t.image_oracle with
-      | Some tbl -> Hashtbl.find_opt tbl
-      | None ->
-          let tbl = Hashtbl.create 4096 in
-          for d = 0 to Search.depth t.search do
-            Array.iter
-              (fun h ->
-                let img = Search.binary_image_of_handle t.search h in
-                if not (Hashtbl.mem tbl img) then Hashtbl.add tbl img d)
-              (Search.handles_at_depth t.search d)
-          done;
-          t.image_oracle <- Some tbl;
-          Hashtbl.find_opt tbl)
+  | Some sym -> fun img -> Search.depth_of_key t.search (fst (Symmetry.canon sym img))
+  | None -> Search.depth_of_key t.search
 
 let cascade_of_member t (member : member) =
   if member.cost = 0 then []

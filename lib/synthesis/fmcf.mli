@@ -16,23 +16,24 @@
       count again: 24 + 6 = 30) and G[0] = {identity} is never subtracted
       (so the identity re-enters at level 3: 51 + 1 = 52).  From level 4
       on the two censuses agree, as the paper's own G[4] breakdown
-      (60 + 24 = 84) confirms. *)
+      (60 + 24 = 84) confirms.
+
+    The census runs on the image-keyed {!Search} engine, optionally
+    quotiented by wire relabeling; both modes give identical counts,
+    members and witnesses. *)
 
 type member = {
   func : Reversible.Revfun.t;
   witness : string;
-      (** search key of the first full-domain circuit found (raw runs), or
-          the function's binary-image vector (quotient runs).  Witness
-          {e cascades} come from {!cascade_of_member}, which is
-          mode-independent. *)
+      (** the function's binary-image vector.  Witness {e cascades} come
+          from {!cascade_of_member}, which is mode-independent. *)
   cost : int;
 }
 
 type level = {
   cost : int;
-  frontier_size : int; (** |B[k]|: distinct circuits first built with k gates *)
+  frontier_size : int; (** distinct binary images first built with k gates *)
   members : member list; (** G[k] under as-specified semantics *)
-  paper_count : int; (** |G[k]| under the paper's printed semantics *)
 }
 
 type t
@@ -58,12 +59,11 @@ val describe_stop : stop_reason -> string
 
     [quotient] (default false) runs the BFS over canonical orbit
     representatives under the library's wire-relabeling group (see
-    {!Symmetry}): the arena stores one state per orbit (~200x fewer at
-    depth 7) and each representative's orbit is re-expanded at member
-    extraction, so [counts], [s8_counts], the member sets (func_key and
-    cost), {!find} and {!cascade_of_member} are all {e identical} to a
-    raw run — only {!paper_counts} is not reproducible
-    ({!paper_counts_exact}). *)
+    {!Symmetry}): the arena stores one state per orbit (~6x fewer at
+    3 qubits) and each representative's orbit is re-expanded at member
+    extraction, so every count, the member sets (func_key, cost and
+    witness), {!find} and {!cascade_of_member} are all {e identical} to
+    an unquotiented run. *)
 val run : ?max_depth:int -> ?jobs:int -> ?quotient:bool -> Library.t -> t
 
 (** [run_guarded ?max_depth ?jobs ?resume ?max_states ?max_mem ?timeout
@@ -115,13 +115,6 @@ val search : t -> Search.t
     quotient. *)
 val quotiented : t -> bool
 
-(** [paper_counts_exact t] is false for quotient runs: the paper-variant
-    numbers count duplicate candidates {e within} a level (the level-2
-    V.V re-derivations), which a one-representative-per-orbit arena never
-    re-materializes.  [counts], [s8_counts] and the member sets are exact
-    in both modes. *)
-val paper_counts_exact : t -> bool
-
 (** [depth t] is the number of completed census levels (the exactness
     horizon: every function of cost [<= depth t] is in the census, every
     absent function costs more).  Equal to the requested [max_depth] for
@@ -137,7 +130,11 @@ val iter_members : t -> (cost:int -> member -> unit) -> unit
 val counts : t -> (int * int) list
 
 (** [paper_counts t] is the per-level [(cost, |G[k]|)] as printed in the
-    paper's Table 2. *)
+    paper's Table 2.  The printed row depends on raw circuits, which the
+    census does not store, so this replays the census levels with a
+    private BFS over full point permutations — only as deep as the two
+    counts can still differ (level 3 for the paper's library) — and
+    records the row as the [fmcf.level.paper_g] telemetry series. *)
 val paper_counts : t -> (int * int) list
 
 (** [s8_counts t] is the Table 2 bottom row: circuits including the free
@@ -156,7 +153,7 @@ val total_found : t -> int
 val find : t -> Reversible.Revfun.t -> member option
 
 (** [cascade_of_member t member] rebuilds the witness cascade — {e the
-    same bytes in raw and quotient mode}.  The cascade is reconstructed
+    same bytes with and without the quotient}.  The cascade is reconstructed
     backward from the member's function image, greedily peeling the least
     library gate that steps to an image of minimal census depth exactly
     one lower; the choice depends only on the image -> minimal-depth

@@ -47,8 +47,8 @@ let strip_not_layer target =
   assert (Revfun.fixes_zero remainder);
   (mask, remainder)
 
-(* Run the BFS until some state restricts to [remainder]; return the
-   level's witness keys.  Depth 0 (identity) handled by the caller. *)
+(* Run the BFS until the remainder's image is stored; return the engine
+   and that image.  Depth 0 (identity) handled by the caller. *)
 let no_stop () = false
 
 let search_until ~max_depth ~jobs ~should_stop library remainder =
@@ -57,13 +57,13 @@ let search_until ~max_depth ~jobs ~should_stop library remainder =
   Telemetry.Span.with_span "mce.search"
     ~attrs:[ ("max_depth", Telemetry.Json.Int max_depth) ]
   @@ fun () ->
-  (* Always a raw (unquotiented) engine: MCE needs a concrete witness
-     cascade for one target, so it walks via/parent chains directly and
-     terminates as soon as the remainder's image appears — the quotient
-     arena would save memory here but answers must stay byte-identical
-     whether or not the census that planned us ran under --quotient,
-     which this guarantees structurally. *)
+  (* Never quotiented: MCE walks via/parent chains directly for one
+     target's witness, and answers must stay byte-identical whether or
+     not the census that planned us ran under --quotient. *)
   let search = Search.create ~jobs library in
+  let target =
+    String.init (Search.key_length search) (fun j -> Char.chr (Revfun.apply remainder j))
+  in
   let rec go () =
     if should_stop () then begin
       Log.info (fun m -> m "search cancelled at depth %d" (Search.depth search));
@@ -82,25 +82,14 @@ let search_until ~max_depth ~jobs ~should_stop library remainder =
       | Some fresh ->
       Telemetry.Gauge.set_int g_depth_reached (Search.depth search);
       if Array.length fresh = 0 then None
-      else
-        let witnesses =
-          Array.to_list fresh
-          |> List.filter_map (fun h ->
-                 match Search.restriction_of_handle search h with
-                 | Some func when Revfun.equal func remainder ->
-                     Some (Search.key_of_handle search h)
-                 | Some _ | None -> None)
-        in
-        if witnesses = [] then go ()
-        else begin
-          Telemetry.Counter.add m_realizations (List.length witnesses);
-          Telemetry.Span.set_attr "witnesses"
-            (Telemetry.Json.Int (List.length witnesses));
-          Log.info (fun m ->
-              m "found %d witness(es) at depth %d (%d states explored)"
-                (List.length witnesses) (Search.depth search) (Search.size search));
-          Some (search, witnesses)
-        end
+      else if Search.handle_of_key search target = None then go ()
+      else begin
+        Telemetry.Counter.incr m_realizations;
+        Log.info (fun m ->
+            m "found the target at depth %d (%d states explored)" (Search.depth search)
+              (Search.size search));
+        Some (search, target)
+      end
     end
   in
   go ()
@@ -581,7 +570,7 @@ end
 type outcome =
   | Trivial  (** the remainder is the identity: cost 0, NOT layer only *)
   | Not_found  (** no realization within the depth bound (or cancelled) *)
-  | Found of { search : Search.t; witnesses : string list }
+  | Found of { search : Search.t; target : string  (** the remainder's image *) }
 
 type query = { q_target : Revfun.t; q_mask : int; q_outcome : outcome }
 
@@ -598,7 +587,7 @@ let run_query ?(max_depth = 7) ?(jobs = 1) ?(should_stop = no_stop) library targ
     else
       match search_until ~max_depth ~jobs ~should_stop library remainder with
       | None -> Not_found
-      | Some (search, witnesses) -> Found { search; witnesses }
+      | Some (search, target) -> Found { search; target }
   in
   { q_target = target; q_mask = mask; q_outcome = outcome }
 
@@ -607,8 +596,8 @@ let query_result q =
   | Trivial ->
       Some { target = q.q_target; not_mask = q.q_mask; cascade = []; cost = 0 }
   | Not_found -> None
-  | Found { search; witnesses } ->
-      let cascade = Search.cascade_of_key search (List.hd witnesses) in
+  | Found { search; target } ->
+      let cascade = Search.cascade_of_key search target in
       Some
         {
           target = q.q_target;
@@ -621,24 +610,13 @@ let query_witnesses q =
   match q.q_outcome with
   | Trivial -> 1
   | Not_found -> 0
-  | Found { witnesses; _ } -> List.length witnesses
+  | Found { search; target } -> Search.count_point_perms search target
 
-(* Walk witnesses until the budget runs out: each [all_cascades] call is
-   bounded by what remains, so the total never exceeds [limit].  Also
-   reports whether the budget survived (the enumeration is then provably
-   complete). *)
-let enumerate_cascades ~limit search witnesses =
-  let remaining = ref limit in
-  let acc = ref [] in
-  List.iter
-    (fun key ->
-      if !remaining > 0 then begin
-        let cascades = Search.all_cascades ~limit:!remaining search key in
-        remaining := !remaining - List.length cascades;
-        List.iter (fun cascade -> acc := cascade :: !acc) cascades
-      end)
-    witnesses;
-  (List.rev !acc, !remaining > 0)
+(* Enumerate up to [limit] cascades, and report whether the budget
+   survived (the enumeration is then provably complete). *)
+let enumerate_cascades ~limit search target =
+  let cascades = Search.all_cascades ~limit search target in
+  (cascades, List.length cascades < limit)
 
 let query_realizations ?(limit = 10_000) q =
   match q.q_outcome with
@@ -646,8 +624,8 @@ let query_realizations ?(limit = 10_000) q =
       if limit <= 0 then []
       else [ { target = q.q_target; not_mask = q.q_mask; cascade = []; cost = 0 } ]
   | Not_found -> []
-  | Found { search; witnesses } ->
-      let cascades, _complete = enumerate_cascades ~limit search witnesses in
+  | Found { search; target } ->
+      let cascades, _complete = enumerate_cascades ~limit search target in
       List.map
         (fun cascade ->
           {
@@ -707,10 +685,9 @@ let solve ?(jobs = 1) ?(should_stop = no_stop) ?index ?bidir library
               else
                 ok Response.Forward_bfs
                   (Response.Unrealizable { max_depth = req.max_depth })
-          | Some (search, witnesses) ->
+          | Some (search, image) ->
               Telemetry.Counter.incr m_plan_forward;
-              found Response.Forward_bfs
-                (Search.cascade_of_key search (List.hd witnesses))
+              found Response.Forward_bfs (Search.cascade_of_key search image)
         in
         let bidir_synthesize ~lower_bound engine =
           Telemetry.Counter.incr m_plan_bidir;
@@ -744,10 +721,11 @@ let solve ?(jobs = 1) ?(should_stop = no_stop) ?index ?bidir library
               | None ->
                   if should_stop () then fail Response.Cancelled
                   else ok Response.Forward_bfs (Response.Witnesses { count = 0 })
-              | Some (_, witnesses) ->
+              | Some (search, image) ->
                   Telemetry.Counter.incr m_plan_forward;
                   ok Response.Forward_bfs
-                    (Response.Witnesses { count = List.length witnesses }))
+                    (Response.Witnesses
+                       { count = Search.count_point_perms search image }))
         | Enumerate { limit } ->
             if Revfun.is_identity remainder then
               ok Response.Trivial
@@ -769,11 +747,9 @@ let solve ?(jobs = 1) ?(should_stop = no_stop) ?index ?bidir library
                   else
                     ok Response.Forward_bfs
                       (Response.Unrealizable { max_depth = req.max_depth })
-              | Some (search, witnesses) ->
+              | Some (search, image) ->
                   Telemetry.Counter.incr m_plan_forward;
-                  let cascades, complete =
-                    enumerate_cascades ~limit search witnesses
-                  in
+                  let cascades, complete = enumerate_cascades ~limit search image in
                   let cost =
                     match cascades with c :: _ -> List.length c | [] -> 0
                   in

@@ -53,7 +53,9 @@ module Request : sig
     | Synthesize  (** one minimal-cost cascade (the default) *)
     | Count_witnesses
         (** how many distinct full-domain circuit permutations of
-            minimal cost restrict to the target (forward plan only) *)
+            minimal cost restrict to the target, counted over the
+            target image's minimal-prefix sub-DAG
+            ({!Search.count_point_perms}; forward plan only) *)
     | Enumerate of { limit : int }
         (** every minimal-cost realization, up to [limit] (forward plan
             only) *)

@@ -36,7 +36,7 @@ type candbuf = {
 }
 
 let via_bits = 6 (* a library holds < 64 gates (36 at 4 qubits) *)
-let conj_bits = 3 (* a wire-relabeling group has <= 4! = 24... 3 bits hold qubits! for qubits <= 3; checked at create *)
+let conj_bits = 5 (* qubits! wire relabelings: 24 at 4 qubits; checked at create *)
 
 let make_candbuf degree =
   { ckeys = Bytes.create (64 * degree); cmeta = Array.make 64 0; chashes = Array.make 64 0; clen = 0 }
@@ -75,10 +75,7 @@ type t = {
   library : Library.t;
   store : State_arena.t;
   jobs : int;
-  degree : int; (* encoding points: the gate permutations' domain *)
-  klen : int; (* stored key length: [degree], or [num_binary] when quotiented *)
-  num_binary : int;
-  signatures : int array; (* mixed signature per point *)
+  klen : int; (* stored key length: the encoding's [num_binary] *)
   sym : Symmetry.t option; (* Some: quotient mode — keys are canonical image vectors *)
   perm_arrays : int array array; (* hoisted from the library entries *)
   purity_masks : int array;
@@ -125,37 +122,33 @@ let effective_jobs t n =
   let cap = min t.jobs (Lazy.force hardware_jobs) in
   max 1 (min cap ((n + min_chunk - 1) / min_chunk))
 
-let engine_params library =
+(* The stored key is the binary-image vector: [num_binary] bytes, byte
+   [j] the encoding point binary code [j] is mapped to.  Legality of the
+   next gate (Definition 1) and the function a circuit computes depend
+   only on these bytes, so circuits with equal images are one state. *)
+let key_length_of ~symmetry library =
   let encoding = Library.encoding library in
-  let degree = Mvl.Encoding.size encoding in
-  if degree > 255 then invalid_arg "Search.create: encoding too large for byte keys";
-  let signatures = Array.init degree (Mvl.Encoding.mixed_signature encoding) in
+  if Mvl.Encoding.size encoding > 255 then
+    invalid_arg "Search.create: encoding too large for byte keys";
   let num_binary = Mvl.Encoding.num_binary encoding in
-  (degree, num_binary, signatures)
-
-let key_length_of ~symmetry ~degree ~num_binary =
-  match symmetry with
-  | None -> degree
+  (match symmetry with
+  | None -> ()
   | Some sym ->
       if Symmetry.num_binary sym <> num_binary then
         invalid_arg "Search: symmetry group built for a different encoding";
       if Symmetry.order sym > 1 lsl conj_bits then
-        invalid_arg "Search: symmetry group too large for the conjugator field";
-      num_binary
+        invalid_arg "Search: symmetry group too large for the conjugator field");
+  num_binary
 
-let make_engine ~jobs ~symmetry library ~store ~frontier ~depth ~degree ~num_binary
-    ~signatures =
+let make_engine ~jobs ~symmetry library ~store ~frontier ~depth =
   let entries = Library.entries library in
-  let klen = key_length_of ~symmetry ~degree ~num_binary in
+  let klen = key_length_of ~symmetry library in
   Telemetry.Gauge.set_int g_jobs jobs;
   {
     library;
     store;
     jobs;
-    degree;
     klen;
-    num_binary;
-    signatures;
     sym = symmetry;
     perm_arrays = Array.map (fun e -> e.Library.perm_array) entries;
     purity_masks = Array.map (fun e -> e.Library.purity_mask) entries;
@@ -177,20 +170,21 @@ let make_engine ~jobs ~symmetry library ~store ~frontier ~depth ~degree ~num_bin
 let create ?(jobs = 1) ?symmetry library =
   if jobs < 1 then invalid_arg "Search.create: jobs must be >= 1";
   let jobs = min jobs max_jobs in
-  let degree, num_binary, signatures = engine_params library in
-  let klen = key_length_of ~symmetry ~degree ~num_binary in
-  let store = State_arena.create ~degree:klen ~num_binary ~signatures in
-  (* The identity's key: the identity point permutation, or — quotiented —
-     the identity image vector, which is its own canonical form (it is
-     fixed by every wire relabeling). *)
+  let klen = key_length_of ~symmetry library in
+  let encoding = Library.encoding library in
+  let signatures =
+    Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding)
+  in
+  let store = State_arena.create ~degree:klen ~signatures in
+  (* The identity's key: the identity image vector, which is its own
+     canonical form (it is fixed by every wire relabeling). *)
   let root_key = Bytes.init klen Char.chr in
   let root_hash = State_arena.hash_key root_key ~off:0 ~len:klen in
   let root =
     State_arena.try_insert store ~key:root_key ~off:0 ~hash:root_hash ~depth:0 ~via:(-1)
       ~parent:(-1)
   in
-  make_engine ~jobs ~symmetry library ~store ~frontier:[| root |] ~depth:0 ~degree
-    ~num_binary ~signatures
+  make_engine ~jobs ~symmetry library ~store ~frontier:[| root |] ~depth:0
 
 (* [of_store] rebuilds a live engine around a restored arena: the
    frontier is every depth-[depth] state in canonical (shard, index)
@@ -199,12 +193,12 @@ let create ?(jobs = 1) ?symmetry library =
 let of_store ?(jobs = 1) ?symmetry library ~depth store =
   if jobs < 1 then invalid_arg "Search.of_store: jobs must be >= 1";
   let jobs = min jobs max_jobs in
-  let degree, num_binary, signatures = engine_params library in
-  let klen = key_length_of ~symmetry ~degree ~num_binary in
+  let klen = key_length_of ~symmetry library in
   if State_arena.degree store <> klen then
     invalid_arg
       (Printf.sprintf
-         "Search.of_store: store degree %d does not match the library encoding (%d)"
+         "Search.of_store: store key length %d does not match the library \
+          encoding (%d)"
          (State_arena.degree store) klen);
   if depth < 0 then invalid_arg "Search.of_store: negative depth";
   (* [>] not [<>]: an engine whose reachable set is exhausted sits at a
@@ -222,8 +216,7 @@ let of_store ?(jobs = 1) ?symmetry library ~depth store =
     when h = State_arena.find store root_key ~off:0 ~hash:root_hash -> ()
   | _ -> invalid_arg "Search.of_store: store does not contain the identity root");
   let frontier = State_arena.handles_at_depth store depth in
-  make_engine ~jobs ~symmetry library ~store ~frontier ~depth ~degree ~num_binary
-    ~signatures
+  make_engine ~jobs ~symmetry library ~store ~frontier ~depth
 
 let store t = t.store
 let symmetry t = t.sym
@@ -580,41 +573,33 @@ let find_key t key =
     let hash = State_arena.hash_key b ~off:0 ~len:t.klen in
     State_arena.find t.store b ~off:0 ~hash
 
-let perm_of_key key =
-  Perm.unsafe_of_array (Array.init (String.length key) (fun i -> Char.code key.[i]))
+let handle_of_key t key = match find_key t key with -1 -> None | h -> Some h
 
-let restriction_of_key t key =
-  let nb = t.num_binary in
-  let rec binary_block i = i >= nb || (Char.code key.[i] < nb && binary_block (i + 1)) in
-  if binary_block 0 then
-    let perm = Perm.unsafe_of_array (Array.init nb (fun i -> Char.code key.[i])) in
-    Some (Reversible.Revfun.of_perm ~bits:(Library.qubits t.library) perm)
-  else None
-
-let restriction_of_handle t h =
-  let nb = t.num_binary in
-  let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
-  let off = State_arena.key_offset t.store h in
+(* The function an image computes, when it maps the binary block onto
+   itself. *)
+let restriction_of_bytes t b off =
+  let nb = t.klen in
   let rec binary_block i =
-    i >= nb || (Char.code (Bytes.unsafe_get src (off + i)) < nb && binary_block (i + 1))
+    i >= nb || (Char.code (Bytes.unsafe_get b (off + i)) < nb && binary_block (i + 1))
   in
   if binary_block 0 then
     let perm =
-      Perm.unsafe_of_array (Array.init nb (fun i -> Char.code (Bytes.get src (off + i))))
+      Perm.unsafe_of_array (Array.init nb (fun i -> Char.code (Bytes.get b (off + i))))
     in
     Some (Reversible.Revfun.of_perm ~bits:(Library.qubits t.library) perm)
   else None
 
+let restriction_of_key t key =
+  if String.length key <> t.klen then None
+  else restriction_of_bytes t (Bytes.unsafe_of_string key) 0
+
+let restriction_of_handle t h =
+  restriction_of_bytes t
+    (State_arena.shard_arena t.store (State_arena.shard_of_handle h))
+    (State_arena.key_offset t.store h)
+
 let depth_of_key t key =
   match find_key t key with -1 -> None | h -> Some (State_arena.depth_of t.store h)
-
-(* The meet-in-the-middle join column: a state's image of the binary
-   block.  Suffix legality under the reasonable-product constraint and
-   the circuit's final restriction both depend only on these bytes, so
-   two states with equal binary images are interchangeable as prefixes
-   of any suffix chain. *)
-let binary_image_of_handle t h = State_arena.key_prefix t.store h ~len:t.num_binary
-let num_binary t = t.num_binary
 
 let cascade_of_handle t h =
   let entries = Library.entries t.library in
@@ -654,49 +639,86 @@ let cascade_of_key t key =
   | -1 -> invalid_arg "Search.cascade_of_key: unknown key"
   | h -> cascade_of_handle t h
 
+(* [minimal_parents t h f] calls [f parent entry] for every minimal
+   predecessor of [h]: a stored state one level up whose image admits
+   the connecting gate and steps to [h]'s image through it.  The inverse
+   image arrays are pre-computed once per library (Library.compile). *)
+let minimal_parents t h f =
+  let klen = t.klen in
+  let scratch = Bytes.create klen in
+  let depth = State_arena.depth_of t.store h in
+  let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
+  let soff = State_arena.key_offset t.store h in
+  Array.iter
+    (fun entry ->
+      let inv = entry.Library.inverse_array in
+      for j = 0 to klen - 1 do
+        Bytes.unsafe_set scratch j
+          (Char.unsafe_chr inv.(Char.code (Bytes.unsafe_get src (soff + j))))
+      done;
+      let hash = State_arena.hash_key scratch ~off:0 ~len:klen in
+      match State_arena.find t.store scratch ~off:0 ~hash with
+      | -1 -> ()
+      | parent ->
+          if
+            State_arena.depth_of t.store parent = depth - 1
+            && State_arena.signature_of t.store parent land entry.Library.purity_mask = 0
+          then f parent entry)
+    (Library.entries t.library)
+
+let minimal_dag_root name t key =
+  if t.sym <> None then invalid_arg (name ^ ": unavailable in quotient mode");
+  match find_key t key with -1 -> invalid_arg (name ^ ": unknown key") | h -> h
+
 let all_cascades ?(limit = 10_000) t key =
-  if t.sym <> None then
-    invalid_arg "Search.all_cascades: unavailable in quotient mode";
-  let entries = Library.entries t.library in
-  let degree = t.degree in
-  let scratch = Bytes.create degree in
+  let h = minimal_dag_root "Search.all_cascades" t key in
   let results = ref [] and count = ref 0 in
   let exception Done in
-  (* Walk every minimal parent chain: a valid parent sits one level up and
-     its binary-block image admits the connecting gate.  The inverse image
-     arrays are pre-computed once per library (Library.compile), not per
-     node. *)
-  let rec walk h depth suffix =
+  (* Every path from the root to [h] through minimal parents is a
+     minimal cascade, and every minimal cascade is such a path (each of
+     its prefixes is minimal for its own image). *)
+  let rec walk h suffix =
     if !count >= limit then raise Done;
-    if depth = 0 then begin
+    if State_arena.depth_of t.store h = 0 then begin
       results := suffix :: !results;
       incr count
     end
-    else begin
-      let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
-      let soff = State_arena.key_offset t.store h in
-      Array.iter
-        (fun entry ->
-          let inv = entry.Library.inverse_array in
-          (* scratch is free again once the parent lookup is done, so the
-             recursive call may reuse it *)
-          for j = 0 to degree - 1 do
-            Bytes.unsafe_set scratch j
-              (Char.unsafe_chr inv.(Char.code (Bytes.unsafe_get src (soff + j))))
-          done;
-          let hash = State_arena.hash_key scratch ~off:0 ~len:degree in
-          match State_arena.find t.store scratch ~off:0 ~hash with
-          | -1 -> ()
-          | parent ->
-              if
-                State_arena.depth_of t.store parent = depth - 1
-                && State_arena.signature_of t.store parent land entry.Library.purity_mask
-                   = 0
-              then walk parent (depth - 1) (entry.Library.gate :: suffix))
-        entries
-    end
+    else minimal_parents t h (fun parent entry -> walk parent (entry.Library.gate :: suffix))
   in
-  (match find_key t key with
-  | -1 -> invalid_arg "Search.all_cascades: unknown key"
-  | h -> ( try walk h (State_arena.depth_of t.store h) [] with Done -> ()));
+  (try walk h [] with Done -> ());
   !results
+
+let count_point_perms t key =
+  let h = minimal_dag_root "Search.count_point_perms" t key in
+  let degree = Mvl.Encoding.size (Library.encoding t.library) in
+  (* Walk the minimal-parent sub-DAG backward one level at a time.  Each
+     node carries the set of point permutations its minimal suffixes to
+     [h] implement; stepping back over gate [g] precomposes [g] onto every
+     one.  At the root the set is exactly the distinct full-domain
+     permutations of [h]'s minimal cascades. *)
+  let target = Hashtbl.create 1 in
+  Hashtbl.replace target (String.init degree Char.chr) ();
+  let level = ref (Hashtbl.create 1) in
+  Hashtbl.replace !level h target;
+  for _ = 1 to State_arena.depth_of t.store h do
+    let next = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun node suffixes ->
+        minimal_parents t node (fun parent entry ->
+            let set =
+              match Hashtbl.find_opt next parent with
+              | Some set -> set
+              | None ->
+                  let set = Hashtbl.create 16 in
+                  Hashtbl.replace next parent set;
+                  set
+            in
+            let pa = entry.Library.perm_array in
+            Hashtbl.iter
+              (fun s () ->
+                Hashtbl.replace set (String.init degree (fun i -> s.[pa.(i)])) ())
+              suffixes))
+      !level;
+    level := next
+  done;
+  Hashtbl.fold (fun _ set acc -> acc + Hashtbl.length set) !level 0

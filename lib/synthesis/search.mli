@@ -1,12 +1,18 @@
 (** The breadth-first search engine shared by FMCF and MCE.
 
-    States are circuit permutations of the encoding's points, packed into
-    the sharded byte arena of {!State_arena} and addressed by integer
-    handles — no per-state heap objects.  Level [k] of the search
-    discovers exactly the paper's B[k]: the circuits constructible with
-    [k] gates under the reasonable-product constraint and with no shorter
-    realization.  Parent pointers record one minimal cascade per state
-    for factorization.
+    A state is a circuit's {e binary-image vector}: [num_binary] bytes
+    (8 at 3 qubits, 16 at 4), byte [j] the encoding point the circuit
+    maps binary code [j] to (not necessarily itself a binary code).
+    Under the reasonable-product constraint, whether a gate may legally
+    follow a circuit, what the next image is, and which binary function
+    the circuit computes depend {e only} on these bytes, so circuits with
+    equal images are one state.  States are packed into the sharded byte
+    arena of {!State_arena} and addressed by integer handles — no
+    per-state heap objects.  Level [k] of the search discovers the images
+    first reached with [k] gates under the reasonable-product constraint;
+    a function of minimal cost [k] is exactly an image of level [k] that
+    maps the binary block onto itself.  Parent pointers record one
+    minimal cascade per state for factorization.
 
     Frontier expansion is domain-parallel ([?jobs]): each step expands
     the frontier in contiguous chunks across domains into per-(domain,
@@ -20,8 +26,8 @@
     argument.
 
     The paper's memory bound cb = 7 came from GAP on 2004 hardware; this
-    engine handles depth 8 comfortably on a present-day machine (the
-    frontier grows roughly 4.5x per level). *)
+    engine runs the 3-qubit universe to closure (depth 13, 126,000
+    states) in well under a second. *)
 
 type t
 
@@ -33,15 +39,14 @@ type handle = int
     circuit (depth 0).  [jobs] (default 1) is the number of domains used
     per step; it is clamped to the shard count of the store.
 
-    With [?symmetry] the search runs {e quotiented}: states are
-    [num_binary]-byte canonical image vectors under the wire-relabeling
-    group (see {!Symmetry}), one representative per orbit, with the
-    conjugating element recorded next to depth/via/parent.  Level [k]
-    then discovers one state per orbit of B[k] (minimal depths are
-    constant on orbits, so the level structure is preserved); the
-    jobs-determinism contract is unchanged.  Key-facing APIs take and
-    return canonical image strings of length {!key_length};
-    {!all_cascades} is unavailable.
+    With [?symmetry] the search runs {e quotiented}: each image is
+    canonicalized under the wire-relabeling group (see {!Symmetry}) and
+    one representative per orbit is stored, with the conjugating element
+    recorded next to depth/via/parent.  Level [k] then discovers one
+    state per orbit (minimal depths are constant on orbits, so the level
+    structure is preserved); the jobs-determinism contract is unchanged.
+    Key-facing APIs take and return canonical images;
+    {!all_cascades} and {!count_point_perms} are unavailable.
     @raise Invalid_argument when [jobs < 1], or when [symmetry] was
     built for a different encoding. *)
 val create : ?jobs:int -> ?symmetry:Symmetry.t -> Library.t -> t
@@ -52,8 +57,8 @@ val create : ?jobs:int -> ?symmetry:Symmetry.t -> Library.t -> t
     stepping the result produces byte-identical levels to the search the
     store came from.  Pass the same [?symmetry] the store was built
     under (a quotient checkpoint records its group fingerprint).
-    @raise Invalid_argument when the store's degree does not match the
-    library (or the quotient key length), its deepest level exceeds
+    @raise Invalid_argument when the store's key length is not the
+    library's [num_binary], its deepest level exceeds
     [depth] (a depth beyond it is legal — an exhausted search has an
     empty frontier), or it lacks the identity root. *)
 val of_store : ?jobs:int -> ?symmetry:Symmetry.t -> Library.t -> depth:int -> State_arena.t -> t
@@ -65,8 +70,8 @@ val store : t -> State_arena.t
 (** [symmetry t] is the quotient group, or [None] for a raw search. *)
 val symmetry : t -> Symmetry.t option
 
-(** [key_length t] is the byte length of stored state keys: the encoding
-    size, or [num_binary t] when quotiented. *)
+(** [key_length t] is the byte length of stored state keys: the
+    encoding's number of binary codes. *)
 val key_length : t -> int
 
 (** [conj_of_handle t h] is the conjugator index recorded for the state:
@@ -140,19 +145,6 @@ val depth_of_handle : t -> handle -> int
     read straight from the arena, no key materialization. *)
 val restriction_of_handle : t -> handle -> Reversible.Revfun.t option
 
-(** [binary_image_of_handle t h] is the state's image of the binary
-    block: byte [j] is the encoding point the circuit maps binary code
-    [j] to (not necessarily itself a binary code).  Under the
-    reasonable-product constraint, whether a gate sequence may legally
-    follow the circuit — and what restriction the composite computes —
-    depends {e only} on these bytes, which makes them the join column of
-    the meet-in-the-middle engine ({!Bidir}). *)
-val binary_image_of_handle : t -> handle -> string
-
-(** [num_binary t] is the number of binary codes of the encoding (the
-    length of {!binary_image_of_handle} strings). *)
-val num_binary : t -> int
-
 (** [cascade_of_handle t h] rebuilds the recorded minimal cascade.  In
     quotient mode the stored via/parent chain connects orbit
     representatives, so the chain's gates are transported through the
@@ -171,8 +163,8 @@ val step : t -> string list
 
 (** {1 Key decoding} *)
 
-(** [perm_of_key key] decodes a state key into a point permutation. *)
-val perm_of_key : string -> Permgroup.Perm.t
+(** [handle_of_key t key] is the stored state with image [key], if any. *)
+val handle_of_key : t -> string -> handle option
 
 (** [restriction_of_key t key] is the binary reversible function computed
     by the state, when it maps the binary block onto itself. *)
@@ -195,3 +187,12 @@ val cascade_of_key : t -> string -> Cascade.t
     reasonable-product condition for the connecting gate).  Stops after
     [limit] results (default 10_000).  Unavailable in quotient mode. *)
 val all_cascades : ?limit:int -> t -> string -> Cascade.t list
+
+(** [count_point_perms t key] is the number of distinct full-domain point
+    permutations implemented by the minimal cascades reaching the state —
+    how many different circuits of minimal cost share its image.  Walks
+    the same minimal-parent sub-DAG as {!all_cascades}, carrying one set
+    of permutations per node instead of enumerating paths.  Unavailable
+    in quotient mode.
+    @raise Invalid_argument when the key is unknown. *)
+val count_point_perms : t -> string -> int

@@ -16,7 +16,6 @@ type shard = {
 
 type t = {
   degree : int;
-  num_binary : int;
   signatures : int array;
   shards : shard array;
 }
@@ -38,8 +37,8 @@ let make_shard degree =
     mask = initial_slots - 1;
   }
 
-let create ~degree ~num_binary ~signatures =
-  { degree; num_binary; signatures; shards = Array.init num_shards (fun _ -> make_shard degree) }
+let create ~degree ~signatures =
+  { degree; signatures; shards = Array.init num_shards (fun _ -> make_shard degree) }
 
 let degree t = t.degree
 
@@ -59,7 +58,7 @@ let table_capacity t =
   !n
 
 (* A multiplicative byte hash with a final avalanche; keys are short
-   permutation vectors, so quality matters mostly in the low (shard) and
+   image vectors, so quality matters mostly in the low (shard) and
    middle (slot) bits. *)
 let hash_key b ~off ~len =
   let h = ref 0 in
@@ -86,10 +85,6 @@ let key_offset t h = index_of_handle h * t.degree
 let key_of t h =
   let s = t.shards.(shard_of_handle h) in
   Bytes.sub_string s.arena (index_of_handle h * t.degree) t.degree
-
-let key_prefix t h ~len =
-  let s = t.shards.(shard_of_handle h) in
-  Bytes.sub_string s.arena (index_of_handle h * t.degree) len
 
 let depth_of t h = t.shards.(shard_of_handle h).depths.(index_of_handle h)
 let via_of t h = t.shards.(shard_of_handle h).vias.(index_of_handle h)
@@ -284,7 +279,7 @@ let restore_shard t ~shard ~count ~keys ~depths ~vias ~parents ~conjs =
       invalid_arg "State_arena.restore_shard: key does not belong to this shard";
     sh.hashes.(idx) <- hash;
     let sg = ref 0 in
-    for i = 0 to t.num_binary - 1 do
+    for i = 0 to t.degree - 1 do
       sg := !sg lor t.signatures.(Char.code (Bytes.get keys (off + i)))
     done;
     sh.sigs.(idx) <- !sg;
@@ -316,7 +311,7 @@ let try_insert ?(conj = 0) t ~key ~off ~hash ~depth ~via ~parent =
     sh.hashes.(idx) <- hash;
     Bytes.unsafe_set sh.conjs idx (Char.unsafe_chr conj);
     let sg = ref 0 in
-    for i = 0 to t.num_binary - 1 do
+    for i = 0 to t.degree - 1 do
       sg := !sg lor t.signatures.(Char.code (Bytes.unsafe_get key (off + i)))
     done;
     sh.sigs.(idx) <- !sg;

@@ -2,7 +2,7 @@
 
     Replaces the seed engine's per-state [string] key + boxed node record
     with [2^{!shard_bits}] shards, each holding a growable [Bytes] arena of
-    packed state vectors plus flat [int] arrays for the per-state metadata
+    packed binary-image vectors (see {!Search}) plus flat [int] arrays for the per-state metadata
     (BFS depth, the library index of the last gate, the parent handle, the
     memoized binary-block signature, and the full key hash).  A state is
     addressed by an integer {e handle} [(local_index lsl shard_bits) lor
@@ -24,11 +24,11 @@ val shard_bits : int
 
 val num_shards : int
 
-(** [create ~degree ~num_binary ~signatures] is an empty store for state
-    vectors of [degree] bytes; [signatures.(p)] is the mixed signature of
-    encoding point [p], OR-ed over the first [num_binary] bytes of a key
-    to form the memoized reasonable-product signature. *)
-val create : degree:int -> num_binary:int -> signatures:int array -> t
+(** [create ~degree ~signatures] is an empty store for state vectors of
+    [degree] bytes; [signatures.(p)] is the mixed signature of encoding
+    point [p], OR-ed over the bytes of a key to form the memoized
+    reasonable-product signature. *)
+val create : degree:int -> signatures:int array -> t
 
 val degree : t -> int
 
@@ -72,15 +72,6 @@ val key_offset : t -> int -> int
 (** [key_of t handle] materializes the key as a fresh string (legacy
     interface; the hot paths read the arena directly). *)
 val key_of : t -> int -> string
-
-(** [key_prefix t handle ~len] is the first [len] bytes of [handle]'s key
-    — for 3-qubit searches the length-[num_binary] prefix is the state's
-    image of the binary block, which is the join column of the
-    meet-in-the-middle engine ({!Bidir}): two circuits compose into a
-    realization of a binary function exactly when the suffix chain leads
-    from that image vector to the target.  Bounds are not checked beyond
-    the shard arena itself; [len] must be within the key. *)
-val key_prefix : t -> int -> len:int -> string
 
 val depth_of : t -> int -> int
 

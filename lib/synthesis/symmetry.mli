@@ -9,8 +9,8 @@
     reachable-state graph of the BFS has an automorphism for each of the
     [qubits!] wire relabelings.  On the encoding's points the relabeling
     acts as a permutation [q] (built with {!Mvl.Encoding.perm_of_action});
-    on a state's binary-image vector [v] (see
-    {!Search.binary_image_of_handle}) the conjugate state's image is
+    on a state's binary-image vector [v] (a {!Search} key) the conjugate
+    state's image is
 
     {[ (conj v).(b) = q^-1 (v (q b)) ]}
 

@@ -201,13 +201,13 @@ let member_sig (m : Fmcf.member) =
     m.Fmcf.witness )
 
 let census_sig c =
-  List.map
-    (fun (l : Fmcf.level) ->
+  List.map2
+    (fun (l : Fmcf.level) (_, paper_count) ->
       ( l.Fmcf.cost,
         l.Fmcf.frontier_size,
-        l.Fmcf.paper_count,
+        paper_count,
         List.map member_sig l.Fmcf.members ))
-    (Fmcf.levels c)
+    (Fmcf.levels c) (Fmcf.paper_counts c)
 
 let census_depth = 7
 let clean_census = lazy (Fmcf.run ~max_depth:census_depth library3)
@@ -279,7 +279,7 @@ let test_cancel_mid_level () =
   let polls = ref 0 in
   let stop () =
     incr polls;
-    !polls > 400
+    !polls > 100
   in
   let census, reason =
     Fmcf.run_guarded ~max_depth:census_depth ~should_stop:stop library3

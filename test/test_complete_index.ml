@@ -149,16 +149,14 @@ let test_deterministic_bytes_across_jobs_and_quotient () =
     Census_index.save b path_b;
     checkb what true (Checkpoint.read_file path_a = Checkpoint.read_file path_b)
   in
-  let idx14 =
-    Census_index.build (Fmcf.run ~max_depth:14 ~jobs:2 ~quotient:true library3)
-  in
+  let idx14 = Census_index.build (Fmcf.run ~max_depth:14 ~jobs:2 library3) in
   checkb "depth-14 census is complete" true (Census_index.is_complete idx14);
   check Alcotest.int "depth-14 index depth = diameter" 13
     (Census_index.depth idx14);
-  same_bytes "paper18: depth-13/jobs=1 and depth-14/jobs=2 byte-identical"
+  same_bytes
+    "paper18: quotient depth-13/jobs=1 and plain depth-14/jobs=2 byte-identical"
     (Lazy.force complete) idx14;
-  (* a full-group library is small enough to close without the quotient:
-     NFT's diameter is 7 (Younes) *)
+  (* NFT's diameter is 7 (Younes) *)
   let nft = Library.of_name "nft" in
   let raw = Census_index.build (Fmcf.run ~max_depth:7 nft) in
   let quotiented =

@@ -1,9 +1,11 @@
 (* Symmetry-quotient parity tests: the quotiented census must be
-   observationally identical to the raw one — Table 2, |S8[k]|, the exact
-   1260 depth-7 members with equal costs and witness cascades, and
-   byte-identical QSYNIDX2 files — plus QCheck properties of the
-   canonical form, quotient (v2) checkpoint round-trips and rejection of
-   snapshots whose symmetry section is damaged or mismatched. *)
+   observationally identical to the unquotiented one — Table 2, the
+   paper's printed row, |S8[k]|, the exact 1260 depth-7 members with
+   equal costs and witness cascades, and byte-identical QSYNIDX2 files,
+   and the same at 4 wires under S4 — plus QCheck properties of the
+   canonical form, quotient (v2) checkpoint round-trips, rejection of
+   retired v1 snapshots and of snapshots whose symmetry section is
+   damaged or mismatched. *)
 
 open Synthesis
 
@@ -52,8 +54,9 @@ let test_table2_parity () =
   let raw = Lazy.force raw7 and quot = Lazy.force quot7 in
   checkb "raw is not quotiented" false (Fmcf.quotiented raw);
   checkb "quotient is quotiented" true (Fmcf.quotiented quot);
-  checkb "raw paper counts exact" true (Fmcf.paper_counts_exact raw);
-  checkb "quotient paper counts inexact" false (Fmcf.paper_counts_exact quot);
+  check
+    Alcotest.(list (pair int int))
+    "paper's printed row" (Fmcf.paper_counts raw) (Fmcf.paper_counts quot);
   check
     Alcotest.(list (pair int int))
     "|G[k]|" (Fmcf.counts raw) (Fmcf.counts quot);
@@ -95,6 +98,28 @@ let test_index_byte_identity () =
   checkb "QSYNIDX2 files byte-identical" true
     (String.equal (read_file path_raw) (read_file path_quot))
 
+(* {1 Four wires: the S4 quotient} *)
+
+(* The 4-wire group has 24 relabelings, which the conjugator field must
+   hold; the quotient census must count what the plain one counts, and
+   every member's witness must replay exactly as a unitary. *)
+let test_four_wire_parity () =
+  let library4 = Library.make (Mvl.Encoding.make ~qubits:4) in
+  checkb "S4 has 24 elements" true (Symmetry.order (Symmetry.create library4) = 24);
+  let plain = Fmcf.run ~max_depth:5 library4 in
+  let quot = Fmcf.run ~max_depth:5 ~quotient:true library4 in
+  check Alcotest.(list int) "4-wire |G[k]|" [ 1; 12; 96; 542; 2154; 6804 ]
+    (List.map snd (Fmcf.counts plain));
+  check Alcotest.(list (pair int int)) "quotient row" (Fmcf.counts plain)
+    (Fmcf.counts quot);
+  Fmcf.iter_members quot (fun ~cost m ->
+      let r =
+        { Mce.target = m.Fmcf.func; not_mask = 0;
+          cascade = Fmcf.cascade_of_member quot m; cost }
+      in
+      if List.length r.Mce.cascade <> cost || not (Verify.result_valid library4 r) then
+        Alcotest.failf "4-wire witness of cost %d does not replay" cost)
+
 (* {1 Canonical-form properties} *)
 
 (* canon is constant on orbits and idempotent, over arbitrary image
@@ -115,8 +140,8 @@ let test_canon_invariant_qcheck =
       let c'', i = Symmetry.canon sym c in
       String.equal c c' && String.equal c c'' && i = 0)
 
-(* The same invariance over every reachable state of a shallow raw
-   search — the vectors the engine actually canonicalizes. *)
+(* The same invariance over every reachable state of a shallow
+   unquotiented search — the vectors the engine actually canonicalizes. *)
 let test_canon_invariant_reachable () =
   let sym = Lazy.force sym3 in
   let s = Search.create library3 in
@@ -126,7 +151,7 @@ let test_canon_invariant_reachable () =
   for d = 0 to 3 do
     Array.iter
       (fun h ->
-        let img = Search.binary_image_of_handle s h in
+        let img = Search.key_of_handle s h in
         let c, _ = Symmetry.canon sym img in
         for g = 0 to Symmetry.order sym - 1 do
           let c', _ = Symmetry.canon sym (Symmetry.conjugate_image sym g img) in
@@ -195,18 +220,33 @@ let test_v2_jobs_determinism () =
   checkb "jobs=1 and jobs=4 quotient snapshots byte-identical" true
     (String.equal (read_file p1) (read_file p4))
 
-let test_v1_loads_unquotiented () =
+let reseal buf =
+  let n = Bytes.length buf in
+  Bytes.set_int32_le buf (n - 4)
+    (Int32.of_int (Checkpoint.crc32 buf ~off:0 ~len:(n - 4)))
+
+(* A v1 file held full-point states; its layout is the v3 one, so an
+   unquotiented snapshot relabeled as version 1 stands in for it. *)
+let test_v1_rejected () =
   with_temp_file @@ fun path ->
   let s = Search.create library3 in
   for _ = 1 to 3 do
     ignore (Search.step_handles s)
   done;
   Checkpoint.save s path;
-  checkb "raw snapshot has no symmetry section" true
+  checkb "unquotiented snapshot has no symmetry section" true
     ((Checkpoint.peek path).Checkpoint.symmetry = None);
-  let r = Checkpoint.load library3 path in
-  checkb "restored engine is raw" true (Search.symmetry r = None);
-  check Alcotest.int "size" (Search.size s) (Search.size r)
+  let buf = Bytes.of_string (read_file path) in
+  Bytes.set_int32_le buf 8 1l;
+  reseal buf;
+  write_file path (Bytes.to_string buf);
+  match Checkpoint.load library3 path with
+  | exception Checkpoint.Mismatch msg ->
+      checkb "message names format version 1" true
+        (contains ~sub:"format version 1" msg)
+  | exception Checkpoint.Corrupt msg ->
+      Alcotest.failf "raised Corrupt (%s) instead of Mismatch" msg
+  | _ -> Alcotest.fail "a v1 snapshot loaded"
 
 (* {1 Damaged symmetry sections} *)
 
@@ -216,11 +256,6 @@ let test_v1_loads_unquotiented () =
    count u32 then count x 12-byte records (depth u16, via u8, conj u8,
    parent u64) | crc u32.  Patches below re-seal the CRC so the format
    gates, not the checksum, must reject the file. *)
-
-let reseal buf =
-  let n = Bytes.length buf in
-  Bytes.set_int32_le buf (n - 4)
-    (Int32.of_int (Checkpoint.crc32 buf ~off:0 ~len:(n - 4)))
 
 let test_symmetry_fingerprint_mismatch () =
   with_temp_file @@ fun path ->
@@ -277,6 +312,9 @@ let () =
           Alcotest.test_case "index byte-identity" `Quick
             test_index_byte_identity;
         ] );
+      ( "four wires",
+        [ Alcotest.test_case "S4 quotient parity and replay" `Quick
+            test_four_wire_parity ] );
       ( "canonical form",
         [
           test_canon_invariant_qcheck;
@@ -289,8 +327,7 @@ let () =
           Alcotest.test_case "v2 resume parity" `Quick test_v2_resume_parity;
           Alcotest.test_case "v2 jobs determinism" `Quick
             test_v2_jobs_determinism;
-          Alcotest.test_case "v1 loads unquotiented" `Quick
-            test_v1_loads_unquotiented;
+          Alcotest.test_case "v1 is rejected" `Quick test_v1_rejected;
           Alcotest.test_case "symmetry fingerprint mismatch" `Quick
             test_symmetry_fingerprint_mismatch;
           Alcotest.test_case "conjugator corruption" `Quick

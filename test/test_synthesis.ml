@@ -196,25 +196,51 @@ let cascade_props =
 
 (* Search *)
 
+(* States are binary-image vectors, so these are image counts per level
+   (distinct images first reached with k gates). *)
+let search_to ?(max_depth = max_int) library =
+  let search = Search.create library in
+  let rec go () =
+    if Search.depth search < max_depth && Search.step_handles search <> [||] then go ()
+  in
+  go ();
+  search
+
 let test_search_levels () =
   let search = Search.create library3 in
   check Alcotest.int "B1" 18 (List.length (Search.step search));
-  check Alcotest.int "B2" 162 (List.length (Search.step search));
-  check Alcotest.int "B3" 1017 (List.length (Search.step search));
-  check Alcotest.int "size after 3 levels" (1 + 18 + 162 + 1017) (Search.size search)
+  check Alcotest.int "B2" 144 (List.length (Search.step search));
+  check Alcotest.int "B3" 633 (List.length (Search.step search));
+  check Alcotest.int "size after 3 levels" (1 + 18 + 144 + 633) (Search.size search);
+  check Alcotest.int "3 wires, depth 7" 20_748
+    (Search.size (Fmcf.search (Lazy.force census7)));
+  let closure = search_to library3 in
+  check Alcotest.int "paper18 diameter-13 images" 304
+    (Array.length (Search.handles_at_depth closure 13));
+  check Alcotest.int "paper18 closure states" 126_000 (Search.size closure);
+  let library4 = Library.make (Mvl.Encoding.make ~qubits:4) in
+  check Alcotest.int "4 wires, depth 5" 513_129
+    (Search.size (search_to ~max_depth:5 library4))
+
+(* The image of a cascade: where its point permutation sends each binary
+   code. *)
+let image_of_cascade cascade =
+  let p = Cascade.perm_of library3 cascade in
+  String.init (Mvl.Encoding.num_binary encoding3) (fun b ->
+      Char.chr (Permgroup.Perm.apply p b))
 
 let test_search_factorization () =
-  let search = Search.create library3 in
-  ignore (Search.step search);
-  ignore (Search.step search);
-  List.iter
-    (fun key ->
-      let cascade = Search.cascade_of_key search key in
-      check Alcotest.int "cascade length = depth" 2 (Cascade.cost cascade);
-      check perm "cascade rebuilds the permutation" (Search.perm_of_key key)
-        (Cascade.perm_of library3 cascade);
-      checkb "cascade reasonable" true (Cascade.is_reasonable library3 cascade))
-    (List.filteri (fun i _ -> i < 20) (Search.frontier search))
+  let search = Fmcf.search (Lazy.force census7) in
+  for d = 0 to Search.depth search do
+    Array.iter
+      (fun h ->
+        let cascade = Search.cascade_of_handle search h in
+        check Alcotest.int "cascade length = depth" d (Cascade.cost cascade);
+        if Search.key_of_handle search h <> image_of_cascade cascade then
+          Alcotest.failf "stored key differs from its cascade's image at depth %d" d;
+        checkb "cascade reasonable" true (Cascade.is_reasonable library3 cascade))
+      (Search.handles_at_depth search d)
+  done
 
 let test_search_all_cascades () =
   let search = Search.create library3 in
@@ -227,8 +253,9 @@ let test_search_all_cascades () =
     (List.exists (Cascade.equal (Search.cascade_of_key search key)) all);
   List.iter
     (fun c ->
-      check perm "same permutation" (Search.perm_of_key key)
-        (Cascade.perm_of library3 c))
+      check Alcotest.int "minimal length" 2 (Cascade.cost c);
+      check Alcotest.string "same image" key (image_of_cascade c);
+      checkb "reasonable" true (Cascade.is_reasonable library3 c))
     all
 
 let test_search_restriction_of_key () =
@@ -368,6 +395,29 @@ let test_mce_witness_counts () =
     (Mce.distinct_witnesses library3 Reversible.Gates.g1);
   check Alcotest.int "toffoli 4 witnesses" 4
     (Mce.distinct_witnesses library3 Reversible.Gates.toffoli3)
+
+(* Forward-plan answers come from the image-keyed arena: each must replay
+   exactly as a unitary (Qsim), and Toffoli's witness is pinned. *)
+let test_mce_forward_replay () =
+  let forward spec =
+    match
+      Mce.Response.result_of
+        (Mce.solve library3 (Mce.Request.make ~plan:Mce.Request.Forward spec))
+    with
+    | Some r -> r
+    | None -> Alcotest.failf "%s: no forward answer" spec
+  in
+  List.iter
+    (fun spec ->
+      checkb (spec ^ " replays exactly") true
+        (Verify.result_valid library3 (forward spec)))
+    [
+      "toffoli"; "peres"; "fredkin"; "0,1,3,2,4,5,7,6"; "0,2,1,3,4,6,5,7";
+      "7,6,5,4,3,2,1,0";
+    ];
+  checkb "toffoli witness" true
+    (Cascade.equal (forward "toffoli").Mce.cascade
+       (Cascade.of_string ~qubits:3 "FBA*VCB*V+CA*FBA*V+CB"))
 
 let test_mce_all_realizations () =
   let results = Mce.all_realizations library3 Reversible.Gates.toffoli3 in
@@ -762,6 +812,7 @@ let () =
           Alcotest.test_case "known costs" `Quick test_mce_costs;
           Alcotest.test_case "with NOT layer" `Quick test_mce_with_not_layer;
           Alcotest.test_case "witness counts" `Quick test_mce_witness_counts;
+          Alcotest.test_case "forward answers replay" `Quick test_mce_forward_replay;
           Alcotest.test_case "all realizations" `Quick test_mce_all_realizations;
           Alcotest.test_case "strip NOT layer" `Quick test_mce_strip_not_layer;
           Alcotest.test_case "depth bound" `Quick test_mce_depth_bound;
