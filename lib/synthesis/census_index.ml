@@ -7,11 +7,12 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 let m_lookups = Telemetry.Counter.create "census_index.lookups"
 let m_hits = Telemetry.Counter.create "census_index.hits"
 let c_bytes = Telemetry.Counter.create "census_index.write.bytes"
-let h_build = Telemetry.Histogram.create "census_index.build.seconds"
+let h_witness = Telemetry.Histogram.create "census_index.witness.seconds"
+let h_pack = Telemetry.Histogram.create "census_index.pack.seconds"
 
-(* The index is quotient-agnostic: {!build} consumes (func_key, cost,
-   witness) triples from {!Fmcf} and sorts records by func_key, and a
-   quotient census produces exactly the same triples as a raw one
+(* The index is quotient-agnostic: {!build} consumes (func_key, witness)
+   pairs from {!Fmcf} and sorts records by func_key, and a quotient
+   census produces exactly the same pairs as a raw one
    ({!Fmcf.cascade_of_member} reconstructs the same canonical witness in
    both modes), so index files emitted with and without [--quotient] are
    byte-identical — the property the CI parity job diffs.  A complete
@@ -165,9 +166,6 @@ let universe library =
   in
   go 1 2
 
-let func_key_bytes ~nb func =
-  Bytes.init nb (fun j -> Char.chr (Revfun.apply func j))
-
 (* {1 Packing}
 
    Everything that builds an index funnels through [pack]: rows are
@@ -178,15 +176,15 @@ let func_key_bytes ~nb func =
 
 let pack library ~depth ~complete rows =
   let nb = Mvl.Encoding.num_binary (Library.encoding library) in
-  let rows = List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) rows in
-  let count = List.length rows in
-  let log_len = List.fold_left (fun acc (_, c, _) -> acc + c) 0 rows in
+  Array.sort (fun (a, _) (b, _) -> String.compare a b) rows;
+  let count = Array.length rows in
+  let log_len = Array.fold_left (fun acc (_, w) -> acc + String.length w) 0 rows in
   let hist_len = depth + 1 in
   let histogram = Array.make hist_len 0 in
-  List.iter
-    (fun (_, cost, _) ->
-      if cost < 0 || cost > depth then
-        invalid_arg "Census_index: row cost outside 0..depth";
+  Array.iter
+    (fun (_, w) ->
+      let cost = String.length w in
+      if cost > depth then invalid_arg "Census_index: row cost outside 0..depth";
       histogram.(cost) <- histogram.(cost) + 1)
     rows;
   let records_off = header_bytes + (4 * hist_len) in
@@ -216,17 +214,14 @@ let pack library ~depth ~complete rows =
   put_u32 hist_len;
   Array.iter put_u32 histogram;
   let off = ref 0 in
-  List.iteri
-    (fun i (key, cost, gates) ->
+  Array.iteri
+    (fun i (key, w) ->
       let base = records_off + (i * rec_size nb) in
       Bytes.blit_string key 0 buf base nb;
-      Bytes.set_uint8 buf (base + nb) cost;
+      Bytes.set_uint8 buf (base + nb) (String.length w);
       Bytes.set_int32_le buf (base + nb + 1) (Int32.of_int !off);
-      List.iter
-        (fun g ->
-          Bytes.set_uint8 buf (log_off + !off) g;
-          incr off)
-        gates)
+      Bytes.blit_string w 0 buf (log_off + !off) (String.length w);
+      off := !off + String.length w)
     rows;
   Bytes.set_int32_le buf (len - 4)
     (Int32.of_int (Checkpoint.crc32 buf ~off:0 ~len:(len - 4)));
@@ -245,43 +240,32 @@ let pack library ~depth ~complete rows =
 
 (* {1 Building from a census} *)
 
-let gate_indices library =
-  let table = Hashtbl.create 64 in
-  Array.iteri
-    (fun i (e : Library.entry) -> Hashtbl.replace table (Gate.name e.Library.gate) i)
-    (Library.entries library);
-  fun gate ->
-    match Hashtbl.find_opt table (Gate.name gate) with
-    | Some i -> i
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Census_index.build: gate %s not in the library"
-             (Gate.name gate))
-
 let build census =
-  Telemetry.Histogram.time h_build @@ fun () ->
   let library = Search.library (Fmcf.search census) in
-  let nb = Mvl.Encoding.num_binary (Library.encoding library) in
-  let gate_index = gate_indices library in
-  let rows = ref [] in
-  Fmcf.iter_members census (fun ~cost member ->
-      let key = func_key_bytes ~nb member.Fmcf.func in
-      let gates = List.map gate_index (Fmcf.cascade_of_member census member) in
-      if List.length gates <> cost then
-        invalid_arg "Census_index.build: witness length differs from cost";
-      rows := (Bytes.unsafe_to_string key, cost, gates) :: !rows);
-  let rows = !rows in
+  let rows =
+    Telemetry.Histogram.time h_witness @@ fun () ->
+    let rows = ref [] in
+    (* a member's image vector is its func_key: it maps the binary block
+       onto itself *)
+    Fmcf.iter_members census (fun ~cost member ->
+        let w = Fmcf.witness_gates census member in
+        if String.length w <> cost then
+          invalid_arg "Census_index.build: witness length differs from cost";
+        rows := (member.Fmcf.witness, w) :: !rows);
+    Array.of_list !rows
+  in
+  Telemetry.Histogram.time h_pack @@ fun () ->
   (* A deep-enough forward census can cover the library's whole universe
      by itself; mark it complete so the planner trusts it. *)
   let complete =
     match universe library with
-    | Some u -> List.length rows = u
+    | Some u -> Array.length rows = u
     | None -> false
   in
   (* A complete index proves nothing beyond its highest cost, so levels a
      census searched past the diameter (all empty) are not recorded. *)
   let depth =
-    if complete then List.fold_left (fun acc (_, c, _) -> max acc c) 0 rows
+    if complete then Array.fold_left (fun acc (_, w) -> max acc (String.length w)) 0 rows
     else Fmcf.depth census
   in
   pack library ~depth ~complete rows

@@ -15,15 +15,17 @@ let save ?note census path =
       (match note with
       | Some n -> Printf.fprintf out "# %s\n" n
       | None -> ());
+      (* Each level in func-key order (a member's image vector is its
+         func_key), not in the order the search happened to visit it. *)
       List.iter
         (fun level ->
-          List.iter
-            (fun (m : Fmcf.member) ->
-              let cascade = Fmcf.cascade_of_member census m in
-              Printf.fprintf out "%d\t%s\t%s\n" m.Fmcf.cost
-                (Format.asprintf "%a" Reversible.Revfun.pp m.Fmcf.func)
-                (Cascade.to_string cascade))
-            level.Fmcf.members)
+          List.sort (fun (a : Fmcf.member) b -> String.compare a.witness b.witness)
+            level.Fmcf.members
+          |> List.iter (fun (m : Fmcf.member) ->
+                 let cascade = Fmcf.cascade_of_member census m in
+                 Printf.fprintf out "%d\t%s\t%s\n" m.Fmcf.cost
+                   (Format.asprintf "%a" Reversible.Revfun.pp m.Fmcf.func)
+                   (Cascade.to_string cascade)))
         (Fmcf.levels census))
 
 let load library path =

@@ -18,7 +18,8 @@ type entry = {
 }
 
 (** [save ?note census path] writes every census member with its witness
-    cascade.  A [# library: NAME] comment follows the format banner so a
+    cascade, cost by cost and in func-key order within a cost, so the
+    file is the same with and without [--quotient] and for any [jobs].  A [# library: NAME] comment follows the format banner so a
     human (and {!load}) can tell which census universe produced the
     file.  [note], when given, is emitted as a further [#] comment —
     used to mark {e partial} censuses (interrupted or budget-limited

@@ -21,6 +21,8 @@ type t = {
   symmetry : Symmetry.t option; (* Some: the search ran quotiented *)
   levels : level list;
   index : (string, member) Hashtbl.t; (* func_key -> member, built at census time *)
+  witnesses : (string, string) Hashtbl.t;
+      (* image -> canonical witness (library entry indices), filled on demand *)
 }
 
 type stop_reason = Completed | Budget_states | Budget_mem | Timed_out | Cancelled
@@ -175,7 +177,7 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
   if Telemetry.enabled () then
     Telemetry.Span.set_attr "stop_reason" (Telemetry.Json.String (describe_stop reason));
   ( { library; search; symmetry = Search.symmetry search; levels = List.rev !levels;
-      index = acc },
+      index = acc; witnesses = Hashtbl.create 4096 },
     reason )
 
 let run ?max_depth ?jobs ?quotient library =
@@ -279,61 +281,67 @@ let find t func = Hashtbl.find_opt t.index (func_key func)
 
 (* {1 Canonical witness reconstruction}
 
-   [cascade_of_member] rebuilds witnesses {e backward}: from the member's
-   function image, greedily peel the lexicographically least library gate
-   whose removal steps to an image of minimal depth exactly one lower
+   Witnesses are rebuilt {e backward}: from an image of minimal depth k,
+   the canonical step peels the lexicographically least library gate
+   whose removal lands on an image of minimal depth exactly k - 1
    (respecting the reasonable-product constraint at the step).  The
    choice depends only on the census's image -> minimal-depth relation —
    which the quotient search preserves exactly (minimal depths are
-   constant on orbits) — so plain and quotient censuses emit byte-identical
-   cascades, and hence byte-identical QSYNIDX2 files. *)
+   constant on orbits) — so plain and quotient censuses emit
+   byte-identical cascades, and hence byte-identical QSYNIDX2 files.
 
-let image_min_depth t =
-  match t.symmetry with
-  | Some sym -> fun img -> Search.depth_of_key t.search (fst (Symmetry.canon sym img))
-  | None -> Search.depth_of_key t.search
+   Members share prefixes all the way down, so each image's witness is
+   computed once and kept in [t.witnesses]: a whole census costs one
+   step search per distinct image its witnesses pass through. *)
 
-let cascade_of_member t (member : member) =
-  if member.cost = 0 then []
-  else begin
-    let entries = Library.entries t.library in
-    let encoding = Library.encoding t.library in
-    let nb = Mvl.Encoding.num_binary encoding in
-    let signatures =
-      Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding)
-    in
-    let depth_of = image_min_depth t in
-    let fp = Permgroup.Perm.to_array (Reversible.Revfun.to_perm member.func) in
-    let v = Bytes.init nb (fun b -> Char.chr fp.(b)) in
-    let u = Bytes.create nb in
-    let acc = ref [] in
-    for k = member.cost downto 1 do
-      let rec find g =
-        if g >= Array.length entries then
-          invalid_arg
-            "Fmcf.cascade_of_member: no backward step (member not from this census?)"
-        else begin
-          let e = entries.(g) in
-          let inv = e.Library.inverse_array in
-          let sg = ref 0 in
-          for b = 0 to nb - 1 do
-            let x = inv.(Char.code (Bytes.get v b)) in
-            Bytes.set u b (Char.chr x);
-            sg := !sg lor signatures.(x)
-          done;
-          if
-            !sg land e.Library.purity_mask = 0
-            && depth_of (Bytes.to_string u) = Some (k - 1)
-          then g
-          else find (g + 1)
-        end
-      in
-      let g = find 0 in
-      acc := entries.(g).Library.gate :: !acc;
-      Bytes.blit u 0 v 0 nb
+let witness_gates t (member : member) =
+  let entries = Library.entries t.library in
+  let encoding = Library.encoding t.library in
+  let nb = Mvl.Encoding.num_binary encoding in
+  let signatures =
+    Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding)
+  in
+  let depth_of img =
+    match t.symmetry with
+    | Some sym -> Search.depth_of_key t.search (fst (Symmetry.canon sym img))
+    | None -> Search.depth_of_key t.search img
+  in
+  (* [step v k 0] is the canonical step's gate, its pre-image left in [u] *)
+  let u = Bytes.create nb in
+  let rec step v k g =
+    if g >= Array.length entries then
+      invalid_arg "Fmcf.witness_gates: no backward step (member not from this census?)";
+    let e = entries.(g) in
+    let sg = ref 0 in
+    for b = 0 to nb - 1 do
+      let x = e.Library.inverse_array.(Char.code v.[b]) in
+      Bytes.set u b (Char.chr x);
+      sg := !sg lor signatures.(x)
     done;
-    !acc
-  end
+    (* [u] is only read by the probe, never kept *)
+    if !sg land e.Library.purity_mask = 0
+       && depth_of (Bytes.unsafe_to_string u) = Some (k - 1)
+    then g
+    else step v k (g + 1)
+  in
+  let rec witness v k =
+    if k = 0 then ""
+    else
+      match Hashtbl.find_opt t.witnesses v with
+      | Some w -> w
+      | None ->
+          let g = step v k 0 in
+          let w = witness (Bytes.to_string u) (k - 1) ^ String.make 1 (Char.chr g) in
+          Hashtbl.add t.witnesses v w;
+          w
+  in
+  witness member.witness member.cost
+
+let cascade_of_member t member =
+  let entries = Library.entries t.library in
+  let w = witness_gates t member in
+  List.init (String.length w) (fun i -> entries.(Char.code w.[i]).Library.gate)
+
 let members_at t ~cost =
   match List.find_opt (fun l -> l.cost = cost) t.levels with
   | Some l -> l.members

@@ -152,14 +152,18 @@ val total_found : t -> int
     time. *)
 val find : t -> Reversible.Revfun.t -> member option
 
-(** [cascade_of_member t member] rebuilds the witness cascade — {e the
-    same bytes with and without the quotient}.  The cascade is reconstructed
-    backward from the member's function image, greedily peeling the least
-    library gate that steps to an image of minimal census depth exactly
-    one lower; the choice depends only on the image -> minimal-depth
-    relation, which the quotient preserves exactly.  Emitted QSYNIDX2
-    files are therefore byte-identical across modes. *)
+(** [cascade_of_member t member] is the member's canonical witness —
+    {e the same bytes with and without the quotient}.  Read backward from
+    the member's image, each step peels the least library gate landing
+    on an image of minimal census depth exactly one lower; the quotient
+    preserves that relation exactly.  Steps are memoized in [t] by image
+    on demand, so all members' witnesses together cost one step search
+    per distinct image reached.  Not domain-safe. *)
 val cascade_of_member : t -> member -> Cascade.t
+
+(** [witness_gates t member] is {!cascade_of_member} as library entry
+    indices, one byte per gate — the form {!Census_index} stores. *)
+val witness_gates : t -> member -> string
 
 (** [members_at t ~cost] is G[cost]. *)
 val members_at : t -> cost:int -> member list

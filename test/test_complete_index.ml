@@ -110,6 +110,100 @@ let test_total_coverage () =
   check Alcotest.int "universe enumerated" universe !total;
   check Alcotest.(array int) "per-cost lookup counts" spectrum seen
 
+(* {1 Canonical witnesses}
+
+   [reference_cascade] is the per-member greedy walk that
+   [Fmcf.cascade_of_member] memoizes: from the member's image, peel the
+   least library gate whose removal lands on an image of minimal census
+   depth exactly one lower, re-deriving every step of every witness from
+   scratch.  The memoized reconstruction must agree with it member by
+   member, in both modes and on every library. *)
+
+let reference_cascade census (member : Fmcf.member) =
+  let search = Fmcf.search census in
+  let library = Search.library search in
+  let entries = Library.entries library in
+  let encoding = Library.encoding library in
+  let nb = Mvl.Encoding.num_binary encoding in
+  let signatures =
+    Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding)
+  in
+  let depth_of img =
+    match Search.symmetry search with
+    | Some sym -> Search.depth_of_key search (fst (Symmetry.canon sym img))
+    | None -> Search.depth_of_key search img
+  in
+  let v = Bytes.init nb (fun b -> Char.chr (Revfun.apply member.Fmcf.func b)) in
+  let u = Bytes.create nb in
+  let acc = ref [] in
+  for k = member.Fmcf.cost downto 1 do
+    let rec find g =
+      if g >= Array.length entries then Alcotest.fail "reference walk found no step"
+      else begin
+        let e = entries.(g) in
+        let sg = ref 0 in
+        for b = 0 to nb - 1 do
+          let x = e.Library.inverse_array.(Char.code (Bytes.get v b)) in
+          Bytes.set u b (Char.chr x);
+          sg := !sg lor signatures.(x)
+        done;
+        if !sg land e.Library.purity_mask = 0
+           && depth_of (Bytes.to_string u) = Some (k - 1)
+        then g
+        else find (g + 1)
+      end
+    in
+    let g = find 0 in
+    acc := entries.(g).Library.gate :: !acc;
+    Bytes.blit u 0 v 0 nb
+  done;
+  !acc
+
+let paper18_raw = lazy (Fmcf.run ~max_depth:13 library3)
+let nct8 = lazy (Fmcf.run ~max_depth:8 (Library.of_name "nct"))
+let nft7 = lazy (Fmcf.run ~max_depth:7 (Library.of_name "nft"))
+
+let test_witnesses_match_reference () =
+  let library4 = Library.make (Mvl.Encoding.make ~qubits:4) in
+  List.iter
+    (fun (name, census) ->
+      let census = Lazy.force census in
+      let checked = ref 0 in
+      Fmcf.iter_members census (fun ~cost m ->
+          incr checked;
+          let got = Fmcf.cascade_of_member census m in
+          if not (List.equal Gate.equal got (reference_cascade census m)) then
+            Alcotest.failf "%s: cost-%d witness %s differs from the reference walk"
+              name cost (Cascade.to_string got));
+      check Alcotest.int (name ^ ": every member checked")
+        (Fmcf.total_found census) !checked)
+    [
+      ("paper18 -d 13", paper18_raw);
+      ("paper18 -d 13 --quotient", closure);
+      ("nct -d 8", nct8);
+      ("nft -d 7", nft7);
+      ("4-wire paper18 -d 4", lazy (Fmcf.run ~max_depth:4 library4));
+    ]
+
+(* The bytes of each complete index, pinned by file length and stored
+   CRC-32 trailer: any change to witness selection, record layout or
+   header shows up here. *)
+let test_golden_index_bytes () =
+  List.iter
+    (fun (name, census, len, crc) ->
+      with_temp_file @@ fun path ->
+      Census_index.save (Census_index.build (Lazy.force census)) path;
+      let bytes = Checkpoint.read_file path in
+      check Alcotest.int (name ^ ": file length") len (Bytes.length bytes);
+      check Alcotest.string (name ^ ": CRC-32 trailer") (Printf.sprintf "%08lx" crc)
+        (Printf.sprintf "%08lx" (Bytes.get_int32_le bytes (Bytes.length bytes - 4))))
+    [
+      ("paper18 -d 13", paper18_raw, 111_407, 0x425fcfc4l);
+      ("paper18 -d 13 --quotient", closure, 111_407, 0x425fcfc4l);
+      ("nct -d 8", nct8, 760_761, 0x0ebbb19al);
+      ("nft -d 7", nft7, 731_247, 0xb29b482al);
+    ]
+
 let test_sampled_costs_against_fresh_engine () =
   let idx = Lazy.force complete in
   (* an independent engine, warmed from scratch, must agree on cost and
@@ -277,6 +371,12 @@ let () =
             test_deterministic_bytes_across_jobs_and_quotient;
           Alcotest.test_case "mmap and heap loaders agree" `Quick
             test_mmap_and_heap_loaders_agree;
+        ] );
+      ( "witnesses",
+        [
+          Alcotest.test_case "memoized witnesses match the reference walk" `Quick
+            test_witnesses_match_reference;
+          Alcotest.test_case "golden index bytes" `Quick test_golden_index_bytes;
         ] );
       ( "planner",
         [

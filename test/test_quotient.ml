@@ -98,6 +98,15 @@ let test_index_byte_identity () =
   checkb "QSYNIDX2 files byte-identical" true
     (String.equal (read_file path_raw) (read_file path_quot))
 
+(* --save writes the same file in both modes, line for line. *)
+let test_save_byte_identity () =
+  with_temp_file @@ fun path_raw ->
+  with_temp_file @@ fun path_quot ->
+  Census_io.save (Lazy.force raw7) path_raw;
+  Census_io.save (Lazy.force quot7) path_quot;
+  check Alcotest.string "census TSVs byte-identical" (read_file path_raw)
+    (read_file path_quot)
+
 (* {1 Four wires: the S4 quotient} *)
 
 (* The 4-wire group has 24 relabelings, which the conjugator field must
@@ -311,6 +320,7 @@ let () =
             test_members_parity;
           Alcotest.test_case "index byte-identity" `Quick
             test_index_byte_identity;
+          Alcotest.test_case "--save byte-identity" `Quick test_save_byte_identity;
         ] );
       ( "four wires",
         [ Alcotest.test_case "S4 quotient parity and replay" `Quick

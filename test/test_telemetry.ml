@@ -258,6 +258,8 @@ let test_census_metrics_snapshot () =
   let census = Synthesis.Fmcf.run ~max_depth:3 library in
   (* the printed row is computed on demand, as `census --paper-variant` does *)
   ignore (Synthesis.Fmcf.paper_counts census);
+  (* and the index build, as `census --emit-index` does *)
+  ignore (Synthesis.Census_index.build census);
   let path = Filename.temp_file "census" ".json" in
   write_snapshot path;
   let ic = open_in_bin path in
@@ -287,6 +289,13 @@ let test_census_metrics_snapshot () =
   let frontier = series "fmcf.level.frontier" in
   checki "one frontier entry per level" 4 (List.length frontier);
   check Alcotest.(list int) "frontier sizes" [ 1; 18; 144; 633 ] frontier;
+  (* the index build's two stages are timed separately *)
+  List.iter
+    (fun name ->
+      match Json.path [ "histograms"; name; "count" ] snap with
+      | Some (Json.Int n) -> checki (name ^ " observed once") 1 n
+      | _ -> Alcotest.fail ("missing histogram " ^ name))
+    [ "census_index.witness.seconds"; "census_index.pack.seconds" ];
   (* counters survived the trip *)
   match Json.path [ "counters"; "search.states.new" ] snap with
   | Some (Json.Int n) -> checki "state counter" (18 + 144 + 633) n
