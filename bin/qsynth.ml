@@ -1131,7 +1131,12 @@ let batch_cmd =
                      }
                  | Ok req -> answer req)
            in
-           print_endline (Mce.Response.to_string resp)
+           print_string (Mce.Response.to_string resp);
+           print_char '\n';
+           (* a file batch rides the stdout buffer; a stdin batch may
+              be a co-process waiting on each answer before it writes
+              the next request, so it gets every line as it is made *)
+           if file = "-" then flush stdout
          end
        done
      with End_of_file -> ());
@@ -1145,8 +1150,11 @@ let batch_cmd =
   let file_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
            ~doc:"JSONL file of requests, one JSON object per line ('-' for \
-                 stdin).  Responses stream to stdout in input order, one line \
-                 each.")
+                 stdin).  Responses go to stdout in input order, one line \
+                 each.  From a file they are written through the stdout \
+                 buffer; from stdin ('-') each response is flushed as soon \
+                 as it is made, so a co-process can write one request and \
+                 read its answer before sending the next.")
   in
   let max_retries_arg =
     Arg.(value & opt int 3 & info [ "max-retries" ] ~docv:"N"

@@ -8,8 +8,10 @@ type t = {
 let pattern_key p =
   String.init (Pattern.qubits p) (fun w -> Char.chr (Quat.to_int (Pattern.get p w)))
 
+let max_qubits = 10
+
 let make ~qubits =
-  if qubits < 1 || qubits > 10 then invalid_arg "Encoding.make: qubits out of range";
+  if qubits < 1 || qubits > max_qubits then invalid_arg "Encoding.make: qubits out of range";
   let everything = Pattern.all ~qubits in
   let binary = List.filter Pattern.is_binary everything in
   let mixed =
@@ -24,7 +26,7 @@ let make ~qubits =
   { qubits; points; index; signatures }
 
 let make_binary ~qubits =
-  if qubits < 1 || qubits > 10 then
+  if qubits < 1 || qubits > max_qubits then
     invalid_arg "Encoding.make_binary: qubits out of range";
   let binary = List.filter Pattern.is_binary (Pattern.all ~qubits) in
   (* sorted with [Zero < One], so point i is binary code i, as in [make] *)

@@ -17,14 +17,17 @@
 
 type t
 
-(** [make ~qubits] builds the encoding ([1 <= qubits <= 10]). *)
+(** [max_qubits] is the widest supported register, 10. *)
+val max_qubits : int
+
+(** [make ~qubits] builds the encoding ([1 <= qubits <= max_qubits]). *)
 val make : qubits:int -> t
 
 (** [make_binary ~qubits] is the purely binary pattern domain: the [2^n]
     binary patterns and nothing else, point [i] {e being} binary code
     [i].  This is the natural domain of classical reversible libraries
     (NCT, NFT): every point is pure, so no mixed signatures exist and
-    purity/banned-set machinery never binds.  ([1 <= qubits <= 10].) *)
+    purity/banned-set machinery never binds.  ([1 <= qubits <= max_qubits].) *)
 val make_binary : qubits:int -> t
 
 val qubits : t -> int

@@ -293,6 +293,24 @@ let evaluate t ~should_stop (req : Mce.Request.t) =
       { resp with body = Error Mce.Response.Deadline_exceeded }
   | _ -> resp
 
+(* Index-first admission: a synthesis request the primary engine's
+   complete index answers by itself.  The index already is the cache —
+   an O(log n) probe that never misses — so such a request builds no
+   key, takes no lock and joins no flight; {!evaluate} answers it
+   directly.  Everything else (search answers, pinned bidir/forward
+   plans, counting, enumeration, secondary libraries) stays keyed.
+   Shared by {!answer} and {!answer_timed}. *)
+let index_first t (req : Mce.Request.t) =
+  match (req.task, req.plan) with
+  | Mce.Request.Synthesize, (Mce.Request.Auto | Mce.Request.Index) -> (
+      let name, engine = List.hd t.engines in
+      String.equal req.library name
+      &&
+      match Atomic.get engine.e_index with
+      | Some idx -> Census_index.is_complete idx
+      | None -> false)
+  | _ -> false
+
 (* Cache/coalesce admission: under [t.mutex], either return the cached
    body, join another caller's flight, or claim leadership of a fresh
    one.  Shared by {!answer} and {!answer_timed}. *)
@@ -362,12 +380,14 @@ let lead t flight key ~should_stop req =
 
 let answer ?(should_stop = no_stop) t req =
   Telemetry.Histogram.time h_answer @@ fun () ->
-  let key = Mce.Request.key req in
-  let stamp resp = Mce.Response.with_id req.Mce.Request.id resp in
-  match claim t key with
-  | Hit body -> stamp body
-  | Follow flight -> stamp (await flight)
-  | Lead flight -> stamp (lead t flight key ~should_stop req)
+  if index_first t req then evaluate t ~should_stop req
+  else
+    let key = Mce.Request.key req in
+    let stamp resp = Mce.Response.with_id req.Mce.Request.id resp in
+    match claim t key with
+    | Hit body -> stamp body
+    | Follow flight -> stamp (await flight)
+    | Lead flight -> stamp (lead t flight key ~should_stop req)
 
 type timing = {
   source : [ `Cache_hit | `Coalesced | `Computed ];
@@ -382,6 +402,15 @@ let plan_of (resp : Mce.Response.t) =
   | Ok { plan; _ } -> Some (Mce.Response.plan_to_string plan)
   | Error _ -> None
 
+(* [evaluate] under an [mce.solve] span carrying the answering plan. *)
+let evaluate_traced t ~should_stop req =
+  Telemetry.Span.with_span "mce.solve" @@ fun () ->
+  let body = evaluate t ~should_stop req in
+  (match plan_of body with
+  | Some p -> Telemetry.Span.set_attr "plan" (Telemetry.Json.String p)
+  | None -> ());
+  body
+
 (* The instrumented twin of {!answer}: same admission/coalescing/publish
    protocol (via the shared helpers), but each stage is clocked and
    recorded as a span.  The daemon uses it only when tracing or the
@@ -389,53 +418,58 @@ let plan_of (resp : Mce.Response.t) =
    cost for every other caller. *)
 let answer_timed ?(should_stop = no_stop) t req =
   Telemetry.Histogram.time h_answer @@ fun () ->
-  let key = Mce.Request.key req in
-  let stamp resp = Mce.Response.with_id req.Mce.Request.id resp in
-  let t0 = Unix.gettimeofday () in
-  let claimed = Telemetry.Span.with_span "server.cache" (fun () -> claim t key) in
-  let cache_s = Unix.gettimeofday () -. t0 in
-  match claimed with
-  | Hit body ->
-      ( stamp body,
-        {
-          source = `Cache_hit;
-          cache_s;
-          coalesce_wait_s = 0.;
-          solve_s = 0.;
-          plan = plan_of body;
-        } )
-  | Follow flight ->
-      let t1 = Unix.gettimeofday () in
-      let body =
-        Telemetry.Span.with_span "server.coalesce_wait" (fun () -> await flight)
-      in
-      ( stamp body,
-        {
-          source = `Coalesced;
-          cache_s;
-          coalesce_wait_s = Unix.gettimeofday () -. t1;
-          solve_s = 0.;
-          plan = plan_of body;
-        } )
-  | Lead flight ->
-      let t1 = Unix.gettimeofday () in
-      let body =
-        Fun.protect
-          ~finally:(publish t flight key ~qubits:req.Mce.Request.qubits)
-          (fun () ->
-            Telemetry.Span.with_span "mce.solve" @@ fun () ->
-            let body = Mce.Response.with_id None (evaluate t ~should_stop req) in
-            (match plan_of body with
-            | Some p -> Telemetry.Span.set_attr "plan" (Telemetry.Json.String p)
-            | None -> ());
-            Mutex.protect flight.f_mutex (fun () -> flight.f_result <- Some body);
-            body)
-      in
-      ( stamp body,
-        {
-          source = `Computed;
-          cache_s;
-          coalesce_wait_s = 0.;
-          solve_s = Unix.gettimeofday () -. t1;
-          plan = plan_of body;
-        } )
+  let computed ~cache_s t1 body =
+    ( body,
+      {
+        source = `Computed;
+        cache_s;
+        coalesce_wait_s = 0.;
+        solve_s = Unix.gettimeofday () -. t1;
+        plan = plan_of body;
+      } )
+  in
+  if index_first t req then
+    let t1 = Unix.gettimeofday () in
+    computed ~cache_s:0. t1 (evaluate_traced t ~should_stop req)
+  else
+    let key = Mce.Request.key req in
+    let stamp resp = Mce.Response.with_id req.Mce.Request.id resp in
+    let t0 = Unix.gettimeofday () in
+    let claimed = Telemetry.Span.with_span "server.cache" (fun () -> claim t key) in
+    let cache_s = Unix.gettimeofday () -. t0 in
+    match claimed with
+    | Hit body ->
+        ( stamp body,
+          {
+            source = `Cache_hit;
+            cache_s;
+            coalesce_wait_s = 0.;
+            solve_s = 0.;
+            plan = plan_of body;
+          } )
+    | Follow flight ->
+        let t1 = Unix.gettimeofday () in
+        let body =
+          Telemetry.Span.with_span "server.coalesce_wait" (fun () -> await flight)
+        in
+        ( stamp body,
+          {
+            source = `Coalesced;
+            cache_s;
+            coalesce_wait_s = Unix.gettimeofday () -. t1;
+            solve_s = 0.;
+            plan = plan_of body;
+          } )
+    | Lead flight ->
+        let t1 = Unix.gettimeofday () in
+        let body =
+          Fun.protect
+            ~finally:(publish t flight key ~qubits:req.Mce.Request.qubits)
+            (fun () ->
+              let body =
+                Mce.Response.with_id None (evaluate_traced t ~should_stop req)
+              in
+              Mutex.protect flight.f_mutex (fun () -> flight.f_result <- Some body);
+              body)
+        in
+        computed ~cache_s t1 (stamp body)

@@ -21,9 +21,17 @@
     number of threads or domains concurrently with no lock on the
     evaluation path (the cache and coalescing table take a short mutex).
 
-    Caching: responses are cached (and concurrent identical requests
-    coalesced) under {!Synthesis.Mce.Request.key}.  Only deterministic bodies are
-    cached — [Ok], [Bad_request] and [Unsupported]; transient outcomes
+    Index-first path: when the primary engine holds a {e complete}
+    index ({!Synthesis.Census_index.is_complete}), a [Synthesize]
+    request with plan [auto] or [index] for the primary library is
+    answered straight from the index — no cache key, no LRU, no lock,
+    no coalescing; the index already is the cache.  Such answers do not
+    move the [server.cache.*] / [server.coalesced] metrics.
+
+    Caching: every other response is cached (and concurrent identical
+    requests coalesced) under {!Synthesis.Mce.Request.key}.  Only
+    deterministic bodies are cached — [Ok], [Bad_request] and
+    [Unsupported]; transient outcomes
     ([Deadline_exceeded], [Cancelled], [Internal], …) are not.
     Coalesced requests share one computation {e and its outcome}: a
     follower of a computation that exceeds the leader's deadline
@@ -99,9 +107,11 @@ val index_status : t -> (int * int * int * bool) option
 val reload_index : t -> string -> int * int
 
 (** [answer ?should_stop t request] evaluates a request against the warm
-    engine — cache, then coalescing, then {!Synthesis.Mce.solve} — and never
-    raises.  The request's [deadline_ms] is enforced here as a compute
-    budget counted from the moment evaluation starts (queueing time is
+    engine — the complete index directly when the request is
+    index-first (above), otherwise cache, then coalescing, then
+    {!Synthesis.Mce.solve} — and never raises.  The request's
+    [deadline_ms] is enforced here as a compute budget counted from
+    the moment evaluation starts (queueing time is
     the daemon's concern): when it expires the search stops
     cooperatively and the response is the [Deadline_exceeded] error.
     [should_stop] additionally cancels on behalf of the caller
@@ -123,10 +133,11 @@ type timing = {
 
 (** [answer_timed ?should_stop t request] is {!answer} with a per-stage
     clock and [server.cache] / [server.coalesce_wait] / [mce.solve]
-    spans (the latter carrying a [plan] attribute).  Identical response
-    bytes to {!answer}; the daemon switches to it only when tracing or
-    the slow-query log is enabled so the default path stays
-    uninstrumented. *)
+    spans (the latter carrying a [plan] attribute).  Index-first
+    answers report [`Computed] with [cache_s = 0] and only an
+    [mce.solve] span.  Identical response bytes to {!answer}; the
+    daemon switches to it only when tracing or the slow-query log is
+    enabled so the default path stays uninstrumented. *)
 val answer_timed :
   ?should_stop:(unit -> bool) ->
   t ->

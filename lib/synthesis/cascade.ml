@@ -42,9 +42,20 @@ let restriction library cascade =
 let matrices ~qubits cascade = List.map (Gate.matrix ~qubits) cascade
 let unitary ~qubits cascade = Qsim.Circuit_sim.unitary_of_cascade ~qubits (matrices ~qubits cascade)
 
-let to_string = function
-  | [] -> "()"
-  | cascade -> String.concat "*" (List.map Gate.name cascade)
+let write b = function
+  | [] -> Buffer.add_string b "()"
+  | g :: rest ->
+      Gate.write_name b g;
+      List.iter
+        (fun g ->
+          Buffer.add_char b '*';
+          Gate.write_name b g)
+        rest
+
+let to_string cascade =
+  let b = Buffer.create 32 in
+  write b cascade;
+  Buffer.contents b
 
 let of_string ~qubits s =
   let s = String.trim s in

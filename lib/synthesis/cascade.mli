@@ -51,6 +51,9 @@ val unitary : qubits:int -> t -> Qmath.Dmatrix.t
     @raise Invalid_argument on malformed input. *)
 val to_string : t -> string
 
+(** [write b cascade] appends [to_string cascade] to [b]. *)
+val write : Buffer.t -> t -> unit
+
 val of_string : qubits:int -> string -> t
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -217,19 +217,36 @@ let matrix ~qubits g =
 
 let wire_letter w =
   if w < 0 || w > 25 then invalid_arg "Gate.wire_letter: wire out of range";
-  String.make 1 (Char.chr (Char.code 'A' + w))
+  Char.chr (Char.code 'A' + w)
+
+let write_name b g =
+  let wire w = Buffer.add_char b (wire_letter w) in
+  let pair prefix =
+    Buffer.add_string b prefix;
+    wire g.target;
+    wire g.control
+  in
+  match g.kind with
+  | Controlled_v -> pair "V"
+  | Controlled_v_dag -> pair "V+"
+  | Feynman -> pair "F"
+  | Swap -> pair "S"
+  | Not ->
+      Buffer.add_char b 'N';
+      wire g.target
+  | Toffoli ->
+      pair "T";
+      wire g.control2
+  | Fredkin ->
+      Buffer.add_string b "FR";
+      wire g.target;
+      wire g.control2;
+      wire g.control
 
 let name g =
-  match g.kind with
-  | Controlled_v -> "V" ^ wire_letter g.target ^ wire_letter g.control
-  | Controlled_v_dag -> "V+" ^ wire_letter g.target ^ wire_letter g.control
-  | Feynman -> "F" ^ wire_letter g.target ^ wire_letter g.control
-  | Not -> "N" ^ wire_letter g.target
-  | Toffoli ->
-      "T" ^ wire_letter g.target ^ wire_letter g.control ^ wire_letter g.control2
-  | Swap -> "S" ^ wire_letter g.target ^ wire_letter g.control
-  | Fredkin ->
-      "FR" ^ wire_letter g.target ^ wire_letter g.control2 ^ wire_letter g.control
+  let b = Buffer.create 5 in
+  write_name b g;
+  Buffer.contents b
 
 let of_name ~qubits s =
   let fail () = invalid_arg ("Gate.of_name: cannot parse " ^ s) in

@@ -125,6 +125,9 @@ val matrix : qubits:int -> t -> Qmath.Dmatrix.t
     then controls), ["SAB"], ["FRBCA"] (swapped pair then control). *)
 val name : t -> string
 
+(** [write_name b g] appends [name g] to [b]. *)
+val write_name : Buffer.t -> t -> unit
+
 (** [of_name ~qubits s] parses {!name} output (case-insensitive;
     longest prefix wins, so ["FR"] is Fredkin and ["F"] Feynman).
     @raise Invalid_argument on malformed names or out-of-range wires. *)

@@ -204,8 +204,15 @@ module Request = struct
         let* qubits =
           match get "qubits" with
           | None -> Ok 3
-          | Some (Json.Int n) when n >= 1 -> Ok n
-          | Some _ -> Error "malformed qubits field (want a positive integer)"
+          (* bounded here, at the parse boundary: a spec is parsed
+             against a 2^qubits domain, so an unbounded width would
+             allocate before any engine could reject the request *)
+          | Some (Json.Int n) when n >= 1 && n <= Mvl.Encoding.max_qubits ->
+              Ok n
+          | Some _ ->
+              Error
+                (Printf.sprintf "malformed qubits field (want an integer in 1..%d)"
+                   Mvl.Encoding.max_qubits)
         in
         let* library =
           match get "library" with
@@ -341,73 +348,118 @@ module Response = struct
     | "forward" -> Ok Forward_bfs
     | s -> Error (Printf.sprintf "unknown plan %S" s)
 
-  let payload_to_json = function
+  (* {2 Wire encoder}
+
+     Writes the canonical encoding straight into a buffer: fields in
+     fixed order, no insignificant whitespace, dynamic strings escaped by
+     [Json.write_string] — byte-identical to printing the equivalent
+     [Json.t] tree with [Json.to_string], without building it. *)
+
+  (* Digits straight into the buffer: [string_of_int] goes through the
+     C printf machinery, and a response carries a dozen small integers. *)
+  let rec add_int b n =
+    if n < 0 then Buffer.add_string b (string_of_int n)
+    else begin
+      if n >= 10 then add_int b (n / 10);
+      Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+    end
+
+  let add_column b f =
+    Buffer.add_char b '"';
+    for x = 0 to (1 lsl Revfun.bits f) - 1 do
+      if x > 0 then Buffer.add_char b ',';
+      add_int b (Revfun.apply f x)
+    done;
+    Buffer.add_char b '"'
+
+  (* gate names are drawn from [A-Z+] and the identity is "()": nothing
+     in a cascade string ever needs escaping *)
+  let add_cascade b c =
+    Buffer.add_char b '"';
+    Cascade.write b c;
+    Buffer.add_char b '"'
+
+  let write_payload b = function
     | Synthesized { target; not_mask; cascade; cost } ->
-        Json.Obj
-          [
-            ("kind", Json.String "synthesized");
-            ("target", Json.String (column_spec target));
-            ("not_mask", Json.Int not_mask);
-            ("cascade", Json.String (Cascade.to_string cascade));
-            ("cost", Json.Int cost);
-          ]
+        Buffer.add_string b {|{"kind":"synthesized","target":|};
+        add_column b target;
+        Buffer.add_string b {|,"not_mask":|};
+        add_int b not_mask;
+        Buffer.add_string b {|,"cascade":|};
+        add_cascade b cascade;
+        Buffer.add_string b {|,"cost":|};
+        add_int b cost;
+        Buffer.add_char b '}'
     | Unrealizable { max_depth } ->
-        Json.Obj
-          [ ("kind", Json.String "unrealizable"); ("max_depth", Json.Int max_depth) ]
+        Buffer.add_string b {|{"kind":"unrealizable","max_depth":|};
+        add_int b max_depth;
+        Buffer.add_char b '}'
     | Witnesses { count } ->
-        Json.Obj [ ("kind", Json.String "witnesses"); ("count", Json.Int count) ]
+        Buffer.add_string b {|{"kind":"witnesses","count":|};
+        add_int b count;
+        Buffer.add_char b '}'
     | Realizations { target; not_mask; cost; cascades; complete } ->
-        Json.Obj
-          [
-            ("kind", Json.String "realizations");
-            ("target", Json.String (column_spec target));
-            ("not_mask", Json.Int not_mask);
-            ("cost", Json.Int cost);
-            ( "cascades",
-              Json.List
-                (List.map (fun c -> Json.String (Cascade.to_string c)) cascades) );
-            ("complete", Json.Bool complete);
-          ]
+        Buffer.add_string b {|{"kind":"realizations","target":|};
+        add_column b target;
+        Buffer.add_string b {|,"not_mask":|};
+        add_int b not_mask;
+        Buffer.add_string b {|,"cost":|};
+        add_int b cost;
+        Buffer.add_string b {|,"cascades":[|};
+        List.iteri
+          (fun i c ->
+            if i > 0 then Buffer.add_char b ',';
+            add_cascade b c)
+          cascades;
+        Buffer.add_string b {|],"complete":|};
+        Buffer.add_string b (if complete then "true}" else "false}")
 
-  let error_to_json = function
-    | Bad_request msg ->
-        Json.Obj
-          [ ("kind", Json.String "bad-request"); ("message", Json.String msg) ]
-    | Unsupported msg ->
-        Json.Obj
-          [ ("kind", Json.String "unsupported"); ("message", Json.String msg) ]
+  let write_message b kind msg =
+    Buffer.add_string b {|{"kind":"|};
+    Buffer.add_string b kind;
+    Buffer.add_string b {|","message":|};
+    Json.write_string b msg;
+    Buffer.add_char b '}'
+
+  let write_error b = function
+    | Bad_request msg -> write_message b "bad-request" msg
+    | Unsupported msg -> write_message b "unsupported" msg
+    | Internal msg -> write_message b "internal" msg
     | Overloaded { retry_after_ms } ->
-        Json.Obj
-          [
-            ("kind", Json.String "overloaded");
-            ("retry_after_ms", Json.Int retry_after_ms);
-          ]
-    | Deadline_exceeded -> Json.Obj [ ("kind", Json.String "deadline-exceeded") ]
-    | Shutting_down -> Json.Obj [ ("kind", Json.String "shutting-down") ]
-    | Cancelled -> Json.Obj [ ("kind", Json.String "cancelled") ]
-    | Internal msg ->
-        Json.Obj [ ("kind", Json.String "internal"); ("message", Json.String msg) ]
+        Buffer.add_string b {|{"kind":"overloaded","retry_after_ms":|};
+        add_int b retry_after_ms;
+        Buffer.add_char b '}'
+    | Deadline_exceeded -> Buffer.add_string b {|{"kind":"deadline-exceeded"}|}
+    | Shutting_down -> Buffer.add_string b {|{"kind":"shutting-down"}|}
+    | Cancelled -> Buffer.add_string b {|{"kind":"cancelled"}|}
 
-  let to_json t =
-    Json.Obj
-      ((("v", Json.Int 1)
-        :: (match t.id with Some id -> [ ("id", Json.String id) ] | None -> []))
-      @ (match t.trace with
-        | Some tr -> [ ("trace", Json.String tr) ]
-        | None -> [])
-      @ [ ("qubits", Json.Int t.qubits) ]
-      @
-      match t.body with
-      | Ok { plan; payload } ->
-          [
-            ( "ok",
-              Json.Obj
-                [
-                  ("plan", Json.String (plan_to_string plan));
-                  ("payload", payload_to_json payload);
-                ] );
-          ]
-      | Error e -> [ ("error", error_to_json e) ])
+  let to_string t =
+    let b = Buffer.create 192 in
+    Buffer.add_string b {|{"v":1|};
+    Option.iter
+      (fun id ->
+        Buffer.add_string b {|,"id":|};
+        Json.write_string b id)
+      t.id;
+    Option.iter
+      (fun tr ->
+        Buffer.add_string b {|,"trace":|};
+        Json.write_string b tr)
+      t.trace;
+    Buffer.add_string b {|,"qubits":|};
+    add_int b t.qubits;
+    (match t.body with
+    | Ok { plan; payload } ->
+        Buffer.add_string b {|,"ok":{"plan":"|};
+        Buffer.add_string b (plan_to_string plan);
+        Buffer.add_string b {|","payload":|};
+        write_payload b payload;
+        Buffer.add_char b '}'
+    | Error e ->
+        Buffer.add_string b {|,"error":|};
+        write_error b e);
+    Buffer.add_char b '}';
+    Buffer.contents b
 
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
@@ -546,8 +598,6 @@ module Response = struct
         in
         Ok { id; trace; qubits; body }
     | _ -> Error "response must be a JSON object"
-
-  let to_string t = Json.to_string (to_json t)
 
   let of_string s =
     match Json.of_string s with

@@ -119,9 +119,12 @@ module Request : sig
       typo'd field name cannot silently change a query's meaning, and a
       [library] value outside {!Library.Registry.names} is rejected
       here, at the parse boundary (the daemon maps that to
-      [Bad_request]).  Missing optional fields take the {!make}
+      [Bad_request]), as is a [qubits] value outside
+      [1..Mvl.Encoding.max_qubits] — the spec is parsed against a
+      [2^qubits] domain, so an unbounded width must never reach
+      {!key} or {!target}.  Missing optional fields take the {!make}
       defaults.  [of_json (to_json t) = Ok t] for every [t] whose
-      library is registered. *)
+      library is registered and whose width is in range. *)
   val of_json : Telemetry.Json.t -> (t, string) Stdlib.result
 end
 
@@ -197,18 +200,18 @@ module Response : sig
       [None]; the daemon stamps per delivery). *)
   val with_trace : string option -> t -> t
 
-  val to_json : t -> Telemetry.Json.t
-
-  (** [of_json j] decodes a response; [of_json (to_json t) = Ok t].
-      Cascades and targets are re-parsed, so a structurally valid
-      document with an ill-formed cascade string is an [Error]. *)
+  (** [of_json j] decodes a parsed response document.  Cascades and
+      targets are re-parsed, so a structurally valid document with an
+      ill-formed cascade string is an [Error]. *)
   val of_json : Telemetry.Json.t -> (t, string) Stdlib.result
 
   (** [to_string t] is the canonical one-line wire encoding: compact
       (no insignificant whitespace), fields in fixed order — equal
-      responses encode to equal bytes on every transport. *)
+      responses encode to equal bytes on every transport.  Written
+      straight into one buffer; no intermediate {!Telemetry.Json.t}. *)
   val to_string : t -> string
 
+  (** [of_string s] parses and decodes; [of_string (to_string t) = Ok t]. *)
   val of_string : string -> (t, string) Stdlib.result
 
   (** [result_of t] extracts a {!result} from a [Synthesized] body

@@ -11,22 +11,26 @@ exception Parse_error of string
 
 (* printing *)
 
-let escape_string b s =
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let write_string b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\b' -> Buffer.add_string b "\\b"
-      | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  if not (String.exists needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\b' -> Buffer.add_string b "\\b"
+        | '\012' -> Buffer.add_string b "\\f"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
   Buffer.add_char b '"'
 
 let float_repr f =
@@ -50,7 +54,7 @@ let rec write b ~pretty ~indent v =
   | Bool false -> Buffer.add_string b "false"
   | Int i -> Buffer.add_string b (string_of_int i)
   | Float f -> Buffer.add_string b (float_repr f)
-  | String s -> escape_string b s
+  | String s -> write_string b s
   | List [] -> Buffer.add_string b "[]"
   | List items ->
       Buffer.add_char b '[';
@@ -69,7 +73,7 @@ let rec write b ~pretty ~indent v =
         (fun i (k, item) ->
           if i > 0 then Buffer.add_char b ',';
           nl (indent + 1);
-          escape_string b k;
+          write_string b k;
           Buffer.add_char b ':';
           if pretty then Buffer.add_char b ' ';
           write b ~pretty ~indent:(indent + 1) item)

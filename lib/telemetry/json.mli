@@ -22,6 +22,13 @@ exception Parse_error of string
     two-space indentation. *)
 val to_string : ?pretty:bool -> t -> string
 
+(** [write_string b s] appends [s] to [b] as a quoted JSON string
+    literal, escaped exactly as {!to_string} escapes it (bytes >= 0x80
+    pass through, so UTF-8 stays UTF-8).  A string with nothing to
+    escape is copied in one append.  Hand-rolled encoders that skip the
+    [t] tree use it to stay byte-identical with {!to_string}. *)
+val write_string : Buffer.t -> string -> unit
+
 (** [to_channel ?pretty oc v] serializes straight to a channel. *)
 val to_channel : ?pretty:bool -> out_channel -> t -> unit
 

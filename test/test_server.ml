@@ -2,8 +2,9 @@
 
    Coverage, bottom of the stack upward:
    - QCheck round-trips: [of_json (to_json x) = Ok x] for Request and
-     Response over generated specs, tasks, plans, cascades and targets —
-     the property every transport's byte-identity rests on.
+     [of_string (to_string x) = Ok x] for Response over generated specs,
+     tasks, plans, cascades and targets — the property every transport's
+     byte-identity rests on — plus golden response bytes.
    - Protocol framing over a socketpair: round-trips (including the
      empty payload), the oversized-announcement guard, truncation and
      clean-close detection.
@@ -111,6 +112,25 @@ let request_unknown_library_rejected () =
   | Error msg ->
       checkb "message names the library" true
         (has_sub msg "bogus" && has_sub msg "paper18")
+
+let request_qubits_bounded () =
+  (* The width must be rejected before anything parses the spec against
+     a 2^qubits domain (the cache key does): at 40 wires that parse alone
+     exhausts memory and kills a batch run or a daemon worker. *)
+  List.iter
+    (fun q ->
+      let doc = Printf.sprintf {|{"qubits":%d,"spec":"(1,2)"}|} q in
+      match Mce.Request.of_json (Telemetry.Json.of_string doc) with
+      | Ok _ -> Alcotest.failf "qubits %d accepted" q
+      | Error msg -> checkb "message names the field" true (has_sub msg "qubits"))
+    [ 0; -3; 11; 26; 40 ];
+  List.iter
+    (fun q ->
+      let doc = Printf.sprintf {|{"qubits":%d,"spec":"identity"}|} q in
+      match Mce.Request.of_json (Telemetry.Json.of_string doc) with
+      | Ok r -> check Alcotest.int "in-range width kept" q r.Mce.Request.qubits
+      | Error e -> Alcotest.fail e)
+    [ 1; Mvl.Encoding.max_qubits ]
 
 let request_library_roundtrip () =
   (* The library field survives the wire in both directions; the default
@@ -231,12 +251,6 @@ let response_gen : Mce.Response.t QCheck2.Gen.t =
     let+ payload = payload_gen in
     { Mce.Response.id; trace; qubits = 3; body = Ok { plan; payload } }
 
-let response_roundtrip =
-  qtest "Response: of_json (to_json r) = Ok r" response_gen (fun r ->
-      match Mce.Response.of_json (Mce.Response.to_json r) with
-      | Ok r' -> Mce.Response.equal r r'
-      | Error e -> QCheck2.Test.fail_reportf "decode failed: %s" e)
-
 let response_string_roundtrip =
   qtest "Response: of_string (to_string r) = Ok r" response_gen (fun r ->
       match Mce.Response.of_string (Mce.Response.to_string r) with
@@ -251,6 +265,91 @@ let encoding_is_canonical =
       match Mce.Response.of_string s with
       | Ok r' -> String.equal s (Mce.Response.to_string r')
       | Error e -> QCheck2.Test.fail_reportf "decode failed: %s" e)
+
+(* Golden wire bytes: one response per payload and error variant, and
+   ids/traces that exercise every escape class (quote, backslash,
+   newline, a control byte) plus raw UTF-8.  Clients compare frames
+   byte for byte, so the encoder may change shape but never output. *)
+let golden_responses =
+  let target s = Spec.of_output_list ~bits:3 s in
+  let cascade s = Cascade.of_string ~qubits:3 s in
+  let ok ?id ?trace plan payload =
+    { Mce.Response.id; trace; qubits = 3; body = Ok { plan; payload } }
+  in
+  let err ?id e = { Mce.Response.id; trace = None; qubits = 3; body = Error e } in
+  let messy = "q\"uo\\te\nline\001ctl \xc3\xa9\xe2\x86\x92" in
+  Mce.Response.
+    [
+      ( ok Trivial
+          (Synthesized
+             { target = target "5,4,7,6,1,0,3,2"; not_mask = 5; cascade = []; cost = 0 }),
+        {|{"v":1,"qubits":3,"ok":{"plan":"trivial","payload":{"kind":"synthesized","target":"5,4,7,6,1,0,3,2","not_mask":5,"cascade":"()","cost":0}}}|}
+      );
+      ( ok ~id:messy ~trace:messy Index_hit
+          (Synthesized
+             {
+               target = target "0,1,2,3,4,5,7,6";
+               not_mask = 0;
+               cascade = cascade "FBA*VCB*V+CA*FBA*V+CB";
+               cost = 5;
+             }),
+        {|{"v":1,"id":"q\"uo\\te\nline\u0001ctl é→","trace":"q\"uo\\te\nline\u0001ctl é→","qubits":3,"ok":{"plan":"index","payload":{"kind":"synthesized","target":"0,1,2,3,4,5,7,6","not_mask":0,"cascade":"FBA*VCB*V+CA*FBA*V+CB","cost":5}}}|}
+      );
+      ( ok ~id:"u1" Index_certified (Unrealizable { max_depth = 4 }),
+        {|{"v":1,"id":"u1","qubits":3,"ok":{"plan":"index-certified","payload":{"kind":"unrealizable","max_depth":4}}}|}
+      );
+      ( ok Forward_bfs (Witnesses { count = 1234507 }),
+        {|{"v":1,"qubits":3,"ok":{"plan":"forward","payload":{"kind":"witnesses","count":1234507}}}|}
+      );
+      ( ok ~trace:"t-1f" Forward_bfs
+          (Realizations
+             {
+               target = target "0,1,2,3,4,5,7,6";
+               not_mask = 2;
+               cost = 2;
+               cascades = [ cascade "FBA*VCB"; cascade "VCB*FBA" ];
+               complete = false;
+             }),
+        {|{"v":1,"trace":"t-1f","qubits":3,"ok":{"plan":"forward","payload":{"kind":"realizations","target":"0,1,2,3,4,5,7,6","not_mask":2,"cost":2,"cascades":["FBA*VCB","VCB*FBA"],"complete":false}}}|}
+      );
+      ( ok Bidir_meet
+          (Realizations
+             {
+               target = target "0,1,2,3,4,5,6,7";
+               not_mask = 0;
+               cost = 0;
+               cascades = [];
+               complete = true;
+             }),
+        {|{"v":1,"qubits":3,"ok":{"plan":"bidir","payload":{"kind":"realizations","target":"0,1,2,3,4,5,6,7","not_mask":0,"cost":0,"cascades":[],"complete":true}}}|}
+      );
+      ( err ~id:messy (Bad_request messy),
+        {|{"v":1,"id":"q\"uo\\te\nline\u0001ctl é→","qubits":3,"error":{"kind":"bad-request","message":"q\"uo\\te\nline\u0001ctl é→"}}|}
+      );
+      ( err (Unsupported "no census index"),
+        {|{"v":1,"qubits":3,"error":{"kind":"unsupported","message":"no census index"}}|}
+      );
+      ( err (Overloaded { retry_after_ms = 10000 }),
+        {|{"v":1,"qubits":3,"error":{"kind":"overloaded","retry_after_ms":10000}}|}
+      );
+      ( err ~id:"d" Deadline_exceeded,
+        {|{"v":1,"id":"d","qubits":3,"error":{"kind":"deadline-exceeded"}}|} );
+      ( err Shutting_down,
+        {|{"v":1,"qubits":3,"error":{"kind":"shutting-down"}}|} );
+      (err Cancelled, {|{"v":1,"qubits":3,"error":{"kind":"cancelled"}}|});
+      ( err (Internal "\t\r\b\012"),
+        {|{"v":1,"qubits":3,"error":{"kind":"internal","message":"\t\r\b\f"}}|}
+      );
+    ]
+
+let response_golden_bytes () =
+  List.iter
+    (fun (resp, bytes) ->
+      check Alcotest.string "encoder bytes" bytes (Mce.Response.to_string resp);
+      match Mce.Response.of_string bytes with
+      | Ok back -> checkb ("decodes back: " ^ bytes) true (Mce.Response.equal resp back)
+      | Error e -> Alcotest.fail e)
+    golden_responses
 
 let response_bad_cascade_rejected () =
   let doc =
@@ -428,10 +527,187 @@ let service_routes_libraries () =
   | Error (Mce.Response.Bad_request _) -> ()
   | _ -> Alcotest.fail "nct accepted by a paper18+nft service"
 
-(* {1 Live daemon: concurrent stress with byte-identity} *)
+(* {1 Index-first path} *)
 
+let closure = lazy (Fmcf.run ~max_depth:13 ~quotient:true library3)
+let complete_index = lazy (Census_index.build (Lazy.force closure))
 let census4 = lazy (Fmcf.run ~max_depth:4 library3)
 let index4 = lazy (Census_index.build (Lazy.force census4))
+
+let with_saved_index idx f =
+  let path = Filename.temp_file "qsynth_srv_idx" ".bin" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; path ^ ".tmp" ])
+    (fun () ->
+      Census_index.save idx path;
+      f path)
+
+(* every member of S8 as a truth-table spec *)
+let s8_specs =
+  let rec perms = function
+    | [] -> [ [] ]
+    | xs ->
+        List.concat_map
+          (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) xs)))
+          xs
+  in
+  List.map
+    (fun p -> String.concat "," (List.map string_of_int p))
+    (perms [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+
+let gauge name = Telemetry.Gauge.value (Telemetry.Gauge.create name)
+
+let cache_traffic () =
+  ( List.map counter [ "server.cache.hit"; "server.cache.miss"; "server.coalesced" ],
+    gauge "server.cache.size" )
+
+let answer_plan svc req =
+  match (Service.answer svc req).Mce.Response.body with
+  | Ok { plan; _ } -> Mce.Response.plan_to_string plan
+  | Error _ -> "error"
+
+let index_first_matches_solve () =
+  (* A complete index answers every S8 request straight from the probe:
+     the bytes equal a one-shot solve against the same index, and the
+     cache/coalescer never sees the request. *)
+  Telemetry.set_enabled true;
+  let index = Lazy.force complete_index in
+  let svc = Service.create ~index library3 in
+  let reqs = List.map (fun spec -> Mce.Request.make ~max_depth:13 spec) s8_specs in
+  check Alcotest.int "all of S8" 40320 (List.length reqs);
+  let traffic0 = cache_traffic () and plan0 = counter "mce.plan.index" in
+  let answers =
+    List.map (fun r -> Mce.Response.to_string (Service.answer svc r)) reqs
+  in
+  checkb "no cache or coalescer traffic" true (traffic0 = cache_traffic ());
+  let count plan = List.length (List.filter (fun s -> has_sub s plan) answers) in
+  check Alcotest.int "index answers" 40312 (count {|"plan":"index"|});
+  check Alcotest.int "trivial answers" 8 (count {|"plan":"trivial"|});
+  check Alcotest.int "mce.plan.index counts every index answer" 40312
+    (counter "mce.plan.index" - plan0);
+  List.iter2
+    (fun r got ->
+      let want = Mce.Response.to_string (Mce.solve ~index library3 r) in
+      if not (String.equal want got) then
+        Alcotest.failf "%s: service %s <> solve %s" r.Mce.Request.spec got want)
+    reqs answers;
+  (* the instrumented twin takes the same path and says so *)
+  let req = Mce.Request.make ~id:"t" ~max_depth:13 "0,1,2,3,4,7,5,6" in
+  let resp, timing = Service.answer_timed svc req in
+  check Alcotest.string "timed bytes"
+    (Mce.Response.to_string (Service.answer svc req))
+    (Mce.Response.to_string resp);
+  checkb "computed, no cache stage" true
+    (timing.Service.source = `Computed && timing.Service.cache_s = 0.);
+  check Alcotest.(option string) "plan" (Some "index") timing.Service.plan;
+  checkb "still no cache traffic" true (traffic0 = cache_traffic ())
+
+let index_first_pinned_plans_keyed () =
+  (* Search answers keep the keyed path on the same service. *)
+  Telemetry.set_enabled true;
+  let svc = Service.create ~index:(Lazy.force complete_index) library3 in
+  let req = Mce.Request.make ~plan:Mce.Request.Forward ~max_depth:5 "toffoli" in
+  let hits0 = counter "server.cache.hit" and misses0 = counter "server.cache.miss" in
+  let first = Service.answer svc req in
+  let second = Service.answer svc req in
+  check Alcotest.string "identical bytes"
+    (Mce.Response.to_string first)
+    (Mce.Response.to_string second);
+  check Alcotest.int "one miss" (misses0 + 1) (counter "server.cache.miss");
+  check Alcotest.int "then a hit" (hits0 + 1) (counter "server.cache.hit")
+
+let index_first_follows_reload () =
+  (* Answers come from whichever index is published: a partial one puts
+     requests back on the keyed search path, a complete one takes them
+     off it again. *)
+  Telemetry.set_enabled true;
+  let svc = Service.create ~index:(Lazy.force complete_index) library3 in
+  let cost8 = Mce.Request.make ~max_depth:13 "0,1,2,3,4,7,5,6" in
+  check Alcotest.string "complete index" "index" (answer_plan svc cost8);
+  with_saved_index (Lazy.force index4) (fun partial ->
+      ignore (Service.reload_index svc partial);
+      let misses0 = counter "server.cache.miss" in
+      check Alcotest.string "partial index: searched" "forward"
+        (answer_plan svc cost8);
+      check Alcotest.int "keyed again" (misses0 + 1) (counter "server.cache.miss"));
+  with_saved_index (Lazy.force complete_index) (fun full ->
+      ignore (Service.reload_index svc full);
+      let traffic0 = cache_traffic () in
+      check Alcotest.string "complete again" "index" (answer_plan svc cost8);
+      checkb "off the keyed path" true (traffic0 = cache_traffic ()))
+
+(* {1 qsynth batch over a pipe} *)
+
+let qsynth_exe =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "qsynth.exe" ]
+
+let batch_lines =
+  [
+    {|{"id":"a","spec":"toffoli"}|};
+    {|{"spec":"fredkin","max_depth":5}|};
+    {|{"qubits":40,"spec":"(1,2)"}|};
+    "not json";
+    {|{"spec":"peres","plan":"forward"}|};
+  ]
+
+(* Fail instead of hanging when a response never arrives. *)
+let input_line_within fd ic secs =
+  match Unix.select [ fd ] [] [] secs with
+  | [], _, _ -> Alcotest.fail "no response in time: batch - did not flush"
+  | _ -> input_line ic
+
+let batch_stdin_streams () =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process qsynth_exe [| qsynth_exe; "batch"; "-" |] in_r out_w
+      Unix.stderr
+  in
+  Unix.close in_r;
+  Unix.close out_w;
+  let oc = Unix.out_channel_of_descr in_w and ic = Unix.in_channel_of_descr out_r in
+  (* lock-step: the next request is written only after the previous
+     answer came back *)
+  let streamed =
+    List.map
+      (fun line ->
+        output_string oc (line ^ "\n");
+        flush oc;
+        input_line_within out_r ic 60.)
+      batch_lines
+  in
+  close_out oc;
+  check Alcotest.string "nothing after the last answer" "" (In_channel.input_all ic);
+  close_in ic;
+  let _, stdin_status = Unix.waitpid [] pid in
+  List.iter2
+    (fun line resp ->
+      match Mce.Response.of_string resp with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s -> undecodable %s: %s" line resp e)
+    batch_lines streamed;
+  checkb "qubits 40 is a typed Bad_request" true
+    (has_sub (List.nth streamed 2) {|"kind":"bad-request"|}
+    && has_sub (List.nth streamed 2) "qubits");
+  let path = Filename.temp_file "qsynth_batch" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) batch_lines);
+  let ic = Unix.open_process_args_in qsynth_exe [| qsynth_exe; "batch"; path |] in
+  let from_file = In_channel.input_all ic in
+  let file_status = Unix.close_process_in ic in
+  check Alcotest.string "file mode = stdin mode"
+    (String.concat "" (List.map (fun l -> l ^ "\n") streamed))
+    from_file;
+  checkb "same exit status (1: two bad lines)" true
+    (stdin_status = file_status && file_status = Unix.WEXITED 1)
+
+(* {1 Live daemon: concurrent stress with byte-identity} *)
 
 let temp_socket_path () =
   let path = Filename.temp_file "qsynth_sock" ".s" in
@@ -780,15 +1056,18 @@ let () =
           Alcotest.test_case "key canonicalizes spec" `Quick key_canonicalizes;
           Alcotest.test_case "unknown library rejected" `Quick
             request_unknown_library_rejected;
+          Alcotest.test_case "qubits bounded to the encoding range" `Quick
+            request_qubits_bounded;
           Alcotest.test_case "library round-trips, default omitted" `Quick
             request_library_roundtrip;
           Alcotest.test_case "key differs across libraries" `Quick
             key_differs_across_libraries;
-          response_roundtrip;
           response_string_roundtrip;
           encoding_is_canonical;
           Alcotest.test_case "bad cascade rejected" `Quick
             response_bad_cascade_rejected;
+          Alcotest.test_case "golden response bytes" `Quick
+            response_golden_bytes;
         ] );
       ( "protocol",
         [
@@ -814,6 +1093,20 @@ let () =
             service_unconfigured_library;
           Alcotest.test_case "two-library routing matches one-shot" `Quick
             service_routes_libraries;
+        ] );
+      ( "index",
+        [
+          Alcotest.test_case "all of S8 matches solve, cache untouched" `Quick
+            index_first_matches_solve;
+          Alcotest.test_case "pinned forward plan stays cached" `Quick
+            index_first_pinned_plans_keyed;
+          Alcotest.test_case "reload switches the answering index" `Quick
+            index_first_follows_reload;
+        ] );
+      ( "batch",
+        [
+          Alcotest.test_case "stdin streams, file mode identical" `Quick
+            batch_stdin_streams;
         ] );
       ( "daemon",
         [
