@@ -280,22 +280,18 @@ let reproduce_ablation () =
   Format.printf "@.unconstrained |G[k]|:";
   List.iter (fun (_, n) -> Format.printf " %4d" n) (Fmcf.counts unconstrained);
   Format.printf "@.";
-  let unsound =
-    List.concat_map
-      (fun level ->
-        List.filter
-          (fun (m : Fmcf.member) ->
-            not
-              (Verify.cascade_implements ~qubits:3
-                 (Fmcf.cascade_of_member unconstrained m)
-                 m.Fmcf.func))
-          level.Fmcf.members)
-      (Fmcf.levels unconstrained)
-  in
+  let unsound = ref 0 in
+  Fmcf.iter_members unconstrained (fun ~cost:_ m ->
+      if
+        not
+          (Verify.cascade_implements ~qubits:3
+             (Fmcf.cascade_of_member unconstrained m)
+             m.Fmcf.func)
+      then incr unsound);
   Format.printf
     "unsound members within depth 4: %d (their multiple-valued permutations are not \
      implemented by their cascades' unitaries) — the constraint is load-bearing@."
-    (List.length unsound)
+    !unsound
 
 let reproduce_rewrite () =
   hr "Extension: peephole rewriting";

@@ -1444,14 +1444,14 @@ let ablation_cmd =
     (* exhibit an unsound witness *)
     let unsound =
       List.find_map
-        (fun level ->
+        (fun (cost, _) ->
           List.find_map
             (fun (m : Fmcf.member) ->
               let cascade = Fmcf.cascade_of_member unconstrained m in
               if Verify.cascade_implements ~qubits:3 cascade m.Fmcf.func then None
               else Some (cascade, m.Fmcf.func))
-            level.Fmcf.members)
-        (Fmcf.levels unconstrained)
+            (Fmcf.members_at unconstrained ~cost))
+        (Fmcf.counts unconstrained)
     in
     (match unsound with
     | Some (cascade, func) ->

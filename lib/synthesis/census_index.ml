@@ -251,7 +251,7 @@ let build census =
         let w = Fmcf.witness_gates census member in
         if String.length w <> cost then
           invalid_arg "Census_index.build: witness length differs from cost";
-        rows := (member.Fmcf.witness, w) :: !rows);
+        rows := (member.Fmcf.image, w) :: !rows);
     Array.of_list !rows
   in
   Telemetry.Histogram.time h_pack @@ fun () ->

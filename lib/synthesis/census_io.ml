@@ -18,15 +18,15 @@ let save ?note census path =
       (* Each level in func-key order (a member's image vector is its
          func_key), not in the order the search happened to visit it. *)
       List.iter
-        (fun level ->
-          List.sort (fun (a : Fmcf.member) b -> String.compare a.witness b.witness)
-            level.Fmcf.members
+        (fun (cost, _) ->
+          List.sort (fun (a : Fmcf.member) b -> String.compare a.image b.image)
+            (Fmcf.members_at census ~cost)
           |> List.iter (fun (m : Fmcf.member) ->
                  let cascade = Fmcf.cascade_of_member census m in
                  Printf.fprintf out "%d\t%s\t%s\n" m.Fmcf.cost
                    (Format.asprintf "%a" Reversible.Revfun.pp m.Fmcf.func)
                    (Cascade.to_string cascade)))
-        (Fmcf.levels census))
+        (Fmcf.counts census))
 
 let load library path =
   let qubits = Library.qubits library in

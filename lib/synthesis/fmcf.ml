@@ -11,16 +11,14 @@ let m_budget_mem = Telemetry.Counter.create "search.budget.mem.hit"
 let m_timeout = Telemetry.Counter.create "search.timeout.hit"
 let m_cancelled = Telemetry.Counter.create "search.cancelled"
 
-type member = { func : Reversible.Revfun.t; witness : string; cost : int }
+type member = { func : Reversible.Revfun.t; image : string; cost : int }
 
-type level = { cost : int; frontier_size : int; members : member list }
+type level = { cost : int; frontier_size : int; functions : int }
 
 type t = {
   library : Library.t;
   search : Search.t;
-  symmetry : Symmetry.t option; (* Some: the search ran quotiented *)
   levels : level list;
-  index : (string, member) Hashtbl.t; (* func_key -> member, built at census time *)
   witnesses : (string, string) Hashtbl.t;
       (* image -> canonical witness (library entry indices), filled on demand *)
 }
@@ -34,68 +32,38 @@ let describe_stop = function
   | Timed_out -> "wall-clock budget exhausted (--timeout)"
   | Cancelled -> "cancelled (SIGINT/SIGTERM)"
 
-let func_key func = Permgroup.Perm.key (Reversible.Revfun.to_perm func)
+(* A state computes a function when it maps the binary block onto itself:
+   when no image point carries a mixed value, i.e. its signature is 0. *)
+let is_function store h = State_arena.signature_of store h = 0
 
-(* The census index, func_key -> member, threaded through level
-   processing; deterministic given the frontier sequence, so replaying
-   the frontiers of a restored arena reproduces the levels of the
-   interrupted run exactly. *)
-type acc = (string, member) Hashtbl.t
-
-(* Every level-[cost] image that maps the binary block onto itself is a
-   new member: keys are unique across the arena, so each function shows
-   up once, at its minimal cost.  A quotiented frontier holds one
-   representative per orbit, so the representative's whole orbit of
-   images is re-expanded here: conjugate images are distinct functions
-   of the same minimal cost (minimal depths are constant on orbits), and
-   the orbits of distinct representatives are disjoint. *)
-let collect_members search (acc : acc) ~cost frontier =
-  let members = ref [] in
-  let record func witness =
-    let member = { func; witness; cost } in
-    Hashtbl.replace acc (func_key func) member;
-    members := member :: !members
+(* |G[k]|: keys are unique across the arena, so each function state of
+   a level is a distinct function of that minimal cost.  A quotiented
+   state stands for its orbit: conjugates are distinct functions of the
+   same minimal cost, and distinct representatives' orbits are disjoint. *)
+let level_functions search frontier =
+  let store = Search.store search in
+  let weight h =
+    match Search.symmetry search with
+    | None -> 1
+    | Some sym ->
+        Symmetry.orbit_size sym
+          ~src:(State_arena.shard_arena store (State_arena.shard_of_handle h))
+          ~soff:(State_arena.key_offset store h)
   in
-  Array.iter
-    (fun h ->
-      match Search.restriction_of_handle search h with
-      | None -> ()
-      | Some func -> (
-          let img = Search.key_of_handle search h in
-          match Search.symmetry search with
-          | None -> record func img
-          | Some sym ->
-              List.iter
-                (fun img' ->
-                  Option.iter
-                    (fun func' -> record func' img')
-                    (Search.restriction_of_key search img'))
-                (Symmetry.orbit_images sym img)))
-    frontier;
-  List.rev !members
+  Array.fold_left (fun n h -> if is_function store h then n + weight h else n) 0 frontier
 
-let process_level search acc ~cost frontier =
+let process_level search ~cost frontier =
   Telemetry.Span.with_span "fmcf.level" ~attrs:[ ("cost", Telemetry.Json.Int cost) ]
   @@ fun () ->
   let frontier_size = Array.length frontier in
-  let members =
-    Telemetry.Histogram.time h_restrict (fun () ->
-        collect_members search acc ~cost frontier)
+  let functions =
+    Telemetry.Histogram.time h_restrict (fun () -> level_functions search frontier)
   in
-  let count = List.length members in
   Telemetry.Series.set s_frontier ~index:cost frontier_size;
-  Telemetry.Series.set s_g ~index:cost count;
-  Log.info (fun m -> m "level %d: frontier %d, |G[%d]| = %d" cost frontier_size cost count);
-  { cost; frontier_size; members }
-
-let level_zero search acc library =
-  let identity_func = Reversible.Revfun.identity ~bits:(Library.qubits library) in
-  let root = Search.key_of_handle search (Search.handles_at_depth search 0).(0) in
-  let identity_member = { func = identity_func; witness = root; cost = 0 } in
-  Hashtbl.add acc (func_key identity_func) identity_member;
-  Telemetry.Series.set s_frontier ~index:0 1;
-  Telemetry.Series.set s_g ~index:0 1;
-  { cost = 0; frontier_size = 1; members = [ identity_member ] }
+  Telemetry.Series.set s_g ~index:cost functions;
+  Log.info (fun m ->
+      m "level %d: frontier %d, |G[%d]| = %d" cost frontier_size cost functions);
+  { cost; frontier_size; functions }
 
 let no_stop () = false
 
@@ -123,15 +91,13 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
       (Printf.sprintf
          "Fmcf.run_guarded: resumed search is already at level %d, beyond max_depth %d"
          (Search.depth search) max_depth);
-  let acc = Hashtbl.create 4096 in
-  let levels = ref [ level_zero search acc library ] in
-  (* Replay the completed levels of a restored arena through the same
-     processing path: the reconstructed frontiers are byte-identical to
-     the original run's (Search.handles_at_depth returns canonical
-     order), so the replayed members, witnesses and counts are too. *)
-  for cost = 1 to Search.depth search do
-    levels := process_level search acc ~cost (Search.handles_at_depth search cost)
-              :: !levels
+  (* Count the levels already in the arena — the identity's level 0, and
+     every completed level of a restored one — through the same path as
+     newly expanded levels: a level's count depends only on its states,
+     so the replayed counts match the original run's. *)
+  let levels = ref [] in
+  for cost = 0 to Search.depth search do
+    levels := process_level search ~cost (Search.handles_at_depth search cost) :: !levels
   done;
   let deadline = Option.map (fun s -> started +. s) timeout in
   let deadline_passed () =
@@ -158,10 +124,10 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
           stop := Some (if should_stop () then Cancelled else Timed_out)
       | Some fresh ->
           let cost = Search.depth search in
-          (* The hook fires before the level's members are extracted so an
+          (* The hook fires before the level is counted so an
              asynchronous checkpoint write can overlap that processing. *)
           (match on_level with None -> () | Some f -> f search ~cost);
-          levels := process_level search acc ~cost fresh :: !levels
+          levels := process_level search ~cost fresh :: !levels
   done;
   let reason = Option.value ~default:Completed !stop in
   (match reason with
@@ -176,8 +142,7 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
           (describe_stop reason));
   if Telemetry.enabled () then
     Telemetry.Span.set_attr "stop_reason" (Telemetry.Json.String (describe_stop reason));
-  ( { library; search; symmetry = Search.symmetry search; levels = List.rev !levels;
-      index = acc; witnesses = Hashtbl.create 4096 },
+  ( { library; search; levels = List.rev !levels; witnesses = Hashtbl.create 4096 },
     reason )
 
 let run ?max_depth ?jobs ?quotient library =
@@ -185,12 +150,36 @@ let run ?max_depth ?jobs ?quotient library =
 
 let levels t = t.levels
 let search t = t.search
-let quotiented t = t.symmetry <> None
+let quotiented t = Search.symmetry t.search <> None
 let depth t = Search.depth t.search
 
+let counts t = List.map (fun l -> (l.cost, l.functions)) t.levels
+
+(* A level's members, streamed from the arena: its function states in
+   canonical frontier order, each quotiented one expanded into its orbit. *)
+let iter_level t ~cost f =
+  let store = Search.store t.search in
+  let emit image =
+    Option.iter
+      (fun func -> f { func; image; cost })
+      (Search.restriction_of_key t.search image)
+  in
+  Array.iter
+    (fun h ->
+      if is_function store h then
+        let image = Search.key_of_handle t.search h in
+        match Search.symmetry t.search with
+        | None -> emit image
+        | Some sym -> List.iter emit (Symmetry.orbit_images sym image))
+    (Search.handles_at_depth t.search cost)
+
 let iter_members t f =
-  List.iter (fun level -> List.iter (f ~cost:level.cost) level.members) t.levels
-let counts t = List.map (fun l -> (l.cost, List.length l.members)) t.levels
+  List.iter (fun l -> iter_level t ~cost:l.cost (f ~cost:l.cost)) t.levels
+
+let members_at t ~cost =
+  let members = ref [] in
+  iter_level t ~cost (fun m -> members := m :: !members);
+  List.rev !members
 
 (* {1 The paper's printed Table 2}
 
@@ -274,10 +263,21 @@ let s8_counts t =
     List.map (fun (cost, n) -> (cost, factor * n)) (counts t)
   else counts t
 
-let total_found t =
-  List.fold_left (fun acc l -> acc + List.length l.members) 0 t.levels
+let total_found t = List.fold_left (fun acc l -> acc + l.functions) 0 t.levels
 
-let find t func = Hashtbl.find_opt t.index (func_key func)
+(* The census depth of an image, canonicalized under the quotient (minimal
+   depths are constant on orbits): a function's minimal cost. *)
+let depth_of_image t img =
+  match Search.symmetry t.search with
+  | Some sym -> Search.depth_of_key t.search (fst (Symmetry.canon sym img))
+  | None -> Search.depth_of_key t.search img
+
+(* A function's image vector is its func_key. *)
+let find t func =
+  if Reversible.Revfun.bits func <> Library.qubits t.library then None
+  else
+    let image = Permgroup.Perm.key (Reversible.Revfun.to_perm func) in
+    Option.map (fun cost -> { func; image; cost }) (depth_of_image t image)
 
 (* {1 Canonical witness reconstruction}
 
@@ -301,11 +301,6 @@ let witness_gates t (member : member) =
   let signatures =
     Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding)
   in
-  let depth_of img =
-    match t.symmetry with
-    | Some sym -> Search.depth_of_key t.search (fst (Symmetry.canon sym img))
-    | None -> Search.depth_of_key t.search img
-  in
   (* [step v k 0] is the canonical step's gate, its pre-image left in [u] *)
   let u = Bytes.create nb in
   let rec step v k g =
@@ -320,7 +315,7 @@ let witness_gates t (member : member) =
     done;
     (* [u] is only read by the probe, never kept *)
     if !sg land e.Library.purity_mask = 0
-       && depth_of (Bytes.unsafe_to_string u) = Some (k - 1)
+       && depth_of_image t (Bytes.unsafe_to_string u) = Some (k - 1)
     then g
     else step v k (g + 1)
   in
@@ -335,14 +330,9 @@ let witness_gates t (member : member) =
           Hashtbl.add t.witnesses v w;
           w
   in
-  witness member.witness member.cost
+  witness member.image member.cost
 
 let cascade_of_member t member =
   let entries = Library.entries t.library in
   let w = witness_gates t member in
   List.init (String.length w) (fun i -> entries.(Char.code w.[i]).Library.gate)
-
-let members_at t ~cost =
-  match List.find_opt (fun l -> l.cost = cost) t.levels with
-  | Some l -> l.members
-  | None -> []

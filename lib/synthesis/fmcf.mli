@@ -20,20 +20,23 @@
 
     The census runs on the image-keyed {!Search} engine, optionally
     quotiented by wire relabeling; both modes give identical counts,
-    members and witnesses. *)
+    members and witnesses.  The arena is the only census store: a level
+    keeps two counts, and members are built from the arena on demand. *)
 
 type member = {
   func : Reversible.Revfun.t;
-  witness : string;
-      (** the function's binary-image vector.  Witness {e cascades} come
-          from {!cascade_of_member}, which is mode-independent. *)
+  image : string;
+      (** the function's binary-image vector (its permutation key).
+          Witness {e cascades} come from {!cascade_of_member}. *)
   cost : int;
 }
 
 type level = {
   cost : int;
   frontier_size : int; (** distinct binary images first built with k gates *)
-  members : member list; (** G[k] under as-specified semantics *)
+  functions : int;
+      (** |G[k]| under as-specified semantics, counted from the level's
+          states ({!Symmetry.orbit_size} each when quotiented) *)
 }
 
 type t
@@ -60,8 +63,8 @@ val describe_stop : stop_reason -> string
     [quotient] (default false) runs the BFS over canonical orbit
     representatives under the library's wire-relabeling group (see
     {!Symmetry}): the arena stores one state per orbit (~6x fewer at
-    3 qubits) and each representative's orbit is re-expanded at member
-    extraction, so every count, the member sets (func_key, cost and
+    3 qubits), levels count orbit sizes and member streams expand
+    orbits lazily, so every count, the member sets (func_key, cost and
     witness), {!find} and {!cascade_of_member} are all {e identical} to
     an unquotiented run. *)
 val run : ?max_depth:int -> ?jobs:int -> ?quotient:bool -> Library.t -> t
@@ -72,9 +75,9 @@ val run : ?max_depth:int -> ?jobs:int -> ?quotient:bool -> Library.t -> t
 
     - [resume]: continue from a restored engine (see {!Checkpoint.load})
       instead of starting at the identity.  The completed levels of the
-      restored arena are {e replayed} through the same member-extraction
-      path — frontier reconstruction is canonical, so the replayed
-      members, witnesses and counts match the uninterrupted run exactly.
+      restored arena are {e recounted} through the same path — a
+      level's counts depend only on its states, so counts, members and
+      witnesses match the uninterrupted run exactly.
       [jobs] and [quotient] are ignored (both were fixed at load time; a
       quotient snapshot resumes quotiented).
     - [max_states] / [max_mem]: stop {e before} expanding the next level
@@ -89,9 +92,9 @@ val run : ?max_depth:int -> ?jobs:int -> ?quotient:bool -> Library.t -> t
       and monotonic (an [Atomic.t] set by a signal handler qualifies).
     - [on_level]: called as soon as each {e newly expanded} level
       completes (not for replayed levels), with the engine sitting at
-      the level boundary and before the level's members are extracted —
-      the checkpoint-writing hook ({!Checkpoint.save_async} overlaps its
-      write with that extraction).
+      the level boundary and before the level is counted — the
+      checkpoint-writing hook ({!Checkpoint.save_async} overlaps its
+      write with that count).
 
     @raise Invalid_argument when [resume] was built for a different
     library or already sits beyond [max_depth]. *)
@@ -123,7 +126,8 @@ val depth : t -> int
 
 (** [iter_members t f] calls [f ~cost member] for every census member in
     level order (cost 0 first) — the emission order of
-    {!Census_index.build}. *)
+    {!Census_index.build}, each level in canonical frontier order with
+    quotiented orbits expanded as reached.  Members are not retained. *)
 val iter_members : t -> (cost:int -> member -> unit) -> unit
 
 (** [counts t] is the per-level [(cost, |G[k]|)] under set semantics. *)
@@ -147,9 +151,9 @@ val s8_counts : t -> (int * int) list
     synthesized within the depth bound. *)
 val total_found : t -> int
 
-(** [find t func] locates a function in the census — O(1) via a
-    hashtable keyed on the function's permutation key, built at census
-    time. *)
+(** [find t func] probes the arena for the function's (canonical) image:
+    its depth is the minimal cost.  [None] when the function is absent
+    or its width is not the library's. *)
 val find : t -> Reversible.Revfun.t -> member option
 
 (** [cascade_of_member t member] is the member's canonical witness —
@@ -165,5 +169,6 @@ val cascade_of_member : t -> member -> Cascade.t
     indices, one byte per gate — the form {!Census_index} stores. *)
 val witness_gates : t -> member -> string
 
-(** [members_at t ~cost] is G[cost]. *)
+(** [members_at t ~cost] is G[cost] in {!iter_members} order, rebuilt
+    from the arena on each call. *)
 val members_at : t -> cost:int -> member list

@@ -577,26 +577,12 @@ let handle_of_key t key = match find_key t key with -1 -> None | h -> Some h
 
 (* The function an image computes, when it maps the binary block onto
    itself. *)
-let restriction_of_bytes t b off =
+let restriction_of_key t key =
   let nb = t.klen in
-  let rec binary_block i =
-    i >= nb || (Char.code (Bytes.unsafe_get b (off + i)) < nb && binary_block (i + 1))
-  in
-  if binary_block 0 then
-    let perm =
-      Perm.unsafe_of_array (Array.init nb (fun i -> Char.code (Bytes.get b (off + i))))
-    in
+  if String.length key = nb && String.for_all (fun c -> Char.code c < nb) key then
+    let perm = Perm.unsafe_of_array (Array.init nb (fun i -> Char.code key.[i])) in
     Some (Reversible.Revfun.of_perm ~bits:(Library.qubits t.library) perm)
   else None
-
-let restriction_of_key t key =
-  if String.length key <> t.klen then None
-  else restriction_of_bytes t (Bytes.unsafe_of_string key) 0
-
-let restriction_of_handle t h =
-  restriction_of_bytes t
-    (State_arena.shard_arena t.store (State_arena.shard_of_handle h))
-    (State_arena.key_offset t.store h)
 
 let depth_of_key t key =
   match find_key t key with -1 -> None | h -> Some (State_arena.depth_of t.store h)

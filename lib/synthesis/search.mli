@@ -140,11 +140,6 @@ val handles_at_depth : t -> int -> handle array
 val key_of_handle : t -> handle -> string
 val depth_of_handle : t -> handle -> int
 
-(** [restriction_of_handle t h] is the binary reversible function
-    computed by the state, when it maps the binary block onto itself —
-    read straight from the arena, no key materialization. *)
-val restriction_of_handle : t -> handle -> Reversible.Revfun.t option
-
 (** [cascade_of_handle t h] rebuilds the recorded minimal cascade.  In
     quotient mode the stored via/parent chain connects orbit
     representatives, so the chain's gates are transported through the

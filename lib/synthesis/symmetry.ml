@@ -205,13 +205,25 @@ let canon t img =
   (Bytes.unsafe_to_string dst, gi)
 
 let orbit_images t img =
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
-  for i = 0 to t.order - 1 do
-    let c = conjugate_image t i img in
-    if not (Hashtbl.mem seen c) then begin
-      Hashtbl.add seen c ();
-      out := c :: !out
-    end
+  List.init t.order (fun i -> conjugate_image t i img)
+  |> List.fold_left (fun acc c -> if List.mem c acc then acc else c :: acc) []
+  |> List.rev
+
+(* Orbit–stabilizer: the orbit has [order / |stabilizer|] images, and the
+   stabilizer is tallied in place, with no image materialized. *)
+let orbit_size t ~src ~soff =
+  let nb = t.num_binary in
+  let fixed = ref 0 in
+  for gi = 0 to t.order - 1 do
+    let e = Array.unsafe_get t.elements gi in
+    let b = ref 0 in
+    while
+      !b < nb
+      && e.qinv.(Char.code (Bytes.get src (soff + e.qbin.(!b))))
+         = Char.code (Bytes.get src (soff + !b))
+    do
+      incr b
+    done;
+    if !b = nb then incr fixed
   done;
-  List.rev !out
+  t.order / !fixed

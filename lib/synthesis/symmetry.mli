@@ -97,3 +97,10 @@ val canon : t -> string -> string * int
     order (the orbit of its image under the group, between 1 and
     [order t] vectors). *)
 val orbit_images : t -> string -> string list
+
+(** [orbit_size t ~src ~soff] is the size of the orbit of the
+    [num_binary]-byte image at [src.[soff ..]] — [List.length
+    (orbit_images t img)], computed as [order t] over the size of the
+    image's stabilizer.  Allocation-free: {!Fmcf} counts each quotiented
+    level with it, reading images in place from the arena. *)
+val orbit_size : t -> src:Bytes.t -> soff:int -> int

@@ -198,7 +198,7 @@ let test_atomic_save_crash () =
 let member_sig (m : Fmcf.member) =
   ( m.Fmcf.cost,
     Permgroup.Perm.key (Reversible.Revfun.to_perm m.Fmcf.func),
-    m.Fmcf.witness )
+    m.Fmcf.image )
 
 let census_sig c =
   List.map2
@@ -206,7 +206,7 @@ let census_sig c =
       ( l.Fmcf.cost,
         l.Fmcf.frontier_size,
         paper_count,
-        List.map member_sig l.Fmcf.members ))
+        List.map member_sig (Fmcf.members_at c ~cost:l.Fmcf.cost) ))
     (Fmcf.levels c) (Fmcf.paper_counts c)
 
 let census_depth = 7

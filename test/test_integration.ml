@@ -94,16 +94,11 @@ let test_census_against_brute_force () =
   enumerate [] 0;
   (* Keep only sequences that were reasonable; compare with census. *)
   let census = Fmcf.run ~max_depth:3 library3 in
-  List.iter
-    (fun (level : Fmcf.level) ->
-      List.iter
-        (fun (m : Fmcf.member) ->
-          let key = Permgroup.Perm.key (Reversible.Revfun.to_perm m.Fmcf.func) in
-          match FnMap.find_opt key !oracle with
-          | Some oracle_cost -> check Alcotest.int "cost agrees" oracle_cost m.Fmcf.cost
-          | None -> Alcotest.fail "census found a function the oracle missed")
-        level.Fmcf.members)
-    (Fmcf.levels census);
+  Fmcf.iter_members census (fun ~cost:_ m ->
+      let key = Permgroup.Perm.key (Reversible.Revfun.to_perm m.Fmcf.func) in
+      match FnMap.find_opt key !oracle with
+      | Some oracle_cost -> check Alcotest.int "cost agrees" oracle_cost m.Fmcf.cost
+      | None -> Alcotest.fail "census found a function the oracle missed");
   (* and the other direction: every oracle function appears in the census *)
   let total = FnMap.cardinal !oracle in
   check Alcotest.int "same function count" total (Fmcf.total_found census)

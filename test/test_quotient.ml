@@ -129,6 +129,38 @@ let test_four_wire_parity () =
       if List.length r.Mce.cascade <> cost || not (Verify.result_valid library4 r) then
         Alcotest.failf "4-wire witness of cost %d does not replay" cost)
 
+(* NCT at 4 wires has no mixed points, so every state is a function and
+   a quotiented level counts pure orbit sizes: the rows, the streamed
+   member sets, and each representative's orbit size must all agree with
+   the plain census and with the materialized orbit. *)
+let test_four_wire_nct_parity () =
+  let nct4 = Library.of_name ~qubits:4 "nct" in
+  let plain = Fmcf.run ~max_depth:4 nct4 in
+  let quot = Fmcf.run ~max_depth:4 ~quotient:true nct4 in
+  check Alcotest.(list int) "4-wire NCT |S16[k]|" [ 1; 28; 576; 9886; 147841 ]
+    (List.map snd (Fmcf.counts plain));
+  check Alcotest.(list (pair int int)) "quotient row" (Fmcf.counts plain)
+    (Fmcf.counts quot);
+  let member_set census =
+    let acc = ref [] in
+    Fmcf.iter_members census (fun ~cost m -> acc := (func_key m, cost) :: !acc);
+    List.sort compare !acc
+  in
+  check Alcotest.(list (pair string int)) "member sets" (member_set plain)
+    (member_set quot);
+  let search = Fmcf.search quot in
+  let sym = Option.get (Search.symmetry search) in
+  for d = 0 to Fmcf.depth quot do
+    Array.iter
+      (fun h ->
+        let img = Search.key_of_handle search h in
+        let expected = List.length (Symmetry.orbit_images sym img) in
+        let got = Symmetry.orbit_size sym ~src:(Bytes.of_string img) ~soff:0 in
+        if got <> expected then
+          Alcotest.failf "orbit_size %d, orbit_images %d at depth %d" got expected d)
+      (Search.handles_at_depth search d)
+  done
+
 (* {1 Canonical-form properties} *)
 
 (* canon is constant on orbits and idempotent, over arbitrary image
@@ -323,8 +355,12 @@ let () =
           Alcotest.test_case "--save byte-identity" `Quick test_save_byte_identity;
         ] );
       ( "four wires",
-        [ Alcotest.test_case "S4 quotient parity and replay" `Quick
-            test_four_wire_parity ] );
+        [
+          Alcotest.test_case "S4 quotient parity and replay" `Quick
+            test_four_wire_parity;
+          Alcotest.test_case "NCT quotient parity and orbit sizes" `Quick
+            test_four_wire_nct_parity;
+        ] );
       ( "canonical form",
         [
           test_canon_invariant_qcheck;

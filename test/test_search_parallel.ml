@@ -38,9 +38,9 @@ let func_key (m : Fmcf.member) =
 
 let level_key_sets c =
   List.map
-    (fun level ->
-      List.sort_uniq compare (List.map func_key level.Fmcf.members))
-    (Fmcf.levels c)
+    (fun (cost, _) ->
+      List.sort_uniq compare (List.map func_key (Fmcf.members_at c ~cost)))
+    (Fmcf.counts c)
 
 let test_counts_match_oracle jobs () =
   let c = census ~jobs in
@@ -68,20 +68,15 @@ let test_same_function_sets jobs () =
 
 let test_witness_cascades_valid jobs () =
   let c = census ~jobs in
-  List.iter
-    (fun level ->
-      List.iter
-        (fun (m : Fmcf.member) ->
-          let cascade = Fmcf.cascade_of_member c m in
-          check Alcotest.int
-            (Printf.sprintf "witness length = cost %d" m.Fmcf.cost)
-            m.Fmcf.cost (List.length cascade);
-          checkb
-            (Printf.sprintf "witness implements func at cost %d" m.Fmcf.cost)
-            true
-            (Verify.cascade_implements ~qubits:3 cascade m.Fmcf.func))
-        level.Fmcf.members)
-    (Fmcf.levels c)
+  Fmcf.iter_members c (fun ~cost:_ m ->
+      let cascade = Fmcf.cascade_of_member c m in
+      check Alcotest.int
+        (Printf.sprintf "witness length = cost %d" m.Fmcf.cost)
+        m.Fmcf.cost (List.length cascade);
+      checkb
+        (Printf.sprintf "witness implements func at cost %d" m.Fmcf.cost)
+        true
+        (Verify.cascade_implements ~qubits:3 cascade m.Fmcf.func))
 
 (* The strongest invariant: the per-level frontiers (every stored image,
    not just the binary restrictions) agree byte for byte and in order. *)

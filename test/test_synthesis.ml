@@ -336,13 +336,8 @@ let test_fmcf_witnesses_verify () =
 let test_fmcf_members_fix_zero () =
   (* Theorem 2: NOT-free circuits all fix the all-zero pattern. *)
   let census = Lazy.force census7 in
-  List.iter
-    (fun level ->
-      List.iter
-        (fun (m : Fmcf.member) ->
-          checkb "fixes zero" true (Reversible.Revfun.fixes_zero m.Fmcf.func))
-        level.Fmcf.members)
-    (Fmcf.levels census)
+  Fmcf.iter_members census (fun ~cost:_ m ->
+      checkb "fixes zero" true (Reversible.Revfun.fixes_zero m.Fmcf.func))
 
 (* MCE *)
 

@@ -301,28 +301,30 @@ let test_census_metrics_snapshot () =
   | Some (Json.Int n) -> checki "state counter" (18 + 144 + 633) n
   | _ -> Alcotest.fail "missing search.states.new counter"
 
-(* O(1) census lookup regression (Fmcf.find via the func_key index) *)
+(* Census lookup regression: Fmcf.find probes the arena (canonicalized
+   under the quotient), in both census modes *)
 
 let test_fmcf_find_index () =
   fresh ();
   set_enabled false;
   let library = Synthesis.Library.make (Mvl.Encoding.make ~qubits:3) in
-  let census = Synthesis.Fmcf.run ~max_depth:4 library in
   List.iter
-    (fun level ->
-      List.iter
-        (fun (m : Synthesis.Fmcf.member) ->
+    (fun quotient ->
+      let census = Synthesis.Fmcf.run ~max_depth:4 ~quotient library in
+      Synthesis.Fmcf.iter_members census (fun ~cost m ->
           match Synthesis.Fmcf.find census m.Synthesis.Fmcf.func with
           | Some found ->
-              checki "find returns the member's own cost" m.Synthesis.Fmcf.cost
+              checki "find returns the member's own cost" cost
                 found.Synthesis.Fmcf.cost
-          | None -> Alcotest.fail "census member not found by find")
-        level.Synthesis.Fmcf.members)
-    (Synthesis.Fmcf.levels census);
-  (* a function beyond the census depth is absent *)
-  let missing = Reversible.Gates.toffoli3 in
-  checkb "deep function absent from shallow census" true
-    (Synthesis.Fmcf.find census missing = None)
+          | None -> Alcotest.fail "census member not found by find");
+      (* a function beyond the census depth is absent *)
+      checkb "deep function absent from shallow census" true
+        (Synthesis.Fmcf.find census Reversible.Gates.toffoli3 = None);
+      (* a function of another width is absent, not an error *)
+      checkb "2-bit function absent from a 3-wire census" true
+        (Synthesis.Fmcf.find census (Reversible.Gates.cnot ~bits:2 ~control:0 ~target:1)
+        = None))
+    [ false; true ]
 
 let () =
   Alcotest.run "telemetry"
