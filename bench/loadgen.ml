@@ -3,8 +3,7 @@
    Offers a Poisson arrival stream at a fixed rate against the daemon's
    unix socket and prints a JSON summary (percentiles, error and
    overload counts) to stdout — the CLI face of [Server.Loadgen], for
-   ad-hoc capacity probing and the CI smoke job.  The bench harness
-   itself calls the library directly (BENCH_6's [server_load] rows). *)
+   ad-hoc capacity probing and the CI smoke job. *)
 
 open Cmdliner
 module Json = Telemetry.Json

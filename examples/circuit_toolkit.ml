@@ -6,6 +6,18 @@
 
 open Synthesis
 
+(* [Mce.solve] answers a [Mce.Request.t]; a target held as a [Revfun.t]
+   goes in as its truth-table output column, the one spec syntax every
+   transport accepts. *)
+let synthesize library target =
+  let spec =
+    String.concat ","
+      (List.map string_of_int (Reversible.Revfun.output_column target))
+  in
+  Mce.Response.result_of
+    (Mce.solve library
+       (Mce.Request.make ~qubits:(Reversible.Revfun.bits target) spec))
+
 let () =
   let library = Library.make (Mvl.Encoding.make ~qubits:3) in
 
@@ -58,7 +70,7 @@ let () =
       (fun target ->
         match
           ( Weighted.express library ~model:Cost_model.unit target,
-            Mce.express library target )
+            synthesize library target )
         with
         | Some w, Some m -> w.Weighted.cost = m.Mce.cost
         | _ -> false)

@@ -8,6 +8,18 @@
 
 open Synthesis
 
+(* [Mce.solve] answers a [Mce.Request.t]; a target held as a [Revfun.t]
+   goes in as its truth-table output column, the one spec syntax every
+   transport accepts. *)
+let synthesize ~max_depth library target =
+  let spec =
+    String.concat ","
+      (List.map string_of_int (Reversible.Revfun.output_column target))
+  in
+  Mce.Response.result_of
+    (Mce.solve library
+       (Mce.Request.make ~qubits:(Reversible.Revfun.bits target) ~max_depth spec))
+
 let () =
   let encoding = Mvl.Encoding.make ~qubits:4 in
   let library = Library.make encoding in
@@ -25,7 +37,7 @@ let () =
   (* Synthesis on the wider register: gates acting on any wire pair. *)
   List.iter
     (fun (name, target) ->
-      match Mce.express ~max_depth:3 library target with
+      match synthesize ~max_depth:3 library target with
       | Some r ->
           Format.printf "%s: cost %d, cascade %a, exact verification %b@." name
             r.Mce.cost Cascade.pp r.Mce.cascade

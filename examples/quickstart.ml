@@ -18,8 +18,10 @@ let () =
   let target = Reversible.Gates.toffoli3 in
   Format.printf "target (Toffoli): %a@." Reversible.Revfun.pp target;
 
-  (* 3. Synthesize with the paper's MCE algorithm. *)
-  (match Mce.express library target with
+  (* 3. Synthesize with the paper's MCE algorithm: build a request (the
+     spec is any syntax the CLI accepts, here a gate name) and solve it. *)
+  let request = Mce.Request.make "toffoli" in
+  (match Mce.Response.result_of (Mce.solve library request) with
   | Some result ->
       Format.printf "minimal cost: %d@." result.Mce.cost;
       Format.printf "cascade: %a@." Cascade.pp result.Mce.cascade;

@@ -10,6 +10,18 @@
 
 open Synthesis
 
+(* [Mce.solve] answers a [Mce.Request.t]; a target held as a [Revfun.t]
+   goes in as its truth-table output column, the one spec syntax every
+   transport accepts. *)
+let synthesize library target =
+  let spec =
+    String.concat ","
+      (List.map string_of_int (Reversible.Revfun.output_column target))
+  in
+  Mce.Response.result_of
+    (Mce.solve library
+       (Mce.Request.make ~qubits:(Reversible.Revfun.bits target) spec))
+
 let () =
   let encoding = Mvl.Encoding.make ~qubits:2 in
   let library = Library.make encoding in
@@ -33,7 +45,7 @@ let () =
   (* Costs of the three non-trivial named 2-bit circuits. *)
   List.iter
     (fun (name, target) ->
-      match Mce.express library target with
+      match synthesize library target with
       | Some r ->
           Format.printf "%s: cost %d, cascade %s%a, verified %b@." name r.Mce.cost
             (if r.Mce.not_mask = 0 then ""

@@ -1,6 +1,6 @@
 (** Open-loop load generator for the daemon — the measurement harness
-    behind [bench/loadgen.exe] and the [server_load] rows of
-    [BENCH_*.json].
+    behind [bench/loadgen.exe] (and the historical [server_load] rows of
+    [BENCH_6.json]).
 
     Open loop means arrivals are scheduled by a Poisson process at the
     offered rate and are {e never} delayed by slow responses: when the

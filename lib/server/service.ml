@@ -165,27 +165,29 @@ let create ?(jobs = 1) ?index ?(warm_depth = 0) ?(cache_capacity = 1024)
     }
   in
   let primary_name = Library.name library in
+  (* first binding wins on duplicate secondary names, like List.assoc_opt
+     at routing time; a secondary named like the primary is ignored *)
   let secondary =
-    List.filter_map
-      (fun lib ->
+    List.fold_left
+      (fun acc lib ->
         let name = Library.name lib in
-        if String.equal name primary_name then None
+        if String.equal name primary_name || List.mem_assoc name acc then acc
         else begin
           Log.info (fun m ->
               m "secondary engine: library %s (%d gates, cold forward BFS)"
                 name (Library.size lib));
-          Some
-            ( name,
-              {
-                e_library = lib;
-                e_index = Atomic.make None;
-                e_bidir = None;
-                e_warm_depth = 0;
-              } )
+          ( name,
+            {
+              e_library = lib;
+              e_index = Atomic.make None;
+              e_bidir = None;
+              e_warm_depth = 0;
+            } )
+          :: acc
         end)
-      libraries
+      [] libraries
+    |> List.rev
   in
-  (* last binding wins on duplicate secondary names, assoc-list style *)
   {
     engines = (primary_name, primary_engine) :: secondary;
     jobs;

@@ -60,9 +60,10 @@ type t
     additional library value: each answers requests naming its library
     with a cold forward BFS — the same plan a one-shot
     [synth --library NAME] without index/bidir runs, so answers agree
-    byte-for-byte.  A secondary whose name equals the primary's is
-    ignored.  The index, warm wave, {!index_status} and {!reload_index}
-    remain primary-only.
+    byte-for-byte.  A secondary whose name equals the primary's, or an
+    earlier secondary's, is ignored (the first binding wins).  The
+    index, warm wave, {!index_status} and {!reload_index} remain
+    primary-only.
     @raise Invalid_argument on negative [warm_depth] or
     [cache_capacity], or [jobs < 1]. *)
 val create :

@@ -240,6 +240,42 @@ let test_crash_resume k () =
     true
     (census_sig census = census_sig (Lazy.force clean_census))
 
+(* Background snapshots: a census checkpointed at every level through
+   save_async completes, and its last snapshot is the one a synchronous
+   save writes at the same boundary — the same bytes, resuming to the
+   same census. *)
+let test_async_save () =
+  with_temp_file @@ fun async_path ->
+  with_temp_file @@ fun sync_path ->
+  let checkpointed save path =
+    let _, reason =
+      Fmcf.run_guarded ~max_depth:census_depth
+        ~on_level:(fun s ~cost:_ -> save s path)
+        library3
+    in
+    checkb "checkpointed census completed" true (reason = Fmcf.Completed)
+  in
+  checkpointed Checkpoint.save_async async_path;
+  Checkpoint.drain ();
+  checkpointed Checkpoint.save sync_path;
+  check Alcotest.int "last snapshot sits at the final level" census_depth
+    (Checkpoint.peek async_path).Checkpoint.depth;
+  checkb "async and sync snapshots byte-identical" true
+    (String.equal (read_file async_path) (read_file sync_path));
+  let resumed path =
+    let census, reason =
+      Fmcf.run_guarded ~max_depth:census_depth
+        ~resume:(Checkpoint.load library3 path)
+        library3
+    in
+    checkb "resumed census completed" true (reason = Fmcf.Completed);
+    census_sig census
+  in
+  let from_async = resumed async_path in
+  checkb "async resume = sync resume" true (from_async = resumed sync_path);
+  checkb "async resume = uninterrupted census" true
+    (from_async = census_sig (Lazy.force clean_census))
+
 (* {1 Resource guards} *)
 
 let prefix_of_clean census =
@@ -332,7 +368,8 @@ let () =
           (fun k ->
             Alcotest.test_case (Printf.sprintf "crash at level %d" k) `Quick
               (test_crash_resume k))
-          [ 1; 2; 3; 4; 5; 6 ] );
+          [ 1; 2; 3; 4; 5; 6 ]
+        @ [ Alcotest.test_case "background saves" `Quick test_async_save ] );
       ( "resource guards",
         [
           Alcotest.test_case "max states" `Quick test_budget_states;

@@ -107,6 +107,37 @@ let test_save_byte_identity () =
   check Alcotest.string "census TSVs byte-identical" (read_file path_raw)
     (read_file path_quot)
 
+(* State counts under the same 1 GiB arena guard, raw and quotiented, at
+   depths 7 and 8: the quotient keeps about one state in six, and both
+   modes count the same functions. *)
+let test_state_counts () =
+  let guarded ~depth ~quotient =
+    let census, reason =
+      Fmcf.run_guarded ~max_depth:depth ~quotient ~max_mem:(1 lsl 30) library3
+    in
+    checkb
+      (Printf.sprintf "depth %d (quotient %b) completed" depth quotient)
+      true (reason = Fmcf.Completed);
+    census
+  in
+  List.iter
+    (fun (depth, raw_states, quot_states) ->
+      let raw = guarded ~depth ~quotient:false
+      and quot = guarded ~depth ~quotient:true in
+      check Alcotest.int
+        (Printf.sprintf "depth %d raw states" depth)
+        raw_states
+        (Search.size (Fmcf.search raw));
+      check Alcotest.int
+        (Printf.sprintf "depth %d quotient states" depth)
+        quot_states
+        (Search.size (Fmcf.search quot));
+      check
+        Alcotest.(list (pair int int))
+        (Printf.sprintf "depth %d |G[k]|" depth)
+        (Fmcf.counts raw) (Fmcf.counts quot))
+    [ (7, 20_748, 3_493); (8, 40_920, 6_872) ]
+
 (* {1 Four wires: the S4 quotient} *)
 
 (* The 4-wire group has 24 relabelings, which the conjugator field must
@@ -353,6 +384,8 @@ let () =
           Alcotest.test_case "index byte-identity" `Quick
             test_index_byte_identity;
           Alcotest.test_case "--save byte-identity" `Quick test_save_byte_identity;
+          Alcotest.test_case "state counts at depths 7 and 8" `Quick
+            test_state_counts;
         ] );
       ( "four wires",
         [

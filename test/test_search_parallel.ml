@@ -147,6 +147,27 @@ let qcheck_arena_compose =
           d <= List.length vias
           && image (Cascade.perm_of library3 (Search.cascade_of_key s img)) = img)
 
+(* The engine caps the rank count at the machine's recommended domain
+   count; depth 7's deepest frontier is far above the per-rank chunk
+   threshold, so the effective count the final step records is exactly
+   the request under that cap — and the census is still Table 2. *)
+let test_effective_jobs () =
+  let jobs = 2 in
+  let gauge = Telemetry.Gauge.create "search.jobs.effective" in
+  Telemetry.set_enabled true;
+  let census =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_enabled false)
+      (fun () -> Fmcf.run ~max_depth:7 ~jobs library3)
+  in
+  check Alcotest.int "search.jobs.effective"
+    (min jobs (Domain.recommended_domain_count ()))
+    (int_of_float (Telemetry.Gauge.value gauge));
+  check
+    Alcotest.(list int)
+    "depth-7 G[k] counts" [ 1; 6; 24; 51; 84; 156; 398; 540 ]
+    (List.map snd (Fmcf.counts census))
+
 let per_jobs name f =
   List.map
     (fun jobs ->
@@ -161,4 +182,6 @@ let () =
       ("witnesses", per_jobs "witness cascades valid" test_witness_cascades_valid);
       ("frontiers", per_jobs "byte-identical frontiers" test_frontiers_byte_identical);
       ("arena algebra", [ qcheck_arena_compose ]);
+      ( "adaptation",
+        [ Alcotest.test_case "effective jobs at depth 7" `Quick test_effective_jobs ] );
     ]

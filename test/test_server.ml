@@ -519,6 +519,14 @@ let service_routes_libraries () =
         (Mce.Response.to_string one_shot)
         (Mce.Response.to_string via_service))
     [ ("paper18", library3); ("nft", nft) ];
+  (* a library named twice keeps its first binding, and one named like
+     the primary is ignored *)
+  let nct = Library.of_name "nct" in
+  check
+    (Alcotest.list Alcotest.string)
+    "duplicates collapse" [ "paper18"; "nct"; "nft" ]
+    (Service.libraries
+       (Service.create ~libraries:[ nct; library3; nft; nct ] library3));
   (* an unconfigured third universe still fails *)
   match
     (Service.answer svc (Mce.Request.make ~library:"nct" "toffoli"))
