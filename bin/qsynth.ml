@@ -731,7 +731,12 @@ let serve_cmd =
     in
     let http =
       Option.map
-        (fun port -> Server.Http.start ~port ~ready ~describe ())
+        (fun port ->
+          (* an endpoint exporting the registry needs it recording; span
+             trees only when --trace-file, --metrics or --trace asks *)
+          if not (Telemetry.enabled ()) then
+            Telemetry.set_enabled ~spans:false true;
+          Server.Http.start ~port ~ready ~describe ())
         metrics_port
     in
     let trace_oc =
@@ -882,7 +887,10 @@ let serve_cmd =
   in
   let workers_arg =
     Arg.(value & opt (pos_int ~what:"WORKERS") 2 & info [ "workers" ] ~docv:"N"
-           ~doc:"Worker domains evaluating queries in parallel.")
+           ~doc:"Worker domains evaluating search queries in parallel, \
+                 spawned by the first one.  Requests answered from a complete \
+                 $(b,--index) run on the connection's reader thread and never \
+                 use a worker.")
   in
   let also_library_arg =
     let choices = List.map (fun n -> (n, n)) Library.Registry.names in
@@ -900,9 +908,10 @@ let serve_cmd =
   in
   let queue_arg =
     Arg.(value & opt (pos_int ~what:"QUEUE") 64 & info [ "queue" ] ~docv:"N"
-           ~doc:"Bound on the accepted-but-unstarted request queue; beyond it \
+           ~doc:"Bound on the accepted-but-unstarted search queue; beyond it \
                  requests are rejected immediately with the 'overloaded' error \
-                 and a retry-after hint (backpressure, not buffering).")
+                 and a retry-after hint (backpressure, not buffering).  \
+                 Complete-index answers are never queued.")
   in
   let cache_arg =
     Arg.(value & opt int 1024 & info [ "cache" ] ~docv:"N"

@@ -17,11 +17,19 @@ let g_drain_pending = Telemetry.Gauge.create "server.drain.pending"
 let h_request = Telemetry.Histogram.create "server.request.seconds"
 
 let retry_after_ms = 100
-let conn_recv_timeout_s = 10.
+
+(* OCaml 5.1 runs at most 128 domains, the main one included. *)
+let max_workers = 127
+
+(* A connection's reads time out this often so its reader notices a
+   drain; {!Protocol.Reader} drops a frame once 40 of its reads, 10 s,
+   have timed out. *)
+let conn_recv_timeout_s = 0.25
 
 (* A connection is closed by whoever finishes last: the reader (on EOF
-   or drain) when no response is still owed, else the worker that writes
-   the final owed response. *)
+   or drain) when no queued response is still owed, else the worker that
+   writes the final owed response.  Inline answers are written by the
+   reader itself, so they are never owed. *)
 type conn = {
   fd : Unix.file_descr;
   wmutex : Mutex.t; (* serializes response frames *)
@@ -36,7 +44,7 @@ type job = {
   j_conn : conn;
   j_arrival : float;
   j_trace : string option; (* assigned at admission when observing *)
-  j_depth : int; (* queue depth at admission *)
+  j_depth : int option; (* queue depth at admission; [None]: answered inline *)
 }
 
 (* Per-request observability configuration: set when [serve] runs with
@@ -54,6 +62,7 @@ type t = {
   path : string;
   listen_fd : Unix.file_descr;
   max_frame : int;
+  n_workers : int;
   queue_capacity : int;
   obs : obs option;
   trace_seq : int Atomic.t;
@@ -67,6 +76,7 @@ type t = {
   mutable readers : Thread.t list;
   mutable accepter : Thread.t option; (* immutable after start, in effect *)
   mutable workers : unit Domain.t list;
+      (* spawned by the first queued job; guarded by qmutex *)
   wait_mutex : Mutex.t;
   mutable waited : bool;
 }
@@ -74,8 +84,14 @@ type t = {
 let socket_path t = t.path
 let draining t = Atomic.get t.draining
 
-let next_trace_id t =
-  Printf.sprintf "%s-%06x" t.trace_prefix (Atomic.fetch_and_add t.trace_seq 1)
+(* A trace id per admitted request, only when observing. *)
+let trace_id t =
+  match t.obs with
+  | None -> None
+  | Some _ ->
+      Some
+        (Printf.sprintf "%s-%06x" t.trace_prefix
+           (Atomic.fetch_and_add t.trace_seq 1))
 
 let conn_close_if_done c =
   Mutex.lock c.cmutex;
@@ -131,7 +147,7 @@ let slow_log obs job resp (timing : Service.timing) ~queue_wait_s ~write_s
               | `Coalesced -> "coalesced"
               | `Computed -> "computed") );
           ("outcome", Json.String (outcome_of resp));
-          ("queue_depth", Json.Int job.j_depth);
+          ("queue_depth", Json.Int (Option.value job.j_depth ~default:0));
           ("queue_wait_s", Json.Float queue_wait_s);
           ("cache_s", Json.Float timing.Service.cache_s);
           ("coalesce_wait_s", Json.Float timing.Service.coalesce_wait_s);
@@ -148,22 +164,27 @@ let slow_log obs job resp (timing : Service.timing) ~queue_wait_s ~write_s
 
 (* The observed variant: clock every stage, build the request span tree,
    stamp the trace id into the response, and feed the slow-query log.
-   The unobserved path below stays free of all of it. *)
+   The unobserved path below stays free of all of it.  An inline answer
+   was never queued: no [server.queue_wait] span, no wait to report. *)
 let process_observed t obs job =
   let started = Unix.gettimeofday () in
-  let queue_wait_s = started -. job.j_arrival in
+  let queue_wait_s =
+    match job.j_depth with Some _ -> started -. job.j_arrival | None -> 0.
+  in
   let attrs =
     (match job.j_trace with
     | Some tr -> [ ("trace", Json.String tr) ]
     | None -> [])
-    @ [
-        ("key", Json.String (Mce.Request.key job.j_req));
-        ("queue_depth", Json.Int job.j_depth);
-      ]
+    @ [ ("key", Json.String (Mce.Request.key job.j_req)) ]
+    @
+    match job.j_depth with
+    | Some depth -> [ ("queue_depth", Json.Int depth) ]
+    | None -> []
   in
   Telemetry.Span.with_span ~attrs "server.request" @@ fun () ->
-  Telemetry.Span.record "server.queue_wait" ~start_s:job.j_arrival
-    ~dur_s:queue_wait_s;
+  if job.j_depth <> None then
+    Telemetry.Span.record "server.queue_wait" ~start_s:job.j_arrival
+      ~dur_s:queue_wait_s;
   let resp, timing = Service.answer_timed t.service job.j_req in
   let resp = Mce.Response.with_trace job.j_trace resp in
   let write_t0 = Unix.gettimeofday () in
@@ -178,12 +199,13 @@ let process_observed t obs job =
       slow_log obs job resp timing ~queue_wait_s ~write_s ~total_s
   | Some _ | None -> ())
 
+let respond t job =
+  match t.obs with
+  | None -> write_response t job.j_conn (Service.answer t.service job.j_req)
+  | Some obs -> process_observed t obs job
+
 let process t job =
-  (match t.obs with
-  | None ->
-      let resp = Service.answer t.service job.j_req in
-      write_response t job.j_conn resp
-  | Some obs -> process_observed t obs job);
+  respond t job;
   Mutex.lock job.j_conn.cmutex;
   job.j_conn.pending <- job.j_conn.pending - 1;
   Mutex.unlock job.j_conn.cmutex;
@@ -219,39 +241,77 @@ let error_response (req : Mce.Request.t) err : Mce.Response.t =
 let undecodable_response msg : Mce.Response.t =
   { id = None; trace = None; qubits = 0; body = Error (Mce.Response.Bad_request msg) }
 
+let shutting_down t conn req =
+  Telemetry.Counter.incr m_shutdown_replies;
+  write_response t conn (error_response req Mce.Response.Shutting_down)
+
+(* Index-first requests are answered right here on the connection's
+   reader, so they never wait for a worker and never get [Overloaded];
+   during a drain they get [Shutting_down] like a queued request.  All
+   readers share domain 0: on a 2-vCPU host this cut lock-step latency
+   and held throughput over several pipelined connections, but raised
+   their p99 (doc/PERFORMANCE.md, "Several connections").
+   An index reload between the admission check and the answer can turn
+   the request into a search run here, holding domain 0 for every
+   reader until it ends. *)
+let answer_inline t conn req arrival =
+  if Atomic.get t.draining then shutting_down t conn req
+  else begin
+    Telemetry.Counter.incr m_requests;
+    respond t
+      { j_req = req; j_conn = conn; j_arrival = arrival; j_trace = trace_id t;
+        j_depth = None };
+    Telemetry.Histogram.observe h_request (Unix.gettimeofday () -. arrival)
+  end
+
+(* Spawn the missing worker domains; called under qmutex.  [Error] only
+   when none runs: with at least one, the queue still drains and a later
+   job retries the rest. *)
+let spawn_workers t =
+  match
+    while List.compare_length_with t.workers t.n_workers < 0 do
+      t.workers <- Domain.spawn (fun () -> worker_loop t) :: t.workers
+    done
+  with
+  | () -> Ok ()
+  | exception e ->
+      let msg = "cannot start a worker domain: " ^ Printexc.to_string e in
+      Log.warn (fun m -> m "%s (%d running)" msg (List.length t.workers));
+      if t.workers = [] then Error msg else Ok ()
+
 (* Enqueue under qmutex so the drain transition is race-free: a job
    pushed here is visible to the workers before they can observe
-   "draining && empty" and exit. *)
+   "draining && empty" and exit.  The first queued job spawns the worker
+   domains, so a daemon that only answers from its index runs none. *)
 let enqueue t conn req arrival =
-  Mutex.lock t.qmutex;
-  if Atomic.get t.draining then begin
-    Mutex.unlock t.qmutex;
-    Telemetry.Counter.incr m_shutdown_replies;
-    write_response t conn (error_response req Mce.Response.Shutting_down)
-  end
-  else if Queue.length t.queue >= t.queue_capacity then begin
-    Mutex.unlock t.qmutex;
-    Telemetry.Counter.incr m_rejected;
-    write_response t conn
-      (error_response req (Mce.Response.Overloaded { retry_after_ms }))
-  end
-  else begin
-    Mutex.lock conn.cmutex;
-    conn.pending <- conn.pending + 1;
-    Mutex.unlock conn.cmutex;
-    let trace =
-      match t.obs with None -> None | Some _ -> Some (next_trace_id t)
-    in
-    let depth = Queue.length t.queue in
-    Queue.push
-      { j_req = req; j_conn = conn; j_arrival = arrival; j_trace = trace;
-        j_depth = depth }
-      t.queue;
-    Telemetry.Gauge.set_int g_queue_depth (Queue.length t.queue);
-    Telemetry.Counter.incr m_requests;
-    Condition.signal t.qcond;
-    Mutex.unlock t.qmutex
-  end
+  let admitted =
+    Mutex.protect t.qmutex @@ fun () ->
+    if Atomic.get t.draining then `Draining
+    else if Queue.length t.queue >= t.queue_capacity then `Full
+    else
+      match spawn_workers t with
+      | Error msg -> `No_worker msg
+      | Ok () ->
+          Mutex.protect conn.cmutex (fun () -> conn.pending <- conn.pending + 1);
+          let depth = Queue.length t.queue in
+          Queue.push
+            { j_req = req; j_conn = conn; j_arrival = arrival;
+              j_trace = trace_id t; j_depth = Some depth }
+            t.queue;
+          Telemetry.Gauge.set_int g_queue_depth (Queue.length t.queue);
+          Telemetry.Counter.incr m_requests;
+          Condition.signal t.qcond;
+          `Queued
+  in
+  match admitted with
+  | `Queued -> ()
+  | `Draining -> shutting_down t conn req
+  | `Full ->
+      Telemetry.Counter.incr m_rejected;
+      write_response t conn
+        (error_response req (Mce.Response.Overloaded { retry_after_ms }))
+  | `No_worker msg ->
+      write_response t conn (error_response req (Mce.Response.Internal msg))
 
 let handle_frame t conn payload =
   let arrival = Unix.gettimeofday () in
@@ -264,7 +324,10 @@ let handle_frame t conn payload =
       | Error msg ->
           Telemetry.Counter.incr m_bad_frames;
           write_response t conn (undecodable_response msg)
-      | Ok req -> enqueue t conn req arrival)
+      | Ok req ->
+          if Service.index_first t.service req then
+            answer_inline t conn req arrival
+          else enqueue t conn req arrival)
 
 let rec retry_select fd timeout =
   match Unix.select [ fd ] [] [] timeout with
@@ -278,37 +341,34 @@ let reader t conn =
     Mutex.unlock conn.cmutex;
     conn_close_if_done conn
   in
-  (* On drain: answer whatever frames are already in the socket buffer
-     with Shutting_down (enqueue does that once draining is set), then
-     hang up — clients blocked on a response they are owed still get it
-     from the workers before the connection closes. *)
-  let drain_sweep () =
-    let rec sweep () =
-      if retry_select conn.fd 0. then
-        match Protocol.read_frame ~max_len:t.max_frame conn.fd with
-        | Ok payload ->
-            handle_frame t conn payload;
-            sweep ()
-        | Error _ -> ()
-    in
-    sweep ()
+  let frames = Protocol.Reader.create ~max_len:t.max_frame conn.fd in
+  (* On drain: answer the frames already buffered or arriving within one
+     receive timeout with Shutting_down (answer_inline and enqueue do
+     that once draining is set), then hang up — clients blocked on a
+     response they are owed still get it from the workers before the
+     connection closes. *)
+  let rec drain_sweep () =
+    match Protocol.Reader.next frames with
+    | Protocol.Reader.Frame payload ->
+        handle_frame t conn payload;
+        drain_sweep ()
+    | Protocol.Reader.(Idle | Failed _) -> ()
   in
   let rec loop () =
     if Atomic.get t.draining then drain_sweep ()
-    else if not (retry_select conn.fd 0.25) then loop ()
     else
-      match Protocol.read_frame ~max_len:t.max_frame conn.fd with
-      | Ok payload ->
+      match Protocol.Reader.next frames with
+      | Protocol.Reader.Frame payload ->
           handle_frame t conn payload;
           loop ()
-      | Error Protocol.Closed -> ()
-      | Error (Protocol.(Truncated | Timed_out | Oversized _) as e) ->
+      | Protocol.Reader.Idle -> loop ()
+      | Protocol.Reader.Failed Protocol.Closed -> ()
+      | Protocol.Reader.Failed e ->
           Telemetry.Counter.incr m_bad_frames;
           Log.debug (fun m ->
               m "dropping connection: %s" (Protocol.read_error_to_string e))
   in
-  loop ();
-  finish ()
+  Fun.protect ~finally:finish loop
 
 (* {1 Accepting} *)
 
@@ -378,6 +438,9 @@ let start ?(workers = 2) ?(queue_capacity = 64)
     ?(max_frame = Protocol.default_max_frame) ?slow_ms ?(slow_oc = stderr)
     ?(trace = false) ~socket service =
   if workers < 1 then invalid_arg "Daemon.start: workers must be >= 1";
+  if workers > max_workers then
+    invalid_arg
+      (Printf.sprintf "Daemon.start: workers must be <= %d" max_workers);
   if queue_capacity < 1 then invalid_arg "Daemon.start: queue_capacity must be >= 1";
   if max_frame < 1 then invalid_arg "Daemon.start: max_frame must be >= 1";
   (match slow_ms with
@@ -402,6 +465,7 @@ let start ?(workers = 2) ?(queue_capacity = 64)
       path = socket;
       listen_fd;
       max_frame;
+      n_workers = workers;
       queue_capacity;
       obs;
       trace_seq = Atomic.make 0;
@@ -421,7 +485,6 @@ let start ?(workers = 2) ?(queue_capacity = 64)
       waited = false;
     }
   in
-  t.workers <- List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t.accepter <- Some (Thread.create accept_loop t);
   Log.app (fun m ->
       m "serving on %s (%d workers, queue %d, warm depth %d)" socket workers
@@ -449,9 +512,9 @@ let wait t =
   else begin
     (* Join in dependency order: the accepter stops creating readers,
        the workers answer every accepted job, the readers observe EOF or
-       the drain and hang up. *)
+       the drain and hang up.  Once draining, no job spawns a worker. *)
     (match t.accepter with None -> () | Some th -> Thread.join th);
-    List.iter Domain.join t.workers;
+    List.iter Domain.join (Mutex.protect t.qmutex (fun () -> t.workers));
     let readers = Mutex.protect t.rmutex (fun () -> t.readers) in
     List.iter Thread.join readers;
     t.waited <- true;

@@ -1,18 +1,33 @@
 (** The [qsynth serve] daemon: accepts connections on a Unix-domain
-    socket, decodes request frames ({!Protocol}), and evaluates them on
-    a pool of worker domains through a shared {!Service}.
+    socket, decodes request frames ({!Protocol}), and answers them
+    through a shared {!Service}.
+
+    Two paths: a request {!Service.index_first} holds for (a synthesis
+    probe of a complete index) is answered on its connection's reader
+    thread, right after it is decoded.  Every other request (search,
+    counting, enumeration, partial indexes, secondary libraries) goes
+    through a bounded queue to a pool of worker domains, spawned by the
+    first queued job — a daemon that only answers from its index runs
+    no worker domain at all.
 
     Lifecycle: {!start} binds the socket and spawns the accept thread,
-    one reader thread per connection, and the worker pool; {!stop}
-    initiates a graceful drain — stop accepting, answer every request
-    already accepted, tell late frames {!Synthesis.Mce.Response.Shutting_down},
+    which starts one reader thread per connection; {!stop} initiates a
+    graceful drain — stop accepting, answer every request already
+    accepted, tell late frames {!Synthesis.Mce.Response.Shutting_down},
     close every connection, unlink the socket; {!wait} blocks until the
     drain completes.  {!run} is the CLI entry: start, park until
     [SIGTERM]/[SIGINT], drain, return.
 
-    Backpressure: the request queue is bounded; when it is full a
+    Reading: each reader pulls frames through a {!Protocol.Reader}, one
+    [read] per batch of bytes, with a 0.25 s receive timeout so it sees
+    a drain promptly; a frame whose reads time out 40 times (10 s)
+    drops the connection.
+
+    Backpressure: the request queue is bounded; when it is full a queued
     request is rejected immediately with [Overloaded {retry_after_ms}]
-    rather than queued — the client owns the retry.  Responses to one
+    rather than queued — the client owns the retry.  Inline answers are
+    never queued and never get [Overloaded]: [workers] and
+    [queue_capacity] bound search work only.  Responses to one
     connection are written under a per-connection lock, so concurrent
     workers never interleave frames; within one connection, pipelined
     requests may be answered out of order (correlate with
@@ -24,8 +39,12 @@ type t
     ~socket service] binds [socket] (replacing a stale socket file left
     by a dead daemon; refusing a live one or a non-socket file) and
     returns once the daemon is accepting.
-    [workers] (default 2) is the worker-domain count; [queue_capacity]
-    (default 64) bounds the accepted-but-unstarted queue.
+    [workers] (default 2, at most 127: OCaml 5.1 runs 128 domains, the
+    main one included) is the worker-domain count, spawned with the
+    first queued job; if not even one can be spawned, that job is
+    answered [Internal] and the next queued job tries again.
+    [queue_capacity] (default 64) bounds the accepted-but-unstarted
+    queue.
 
     Observability: when [trace] is true or [slow_ms] is given, every
     accepted request is assigned a trace id (echoed in the response's
@@ -60,7 +79,7 @@ val stop : t -> unit
 
 (** [wait t] blocks until the daemon has fully drained: accept loop
     exited, socket unlinked, every accepted request answered, worker
-    domains joined.  Idempotent. *)
+    domains (if any were spawned) joined.  Idempotent. *)
 val wait : t -> unit
 
 (** [run ?workers ?queue_capacity ?max_frame ?slow_ms ?slow_oc ?trace

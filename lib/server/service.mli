@@ -107,6 +107,14 @@ val index_status : t -> (int * int * int * bool) option
     @raise Sys_error when [path] cannot be read. *)
 val reload_index : t -> string -> int * int
 
+(** [index_first t request] holds when {!answer} takes the index-first
+    path above for [request]: a [Synthesize] request with plan [auto]
+    or [index] for the primary library while the published index is
+    complete.  Such an answer is one probe that never blocks on another
+    caller, which is why the daemon runs it on the connection's reader
+    instead of queueing it. *)
+val index_first : t -> Synthesis.Mce.Request.t -> bool
+
 (** [answer ?should_stop t request] evaluates a request against the warm
     engine — the complete index directly when the request is
     index-first (above), otherwise cache, then coalescing, then

@@ -1,8 +1,13 @@
 module Json = Json
 
 let enabled_ref = Atomic.make false
+let spans_ref = Atomic.make false
 let enabled () = Atomic.get enabled_ref
-let set_enabled b = Atomic.set enabled_ref b
+let spans_enabled () = Atomic.get spans_ref
+
+let set_enabled ?(spans = true) b =
+  Atomic.set spans_ref (b && spans);
+  Atomic.set enabled_ref b
 let now_s = Unix.gettimeofday
 
 let log_src = Logs.Src.create "qsynth.telemetry" ~doc:"Telemetry reporting"
@@ -12,9 +17,11 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 (* Domain-safety (see doc/OBSERVABILITY.md): counters and gauges are
    single atomics; histograms and series take a per-instrument mutex on
    the write path only (reads are monitoring-grade); the registry takes
-   a global mutex on create (rare).  Spans keep a per-domain open-span
-   stack in domain-local storage — nesting is control flow, which never
-   crosses domains — while the shared root forest and the JSONL sink are
+   a global mutex on create (rare).  Spans keep one open-span stack per
+   thread — nesting is control flow, which never crosses threads, and
+   the systhreads of one domain (the daemon's connection readers)
+   interleave at every blocking call — in a table keyed by thread id;
+   the table, the shared root forest and the JSONL sink are
    mutex-guarded. *)
 
 let registry_mutex = Mutex.create ()
@@ -221,10 +228,34 @@ type span = {
 
 let span_mutex = Mutex.create ()
 let span_roots : span list ref = ref [] (* guarded by span_mutex *)
-let span_stack_key : span list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
 
-let span_stack () = Domain.DLS.get span_stack_key
+(* Open-span stacks by thread id.  A thread's entry exists only while it
+   has a span open (it is dropped when its stack empties), so the table
+   stays as small as the number of threads inside a span; the stack
+   itself is touched only by its own thread. *)
+let stacks : (int, span list ref) Hashtbl.t = Hashtbl.create 16
+let stacks_mutex = Mutex.create ()
+
+(* the calling thread's open spans, innermost first *)
+let open_spans () =
+  let id = Thread.id (Thread.self ()) in
+  Mutex.protect stacks_mutex (fun () ->
+      match Hashtbl.find_opt stacks id with Some st -> !st | None -> [])
+
+let span_stack () =
+  let id = Thread.id (Thread.self ()) in
+  Mutex.protect stacks_mutex (fun () ->
+      match Hashtbl.find_opt stacks id with
+      | Some st -> st
+      | None ->
+          let st = ref [] in
+          Hashtbl.add stacks id st;
+          st)
+
+let drop_span_stack () =
+  let id = Thread.id (Thread.self ()) in
+  Mutex.protect stacks_mutex (fun () -> Hashtbl.remove stacks id)
+
 let span_count = Atomic.make 0
 let trace_ref = ref false
 let jsonl_ref : out_channel option ref = ref None
@@ -269,7 +300,7 @@ let jsonl_emit sp =
                 | Some v -> ("trace", v) :: attrs
                 | None -> inherited rest)
           in
-          inherited !(span_stack ())
+          inherited (open_spans ())
       in
       let line =
         Json.Obj
@@ -291,13 +322,13 @@ module Span = struct
   let max_spans = 50_000
 
   let set_attr key v =
-    if enabled () then
-      match !(span_stack ()) with
+    if spans_enabled () then
+      match open_spans () with
       | sp :: _ -> sp.sp_attrs <- (key, v) :: List.remove_assoc key sp.sp_attrs
       | [] -> ()
 
   let with_span ?(attrs = []) name f =
-    if (not (enabled ())) || Atomic.get span_count >= max_spans then f ()
+    if (not (spans_enabled ())) || Atomic.get span_count >= max_spans then f ()
     else begin
       ignore (Atomic.fetch_and_add span_count 1);
       let stack = span_stack () in
@@ -324,6 +355,7 @@ module Span = struct
           (match !stack with
           | top :: rest when top == sp -> stack := rest
           | _ -> ());
+          if !stack = [] then drop_span_stack ();
           if !trace_ref then
             Printf.eprintf "%s< %s (%.3f ms)\n%!"
               (String.make (2 * depth) ' ')
@@ -334,10 +366,10 @@ module Span = struct
     end
 
   let record ?(attrs = []) name ~start_s ~dur_s =
-    if enabled () && Atomic.get span_count < max_spans then begin
+    if spans_enabled () && Atomic.get span_count < max_spans then begin
       ignore (Atomic.fetch_and_add span_count 1);
-      let stack = span_stack () in
-      let depth = List.length !stack in
+      let stack = open_spans () in
+      let depth = List.length stack in
       let sp =
         {
           sp_name = name;
@@ -348,7 +380,7 @@ module Span = struct
           sp_depth = depth;
         }
       in
-      (match !stack with
+      (match stack with
       | parent :: _ -> parent.sp_children <- sp :: parent.sp_children
       | [] -> with_lock span_mutex (fun () -> span_roots := sp :: !span_roots));
       jsonl_emit sp
@@ -518,8 +550,7 @@ let reset () =
     histograms;
   Hashtbl.iter (fun _ s -> s.s_len <- 0) series_tbl;
   with_lock span_mutex (fun () -> span_roots := []);
-  !(span_stack ()) |> ignore;
-  span_stack () := [];
+  drop_span_stack ();
   Atomic.set span_count 0
 
 let log_summary () =

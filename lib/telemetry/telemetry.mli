@@ -4,7 +4,7 @@
     through {!Logs} and a JSON-lines span exporter).
 
     Design constraints (see doc/OBSERVABILITY.md):
-    - zero dependencies beyond [unix] and [logs];
+    - zero dependencies beyond [unix], [threads] and [logs];
     - a single global switch ({!set_enabled}); while disabled every
       operation is a one-branch no-op, so library users pay nothing by
       default;
@@ -13,9 +13,10 @@
       returns the existing instrument;
     - domain-safe hot paths: counters and gauges are single atomics;
       histogram/series writes and registration take a short
-      per-instrument (resp. registry) mutex; spans keep the open-span
-      stack in domain-local storage, so concurrent domains each record
-      their own span trees into the shared forest.  {!snapshot},
+      per-instrument (resp. registry) mutex; spans keep one open-span
+      stack per thread, so concurrent domains, and the systhreads
+      sharing one domain, each record their own span trees into the
+      shared forest.  {!snapshot},
       {!reset} and {!log_summary} remain monitoring-grade: call them
       from one thread at a time (the CLI does so at exit).
 
@@ -29,8 +30,11 @@ module Json = Json
 
 val enabled : unit -> bool
 
-(** [set_enabled b] turns recording on or off globally (default: off). *)
-val set_enabled : bool -> unit
+(** [set_enabled b] turns recording on or off globally (default: off).
+    [~spans:false] with [b = true] records instruments only: every
+    {!Span} operation stays a no-op, for a process that exports its
+    instruments (a metrics endpoint) and no span trees. *)
+val set_enabled : ?spans:bool -> bool -> unit
 
 (** [now_s ()] is the wall-clock in seconds (the time base of all spans
     and timers). *)

@@ -7,14 +7,18 @@
      byte-identity rests on — plus golden response bytes.
    - Protocol framing over a socketpair: round-trips (including the
      empty payload), the oversized-announcement guard, truncation and
-     clean-close detection.
+     clean-close detection; the buffered server-side reader on
+     pipelined, dribbled and stalled frames, agreeing with [read_frame]
+     on every EOF and oversized verdict.
    - Service semantics: cache hits, the hit+coalesced+miss accounting
      invariant under concurrent identical requests, cancellation and
      deadline mapping.
    - A live in-process daemon: 8 client threads x 50 mixed queries on
      one warm service, every response byte-identical to a fresh one-shot
      service answering the same request; then a graceful drain with a
-     request in flight. *)
+     request in flight.  On a complete index: index requests answered
+     inline (in order, counted, never overloaded behind a full queue,
+     shutting-down after stop, traced as their own request trees). *)
 
 open Synthesis
 open Reversible
@@ -413,6 +417,151 @@ let frame_closed () =
       | Error Protocol.Closed -> ()
       | Error e -> Alcotest.fail (Protocol.read_error_to_string e)
       | Ok _ -> Alcotest.fail "read from closed peer succeeded")
+
+(* {1 Buffered frame reader} *)
+
+let frame_bytes payload =
+  let n = String.length payload in
+  let b = Bytes.create (4 + n) in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 b 4 n;
+  Bytes.to_string b
+
+let write_all fd s =
+  let rec go ofs =
+    if ofs < String.length s then
+      go (ofs + Unix.write_substring fd s ofs (String.length s - ofs))
+  in
+  go 0
+
+let reader_event_to_string = function
+  | Protocol.Reader.Frame p -> Printf.sprintf "frame %S" p
+  | Protocol.Reader.Idle -> "idle"
+  | Protocol.Reader.Failed e -> Protocol.read_error_to_string e
+
+let next_frame r =
+  match Protocol.Reader.next r with
+  | Protocol.Reader.Frame p -> p
+  | ev -> Alcotest.fail ("expected a frame, got " ^ reader_event_to_string ev)
+
+let reader_pipelined () =
+  (* Two and three frames in one write come back one by one; frames
+     after the first are served from the buffer, without another read:
+     the descriptor's receive side is shut before they are taken. *)
+  List.iter
+    (fun payloads ->
+      with_socketpair (fun a b ->
+          let r = Protocol.Reader.create b in
+          write_all a (String.concat "" (List.map frame_bytes payloads));
+          check Alcotest.string "first" (List.hd payloads) (next_frame r);
+          Unix.shutdown b Unix.SHUTDOWN_RECEIVE;
+          List.iter
+            (fun p -> check Alcotest.string "buffered" p (next_frame r))
+            (List.tl payloads);
+          match Protocol.Reader.next r with
+          | Protocol.Reader.Failed Protocol.Closed -> ()
+          | ev -> Alcotest.fail ("after the last frame: " ^ reader_event_to_string ev)))
+    [ [ "one"; "two" ]; [ {|{"spec":"toffoli"}|}; ""; String.make 5000 'y' ] ]
+
+let reader_dribbled () =
+  (* One frame written a byte per write, the header split across reads
+     too; a receive timeout between two bytes only reports Idle. *)
+  with_socketpair (fun a b ->
+      Unix.setsockopt_float b Unix.SO_RCVTIMEO 0.002;
+      let payload = {|{"spec":"0,1,2,3,4,7,5,6","max_depth":13}|} in
+      let bytes = frame_bytes payload in
+      let writer =
+        Thread.create
+          (fun () ->
+            String.iter
+              (fun c ->
+                write_all a (String.make 1 c);
+                Thread.delay 0.003)
+              bytes)
+          ()
+      in
+      let r = Protocol.Reader.create b in
+      let rec until_frame () =
+        match Protocol.Reader.next r with
+        | Protocol.Reader.Frame p -> p
+        | Protocol.Reader.Idle -> until_frame ()
+        | ev -> Alcotest.fail (reader_event_to_string ev)
+      in
+      let got = until_frame () in
+      Thread.join writer;
+      check Alcotest.string "payload" payload got)
+
+(* The verdicts of both readers on one byte stream ended by EOF. *)
+let verdicts ?(max_len = 1024) bytes =
+  let on_stream f =
+    with_socketpair (fun a b ->
+        write_all a bytes;
+        Unix.shutdown a Unix.SHUTDOWN_SEND;
+        f b)
+  in
+  let rec plain b acc =
+    match Protocol.read_frame ~max_len b with
+    | Ok p -> plain b (Ok p :: acc)
+    | Error e -> List.rev (Error e :: acc)
+  in
+  let rec buffered r acc =
+    match Protocol.Reader.next r with
+    | Protocol.Reader.Frame p -> buffered r (Ok p :: acc)
+    | Protocol.Reader.Idle -> Alcotest.fail "idle on a blocking socket"
+    | Protocol.Reader.Failed e -> List.rev (Error e :: acc)
+  in
+  let a = on_stream (fun b -> plain b []) in
+  let b = on_stream (fun b -> buffered (Protocol.Reader.create ~max_len b) []) in
+  let show = function
+    | Ok p -> "frame " ^ p
+    | Error e -> Protocol.read_error_to_string e
+  in
+  check
+    Alcotest.(list string)
+    "read_frame and Reader agree" (List.map show a) (List.map show b);
+  List.hd (List.rev b)
+
+let reader_eof_verdicts () =
+  let hdr n =
+    let h = Bytes.create 4 in
+    Bytes.set_int32_be h 0 n;
+    Bytes.to_string h
+  in
+  let expect what want bytes =
+    match verdicts bytes with
+    | Error e when e = want -> ()
+    | v ->
+        Alcotest.failf "%s: got %s" what
+          (match v with
+          | Ok p -> "frame " ^ p
+          | Error e -> Protocol.read_error_to_string e)
+  in
+  expect "EOF at a boundary" Protocol.Closed (frame_bytes "ab");
+  expect "EOF mid-header" Protocol.Truncated (frame_bytes "ab" ^ "\000\000");
+  expect "EOF mid-body" Protocol.Truncated (hdr 10l ^ "abc");
+  expect "oversized" (Protocol.Oversized 0x7FFF_0000) (hdr 0x7FFF_0000l ^ "abc");
+  expect "negative" (Protocol.Oversized (-1)) (hdr (-1l))
+
+let reader_stall () =
+  (* Receive timeouts at a frame boundary only ever report Idle; inside
+     a frame the max_stalled_reads-th one is Timed_out. *)
+  with_socketpair (fun a b ->
+      Unix.setsockopt_float b Unix.SO_RCVTIMEO 0.005;
+      let r = Protocol.Reader.create b in
+      for _ = 1 to Protocol.Reader.max_stalled_reads + 5 do
+        match Protocol.Reader.next r with
+        | Protocol.Reader.Idle -> ()
+        | ev -> Alcotest.fail ("idle connection: " ^ reader_event_to_string ev)
+      done;
+      write_all a "\000\000";
+      let rec until_failed idles =
+        match Protocol.Reader.next r with
+        | Protocol.Reader.Idle -> until_failed (idles + 1)
+        | Protocol.Reader.Failed Protocol.Timed_out -> idles
+        | ev -> Alcotest.fail ("stalled frame: " ^ reader_event_to_string ev)
+      in
+      check Alcotest.int "idles before giving up"
+        (Protocol.Reader.max_stalled_reads - 1) (until_failed 0))
 
 (* {1 Service semantics} *)
 
@@ -840,6 +989,158 @@ let daemon_drain_in_flight () =
       | _fd2 -> Alcotest.fail "connect succeeded after drain"
       | exception Unix.Unix_error _ -> ())
 
+(* {1 Live daemon: inline index answers} *)
+
+let with_index_daemon ?workers ?queue_capacity ?trace ?libraries f =
+  let svc =
+    Service.create ?libraries ~index:(Lazy.force complete_index) library3
+  in
+  let socket = temp_socket_path () in
+  let daemon = Daemon.start ?workers ?queue_capacity ?trace ~socket svc in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.stop daemon;
+      Daemon.wait daemon)
+    (fun () -> f svc daemon socket)
+
+let request_frame req =
+  frame_bytes (Telemetry.Json.to_string (Mce.Request.to_json req))
+
+let read_response fd =
+  match Protocol.read_frame fd with
+  | Error e -> Alcotest.fail (Protocol.read_error_to_string e)
+  | Ok payload -> (
+      match Mce.Response.of_string payload with
+      | Ok resp -> resp
+      | Error e -> Alcotest.fail e)
+
+let with_connection socket f =
+  let fd = Protocol.connect socket in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) (fun () -> f fd)
+
+let call_ok fd req =
+  match Protocol.call fd req with
+  | Ok resp -> resp
+  | Error e -> Alcotest.fail ("transport: " ^ e)
+
+(* the exact cost-8 function: a probe no forward horizon reaches *)
+let probe ?id () = Mce.Request.make ?id ~max_depth:13 "0,1,2,3,4,7,5,6"
+
+let daemon_inline_never_overloaded () =
+  (* One worker, a one-slot queue, both held by keyed searches that run
+     to their deadline (a transposition on four wires is odd, so NCT
+     never reaches it).  An index request sent behind them is answered
+     at once, with Service.answer's bytes, while a keyed request sent
+     just before it is refused as overloaded. *)
+  Telemetry.set_enabled true;
+  let nct4 = Library.of_name ~qubits:4 "nct" in
+  with_index_daemon ~workers:1 ~queue_capacity:1 ~libraries:[ nct4 ]
+  @@ fun svc _ socket ->
+  with_connection socket @@ fun fd ->
+  let search id =
+    Mce.Request.make ~id ~qubits:4 ~library:"nct" ~max_depth:12
+      ~deadline_ms:500 "(14,15)"
+  in
+  write_all fd (request_frame (search "busy"));
+  (* wait for the worker to take it, so the next one fills the queue *)
+  let t0 = Unix.gettimeofday () in
+  while gauge "server.inflight" < 1. do
+    if Unix.gettimeofday () -. t0 > 10. then Alcotest.fail "no worker took the search";
+    Thread.delay 0.001
+  done;
+  write_all fd
+    (String.concat ""
+       (List.map request_frame
+          [ search "queued"; search "refused"; probe ~id:"probe" () ]));
+  let id (r : Mce.Response.t) = Option.value r.Mce.Response.id ~default:"" in
+  (* responses in arrival order *)
+  let responses = List.init 4 (fun _ -> read_response fd) in
+  check
+    Alcotest.(list string)
+    "refusal and index answer come first, searches last"
+    [ "refused"; "probe"; "busy"; "queued" ]
+    (List.map id responses);
+  match responses with
+  | [ refused; answer; busy; queued ] ->
+      (match refused.Mce.Response.body with
+      | Error (Mce.Response.Overloaded _) -> ()
+      | _ -> Alcotest.fail "the queue was not full: the keyed request got in");
+      check Alcotest.string "inline bytes = Service.answer"
+        (Mce.Response.to_string (Service.answer svc (probe ~id:"probe" ())))
+        (Mce.Response.to_string answer);
+      List.iter
+        (fun (r : Mce.Response.t) ->
+          match r.Mce.Response.body with
+          | Error Mce.Response.Deadline_exceeded -> ()
+          | _ -> Alcotest.fail (id r ^ ": expected the search to hit its deadline"))
+        [ busy; queued ]
+  | _ -> assert false
+
+let daemon_inline_pipelined () =
+  (* Index frames pipelined in one write are answered in order, a
+     zero-length frame gets a bad-request reply, and the inline answers
+     count in server.requests. *)
+  Telemetry.set_enabled true;
+  with_index_daemon @@ fun svc _ socket ->
+  with_connection socket @@ fun fd ->
+  let reqs =
+    List.map (fun spec -> Mce.Request.make ~id:spec ~max_depth:13 spec)
+      [ "toffoli"; "fredkin"; "0,1,2,3,4,7,5,6" ]
+  in
+  let requests0 = counter "server.requests" in
+  write_all fd (String.concat "" (List.map request_frame reqs));
+  List.iter
+    (fun req ->
+      check Alcotest.string "in order, Service.answer's bytes"
+        (Mce.Response.to_string (Service.answer svc req))
+        (Mce.Response.to_string (read_response fd)))
+    reqs;
+  check Alcotest.int "server.requests counts inline answers" 3
+    (counter "server.requests" - requests0);
+  write_all fd (frame_bytes "");
+  (match (read_response fd).Mce.Response.body with
+  | Error (Mce.Response.Bad_request _) -> ()
+  | _ -> Alcotest.fail "zero-length frame not answered as bad-request");
+  check Alcotest.string "connection still serves"
+    (Mce.Response.to_string (Service.answer svc (probe ())))
+    (Mce.Response.to_string (call_ok fd (probe ())))
+
+let daemon_oversized_drops () =
+  with_index_daemon @@ fun _ _ socket ->
+  with_connection socket @@ fun fd ->
+  let hdr = Bytes.create 4 in
+  Bytes.set_int32_be hdr 0 0x7FFF_0000l;
+  write_all fd (Bytes.to_string hdr ^ String.make 100 'x');
+  match Protocol.read_frame fd with
+  | Error Protocol.Closed | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
+      ()
+  | Ok _ -> Alcotest.fail "oversized frame answered"
+  | Error e -> Alcotest.fail (Protocol.read_error_to_string e)
+
+let daemon_drain_buffered_inline () =
+  (* Index frames that reach a connection after stop, pipelined so all
+     but the first sit in the reader's buffer, each get shutting-down;
+     then the daemon hangs up. *)
+  with_index_daemon @@ fun _ daemon socket ->
+  with_connection socket @@ fun fd ->
+  ignore (call_ok fd (probe ()));
+  Daemon.stop daemon;
+  write_all fd
+    (String.concat ""
+       (List.map (fun id -> request_frame (probe ~id ())) [ "a"; "b"; "c" ]));
+  List.iter
+    (fun id ->
+      let resp = read_response fd in
+      check Alcotest.(option string) "id" (Some id) resp.Mce.Response.id;
+      match resp.Mce.Response.body with
+      | Error Mce.Response.Shutting_down -> ()
+      | _ -> Alcotest.fail (id ^ ": answered during the drain"))
+    [ "a"; "b"; "c" ];
+  match Protocol.read_frame fd with
+  | Error Protocol.Closed -> ()
+  | Ok _ -> Alcotest.fail "a fourth response"
+  | Error e -> Alcotest.fail (Protocol.read_error_to_string e)
+
 (* {1 HTTP observability endpoints} *)
 
 let find_sub haystack needle =
@@ -919,11 +1220,6 @@ let http_endpoints () =
 
 (* {1 Tracing through the daemon} *)
 
-let call_ok fd req =
-  match Protocol.call fd req with
-  | Ok resp -> resp
-  | Error e -> Alcotest.fail ("transport: " ^ e)
-
 let daemon_trace_ids () =
   (* With tracing on, every response carries a distinct trace id — and
      the id survives the JSON round-trip (the wire is re-parsed by
@@ -952,6 +1248,54 @@ let daemon_trace_ids () =
       let want = Mce.Response.to_string (Service.answer oracle req) in
       let got = Mce.Response.to_string (Mce.Response.with_trace None a) in
       check Alcotest.string "traced body equals untraced" want got)
+
+let daemon_traced_inline () =
+  (* A traced daemon answering from its complete index: every trace id
+     it returns names a server.request root in the span file, with the
+     mce.solve and server.write children and no server.queue_wait. *)
+  Telemetry.set_enabled true;
+  let path = Filename.temp_file "qsynth_trace" ".jsonl" in
+  let oc = open_out path in
+  Telemetry.set_jsonl (Some oc);
+  let ids =
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.set_jsonl None;
+        close_out oc)
+      (fun () ->
+        with_index_daemon ~trace:true @@ fun _ _ socket ->
+        with_connection socket @@ fun fd ->
+        List.map
+          (fun spec ->
+            match (call_ok fd (Mce.Request.make ~max_depth:13 spec)).Mce.Response.trace with
+            | Some tr -> tr
+            | None -> Alcotest.fail "traced daemon answered without a trace id")
+          [ "toffoli"; "fredkin"; "0,1,2,3,4,7,5,6"; "toffoli" ])
+  in
+  let lines = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  let spans =
+    String.split_on_char '\n' lines
+    |> List.filter (( <> ) "")
+    |> List.map (fun l ->
+           let open Telemetry.Json in
+           let j = of_string l in
+           let str = function Some (String s) -> s | _ -> "" in
+           ( str (Option.bind (member "attrs" j) (member "trace")),
+             str (member "name" j),
+             match member "depth" j with Some (Int d) -> d | _ -> -1 ))
+  in
+  List.iter
+    (fun tr ->
+      check
+        Alcotest.(list (pair string int))
+        (tr ^ ": one request tree")
+        [ ("mce.solve", 1); ("server.request", 0); ("server.write", 1) ]
+        (List.sort compare
+           (List.filter_map
+              (fun (t, name, depth) -> if t = tr then Some (name, depth) else None)
+              spans)))
+    ids
 
 let daemon_untraced_has_no_trace () =
   let svc = Service.create ~jobs:jobs_under_test library3 in
@@ -1041,6 +1385,16 @@ let slow_log_negative_rejected () =
   | _ -> Alcotest.fail "negative slow_ms accepted"
   | exception Invalid_argument _ -> ()
 
+let daemon_workers_bounded () =
+  (* Worker domains spawn lazily, so a count beyond the runtime's domain
+     limit must fail at start, not on the first search request. *)
+  let svc = Service.create ~jobs:jobs_under_test library3 in
+  let socket = temp_socket_path () in
+  (match Daemon.start ~workers:128 ~socket svc with
+  | _ -> Alcotest.fail "128 workers accepted"
+  | exception Invalid_argument _ -> ());
+  checkb "no socket bound" false (Sys.file_exists socket)
+
 let daemon_draining_flag () =
   let svc = Service.create ~jobs:jobs_under_test library3 in
   let socket = temp_socket_path () in
@@ -1086,6 +1440,12 @@ let () =
             frame_oversized_read;
           Alcotest.test_case "truncated frame detected" `Quick frame_truncated;
           Alcotest.test_case "clean close detected" `Quick frame_closed;
+          Alcotest.test_case "pipelined frames, one read" `Quick
+            reader_pipelined;
+          Alcotest.test_case "dribbled frame" `Quick reader_dribbled;
+          Alcotest.test_case "EOF verdicts agree with read_frame" `Quick
+            reader_eof_verdicts;
+          Alcotest.test_case "stall budget" `Quick reader_stall;
         ] );
       ( "service",
         [
@@ -1122,8 +1482,18 @@ let () =
             daemon_stress;
           Alcotest.test_case "graceful drain answers in-flight" `Quick
             daemon_drain_in_flight;
+          Alcotest.test_case "worker count bounded at start" `Quick
+            daemon_workers_bounded;
           Alcotest.test_case "draining flag transitions" `Quick
             daemon_draining_flag;
+          Alcotest.test_case "index answers never overloaded" `Quick
+            daemon_inline_never_overloaded;
+          Alcotest.test_case "pipelined index frames, counted" `Quick
+            daemon_inline_pipelined;
+          Alcotest.test_case "oversized frame drops the connection" `Quick
+            daemon_oversized_drops;
+          Alcotest.test_case "drain answers buffered index frames" `Quick
+            daemon_drain_buffered_inline;
         ] );
       ( "http",
         [ Alcotest.test_case "metrics/healthz/readyz" `Quick http_endpoints ] );
@@ -1132,6 +1502,8 @@ let () =
           Alcotest.test_case "trace ids round-trip" `Quick daemon_trace_ids;
           Alcotest.test_case "no trace id when untraced" `Quick
             daemon_untraced_has_no_trace;
+          Alcotest.test_case "inline answers join their trace" `Quick
+            daemon_traced_inline;
         ] );
       ( "slow-log",
         [

@@ -213,6 +213,30 @@ let test_disabled_noop () =
   | _ -> Alcotest.fail "disabled mode must record no spans");
   set_enabled true
 
+(* instruments without spans: what a metrics-only daemon records *)
+
+let test_instruments_only () =
+  fresh ();
+  reset ();
+  set_enabled ~spans:false true;
+  let c = Counter.create "test.instruments_only.counter" in
+  let h = Histogram.create "test.instruments_only.histogram" in
+  Span.with_span "instruments_only.span" (fun () ->
+      Counter.incr c;
+      Histogram.observe h 1.0;
+      Span.set_attr "x" Json.Null);
+  Span.record "instruments_only.record" ~start_s:0. ~dur_s:1.;
+  checki "counter recorded" 1 (Counter.value c);
+  checki "histogram recorded" 1 (Histogram.count h);
+  (match Json.member "spans" (snapshot ()) with
+  | Some (Json.List []) -> ()
+  | _ -> Alcotest.fail "instruments-only mode must record no spans");
+  set_enabled true;
+  Span.with_span "full.span" ignore;
+  (match Json.member "spans" (snapshot ()) with
+  | Some (Json.List [ _ ]) -> ()
+  | _ -> Alcotest.fail "set_enabled true must record spans again")
+
 (* JSON-lines exporter *)
 
 let test_jsonl_export () =
@@ -249,6 +273,70 @@ let test_jsonl_export () =
       | Some (Json.String "span") -> ()
       | _ -> Alcotest.fail "missing type tag")
     parsed
+
+(* Two systhreads of one domain, each inside its own span while the
+   other runs: a per-domain stack would nest the second thread's span
+   under the first's.  Each must close as a root carrying its own trace
+   id, and its child must inherit that id in the JSON-lines stream. *)
+let test_span_per_thread () =
+  fresh ();
+  let path = Filename.temp_file "telemetry" ".jsonl" in
+  let oc = open_out path in
+  set_jsonl (Some oc);
+  let opened = Atomic.make 0 in
+  let worker tag =
+    Span.with_span ~attrs:[ ("trace", Json.String tag) ] "req" (fun () ->
+        Atomic.incr opened;
+        (* both spans are open before either closes *)
+        while Atomic.get opened < 2 do
+          Thread.yield ()
+        done;
+        Span.with_span "child" Thread.yield)
+  in
+  let threads = List.map (Thread.create worker) [ "A"; "B" ] in
+  List.iter Thread.join threads;
+  set_jsonl None;
+  close_out oc;
+  let lines = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  let str_of = function Some (Json.String s) -> s | _ -> "" in
+  let roots =
+    match Json.member "spans" (snapshot ()) with
+    | Some (Json.List roots) -> roots
+    | _ -> Alcotest.fail "no span forest"
+  in
+  check
+    Alcotest.(list (pair string string))
+    "two roots, one per thread"
+    [ ("A", "req"); ("B", "req") ]
+    (List.sort compare
+       (List.map
+          (fun r ->
+            ( str_of
+                (Option.bind (Json.member "attrs" r) (Json.member "trace")),
+              str_of (Json.member "name" r) ))
+          roots));
+  List.iter
+    (fun r ->
+      match Json.member "children" r with
+      | Some (Json.List [ c ]) ->
+          check Alcotest.string "one child" "child" (str_of (Json.member "name" c))
+      | _ -> Alcotest.fail "each root has exactly its own child")
+    roots;
+  let exported =
+    String.split_on_char '\n' lines
+    |> List.filter (( <> ) "")
+    |> List.map Json.of_string
+    |> List.map (fun j ->
+           ( str_of (Json.member "name" j),
+             str_of (Option.bind (Json.member "attrs" j) (Json.member "trace")),
+             match Json.member "depth" j with Some (Json.Int d) -> d | _ -> -1 ))
+  in
+  check
+    Alcotest.(list (triple string string int))
+    "children inherit their own thread's trace"
+    [ ("child", "A", 1); ("child", "B", 1); ("req", "A", 0); ("req", "B", 0) ]
+    (List.sort compare exported)
 
 (* census metrics snapshot: the `qsynth census --metrics FILE` payload *)
 
@@ -347,9 +435,14 @@ let () =
           Alcotest.test_case "nesting and timing" `Quick test_span_nesting_and_timing;
           Alcotest.test_case "exception safety" `Quick test_span_exception_safety;
           Alcotest.test_case "jsonl export" `Quick test_jsonl_export;
+          Alcotest.test_case "stacks are per thread" `Quick test_span_per_thread;
         ] );
       ( "switch",
-        [ Alcotest.test_case "disabled no-op" `Quick test_disabled_noop ] );
+        [
+          Alcotest.test_case "disabled no-op" `Quick test_disabled_noop;
+          Alcotest.test_case "instruments without spans" `Quick
+            test_instruments_only;
+        ] );
       ( "census",
         [
           Alcotest.test_case "metrics snapshot parses" `Quick
