@@ -144,8 +144,8 @@ let fingerprint library =
 
 type capture = {
   header : header;
-  shards : (int * int array * int array * int array * Bytes.t) array;
-      (* count, depths, vias, parents, conjs *)
+  shards : (int * int array * int array) array;
+      (* count, packed metas, parents — see State_arena.shard_columns *)
 }
 
 let capture search =
@@ -167,11 +167,7 @@ let capture search =
   {
     header;
     shards =
-      Array.init State_arena.num_shards (fun s ->
-          let count, _keys, depths, vias, parents, conjs =
-            State_arena.shard_columns store s
-          in
-          (count, depths, vias, parents, conjs));
+      Array.init State_arena.num_shards (State_arena.shard_columns store);
   }
 
 (* {1 Serialization}
@@ -188,7 +184,7 @@ let serialized_size c =
   let mb = if c.header.symmetry = None then meta_bytes else meta_bytes_q in
   let n = ref (header_bytes + 4) in
   if c.header.symmetry <> None then n := !n + 8;
-  Array.iter (fun (count, _, _, _, _) -> n := !n + 4 + (count * mb)) c.shards;
+  Array.iter (fun (count, _, _) -> n := !n + 4 + (count * mb)) c.shards;
   !n
 
 let serialize c =
@@ -223,16 +219,17 @@ let serialize c =
   put_u64 h.frontier_len;
   put_u32 (Array.length c.shards);
   Array.iter
-    (fun (count, depths, vias, parents, conjs) ->
+    (fun (count, metas, parents) ->
       put_u32 count;
       for idx = 0 to count - 1 do
-        Bytes.set_int16_le buf !pos depths.(idx);
+        let m = metas.(idx) in
+        Bytes.set_int16_le buf !pos (State_arena.meta_depth m);
         (* via and parent are -1 at the root; bias by one so the stored
            fields are unsigned *)
-        Bytes.set_uint8 buf (!pos + 2) (vias.(idx) + 1);
+        Bytes.set_uint8 buf (!pos + 2) (State_arena.meta_via m + 1);
         pos := !pos + 3;
         if quotient then begin
-          Bytes.set_uint8 buf !pos (Char.code (Bytes.get conjs idx));
+          Bytes.set_uint8 buf !pos (State_arena.meta_conj m);
           incr pos
         end;
         Bytes.set_int64_le buf !pos (Int64.of_int (parents.(idx) + 1));
@@ -507,7 +504,6 @@ let rebuild_keys sym library ~klen ~max_d ~counts ~depths ~vias ~parents ~conjs 
   let num_shards = Array.length counts in
   let keys = Array.init num_shards (fun s -> Bytes.create (counts.(s) * klen)) in
   let raw = Bytes.create klen in
-  let tmp = Bytes.create klen in
   for d = 0 to max_d do
     for s = 0 to num_shards - 1 do
       let ds = depths.(s) in
@@ -543,7 +539,7 @@ let rebuild_keys sym library ~klen ~max_d ~counts ~depths ~vias ~parents ~conjs 
                   Bytes.blit raw 0 keys.(s) off klen;
                   0
               | Some sym ->
-                  Symmetry.canon_into sym ~src:raw ~soff:0 ~tmp ~dst:keys.(s) ~doff:off
+                  Symmetry.canon_into sym ~src:raw ~soff:0 ~dst:keys.(s) ~doff:off
             in
             if conj <> Char.code (Bytes.get conjs.(s) idx) then
               corrupt

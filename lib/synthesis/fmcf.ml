@@ -21,6 +21,8 @@ type t = {
   levels : level list;
   witnesses : (string, string) Hashtbl.t;
       (* image -> canonical witness (library entry indices), filled on demand *)
+  signatures : int array; (* mixed signature of each encoding point *)
+  canon_buf : Bytes.t; (* canonical-image scratch of depth_of_image *)
 }
 
 type stop_reason = Completed | Budget_states | Budget_mem | Timed_out | Cancelled
@@ -142,7 +144,16 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
           (describe_stop reason));
   if Telemetry.enabled () then
     Telemetry.Span.set_attr "stop_reason" (Telemetry.Json.String (describe_stop reason));
-  ( { library; search; levels = List.rev !levels; witnesses = Hashtbl.create 4096 },
+  let encoding = Library.encoding library in
+  ( {
+      library;
+      search;
+      levels = List.rev !levels;
+      witnesses = Hashtbl.create 4096;
+      signatures =
+        Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding);
+      canon_buf = Bytes.create (Mvl.Encoding.num_binary encoding);
+    },
     reason )
 
 let run ?max_depth ?jobs ?quotient library =
@@ -269,7 +280,11 @@ let total_found t = List.fold_left (fun acc l -> acc + l.functions) 0 t.levels
    depths are constant on orbits): a function's minimal cost. *)
 let depth_of_image t img =
   match Search.symmetry t.search with
-  | Some sym -> Search.depth_of_key t.search (fst (Symmetry.canon sym img))
+  | Some sym ->
+      ignore
+        (Symmetry.canon_into sym ~src:(Bytes.unsafe_of_string img) ~soff:0
+           ~dst:t.canon_buf ~doff:0);
+      Search.depth_of_key t.search (Bytes.unsafe_to_string t.canon_buf)
   | None -> Search.depth_of_key t.search img
 
 (* A function's image vector is its func_key. *)
@@ -296,11 +311,7 @@ let find t func =
 
 let witness_gates t (member : member) =
   let entries = Library.entries t.library in
-  let encoding = Library.encoding t.library in
-  let nb = Mvl.Encoding.num_binary encoding in
-  let signatures =
-    Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding)
-  in
+  let nb = Search.key_length t.search in
   (* [step v k 0] is the canonical step's gate, its pre-image left in [u] *)
   let u = Bytes.create nb in
   let rec step v k g =
@@ -311,7 +322,7 @@ let witness_gates t (member : member) =
     for b = 0 to nb - 1 do
       let x = e.Library.inverse_array.(Char.code v.[b]) in
       Bytes.set u b (Char.chr x);
-      sg := !sg lor signatures.(x)
+      sg := !sg lor t.signatures.(x)
     done;
     (* [u] is only read by the probe, never kept *)
     if !sg land e.Library.purity_mask = 0

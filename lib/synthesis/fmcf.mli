@@ -153,7 +153,8 @@ val total_found : t -> int
 
 (** [find t func] probes the arena for the function's (canonical) image:
     its depth is the minimal cost.  [None] when the function is absent
-    or its width is not the library's. *)
+    or its width is not the library's.  Canonicalizes into a scratch
+    buffer held in [t], so it is not domain-safe. *)
 val find : t -> Reversible.Revfun.t -> member option
 
 (** [cascade_of_member t member] is the member's canonical witness —

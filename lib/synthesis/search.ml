@@ -35,7 +35,7 @@ type candbuf = {
   mutable clen : int;
 }
 
-let via_bits = 6 (* a library holds < 64 gates (36 at 4 qubits) *)
+let via_bits = 6 (* a library holds <= 64 gates (36 at 4 qubits); checked at create *)
 let conj_bits = 5 (* qubits! wire relabelings: 24 at 4 qubits; checked at create *)
 
 let make_candbuf degree =
@@ -46,7 +46,7 @@ let grow_ints a len =
   Array.blit a 0 a' 0 len;
   a'
 
-let cand_append buf ~degree scratch ~hash ~meta =
+let cand_append buf ~degree key ~off ~hash ~meta =
   let i = buf.clen in
   if i = Array.length buf.cmeta then begin
     let cap = 2 * i in
@@ -56,7 +56,7 @@ let cand_append buf ~degree scratch ~hash ~meta =
     Bytes.blit buf.ckeys 0 keys' 0 (i * degree);
     buf.ckeys <- keys'
   end;
-  Bytes.blit scratch 0 buf.ckeys (i * degree) degree;
+  Bytes.blit key off buf.ckeys (i * degree) degree;
   buf.cmeta.(i) <- meta;
   buf.chashes.(i) <- hash;
   buf.clen <- i + 1
@@ -89,9 +89,11 @@ type t = {
   (* per-step scratch, reused across levels *)
   cand : candbuf array array; (* jobs x shards *)
   fresh_by_shard : ibuf array;
-  scratch : Bytes.t array; (* one compose buffer per domain *)
-  canon_tmp : Bytes.t array; (* per-domain canonicalization scratch (quotient mode) *)
-  canon_dst : Bytes.t array;
+  (* per-domain children of one parent (see expand_parent) *)
+  raw : Bytes.t array; (* a child's image before canonicalization (quotient mode) *)
+  kids : Bytes.t array; (* ngates * klen key bytes *)
+  kid_hashes : int array array;
+  kid_gates : int array array; (* (conj lsl via_bits) lor via *)
   rejected_d : int array; (* per-domain counters, summed after the join *)
   fresh_d : int array;
   dup_d : int array;
@@ -131,6 +133,8 @@ let key_length_of ~symmetry library =
   if Mvl.Encoding.size encoding > 255 then
     invalid_arg "Search.create: encoding too large for byte keys";
   let num_binary = Mvl.Encoding.num_binary encoding in
+  if Library.size library > 1 lsl via_bits then
+    invalid_arg "Search: library too large for the gate field";
   (match symmetry with
   | None -> ()
   | Some sym ->
@@ -158,9 +162,10 @@ let make_engine ~jobs ~symmetry library ~store ~frontier ~depth =
     orbit_hits = 0;
     cand = Array.init jobs (fun _ -> Array.init num_shards (fun _ -> make_candbuf klen));
     fresh_by_shard = Array.init num_shards (fun _ -> make_ibuf ());
-    scratch = Array.init jobs (fun _ -> Bytes.create klen);
-    canon_tmp = Array.init jobs (fun _ -> Bytes.create klen);
-    canon_dst = Array.init jobs (fun _ -> Bytes.create klen);
+    raw = Array.init jobs (fun _ -> Bytes.create klen);
+    kids = Array.init jobs (fun _ -> Bytes.create (Array.length entries * klen));
+    kid_hashes = Array.init jobs (fun _ -> Array.make (Array.length entries) 0);
+    kid_gates = Array.init jobs (fun _ -> Array.make (Array.length entries) 0);
     rejected_d = Array.make jobs 0;
     fresh_d = Array.make jobs 0;
     dup_d = Array.make jobs 0;
@@ -182,7 +187,7 @@ let create ?(jobs = 1) ?symmetry library =
   let root_hash = State_arena.hash_key root_key ~off:0 ~len:klen in
   let root =
     State_arena.try_insert store ~key:root_key ~off:0 ~hash:root_hash ~depth:0 ~via:(-1)
-      ~parent:(-1)
+      ~conj:0 ~parent:(-1)
   in
   make_engine ~jobs ~symmetry library ~store ~frontier:[| root |] ~depth:0
 
@@ -259,6 +264,59 @@ let run_workers ~parallel jobs f =
    set by a signal handler qualifies. *)
 let cancel_poll_mask = 63
 
+(* [expand_parent t r h] writes every legal child of frontier state [h]
+   into rank [r]'s child buffers, in gate order: its key (the canonical
+   form in quotient mode), the key's hash, and its gate word [(conj lsl
+   via_bits) lor via].  Returns the number of children.  Composing a
+   parent's children before any of them is probed lets the probes run
+   back to back, so their cache misses overlap. *)
+let expand_parent t r h =
+  let klen = t.klen in
+  let kids = t.kids.(r) and hashes = t.kid_hashes.(r) and gates = t.kid_gates.(r) in
+  let signature = State_arena.signature_of t.store h in
+  let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
+  let soff = State_arena.key_offset t.store h in
+  let k = ref 0 in
+  for via = 0 to Array.length t.perm_arrays - 1 do
+    if signature land t.purity_masks.(via) = 0 then begin
+      let pa = t.perm_arrays.(via) in
+      let off = !k * klen in
+      (match t.sym with
+      | None ->
+          let acc = ref 0 in
+          for j = 0 to klen - 1 do
+            let b = Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j))) in
+            Bytes.unsafe_set kids (off + j) (Char.unsafe_chr b);
+            acc := (!acc * 131) + b
+          done;
+          (* finalize exactly as State_arena.hash_key *)
+          let hv = !acc in
+          let hv = hv lxor (hv lsr 23) in
+          let hv = hv * 0x2545F4914F6CDD1 in
+          let hv = hv lxor (hv lsr 29) in
+          Array.unsafe_set hashes !k (hv land max_int);
+          Array.unsafe_set gates !k via
+      | Some sym ->
+          (* Quotiented: the stored key is a canonical image vector, so
+             applying the gate gives the child's raw image; hash only its
+             canonical form. *)
+          let raw = t.raw.(r) in
+          for j = 0 to klen - 1 do
+            Bytes.unsafe_set raw j
+              (Char.unsafe_chr
+                 (Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j)))))
+          done;
+          let conj = Symmetry.canon_into sym ~src:raw ~soff:0 ~dst:kids ~doff:off in
+          Array.unsafe_set hashes !k (State_arena.hash_key kids ~off ~len:klen);
+          Array.unsafe_set gates !k ((conj lsl via_bits) lor via));
+      incr k
+    end
+  done;
+  !k
+
+let via_mask = (1 lsl via_bits) - 1
+let conj_mask = (1 lsl conj_bits) - 1
+
 (* Phase 1: expand the frontier chunk of rank [r] into per-shard candidate
    buffers.  Read-only on the store.  Polls [cancel] between chunks and
    returns early when it fires (the partially filled buffers are
@@ -272,57 +330,20 @@ let expand_chunk t r ~e ~cancel =
   for s = 0 to num_shards - 1 do
     row.(s).clen <- 0
   done;
-  let scratch = t.scratch.(r) in
-  let tmp = t.canon_tmp.(r) and dst = t.canon_dst.(r) in
+  let kids = t.kids.(r) and hashes = t.kid_hashes.(r) and gates = t.kid_gates.(r) in
   let ngates = Array.length t.perm_arrays in
   let rejected = ref 0 in
   let i = ref lo in
   while !i < hi && not (!i land cancel_poll_mask = 0 && cancel ()) do
     let h = t.frontier.(!i) in
-    let signature = State_arena.signature_of t.store h in
-    let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
-    let soff = State_arena.key_offset t.store h in
-    for via = 0 to ngates - 1 do
-      if signature land t.purity_masks.(via) = 0 then begin
-        let pa = t.perm_arrays.(via) in
-        match t.sym with
-        | None ->
-            let acc = ref 0 in
-            for j = 0 to klen - 1 do
-              let b =
-                Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j)))
-              in
-              Bytes.unsafe_set scratch j (Char.unsafe_chr b);
-              acc := (!acc * 131) + b
-            done;
-            (* finalize exactly as State_arena.hash_key *)
-            let hv = !acc in
-            let hv = hv lxor (hv lsr 23) in
-            let hv = hv * 0x2545F4914F6CDD1 in
-            let hv = hv lxor (hv lsr 29) in
-            let hash = hv land max_int in
-            cand_append
-              row.(State_arena.shard_of_hash hash)
-              ~degree:klen scratch ~hash
-              ~meta:((h lsl (via_bits + conj_bits)) lor via)
-        | Some sym ->
-            (* Quotiented: the stored key is a canonical image vector, so
-               applying the gate gives the child's raw image; hash only
-               its canonical form. *)
-            for j = 0 to klen - 1 do
-              Bytes.unsafe_set scratch j
-                (Char.unsafe_chr
-                   (Array.unsafe_get pa
-                      (Char.code (Bytes.unsafe_get src (soff + j)))))
-            done;
-            let conj = Symmetry.canon_into sym ~src:scratch ~soff:0 ~tmp ~dst ~doff:0 in
-            let hash = State_arena.hash_key dst ~off:0 ~len:klen in
-            cand_append
-              row.(State_arena.shard_of_hash hash)
-              ~degree:klen dst ~hash
-              ~meta:((h lsl (via_bits + conj_bits)) lor (conj lsl via_bits) lor via)
-      end
-      else incr rejected
+    let k = expand_parent t r h in
+    rejected := !rejected + ngates - k;
+    for c = 0 to k - 1 do
+      let hash = hashes.(c) in
+      cand_append
+        row.(State_arena.shard_of_hash hash)
+        ~degree:klen kids ~off:(c * klen) ~hash
+        ~meta:((h lsl (via_bits + conj_bits)) lor gates.(c))
     done;
     incr i
   done;
@@ -340,8 +361,7 @@ let expand_chunk t r ~e ~cancel =
    exactly as before the call. *)
 let expand_insert_sequential t ~next_depth ~cancel =
   let klen = t.klen in
-  let scratch = t.scratch.(0) in
-  let tmp = t.canon_tmp.(0) and dst = t.canon_dst.(0) in
+  let kids = t.kids.(0) and hashes = t.kid_hashes.(0) and gates = t.kid_gates.(0) in
   let ngates = Array.length t.perm_arrays in
   let rejected = ref 0 and fresh = ref 0 and dup = ref 0 in
   for s = 0 to num_shards - 1 do
@@ -354,56 +374,22 @@ let expand_insert_sequential t ~next_depth ~cancel =
   while !i < n && not !cancelled do
     if !i land cancel_poll_mask = 0 && cancel () then cancelled := true
     else begin
-    let h = t.frontier.(!i) in
-    let signature = State_arena.signature_of t.store h in
-    let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
-    let soff = State_arena.key_offset t.store h in
-    for via = 0 to ngates - 1 do
-      if signature land t.purity_masks.(via) = 0 then begin
-        let pa = t.perm_arrays.(via) in
+      let h = t.frontier.(!i) in
+      let k = expand_parent t 0 h in
+      rejected := !rejected + ngates - k;
+      for c = 0 to k - 1 do
+        let g = gates.(c) in
         let child =
-          match t.sym with
-          | None ->
-              let acc = ref 0 in
-              for j = 0 to klen - 1 do
-                let b =
-                  Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j)))
-                in
-                Bytes.unsafe_set scratch j (Char.unsafe_chr b);
-                acc := (!acc * 131) + b
-              done;
-              let hv = !acc in
-              let hv = hv lxor (hv lsr 23) in
-              let hv = hv * 0x2545F4914F6CDD1 in
-              let hv = hv lxor (hv lsr 29) in
-              let hash = hv land max_int in
-              State_arena.try_insert t.store ~key:scratch ~off:0 ~hash
-                ~depth:next_depth ~via ~parent:h
-          | Some sym ->
-              for j = 0 to klen - 1 do
-                Bytes.unsafe_set scratch j
-                  (Char.unsafe_chr
-                     (Array.unsafe_get pa
-                        (Char.code (Bytes.unsafe_get src (soff + j)))))
-              done;
-              let conj =
-                Symmetry.canon_into sym ~src:scratch ~soff:0 ~tmp ~dst ~doff:0
-              in
-              let hash = State_arena.hash_key dst ~off:0 ~len:klen in
-              State_arena.try_insert t.store ~conj ~key:dst ~off:0 ~hash
-                ~depth:next_depth ~via ~parent:h
+          State_arena.try_insert t.store ~key:kids ~off:(c * klen) ~hash:hashes.(c)
+            ~depth:next_depth ~via:(g land via_mask) ~conj:(g lsr via_bits) ~parent:h
         in
         if child >= 0 then begin
-          ibuf_push
-            t.fresh_by_shard.(State_arena.shard_of_handle child)
-            child;
+          ibuf_push t.fresh_by_shard.(State_arena.shard_of_handle child) child;
           incr fresh
         end
         else incr dup
-      end
-      else incr rejected
-    done;
-    incr i
+      done;
+      incr i
     end
   done;
   if !cancelled then begin
@@ -427,8 +413,6 @@ let expand_insert_sequential t ~next_depth ~cancel =
    step and may hold stale candidates from an earlier, wider level. *)
 let dedupe_shards t r ~e ~next_depth =
   let klen = t.klen in
-  let via_mask = (1 lsl via_bits) - 1 in
-  let conj_mask = (1 lsl conj_bits) - 1 in
   let fresh = ref 0 and dup = ref 0 in
   let s = ref r in
   while !s < num_shards do

@@ -2,11 +2,19 @@
 
     Replaces the seed engine's per-state [string] key + boxed node record
     with [2^{!shard_bits}] shards, each holding a growable [Bytes] arena of
-    packed binary-image vectors (see {!Search}) plus flat [int] arrays for the per-state metadata
-    (BFS depth, the library index of the last gate, the parent handle, the
-    memoized binary-block signature, and the full key hash).  A state is
-    addressed by an integer {e handle} [(local_index lsl shard_bits) lor
-    shard]; no per-state heap object exists.
+    packed binary-image vectors (see {!Search}) plus two flat [int]
+    columns: the parent handle, and one packed metadata word (BFS depth,
+    the memoized binary-block signature, the library index of the last
+    gate and the symmetry conjugator).  A state costs its key bytes plus
+    16 bytes, not counting probe-table slots.  A state is addressed by an
+    integer {e handle} [(local_index lsl shard_bits) lor shard]; no
+    per-state heap object exists.
+
+    Each open-addressing slot holds a state's local index together with a
+    tag of its key hash, so a probe rejects most non-matching slots
+    without reading the key arena, and keys are compared a 64-bit word at
+    a time.  No hash is stored: growth, {!truncate} and {!restore_shard}
+    recompute it from the key bytes.
 
     A state's shard is a pure function of its key bytes
     ({!shard_of_hash} of {!hash_key}), so the store's contents — including
@@ -27,7 +35,9 @@ val num_shards : int
 (** [create ~degree ~signatures] is an empty store for state vectors of
     [degree] bytes; [signatures.(p)] is the mixed signature of encoding
     point [p], OR-ed over the bytes of a key to form the memoized
-    reasonable-product signature. *)
+    reasonable-product signature.
+    @raise Invalid_argument if some signature does not fit the packed
+    16-bit field (a per-wire mask of more than 16 qubits). *)
 val create : degree:int -> signatures:int array -> t
 
 val degree : t -> int
@@ -49,6 +59,12 @@ val table_capacity : t -> int
 val hash_key : Bytes.t -> off:int -> len:int -> int
 
 val shard_of_hash : int -> int
+
+(** [tag_of_hash h] is the part of [h] kept in a probe-table slot next
+    to the state's index: its top 16 bits, disjoint from the bits that
+    pick the shard and the home slot.  Two keys with the same shard and
+    tag are told apart only by comparing their bytes. *)
+val tag_of_hash : int -> int
 
 (** {1 Handle accessors} *)
 
@@ -93,6 +109,17 @@ val signature_of : t -> int -> int
     unquotiented store. *)
 val conj_of : t -> int -> int
 
+(** {1 Packed metadata}
+
+    The fields of a state's packed metadata word, as returned in the
+    [metas] column of {!shard_columns}.  Field ranges: depth below
+    [2^34], via in [-1 .. 126], conjugator in [0 .. 31]; {!try_insert}
+    and {!restore_shard} reject values outside them. *)
+
+val meta_depth : int -> int
+val meta_via : int -> int
+val meta_conj : int -> int
+
 (** {1 Lookup and insertion} *)
 
 (** [find t key ~off ~hash] is the handle of the stored state whose key
@@ -100,19 +127,22 @@ val conj_of : t -> int -> int
     bytes), or -1. *)
 val find : t -> Bytes.t -> off:int -> hash:int -> int
 
-(** [try_insert t ?conj ~key ~off ~hash ~depth ~via ~parent] inserts the
-    state into the shard dictated by [hash] and returns its new handle,
-    or -1 if an equal key is already present.  [conj] (default 0) is the
+(** [try_insert t ~key ~off ~hash ~depth ~via ~conj ~parent] inserts
+    the state into the shard dictated by [hash] and returns its new
+    handle, or -1 if an equal key is already present.  [conj] is the
     symmetry conjugator index stored alongside the metadata (see
-    {!conj_of}).  Only the addressed shard is mutated. *)
+    {!conj_of}; 0 outside quotient mode).  Only the addressed shard is
+    mutated.  Allocation-free.
+    @raise Invalid_argument if [depth], [via] or [conj] is outside its
+    packed field (see {!meta_depth}). *)
 val try_insert :
-  ?conj:int ->
   t ->
   key:Bytes.t ->
   off:int ->
   hash:int ->
   depth:int ->
   via:int ->
+  conj:int ->
   parent:int ->
   int
 
@@ -133,17 +163,16 @@ val shard_counts : t -> int array
     count (the token is from the future). *)
 val truncate : t -> int array -> unit
 
-(** [shard_columns t s] is shard [s]'s live column storage [(count, keys,
-    depths, vias, parents, conjs)] — a zero-copy capture for
-    serialization.  The
+(** [shard_columns t s] is shard [s]'s live column storage [(count,
+    metas, parents)] — a zero-copy capture for serialization; decode a
+    [metas] entry with {!meta_depth}, {!meta_via} and {!meta_conj}.  The
     first [count] entries of each column are immutable for the store's
     lifetime: insertions only append past [count] (growth replaces the
     column objects, leaving captured ones intact) and {!truncate} never
     rolls a shard below a level boundary captured at one.  A capture taken
     at a level boundary may therefore be read from another domain while
     the next level is being expanded. *)
-val shard_columns :
-  t -> int -> int * Bytes.t * int array * int array * int array * Bytes.t
+val shard_columns : t -> int -> int * int array * int array
 
 (** [handles_at_depth t d] is the handles of every state with BFS depth
     [d], in (shard, local index) order — the engine's canonical frontier
@@ -162,7 +191,7 @@ val max_depth : t -> int
     key is validated to belong to [shard] and to be unique within it.
     @raise Invalid_argument on any inconsistency (shard not empty,
     column length mismatch, foreign or duplicate key, byte outside the
-    encoding). *)
+    encoding, a field outside its packed range). *)
 val restore_shard :
   t ->
   shard:int ->

@@ -163,32 +163,35 @@ let conjugate_image t i img =
   let e = t.elements.(i) in
   String.init t.num_binary (fun b -> Char.chr e.qinv.(Char.code img.[e.qbin.(b)]))
 
-let canon_into t ~src ~soff ~tmp ~dst ~doff =
+(* Each conjugate is generated byte by byte against the best so far and
+   decided at the first byte that differs: a larger one is abandoned
+   there, a smaller one is written into [dst] from that byte on (the
+   bytes before it already agree).  An equal conjugate is never written,
+   so ties keep the earliest element and the conjugator is deterministic
+   even when the canonical form has a non-trivial stabilizer. *)
+let canon_into t ~src ~soff ~dst ~doff =
   let nb = t.num_binary in
   Bytes.blit src soff dst doff nb;
   let best = ref 0 in
   for gi = 1 to t.order - 1 do
     let e = Array.unsafe_get t.elements gi in
     let qbin = e.qbin and qinv = e.qinv in
-    for b = 0 to nb - 1 do
-      Bytes.unsafe_set tmp b
-        (Char.unsafe_chr
-           (Array.unsafe_get qinv
-              (Char.code (Bytes.unsafe_get src (soff + Array.unsafe_get qbin b)))))
+    (* byte [b] of the conjugate is [qinv.(src.(soff + qbin.(b)))] *)
+    let b = ref 0 and c = ref 0 in
+    while !c = 0 && !b < nb do
+      c :=
+        Array.unsafe_get qinv
+          (Char.code (Bytes.unsafe_get src (soff + Array.unsafe_get qbin !b)))
+        - Char.code (Bytes.unsafe_get dst (doff + !b));
+      incr b
     done;
-    (* strict lexicographic improvement only: ties keep the earliest
-       element, so the conjugator index is deterministic even when the
-       stabilizer of the canonical form is non-trivial *)
-    let rec cmp b =
-      if b >= nb then 0
-      else
-        let c =
-          Char.compare (Bytes.unsafe_get tmp b) (Bytes.unsafe_get dst (doff + b))
-        in
-        if c <> 0 then c else cmp (b + 1)
-    in
-    if cmp 0 < 0 then begin
-      Bytes.blit tmp 0 dst doff nb;
+    if !c < 0 then begin
+      for j = !b - 1 to nb - 1 do
+        Bytes.unsafe_set dst (doff + j)
+          (Char.unsafe_chr
+             (Array.unsafe_get qinv
+                (Char.code (Bytes.unsafe_get src (soff + Array.unsafe_get qbin j)))))
+      done;
       best := gi
     end
   done;
@@ -198,10 +201,7 @@ let canon t img =
   let nb = t.num_binary in
   if String.length img <> nb then invalid_arg "Symmetry.canon: image length mismatch";
   let dst = Bytes.create nb in
-  let tmp = Bytes.create nb in
-  let gi =
-    canon_into t ~src:(Bytes.unsafe_of_string img) ~soff:0 ~tmp ~dst ~doff:0
-  in
+  let gi = canon_into t ~src:(Bytes.unsafe_of_string img) ~soff:0 ~dst ~doff:0 in
   (Bytes.unsafe_to_string dst, gi)
 
 let orbit_images t img =

@@ -76,16 +76,16 @@ val gate_map : t -> int -> int array
     element [i] of any state whose image vector is [img]. *)
 val conjugate_image : t -> int -> string -> string
 
-(** [canon_into t ~src ~soff ~tmp ~dst ~doff] writes the canonical form
-    — the lexicographically least of the [order t] conjugates — of the
+(** [canon_into t ~src ~soff ~dst ~doff] writes the canonical form —
+    the lexicographically least of the [order t] conjugates — of the
     [num_binary]-byte image at [src.[soff ..]] into [dst.[doff ..]] and
     returns the index of the first element achieving it (0 when [src] is
-    already canonical).  [tmp] is caller-provided scratch of at least
-    [num_binary] bytes, distinct from [dst]; [src] is not modified (and
-    may alias neither buffer).  Allocation-free: the BFS hot path calls
-    this once per candidate state. *)
-val canon_into :
-  t -> src:Bytes.t -> soff:int -> tmp:Bytes.t -> dst:Bytes.t -> doff:int -> int
+    already canonical).  Each conjugate is compared with the best so far
+    byte by byte as it is generated and dropped at the first byte that
+    differs.  [src] is not modified and must not overlap [dst].
+    Allocation-free: the BFS hot path calls this once per candidate
+    state. *)
+val canon_into : t -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> int
 
 (** [canon t img] is [(canonical form, conjugator index)] of [img].
     Canonicalization is constant on orbits: [canon t (conjugate_image t

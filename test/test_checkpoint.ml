@@ -345,6 +345,36 @@ let qcheck_round_trip =
              && keys_at s d = keys_at r d)
            (List.init (depth + 1) Fun.id))
 
+(* {1 Golden bytes}
+
+   QSYNCKP1 files pinned by length and CRC-32 trailer, as written by
+   [census -d 6] and [census -q 4 -d 4], plain and with [--quotient]: a
+   change to the arena's handles, frontier order, packed metadata or
+   conjugators shows up here. *)
+
+let library4 = Library.make (Mvl.Encoding.make ~qubits:4)
+
+let test_golden_checkpoint_bytes () =
+  List.iter
+    (fun (name, library, quotient, depth, len, crc) ->
+      with_temp_file @@ fun path ->
+      let symmetry = if quotient then Some (Symmetry.create library) else None in
+      let s = Search.create ?symmetry library in
+      for _ = 1 to depth do
+        ignore (Search.step_handles s)
+      done;
+      Checkpoint.save s path;
+      let bytes = Checkpoint.read_file path in
+      check Alcotest.int (name ^ ": file length") len (Bytes.length bytes);
+      check Alcotest.string (name ^ ": CRC-32 trailer") (Printf.sprintf "%08lx" crc)
+        (Printf.sprintf "%08lx" (Bytes.get_int32_le bytes (Bytes.length bytes - 4))))
+    [
+      ("census -d 6", library3, false, 6, 119_912, 0xb2cc515cl);
+      ("census -d 6 --quotient", library3, true, 6, 22_348, 0xb4833e3dl);
+      ("census -q 4 -d 4", library4, false, 4, 820_447, 0xfca9c1a5l);
+      ("census -q 4 -d 4 --quotient", library4, true, 4, 38_788, 0x56d2b4e6l);
+    ]
+
 let () =
   Alcotest.run "checkpoint"
     [
@@ -378,4 +408,6 @@ let () =
           Alcotest.test_case "cancel mid-level" `Quick test_cancel_mid_level;
         ] );
       ("properties", [ qcheck_round_trip ]);
+      ( "golden bytes",
+        [ Alcotest.test_case "QSYNCKP1 length and CRC" `Quick test_golden_checkpoint_bytes ] );
     ]

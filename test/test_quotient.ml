@@ -233,6 +233,56 @@ let test_canon_invariant_reachable () =
       (Search.handles_at_depth s d)
   done
 
+(* canon_into against brute force: the least [conjugate_image] string
+   over all elements, the earliest element on ties, at 3 and 4 wires.
+   Images come from random bytes and from reachable states, many of
+   which (the identity, single gates) have non-trivial stabilizers, so
+   the tie rule decides the conjugator.  Buffers are read and written at
+   non-zero offsets. *)
+let test_canon_brute_force qubits () =
+  let library = Library.make (Mvl.Encoding.make ~qubits) in
+  let sym = Symmetry.create library in
+  let nb = Symmetry.num_binary sym and size = Mvl.Encoding.size (Library.encoding library) in
+  let reference img =
+    let best = ref img and arg = ref 0 in
+    for i = 1 to Symmetry.order sym - 1 do
+      let c = Symmetry.conjugate_image sym i img in
+      if String.compare c !best < 0 then begin
+        best := c;
+        arg := i
+      end
+    done;
+    (!best, !arg)
+  in
+  let src = Bytes.make (nb + 3) '\255' and dst = Bytes.make (nb + 5) '\255' in
+  let check_img img =
+    Bytes.blit_string img 0 src 3 nb;
+    let conj = Symmetry.canon_into sym ~src ~soff:3 ~dst ~doff:5 in
+    let expected, arg = reference img in
+    check Alcotest.string "canonical form" expected (Bytes.sub_string dst 5 nb);
+    check Alcotest.int "conjugator" arg conj;
+    check Alcotest.string "src untouched" img (Bytes.sub_string src 3 nb)
+  in
+  let rng = Random.State.make [| qubits |] in
+  for _ = 1 to 2000 do
+    check_img (String.init nb (fun _ -> Char.chr (Random.State.int rng size)))
+  done;
+  let s = Search.create library in
+  for _ = 1 to 3 do
+    ignore (Search.step_handles s)
+  done;
+  let stabilized = ref 0 in
+  for d = 0 to 3 do
+    Array.iter
+      (fun h ->
+        let img = Search.key_of_handle s h in
+        if Symmetry.orbit_size sym ~src:(Bytes.of_string img) ~soff:0 < Symmetry.order sym
+        then incr stabilized;
+        check_img img)
+      (Search.handles_at_depth s d)
+  done;
+  checkb "some images have a non-trivial stabilizer" true (!stabilized > 0)
+
 (* {1 Quotient checkpoints (v2)} *)
 
 let quotient_search_at ?(jobs = 1) depth =
@@ -397,6 +447,10 @@ let () =
       ( "canonical form",
         [
           test_canon_invariant_qcheck;
+          Alcotest.test_case "canon_into = brute force, 3 wires" `Quick
+            (test_canon_brute_force 3);
+          Alcotest.test_case "canon_into = brute force, 4 wires" `Quick
+            (test_canon_brute_force 4);
           Alcotest.test_case "reachable states" `Quick
             test_canon_invariant_reachable;
         ] );

@@ -168,6 +168,226 @@ let test_effective_jobs () =
     "depth-7 G[k] counts" [ 1; 6; 24; 51; 84; 156; 398; 540 ]
     (List.map snd (Fmcf.counts census))
 
+(* {1 State arena against a Hashtbl reference} *)
+
+let arena_degree = 16
+let arena_signatures = Array.init 256 (fun p -> p land 0x3FF)
+
+let random_key rng = String.init arena_degree (fun _ -> Char.chr (Random.State.int rng 256))
+let hash_of key = State_arena.hash_key (Bytes.of_string key) ~off:0 ~len:arena_degree
+
+let key_sig key =
+  String.fold_left (fun acc c -> acc lor arena_signatures.(Char.code c)) 0 key
+
+(* 65536 distinct random 16-byte keys over 64 shards and 16-bit tags:
+   about n^2 / 2^23 = 512 pairs share a (shard, tag), so the probe's
+   byte comparison behind an equal tag is exercised; the test asserts
+   that at least one such pair occurs. *)
+let arena_keys =
+  lazy
+    (let rng = Random.State.make [| 20 |] in
+     let seen = Hashtbl.create 65536 in
+     let keys = ref [] in
+     while Hashtbl.length seen < 65536 do
+       let k = random_key rng in
+       if not (Hashtbl.mem seen k) then begin
+         Hashtbl.replace seen k ();
+         keys := k :: !keys
+       end
+     done;
+     Array.of_list !keys)
+
+type ref_state = { r_handle : int; r_depth : int; r_via : int; r_conj : int; r_parent : int }
+
+let insert_all store reference keys ~lo ~hi =
+  for i = lo to hi - 1 do
+    let key = keys.(i) in
+    let depth = i land 0xFFF and via = (i mod 128) - 1 and conj = i mod 32 in
+    let parent = i - 1 in
+    let h =
+      State_arena.try_insert store ~key:(Bytes.of_string key) ~off:0 ~hash:(hash_of key)
+        ~depth ~via ~conj ~parent
+    in
+    if h < 0 then Alcotest.failf "fresh key %d rejected as a duplicate" i;
+    Hashtbl.replace reference key
+      { r_handle = h; r_depth = depth; r_via = via; r_conj = conj; r_parent = parent }
+  done
+
+let check_against store reference keys =
+  check Alcotest.int "size" (Hashtbl.length reference) (State_arena.size store);
+  Array.iter
+    (fun key ->
+      let h = State_arena.find store (Bytes.of_string key) ~off:0 ~hash:(hash_of key) in
+      match Hashtbl.find_opt reference key with
+      | None -> if h <> -1 then Alcotest.fail "absent key found"
+      | Some r ->
+          if h <> r.r_handle then Alcotest.failf "handle %d, expected %d" h r.r_handle;
+          if
+            State_arena.key_of store h <> key
+            || State_arena.depth_of store h <> r.r_depth
+            || State_arena.via_of store h <> r.r_via
+            || State_arena.conj_of store h <> r.r_conj
+            || State_arena.parent_of store h <> r.r_parent
+            || State_arena.signature_of store h <> key_sig key
+          then Alcotest.failf "fields of handle %d disagree with the reference" h)
+    keys
+
+let test_arena_reference () =
+  let keys = Lazy.force arena_keys in
+  let n = Array.length keys in
+  let buckets = Hashtbl.create n in
+  Array.iter
+    (fun k ->
+      let h = hash_of k in
+      let b = (State_arena.shard_of_hash h, State_arena.tag_of_hash h) in
+      Hashtbl.replace buckets b (1 + Option.value ~default:0 (Hashtbl.find_opt buckets b)))
+    keys;
+  checkb "some keys share a shard and a tag" true (Hashtbl.length buckets < n);
+  let store = State_arena.create ~degree:arena_degree ~signatures:arena_signatures in
+  let reference = Hashtbl.create n in
+  insert_all store reference keys ~lo:0 ~hi:(n / 2);
+  let half = State_arena.shard_counts store in
+  insert_all store reference keys ~lo:(n / 2) ~hi:n;
+  check_against store reference keys;
+  (* every key again: all duplicates, the store unchanged *)
+  Array.iter
+    (fun key ->
+      if
+        State_arena.try_insert store ~key:(Bytes.of_string key) ~off:0 ~hash:(hash_of key)
+          ~depth:0 ~via:0 ~conj:0 ~parent:0
+        <> -1
+      then Alcotest.fail "duplicate key inserted")
+    keys;
+  check_against store reference keys;
+  (* roll back to the half-way counts, then replay the second half: the
+     same handles come back *)
+  let full = Hashtbl.copy reference in
+  State_arena.truncate store half;
+  Array.iteri (fun i key -> if i >= n / 2 then Hashtbl.remove reference key) keys;
+  check_against store reference keys;
+  insert_all store reference keys ~lo:(n / 2) ~hi:n;
+  Hashtbl.iter
+    (fun key r ->
+      if (Hashtbl.find reference key).r_handle <> r.r_handle then
+        Alcotest.fail "replayed insert moved a handle")
+    full;
+  (* rebuild every shard from its columns *)
+  let restored = State_arena.create ~degree:arena_degree ~signatures:arena_signatures in
+  for s = 0 to State_arena.num_shards - 1 do
+    let count, metas, parents = State_arena.shard_columns store s in
+    State_arena.restore_shard restored ~shard:s ~count
+      ~keys:(Bytes.sub (State_arena.shard_arena store s) 0 (count * arena_degree))
+      ~depths:(Array.init count (fun i -> State_arena.meta_depth metas.(i)))
+      ~vias:(Array.init count (fun i -> State_arena.meta_via metas.(i)))
+      ~parents:(Array.sub parents 0 count)
+      ~conjs:(Bytes.init count (fun i -> Char.chr (State_arena.meta_conj metas.(i))))
+  done;
+  check_against restored reference keys
+
+(* Two keys in the same shard, home slot and tag meet in one probe
+   sequence, where only their bytes tell them apart.  Such pairs are
+   searched for among 13-byte keys (one 64-bit word plus a 5-byte tail)
+   that differ only in the word, and among keys that differ only in the
+   tail, so both halves of the comparison must decide. *)
+let test_arena_tag_collisions () =
+  let degree = 13 in
+  let signatures = Array.make 256 0 in
+  let collide vary =
+    let rng = Random.State.make [| degree; vary |] in
+    let fixed = Bytes.init degree (fun _ -> Char.chr (Random.State.int rng 256)) in
+    let seen = Hashtbl.create 65536 in
+    let rec go () =
+      let k = Bytes.copy fixed in
+      let lo, len = if vary = 0 then (0, 8) else (8, degree - 8) in
+      for i = lo to lo + len - 1 do
+        Bytes.set k i (Char.chr (Random.State.int rng 256))
+      done;
+      let h = State_arena.hash_key k ~off:0 ~len:degree in
+      (* the shard and the home slot of a fresh shard's 256-slot table *)
+      let place = (h land 0x3FFF, State_arena.tag_of_hash h) in
+      match Hashtbl.find_opt seen place with
+      | Some k' when not (Bytes.equal k k') -> (k', k)
+      | _ ->
+          Hashtbl.replace seen place k;
+          go ()
+    in
+    go ()
+  in
+  List.iter
+    (fun (name, (a, b)) ->
+      let store = State_arena.create ~degree ~signatures in
+      let insert k =
+        State_arena.try_insert store ~key:k ~off:0
+          ~hash:(State_arena.hash_key k ~off:0 ~len:degree)
+          ~depth:1 ~via:0 ~conj:0 ~parent:0
+      in
+      let find k =
+        State_arena.find store k ~off:0 ~hash:(State_arena.hash_key k ~off:0 ~len:degree)
+      in
+      let ha = insert a in
+      let hb = insert b in
+      checkb (name ^ ": second key stored") true (hb >= 0 && hb <> ha);
+      check Alcotest.int (name ^ ": first key found") ha (find a);
+      check Alcotest.int (name ^ ": second key found") hb (find b))
+    [ ("keys differing in the word", collide 0); ("keys differing in the tail", collide 1) ]
+
+let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_arena_field_bounds () =
+  let signatures = Array.make 256 0 in
+  signatures.(7) <- 0x3FF (* a 10-qubit mixed signature *);
+  let store = State_arena.create ~degree:arena_degree ~signatures in
+  let key = Bytes.make arena_degree '\007' in
+  let hash = State_arena.hash_key key ~off:0 ~len:arena_degree in
+  let deep = (1 lsl 34) - 1 in
+  let insert ~depth ~via ~conj =
+    State_arena.try_insert store ~key ~off:0 ~hash ~depth ~via ~conj ~parent:max_int
+  in
+  checkb "depth out of range" true (raises_invalid (fun () -> insert ~depth:(deep + 1) ~via:0 ~conj:0));
+  checkb "negative depth" true (raises_invalid (fun () -> insert ~depth:(-1) ~via:0 ~conj:0));
+  checkb "via out of range" true (raises_invalid (fun () -> insert ~depth:0 ~via:127 ~conj:0));
+  checkb "via below -1" true (raises_invalid (fun () -> insert ~depth:0 ~via:(-2) ~conj:0));
+  checkb "conj out of range" true (raises_invalid (fun () -> insert ~depth:0 ~via:0 ~conj:32));
+  check Alcotest.int "nothing stored by a rejected insert" 0 (State_arena.size store);
+  let h = insert ~depth:deep ~via:63 ~conj:31 in
+  check Alcotest.int "depth" deep (State_arena.depth_of store h);
+  check Alcotest.int "via" 63 (State_arena.via_of store h);
+  check Alcotest.int "conj" 31 (State_arena.conj_of store h);
+  check Alcotest.int "signature" 0x3FF (State_arena.signature_of store h);
+  check Alcotest.int "parent" max_int (State_arena.parent_of store h);
+  check Alcotest.int "max_depth" deep (State_arena.max_depth store);
+  checkb "a 17-bit signature is rejected at create" true
+    (raises_invalid (fun () ->
+         State_arena.create ~degree:arena_degree ~signatures:[| 1 lsl 16 |]))
+
+(* The expand kernel allocates nothing per child: one 4-wire level (about
+   150k children) stays far under one minor-heap word per child, plain
+   and quotiented.  Large per-level arrays go straight to the major heap
+   and are not counted. *)
+let test_step_allocation quotient () =
+  let library4 = Library.make (Mvl.Encoding.make ~qubits:4) in
+  let symmetry = if quotient then Some (Symmetry.create library4) else None in
+  let s = Search.create ?symmetry library4 in
+  for _ = 1 to 3 do
+    ignore (Search.step_handles s)
+  done;
+  let store = Search.store s in
+  let children =
+    Array.fold_left
+      (fun n h ->
+        Array.fold_left
+          (fun n (e : Library.entry) ->
+            if State_arena.signature_of store h land e.Library.purity_mask = 0 then n + 1
+            else n)
+          n (Library.entries library4))
+      0 (Search.frontier_handles s)
+  in
+  let before = Gc.minor_words () in
+  ignore (Search.step_handles s);
+  let words = Gc.minor_words () -. before in
+  if words > 0.5 *. float_of_int children then
+    Alcotest.failf "%.0f minor words for %d children" words children
+
 let per_jobs name f =
   List.map
     (fun jobs ->
@@ -182,6 +402,14 @@ let () =
       ("witnesses", per_jobs "witness cascades valid" test_witness_cascades_valid);
       ("frontiers", per_jobs "byte-identical frontiers" test_frontiers_byte_identical);
       ("arena algebra", [ qcheck_arena_compose ]);
+      ( "state arena",
+        [
+          Alcotest.test_case "Hashtbl reference, 65536 keys" `Quick test_arena_reference;
+          Alcotest.test_case "shard, slot and tag collisions" `Quick test_arena_tag_collisions;
+          Alcotest.test_case "packed fields at their bounds" `Quick test_arena_field_bounds;
+          Alcotest.test_case "step allocation, plain" `Quick (test_step_allocation false);
+          Alcotest.test_case "step allocation, quotient" `Quick (test_step_allocation true);
+        ] );
       ( "adaptation",
         [ Alcotest.test_case "effective jobs at depth 7" `Quick test_effective_jobs ] );
     ]
