@@ -17,40 +17,6 @@ open Synthesis
 let library3 = Library.make (Mvl.Encoding.make ~qubits:3)
 let library2 = Library.make (Mvl.Encoding.make ~qubits:2)
 
-(* Every synthesis question goes through the unified query API — the
-   same Request/Response pair the CLI and the daemon speak. *)
-
-let request ?task target =
-  let spec =
-    String.concat ","
-      (List.map string_of_int (Reversible.Revfun.output_column target))
-  in
-  Mce.Request.make ?task ~qubits:(Reversible.Revfun.bits target) spec
-
-let express library target = Mce.Response.result_of (Mce.solve library (request target))
-
-let witnesses library target =
-  match
-    (Mce.solve library (request ~task:Mce.Request.Count_witnesses target))
-      .Mce.Response.body
-  with
-  | Ok { payload = Mce.Response.Witnesses { count }; _ } -> count
-  | _ -> failwith "witness count failed"
-
-let realizations library target =
-  match
-    (Mce.solve library
-       (request ~task:(Mce.Request.Enumerate { limit = 10_000 }) target))
-      .Mce.Response.body
-  with
-  | Ok { payload = Mce.Response.Realizations { target; not_mask; cost; cascades; _ }; _ }
-    ->
-      List.map
-        (fun cascade -> { Mce.target; not_mask; cascade; cost })
-        cascades
-  | Ok { payload = Mce.Response.Unrealizable _; _ } -> []
-  | _ -> failwith "enumeration failed"
-
 let hr title = Format.printf "@.==== %s ====@." title
 
 (* Table 1 *)
@@ -92,9 +58,9 @@ let reproduce_table2 () =
 let reproduce_figures_4_to_8 () =
   hr "Figures 4-8: Peres and the cost-4 family";
   let report name target printed =
-    match express library3 target with
+    match Mce.express library3 target with
     | Some r ->
-        let witnesses = witnesses library3 target in
+        let witnesses = Mce.distinct_witnesses library3 target in
         Format.printf "%s: %a  cost %d, %d distinct implementation(s), found %a@." name
           Reversible.Revfun.pp target r.Mce.cost witnesses Cascade.pp r.Mce.cascade;
         List.iter
@@ -123,14 +89,13 @@ let reproduce_figures_4_to_8 () =
 let reproduce_figure_9 () =
   hr "Figure 9: Toffoli implementations";
   let target = Reversible.Gates.toffoli3 in
-  (* three tasks, one request shape each — the daemon's response cache
-     is what replaces the old shared-query machinery *)
-  (match express library3 target with
+  (* three tasks, one Mce.solve request each *)
+  (match Mce.express library3 target with
   | Some r -> Format.printf "minimal cost %d: %a@." r.Mce.cost Cascade.pp r.Mce.cascade
   | None -> Format.printf "NOT FOUND (unexpected)@.");
   Format.printf "distinct implementations: %d (paper found 4)@."
-    (witnesses library3 target);
-  let all = realizations library3 target in
+    (Mce.distinct_witnesses library3 target);
+  let all = Mce.all_realizations library3 target in
   Format.printf "all minimal cascades: %d, all exactly verified: %b@." (List.length all)
     (List.for_all (Verify.result_valid library3) all);
   List.iter
@@ -149,7 +114,7 @@ let reproduce_figure_9_structure () =
   hr "Figure 9 discussion: symmetry structure of the minimal Toffoli set";
   let cascades =
     List.map (fun r -> r.Mce.cascade)
-      (realizations library3 Reversible.Gates.toffoli3)
+      (Mce.all_realizations library3 Reversible.Gates.toffoli3)
   in
   let groups = Equivalence.group_by_circuit library3 cascades in
   Format.printf "%d minimal cascades form %d circuit groups of sizes %s@."
@@ -197,10 +162,10 @@ let reproduce_group_results census =
 let reproduce_timing () =
   hr "Section 5 timings (paper: Peres 9 s, Toffoli 98 s on a 850 MHz P-III)";
   let t0 = Unix.gettimeofday () in
-  ignore (express library3 Reversible.Gates.g1);
+  ignore (Mce.express library3 Reversible.Gates.g1);
   let peres = Unix.gettimeofday () -. t0 in
   let t0 = Unix.gettimeofday () in
-  ignore (express library3 Reversible.Gates.toffoli3);
+  ignore (Mce.express library3 Reversible.Gates.toffoli3);
   let toffoli = Unix.gettimeofday () -. t0 in
   Format.printf "this machine: Peres %.3fs, Toffoli %.3fs, ratio %.1fx (paper: %.1fx)@."
     peres toffoli (toffoli /. peres) (98.0 /. 9.0)
@@ -217,7 +182,7 @@ let reproduce_two_qubit () =
 
 let reproduce_fredkin () =
   hr "Extension: Fredkin's exact cost (not in the paper)";
-  match express library3 Reversible.Gates.fredkin3 with
+  match Mce.express library3 Reversible.Gates.fredkin3 with
   | Some r ->
       Format.printf "Fredkin: cost %d, cascade %a, verified %b@." r.Mce.cost Cascade.pp
         r.Mce.cascade

@@ -561,27 +561,6 @@ let print_response_human library t0 (resp : Mce.Response.t) =
   | Error Mce.Response.Shutting_down ->
       Format.eprintf "qsynth: server is shutting down@."
 
-(* One-shot Synthesize for an already-parsed target (describe/draw). *)
-let solve_target ?(max_depth = 7) library target =
-  let spec =
-    String.concat ","
-      (List.map string_of_int (Reversible.Revfun.output_column target))
-  in
-  let req =
-    Mce.Request.make ~qubits:(Reversible.Revfun.bits target) ~max_depth spec
-  in
-  Mce.Response.result_of (Mce.solve library req)
-
-let warm_depth_arg =
-  let doc =
-    "Build the meet-in-the-middle engine with its shared forward wave grown to \
-     exactly $(docv) and capped there.  Every query then runs against an \
-     immutable wave, which makes answers (and $(b,--json) bytes) a pure \
-     function of the request — match the daemon's $(b,--warm-depth) to \
-     reproduce its responses one-shot.  0 (the default) disables the engine."
-  in
-  Arg.(value & opt int 0 & info [ "warm-depth" ] ~docv:"D" ~doc)
-
 let index_arg =
   Arg.(value & opt (some snapshot_path) None & info [ "index" ] ~docv:"FILE"
          ~doc:"Answer from a census index written by $(b,qsynth census \
@@ -610,7 +589,7 @@ let verify_index_arg =
 
 let synth_cmd =
   let run finish_telemetry qubits depth jobs library_name all json index_path
-      verify_index use_bidir warm_depth spec =
+      verify_index use_bidir spec =
     guarded ~finish:finish_telemetry @@ fun () ->
     let library = Library.of_name ~qubits library_name in
     let should_stop = install_cancel () in
@@ -631,15 +610,7 @@ let synth_cmd =
             (if Census_index.is_complete idx then " (complete)" else "")
       | None -> ()
     end;
-    let bidir =
-      if warm_depth > 0 then begin
-        let engine = Bidir.create ~jobs ~max_fwd_depth:warm_depth library in
-        Bidir.warm ~should_stop engine ~depth:warm_depth;
-        Some engine
-      end
-      else if use_bidir then Some (Bidir.create ~jobs library)
-      else None
-    in
+    let bidir = if use_bidir then Some (Bidir.create ~jobs library) else None in
     let task =
       if all then Mce.Request.Enumerate { limit = enumerate_limit }
       else Mce.Request.Synthesize
@@ -684,7 +655,7 @@ let synth_cmd =
     Term.(
       const run $ telemetry_term $ qubits_arg $ depth_arg $ jobs_arg
       $ library_arg $ all_flag $ json_flag $ index_arg $ verify_index_arg
-      $ bidir_flag $ warm_depth_arg $ spec_arg)
+      $ bidir_flag $ spec_arg)
 
 (* serve *)
 
@@ -705,11 +676,11 @@ let serve_cmd =
       $ verbose_arg $ metrics_arg $ trace_arg)
   in
   let run (finish_telemetry, metrics_path) qubits jobs library_name
-      also_libraries socket index_path verify_index warm_depth workers
+      also_libraries socket index_path verify_index workers
       queue_capacity cache_capacity metrics_port trace_file slow_ms =
     guarded ~finish:finish_telemetry @@ fun () ->
-    (* Readiness: false until the index is loaded, the engine warmed and
-       the daemon accepting; false again the moment the drain begins —
+    (* Readiness: false until the index is loaded and the daemon
+       accepting; false again the moment the drain begins —
        scrapers see the flip before the Unix socket unlinks. *)
     let accepting = Atomic.make false in
     let daemon_ref = ref None in
@@ -772,7 +743,7 @@ let serve_cmd =
           (if Census_index.is_complete idx then " (complete)" else "")
     | None -> ());
     let service =
-      Server.Service.create ~jobs ?index ~warm_depth ~cache_capacity
+      Server.Service.create ~jobs ?index ~cache_capacity
         ~index_verify:verify ~libraries:secondary library
     in
     if secondary <> [] then
@@ -897,13 +868,13 @@ let serve_cmd =
     Arg.(value & opt_all (enum choices) [] & info [ "also-library" ] ~docv:"NAME"
            ~doc:(Printf.sprintf
                    "Additionally serve requests for library $(docv) (%s; \
-                    repeatable).  Each extra library gets its own cold \
+                    repeatable).  Each extra library gets its own \
                     forward-BFS engine, so its answers are byte-identical to \
                     one-shot $(b,qsynth synth --json --library) $(docv); the \
-                    $(b,--index) and $(b,--warm-depth) engines stay bound to \
-                    the primary $(b,--library).  Requests naming a library \
-                    the daemon was not configured with fail with the \
-                    'bad-request' error listing the configured ones."
+                    $(b,--index) stays bound to the primary $(b,--library).  \
+                    Requests naming a library the daemon was not configured \
+                    with fail with the 'bad-request' error listing the \
+                    configured ones."
                    (Arg.doc_alts_enum choices)))
   in
   let queue_arg =
@@ -933,10 +904,10 @@ let serve_cmd =
            ~doc:"Serve observability HTTP endpoints on 127.0.0.1:$(docv): \
                  $(b,/metrics) (Prometheus text exposition of the telemetry \
                  registry), $(b,/healthz) (liveness) and $(b,/readyz) \
-                 (readiness: 503 until the engine is warm and again once the \
-                 drain begins; the 200 body is a one-line index summary — \
-                 functions, depth, coverage, completeness).  0 picks an \
-                 ephemeral port.")
+                 (readiness: 503 until the index is loaded and the socket \
+                 accepts, and again once the drain begins; the 200 body is \
+                 a one-line index summary — functions, depth, coverage, \
+                 completeness).  0 picks an ephemeral port.")
   in
   let trace_file_arg =
     Arg.(value & opt (some string) None & info [ "trace-file" ] ~docv:"FILE"
@@ -962,10 +933,9 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve" ~exits:contract_exits
-       ~doc:"Run the synthesis daemon: one warm engine (census index + \
-             fixed-depth forward wave + meet-in-the-middle), shared by every \
-             client over a Unix-domain socket.  Drains gracefully on \
-             SIGTERM/SIGINT: stops accepting, answers everything already \
+       ~doc:"Run the synthesis daemon: one engine (the library and its \
+             census index), shared by every client over a Unix-domain \
+             socket.  Drains gracefully on SIGTERM/SIGINT: stops accepting, answers everything already \
              accepted, unlinks the socket, exits 0.  SIGUSR1 dumps a live \
              telemetry snapshot to the $(b,--metrics) path.  SIGHUP \
              re-reads the $(b,--index) file and hot-swaps it atomically \
@@ -974,7 +944,7 @@ let serve_cmd =
     Term.(
       const run $ serve_telemetry_term $ qubits_arg $ jobs_arg $ library_arg
       $ also_library_arg $ socket_arg $ index_arg $ verify_index_arg
-      $ warm_depth_arg $ workers_arg $ queue_arg $ cache_arg
+      $ workers_arg $ queue_arg $ cache_arg
       $ metrics_port_arg $ trace_file_arg $ slow_arg)
 
 (* query *)
@@ -1055,7 +1025,7 @@ let m_client_retries = Telemetry.Counter.create "client.retries"
 
 let batch_cmd =
   let run finish_telemetry qubits jobs library_name socket index_path
-      verify_index warm_depth max_retries file =
+      verify_index max_retries file =
     guarded ~finish:finish_telemetry @@ fun () ->
     let ic = if file = "-" then stdin else open_in file in
     Fun.protect ~finally:(fun () -> if file <> "-" then close_in_noerr ic)
@@ -1089,8 +1059,8 @@ let batch_cmd =
             in
             attempt 0
       | None ->
-          (* no daemon: evaluate locally against one warm service, so a
-             whole file amortizes the same warm-up a daemon would *)
+          (* no daemon: evaluate locally against one service, so a
+             whole file shares one response cache, as a daemon would *)
           let library = Library.of_name ~qubits library_name in
           let verify =
             if verify_index then Census_index.Full else Census_index.Sample
@@ -1099,8 +1069,7 @@ let batch_cmd =
             Option.map (Census_index.load ~verify library) index_path
           in
           let service =
-            Server.Service.create ~jobs ?index ~warm_depth
-              ~index_verify:verify library
+            Server.Service.create ~jobs ?index ~index_verify:verify library
           in
           let should_stop = install_cancel () in
           fun req -> Server.Service.answer ~should_stop service req
@@ -1175,12 +1144,12 @@ let batch_cmd =
   in
   Cmd.v
     (Cmd.info "batch" ~exits:contract_exits
-       ~doc:"Evaluate a JSONL file of requests — locally against one warm \
+       ~doc:"Evaluate a JSONL file of requests — locally against one \
              engine, or through a daemon with $(b,--socket).")
     Term.(
       const run $ telemetry_term $ qubits_arg $ jobs_arg $ library_arg
-      $ socket_opt_arg $ index_arg $ verify_index_arg $ warm_depth_arg
-      $ max_retries_arg $ file_arg)
+      $ socket_opt_arg $ index_arg $ verify_index_arg $ max_retries_arg
+      $ file_arg)
 
 (* table1 *)
 
@@ -1347,7 +1316,7 @@ let describe_cmd =
         Format.printf "affine decomposition: NOT(mask=%d) then %d CNOT(s)@." not_mask
           (List.length cnots)
     | None -> ());
-    (match solve_target library target with
+    (match Mce.express library target with
     | Some r ->
         Format.printf "quantum cost: %d@.@.%s@." r.Mce.cost
           (Draw.to_ascii ~qubits ~not_mask:r.Mce.not_mask r.Mce.cascade)
@@ -1371,7 +1340,7 @@ let draw_cmd =
     guarded @@ fun () ->
     let library = make_library qubits in
     let target = Reversible.Spec.parse ~bits:qubits spec in
-    (match solve_target ~max_depth:depth library target with
+    (match Mce.express ~max_depth:depth library target with
     | None -> Format.printf "no realization within depth %d@." depth
     | Some r ->
         Format.printf "%a  (cost %d)@.@." Reversible.Revfun.pp target r.Mce.cost;

@@ -8,8 +8,8 @@
     - [GET /healthz]: liveness — [200 ok] whenever the listener runs.
     - [GET /readyz]: readiness — [200] with the caller's [describe]
       body (default ["ok\n"]) while the [ready] callback returns true,
-      [503 not ready] otherwise.  [serve] wires [ready] to "index and
-      warm engine loaded, drain not begun" — so it turns 503 the moment
+      [503 not ready] otherwise.  [serve] wires [ready] to "index
+      loaded, socket accepting, drain not begun" — so it turns 503 the moment
       a drain starts (before the Unix socket unlinks) and a load
       balancer can stop routing ahead of connection refusals — and
       [describe] to a one-line summary of the published index (size,

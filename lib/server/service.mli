@@ -1,25 +1,31 @@
-(** The warm evaluation core shared by every transport.
+(** The evaluation core shared by every transport.
 
     A service owns the process-wide engine resources — one {e engine per
-    configured gate library}, where the primary engine carries an
-    optional {!Synthesis.Census_index} and an optional
-    meet-in-the-middle context warmed to a {e fixed} forward depth —
-    plus an LRU response cache and an in-flight coalescing table shared
-    across engines (request keys embed the library name, so universes
-    never share a cache line).  Each request is routed to the engine of
-    its [library] field; a request for an unconfigured library fails
-    with [Bad_request] naming the configured ones.  The daemon routes
-    every socket request through {!answer}; [qsynth synth --json] and
-    [qsynth batch] build a throwaway service and call the same function,
-    which is what makes responses byte-identical across transports (and,
-    per library, between a two-library daemon and one-shot runs).
+    configured gate library}: the library and an atomically swappable
+    {!Synthesis.Census_index} (the primary engine's; secondaries hold
+    none) — plus an LRU response cache and an in-flight coalescing
+    table shared across engines (request keys embed the library name,
+    so universes never share a cache line).  Each request is routed to
+    the engine of its [library] field; a request for an unconfigured
+    library fails with [Bad_request] naming the configured ones.  The
+    daemon routes every socket request through {!answer}; [qsynth synth
+    --json] and [qsynth batch] build a throwaway service and call the
+    same function, which is what makes responses byte-identical across
+    transports (and, per library, between a two-library daemon and
+    one-shot runs).
 
-    Determinism and thread-safety: the bidir context is created with
-    [max_fwd_depth = warm_depth] and warmed fully at {!create}, so after
-    construction the forward wave never grows — every engine structure a
-    query touches is read-only, and {!answer} may be called from any
-    number of threads or domains concurrently with no lock on the
-    evaluation path (the cache and coalescing table take a short mutex).
+    An engine's resources are fixed by its library and index file
+    alone: it holds no meet-in-the-middle context, so a request pinning
+    plan [bidir] gets [Unsupported], and past a partial index's horizon
+    the [auto] plan falls back to the forward BFS.
+
+    Determinism and thread-safety: {!Synthesis.Mce.solve} is a pure
+    function of the request for a fixed library and index, and nothing
+    a query touches is mutated after {!create} (an index reload
+    publishes a new value, never edits the old one), so {!answer} may
+    be called from any number of threads or domains concurrently with
+    no lock on the evaluation path (the cache and coalescing table take
+    a short mutex).
 
     Index-first path: when the primary engine holds a {e complete}
     index ({!Synthesis.Census_index.is_complete}), a [Synthesize]
@@ -40,36 +46,26 @@
 
 type t
 
-(** [create ?jobs ?index ?warm_depth ?cache_capacity ?index_verify
-    library] builds the engine state eagerly: loads nothing (the caller
-    loads the index), but grows the bidir forward wave to [warm_depth]
-    before returning.  [warm_depth = 0] (the default) runs without a
-    bidir context — queries fall back to index + forward BFS.  When
-    [index] is {e complete} ({!Synthesis.Census_index.is_complete}) any
-    requested warm-up is skipped — no realizable query can miss the
-    index, so the service runs index-only and {!warm_depth} reports 0
-    (the one observable consequence: a request {e pinning} plan [bidir]
-    gets [Unsupported]).  [jobs] is the forward BFS worker-domain count
-    used for cold forward queries and the warm-up itself (results are
-    jobs-independent).  [cache_capacity] (default 1024) bounds the LRU
-    response cache; [0] disables it.  [index_verify] (default [Sample])
-    is the witness-replay level {!reload_index} applies to replacement
-    files.
+(** [create ?jobs ?index ?cache_capacity ?index_verify ?libraries
+    library] builds the engine state: loads nothing (the caller loads
+    the index) and starts no search.  [jobs] is the forward BFS
+    worker-domain count (results are jobs-independent).
+    [cache_capacity] (default 1024) bounds the LRU response cache; [0]
+    disables it.  [index_verify] (default [Sample]) is the
+    witness-replay level {!reload_index} applies to replacement files.
 
     [libraries] (default none) configures {e secondary} engines, one per
     additional library value: each answers requests naming its library
-    with a cold forward BFS — the same plan a one-shot
-    [synth --library NAME] without index/bidir runs, so answers agree
-    byte-for-byte.  A secondary whose name equals the primary's, or an
-    earlier secondary's, is ignored (the first binding wins).  The
-    index, warm wave, {!index_status} and {!reload_index} remain
-    primary-only.
-    @raise Invalid_argument on negative [warm_depth] or
-    [cache_capacity], or [jobs < 1]. *)
+    with a forward BFS — the same plan a one-shot [synth --library NAME]
+    without an index runs, so answers agree byte-for-byte.  A secondary
+    whose name equals the primary's, or an earlier secondary's, is
+    ignored (the first binding wins).  The index, {!index_status} and
+    {!reload_index} remain primary-only.
+    @raise Invalid_argument on negative [cache_capacity], or
+    [jobs < 1]. *)
 val create :
   ?jobs:int ->
   ?index:Synthesis.Census_index.t ->
-  ?warm_depth:int ->
   ?cache_capacity:int ->
   ?index_verify:Synthesis.Census_index.verification ->
   ?libraries:Synthesis.Library.t list ->
@@ -81,11 +77,6 @@ val library : t -> Synthesis.Library.t
 
 (** [libraries t] is every configured library name, primary first. *)
 val libraries : t -> string list
-
-(** [warm_depth t] is the fixed forward depth of the bidir context
-    (0 when the service runs without one, including the complete-index
-    case above). *)
-val warm_depth : t -> int
 
 (** [index_status t] is [Some (size, depth, coverage, complete)] for the
     currently published index — the material of the [/readyz] body and
@@ -115,7 +106,7 @@ val reload_index : t -> string -> int * int
     instead of queueing it. *)
 val index_first : t -> Synthesis.Mce.Request.t -> bool
 
-(** [answer ?should_stop t request] evaluates a request against the warm
+(** [answer ?should_stop t request] evaluates a request against its
     engine — the complete index directly when the request is
     index-first (above), otherwise cache, then coalescing, then
     {!Synthesis.Mce.solve} — and never raises.  The request's

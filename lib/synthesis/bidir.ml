@@ -76,19 +76,7 @@ let create ?(jobs = 1) ?(max_fwd_depth = 7) library =
     fwd_exhausted = false;
   }
 
-let library t = t.library
 let fwd_depth t = Search.depth t.search
-let fwd_states t = Search.size t.search
-
-let rec warm ?(should_stop = fun () -> false) t ~depth =
-  if depth < 0 then invalid_arg "Bidir.warm: negative depth";
-  let goal = min depth t.max_fwd_depth in
-  if (not t.fwd_exhausted) && Search.depth t.search < goal then
-    match Search.try_step t.search ~cancel:should_stop with
-    | None -> () (* cancelled: leave the wave at its current depth *)
-    | Some fresh ->
-        if Array.length fresh = 0 then t.fwd_exhausted <- true;
-        warm ~should_stop t ~depth
 
 exception Cancelled
 
@@ -188,8 +176,8 @@ let synthesize ?(max_cost = 14) ?(lower_bound = 0) ?(should_stop = no_stop) t re
     | Some (c, _, _) when c <= total -> ()
     | _ -> best := Some (total, fh, bid)
   in
-  (* seed: the target vector may already be a forward image (warm reuse
-     answers any cost <= Df query with a single lookup here) *)
+  (* seed: the target vector may already be a forward image (a grown
+     wave answers any cost <= Df query with a single lookup here) *)
   (match Search.handle_of_key t.search target with
   | Some fh -> consider fh 0
   | None -> ());

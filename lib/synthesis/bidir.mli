@@ -16,10 +16,14 @@
 
     Reachable cost therefore {e doubles} relative to the forward-only
     engine — two depth-D waves certify costs up to [2·D] — while the
-    forward wave is shared across queries: a context warmed to forward
-    depth [Df] answers any cost [<= Df] query with a single hashtable
-    lookup and certifies deeper costs by growing only the (cheap)
-    backward side. *)
+    forward wave is shared across the queries of one context: once a
+    query has grown it to depth [Df], a later cost [<= Df] query answers
+    with a single hashtable lookup and certifies deeper costs by growing
+    only the (cheap) backward side.  Because the wave a query finds
+    depends on the queries before it, a shared context may return a
+    different minimum-cost witness for the same target; the cost never
+    changes.  [qsynth synth --bidir] builds one context per run; it is
+    the deep-cost path for four wires. *)
 
 type t
 (** A reusable query context: the shared forward wave, whose arena is
@@ -35,24 +39,8 @@ type t
     @raise Invalid_argument when [max_fwd_depth < 0] or [jobs < 1]. *)
 val create : ?jobs:int -> ?max_fwd_depth:int -> Library.t -> t
 
-val library : t -> Library.t
-
 (** [fwd_depth t] is the current depth of the shared forward wave. *)
 val fwd_depth : t -> int
-
-(** [fwd_states t] is the number of forward states held. *)
-val fwd_states : t -> int
-
-(** [warm ?should_stop t ~depth] grows the shared forward wave to
-    [min depth max_fwd_depth] (or until the wave is exhausted) before any
-    query arrives — the daemon calls this once at startup so that, with
-    [max_fwd_depth] set to the same value, the forward side never grows
-    again and every query reads an immutable wave (the determinism
-    contract of {!Mce.solve}).  Idempotent; [should_stop] aborts the
-    warm-up early (the context stays usable at whatever depth it
-    reached).
-    @raise Invalid_argument when [depth < 0]. *)
-val warm : ?should_stop:(unit -> bool) -> t -> depth:int -> unit
 
 type outcome = {
   cascade : Cascade.t;  (** a minimum-cost realization of the target *)

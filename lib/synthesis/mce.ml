@@ -611,80 +611,17 @@ module Response = struct
     | _ -> None
 end
 
-(* {1 Shared queries}
-
-   One BFS serves every question about a target (minimal cascade,
-   witness count, all realizations): [run_query] runs the search once
-   and the [query_*] accessors read it. *)
-
-type outcome =
-  | Trivial  (** the remainder is the identity: cost 0, NOT layer only *)
-  | Not_found  (** no realization within the depth bound (or cancelled) *)
-  | Found of { search : Search.t; target : string  (** the remainder's image *) }
-
-type query = { q_target : Revfun.t; q_mask : int; q_outcome : outcome }
-
 (* Theorem 2's free NOT layer exists only under coset reduction; a
    full-group library (NCT, NFT) prices NOTs like any gate, so the
    target is searched whole. *)
 let coset_split library target =
   if Library.coset_reduction library then strip_not_layer target else (0, target)
 
-let run_query ?(max_depth = 7) ?(jobs = 1) ?(should_stop = no_stop) library target =
-  let mask, remainder = coset_split library target in
-  let outcome =
-    if Revfun.is_identity remainder then Trivial
-    else
-      match search_until ~max_depth ~jobs ~should_stop library remainder with
-      | None -> Not_found
-      | Some (search, target) -> Found { search; target }
-  in
-  { q_target = target; q_mask = mask; q_outcome = outcome }
-
-let query_result q =
-  match q.q_outcome with
-  | Trivial ->
-      Some { target = q.q_target; not_mask = q.q_mask; cascade = []; cost = 0 }
-  | Not_found -> None
-  | Found { search; target } ->
-      let cascade = Search.cascade_of_key search target in
-      Some
-        {
-          target = q.q_target;
-          not_mask = q.q_mask;
-          cascade;
-          cost = List.length cascade;
-        }
-
-let query_witnesses q =
-  match q.q_outcome with
-  | Trivial -> 1
-  | Not_found -> 0
-  | Found { search; target } -> Search.count_point_perms search target
-
 (* Enumerate up to [limit] cascades, and report whether the budget
    survived (the enumeration is then provably complete). *)
 let enumerate_cascades ~limit search target =
   let cascades = Search.all_cascades ~limit search target in
   (cascades, List.length cascades < limit)
-
-let query_realizations ?(limit = 10_000) q =
-  match q.q_outcome with
-  | Trivial ->
-      if limit <= 0 then []
-      else [ { target = q.q_target; not_mask = q.q_mask; cascade = []; cost = 0 } ]
-  | Not_found -> []
-  | Found { search; target } ->
-      let cascades, _complete = enumerate_cascades ~limit search target in
-      List.map
-        (fun cascade ->
-          {
-            target = q.q_target;
-            not_mask = q.q_mask;
-            cascade;
-            cost = List.length cascade;
-          })
-        cascades
 
 (* {1 The evaluator}
 
@@ -693,7 +630,7 @@ let query_realizations ?(limit = 10_000) q =
    2. index miss at depth d — proven lower bound cost >= d+1: a
       certified Unrealizable when d >= max_depth, else fall through with
       the bound (which lets the bidirectional engine stop at first join);
-   3. bidirectional — meet-in-the-middle over the shared context;
+   3. bidirectional — meet-in-the-middle over the caller's context;
    4. forward BFS — the original algorithm. *)
 
 let solve ?(jobs = 1) ?(should_stop = no_stop) ?index ?bidir library
@@ -720,24 +657,28 @@ let solve ?(jobs = 1) ?(should_stop = no_stop) ?index ?bidir library
     | Error msg -> fail (Response.Bad_request msg)
     | Ok target -> (
         let mask, remainder = coset_split library target in
-        let found plan cascade =
-          ok plan
-            (Response.Synthesized
-               { target; not_mask = mask; cascade; cost = List.length cascade })
+        let synthesized cascade =
+          Response.Synthesized
+            { target; not_mask = mask; cascade; cost = List.length cascade }
         in
-        let forward_synthesize () =
+        let unrealizable = Response.Unrealizable { max_depth = req.max_depth } in
+        (* The forward BFS to the depth bound: [answer] reads the search
+           that stored the remainder's image, [none] is the payload when
+           the bound is exhausted first. *)
+        let forward ~none answer =
           match
             search_until ~max_depth:req.max_depth ~jobs ~should_stop library
               remainder
           with
-          | None ->
-              if should_stop () then fail Response.Cancelled
-              else
-                ok Response.Forward_bfs
-                  (Response.Unrealizable { max_depth = req.max_depth })
           | Some (search, image) ->
               Telemetry.Counter.incr m_plan_forward;
-              found Response.Forward_bfs (Search.cascade_of_key search image)
+              ok Response.Forward_bfs (answer search image)
+          | None when should_stop () -> fail Response.Cancelled
+          | None -> ok Response.Forward_bfs none
+        in
+        let forward_synthesize () =
+          forward ~none:unrealizable (fun search image ->
+              synthesized (Search.cascade_of_key search image))
         in
         let bidir_synthesize ~lower_bound engine =
           Telemetry.Counter.incr m_plan_bidir;
@@ -745,12 +686,38 @@ let solve ?(jobs = 1) ?(should_stop = no_stop) ?index ?bidir library
             Bidir.synthesize ~max_cost:req.max_depth ~lower_bound ~should_stop
               engine remainder
           with
-          | Some o -> found Response.Bidir_meet o.Bidir.cascade
+          | Some o -> ok Response.Bidir_meet (synthesized o.Bidir.cascade)
+          | None when should_stop () -> fail Response.Cancelled
+          | None -> ok Response.Bidir_meet unrealizable
+        in
+        (* One index probe: an answer, or the horizon past which a miss
+           proves nothing within the depth bound.  A complete index
+           cannot miss a zero-fixing remainder of the library's width —
+           every such function has a record — so a miss there means the
+           file and the library disagree despite the fingerprints, and
+           is never silently searched past. *)
+        let probe idx =
+          match Census_index.find idx remainder with
+          | Some (cost, cascade) ->
+              Telemetry.Counter.incr m_plan_index;
+              if cost <= req.max_depth then
+                `Answer
+                  (ok Response.Index_hit
+                     (Response.Synthesized { target; not_mask = mask; cascade; cost }))
+              else `Answer (ok Response.Index_certified unrealizable)
+          | None when Census_index.is_complete idx ->
+              `Answer
+                (fail
+                   (Response.Internal
+                      "complete index failed to answer a zero-fixing remainder \
+                       — the index does not match this library"))
+          | None when Census_index.depth idx >= req.max_depth ->
+              Telemetry.Counter.incr m_plan_index;
+              `Answer (ok Response.Index_certified unrealizable)
           | None ->
-              if should_stop () then fail Response.Cancelled
-              else
-                ok Response.Bidir_meet
-                  (Response.Unrealizable { max_depth = req.max_depth })
+              Log.debug (fun m ->
+                  m "index miss: cost >= %d proven" (Census_index.depth idx + 1));
+              `Miss (Census_index.depth idx)
         in
         match req.task with
         | Count_witnesses | Enumerate _
@@ -760,180 +727,109 @@ let solve ?(jobs = 1) ?(should_stop = no_stop) ?index ?bidir library
                  "witness counting and enumeration run on the forward plan only")
         | Enumerate { limit } when limit < 0 ->
             fail (Response.Bad_request "limit must be non-negative")
+        | task when Revfun.is_identity remainder ->
+            ok Response.Trivial
+              (match task with
+              | Synthesize -> synthesized []
+              | Count_witnesses -> Response.Witnesses { count = 1 }
+              | Enumerate { limit } ->
+                  Response.Realizations
+                    {
+                      target;
+                      not_mask = mask;
+                      cost = 0;
+                      cascades = (if limit > 0 then [ [] ] else []);
+                      complete = limit > 0;
+                    })
         | Count_witnesses ->
-            if Revfun.is_identity remainder then
-              ok Response.Trivial (Response.Witnesses { count = 1 })
-            else (
-              match
-                search_until ~max_depth:req.max_depth ~jobs ~should_stop library
-                  remainder
-              with
-              | None ->
-                  if should_stop () then fail Response.Cancelled
-                  else ok Response.Forward_bfs (Response.Witnesses { count = 0 })
-              | Some (search, image) ->
-                  Telemetry.Counter.incr m_plan_forward;
-                  ok Response.Forward_bfs
-                    (Response.Witnesses
-                       { count = Search.count_point_perms search image }))
+            forward ~none:(Response.Witnesses { count = 0 }) (fun search image ->
+                Response.Witnesses { count = Search.count_point_perms search image })
         | Enumerate { limit } ->
-            if Revfun.is_identity remainder then
-              ok Response.Trivial
-                (Response.Realizations
-                   {
-                     target;
-                     not_mask = mask;
-                     cost = 0;
-                     cascades = (if limit > 0 then [ [] ] else []);
-                     complete = limit > 0;
-                   })
-            else (
-              match
-                search_until ~max_depth:req.max_depth ~jobs ~should_stop library
-                  remainder
-              with
-              | None ->
-                  if should_stop () then fail Response.Cancelled
-                  else
-                    ok Response.Forward_bfs
-                      (Response.Unrealizable { max_depth = req.max_depth })
-              | Some (search, image) ->
-                  Telemetry.Counter.incr m_plan_forward;
-                  let cascades, complete = enumerate_cascades ~limit search image in
-                  let cost =
-                    match cascades with c :: _ -> List.length c | [] -> 0
-                  in
-                  ok Response.Forward_bfs
-                    (Response.Realizations
-                       { target; not_mask = mask; cost; cascades; complete }))
+            forward ~none:unrealizable (fun search image ->
+                let cascades, complete = enumerate_cascades ~limit search image in
+                let cost = match cascades with c :: _ -> List.length c | [] -> 0 in
+                Response.Realizations
+                  { target; not_mask = mask; cost; cascades; complete })
         | Synthesize -> (
-            if Revfun.is_identity remainder then
-              found Response.Trivial []
-            else
-              match req.plan with
-              | Forward -> forward_synthesize ()
-              | Bidir -> (
-                  match bidir with
-                  | None ->
-                      fail
-                        (Response.Unsupported
-                           "no meet-in-the-middle context on this evaluator \
-                            (daemon started without bidir, or synth run \
-                            without --bidir)")
-                  | Some engine -> bidir_synthesize ~lower_bound:1 engine)
-              | Index -> (
-                  match index with
-                  | None ->
-                      fail
-                        (Response.Unsupported
-                           "no census index on this evaluator (daemon started \
-                            without --index, or synth run without --index)")
-                  | Some idx -> (
-                      match Census_index.find idx remainder with
-                      | Some (cost, cascade) ->
-                          Telemetry.Counter.incr m_plan_index;
-                          if cost <= req.max_depth then
-                            ok Response.Index_hit
-                              (Response.Synthesized
-                                 { target; not_mask = mask; cascade; cost })
-                          else
-                            ok Response.Index_certified
-                              (Response.Unrealizable { max_depth = req.max_depth })
-                      | None ->
-                          if Census_index.is_complete idx then
-                            fail
-                              (Response.Internal
-                                 "complete index failed to answer a zero-fixing \
-                                  remainder — the index does not match this \
-                                  library")
-                          else if Census_index.depth idx >= req.max_depth then begin
-                            Telemetry.Counter.incr m_plan_index;
-                            ok Response.Index_certified
-                              (Response.Unrealizable { max_depth = req.max_depth })
-                          end
-                          else
-                            fail
-                              (Response.Unsupported
-                                 (Printf.sprintf
-                                    "index horizon %d cannot certify max_depth \
-                                     %d on a miss; use plan auto to fall \
-                                     through"
-                                    (Census_index.depth idx) req.max_depth))))
-              | Auto -> (
-                  let probe =
-                    match index with
-                    | None -> `No_index
-                    | Some idx -> (
-                        match Census_index.find idx remainder with
-                        | Some (cost, cascade) ->
-                            Telemetry.Counter.incr m_plan_index;
-                            Log.debug (fun m -> m "index hit: cost %d" cost);
-                            `Hit (cost, cascade)
-                        | None ->
-                            (* A complete index cannot miss a zero-fixing
-                               remainder of the library's width: every such
-                               function has a record.  Never silently search
-                               past this — it means the file and the library
-                               disagree despite the fingerprints. *)
-                            if Census_index.is_complete idx then `Broken
-                            else begin
-                              Log.debug (fun m ->
-                                  m "index miss: cost >= %d proven"
-                                    (Census_index.depth idx + 1));
-                              `Miss (Census_index.depth idx)
-                            end)
-                  in
-                  match probe with
-                  | `Hit (cost, cascade) ->
-                      if cost <= req.max_depth then
-                        ok Response.Index_hit
-                          (Response.Synthesized
-                             { target; not_mask = mask; cascade; cost })
-                      else
-                        ok Response.Index_certified
-                          (Response.Unrealizable { max_depth = req.max_depth })
-                  | `Broken ->
-                      fail
-                        (Response.Internal
-                           "complete index failed to answer a zero-fixing \
-                            remainder — the index does not match this library")
-                  | (`No_index | `Miss _) as probe ->
-                      let lower_bound =
-                        match probe with `Miss d -> d + 1 | `No_index -> 1
-                      in
-                      if lower_bound > req.max_depth then begin
-                        (* the index horizon covers the whole depth bound: a
-                           miss is a certified Unrealizable, no search needed *)
-                        Telemetry.Counter.incr m_plan_index;
-                        ok Response.Index_certified
-                          (Response.Unrealizable { max_depth = req.max_depth })
-                      end
-                      else begin
-                        (match probe with
-                        | `Miss horizon ->
-                            note_fallback ~horizon ~max_depth:req.max_depth
-                              ~engine:
-                                (match bidir with
-                                | Some _ -> "the meet-in-the-middle engine"
-                                | None -> "a forward BFS")
-                        | `No_index -> ());
-                        match bidir with
-                        | Some engine -> bidir_synthesize ~lower_bound engine
-                        | None -> forward_synthesize ()
-                      end)))
+            match (req.plan, index, bidir) with
+            | Forward, _, _ -> forward_synthesize ()
+            | Bidir, _, None ->
+                fail
+                  (Response.Unsupported
+                     "no meet-in-the-middle context on this evaluator \
+                      (daemon started without bidir, or synth run \
+                      without --bidir)")
+            | Bidir, _, Some engine -> bidir_synthesize ~lower_bound:1 engine
+            | Index, None, _ ->
+                fail
+                  (Response.Unsupported
+                     "no census index on this evaluator (daemon started \
+                      without --index, or synth run without --index)")
+            | Index, Some idx, _ -> (
+                match probe idx with
+                | `Answer resp -> resp
+                | `Miss horizon ->
+                    fail
+                      (Response.Unsupported
+                         (Printf.sprintf
+                            "index horizon %d cannot certify max_depth %d on a \
+                             miss; use plan auto to fall through"
+                            horizon req.max_depth)))
+            | Auto, _, _ -> (
+                let search ~lower_bound =
+                  if lower_bound > req.max_depth then begin
+                    (* the bound alone certifies: no search needed *)
+                    Telemetry.Counter.incr m_plan_index;
+                    ok Response.Index_certified unrealizable
+                  end
+                  else
+                    match bidir with
+                    | Some engine -> bidir_synthesize ~lower_bound engine
+                    | None -> forward_synthesize ()
+                in
+                match Option.map probe index with
+                | Some (`Answer resp) -> resp
+                | None -> search ~lower_bound:1
+                | Some (`Miss horizon) ->
+                    note_fallback ~horizon ~max_depth:req.max_depth
+                      ~engine:
+                        (match bidir with
+                        | Some _ -> "the meet-in-the-middle engine"
+                        | None -> "a forward BFS");
+                    search ~lower_bound:(horizon + 1))))
 
-(* {1 Legacy entry points} *)
+(* {1 One-request wrappers} *)
 
-let express ?(max_depth = 7) ?jobs ?should_stop ?index ?bidir library target =
+let solve_function ?max_depth ?jobs ?should_stop ?index ?bidir ~task library target =
   let req =
     Request.make
       ~qubits:(Revfun.bits target)
-      ~library:(Library.name library) ~max_depth (column_spec target)
+      ~library:(Library.name library) ~task ?max_depth (column_spec target)
   in
-  Response.result_of (solve ?jobs ?should_stop ?index ?bidir library req)
+  solve ?jobs ?should_stop ?index ?bidir library req
+
+let express ?max_depth ?jobs ?should_stop ?index ?bidir library target =
+  Response.result_of
+    (solve_function ?max_depth ?jobs ?should_stop ?index ?bidir ~task:Synthesize
+       library target)
 
 let all_realizations ?max_depth ?(limit = 10_000) ?jobs ?should_stop library target =
-  query_realizations ~limit (run_query ?max_depth ?jobs ?should_stop library target)
+  match
+    (solve_function ?max_depth ?jobs ?should_stop ~task:(Enumerate { limit }) library
+       target)
+      .body
+  with
+  | Ok { payload = Response.Realizations { target; not_mask; cascades; _ }; _ } ->
+      List.map
+        (fun cascade -> { target; not_mask; cascade; cost = List.length cascade })
+        cascades
+  | _ -> []
 
 let distinct_witnesses ?max_depth ?jobs ?should_stop library target =
-  query_witnesses (run_query ?max_depth ?jobs ?should_stop library target)
+  match
+    (solve_function ?max_depth ?jobs ?should_stop ~task:Count_witnesses library
+       target)
+      .body
+  with
+  | Ok { payload = Response.Witnesses { count }; _ } -> count
+  | _ -> 0

@@ -12,7 +12,7 @@
     answer: the payload, the plan actually used, and either an exact
     cost certificate or a typed error.  {!solve} evaluates a request
     against whatever engine resources the caller holds (a
-    {!Census_index}, a warm {!Bidir} context, or nothing but the
+    {!Census_index}, a {!Bidir} context, or nothing but the
     library).  The same pair travels over all four transports: the
     one-shot [qsynth synth --json] command, the [qsynth serve] daemon's
     socket protocol, the [qsynth query] client, and [qsynth batch]
@@ -23,8 +23,8 @@
     - a {!Census_index} lookup (exact cost + witness, no search; a miss
       proves a cost lower bound, and certifies unrealizability outright
       when the index horizon covers the depth bound);
-    - the meet-in-the-middle engine ({!Bidir}), when a shared context is
-      supplied;
+    - the meet-in-the-middle engine ({!Bidir}), when the caller supplies
+      a context (one-shot [synth --bidir]);
     - the forward BFS of the paper, as always. *)
 
 type result = {
@@ -214,14 +214,15 @@ module Response : sig
   (** [of_string s] parses and decodes; [of_string (to_string t) = Ok t]. *)
   val of_string : string -> (t, string) Stdlib.result
 
-  (** [result_of t] extracts a {!result} from a [Synthesized] body
-      (convenience for callers migrating from [express]). *)
+  (** [result_of t] extracts a {!result} from a [Synthesized] body. *)
   val result_of : t -> result option
 end
 
 (** [solve ?jobs ?should_stop ?index ?bidir library request] evaluates a
-    request against this process's engine resources and never raises:
-    every failure mode is a typed {!Response.error}.
+    request against the caller's engine resources and never raises:
+    every failure mode is a typed {!Response.error}.  It is the only
+    code that computes an answer; every transport and every wrapper
+    below goes through it.
 
     [index] serves known functions in O(log n) and turns misses into
     proven lower bounds.  A {e complete} index
@@ -230,24 +231,24 @@ end
     on one is reported as [Internal], not silently searched.  On a
     {e partial} index, the first miss that does fall through logs the
     index horizon and the chosen engine once per process and bumps the
-    [mce.plan.fallback_reason] counter.  [bidir] is a shared
-    meet-in-the-middle context ({!Bidir.create}, built for the same
-    library); with it a query can certify costs up to [max_depth] even
-    beyond the forward engine's practical depth.  With neither, the
-    original forward BFS runs.  [jobs] (default 1) is the forward BFS
-    worker-domain count; it does not affect results (see
-    {!Search.create}).
+    [mce.plan.fallback_reason] counter.  [bidir] is a meet-in-the-middle
+    context ({!Bidir.create}, built for the same library); with it a
+    query can certify costs up to [max_depth] even beyond the forward
+    engine's practical depth.  With neither, the original forward BFS
+    runs.  [jobs] (default 1) is the forward BFS worker-domain count; it
+    does not affect results (see {!Search.create}).
 
     [should_stop] is a cooperative cancellation flag polled between
     levels and between expansion chunks; when it fires the evaluation
     stops cleanly with the [Cancelled] error (the daemon maps its
     deadline watchdog onto it and reports [Deadline_exceeded]).
 
-    Determinism: with a fixed library, index file, and a {!Bidir}
-    context warmed to a fixed depth ({!Bidir.warm}) and capped there,
-    [solve] is a pure function of the request — the property the
-    daemon's response cache and the cross-transport byte-identity tests
-    rely on. *)
+    Determinism: with a fixed library and index file and no [bidir]
+    context, [solve] is a pure function of the request — the property
+    the daemon's response cache and the cross-transport byte-identity
+    tests rely on.  A {!Bidir} context grows its forward wave across
+    queries, so the witness it returns (never the cost) may depend on
+    the queries it answered before. *)
 val solve :
   ?jobs:int ->
   ?should_stop:(unit -> bool) ->
@@ -257,14 +258,14 @@ val solve :
   Request.t ->
   Response.t
 
-(** {1 Legacy entry points}
+(** {1 One-request wrappers}
 
-    Thin wrappers over {!solve} / the shared search, kept so existing
-    callers compile; new code should build a {!Request.t} and call
-    {!solve}.  Legacy call sites that are not worth migrating can
-    disable the alert locally with [-alert --deprecated] (see
-    [test/dune]). *)
+    Each builds one {!Request.t} for a parsed target (its truth-table
+    column, the library's name and width, [max_depth] default 7) and
+    answers it with {!solve}. *)
 
+(** [express] is task [Synthesize]: [Some] minimal realization, [None]
+    when none exists within [max_depth] (or on any error). *)
 val express :
   ?max_depth:int ->
   ?jobs:int ->
@@ -274,28 +275,10 @@ val express :
   Library.t ->
   Reversible.Revfun.t ->
   result option
-[@@ocaml.deprecated "use Mce.solve with a Request.t (task Synthesize)"]
 
-type query
-
-val run_query :
-  ?max_depth:int ->
-  ?jobs:int ->
-  ?should_stop:(unit -> bool) ->
-  Library.t ->
-  Reversible.Revfun.t ->
-  query
-[@@ocaml.deprecated "use Mce.solve; the daemon's response cache replaces shared queries"]
-
-val query_result : query -> result option
-[@@ocaml.deprecated "use Mce.solve with a Request.t (task Synthesize)"]
-
-val query_witnesses : query -> int
-[@@ocaml.deprecated "use Mce.solve with a Request.t (task Count_witnesses)"]
-
-val query_realizations : ?limit:int -> query -> result list
-[@@ocaml.deprecated "use Mce.solve with a Request.t (task Enumerate)"]
-
+(** [all_realizations] is task [Enumerate { limit }] ([limit] default
+    10_000): up to [limit] minimal realizations, [[]] when none exists
+    within [max_depth] (or on any error). *)
 val all_realizations :
   ?max_depth:int ->
   ?limit:int ->
@@ -304,8 +287,9 @@ val all_realizations :
   Library.t ->
   Reversible.Revfun.t ->
   result list
-[@@ocaml.deprecated "use Mce.solve with a Request.t (task Enumerate)"]
 
+(** [distinct_witnesses] is task [Count_witnesses]: the witness count,
+    0 when none exists within [max_depth] (or on any error). *)
 val distinct_witnesses :
   ?max_depth:int ->
   ?jobs:int ->
@@ -313,4 +297,3 @@ val distinct_witnesses :
   Library.t ->
   Reversible.Revfun.t ->
   int
-[@@ocaml.deprecated "use Mce.solve with a Request.t (task Count_witnesses)"]

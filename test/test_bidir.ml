@@ -296,7 +296,7 @@ let test_v1_format_rejected () =
       checkb "names the format" true (contains msg "QSYNIDX1");
       checkb "names the version" true (contains msg "version 1")
 
-(* {1 Mce integration: planner and shared queries} *)
+(* {1 Mce integration: planner and one-request wrappers} *)
 
 let test_express_with_index () =
   with_temp_file @@ fun path ->
@@ -321,16 +321,15 @@ let test_express_with_index () =
       checkb "cost-8 result valid" true (Verify.result_valid library3 r)
   | None -> Alcotest.fail "cost-8: no result via index+bidir"
 
-let test_shared_query () =
-  let q = Mce.run_query library3 toffoli in
-  (match Mce.query_result q with
+let test_three_wrappers () =
+  (match Mce.express library3 toffoli with
   | Some r -> check Alcotest.int "toffoli cost" 5 r.Mce.cost
   | None -> Alcotest.fail "toffoli: no result");
-  check Alcotest.int "toffoli witnesses" 4 (Mce.query_witnesses q);
+  check Alcotest.int "toffoli witnesses" 4 (Mce.distinct_witnesses library3 toffoli);
   check Alcotest.int "toffoli realizations" 40
-    (List.length (Mce.query_realizations q));
+    (List.length (Mce.all_realizations library3 toffoli));
   check Alcotest.int "realizations under limit" 7
-    (List.length (Mce.query_realizations ~limit:7 q))
+    (List.length (Mce.all_realizations ~limit:7 library3 toffoli))
 
 let test_realizations_limit_regression () =
   (* the returned list must never exceed [limit], including limit 0 and
@@ -376,7 +375,7 @@ let () =
         [
           Alcotest.test_case "express via index and bidir" `Quick
             test_express_with_index;
-          Alcotest.test_case "one search, three answers" `Quick test_shared_query;
+          Alcotest.test_case "one search, three answers" `Quick test_three_wrappers;
           Alcotest.test_case "all_realizations respects limit" `Quick
             test_realizations_limit_regression;
         ] );

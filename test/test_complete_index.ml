@@ -206,11 +206,11 @@ let test_golden_index_bytes () =
 
 let test_sampled_costs_against_fresh_engine () =
   let idx = Lazy.force complete in
-  (* an independent engine, warmed from scratch, must agree on cost and
-     accept the stored witness — a seeded stride covers every cost level
-     including the deep post-census tail *)
+  (* an independent engine, grown lazily from scratch by the queries
+     themselves, must agree on cost and accept the stored witness — a
+     seeded stride covers every cost level including the deep
+     post-census tail *)
   let engine = Bidir.create ~max_fwd_depth:7 library3 in
-  Bidir.warm engine ~depth:5;
   let i = ref 0 and checked = ref 0 in
   iter_universe (fun func ->
       if !i mod 97 = 0 then begin

@@ -14,7 +14,7 @@
      invariant under concurrent identical requests, cancellation and
      deadline mapping.
    - A live in-process daemon: 8 client threads x 50 mixed queries on
-     one warm service, every response byte-identical to a fresh one-shot
+     one service, every response byte-identical to a fresh one-shot
      service answering the same request; then a graceful drain with a
      request in flight.  On a complete index: index requests answered
      inline (in order, counted, never overloaded behind a full queue,
@@ -872,11 +872,11 @@ let temp_socket_path () =
   path
 
 (* The mixed workload: every plan family, both error paths, counting and
-   enumeration.  Depths stay small (index horizon 4, warm depth 3) so
-   the whole stress run is fast. *)
+   enumeration.  Depths stay small (index horizon 4) so the whole stress
+   run is fast. *)
 let stress_requests =
   [
-    Mce.Request.make ~max_depth:6 "toffoli" (* index miss -> bidir *);
+    Mce.Request.make ~max_depth:6 "toffoli" (* index miss -> forward BFS *);
     Mce.Request.make ~max_depth:6 "fredkin";
     Mce.Request.make "identity" (* trivial plan *);
     Mce.Request.make ~max_depth:4 "(7,8)"
@@ -896,16 +896,15 @@ let stress_requests =
 
 let daemon_stress () =
   let index = Lazy.force index4 in
-  let warm_depth = 3 in
   (* One-shot oracle: a fresh service per the byte-identity contract —
-     same index and warm depth, no shared state with the daemon. *)
-  let oracle = Service.create ~jobs:jobs_under_test ~index ~warm_depth library3 in
+     same index, no shared state with the daemon. *)
+  let oracle = Service.create ~jobs:jobs_under_test ~index library3 in
   let expected =
     List.map
       (fun r -> (r, Mce.Response.to_string (Service.answer oracle r)))
       stress_requests
   in
-  let svc = Service.create ~jobs:jobs_under_test ~index ~warm_depth library3 in
+  let svc = Service.create ~jobs:jobs_under_test ~index library3 in
   let socket = temp_socket_path () in
   let daemon = Daemon.start ~workers:2 ~queue_capacity:64 ~socket svc in
   let n_threads = 8 and per_thread = 50 in
