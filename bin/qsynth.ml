@@ -730,12 +730,7 @@ let serve_cmd =
     let verify =
       if verify_index then Census_index.Full else Census_index.Sample
     in
-    (* mmap, not read: the daemon probes records in place off the page
-       cache, so cold start is O(header + CRC scan) instead of a full
-       heap copy, and two daemons on one host share the file's pages. *)
-    let index =
-      Option.map (Census_index.load_mmap ~verify library) index_path
-    in
+    let index = Option.map (Census_index.load ~verify library) index_path in
     (match index with
     | Some idx ->
         Format.printf "index: %d functions, exact to cost %d%s@."

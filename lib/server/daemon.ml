@@ -162,10 +162,11 @@ let slow_log obs job resp (timing : Service.timing) ~queue_wait_s ~write_s
   flush obs.o_slow_oc;
   Mutex.unlock obs.o_slow_mutex
 
-(* The observed variant: clock every stage, build the request span tree,
-   stamp the trace id into the response, and feed the slow-query log.
-   The unobserved path below stays free of all of it.  An inline answer
-   was never queued: no [server.queue_wait] span, no wait to report. *)
+(* The observed variant: keep the stage timing, build the request span
+   tree, stamp the trace id into the response, and feed the slow-query
+   log.  The unobserved path below drops the timing and builds no span.
+   An inline answer was never queued: no [server.queue_wait] span, no
+   wait to report. *)
 let process_observed t obs job =
   let started = Unix.gettimeofday () in
   let queue_wait_s =
@@ -519,30 +520,3 @@ let wait t =
     Mutex.unlock t.wait_mutex;
     Log.app (fun m -> m "drained: every accepted request answered")
   end
-
-let run ?workers ?queue_capacity ?max_frame ?slow_ms ?slow_oc ?trace ~socket
-    service =
-  (* Handlers first: a SIGTERM that lands right after the "serving on"
-     banner must request the drain, not hit the default action. *)
-  let requested = Atomic.make false in
-  let previous =
-    List.map
-      (fun s ->
-        (s, Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set requested true))))
-      [ Sys.sigterm; Sys.sigint ]
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun (s, b) -> try Sys.set_signal s b with Invalid_argument _ -> ())
-        previous)
-  @@ fun () ->
-  let t =
-    start ?workers ?queue_capacity ?max_frame ?slow_ms ?slow_oc ?trace ~socket
-      service
-  in
-  while not (Atomic.get requested) do
-    Thread.delay 0.05
-  done;
-  stop t;
-  wait t

@@ -15,8 +15,7 @@
     graceful drain — stop accepting, answer every request already
     accepted, tell late frames {!Synthesis.Mce.Response.Shutting_down},
     close every connection, unlink the socket; {!wait} blocks until the
-    drain completes.  {!run} is the CLI entry: start, park until
-    [SIGTERM]/[SIGINT], drain, return.
+    drain completes.
 
     Reading: each reader pulls frames through a {!Protocol.Reader}, one
     [read] per batch of bytes, with a 0.25 s receive timeout so it sees
@@ -52,9 +51,10 @@ type t
     evaluated through {!Service.answer_timed}; requests whose total
     latency (queueing included) reaches [slow_ms] milliseconds are
     logged as one JSON object per line on [slow_oc] (default [stderr];
-    [slow_ms = 0] logs every request).  With neither, requests take the
-    uninstrumented {!Service.answer} path and responses never carry a
-    trace id — byte-identical to one-shot evaluation.
+    [slow_ms = 0] logs every request).  With neither, requests are
+    evaluated through {!Service.answer}, build no [server.request]
+    span, and responses never carry a trace id — byte-identical to
+    one-shot evaluation.
     @raise Invalid_argument on nonsensical parameters;
     @raise Failure when the socket path is unusable or busy. *)
 val start :
@@ -81,19 +81,3 @@ val stop : t -> unit
     exited, socket unlinked, every accepted request answered, worker
     domains (if any were spawned) joined.  Idempotent. *)
 val wait : t -> unit
-
-(** [run ?workers ?queue_capacity ?max_frame ?slow_ms ?slow_oc ?trace
-    ~socket service] serves until [SIGTERM] or [SIGINT] arrives, then
-    drains and returns.  Installs handlers for both signals before the
-    socket is bound (they only request the drain; the drain itself runs
-    in the calling thread) and restores the previous ones on return. *)
-val run :
-  ?workers:int ->
-  ?queue_capacity:int ->
-  ?max_frame:int ->
-  ?slow_ms:int ->
-  ?slow_oc:out_channel ->
-  ?trace:bool ->
-  socket:string ->
-  Service.t ->
-  unit

@@ -175,15 +175,13 @@ let index_status t =
    differs. *)
 let reload_index t path =
   let engine = primary t in
-  let index =
-    Census_index.load_mmap ~verify:t.index_verify engine.e_library path
-  in
+  let index = Census_index.load ~verify:t.index_verify engine.e_library path in
   Mutex.protect t.mutex (fun () ->
       Atomic.set engine.e_index (Some index);
       Lru.clear t.cache);
   publish_coverage (Some index);
   Log.info (fun m ->
-      m "index reloaded from %s (mmap): %d functions, exact to cost %d%s" path
+      m "index reloaded from %s: %d functions, exact to cost %d%s" path
         (Census_index.size index) (Census_index.depth index)
         (if Census_index.is_complete index then ", complete" else ""));
   (Census_index.size index, Census_index.depth index)
@@ -253,8 +251,7 @@ let evaluate t ~should_stop (req : Mce.Request.t) =
    an O(log n) probe that never misses — so such a request builds no
    key, takes no lock and joins no flight; {!evaluate} answers it
    directly.  Everything else (search answers, pinned bidir/forward
-   plans, counting, enumeration, secondary libraries) stays keyed.
-   Shared by {!answer} and {!answer_timed}. *)
+   plans, counting, enumeration, secondary libraries) stays keyed. *)
 let index_first t (req : Mce.Request.t) =
   match (req.task, req.plan) with
   | Mce.Request.Synthesize, (Mce.Request.Auto | Mce.Request.Index) -> (
@@ -268,7 +265,7 @@ let index_first t (req : Mce.Request.t) =
 
 (* Cache/coalesce admission: under [t.mutex], either return the cached
    body, join another caller's flight, or claim leadership of a fresh
-   one.  Shared by {!answer} and {!answer_timed}. *)
+   one. *)
 type claim = Hit of Mce.Response.t | Follow of flight | Lead of flight
 
 let claim t key =
@@ -325,25 +322,6 @@ let publish t flight key ~qubits () =
   Condition.broadcast flight.f_cond;
   Mutex.unlock flight.f_mutex
 
-let lead t flight key ~should_stop req =
-  Fun.protect
-    ~finally:(publish t flight key ~qubits:req.Mce.Request.qubits)
-    (fun () ->
-      let body = Mce.Response.with_id None (evaluate t ~should_stop req) in
-      Mutex.protect flight.f_mutex (fun () -> flight.f_result <- Some body);
-      body)
-
-let answer ?(should_stop = no_stop) t req =
-  Telemetry.Histogram.time h_answer @@ fun () ->
-  if index_first t req then evaluate t ~should_stop req
-  else
-    let key = Mce.Request.key req in
-    let stamp resp = Mce.Response.with_id req.Mce.Request.id resp in
-    match claim t key with
-    | Hit body -> stamp body
-    | Follow flight -> stamp (await flight)
-    | Lead flight -> stamp (lead t flight key ~should_stop req)
-
 type timing = {
   source : [ `Cache_hit | `Coalesced | `Computed ];
   cache_s : float;
@@ -357,20 +335,10 @@ let plan_of (resp : Mce.Response.t) =
   | Ok { plan; _ } -> Some (Mce.Response.plan_to_string plan)
   | Error _ -> None
 
-(* [evaluate] under an [mce.solve] span carrying the answering plan. *)
-let evaluate_traced t ~should_stop req =
-  Telemetry.Span.with_span "mce.solve" @@ fun () ->
-  let body = evaluate t ~should_stop req in
-  (match plan_of body with
-  | Some p -> Telemetry.Span.set_attr "plan" (Telemetry.Json.String p)
-  | None -> ());
-  body
-
-(* The instrumented twin of {!answer}: same admission/coalescing/publish
-   protocol (via the shared helpers), but each stage is clocked and
-   recorded as a span.  The daemon uses it only when tracing or the
-   slow-query log is configured, so {!answer} keeps its uninstrumented
-   cost for every other caller. *)
+(* The one admission path: index-first requests go straight to
+   {!evaluate}; everything else claims, follows or leads a keyed flight.
+   Each stage is clocked and recorded as a span (free when tracing is
+   off), and {!answer} drops the timing. *)
 let answer_timed ?(should_stop = no_stop) t req =
   Telemetry.Histogram.time h_answer @@ fun () ->
   let computed ~cache_s t1 body =
@@ -383,9 +351,18 @@ let answer_timed ?(should_stop = no_stop) t req =
         plan = plan_of body;
       } )
   in
+  (* [evaluate] under an [mce.solve] span carrying the answering plan *)
+  let evaluate_traced () =
+    Telemetry.Span.with_span "mce.solve" @@ fun () ->
+    let body = evaluate t ~should_stop req in
+    Option.iter
+      (fun p -> Telemetry.Span.set_attr "plan" (Telemetry.Json.String p))
+      (plan_of body);
+    body
+  in
   if index_first t req then
     let t1 = Unix.gettimeofday () in
-    computed ~cache_s:0. t1 (evaluate_traced t ~should_stop req)
+    computed ~cache_s:0. t1 (evaluate_traced ())
   else
     let key = Mce.Request.key req in
     let stamp resp = Mce.Response.with_id req.Mce.Request.id resp in
@@ -421,10 +398,10 @@ let answer_timed ?(should_stop = no_stop) t req =
           Fun.protect
             ~finally:(publish t flight key ~qubits:req.Mce.Request.qubits)
             (fun () ->
-              let body =
-                Mce.Response.with_id None (evaluate_traced t ~should_stop req)
-              in
+              let body = Mce.Response.with_id None (evaluate_traced ()) in
               Mutex.protect flight.f_mutex (fun () -> flight.f_result <- Some body);
               body)
         in
         computed ~cache_s t1 (stamp body)
+
+let answer ?should_stop t req = fst (answer_timed ?should_stop t req)

@@ -84,17 +84,19 @@ val libraries : t -> string list
     without one. *)
 val index_status : t -> (int * int * int * bool) option
 
-(** [reload_index t path] hot-swaps the census index: maps and validates
-    the index file at [path] ({!Synthesis.Census_index.load_mmap} — v1
-    or v2, magic, CRC, fingerprints, witness replay per the service's
+(** [reload_index t path] hot-swaps the census index: reads and
+    validates the QSYNIDX2 file at [path] ({!Synthesis.Census_index.load}
+    — magic, CRC, fingerprints, witness replay per the service's
     [index_verify]), then atomically publishes it and clears the
     response cache, without dropping or blocking in-flight requests —
-    requests already evaluating finish against the index (and mapping)
-    they snapshotted.  Returns the new index's [(size, depth)].  On
-    failure the old index remains in service untouched.
-    @raise Synthesis.Checkpoint.Corrupt on a damaged file
-    @raise Synthesis.Checkpoint.Mismatch on a library-fingerprint
-    mismatch
+    requests already evaluating finish against the index they
+    snapshotted, which stays alive until its last reader drops it.
+    Returns the new index's [(size, depth)].  On failure the old index
+    and the response cache remain in service untouched.
+    @raise Synthesis.Checkpoint.Corrupt on a damaged file or a retired
+    QSYNIDX1 file
+    @raise Synthesis.Checkpoint.Mismatch on a well-formed index for a
+    different library
     @raise Sys_error when [path] cannot be read. *)
 val reload_index : t -> string -> int * int
 
@@ -135,9 +137,9 @@ type timing = {
     clock and [server.cache] / [server.coalesce_wait] / [mce.solve]
     spans (the latter carrying a [plan] attribute).  Index-first
     answers report [`Computed] with [cache_s = 0] and only an
-    [mce.solve] span.  Identical response bytes to {!answer}; the
-    daemon switches to it only when tracing or the slow-query log is
-    enabled so the default path stays uninstrumented. *)
+    [mce.solve] span.  It is the one admission path: {!answer} is this
+    function with the timing dropped, so both return the same bytes.
+    Spans cost nothing while tracing is off. *)
 val answer_timed :
   ?should_stop:(unit -> bool) ->
   t ->

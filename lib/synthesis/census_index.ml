@@ -48,10 +48,9 @@ let h_pack = Telemetry.Histogram.create "census_index.pack.seconds"
 
    The retired QSYNIDX1 format is refused with a typed error naming the
    version: every index rebuilds from a census in seconds.  Records are
-   fixed-size and
-   sorted by key, so lookups binary-search the record block in place —
-   whether the file sits in a heap [Bytes.t] or in a read-only mmap, no
-   per-record unpacking or allocation happens on the probe path. *)
+   fixed-size and sorted by key, so lookups binary-search the record block
+   of the file's heap [Bytes.t] in place: no per-record unpacking or
+   allocation happens on the probe path. *)
 
 let magic = "QSYNIDX2"
 let magic_v1 = "QSYNIDX1"
@@ -60,71 +59,8 @@ let header_bytes = 8 + 4 + 8 + 8 + (9 * 4)
 let rec_size nb = nb + 1 + 4
 let flag_complete = 1
 
-(* {1 Storage: one buffer holding the whole serialized file}
-
-   [Heap] is a plain in-memory copy ({!load}, and freshly built indexes,
-   whose [buf] is exactly what {!save} writes).  [Map] is a read-only
-   [Unix.map_file] mapping: lookups touch only the pages the binary
-   search walks, the OS page cache shares them across processes, and
-   dropping the value unmaps (the [Bigarray] finalizer), which is what
-   makes a SIGHUP hot swap safe — in-flight lookups keep the old mapping
-   alive until they finish. *)
-
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type storage = Heap of Bytes.t | Map of bigstring
-
-let st_len = function
-  | Heap b -> Bytes.length b
-  | Map m -> Bigarray.Array1.dim m
-
-let st_u8 s i =
-  match s with
-  | Heap b -> Bytes.get_uint8 b i
-  | Map m -> Char.code (Bigarray.Array1.get m i)
-
-let st_u32 s i =
-  match s with
-  | Heap b -> Int32.to_int (Bytes.get_int32_le b i) land 0xFFFFFFFF
-  | Map m ->
-      let g k = Char.code (Bigarray.Array1.get m (i + k)) in
-      g 0 lor (g 1 lsl 8) lor (g 2 lsl 16) lor (g 3 lsl 24)
-
-let st_i64 s i =
-  match s with
-  | Heap b -> Bytes.get_int64_le b i
-  | Map m ->
-      let g k = Int64.of_int (Char.code (Bigarray.Array1.get m (i + k))) in
-      let ( <| ) v k = Int64.shift_left v k in
-      let ( || ) = Int64.logor in
-      g 0 || (g 1 <| 8) || (g 2 <| 16) || (g 3 <| 24) || (g 4 <| 32)
-      || (g 5 <| 40) || (g 6 <| 48) || (g 7 <| 56)
-
-let st_sub_string s off len =
-  String.init len (fun k -> Char.chr (st_u8 s (off + k)))
-
-let st_crc s ~off ~len =
-  match s with
-  | Heap b -> Checkpoint.crc32 b ~off ~len
-  | Map m ->
-      (* Digest the mapping through a scratch buffer chunk by chunk:
-         Checkpoint's slicing-by-8 kernel reads [Bytes.t], and a 64 KiB
-         copy costs far less than a byte-at-a-time bigarray CRC. *)
-      let chunk_len = 65536 in
-      let chunk = Bytes.create chunk_len in
-      let c = ref Checkpoint.crc32_init in
-      let i = ref off in
-      let stop = off + len in
-      while !i < stop do
-        let n = min chunk_len (stop - !i) in
-        for j = 0 to n - 1 do
-          Bytes.unsafe_set chunk j (Bigarray.Array1.unsafe_get m (!i + j))
-        done;
-        c := Checkpoint.crc32_feed !c chunk ~off:0 ~len:n;
-        i := !i + n
-      done;
-      Checkpoint.crc32_finish !c
+(* Unsigned little-endian u32 of the serialized file. *)
+let get_u32 b i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFFFFFF
 
 type t = {
   library : Library.t;
@@ -133,7 +69,7 @@ type t = {
   count : int;
   complete : bool;
   histogram : int array; (* records per cost, indices 0..depth *)
-  buf : storage; (* the whole serialized file, CRC included *)
+  buf : Bytes.t; (* the whole serialized file, CRC included *)
   records_off : int;
   log_off : int;
   log_len : int;
@@ -151,7 +87,6 @@ let coverage_of library count =
 
 let coverage t = coverage_of t.library t.count
 let histogram t = Array.copy t.histogram
-let mapped t = match t.buf with Heap _ -> false | Map _ -> true
 
 (* [Some u] — the number of functions a complete index must hold: the
    zero-fixing members (nb-1)! of S_{2^q} under the Theorem-2 coset
@@ -232,7 +167,7 @@ let pack library ~depth ~complete rows =
     count;
     complete;
     histogram;
-    buf = Heap buf;
+    buf;
     records_off;
     log_off;
     log_len;
@@ -279,7 +214,7 @@ let record_key_compare_probe t i func =
   let rec go j =
     if j = t.nb then 0
     else
-      let c = compare (st_u8 t.buf (base + j)) (Revfun.apply func j) in
+      let c = compare (Bytes.get_uint8 t.buf (base + j)) (Revfun.apply func j) in
       if c <> 0 then c else go (j + 1)
   in
   go 0
@@ -287,11 +222,11 @@ let record_key_compare_probe t i func =
 let witness_of_record t i =
   let entries = Library.entries t.library in
   let base = t.records_off + (i * rec_size t.nb) in
-  let cost = st_u8 t.buf (base + t.nb) in
-  let off = st_u32 t.buf (base + t.nb + 1) in
+  let cost = Bytes.get_uint8 t.buf (base + t.nb) in
+  let off = get_u32 t.buf (base + t.nb + 1) in
   ( cost,
     List.init cost (fun k ->
-        entries.(st_u8 t.buf (t.log_off + off + k)).Library.gate) )
+        entries.(Bytes.get_uint8 t.buf (t.log_off + off + k)).Library.gate) )
 
 let find t func =
   Telemetry.Counter.incr m_lookups;
@@ -317,21 +252,13 @@ let find t func =
 
 (* {1 Serialization} *)
 
-let serialize t =
-  match t.buf with
-  | Heap b -> b
-  | Map m ->
-      let len = Bigarray.Array1.dim m in
-      Bytes.init len (fun i -> Bigarray.Array1.get m i)
-
 let save t path =
-  let buf = serialize t in
-  Checkpoint.write_atomic path buf;
-  Telemetry.Counter.add c_bytes (Bytes.length buf);
+  Checkpoint.write_atomic path t.buf;
+  Telemetry.Counter.add c_bytes (Bytes.length t.buf);
   Log.info (fun m ->
       m "census index: %d functions to cost %d%s, %d bytes -> %s" t.count t.depth
         (if t.complete then " (complete)" else "")
-        (Bytes.length buf) path)
+        (Bytes.length t.buf) path)
 
 (* {1 Loading with validation}
 
@@ -357,12 +284,12 @@ let validate_witness t ~signatures i =
   let degree = Mvl.Encoding.size encoding in
   let entries = Library.entries t.library in
   let base = t.records_off + (i * rec_size t.nb) in
-  let cost = st_u8 t.buf (base + t.nb) in
-  let off = st_u32 t.buf (base + t.nb + 1) in
+  let cost = Bytes.get_uint8 t.buf (base + t.nb) in
+  let off = get_u32 t.buf (base + t.nb + 1) in
   let image = Array.init degree Fun.id in
   let scratch = Array.make degree 0 in
   for k = 0 to cost - 1 do
-    let e = entries.(st_u8 t.buf (t.log_off + off + k)) in
+    let e = entries.(Bytes.get_uint8 t.buf (t.log_off + off + k)) in
     let signature = ref 0 in
     for j = 0 to t.nb - 1 do
       signature := !signature lor signatures.(image.(j))
@@ -375,32 +302,32 @@ let validate_witness t ~signatures i =
     Array.blit scratch 0 image 0 degree
   done;
   for j = 0 to t.nb - 1 do
-    if image.(j) <> st_u8 t.buf (base + j) then
+    if image.(j) <> Bytes.get_uint8 t.buf (base + j) then
       corrupt "index witness does not realize its recorded function"
   done
 
-let of_storage ~verify library buf path =
-  let len = st_len buf in
+let of_bytes ~verify library buf path =
+  let len = Bytes.length buf in
   if len < 12 then corrupt "truncated census index (%d bytes)" len;
-  let file_magic = st_sub_string buf 0 8 in
+  let file_magic = Bytes.sub_string buf 0 8 in
   if file_magic = magic_v1 then
     corrupt
       "QSYNIDX1 (format version 1) is no longer supported; rebuild the index \
        with qsynth census --emit-index";
   if file_magic <> magic then corrupt "bad magic: not a qsynth census index";
   if len < header_bytes + 4 then corrupt "truncated census index (%d bytes)" len;
-  let stored_crc = st_u32 buf (len - 4) in
-  let actual_crc = st_crc buf ~off:0 ~len:(len - 4) in
+  let stored_crc = get_u32 buf (len - 4) in
+  let actual_crc = Checkpoint.crc32 buf ~off:0 ~len:(len - 4) in
   if stored_crc <> actual_crc then
     corrupt "CRC mismatch: stored %08x, computed %08x" stored_crc actual_crc;
   let pos = ref 8 in
   let u32 () =
-    let v = st_u32 buf !pos in
+    let v = get_u32 buf !pos in
     pos := !pos + 4;
     v
   in
   let i64 () =
-    let v = st_i64 buf !pos in
+    let v = Bytes.get_int64_le buf !pos in
     pos := !pos + 8;
     v
   in
@@ -478,7 +405,7 @@ let of_storage ~verify library buf path =
   for i = 0 to count - 1 do
     let base = records_off + (i * rec_size nb) in
     for j = 0 to nb - 1 do
-      if st_u8 buf (base + j) >= nb then
+      if Bytes.get_uint8 buf (base + j) >= nb then
         corrupt "record %d: func_key byte outside the binary block" i
     done;
     if i > 0 then begin
@@ -486,19 +413,21 @@ let of_storage ~verify library buf path =
       let rec cmp j =
         if j = nb then 0
         else
-          let c = compare (st_u8 buf (base + j)) (st_u8 buf (prev + j)) in
+          let c =
+            compare (Bytes.get_uint8 buf (base + j)) (Bytes.get_uint8 buf (prev + j))
+          in
           if c <> 0 then c else cmp (j + 1)
       in
       if cmp 0 <= 0 then
         corrupt "records out of order at %d (index not sorted or duplicated)" i
     end;
-    let cost = st_u8 buf (base + nb) in
-    let off = st_u32 buf (base + nb + 1) in
+    let cost = Bytes.get_uint8 buf (base + nb) in
+    let off = get_u32 buf (base + nb + 1) in
     if cost > idx_depth then
       corrupt "record %d: cost %d beyond depth %d" i cost idx_depth;
     if off + cost > log_len then corrupt "record %d: witness outside the gate log" i;
     for k = 0 to cost - 1 do
-      let g = st_u8 buf (log_off + off + k) in
+      let g = Bytes.get_uint8 buf (log_off + off + k) in
       if g >= num_gates then corrupt "record %d: gate index %d out of range" i g
     done;
     histogram.(cost) <- histogram.(cost) + 1
@@ -518,26 +447,12 @@ let of_storage ~verify library buf path =
     i := !i + step
   done;
   Log.info (fun m ->
-      m "census index loaded: %d functions to cost %d%s%s from %s (%d/%d witnesses \
+      m "census index loaded: %d functions to cost %d%s from %s (%d/%d witnesses \
          replayed)"
         count idx_depth
         (if complete then ", complete" else "")
-        (if mapped t then ", mmap" else "")
         path !verified count);
   t
 
 let load ?(verify = Sample) library path =
-  of_storage ~verify library (Heap (Checkpoint.read_file path)) path
-
-let load_mmap ?(verify = Sample) library path =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  let map =
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        let size = (Unix.fstat fd).Unix.st_size in
-        if size < 12 then corrupt "truncated census index (%d bytes)" size;
-        Bigarray.array1_of_genarray
-          (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| -1 |]))
-  in
-  of_storage ~verify library (Map map) path
+  of_bytes ~verify library (Checkpoint.read_file path) path

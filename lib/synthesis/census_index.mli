@@ -27,9 +27,9 @@
 
 type t
 
-(** How much witness replay {!load}/{!load_mmap} perform beyond the
-    always-on integrity checks (CRC-32, fingerprints, record sortedness
-    and bounds, histogram/coverage cross-checks): [Sample] replays a
+(** How much witness replay {!load} performs beyond the always-on
+    integrity checks (CRC-32, fingerprints, record sortedness and
+    bounds, histogram/coverage cross-checks): [Sample] replays a
     deterministic ~64-record stride, [Full] replays every record —
     proving the file correct by construction, not merely uncorrupted, at
     O(count·depth) load cost. *)
@@ -72,10 +72,6 @@ val coverage : t -> int
     of the zero-fixing universe. *)
 val histogram : t -> int array
 
-(** [mapped t] is true when the records live in a read-only mmap
-    ({!load_mmap}) rather than a heap buffer. *)
-val mapped : t -> bool
-
 (** [find t func] is [Some (cost, witness)] with the exact minimal cost
     and a minimal witness cascade, or [None] — which for an in-horizon
     census means {e proven} cost [> depth t], and for a complete index
@@ -99,13 +95,3 @@ val save : t -> string -> unit
     @raise Checkpoint.Mismatch on a well-formed index for a different
     library or format version. *)
 val load : ?verify:verification -> Library.t -> string -> t
-
-(** [load_mmap ?verify library path] is {!load} over a read-only
-    [Unix.map_file] mapping instead of a heap copy: validation streams
-    the pages once (the CRC), after which lookups touch only the pages
-    the binary search walks and the OS page cache shares them across
-    replica processes.  Dropping the returned index unmaps the file via
-    the [Bigarray] finalizer, so a SIGHUP hot swap is safe: in-flight
-    lookups keep the old mapping alive until they finish.  Same
-    validation and exceptions as {!load}. *)
-val load_mmap : ?verify:verification -> Library.t -> string -> t

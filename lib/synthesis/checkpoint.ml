@@ -61,13 +61,11 @@ let crc_tables =
      done;
      t)
 
-let crc32_init = 0xFFFFFFFF
-
-let crc32_feed init bytes ~off ~len =
+let crc32 bytes ~off ~len =
   let t = Lazy.force crc_tables in
   let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3) in
   let t4 = t.(4) and t5 = t.(5) and t6 = t.(6) and t7 = t.(7) in
-  let c = ref init in
+  let c = ref 0xFFFFFFFF in
   let i = ref off in
   let stop = off + len in
   while !i + 8 <= stop do
@@ -89,10 +87,7 @@ let crc32_feed init bytes ~off ~len =
     c := t0.((!c lxor Char.code (Bytes.unsafe_get bytes !i)) land 0xFF) lxor (!c lsr 8);
     i := !i + 1
   done;
-  !c
-
-let crc32_finish c = c lxor 0xFFFFFFFF
-let crc32 bytes ~off ~len = crc32_finish (crc32_feed crc32_init bytes ~off ~len)
+  !c lxor 0xFFFFFFFF
 
 (* {1 Library fingerprint (FNV-1a 64)} *)
 

@@ -78,17 +78,6 @@ val fingerprint : Library.t -> int64
     given byte range. *)
 val crc32 : Bytes.t -> off:int -> len:int -> int
 
-(** Incremental form of {!crc32}, for digesting data that is not in one
-    contiguous [Bytes.t] (e.g. an mmap'd file copied through a scratch
-    buffer chunk by chunk): start from {!crc32_init}, thread the register
-    through {!crc32_feed} calls over consecutive chunks, and apply
-    {!crc32_finish} once at the end.  Feeding a single chunk is exactly
-    {!crc32}. *)
-val crc32_init : int
-
-val crc32_feed : int -> Bytes.t -> off:int -> len:int -> int
-val crc32_finish : int -> int
-
 (** [write_atomic path bytes] writes [bytes] to [path ^ ".tmp"], fsyncs,
     renames over [path], and fsyncs the directory (best effort): a crash
     at any point — including the injected ["checkpoint"] fault between

@@ -261,36 +261,27 @@ let test_deterministic_bytes_across_jobs_and_quotient () =
   same_bytes "nft: raw depth-7/jobs=1 and quotient depth-8/jobs=2 byte-identical"
     raw quotiented
 
-let test_mmap_and_heap_loaders_agree () =
+let test_saved_then_loaded_answers_like_built () =
   let idx = Lazy.force complete in
   with_temp_file @@ fun path ->
   Census_index.save idx path;
-  let heap = Census_index.load library3 path in
-  let map = Census_index.load_mmap library3 path in
-  checkb "heap loader not mapped" false (Census_index.mapped heap);
-  checkb "mmap loader mapped" true (Census_index.mapped map);
-  (* the full-replay verification must also accept both *)
+  let loaded = Census_index.load library3 path in
+  (* the full-replay verification must also accept it *)
   ignore (Census_index.load ~verify:Census_index.Full library3 path);
-  ignore (Census_index.load_mmap ~verify:Census_index.Full library3 path);
-  List.iter
-    (fun loaded ->
-      checkb "complete" true (Census_index.is_complete loaded);
-      check Alcotest.int "size" (Census_index.size idx)
-        (Census_index.size loaded);
-      check Alcotest.int "depth" (Census_index.depth idx)
-        (Census_index.depth loaded);
-      check Alcotest.int "coverage" (Census_index.coverage idx)
-        (Census_index.coverage loaded);
-      check Alcotest.(array int) "histogram" (Census_index.histogram idx)
-        (Census_index.histogram loaded))
-    [ heap; map ];
+  checkb "complete" true (Census_index.is_complete loaded);
+  check Alcotest.int "size" (Census_index.size idx) (Census_index.size loaded);
+  check Alcotest.int "depth" (Census_index.depth idx) (Census_index.depth loaded);
+  check Alcotest.int "coverage" (Census_index.coverage idx)
+    (Census_index.coverage loaded);
+  check Alcotest.(array int) "histogram" (Census_index.histogram idx)
+    (Census_index.histogram loaded);
   (* byte-identical answers record by record *)
   let i = ref 0 in
   iter_universe (fun func ->
       if !i mod 11 = 0 then begin
-        let a = Census_index.find heap func in
-        let b = Census_index.find map func in
-        if a <> b then Alcotest.fail "heap and mmap probes disagree"
+        let a = Census_index.find idx func in
+        let b = Census_index.find loaded func in
+        if a <> b then Alcotest.fail "built and loaded probes disagree"
       end;
       incr i)
 
@@ -369,8 +360,8 @@ let () =
             test_sampled_costs_against_fresh_engine;
           Alcotest.test_case "byte-identical across jobs and quotient" `Quick
             test_deterministic_bytes_across_jobs_and_quotient;
-          Alcotest.test_case "mmap and heap loaders agree" `Quick
-            test_mmap_and_heap_loaders_agree;
+          Alcotest.test_case "saved then loaded index answers like the built one"
+            `Quick test_saved_then_loaded_answers_like_built;
         ] );
       ( "witnesses",
         [

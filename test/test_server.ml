@@ -774,7 +774,20 @@ let index_first_pinned_plans_keyed () =
     (Mce.Response.to_string first)
     (Mce.Response.to_string second);
   check Alcotest.int "one miss" (misses0 + 1) (counter "server.cache.miss");
-  check Alcotest.int "then a hit" (hits0 + 1) (counter "server.cache.hit")
+  check Alcotest.int "then a hit" (hits0 + 1) (counter "server.cache.hit");
+  (* the timed path is the same admission: computed once, then cached *)
+  let svc = Service.create ~index:(Lazy.force complete_index) library3 in
+  let source (_, timing) = timing.Service.source in
+  let timed1 = Service.answer_timed svc req in
+  let timed2 = Service.answer_timed svc req in
+  checkb "timed: computed first" true (source timed1 = `Computed);
+  checkb "timed: then a cache hit" true (source timed2 = `Cache_hit);
+  List.iter
+    (fun (resp, _) ->
+      check Alcotest.string "timed bytes equal answer"
+        (Mce.Response.to_string first)
+        (Mce.Response.to_string resp))
+    [ timed1; timed2 ]
 
 let index_first_follows_reload () =
   (* Answers come from whichever index is published: a partial one puts
@@ -795,6 +808,40 @@ let index_first_follows_reload () =
       let traffic0 = cache_traffic () in
       check Alcotest.string "complete again" "index" (answer_plan svc cost8);
       checkb "off the keyed path" true (traffic0 = cache_traffic ()))
+
+let failed_reload_keeps_old_index () =
+  (* A rejected file leaves the published index and the response cache
+     exactly as they were: same bytes, same plan, same cache size. *)
+  Telemetry.set_enabled true;
+  let svc = Service.create ~index:(Lazy.force complete_index) library3 in
+  let cost8 = Mce.Request.make ~max_depth:13 "0,1,2,3,4,7,5,6" in
+  let keyed = Mce.Request.make ~plan:Mce.Request.Forward ~max_depth:5 "toffoli" in
+  ignore (Service.answer svc keyed);
+  let want = Mce.Response.to_string (Service.answer svc cost8) in
+  let size0 = gauge "server.cache.size" in
+  checkb "cache holds the keyed answer" true (size0 > 0.);
+  let still_serving what =
+    check Alcotest.string (what ^ ": same bytes") want
+      (Mce.Response.to_string (Service.answer svc cost8));
+    check Alcotest.string (what ^ ": same plan") "index" (answer_plan svc cost8);
+    check (Alcotest.float 0.) (what ^ ": cache size unchanged") size0
+      (gauge "server.cache.size")
+  in
+  with_saved_index (Lazy.force complete_index) (fun path ->
+      let bytes = Checkpoint.read_file path in
+      let mid = Bytes.length bytes / 2 in
+      Bytes.set_uint8 bytes mid (Bytes.get_uint8 bytes mid lxor 0xFF);
+      Checkpoint.write_atomic path bytes;
+      (match Service.reload_index svc path with
+      | _ -> Alcotest.fail "corrupt index accepted"
+      | exception Checkpoint.Corrupt _ -> ());
+      still_serving "corrupt");
+  let nct = Library.of_name "nct" in
+  with_saved_index (Census_index.build (Fmcf.run ~max_depth:2 nct)) (fun path ->
+      (match Service.reload_index svc path with
+      | _ -> Alcotest.fail "another library's index accepted"
+      | exception Checkpoint.Mismatch _ -> ());
+      still_serving "mismatch")
 
 (* {1 qsynth batch over a pipe} *)
 
@@ -1469,6 +1516,8 @@ let () =
             index_first_pinned_plans_keyed;
           Alcotest.test_case "reload switches the answering index" `Quick
             index_first_follows_reload;
+          Alcotest.test_case "failed reload keeps the old index" `Quick
+            failed_reload_keeps_old_index;
         ] );
       ( "batch",
         [
