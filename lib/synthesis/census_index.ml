@@ -10,14 +10,15 @@ let c_bytes = Telemetry.Counter.create "census_index.write.bytes"
 let h_witness = Telemetry.Histogram.create "census_index.witness.seconds"
 let h_pack = Telemetry.Histogram.create "census_index.pack.seconds"
 
-(* The index is quotient-agnostic: {!build} consumes (func_key, witness)
-   pairs from {!Fmcf} and sorts records by func_key, and a quotient
-   census produces exactly the same pairs as a raw one
-   ({!Fmcf.cascade_of_member} reconstructs the same canonical witness in
-   both modes), so index files emitted with and without [--quotient] are
-   byte-identical — the property the CI parity job diffs.  A complete
-   index records the highest cost present as its depth, so a census run
-   past the diameter emits the same bytes as one stopped exactly at it.
+(* The index is quotient-agnostic: {!build} writes one record per
+   census member, sorted by func_key, with the member's canonical witness
+   read from {!Fmcf}'s step table, and a quotient census yields exactly
+   the same (func_key, witness) pairs as a raw one (the canonical step of
+   an image is a function of the image alone), so index files emitted
+   with and without [--quotient] are byte-identical — the property the
+   CI parity jobs diff.  A complete index records the highest cost
+   present as its depth, so a census run past the diameter emits the
+   same bytes as one stopped exactly at it.
 
    On-disk format (QSYNIDX2, little-endian), reusing the QSYNCKP1
    atomic-write + CRC machinery from {!Checkpoint}:
@@ -101,27 +102,76 @@ let universe library =
   in
   go 1 2
 
-(* {1 Packing}
+(* {1 Building from a census}
 
-   Everything that builds an index funnels through [pack]: rows are
-   sorted by func_key, the histogram and coverage are derived from them,
-   and [t.buf] is the exact serialized file — so {!save} is a plain
-   write and a freshly built index answers lookups from the same bytes a
-   reloaded one would. *)
+   [build] writes [t.buf], the exact serialized file, in two stages, so
+   {!save} is a plain write and a freshly built index answers lookups
+   from the same bytes a reloaded one would.  The header comes straight
+   from the census's level counts.  Stage one ([census_index.witness])
+   streams every member from the arena, steps its witness into
+   {!Fmcf}'s step table, and writes its record unsorted, with the
+   member's image id parked in the gate-log offset field.  Stage two
+   ([census_index.pack]) sorts the records by func_key with a stable LSD
+   radix sort — func_key bytes are below nb, so nb passes of nb buckets
+   — then walks them in key order, writing each witness into its
+   gate-log slice from the step table and the slice's offset over the
+   id, and CRCs the buffer. *)
 
-let pack library ~depth ~complete rows =
+(* [sort_records buf ~off ~count ~nb] sorts the [count] records at
+   [buf.[off ..]] by their nb-byte keys.  A pass whose byte is the same
+   in every record (byte 0 of every zero-fixing key) is skipped. *)
+let sort_records buf ~off ~count ~nb =
+  let rs = rec_size nb in
+  let len = count * rs in
+  let tmp = Bytes.create len in
+  let start = Array.make (nb + 1) 0 in
+  let src = ref buf and soff = ref off and dst = ref tmp and doff = ref 0 in
+  for j = nb - 1 downto 0 do
+    Array.fill start 0 (nb + 1) 0;
+    for i = 0 to count - 1 do
+      let b = Bytes.get_uint8 !src (!soff + (i * rs) + j) + 1 in
+      start.(b) <- start.(b) + 1
+    done;
+    if not (Array.exists (fun n -> n = count) start) then begin
+      for b = 1 to nb do
+        start.(b) <- start.(b) + start.(b - 1)
+      done;
+      for i = 0 to count - 1 do
+        let r = !soff + (i * rs) in
+        let b = Bytes.get_uint8 !src (r + j) in
+        Bytes.blit !src r !dst (!doff + (start.(b) * rs)) rs;
+        start.(b) <- start.(b) + 1
+      done;
+      let s = !src and so = !soff in
+      src := !dst;
+      soff := !doff;
+      dst := s;
+      doff := so
+    end
+  done;
+  if !src != buf then Bytes.blit !src !soff buf off len
+
+let build census =
+  let library = Search.library (Fmcf.search census) in
   let nb = Mvl.Encoding.num_binary (Library.encoding library) in
-  Array.sort (fun (a, _) (b, _) -> String.compare a b) rows;
-  let count = Array.length rows in
-  let log_len = Array.fold_left (fun acc (_, w) -> acc + String.length w) 0 rows in
+  let counts = Fmcf.counts census in
+  let count = List.fold_left (fun acc (_, n) -> acc + n) 0 counts in
+  (* A deep-enough forward census can cover the library's whole universe
+     by itself; mark it complete so the planner trusts it. *)
+  let complete =
+    match universe library with Some u -> count = u | None -> false
+  in
+  (* A complete index proves nothing beyond its highest cost, so levels a
+     census searched past the diameter (all empty) are not recorded. *)
+  let depth =
+    if complete then
+      List.fold_left (fun acc (c, n) -> if n > 0 then max acc c else acc) 0 counts
+    else Fmcf.depth census
+  in
+  let histogram = Array.make (depth + 1) 0 in
+  List.iter (fun (c, n) -> if c <= depth then histogram.(c) <- n) counts;
+  let log_len = List.fold_left (fun acc (c, n) -> acc + (c * n)) 0 counts in
   let hist_len = depth + 1 in
-  let histogram = Array.make hist_len 0 in
-  Array.iter
-    (fun (_, w) ->
-      let cost = String.length w in
-      if cost > depth then invalid_arg "Census_index: row cost outside 0..depth";
-      histogram.(cost) <- histogram.(cost) + 1)
-    rows;
   let records_off = header_bytes + (4 * hist_len) in
   let log_off = records_off + (count * rec_size nb) in
   let len = log_off + log_len + 4 in
@@ -148,18 +198,33 @@ let pack library ~depth ~complete rows =
   put_u32 (coverage_of library count);
   put_u32 hist_len;
   Array.iter put_u32 histogram;
-  let off = ref 0 in
-  Array.iteri
-    (fun i (key, w) ->
-      let base = records_off + (i * rec_size nb) in
-      Bytes.blit_string key 0 buf base nb;
-      Bytes.set_uint8 buf (base + nb) (String.length w);
-      Bytes.set_int32_le buf (base + nb + 1) (Int32.of_int !off);
-      Bytes.blit_string w 0 buf (log_off + !off) (String.length w);
-      off := !off + String.length w)
-    rows;
-  Bytes.set_int32_le buf (len - 4)
-    (Int32.of_int (Checkpoint.crc32 buf ~off:0 ~len:(len - 4)));
+  Telemetry.Histogram.time h_witness (fun () ->
+      let i = ref 0 in
+      Fmcf.iter_member_ids census (fun ~cost ~id img off ->
+          if !i >= count then
+            invalid_arg "Census_index.build: members disagree with the level counts";
+          if id lsr 32 <> 0 then
+            invalid_arg "Census_index.build: image id overflows the offset field";
+          let base = records_off + (!i * rec_size nb) in
+          Bytes.blit img off buf base nb;
+          Bytes.set_uint8 buf (base + nb) cost;
+          Bytes.set_int32_le buf (base + nb + 1) (Int32.of_int id);
+          incr i);
+      if !i <> count then
+        invalid_arg "Census_index.build: members disagree with the level counts");
+  Telemetry.Histogram.time h_pack (fun () ->
+      sort_records buf ~off:records_off ~count ~nb;
+      let off = ref 0 in
+      for i = 0 to count - 1 do
+        let base = records_off + (i * rec_size nb) in
+        let cost = Bytes.get_uint8 buf (base + nb) in
+        Fmcf.write_witness census ~id:(get_u32 buf (base + nb + 1)) ~cost buf
+          (log_off + !off);
+        Bytes.set_int32_le buf (base + nb + 1) (Int32.of_int !off);
+        off := !off + cost
+      done;
+      Bytes.set_int32_le buf (len - 4)
+        (Int32.of_int (Checkpoint.crc32 buf ~off:0 ~len:(len - 4))));
   {
     library;
     depth;
@@ -172,38 +237,6 @@ let pack library ~depth ~complete rows =
     log_off;
     log_len;
   }
-
-(* {1 Building from a census} *)
-
-let build census =
-  let library = Search.library (Fmcf.search census) in
-  let rows =
-    Telemetry.Histogram.time h_witness @@ fun () ->
-    let rows = ref [] in
-    (* a member's image vector is its func_key: it maps the binary block
-       onto itself *)
-    Fmcf.iter_members census (fun ~cost member ->
-        let w = Fmcf.witness_gates census member in
-        if String.length w <> cost then
-          invalid_arg "Census_index.build: witness length differs from cost";
-        rows := (member.Fmcf.image, w) :: !rows);
-    Array.of_list !rows
-  in
-  Telemetry.Histogram.time h_pack @@ fun () ->
-  (* A deep-enough forward census can cover the library's whole universe
-     by itself; mark it complete so the planner trusts it. *)
-  let complete =
-    match universe library with
-    | Some u -> Array.length rows = u
-    | None -> false
-  in
-  (* A complete index proves nothing beyond its highest cost, so levels a
-     census searched past the diameter (all empty) are not recorded. *)
-  let depth =
-    if complete then Array.fold_left (fun acc (_, w) -> max acc (String.length w)) 0 rows
-    else Fmcf.depth census
-  in
-  pack library ~depth ~complete rows
 
 (* {1 Lookup} *)
 
@@ -279,27 +312,28 @@ type verification = Sample | Full
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Checkpoint.Corrupt s)) fmt
 let mismatch fmt = Printf.ksprintf (fun s -> raise (Checkpoint.Mismatch s)) fmt
 
-let validate_witness t ~signatures i =
-  let encoding = Library.encoding t.library in
-  let degree = Mvl.Encoding.size encoding in
+(* Replays record [i]'s witness on the binary image vector alone — the
+   census's own state: a gate moves each point independently, and both
+   the purity check and the final comparison read only the binary
+   block.  [image] is the caller's nb-cell scratch, so replay allocates
+   nothing. *)
+let validate_witness t ~signatures ~image i =
   let entries = Library.entries t.library in
   let base = t.records_off + (i * rec_size t.nb) in
   let cost = Bytes.get_uint8 t.buf (base + t.nb) in
   let off = get_u32 t.buf (base + t.nb + 1) in
-  let image = Array.init degree Fun.id in
-  let scratch = Array.make degree 0 in
+  for j = 0 to t.nb - 1 do
+    image.(j) <- j
+  done;
   for k = 0 to cost - 1 do
     let e = entries.(Bytes.get_uint8 t.buf (t.log_off + off + k)) in
-    let signature = ref 0 in
+    let perm = e.Library.perm_array and mask = e.Library.purity_mask in
     for j = 0 to t.nb - 1 do
-      signature := !signature lor signatures.(image.(j))
-    done;
-    if !signature land e.Library.purity_mask <> 0 then
-      corrupt "index witness violates the reasonable-product constraint";
-    for j = 0 to degree - 1 do
-      scratch.(j) <- e.Library.perm_array.(image.(j))
-    done;
-    Array.blit scratch 0 image 0 degree
+      let x = image.(j) in
+      if signatures.(x) land mask <> 0 then
+        corrupt "index witness violates the reasonable-product constraint";
+      image.(j) <- perm.(x)
+    done
   done;
   for j = 0 to t.nb - 1 do
     if image.(j) <> Bytes.get_uint8 t.buf (base + j) then
@@ -439,10 +473,11 @@ let of_bytes ~verify library buf path =
   let degree = Mvl.Encoding.size encoding in
   let signatures = Array.init degree (Mvl.Encoding.mixed_signature encoding) in
   let step = match verify with Full -> 1 | Sample -> max 1 (count / 64) in
+  let image = Array.make nb 0 in
   let verified = ref 0 in
   let i = ref 0 in
   while !i < count do
-    validate_witness t ~signatures !i;
+    validate_witness t ~signatures ~image !i;
     incr verified;
     i := !i + step
   done;

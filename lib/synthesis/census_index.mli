@@ -42,7 +42,10 @@ type verification = Sample | Full
     reduction, the full symmetric group for NCT/NFT — yields a complete
     index whose {!depth} is the highest cost present, however far past
     the diameter the census ran.
-    @raise Invalid_argument if a witness is inconsistent (engine bug). *)
+    Witnesses are read from the census's step table ({!Fmcf.iter_member_ids}),
+    so building allocates it if no witness was read before.
+    @raise Invalid_argument if the members disagree with the level
+    counts or a witness has no backward step (engine bug). *)
 val build : Fmcf.t -> t
 
 (** [depth t] is the cost horizon: every function of cost [<= depth] is

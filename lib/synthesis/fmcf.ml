@@ -10,19 +10,37 @@ let m_budget_states = Telemetry.Counter.create "search.budget.states.hit"
 let m_budget_mem = Telemetry.Counter.create "search.budget.mem.hit"
 let m_timeout = Telemetry.Counter.create "search.timeout.hit"
 let m_cancelled = Telemetry.Counter.create "search.cancelled"
+let m_step_images = Telemetry.Counter.create "census_index.witness.images"
+let m_step_trials = Telemetry.Counter.create "census_index.witness.trials"
 
 type member = { func : Reversible.Revfun.t; image : string; cost : int }
 
 type level = { cost : int; frontier_size : int; functions : int }
 
+(* The step table of the canonical witnesses (see "Canonical witness
+   reconstruction" below), allocated on the first witness read. *)
+type steps = {
+  order : int; (* |group|, 1 for a raw census *)
+  base : int array; (* dense index of each shard's first state *)
+  slots : int array;
+      (* image id -> (pre-image id lsl gate_bits) lor gate, -1 until stepped *)
+  maps : int array array;
+      (* per group element [c]: gate [g] -> the gate [g'] with
+         [conj_c (g⁻¹ v) = g'⁻¹ (conj_c v)]; empty when raw *)
+  legal : Bytes.t;
+      (* quotient only: (dense handle, gate) -> whether the gate steps the
+         representative down a level: 0 not yet probed, 1 yes, 2 no *)
+  v : Bytes.t; (* the image being stepped *)
+  u : Bytes.t; (* a trial pre-image *)
+}
+
 type t = {
   library : Library.t;
   search : Search.t;
   levels : level list;
-  witnesses : (string, string) Hashtbl.t;
-      (* image -> canonical witness (library entry indices), filled on demand *)
   signatures : int array; (* mixed signature of each encoding point *)
-  canon_buf : Bytes.t; (* canonical-image scratch of depth_of_image *)
+  canon_buf : Bytes.t; (* canonical-image scratch of [locate] *)
+  mutable steps : steps option;
 }
 
 type stop_reason = Completed | Budget_states | Budget_mem | Timed_out | Cancelled
@@ -149,10 +167,10 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
       library;
       search;
       levels = List.rev !levels;
-      witnesses = Hashtbl.create 4096;
       signatures =
         Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding);
       canon_buf = Bytes.create (Mvl.Encoding.num_binary encoding);
+      steps = None;
     },
     reason )
 
@@ -166,23 +184,48 @@ let depth t = Search.depth t.search
 
 let counts t = List.map (fun l -> (l.cost, l.functions)) t.levels
 
-(* A level's members, streamed from the arena: its function states in
-   canonical frontier order, each quotiented one expanded into its orbit. *)
-let iter_level t ~cost f =
+(* [iter_images t ~cost f] streams a level's member images from the
+   arena: its function states in canonical frontier order, each
+   quotiented one expanded into its distinct conjugates in element order.
+   [f img off h conj] gets the image at [img.[off ..]] (valid only during
+   the call), its state's handle and its canonicalizing conjugator —
+   distinct conjugates of one state have distinct conjugators. *)
+let iter_images t ~cost f =
   let store = Search.store t.search in
-  let emit image =
-    Option.iter
-      (fun func -> f { func; image; cost })
-      (Search.restriction_of_key t.search image)
-  in
-  Array.iter
-    (fun h ->
-      if is_function store h then
-        let image = Search.key_of_handle t.search h in
-        match Search.symmetry t.search with
-        | None -> emit image
-        | Some sym -> List.iter emit (Symmetry.orbit_images sym image))
-    (Search.handles_at_depth t.search cost)
+  let arena h = State_arena.shard_arena store (State_arena.shard_of_handle h) in
+  let frontier = Search.handles_at_depth t.search cost in
+  match Search.symmetry t.search with
+  | None ->
+      Array.iter
+        (fun h ->
+          if is_function store h then f (arena h) (State_arena.key_offset store h) h 0)
+        frontier
+  | Some sym ->
+      let nb = Search.key_length t.search in
+      let img = Bytes.create nb and canon = Bytes.create nb in
+      Array.iter
+        (fun h ->
+          if is_function store h then begin
+            let seen = ref 0 in
+            for i = 0 to Symmetry.order sym - 1 do
+              Symmetry.conjugate_into sym i ~src:(arena h)
+                ~soff:(State_arena.key_offset store h) ~dst:img ~doff:0;
+              let conj = Symmetry.canon_into sym ~src:img ~soff:0 ~dst:canon ~doff:0 in
+              if !seen land (1 lsl conj) = 0 then begin
+                seen := !seen lor (1 lsl conj);
+                f img 0 h conj
+              end
+            done
+          end)
+        frontier
+
+let iter_level t ~cost f =
+  let nb = Search.key_length t.search in
+  iter_images t ~cost (fun img off _ _ ->
+      let image = Bytes.sub_string img off nb in
+      Option.iter
+        (fun func -> f { func; image; cost })
+        (Search.restriction_of_key t.search image))
 
 let iter_members t f =
   List.iter (fun l -> iter_level t ~cost:l.cost (f ~cost:l.cost)) t.levels
@@ -276,72 +319,230 @@ let s8_counts t =
 
 let total_found t = List.fold_left (fun acc l -> acc + l.functions) 0 t.levels
 
-(* The census depth of an image, canonicalized under the quotient (minimal
-   depths are constant on orbits): a function's minimal cost. *)
-let depth_of_image t img =
+(* [locate t src soff] probes the arena for the image at [src.[soff ..]],
+   canonicalized under the quotient (minimal depths are constant on
+   orbits): [(handle lsl conj_bits) lor conjugator], or -1 when absent. *)
+let conj_bits = 5
+
+let locate t src soff =
+  let nb = Search.key_length t.search in
+  let store = Search.store t.search in
   match Search.symmetry t.search with
-  | Some sym ->
-      ignore
-        (Symmetry.canon_into sym ~src:(Bytes.unsafe_of_string img) ~soff:0
-           ~dst:t.canon_buf ~doff:0);
-      Search.depth_of_key t.search (Bytes.unsafe_to_string t.canon_buf)
-  | None -> Search.depth_of_key t.search img
+  | None -> (
+      let hash = State_arena.hash_key src ~off:soff ~len:nb in
+      match State_arena.find store src ~off:soff ~hash with
+      | -1 -> -1
+      | h -> h lsl conj_bits)
+  | Some sym -> (
+      let conj = Symmetry.canon_into sym ~src ~soff ~dst:t.canon_buf ~doff:0 in
+      let hash = State_arena.hash_key t.canon_buf ~off:0 ~len:nb in
+      match State_arena.find store t.canon_buf ~off:0 ~hash with
+      | -1 -> -1
+      | h -> (h lsl conj_bits) lor conj)
 
 (* A function's image vector is its func_key. *)
 let find t func =
   if Reversible.Revfun.bits func <> Library.qubits t.library then None
   else
     let image = Permgroup.Perm.key (Reversible.Revfun.to_perm func) in
-    Option.map (fun cost -> { func; image; cost }) (depth_of_image t image)
+    match locate t (Bytes.unsafe_of_string image) 0 with
+    | -1 -> None
+    | r ->
+        let cost = State_arena.depth_of (Search.store t.search) (r lsr conj_bits) in
+        Some { func; image; cost }
 
 (* {1 Canonical witness reconstruction}
 
    Witnesses are rebuilt {e backward}: from an image of minimal depth k,
-   the canonical step peels the lexicographically least library gate
-   whose removal lands on an image of minimal depth exactly k - 1
-   (respecting the reasonable-product constraint at the step).  The
-   choice depends only on the census's image -> minimal-depth relation —
-   which the quotient search preserves exactly (minimal depths are
-   constant on orbits) — so plain and quotient censuses emit
-   byte-identical cascades, and hence byte-identical QSYNIDX2 files.
+   the canonical step peels the least library gate whose removal lands on
+   an image of minimal depth exactly k - 1 (respecting the
+   reasonable-product constraint at the step).  The choice depends only
+   on the census's image -> minimal-depth relation — which the quotient
+   search preserves exactly (minimal depths are constant on orbits) — so
+   plain and quotient censuses emit byte-identical cascades, and hence
+   byte-identical QSYNIDX2 files.
 
-   Members share prefixes all the way down, so each image's witness is
-   computed once and kept in [t.witnesses]: a whole census costs one
-   step search per distinct image its witnesses pass through. *)
+   Members share prefixes all the way down, so each image is stepped
+   once, into the {e step table}: a flat int array indexed by the image
+   id [dense_handle * |group| + conjugator] (the conjugator that
+   canonicalizes the image; |group| = 1 and conjugator 0 without the
+   quotient), whose slot holds the canonical step's gate and its
+   pre-image's id.  Stepping an image tries gates in order with an
+   early-exit backward probe: apply the gate's inverse to the key bytes,
+   reject at the first byte breaking the gate's purity mask, canonicalize
+   and probe the arena.  Under the quotient, whether gate [g] steps an
+   image down a level is decided on its representative instead:
+   conjugation by the image's conjugator [c] maps [g⁻¹ v] to
+   [(gate_map c g)⁻¹ (conj_c v)] and preserves depths and legality, so
+   one memoized probe per (representative, gate) serves its whole orbit,
+   and only the gate chosen is applied to the image itself, to find its
+   pre-image.  A witness is then read from the table, last gate first.
+   The table is allocated on the first witness read, so a census that
+   emits none pays nothing. *)
 
-let witness_gates t (member : member) =
+let gate_bits = 7 (* library entry indices fit the arena's via field *)
+
+let steps t =
+  match t.steps with
+  | Some s -> s
+  | None ->
+      let store = Search.store t.search in
+      let base = Array.make State_arena.num_shards 0 in
+      for sh = 1 to State_arena.num_shards - 1 do
+        base.(sh) <- base.(sh - 1) + State_arena.shard_count store (sh - 1)
+      done;
+      let maps =
+        match Search.symmetry t.search with
+        | None -> [||]
+        | Some sym ->
+            (* [gate_map] conjugates a gate by [q g q⁻¹]; images
+               conjugate as [q⁻¹ v q], so the gate moves by the inverse *)
+            Array.init (Symmetry.order sym) (fun i ->
+                let m = Symmetry.gate_map sym i in
+                let inv = Array.make (Array.length m) 0 in
+                Array.iteri (fun g g' -> inv.(g') <- g) m;
+                inv)
+      in
+      let order = max 1 (Array.length maps) in
+      let nb = Search.key_length t.search in
+      let s =
+        {
+          order;
+          base;
+          slots = Array.make (State_arena.size store * order) (-1);
+          maps;
+          legal =
+            (if order = 1 then Bytes.empty
+             else Bytes.make (State_arena.size store * Library.size t.library) '\000');
+          v = Bytes.create nb;
+          u = Bytes.create nb;
+        }
+      in
+      t.steps <- Some s;
+      s
+
+let dense s h = s.base.(State_arena.shard_of_handle h) + State_arena.index_of_handle h
+let image_id s h conj = (dense s h * s.order) + conj
+let conj_mask = (1 lsl conj_bits) - 1
+
+(* [back_probe t s e src soff ~depth trials] applies entry [e]'s inverse
+   to the image at [src.[soff ..]], into [s.u], and is the [locate] of
+   the pre-image when the step is legal and the pre-image has minimal
+   depth [depth], else -1. *)
+let back_probe t s (e : Library.entry) src soff ~depth trials =
+  let nb = Search.key_length t.search in
+  let inv = e.Library.inverse_array and mask = e.Library.purity_mask in
+  let b = ref 0 in
+  while
+    !b < nb
+    &&
+    let x = inv.(Char.code (Bytes.unsafe_get src (soff + !b))) in
+    Bytes.unsafe_set s.u !b (Char.unsafe_chr x);
+    t.signatures.(x) land mask = 0
+  do
+    incr b
+  done;
+  if !b < nb then -1
+  else begin
+    incr trials;
+    let r = locate t s.u 0 in
+    if r >= 0 && State_arena.depth_of (Search.store t.search) (r lsr conj_bits) = depth
+    then r
+    else -1
+  end
+
+(* Under the quotient: whether gate [g] steps the image of conjugator
+   [conj] on representative [h] down to [depth], probed on the
+   representative once per gate it maps to. *)
+let steps_down t s h conj g ~depth trials =
+  let g' = s.maps.(conj).(g) in
+  let i = (dense s h * Library.size t.library) + g' in
+  match Bytes.get s.legal i with
+  | '\001' -> true
+  | '\002' -> false
+  | _ ->
+      let store = Search.store t.search in
+      let ok =
+        back_probe t s (Library.entries t.library).(g')
+          (State_arena.shard_arena store (State_arena.shard_of_handle h))
+          (State_arena.key_offset store h) ~depth trials
+        >= 0
+      in
+      Bytes.set s.legal i (if ok then '\001' else '\002');
+      ok
+
+(* [fill t s ~src ~soff ~h ~conj ~cost] steps the image at
+   [src.[soff ..]] — canonicalized by [conj] onto state [h], of minimal
+   depth [cost] — and then its pre-images, until it reaches a stepped
+   image or the identity: every stepped image's pre-image is stepped
+   too, so a filled chain reads to depth 0. *)
+let fill t s ~src ~soff ~h ~conj ~cost =
   let entries = Library.entries t.library in
   let nb = Search.key_length t.search in
-  (* [step v k 0] is the canonical step's gate, its pre-image left in [u] *)
-  let u = Bytes.create nb in
-  let rec step v k g =
-    if g >= Array.length entries then
-      invalid_arg "Fmcf.witness_gates: no backward step (member not from this census?)";
-    let e = entries.(g) in
-    let sg = ref 0 in
-    for b = 0 to nb - 1 do
-      let x = e.Library.inverse_array.(Char.code v.[b]) in
-      Bytes.set u b (Char.chr x);
-      sg := !sg lor t.signatures.(x)
+  let images = ref 0 and trials = ref 0 in
+  let h = ref h and conj = ref conj and k = ref cost in
+  Bytes.blit src soff s.v 0 nb;
+  while !k > 0 && s.slots.(image_id s !h !conj) < 0 do
+    let depth = !k - 1 in
+    let g = ref 0 and r = ref (-1) in
+    while !r < 0 do
+      if !g >= Array.length entries then
+        invalid_arg "Fmcf: no backward step (member not from this census?)";
+      if s.order = 1 || steps_down t s !h !conj !g ~depth trials then begin
+        r := back_probe t s entries.(!g) s.v 0 ~depth trials;
+        if !r < 0 && s.order > 1 then
+          invalid_arg "Fmcf: a step of the representative does not transport to its image"
+      end;
+      if !r < 0 then incr g
     done;
-    (* [u] is only read by the probe, never kept *)
-    if !sg land e.Library.purity_mask = 0
-       && depth_of_image t (Bytes.unsafe_to_string u) = Some (k - 1)
-    then g
-    else step v k (g + 1)
+    let pre_h = !r lsr conj_bits and pre_conj = !r land conj_mask in
+    s.slots.(image_id s !h !conj) <- (image_id s pre_h pre_conj lsl gate_bits) lor !g;
+    incr images;
+    Bytes.blit s.u 0 s.v 0 nb;
+    h := pre_h;
+    conj := pre_conj;
+    decr k
+  done;
+  Telemetry.Counter.add m_step_images !images;
+  Telemetry.Counter.add m_step_trials !trials
+
+let write_witness t ~id ~cost buf off =
+  let s = steps t in
+  let id = ref id in
+  for j = cost - 1 downto 0 do
+    let slot = s.slots.(!id) in
+    Bytes.set buf (off + j) (Char.chr (slot land ((1 lsl gate_bits) - 1)));
+    id := slot lsr gate_bits
+  done
+
+let iter_member_ids t f =
+  let s = steps t in
+  List.iter
+    (fun l ->
+      let cost = l.cost in
+      iter_images t ~cost (fun img off h conj ->
+          fill t s ~src:img ~soff:off ~h ~conj ~cost;
+          f ~cost ~id:(image_id s h conj) img off))
+    t.levels
+
+let witness_gates t (member : member) =
+  let nb = Search.key_length t.search in
+  let image = member.image in
+  let src = Bytes.unsafe_of_string image in
+  let r =
+    if String.length image = nb && String.for_all (fun c -> Char.code c < nb) image then
+      locate t src 0
+    else -1
   in
-  let rec witness v k =
-    if k = 0 then ""
-    else
-      match Hashtbl.find_opt t.witnesses v with
-      | Some w -> w
-      | None ->
-          let g = step v k 0 in
-          let w = witness (Bytes.to_string u) (k - 1) ^ String.make 1 (Char.chr g) in
-          Hashtbl.add t.witnesses v w;
-          w
-  in
-  witness member.image member.cost
+  if r < 0 || State_arena.depth_of (Search.store t.search) (r lsr conj_bits) <> member.cost
+  then invalid_arg "Fmcf.witness_gates: member not from this census";
+  let s = steps t in
+  let h = r lsr conj_bits and conj = r land conj_mask in
+  fill t s ~src ~soff:0 ~h ~conj ~cost:member.cost;
+  let id = image_id s h conj in
+  let w = Bytes.create member.cost in
+  write_witness t ~id ~cost:member.cost w 0;
+  Bytes.unsafe_to_string w
 
 let cascade_of_member t member =
   let entries = Library.entries t.library in

@@ -21,7 +21,9 @@
     The census runs on the image-keyed {!Search} engine, optionally
     quotiented by wire relabeling; both modes give identical counts,
     members and witnesses.  The arena is the only census store: a level
-    keeps two counts, and members are built from the arena on demand. *)
+    keeps two counts, and members are built from the arena on demand.
+    Witnesses are read from a step table (one canonical backward step
+    per image reached) that the first witness read allocates. *)
 
 type member = {
   func : Reversible.Revfun.t;
@@ -161,14 +163,36 @@ val find : t -> Reversible.Revfun.t -> member option
     {e the same bytes with and without the quotient}.  Read backward from
     the member's image, each step peels the least library gate landing
     on an image of minimal census depth exactly one lower; the quotient
-    preserves that relation exactly.  Steps are memoized in [t] by image
-    on demand, so all members' witnesses together cost one step search
-    per distinct image reached.  Not domain-safe. *)
+    preserves that relation exactly.  Steps are kept in [t]'s step
+    table, a flat int array over image ids allocated on the first
+    witness read, so all members' witnesses together cost one step
+    search per distinct image reached.  Not domain-safe.
+    @raise Invalid_argument when [member] is not a member of this
+    census (its image is absent or has another minimal depth). *)
 val cascade_of_member : t -> member -> Cascade.t
 
 (** [witness_gates t member] is {!cascade_of_member} as library entry
     indices, one byte per gate — the form {!Census_index} stores. *)
 val witness_gates : t -> member -> string
+
+(** {1 Index emission}
+
+    The allocation-free form of {!iter_members} and {!witness_gates}
+    that {!Census_index.build} packs from.  An {e image id} names one
+    image of the census in its step table; it is meaningful only to
+    the census that produced it. *)
+
+(** [iter_member_ids t f] calls [f ~cost ~id img off] for every census
+    member in {!iter_members} order, with the member's image vector at
+    [img.[off .. off+nb)] (valid only during the call) and its image id,
+    after stepping the member's witness into the step table. *)
+val iter_member_ids : t -> (cost:int -> id:int -> Bytes.t -> int -> unit) -> unit
+
+(** [write_witness t ~id ~cost buf off] writes the witness of the member
+    with image id [id] (as passed by {!iter_member_ids}) into
+    [buf.[off .. off+cost)], one library entry index per byte, reading
+    the step table from the last gate back to the first. *)
+val write_witness : t -> id:int -> cost:int -> Bytes.t -> int -> unit
 
 (** [members_at t ~cost] is G[cost] in {!iter_members} order, rebuilt
     from the arena on each call. *)

@@ -159,9 +159,17 @@ let create lib =
     fingerprint = group_fingerprint ~qubits ~size ~num_binary:nb elements;
   }
 
-let conjugate_image t i img =
+let conjugate_into t i ~src ~soff ~dst ~doff =
   let e = t.elements.(i) in
-  String.init t.num_binary (fun b -> Char.chr e.qinv.(Char.code img.[e.qbin.(b)]))
+  for b = 0 to t.num_binary - 1 do
+    let x = Char.code (Bytes.get src (soff + e.qbin.(b))) in
+    Bytes.set dst (doff + b) (Char.chr e.qinv.(x))
+  done
+
+let conjugate_image t i img =
+  let dst = Bytes.create t.num_binary in
+  conjugate_into t i ~src:(Bytes.unsafe_of_string img) ~soff:0 ~dst ~doff:0;
+  Bytes.unsafe_to_string dst
 
 (* Each conjugate is generated byte by byte against the best so far and
    decided at the first byte that differs: a larger one is abandoned

@@ -76,6 +76,12 @@ val gate_map : t -> int -> int array
     element [i] of any state whose image vector is [img]. *)
 val conjugate_image : t -> int -> string -> string
 
+(** [conjugate_into t i ~src ~soff ~dst ~doff] writes {!conjugate_image}
+    of the [num_binary]-byte image at [src.[soff ..]] into
+    [dst.[doff ..]], allocating nothing.  [src] and [dst] must not
+    overlap. *)
+val conjugate_into : t -> int -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> unit
+
 (** [canon_into t ~src ~soff ~dst ~doff] writes the canonical form —
     the lexicographically least of the [order t] conjugates — of the
     [num_binary]-byte image at [src.[soff ..]] into [dst.[doff ..]] and

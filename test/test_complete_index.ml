@@ -163,8 +163,14 @@ let paper18_raw = lazy (Fmcf.run ~max_depth:13 library3)
 let nct8 = lazy (Fmcf.run ~max_depth:8 (Library.of_name "nct"))
 let nft7 = lazy (Fmcf.run ~max_depth:7 (Library.of_name "nft"))
 
+let library4 = Library.make (Mvl.Encoding.make ~qubits:4)
+let nct4 = Library.of_name ~qubits:4 "nct"
+let paper4_raw = lazy (Fmcf.run ~max_depth:4 library4)
+let paper4_quot = lazy (Fmcf.run ~max_depth:4 ~quotient:true library4)
+let nct4_raw = lazy (Fmcf.run ~max_depth:3 nct4)
+let nct4_quot = lazy (Fmcf.run ~max_depth:3 ~quotient:true nct4)
+
 let test_witnesses_match_reference () =
-  let library4 = Library.make (Mvl.Encoding.make ~qubits:4) in
   List.iter
     (fun (name, census) ->
       let census = Lazy.force census in
@@ -182,8 +188,35 @@ let test_witnesses_match_reference () =
       ("paper18 -d 13 --quotient", closure);
       ("nct -d 8", nct8);
       ("nft -d 7", nft7);
-      ("4-wire paper18 -d 4", lazy (Fmcf.run ~max_depth:4 library4));
+      ("4-wire paper18 -d 4", paper4_raw);
+      (* the order-24 group, where non-trivial stabilizers make several
+         conjugators reach one image *)
+      ("4-wire paper18 -d 4 --quotient", paper4_quot);
+      ("4-wire nct -d 3 --quotient", nct4_quot);
     ]
+
+let test_foreign_member_rejected () =
+  (* a cost-5 member of a deeper census is absent from a depth-3 one, and
+     an nct member (it moves code 0) is absent from the paper's
+     zero-fixing census: neither has a witness there *)
+  let shallow = Fmcf.run ~max_depth:3 library3 in
+  let foreign census member =
+    match Fmcf.witness_gates census member with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let deep = List.hd (Fmcf.members_at (Lazy.force closure) ~cost:5) in
+  checkb "deeper census member raises" true (foreign shallow deep);
+  let nct_member =
+    List.find
+      (fun (m : Fmcf.member) -> Revfun.apply m.Fmcf.func 0 <> 0)
+      (Fmcf.members_at (Lazy.force nct8) ~cost:1)
+  in
+  checkb "other library's member raises" true (foreign shallow nct_member);
+  checkb "quotient census rejects it too" true (foreign (Lazy.force closure) nct_member);
+  (* a census member claiming another cost is not this census's member *)
+  let m = List.hd (Fmcf.members_at shallow ~cost:2) in
+  checkb "member with a wrong cost raises" true (foreign shallow { m with Fmcf.cost = 3 })
 
 (* The bytes of each complete index, pinned by file length and stored
    CRC-32 trailer: any change to witness selection, record layout or
@@ -231,18 +264,18 @@ let test_sampled_costs_against_fresh_engine () =
       incr i);
   checkb "sample non-trivial" true (!checked >= 50)
 
+let same_bytes what a b =
+  with_temp_file @@ fun path_a ->
+  with_temp_file @@ fun path_b ->
+  Census_index.save a path_a;
+  Census_index.save b path_b;
+  checkb what true (Checkpoint.read_file path_a = Checkpoint.read_file path_b)
+
 let test_deterministic_bytes_across_jobs_and_quotient () =
   (* a complete index records the highest cost present, not the census
      depth, so running past the diameter — on any number of domains,
      with or without the symmetry quotient — serializes to the same
      bytes as the closure itself *)
-  let same_bytes what a b =
-    with_temp_file @@ fun path_a ->
-    with_temp_file @@ fun path_b ->
-    Census_index.save a path_a;
-    Census_index.save b path_b;
-    checkb what true (Checkpoint.read_file path_a = Checkpoint.read_file path_b)
-  in
   let idx14 = Census_index.build (Fmcf.run ~max_depth:14 ~jobs:2 library3) in
   checkb "depth-14 census is complete" true (Census_index.is_complete idx14);
   check Alcotest.int "depth-14 index depth = diameter" 13
@@ -259,7 +292,13 @@ let test_deterministic_bytes_across_jobs_and_quotient () =
   checkb "nft closure complete" true (Census_index.is_complete raw);
   check Alcotest.int "nft index depth = diameter" 7 (Census_index.depth quotiented);
   same_bytes "nft: raw depth-7/jobs=1 and quotient depth-8/jobs=2 byte-identical"
-    raw quotiented
+    raw quotiented;
+  (* four wires: partial indexes under the order-24 group *)
+  let build c = Census_index.build (Lazy.force c) in
+  same_bytes "4-wire paper18 -d 4: raw and quotient byte-identical" (build paper4_raw)
+    (build paper4_quot);
+  same_bytes "4-wire nct -d 3: raw and quotient byte-identical" (build nct4_raw)
+    (build nct4_quot)
 
 let test_saved_then_loaded_answers_like_built () =
   let idx = Lazy.force complete in
@@ -368,6 +407,8 @@ let () =
           Alcotest.test_case "memoized witnesses match the reference walk" `Quick
             test_witnesses_match_reference;
           Alcotest.test_case "golden index bytes" `Quick test_golden_index_bytes;
+          Alcotest.test_case "foreign members have no witness" `Quick
+            test_foreign_member_rejected;
         ] );
       ( "planner",
         [
