@@ -474,9 +474,11 @@ let census_cmd =
   in
   let max_mem_arg =
     Arg.(value & opt (some byte_size) None & info [ "max-mem" ] ~docv:"BYTES"
-           ~doc:"Stop before expanding the next level once the state arenas \
-                 reserve $(docv) bytes (K/M/G suffixes accepted); the census is \
-                 reported as partial (exit 125).")
+           ~doc:"Stop before expanding the next level when the state store \
+                 (keys, metadata, parents and probe tables) would hold more than \
+                 $(docv) bytes once room for that level's predicted size is \
+                 reserved (K/M/G suffixes accepted); the census is reported as \
+                 partial (exit 125).")
   in
   let timeout_arg =
     Arg.(value & opt (some (pos_float ~what:"SECONDS")) None

@@ -184,15 +184,12 @@ let synthesize ?(max_cost = 14) ?(lower_bound = 0) ?(should_stop = no_stop) t re
   let grow_forward () =
     match Search.try_step t.search ~cancel:should_stop with
     | None -> raise Cancelled
-    | Some fresh ->
-        if Array.length fresh = 0 then t.fwd_exhausted <- true
-        else
-          Array.iter
-            (fun fh ->
-              match Hashtbl.find_opt bwd.seen (Search.key_of_handle t.search fh) with
-              | Some bid -> consider fh bid
-              | None -> ())
-            fresh
+    | Some 0 -> t.fwd_exhausted <- true
+    | Some _ ->
+        Search.iter_level t.search (Search.depth t.search) (fun fh ->
+            match Hashtbl.find_opt bwd.seen (Search.key_of_handle t.search fh) with
+            | Some bid -> consider fh bid
+            | None -> ())
   in
   let scratch = Bytes.create nb in
   let grow_backward () =
@@ -246,8 +243,7 @@ let synthesize ?(max_cost = 14) ?(lower_bound = 0) ?(should_stop = no_stop) t re
          (* grow the side whose next level looks cheaper *)
          can_fwd
          && ((not can_bwd)
-            || Array.length (Search.frontier_handles t.search)
-               <= List.length !bwd_frontier)
+            || Search.frontier_size t.search <= List.length !bwd_frontier)
        then grow_forward ()
        else grow_backward ()
      done

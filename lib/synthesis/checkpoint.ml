@@ -155,7 +155,7 @@ let capture search =
       num_gates = Library.size library;
       depth = Search.depth search;
       states = State_arena.size store;
-      frontier_len = Array.length (Search.frontier_handles search);
+      frontier_len = Search.frontier_size search;
       symmetry = Option.map Symmetry.fingerprint (Search.symmetry search);
     }
   in
@@ -631,7 +631,7 @@ let load ?(jobs = 1) library path =
     try Search.of_store ~jobs ?symmetry library ~depth:header.depth store
     with Invalid_argument msg -> raise (Corrupt msg)
   in
-  let frontier_len = Array.length (Search.frontier_handles search) in
+  let frontier_len = Search.frontier_size search in
   if frontier_len <> header.frontier_len then
     raise
       (Corrupt

@@ -60,7 +60,7 @@ let is_function store h = State_arena.signature_of store h = 0
    a level is a distinct function of that minimal cost.  A quotiented
    state stands for its orbit: conjugates are distinct functions of the
    same minimal cost, and distinct representatives' orbits are disjoint. *)
-let level_functions search frontier =
+let level_functions search ~cost =
   let store = Search.store search in
   let weight h =
     match Search.symmetry search with
@@ -70,14 +70,16 @@ let level_functions search frontier =
           ~src:(State_arena.shard_arena store (State_arena.shard_of_handle h))
           ~soff:(State_arena.key_offset store h)
   in
-  Array.fold_left (fun n h -> if is_function store h then n + weight h else n) 0 frontier
+  let n = ref 0 in
+  Search.iter_level search cost (fun h -> if is_function store h then n := !n + weight h);
+  !n
 
-let process_level search ~cost frontier =
+let process_level search ~cost =
   Telemetry.Span.with_span "fmcf.level" ~attrs:[ ("cost", Telemetry.Json.Int cost) ]
   @@ fun () ->
-  let frontier_size = Array.length frontier in
+  let frontier_size = Search.level_size search cost in
   let functions =
-    Telemetry.Histogram.time h_restrict (fun () -> level_functions search frontier)
+    Telemetry.Histogram.time h_restrict (fun () -> level_functions search ~cost)
   in
   Telemetry.Series.set s_frontier ~index:cost frontier_size;
   Telemetry.Series.set s_g ~index:cost functions;
@@ -117,7 +119,7 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
      so the replayed counts match the original run's. *)
   let levels = ref [] in
   for cost = 0 to Search.depth search do
-    levels := process_level search ~cost (Search.handles_at_depth search cost) :: !levels
+    levels := process_level search ~cost :: !levels
   done;
   let deadline = Option.map (fun s -> started +. s) timeout in
   let deadline_passed () =
@@ -128,7 +130,7 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
     match max_states with None -> false | Some n -> Search.size search >= n
   in
   let over_mem () =
-    match max_mem with None -> false | Some n -> Search.arena_bytes search >= n
+    match max_mem with None -> false | Some n -> Search.predicted_bytes search > n
   in
   let stop = ref None in
   while !stop = None && Search.depth search < max_depth do
@@ -142,12 +144,12 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
           (* mid-level abandon: the engine rolled back to the last
              complete level; decide which guard fired *)
           stop := Some (if should_stop () then Cancelled else Timed_out)
-      | Some fresh ->
+      | Some _ ->
           let cost = Search.depth search in
           (* The hook fires before the level is counted so an
              asynchronous checkpoint write can overlap that processing. *)
           (match on_level with None -> () | Some f -> f search ~cost);
-          levels := process_level search ~cost fresh :: !levels
+          levels := process_level search ~cost :: !levels
   done;
   let reason = Option.value ~default:Completed !stop in
   (match reason with
@@ -193,18 +195,14 @@ let counts t = List.map (fun l -> (l.cost, l.functions)) t.levels
 let iter_images t ~cost f =
   let store = Search.store t.search in
   let arena h = State_arena.shard_arena store (State_arena.shard_of_handle h) in
-  let frontier = Search.handles_at_depth t.search cost in
   match Search.symmetry t.search with
   | None ->
-      Array.iter
-        (fun h ->
+      Search.iter_level t.search cost (fun h ->
           if is_function store h then f (arena h) (State_arena.key_offset store h) h 0)
-        frontier
   | Some sym ->
       let nb = Search.key_length t.search in
       let img = Bytes.create nb and canon = Bytes.create nb in
-      Array.iter
-        (fun h ->
+      Search.iter_level t.search cost (fun h ->
           if is_function store h then begin
             let seen = ref 0 in
             for i = 0 to Symmetry.order sym - 1 do
@@ -217,7 +215,6 @@ let iter_images t ~cost f =
               end
             done
           end)
-        frontier
 
 let iter_level t ~cost f =
   let nb = Search.key_length t.search in

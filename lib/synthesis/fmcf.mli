@@ -49,7 +49,8 @@ type t
 type stop_reason =
   | Completed  (** reached [max_depth] *)
   | Budget_states  (** [max_states] reached before the next level *)
-  | Budget_mem  (** [max_mem] arena bytes reached before the next level *)
+  | Budget_mem  (** the next level's reservation would take the store
+                    past [max_mem] bytes *)
   | Timed_out  (** [timeout] seconds elapsed (checked between levels and
                    polled during expansion) *)
   | Cancelled  (** [should_stop] fired (e.g. SIGINT/SIGTERM) *)
@@ -82,15 +83,17 @@ val run : ?max_depth:int -> ?jobs:int -> ?quotient:bool -> Library.t -> t
       witnesses match the uninterrupted run exactly.
       [jobs] and [quotient] are ignored (both were fixed at load time; a
       quotient snapshot resumes quotiented).
-    - [max_states] / [max_mem]: stop {e before} expanding the next level
-      once [Search.size] / [Search.arena_bytes] reaches the budget; the
+    - [max_states]: stop {e before} expanding the next level once
+      [Search.size] reaches the budget.  [max_mem]: stop before the next
+      level when {!Search.predicted_bytes} — the store's bytes once that
+      level's reservation is made — exceeds the budget.  Either way the
       census returned covers every complete level.
     - [timeout]: wall-clock budget in seconds, measured from this call;
       also polled cooperatively during expansion, abandoning a
       mid-flight level cleanly (the engine rolls back to the last
       complete level).
     - [should_stop]: cooperative cancellation flag, polled between
-      levels and between expansion chunks; must be cheap, domain-safe
+      levels and every 64 frontier states; must be cheap, domain-safe
       and monotonic (an [Atomic.t] set by a signal handler qualifies).
     - [on_level]: called as soon as each {e newly expanded} level
       completes (not for replayed levels), with the engine sitting at

@@ -81,7 +81,7 @@ let search_until ~max_depth ~jobs ~should_stop library remainder =
           None
       | Some fresh ->
       Telemetry.Gauge.set_int g_depth_reached (Search.depth search);
-      if Array.length fresh = 0 then None
+      if fresh = 0 then None
       else if Search.handle_of_key search target = None then go ()
       else begin
         Telemetry.Counter.incr m_realizations;

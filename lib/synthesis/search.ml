@@ -61,16 +61,6 @@ let cand_append buf ~degree key ~off ~hash ~meta =
   buf.chashes.(i) <- hash;
   buf.clen <- i + 1
 
-(* A growable int vector (the stdlib gains Dynarray only in 5.2). *)
-type ibuf = { mutable ints : int array; mutable ilen : int }
-
-let make_ibuf () = { ints = Array.make 64 0; ilen = 0 }
-
-let ibuf_push b v =
-  if b.ilen = Array.length b.ints then b.ints <- grow_ints b.ints b.ilen;
-  b.ints.(b.ilen) <- v;
-  b.ilen <- b.ilen + 1
-
 type t = {
   library : Library.t;
   store : State_arena.t;
@@ -79,8 +69,6 @@ type t = {
   sym : Symmetry.t option; (* Some: quotient mode — keys are canonical image vectors *)
   perm_arrays : int array array; (* hoisted from the library entries *)
   purity_masks : int array;
-  mutable frontier : handle array;
-  mutable depth : int;
   (* quotient-mode tallies, kept on the engine (unlike the telemetry
      counters these are live even with telemetry disabled, so [census
      --stats] can report the collapse factor of a plain run) *)
@@ -88,7 +76,8 @@ type t = {
   mutable orbit_hits : int;
   (* per-step scratch, reused across levels *)
   cand : candbuf array array; (* jobs x shards *)
-  fresh_by_shard : ibuf array;
+  fpos : int array; (* the frontier's first position in each shard, then its size *)
+  fstart : int array; (* the frontier's first local index in each shard *)
   (* per-domain children of one parent (see expand_parent) *)
   raw : Bytes.t array; (* a child's image before canonicalization (quotient mode) *)
   kids : Bytes.t array; (* ngates * klen key bytes *)
@@ -144,7 +133,7 @@ let key_length_of ~symmetry library =
         invalid_arg "Search: symmetry group too large for the conjugator field");
   num_binary
 
-let make_engine ~jobs ~symmetry library ~store ~frontier ~depth =
+let make_engine ~jobs ~symmetry library ~store =
   let entries = Library.entries library in
   let klen = key_length_of ~symmetry library in
   Telemetry.Gauge.set_int g_jobs jobs;
@@ -156,12 +145,11 @@ let make_engine ~jobs ~symmetry library ~store ~frontier ~depth =
     sym = symmetry;
     perm_arrays = Array.map (fun e -> e.Library.perm_array) entries;
     purity_masks = Array.map (fun e -> e.Library.purity_mask) entries;
-    frontier;
-    depth;
     orbit_fresh = 0;
     orbit_hits = 0;
     cand = Array.init jobs (fun _ -> Array.init num_shards (fun _ -> make_candbuf klen));
-    fresh_by_shard = Array.init num_shards (fun _ -> make_ibuf ());
+    fpos = Array.make (num_shards + 1) 0;
+    fstart = Array.make num_shards 0;
     raw = Array.init jobs (fun _ -> Bytes.create klen);
     kids = Array.init jobs (fun _ -> Bytes.create (Array.length entries * klen));
     kid_hashes = Array.init jobs (fun _ -> Array.make (Array.length entries) 0);
@@ -185,16 +173,16 @@ let create ?(jobs = 1) ?symmetry library =
      canonical form (it is fixed by every wire relabeling). *)
   let root_key = Bytes.init klen Char.chr in
   let root_hash = State_arena.hash_key root_key ~off:0 ~len:klen in
-  let root =
-    State_arena.try_insert store ~key:root_key ~off:0 ~hash:root_hash ~depth:0 ~via:(-1)
-      ~conj:0 ~parent:(-1)
-  in
-  make_engine ~jobs ~symmetry library ~store ~frontier:[| root |] ~depth:0
+  State_arena.open_level store ~reserve:1;
+  ignore
+    (State_arena.try_insert store ~key:root_key ~off:0 ~hash:root_hash ~depth:0 ~via:(-1)
+       ~conj:0 ~parent:(-1));
+  make_engine ~jobs ~symmetry library ~store
 
 (* [of_store] rebuilds a live engine around a restored arena: the
-   frontier is every depth-[depth] state in canonical (shard, index)
-   order — exactly what {!merge_frontier} would have produced — so a
-   resumed search continues byte-identically. *)
+   levels are re-indexed from the stored depths, so the frontier is the
+   depth-[depth] states in the canonical (shard, index) order the live
+   engine held, and a resumed search continues byte-identically. *)
 let of_store ?(jobs = 1) ?symmetry library ~depth store =
   if jobs < 1 then invalid_arg "Search.of_store: jobs must be >= 1";
   let jobs = min jobs max_jobs in
@@ -206,13 +194,9 @@ let of_store ?(jobs = 1) ?symmetry library ~depth store =
           encoding (%d)"
          (State_arena.degree store) klen);
   if depth < 0 then invalid_arg "Search.of_store: negative depth";
-  (* [>] not [<>]: an engine whose reachable set is exhausted sits at a
-     depth beyond its deepest stored state, with an empty frontier. *)
-  if State_arena.max_depth store > depth then
-    invalid_arg
-      (Printf.sprintf
-         "Search.of_store: store holds levels up to %d but depth %d was claimed"
-         (State_arena.max_depth store) depth);
+  (* a depth beyond the deepest stored state is legal: an engine whose
+     reachable set is exhausted sits there, with an empty frontier *)
+  State_arena.index_levels store ~depth;
   (* the identity circuit must be the sole depth-0 state *)
   let root_key = Bytes.init klen Char.chr in
   let root_hash = State_arena.hash_key root_key ~off:0 ~len:klen in
@@ -220,8 +204,7 @@ let of_store ?(jobs = 1) ?symmetry library ~depth store =
   | [| h |]
     when h = State_arena.find store root_key ~off:0 ~hash:root_hash -> ()
   | _ -> invalid_arg "Search.of_store: store does not contain the identity root");
-  let frontier = State_arena.handles_at_depth store depth in
-  make_engine ~jobs ~symmetry library ~store ~frontier ~depth
+  make_engine ~jobs ~symmetry library ~store
 
 let store t = t.store
 let symmetry t = t.sym
@@ -231,16 +214,38 @@ let conj_of_handle t h = State_arena.conj_of t.store h
 let quotient_collapsed t =
   match t.sym with None -> None | Some _ -> Some (t.orbit_fresh, t.orbit_hits)
 let handles_at_depth t d = State_arena.handles_at_depth t.store d
+let level_size t d = State_arena.level_size t.store ~depth:d
+
+let iter_level t d f = State_arena.iter_level t.store ~depth:d f
 
 let library t = t.library
 let jobs t = t.jobs
-let depth t = t.depth
+(* the frontier is the store's newest level *)
+let depth t = State_arena.levels t.store - 1
 let size t = State_arena.size t.store
-let arena_bytes t = State_arena.arena_bytes t.store
-let frontier_handles t = t.frontier
+let arena_bytes t = State_arena.bytes t.store
+let frontier_size t = level_size t (depth t)
+let frontier_handles t = handles_at_depth t (depth t)
 let key_of_handle t h = State_arena.key_of t.store h
 let depth_of_handle t h = State_arena.depth_of t.store h
-let frontier t = Array.to_list (Array.map (key_of_handle t) t.frontier)
+let frontier t = Array.to_list (Array.map (key_of_handle t) (frontier_handles t))
+
+(* The next level's predicted size: the frontier times the last level's
+   new states per parent, plus an eighth, or the frontier times the gate
+   count from the root; never more than one state per legal child.  The
+   eighth covers a growth ratio that rises again: level 10 of the 4-wire
+   quotient census is 4.5% above the plain prediction, and a level that
+   outgrows its reservation copies every shard's columns a second time. *)
+let predicted_level t =
+  let n = frontier_size t in
+  let bound = n * Array.length t.perm_arrays in
+  if depth t = 0 then bound
+  else
+    let prev = max 1 (level_size t (depth t - 1)) in
+    let guess = ((n * n) + prev - 1) / prev in
+    min bound (guess + (guess / 8))
+
+let predicted_bytes t = State_arena.reserve_bytes t.store (predicted_level t)
 
 (* [run_workers ~parallel jobs f] runs [f 0 .. f (jobs-1)], either on
    [jobs] domains or sequentially on the calling one.  Every [f r] writes
@@ -258,8 +263,8 @@ let run_workers ~parallel jobs f =
     Array.iter Domain.join workers
   end
 
-(* Cooperative cancellation: [cancel] is polled between expansion chunks
-   of [cancel_poll_mask + 1] frontier states.  It must be cheap,
+(* Cooperative cancellation: [cancel] is polled every
+   [cancel_poll_mask + 1] frontier states.  It must be cheap,
    domain-safe and monotonic (once true, always true) — an [Atomic.t]
    set by a signal handler qualifies. *)
 let cancel_poll_mask = 63
@@ -317,15 +322,82 @@ let expand_parent t r h =
 let via_mask = (1 lsl via_bits) - 1
 let conj_mask = (1 lsl conj_bits) - 1
 
-(* Phase 1: expand the frontier chunk of rank [r] into per-shard candidate
-   buffers.  Read-only on the store.  Polls [cancel] between chunks and
-   returns early when it fires (the partially filled buffers are
-   discarded by the coordinator, which re-checks the flag after the
-   join). *)
-let expand_chunk t r ~e ~cancel =
+(* [index_frontier t] fills [t.fstart] with each shard's first frontier
+   index and [t.fpos]: [fpos.(s)] is the position of shard [s]'s first
+   frontier state in the canonical order (shard by shard, each shard's
+   level range in index order), [fpos.(num_shards)] the frontier's size.
+   Called before the next level is opened. *)
+let index_frontier t =
+  let depth = depth t in
+  for s = 0 to num_shards - 1 do
+    let start = State_arena.level_start t.store ~depth s in
+    t.fstart.(s) <- start;
+    t.fpos.(s + 1) <- t.fpos.(s) + State_arena.level_end t.store ~depth s - start
+  done
+
+(* [walk t ~lo ~hi ~cancel f] calls [f h] on the frontier states at
+   canonical positions [lo .. hi-1], polling [cancel] at every position
+   that is a multiple of [cancel_poll_mask + 1]; [false] when it fired. *)
+let walk t ~lo ~hi ~cancel f =
+  let fpos = t.fpos in
+  let s = ref 0 in
+  while !s < num_shards - 1 && fpos.(!s + 1) <= lo do
+    incr s
+  done;
+  let base = ref (t.fstart.(!s) - fpos.(!s)) in
+  let p = ref lo and live = ref true in
+  while !live && !p < hi do
+    if !p land cancel_poll_mask = 0 && cancel () then live := false
+    else begin
+      while !p >= fpos.(!s + 1) do
+        incr s;
+        base := t.fstart.(!s) - fpos.(!s)
+      done;
+      f (State_arena.handle ~shard:!s ~index:(!base + !p));
+      incr p
+    end
+  done;
+  !live
+
+(* Single-domain path: expand and insert in one pass, with no candidate
+   buffering.  Children are inserted in (frontier order, gate order);
+   within any given shard that is exactly the order in which the chunked
+   path replays its candidates, so the stored states and their handles
+   coincide with the parallel engine's.  [false] when [cancel] fired. *)
+let expand_insert_sequential t ~next_depth ~cancel =
   let klen = t.klen in
-  let n = Array.length t.frontier in
-  let lo = r * n / e and hi = (r + 1) * n / e in
+  let kids = t.kids.(0) and hashes = t.kid_hashes.(0) and gates = t.kid_gates.(0) in
+  let ngates = Array.length t.perm_arrays in
+  let rejected = ref 0 and fresh = ref 0 and dup = ref 0 in
+  let completed =
+    walk t ~lo:0 ~hi:t.fpos.(num_shards) ~cancel (fun h ->
+        let k = expand_parent t 0 h in
+        rejected := !rejected + ngates - k;
+        for c = 0 to k - 1 do
+          let g = gates.(c) in
+          if
+            State_arena.try_insert t.store ~key:kids ~off:(c * klen) ~hash:hashes.(c)
+              ~depth:next_depth ~via:(g land via_mask) ~conj:(g lsr via_bits) ~parent:h
+            >= 0
+          then incr fresh
+          else incr dup
+        done)
+  in
+  t.rejected_d.(0) <- !rejected;
+  t.fresh_d.(0) <- !fresh;
+  t.dup_d.(0) <- !dup;
+  completed
+
+(* Under [jobs > 1] a level runs as consecutive chunks of this many
+   frontier positions, each through phase 1 then phase 2, so the
+   candidate buffers hold one chunk's children rather than a level's. *)
+let chunk_parents = 8192
+
+(* Phase 1: rank [r] expands its contiguous share of the chunk [lo ..
+   hi-1] into per-shard candidate buffers.  Read-only on the store.
+   Sets [stop] when [cancel] fires. *)
+let expand_chunk t r ~e ~lo ~hi ~stop ~cancel =
+  let klen = t.klen in
   let row = t.cand.(r) in
   for s = 0 to num_shards - 1 do
     row.(s).clen <- 0
@@ -333,91 +405,34 @@ let expand_chunk t r ~e ~cancel =
   let kids = t.kids.(r) and hashes = t.kid_hashes.(r) and gates = t.kid_gates.(r) in
   let ngates = Array.length t.perm_arrays in
   let rejected = ref 0 in
-  let i = ref lo in
-  while !i < hi && not (!i land cancel_poll_mask = 0 && cancel ()) do
-    let h = t.frontier.(!i) in
-    let k = expand_parent t r h in
-    rejected := !rejected + ngates - k;
-    for c = 0 to k - 1 do
-      let hash = hashes.(c) in
-      cand_append
-        row.(State_arena.shard_of_hash hash)
-        ~degree:klen kids ~off:(c * klen) ~hash
-        ~meta:((h lsl (via_bits + conj_bits)) lor gates.(c))
-    done;
-    incr i
-  done;
+  let len = hi - lo in
+  let completed =
+    walk t ~lo:(lo + (r * len / e)) ~hi:(lo + ((r + 1) * len / e)) ~cancel (fun h ->
+        let k = expand_parent t r h in
+        rejected := !rejected + ngates - k;
+        for c = 0 to k - 1 do
+          let hash = hashes.(c) in
+          cand_append
+            row.(State_arena.shard_of_hash hash)
+            ~degree:klen kids ~off:(c * klen) ~hash
+            ~meta:((h lsl (via_bits + conj_bits)) lor gates.(c))
+        done)
+  in
+  if not completed then Atomic.set stop true;
   t.rejected_d.(r) <- t.rejected_d.(r) + !rejected
-
-(* Single-domain fast path: expand and insert in one pass, with no
-   candidate buffering.  Children are inserted in (frontier order, gate
-   order); within any given shard that is exactly the order in which the
-   three-phase path replays its candidates, so the stored states, their
-   handles, and the per-shard fresh lists coincide with the parallel
-   engine's — only the buffering is skipped.
-
-   Returns [false] when [cancel] fired mid-level: the partially inserted
-   level is rolled back (via {!State_arena.truncate}) and the engine is
-   exactly as before the call. *)
-let expand_insert_sequential t ~next_depth ~cancel =
-  let klen = t.klen in
-  let kids = t.kids.(0) and hashes = t.kid_hashes.(0) and gates = t.kid_gates.(0) in
-  let ngates = Array.length t.perm_arrays in
-  let rejected = ref 0 and fresh = ref 0 and dup = ref 0 in
-  for s = 0 to num_shards - 1 do
-    t.fresh_by_shard.(s).ilen <- 0
-  done;
-  let rollback = State_arena.shard_counts t.store in
-  let n = Array.length t.frontier in
-  let i = ref 0 in
-  let cancelled = ref false in
-  while !i < n && not !cancelled do
-    if !i land cancel_poll_mask = 0 && cancel () then cancelled := true
-    else begin
-      let h = t.frontier.(!i) in
-      let k = expand_parent t 0 h in
-      rejected := !rejected + ngates - k;
-      for c = 0 to k - 1 do
-        let g = gates.(c) in
-        let child =
-          State_arena.try_insert t.store ~key:kids ~off:(c * klen) ~hash:hashes.(c)
-            ~depth:next_depth ~via:(g land via_mask) ~conj:(g lsr via_bits) ~parent:h
-        in
-        if child >= 0 then begin
-          ibuf_push t.fresh_by_shard.(State_arena.shard_of_handle child) child;
-          incr fresh
-        end
-        else incr dup
-      done;
-      incr i
-    end
-  done;
-  if !cancelled then begin
-    State_arena.truncate t.store rollback;
-    false
-  end
-  else begin
-    t.rejected_d.(0) <- !rejected;
-    t.fresh_d.(0) <- !fresh;
-    t.dup_d.(0) <- !dup;
-    t.domain_states.(0) <- t.domain_states.(0) + !fresh;
-    true
-  end
 
 (* Phase 2: rank [r] dedupes and inserts the candidates of its owned
    shards (s mod e = r), scanning domain rows in rank order so each
    shard sees its candidates in global frontier order — the processing
-   order, and hence the stored states and per-shard output lists, do not
-   depend on the number of domains.  Only rows [0 .. e-1] are scanned:
-   rows beyond the step's effective rank count were not cleared this
-   step and may hold stale candidates from an earlier, wider level. *)
+   order, and hence the stored states, do not depend on the number of
+   domains.  Only rows [0 .. e-1] are scanned: rows beyond the step's
+   effective rank count were not cleared this step and may hold stale
+   candidates from an earlier, wider level. *)
 let dedupe_shards t r ~e ~next_depth =
   let klen = t.klen in
   let fresh = ref 0 and dup = ref 0 in
   let s = ref r in
   while !s < num_shards do
-    let out = t.fresh_by_shard.(!s) in
-    out.ilen <- 0;
     for d = 0 to e - 1 do
       let buf = t.cand.(d).(!s) in
       for i = 0 to buf.clen - 1 do
@@ -428,80 +443,73 @@ let dedupe_shards t r ~e ~next_depth =
             ~conj:((meta asr via_bits) land conj_mask)
             ~parent:(meta asr (via_bits + conj_bits))
         in
-        if h >= 0 then begin
-          ibuf_push out h;
-          incr fresh
-        end
-        else incr dup
+        if h >= 0 then incr fresh else incr dup
       done
     done;
     s := !s + e
   done;
-  t.fresh_d.(r) <- !fresh;
-  t.dup_d.(r) <- !dup;
-  t.domain_states.(r) <- t.domain_states.(r) + !fresh
+  t.fresh_d.(r) <- t.fresh_d.(r) + !fresh;
+  t.dup_d.(r) <- t.dup_d.(r) + !dup
 
-(* Phase 3: concatenate the per-shard output lists in shard order.  The
-   resulting frontier order is canonical for every jobs value. *)
-let merge_frontier t =
-  let total = ref 0 in
-  Array.iter (fun b -> total := !total + b.ilen) t.fresh_by_shard;
-  let next = Array.make !total 0 in
-  let pos = ref 0 in
-  Array.iter
-    (fun b ->
-      Array.blit b.ints 0 next !pos b.ilen;
-      pos := !pos + b.ilen)
-    t.fresh_by_shard;
-  next
+(* The chunked level: phase 1 then phase 2 for each chunk in frontier
+   order, so every shard still sees its candidates in global frontier
+   order.  [false] when [cancel] fired, before that chunk's phase 2. *)
+let expand_insert_chunked t ~e ~next_depth ~cancel =
+  let n = t.fpos.(num_shards) in
+  let parallel = e > 1 in
+  let stop = Atomic.make false in
+  let lo = ref 0 in
+  while !lo < n && not (Atomic.get stop) do
+    let hi = min n (!lo + chunk_parents) in
+    let lo' = !lo in
+    Telemetry.Histogram.time h_expand (fun () ->
+        run_workers ~parallel e (fun r -> expand_chunk t r ~e ~lo:lo' ~hi ~stop ~cancel));
+    if not (Atomic.get stop) then
+      Telemetry.Histogram.time h_merge (fun () ->
+          run_workers ~parallel e (fun r -> dedupe_shards t r ~e ~next_depth));
+    lo := hi
+  done;
+  not (Atomic.get stop)
 
 let try_step t ~cancel =
   Telemetry.Histogram.time h_step @@ fun () ->
   Telemetry.Span.with_span "search.step" @@ fun () ->
-  let next_depth = t.depth + 1 in
+  let next_depth = depth t + 1 in
+  index_frontier t;
+  let n = t.fpos.(num_shards) in
   (* The step's effective rank count: small frontiers collapse to one
      rank (run inline — spawning domains for them costs more than it
      saves), and the configured jobs are capped by the core count.  The
      rank functions compute identical states either way; only
      scheduling changes. *)
-  let e = effective_jobs t (Array.length t.frontier) in
+  let e = effective_jobs t n in
   let parallel = e > 1 in
   Telemetry.Gauge.set_int g_jobs_eff e;
   Array.fill t.fresh_d 0 t.jobs 0;
   Array.fill t.dup_d 0 t.jobs 0;
   Array.fill t.rejected_d 0 t.jobs 0;
+  State_arena.open_level t.store ~reserve:(predicted_level t);
   let completed =
     if t.jobs = 1 then
       Telemetry.Histogram.time h_expand (fun () ->
           expand_insert_sequential t ~next_depth ~cancel)
-    else begin
-      Telemetry.Histogram.time h_expand (fun () ->
-          run_workers ~parallel e (fun r -> expand_chunk t r ~e ~cancel));
-      (* Expansion never mutates the store, so abandoning here is free.
-         Once dedupe starts we drain the level: it is short relative to
-         expansion and finishing it keeps the store at a level boundary. *)
-      if cancel () then false
-      else begin
-        Telemetry.Histogram.time h_merge (fun () ->
-            run_workers ~parallel e (fun r -> dedupe_shards t r ~e ~next_depth));
-        true
-      end
-    end
+    else expand_insert_chunked t ~e ~next_depth ~cancel
   in
   if not completed then begin
+    State_arena.abandon_level t.store;
     Telemetry.Span.set_attr "cancelled" (Telemetry.Json.Bool true);
     Log.info (fun m ->
         m "level %d abandoned on cancellation; engine rolled back to level %d"
-          next_depth t.depth);
+          next_depth (depth t));
     None
   end
   else begin
   Faultsim.hit "merge";
-  let next = merge_frontier t in
-  t.frontier <- next;
-  t.depth <- next_depth;
   let sum a = Array.fold_left ( + ) 0 a in
   let fresh = sum t.fresh_d and dup = sum t.dup_d and rejected = sum t.rejected_d in
+  for r = 0 to t.jobs - 1 do
+    t.domain_states.(r) <- t.domain_states.(r) + t.fresh_d.(r)
+  done;
   Telemetry.Counter.add m_states_new fresh;
   Telemetry.Counter.add m_states_dup dup;
   Telemetry.Counter.add m_sig_rejected rejected;
@@ -519,7 +527,7 @@ let try_step t ~cancel =
   Telemetry.Gauge.set_int g_frontier fresh;
   Telemetry.Gauge.set_int g_table_size (State_arena.size t.store);
   if Telemetry.enabled () then begin
-    Telemetry.Gauge.set_int g_arena (State_arena.arena_bytes t.store);
+    Telemetry.Gauge.set_int g_arena (State_arena.bytes t.store);
     Telemetry.Gauge.set g_table_load
       (float_of_int (State_arena.size t.store)
       /. float_of_int (max 1 (State_arena.table_capacity t.store)));
@@ -536,14 +544,14 @@ let try_step t ~cancel =
   Log.debug (fun m ->
       m "level %d: %d new states (%d duplicate, %d rejected), %d total" next_depth fresh
         dup rejected (State_arena.size t.store));
-  Some next
+  Some fresh
   end
 
 let never_cancel () = false
 
 let step_handles t =
   match try_step t ~cancel:never_cancel with
-  | Some next -> next
+  | Some _ -> frontier_handles t
   | None -> assert false (* never_cancel cannot fire *)
 
 let step t = Array.to_list (Array.map (key_of_handle t) (step_handles t))

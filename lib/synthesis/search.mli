@@ -14,15 +14,24 @@
     maps the binary block onto itself.  Parent pointers record one
     minimal cascade per state for factorization.
 
-    Frontier expansion is domain-parallel ([?jobs]): each step expands
-    the frontier in contiguous chunks across domains into per-(domain,
-    shard) candidate buffers, then each domain dedupes and inserts the
-    candidates of the shards it owns, and the per-shard outputs are
-    concatenated in shard order.  Because a state's shard is a pure
-    function of its key and each shard processes its candidates in
-    global frontier order, the discovered states, their handles, and the
-    frontier order are {e identical for every jobs value} — [jobs] only
-    changes scheduling.  See doc/PERFORMANCE.md for the determinism
+    The engine keeps no frontier list: a level is one index range per
+    shard of the store (see {!State_arena}), and its canonical order is
+    shard by shard, each range in index order.  Before each level the
+    store reserves room for the level's predicted size once (the
+    frontier times the last level's new states per parent), so a level
+    copies the columns at most once; that prediction is also what a
+    memory cap checks ({!predicted_bytes}).
+
+    Frontier expansion is domain-parallel ([?jobs]): a level runs as
+    consecutive fixed-size chunks of the frontier; each chunk is expanded
+    in contiguous slices across domains into per-(domain, shard)
+    candidate buffers, then each domain dedupes and inserts the
+    candidates of the shards it owns.  The buffers therefore hold one
+    chunk's children, never a whole level's.  Because a state's shard is
+    a pure function of its key and each shard processes its candidates
+    in global frontier order, the discovered states, their handles, and
+    the frontier order are {e identical for every jobs value} — [jobs]
+    only changes scheduling.  See doc/PERFORMANCE.md for the determinism
     argument.
 
     The paper's memory bound cb = 7 came from GAP on 2004 hardware; this
@@ -52,15 +61,18 @@ type handle = int
 val create : ?jobs:int -> ?symmetry:Symmetry.t -> Library.t -> t
 
 (** [of_store ?jobs ?symmetry library ~depth store] rebuilds a live
-    engine around a restored arena (see {!Checkpoint}): the frontier is
-    recomputed as every depth-[depth] state in canonical order, so
+    engine around a restored arena (see {!Checkpoint}): the store's level
+    ranges [0 .. depth] are rebuilt from the stored depths
+    ({!State_arena.index_levels}), so the frontier is every depth-[depth]
+    state in canonical order, and
     stepping the result produces byte-identical levels to the search the
     store came from.  Pass the same [?symmetry] the store was built
     under (a quotient checkpoint records its group fingerprint).
     @raise Invalid_argument when the store's key length is not the
-    library's [num_binary], its deepest level exceeds
-    [depth] (a depth beyond it is legal — an exhausted search has an
-    empty frontier), or it lacks the identity root. *)
+    library's [num_binary], some shard's states are not in level order,
+    its deepest level exceeds [depth] (a depth beyond it is legal — an
+    exhausted search has an empty frontier), or it lacks the identity
+    root. *)
 val of_store : ?jobs:int -> ?symmetry:Symmetry.t -> Library.t -> depth:int -> State_arena.t -> t
 
 (** [store t] is the underlying packed state store (used by
@@ -99,42 +111,60 @@ val library : t -> Library.t
     parallelism").  Results are identical either way. *)
 val jobs : t -> int
 
-(** [depth t] is the last expanded level (0 after [create]). *)
+(** [depth t] is the last expanded level (0 after [create]): the store's
+    newest level, [State_arena.levels - 1]. *)
 val depth : t -> int
 
 (** [size t] is the number of distinct circuit states discovered. *)
 val size : t -> int
 
-(** [arena_bytes t] is the total key-arena memory reserved by the store. *)
+(** [arena_bytes t] is what the store holds, in bytes: keys, metadata
+    and parent columns and probe tables at their reserved capacities
+    ({!State_arena.bytes}). *)
 val arena_bytes : t -> int
+
+(** [predicted_bytes t] is what {!arena_bytes} will be once the next
+    level's reservation is made: the figure a memory cap checks before
+    expanding a level.  A level larger than predicted grows past it by
+    doubling. *)
+val predicted_bytes : t -> int
 
 (** {1 Handle interface (hot paths)} *)
 
-(** [frontier_handles t] is the states discovered at [depth t], in the
-    engine's canonical order.  The returned array is owned by the engine;
-    do not mutate. *)
+(** [frontier_size t] is the number of states discovered at [depth t]. *)
+val frontier_size : t -> int
+
+(** [level_size t d] is the number of states of depth [d] (0 beyond
+    [depth t]). *)
+val level_size : t -> int -> int
+
+(** [iter_level t d f] calls [f] on every state of depth [d], in the
+    canonical frontier order.  Allocates nothing. *)
+val iter_level : t -> int -> (handle -> unit) -> unit
+
+(** [frontier_handles t] is a fresh array of the states discovered at
+    [depth t], in the engine's canonical order. *)
 val frontier_handles : t -> handle array
 
-(** [step_handles t] expands one level and returns the new frontier; its
-    length is the |B[depth+1]| count (no extra pass needed).  An empty
-    result means the reachable set is exhausted. *)
+(** [step_handles t] expands one level and returns the new frontier as a
+    fresh array; its length is the |B[depth+1]| count.  An empty result
+    means the reachable set is exhausted. *)
 val step_handles : t -> handle array
 
-(** [try_step t ~cancel] is {!step_handles} with cooperative
-    cancellation: [cancel] is polled between expansion chunks (and must
-    be cheap, domain-safe and monotonic — an [Atomic.t] flag set by a
-    signal handler qualifies).  When it fires mid-level the level is
-    abandoned cleanly — any partial insertions are rolled back and the
-    engine is exactly at the level boundary it started from — and the
-    result is [None].  When it fires after deduplication has begun the
-    level is drained normally instead (the result is [Some frontier];
-    the caller re-checks its flag).  [Some frontier] is byte-identical
-    to what [step_handles] would have returned. *)
-val try_step : t -> cancel:(unit -> bool) -> handle array option
+(** [try_step t ~cancel] expands one level, like
+    {!step_handles}, and returns the new level's size (no handle array
+    is built; read the level with {!iter_level}).  [cancel] is polled
+    every 64 frontier states (and must be cheap, domain-safe and
+    monotonic — an [Atomic.t] flag set by a signal handler qualifies).
+    When it fires the level is abandoned cleanly — its insertions are
+    rolled back and the engine is exactly at the level boundary it
+    started from — and the result is [None].  A retried level is
+    byte-identical to an uninterrupted one. *)
+val try_step : t -> cancel:(unit -> bool) -> int option
 
-(** [handles_at_depth t d] is every state of depth [d] in the canonical
-    frontier order (the order [step_handles] returned them when level
-    [d] was expanded) — the replay primitive for checkpoint resume. *)
+(** [handles_at_depth t d] is a fresh array of every state of depth [d]
+    in the canonical frontier order (the order [step_handles] returned
+    them when level [d] was expanded). *)
 val handles_at_depth : t -> int -> handle array
 
 val key_of_handle : t -> handle -> string

@@ -35,22 +35,29 @@ let tag_of_hash h = h lsr (62 - tag_bits)
 let slot_of idx hash = (idx lsl tag_bits) lor tag_of_hash hash
 
 type shard = {
-  mutable arena : Bytes.t; (* count * degree key bytes, then slack *)
+  mutable arena : Bytes.t; (* capacity * degree key bytes *)
   mutable metas : int array; (* packed depth | signature | via + 1 | conj *)
   mutable parents : int array;
   mutable count : int;
   mutable table : int array; (* open addressing: -1 empty, else index and tag *)
   mutable mask : int; (* table capacity - 1, a power of two minus one *)
+  mutable starts : int array; (* starts.(d): local index of level d's first state *)
 }
 
+(* A store keeps its states in level order: every state inserted after
+   [open_level] belongs to the newest level, so a level is one [start,
+   end) index range per shard and no frontier list is needed. *)
 type t = {
   degree : int;
   signatures : int array;
   shards : shard array;
+  mutable levels : int; (* levels opened; starts.(0 .. levels-1) are valid *)
 }
 
+(* A fresh shard's room: the first levels of any census fit without a
+   copy. *)
+let initial_states = 128
 let initial_slots = 256
-let initial_states = 64
 
 let make_shard degree =
   {
@@ -60,12 +67,13 @@ let make_shard degree =
     count = 0;
     table = Array.make initial_slots (-1);
     mask = initial_slots - 1;
+    starts = Array.make 16 0;
   }
 
 let create ~degree ~signatures =
   if Array.exists (fun s -> s < 0 || s lsr sig_bits <> 0) signatures then
     invalid_arg "State_arena.create: a signature does not fit the packed field";
-  { degree; signatures; shards = Array.init num_shards (fun _ -> make_shard degree) }
+  { degree; signatures; shards = Array.init num_shards (fun _ -> make_shard degree); levels = 0 }
 
 let degree t = t.degree
 
@@ -74,10 +82,15 @@ let size t =
   Array.iter (fun s -> n := !n + s.count) t.shards;
   !n
 
-let arena_bytes t =
-  let n = ref 0 in
-  Array.iter (fun s -> n := !n + Bytes.length s.arena) t.shards;
-  !n
+(* What a shard holds, in bytes: its key arena, its two int columns
+   and its probe table. *)
+let shard_bytes ~degree ~capacity ~slots = (capacity * (degree + 16)) + (8 * slots)
+
+let bytes t =
+  Array.fold_left
+    (fun n sh ->
+      n + shard_bytes ~degree:t.degree ~capacity:(Array.length sh.metas) ~slots:(sh.mask + 1))
+    0 t.shards
 
 let table_capacity t =
   let n = ref 0 in
@@ -163,18 +176,19 @@ let find t key ~off ~hash =
   let slot = sh.table.(probe t sh key ~off ~hash) in
   if slot < 0 then -1 else handle ~shard:s ~index:(slot lsr tag_bits)
 
-let grow_states t sh =
+(* [resize_states t sh capacity] moves a shard's columns into storage
+   for [capacity] states: the one copy a level's reservation makes, or
+   the fallback when a level outgrows it. *)
+let resize_states t sh capacity =
   Faultsim.hit "grow";
-  let cap = Array.length sh.metas in
-  let cap' = 2 * cap in
   let extend a =
-    let a' = Array.make cap' 0 in
-    Array.blit a 0 a' 0 cap;
+    let a' = Array.make capacity 0 in
+    Array.blit a 0 a' 0 sh.count;
     a'
   in
   sh.metas <- extend sh.metas;
   sh.parents <- extend sh.parents;
-  let arena' = Bytes.create (cap' * t.degree) in
+  let arena' = Bytes.create (capacity * t.degree) in
   Bytes.blit sh.arena 0 arena' 0 (sh.count * t.degree);
   sh.arena <- arena'
 
@@ -190,28 +204,93 @@ let place t sh idx =
   done;
   sh.table.(!i) <- slot_of idx hash
 
-let grow_table t sh =
-  let slots = 2 * (sh.mask + 1) in
+let rehash t sh slots =
   sh.table <- Array.make slots (-1);
   sh.mask <- slots - 1;
   for idx = 0 to sh.count - 1 do
     place t sh idx
   done
 
-let shard_count t s = t.shards.(s).count
-let shard_counts t = Array.map (fun sh -> sh.count) t.shards
+(* The smallest power-of-two slot count, from [slots] up, that holds
+   [states] under the 3/4 load factor. *)
+let rec slots_for states slots =
+  if 4 * states > 3 * slots then slots_for states (2 * slots) else slots
 
-(* [truncate t counts] rolls every shard back to the state count it had
-   when [counts] was captured (by {!shard_counts}): the level-abandon
-   path of cooperative cancellation.  Metadata beyond the count is dead
-   by construction; the open-addressing table is rebuilt over the kept
-   entries (same capacity — the load factor only shrinks). *)
-let truncate t counts =
-  Array.iteri
-    (fun s target ->
-      let sh = t.shards.(s) in
-      if target > sh.count then
-        invalid_arg "State_arena.truncate: counts exceed current shard sizes";
+let shard_count t s = t.shards.(s).count
+
+(* {1 Levels and reservations} *)
+
+(* One shard's share of [n] new states: keys hash uniformly over the
+   shards, so the mean share plus three standard deviations, and a few
+   states of slack for small levels. *)
+let shard_share n =
+  if n <= 0 then 0
+  else
+    let mean = (n + num_shards - 1) / num_shards in
+    mean + (3 * int_of_float (sqrt (float_of_int mean))) + 8
+
+(* A shard's [(capacity, slots)] once room for [share] more states is
+   reserved.  A capacity that must grow grows at least by half, so a run
+   of small levels does not copy the columns at every level. *)
+let plan sh share =
+  let want = sh.count + share in
+  let cap = Array.length sh.metas in
+  let capacity = if want <= cap then cap else max want (cap + (cap / 2)) in
+  (capacity, slots_for want (sh.mask + 1))
+
+let reserve_bytes t n =
+  let share = shard_share n in
+  Array.fold_left
+    (fun acc sh ->
+      let capacity, slots = plan sh share in
+      acc + shard_bytes ~degree:t.degree ~capacity ~slots)
+    0 t.shards
+
+let open_level t ~reserve =
+  let share = shard_share reserve in
+  Array.iter
+    (fun sh ->
+      if t.levels = Array.length sh.starts then begin
+        let starts = Array.make (2 * t.levels) 0 in
+        Array.blit sh.starts 0 starts 0 t.levels;
+        sh.starts <- starts
+      end;
+      sh.starts.(t.levels) <- sh.count;
+      let capacity, slots = plan sh share in
+      if capacity > Array.length sh.metas then resize_states t sh capacity;
+      if slots > sh.mask + 1 then rehash t sh slots)
+    t.shards;
+  t.levels <- t.levels + 1
+
+let levels t = t.levels
+
+let level_start t ~depth s = t.shards.(s).starts.(depth)
+
+let level_end t ~depth s =
+  let sh = t.shards.(s) in
+  if depth + 1 < t.levels then sh.starts.(depth + 1) else sh.count
+
+let level_size t ~depth =
+  if depth < 0 || depth >= t.levels then 0
+  else begin
+    let n = ref 0 in
+    for s = 0 to num_shards - 1 do
+      n := !n + level_end t ~depth s - level_start t ~depth s
+    done;
+    !n
+  end
+
+(* [abandon_level t] rolls every shard back to the start of the newest
+   level and forgets it: the level-abandon path of cooperative
+   cancellation.  Metadata beyond the count is dead by construction; the
+   open-addressing table is rebuilt over the kept entries (same capacity
+   — the load factor only shrinks).  Reserved capacity is kept. *)
+let abandon_level t =
+  if t.levels = 0 then invalid_arg "State_arena.abandon_level: no level is open";
+  let depth = t.levels - 1 in
+  Array.iter
+    (fun sh ->
+      let target = sh.starts.(depth) in
       if target < sh.count then begin
         sh.count <- target;
         Array.fill sh.table 0 (sh.mask + 1) (-1);
@@ -219,42 +298,52 @@ let truncate t counts =
           place t sh idx
         done
       end)
-    counts
+    t.shards;
+  t.levels <- depth
 
-(* [handles_at_depth t d] lists the states of BFS depth [d] in (shard,
-   local index) order — exactly the canonical frontier order produced by
-   the engine's shard-ordered merge, so a frontier reconstructed from a
-   restored arena is byte-identical to the one the live engine held. *)
+(* Level [depth]'s states in (shard, local index) order — the engine's
+   canonical frontier order. *)
+let iter_level t ~depth f =
+  if depth >= 0 && depth < t.levels then
+    for s = 0 to num_shards - 1 do
+      for idx = level_start t ~depth s to level_end t ~depth s - 1 do
+        f (handle ~shard:s ~index:idx)
+      done
+    done
+
 let handles_at_depth t d =
-  let n = ref 0 in
-  Array.iter
-    (fun sh ->
-      for idx = 0 to sh.count - 1 do
-        if meta_depth sh.metas.(idx) = d then incr n
-      done)
-    t.shards;
-  let out = Array.make !n 0 in
-  let pos = ref 0 in
-  Array.iteri
-    (fun s sh ->
-      for idx = 0 to sh.count - 1 do
-        if meta_depth sh.metas.(idx) = d then begin
-          out.(!pos) <- handle ~shard:s ~index:idx;
-          incr pos
-        end
-      done)
-    t.shards;
+  let out = Array.make (level_size t ~depth:d) 0 and pos = ref 0 in
+  iter_level t ~depth:d (fun h ->
+      out.(!pos) <- h;
+      incr pos);
   out
 
-let max_depth t =
-  let d = ref (-1) in
+(* [index_levels t ~depth] rebuilds the level starts of a restored store
+   from its metas, in one pass over each shard; the levels past its
+   deepest state, up to [depth], are empty. *)
+let index_levels t ~depth =
+  if depth < 0 then invalid_arg "State_arena.index_levels: negative depth";
   Array.iter
     (fun sh ->
+      let starts = Array.make (max 16 (depth + 1)) sh.count in
+      starts.(0) <- 0;
+      let d = ref 0 in
       for idx = 0 to sh.count - 1 do
-        d := max !d (meta_depth sh.metas.(idx))
-      done)
+        let level = meta_depth sh.metas.(idx) in
+        if level < !d then
+          invalid_arg "State_arena.index_levels: a shard's states are not in level order";
+        if level > depth then
+          invalid_arg
+            (Printf.sprintf "State_arena.index_levels: a state of depth %d lies beyond level %d"
+               level depth);
+        while !d < level do
+          incr d;
+          starts.(!d) <- idx
+        done
+      done;
+      sh.starts <- starts)
     t.shards;
-  !d
+  t.levels <- depth + 1
 
 let key_signature t key ~off =
   let sg = ref 0 in
@@ -282,24 +371,9 @@ let restore_shard t ~shard ~count ~keys ~depths ~vias ~parents ~conjs =
     || Array.length parents <> count
     || Bytes.length conjs <> count
   then invalid_arg "State_arena.restore_shard: column lengths do not match count";
-  let cap = ref (Array.length sh.metas) in
-  while !cap < count do
-    cap := 2 * !cap
-  done;
-  if !cap > Array.length sh.metas then begin
-    sh.metas <- Array.make !cap 0;
-    sh.parents <- Array.make !cap 0;
-    sh.arena <- Bytes.create (!cap * t.degree)
-  end;
-  (* keep the load factor under 3/4, as try_insert does *)
-  let slots = ref (sh.mask + 1) in
-  while 4 * count > 3 * !slots do
-    slots := 2 * !slots
-  done;
-  if !slots > sh.mask + 1 then begin
-    sh.table <- Array.make !slots (-1);
-    sh.mask <- !slots - 1
-  end;
+  if count > Array.length sh.metas then resize_states t sh count;
+  let slots = slots_for count (sh.mask + 1) in
+  if slots > sh.mask + 1 then rehash t sh slots;
   Bytes.blit keys 0 sh.arena 0 (count * t.degree);
   Array.blit parents 0 sh.parents 0 count;
   for idx = 0 to count - 1 do
@@ -328,13 +402,14 @@ let try_insert t ~key ~off ~hash ~depth ~via ~conj ~parent =
   else begin
     let idx = sh.count in
     let meta = pack ~depth ~via ~conj ~signature:(key_signature t key ~off) in
-    if idx = Array.length sh.metas then grow_states t sh;
+    (* the fallback when a level outgrows its reservation *)
+    if idx = Array.length sh.metas then resize_states t sh (max 8 (2 * idx));
     Bytes.blit key off sh.arena (idx * t.degree) t.degree;
     sh.metas.(idx) <- meta;
     sh.parents.(idx) <- parent;
     sh.table.(slot) <- slot_of idx hash;
     sh.count <- idx + 1;
     (* keep the load factor under 3/4 *)
-    if 4 * sh.count > 3 * (sh.mask + 1) then grow_table t sh;
+    if 4 * sh.count > 3 * (sh.mask + 1) then rehash t sh (2 * (sh.mask + 1));
     handle ~shard:s ~index:idx
   end

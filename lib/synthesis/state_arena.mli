@@ -1,20 +1,32 @@
 (** Sharded, arena-packed store of BFS circuit states.
 
-    Replaces the seed engine's per-state [string] key + boxed node record
-    with [2^{!shard_bits}] shards, each holding a growable [Bytes] arena of
-    packed binary-image vectors (see {!Search}) plus two flat [int]
-    columns: the parent handle, and one packed metadata word (BFS depth,
-    the memoized binary-block signature, the library index of the last
-    gate and the symmetry conjugator).  A state costs its key bytes plus
-    16 bytes, not counting probe-table slots.  A state is addressed by an
-    integer {e handle} [(local_index lsl shard_bits) lor shard]; no
-    per-state heap object exists.
+    [2^{!shard_bits}] shards, each holding a [Bytes] arena of packed
+    binary-image vectors (see {!Search}) plus two flat [int] columns: the
+    parent handle, and one packed metadata word (BFS depth, the memoized
+    binary-block signature, the library index of the last gate and the
+    symmetry conjugator).  A state costs its key bytes plus 16 bytes in
+    the columns, plus its share of the probe table (8 bytes a slot, at a
+    load factor between 3/8 and 3/4).  A state is addressed by an integer
+    {e handle} [(local_index lsl shard_bits) lor shard]; no per-state heap
+    object exists.
+
+    {b Levels.}  A BFS inserts level by level, and each shard appends its
+    states in the order the engine inserts them, so one level of the
+    search is one [\[start, end)] range of local indexes per shard.  The
+    store records those starts ({!open_level}); a frontier is read from
+    them ({!level_start}, {!level_end}) and never kept as a list.
+
+    {b Reservations.}  {!open_level} also reserves every shard's columns
+    and probe table once for the level's predicted size, so a level
+    copies each column at most once.  When a shard outgrows its
+    reservation, insertion falls back to doubling.  Capacities are never
+    observable: handles, keys and levels do not depend on them.
 
     Each open-addressing slot holds a state's local index together with a
     tag of its key hash, so a probe rejects most non-matching slots
     without reading the key arena, and keys are compared a 64-bit word at
-    a time.  No hash is stored: growth, {!truncate} and {!restore_shard}
-    recompute it from the key bytes.
+    a time.  No hash is stored: growth, {!abandon_level} and
+    {!restore_shard} recompute it from the key bytes.
 
     A state's shard is a pure function of its key bytes
     ({!shard_of_hash} of {!hash_key}), so the store's contents — including
@@ -45,8 +57,10 @@ val degree : t -> int
 (** [size t] is the number of states stored across all shards. *)
 val size : t -> int
 
-(** [arena_bytes t] is the total number of key-arena bytes reserved. *)
-val arena_bytes : t -> int
+(** [bytes t] is what the store holds, in bytes: every shard's key
+    arena, metadata and parent columns and probe table, at their reserved
+    capacities. *)
+val bytes : t -> int
 
 (** [table_capacity t] is the total number of open-addressing slots
     (across shards) — the denominator of the load factor. *)
@@ -151,37 +165,70 @@ val try_insert :
 (** [shard_count t s] is the number of states stored in shard [s]. *)
 val shard_count : t -> int -> int
 
-(** [shard_counts t] captures every shard's state count — the rollback
-    token for {!truncate}. *)
-val shard_counts : t -> int array
+(** {1 Levels} *)
 
-(** [truncate t counts] rolls each shard back to the count captured by
-    {!shard_counts} before a partially-expanded level, discarding the
-    newer states and rebuilding the probe tables.  Used to abandon a
-    cancelled level cleanly.
-    @raise Invalid_argument if some [counts.(s)] exceeds the current
-    count (the token is from the future). *)
-val truncate : t -> int array -> unit
+(** [open_level t ~reserve] starts the next level: every state inserted
+    from now on belongs to it.  It also reserves room for [reserve] more
+    states, spread over the shards as a uniform hash spreads them (each
+    shard's mean share plus three standard deviations), growing each
+    shard's columns and probe table at most once.  [reserve] only sizes
+    storage: a wrong guess costs memory or a fallback doubling, never a
+    different result. *)
+val open_level : t -> reserve:int -> unit
+
+(** [reserve_bytes t n] is what {!bytes} would be after [open_level t
+    ~reserve:n] — the check a memory cap makes before the reservation. *)
+val reserve_bytes : t -> int -> int
+
+(** [levels t] is the number of levels opened (the deepest level plus
+    one). *)
+val levels : t -> int
+
+(** [level_start t ~depth s] and [level_end t ~depth s] bound level
+    [depth]'s local indexes in shard [s]: the level's states there are
+    [level_start .. level_end - 1].  [depth] must be below {!levels}. *)
+val level_start : t -> depth:int -> int -> int
+
+val level_end : t -> depth:int -> int -> int
+
+(** [level_size t ~depth] is the number of states of level [depth]; 0
+    for a level not opened. *)
+val level_size : t -> depth:int -> int
+
+(** [abandon_level t] rolls every shard back to the start of the newest
+    level and forgets it, rebuilding the probe tables over the kept
+    states: used to abandon a cancelled level cleanly.  Reserved capacity
+    is kept; inserting the same states again gives the same handles.
+    @raise Invalid_argument if no level is open. *)
+val abandon_level : t -> unit
 
 (** [shard_columns t s] is shard [s]'s live column storage [(count,
     metas, parents)] — a zero-copy capture for serialization; decode a
     [metas] entry with {!meta_depth}, {!meta_via} and {!meta_conj}.  The
     first [count] entries of each column are immutable for the store's
     lifetime: insertions only append past [count] (growth replaces the
-    column objects, leaving captured ones intact) and {!truncate} never
+    column objects, leaving captured ones intact) and {!abandon_level} never
     rolls a shard below a level boundary captured at one.  A capture taken
     at a level boundary may therefore be read from another domain while
     the next level is being expanded. *)
 val shard_columns : t -> int -> int * int array * int array
 
-(** [handles_at_depth t d] is the handles of every state with BFS depth
-    [d], in (shard, local index) order — the engine's canonical frontier
-    order, so the frontier of a restored store can be reconstructed
-    byte-identically. *)
+(** [iter_level t ~depth f] calls [f] on the handle of every state of
+    level [depth], in (shard, local index) order — the engine's canonical
+    frontier order.  Nothing for a level not opened. *)
+val iter_level : t -> depth:int -> (int -> unit) -> unit
+
+(** [handles_at_depth t d] is a fresh array of {!iter_level}'s handles. *)
 val handles_at_depth : t -> int -> int array
 
-(** [max_depth t] is the largest stored depth, or -1 on an empty store. *)
-val max_depth : t -> int
+(** [index_levels t ~depth] rebuilds the level starts of a store filled
+    by {!restore_shard}, from the stored depths, in one pass: level [d]
+    is the states of depth [d], for [d] from 0 to [depth] (the levels
+    past the deepest state are empty: an exhausted search).
+    @raise Invalid_argument if [depth] is negative, some state lies
+    deeper than [depth], or some shard's depths decrease (its states are
+    not in the order a BFS inserts them). *)
+val index_levels : t -> depth:int -> unit
 
 (** [restore_shard t ~shard ~count ~keys ~depths ~vias ~parents ~conjs]
     rebuilds shard [shard] of an {e empty} store from serialized columns
@@ -191,7 +238,8 @@ val max_depth : t -> int
     key is validated to belong to [shard] and to be unique within it.
     @raise Invalid_argument on any inconsistency (shard not empty,
     column length mismatch, foreign or duplicate key, byte outside the
-    encoding, a field outside its packed range). *)
+    encoding, a field outside its packed range).  Call {!index_levels}
+    once every shard is restored. *)
 val restore_shard :
   t ->
   shard:int ->

@@ -13,6 +13,7 @@ let qcheck_test ?(count = 100) name gen prop =
 
 let library3 = Library.make (Mvl.Encoding.make ~qubits:3)
 let library2 = Library.make (Mvl.Encoding.make ~qubits:2)
+let library4 = Library.make (Mvl.Encoding.make ~qubits:4)
 
 let with_temp_file f =
   let path = Filename.temp_file "qsynth_ckpt" ".bin" in
@@ -299,6 +300,31 @@ let test_budget_mem () =
   checkb "partial census is an exact prefix of the clean one" true
     (prefix_of_clean census)
 
+(* Four wires: the cap sits one byte under what the store would hold
+   once level 4's reservation is made, so levels 1-3 run and the census
+   stops PARTIAL at that boundary, before reserving, with the store
+   under the cap and every level exactly the uncapped run's. *)
+let test_budget_mem_four_wires () =
+  let clean = search_at library4 3 in
+  let cap = Search.predicted_bytes clean - 1 in
+  let census, reason = Fmcf.run_guarded ~max_depth:5 ~max_mem:cap library4 in
+  checkb "stop reason" true (reason = Fmcf.Budget_mem);
+  let s = Fmcf.search census in
+  check Alcotest.int "stopped at level 3" 3 (Search.depth s);
+  checkb "store under the cap" true (Search.arena_bytes s <= cap);
+  check
+    Alcotest.(list (pair int int))
+    "|G[k]| prefix"
+    [ (0, 1); (1, 12); (2, 96); (3, 542) ]
+    (Fmcf.counts census);
+  check Alcotest.int "states" (Search.size clean) (Search.size s);
+  for d = 0 to 3 do
+    check
+      Alcotest.(array string)
+      (Printf.sprintf "level %d keys" d)
+      (keys_at clean d) (keys_at s d)
+  done
+
 let test_cancel_immediate () =
   let census, reason =
     Fmcf.run_guarded ~max_depth:census_depth ~should_stop:(fun () -> true) library3
@@ -352,8 +378,6 @@ let qcheck_round_trip =
    change to the arena's handles, frontier order, packed metadata or
    conjugators shows up here. *)
 
-let library4 = Library.make (Mvl.Encoding.make ~qubits:4)
-
 let test_golden_checkpoint_bytes () =
   List.iter
     (fun (name, library, quotient, depth, len, crc) ->
@@ -404,6 +428,7 @@ let () =
         [
           Alcotest.test_case "max states" `Quick test_budget_states;
           Alcotest.test_case "max mem" `Quick test_budget_mem;
+          Alcotest.test_case "max mem, four wires" `Quick test_budget_mem_four_wires;
           Alcotest.test_case "cancel immediately" `Quick test_cancel_immediate;
           Alcotest.test_case "cancel mid-level" `Quick test_cancel_mid_level;
         ] );

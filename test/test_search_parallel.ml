@@ -246,7 +246,9 @@ let test_arena_reference () =
   let store = State_arena.create ~degree:arena_degree ~signatures:arena_signatures in
   let reference = Hashtbl.create n in
   insert_all store reference keys ~lo:0 ~hi:(n / 2);
-  let half = State_arena.shard_counts store in
+  (* the second half is one level, opened with no reservation, so every
+     shard grows by the doubling fallback *)
+  State_arena.open_level store ~reserve:0;
   insert_all store reference keys ~lo:(n / 2) ~hi:n;
   check_against store reference keys;
   (* every key again: all duplicates, the store unchanged *)
@@ -259,12 +261,13 @@ let test_arena_reference () =
       then Alcotest.fail "duplicate key inserted")
     keys;
   check_against store reference keys;
-  (* roll back to the half-way counts, then replay the second half: the
-     same handles come back *)
+  (* abandon the second level, then replay it: the same handles come
+     back *)
   let full = Hashtbl.copy reference in
-  State_arena.truncate store half;
+  State_arena.abandon_level store;
   Array.iteri (fun i key -> if i >= n / 2 then Hashtbl.remove reference key) keys;
   check_against store reference keys;
+  State_arena.open_level store ~reserve:0;
   insert_all store reference keys ~lo:(n / 2) ~hi:n;
   Hashtbl.iter
     (fun key r ->
@@ -355,7 +358,6 @@ let test_arena_field_bounds () =
   check Alcotest.int "conj" 31 (State_arena.conj_of store h);
   check Alcotest.int "signature" 0x3FF (State_arena.signature_of store h);
   check Alcotest.int "parent" max_int (State_arena.parent_of store h);
-  check Alcotest.int "max_depth" deep (State_arena.max_depth store);
   checkb "a 17-bit signature is rejected at create" true
     (raises_invalid (fun () ->
          State_arena.create ~degree:arena_degree ~signatures:[| 1 lsl 16 |]))
@@ -388,6 +390,150 @@ let test_step_allocation quotient () =
   if words > 0.5 *. float_of_int children then
     Alcotest.failf "%.0f minor words for %d children" words children
 
+(* {1 Four wires: chunked levels, reservations and rollback} *)
+
+let library4 = Library.make (Mvl.Encoding.make ~qubits:4)
+
+let never () = false
+
+(* A level as its handles and a digest of its keys in frontier order. *)
+let level_print s =
+  let keys = Buffer.create 4096 in
+  let hs = Search.frontier_handles s in
+  Array.iter (fun h -> Buffer.add_string keys (Search.key_of_handle s h)) hs;
+  (hs, Digest.to_hex (Digest.string (Buffer.contents keys)))
+
+let check_level name (eh, ek) (gh, gk) =
+  check Alcotest.(array int) (name ^ " handles") eh gh;
+  check Alcotest.string (name ^ " keys") ek gk
+
+(* [run4 ~jobs ~quotient ~depth] steps a 4-wire search level by level
+   and prints every level. *)
+let run4 ~jobs ~quotient ~depth =
+  let symmetry = if quotient then Some (Symmetry.create library4) else None in
+  let s = Search.create ~jobs ?symmetry library4 in
+  let levels =
+    List.init depth (fun _ ->
+        ignore (Search.try_step s ~cancel:never);
+        level_print s)
+  in
+  (s, levels)
+
+(* The jobs-1 runs every comparison is against, computed once each. *)
+let sequential4_runs = Hashtbl.create 4
+
+let sequential4 ~quotient ~depth =
+  match Hashtbl.find_opt sequential4_runs (quotient, depth) with
+  | Some r -> r
+  | None ->
+      let _, r = run4 ~jobs:1 ~quotient ~depth in
+      Hashtbl.replace sequential4_runs (quotient, depth) r;
+      r
+
+(* Level 5 of the raw census expands 66,186 parents (nine chunks) and
+   level 6 of the quotient one 18,470 (three). *)
+let test_frontiers_four_wires jobs () =
+  List.iter
+    (fun (quotient, depth) ->
+      let _, got = run4 ~jobs ~quotient ~depth in
+      List.iteri
+        (fun k (e, g) ->
+          check_level
+            (Printf.sprintf "%s level %d, jobs=%d" (if quotient then "quotient" else "raw")
+               (k + 1) jobs)
+            e g)
+        (List.combine (sequential4 ~quotient ~depth) got))
+    [ (false, 5); (true, 6) ]
+
+(* A reservation only sizes storage.  A 4-wire depth-4 search's states
+   are replayed level by level into fresh stores, each level opened with
+   no reservation (every shard grows by the doubling fallback) or with
+   far more room than the level needs (no shard grows mid-level): every
+   state gets its original handle, and every level its original ranges. *)
+let test_reservation_sizes () =
+  let search, _ = run4 ~jobs:1 ~quotient:false ~depth:4 in
+  let src = Search.store search in
+  let replay reserve =
+    let store =
+      State_arena.create ~degree:(State_arena.degree src) ~signatures:(Array.make 256 0)
+    in
+    for d = 0 to Search.depth search do
+      State_arena.open_level store ~reserve:(reserve (Search.level_size search d));
+      Search.iter_level search d (fun h ->
+          let key = Bytes.of_string (State_arena.key_of src h) in
+          let hash = State_arena.hash_key key ~off:0 ~len:(Bytes.length key) in
+          let got =
+            State_arena.try_insert store ~key ~off:0 ~hash ~depth:d
+              ~via:(State_arena.via_of src h) ~conj:(State_arena.conj_of src h)
+              ~parent:(State_arena.parent_of src h)
+          in
+          if got <> h then Alcotest.failf "level %d: handle %d replayed as %d" d h got)
+    done;
+    check Alcotest.int "states" (State_arena.size src) (State_arena.size store);
+    for d = 0 to Search.depth search do
+      Search.iter_level search d (fun h ->
+          let key = State_arena.key_of src h in
+          let b = Bytes.of_string key in
+          let hash = State_arena.hash_key b ~off:0 ~len:(Bytes.length b) in
+          if
+            State_arena.find store b ~off:0 ~hash <> h
+            || State_arena.key_of store h <> key
+            || State_arena.parent_of store h <> State_arena.parent_of src h
+            || State_arena.via_of store h <> State_arena.via_of src h
+          then Alcotest.failf "level %d: handle %d holds another state" d h);
+      for s = 0 to State_arena.num_shards - 1 do
+        if
+          State_arena.level_start store ~depth:d s <> State_arena.level_start src ~depth:d s
+          || State_arena.level_end store ~depth:d s <> State_arena.level_end src ~depth:d s
+        then Alcotest.failf "level %d: shard %d range differs" d s
+      done
+    done;
+    State_arena.bytes store
+  in
+  let small = replay (fun _ -> 0) and large = replay (fun n -> (8 * n) + 4096) in
+  checkb "the oversized reservation holds more" true (large > small)
+
+(* A cancel that fires partway through level 5 (after earlier chunks
+   were inserted, under jobs > 1) rolls the store back to level 4
+   exactly, and the retried level matches an uninterrupted run. *)
+let test_cancel_rollback jobs () =
+  let expected = sequential4 ~quotient:false ~depth:5 in
+  let s, _ = run4 ~jobs ~quotient:false ~depth:4 in
+  let before = level_print s and size = Search.size s in
+  let bytes = Search.arena_bytes s in
+  let polls = Atomic.make 0 and stored_at_cancel = Atomic.make (-1) in
+  let cancel () =
+    if Atomic.fetch_and_add polls 1 >= 600 then begin
+      ignore (Atomic.compare_and_set stored_at_cancel (-1) (Search.size s));
+      true
+    end
+    else false
+  in
+  checkb "cancelled level returns None" true (Search.try_step s ~cancel = None);
+  checkb "states were inserted before the cancel" true (Atomic.get stored_at_cancel > size);
+  check Alcotest.int "depth" 4 (Search.depth s);
+  check Alcotest.int "size rolled back" size (Search.size s);
+  check Alcotest.int "levels" 5 (State_arena.levels (Search.store s));
+  checkb "reservation kept" true (Search.arena_bytes s > bytes);
+  check_level "frontier after rollback" before (level_print s);
+  ignore (Search.try_step s ~cancel:never);
+  check_level (Printf.sprintf "retried level 5, jobs=%d" jobs) (List.nth expected 4)
+    (level_print s)
+
+(* One reservation per level: a 4-wire depth-5 census allocates at most
+   1.5x its final store in major-heap words (doubling columns and tables
+   as they fill allocates about 2.5x). *)
+let test_major_allocation () =
+  Gc.compact ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let census = Fmcf.run ~max_depth:5 library4 in
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  let store = float_of_int (Search.arena_bytes (Fmcf.search census) / 8) in
+  check Alcotest.int "states" 513_129 (Search.size (Fmcf.search census));
+  if words > 1.5 *. store then
+    Alcotest.failf "%.0f major words for a store of %.0f words (%.2fx)" words store
+      (words /. store)
+
 let per_jobs name f =
   List.map
     (fun jobs ->
@@ -400,7 +546,9 @@ let () =
       ("census oracle", per_jobs "Table 2 counts" test_counts_match_oracle);
       ("function sets", per_jobs "per-level func_key sets" test_same_function_sets);
       ("witnesses", per_jobs "witness cascades valid" test_witness_cascades_valid);
-      ("frontiers", per_jobs "byte-identical frontiers" test_frontiers_byte_identical);
+      ( "frontiers",
+        per_jobs "byte-identical frontiers" test_frontiers_byte_identical
+        @ per_jobs "four wires, raw -d 5 and quotient -d 6" test_frontiers_four_wires );
       ("arena algebra", [ qcheck_arena_compose ]);
       ( "state arena",
         [
@@ -410,6 +558,16 @@ let () =
           Alcotest.test_case "step allocation, plain" `Quick (test_step_allocation false);
           Alcotest.test_case "step allocation, quotient" `Quick (test_step_allocation true);
         ] );
+      ( "reservations",
+        [
+          Alcotest.test_case "too small and too large" `Quick test_reservation_sizes;
+          Alcotest.test_case "major words per store word" `Quick test_major_allocation;
+        ]
+        @ List.map
+            (fun jobs ->
+              Alcotest.test_case (Printf.sprintf "cancel mid-level (jobs=%d)" jobs) `Quick
+                (test_cancel_rollback jobs))
+            (1 :: jobs_under_test) );
       ( "adaptation",
         [ Alcotest.test_case "effective jobs at depth 7" `Quick test_effective_jobs ] );
     ]
