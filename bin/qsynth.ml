@@ -237,17 +237,16 @@ let print_quotient_stats census =
         (Symmetry.order sym) (Symmetry.not_cosets sym);
       Format.printf "  depth    orbits    images  img/orbit@.";
       let tot_orbits = ref 0 and tot_images = ref 0 in
+      let store = Search.store search in
       for d = 0 to Search.depth search do
-        let hs = Search.handles_at_depth search d in
-        let orbits = Array.length hs in
-        let images =
-          Array.fold_left
-            (fun acc h ->
-              acc
-              + List.length
-                  (Symmetry.orbit_images sym (Search.key_of_handle search h)))
-            0 hs
-        in
+        let orbits = Search.level_size search d and images = ref 0 in
+        Search.iter_level search d (fun h ->
+            images :=
+              !images
+              + Symmetry.orbit_size sym
+                  ~src:(State_arena.shard_arena store (State_arena.shard_of_handle h))
+                  ~soff:(State_arena.key_offset store h));
+        let images = !images in
         tot_orbits := !tot_orbits + orbits;
         tot_images := !tot_images + images;
         Format.printf "  %5d %9d %9d %10.2f@." d orbits images
@@ -305,17 +304,15 @@ let census_cmd =
                  "snapshot %s is already at level %d, beyond --depth %d; pass a \
                   deeper --depth to continue it"
                  path h.Checkpoint.depth depth);
-          (* The snapshot's own mode wins: a v2 file resumes quotiented,
-             a v3 file resumes unquotiented, whatever --quotient says. *)
+          (* The snapshot's own mode wins: a quotient snapshot resumes
+             quotiented, an unquotiented one unquotiented, whatever
+             --quotient says. *)
           (match (h.Checkpoint.symmetry, quotient) with
           | None, true ->
               Format.eprintf
-                "warning: %s is an unquotiented (v3) snapshot; resuming \
-                 unquotiented@." path
+                "warning: %s is an unquotiented snapshot; resuming unquotiented@." path
           | Some _, false ->
-              Format.eprintf
-                "warning: %s is a quotient (v2) snapshot; resuming quotiented@."
-                path
+              Format.eprintf "warning: %s is a quotient snapshot; resuming quotiented@." path
           | _ -> ());
           Some (Checkpoint.load ~jobs library path)
     in
@@ -424,8 +421,8 @@ let census_cmd =
                  see doc/PERFORMANCE.md, 'Symmetry quotient').  The arena \
                  stores ~6x fewer states and every reported \
                  count, member, witness cascade and emitted index is \
-                 byte-identical to the unquotiented run.  Checkpoints are \
-                 written in the v2 format and resume quotiented.")
+                 byte-identical to the unquotiented run.  Checkpoints record \
+                 the symmetry group and resume quotiented.")
   in
   let stats_flag =
     Arg.(value & flag & info [ "stats" ]

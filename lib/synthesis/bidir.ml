@@ -57,10 +57,9 @@ type t = {
 let create ?(jobs = 1) ?(max_fwd_depth = 7) library =
   if max_fwd_depth < 0 then invalid_arg "Bidir.create: negative max_fwd_depth";
   (* The forward half is never quotiented: the join looks exact images up
-     in its arena and replays via/parent chains for the prefix cascade,
-     neither of which survives orbit canonicalization.  Bidir answers are
-     therefore identical whether or not the rest of the pipeline runs
-     under --quotient. *)
+     in its arena, which orbit canonicalization would break.  Bidir
+     answers are therefore identical whether or not the rest of the
+     pipeline runs under --quotient. *)
   let search = Search.create ~jobs library in
   let encoding = Library.encoding library in
   let degree = Mvl.Encoding.size encoding in

@@ -13,28 +13,22 @@ type header = {
   fingerprint : int64;
   qubits : int;
   degree : int;
-  num_binary : int;
   num_gates : int;
   depth : int;
   states : int;
   frontier_len : int;
   symmetry : int64 option;
-      (* Some fp: quotient snapshot (format v2) — fp is the
-         Symmetry.fingerprint of the group the arena was canonicalized
-         under.  None: unquotiented snapshot (format v3). *)
+      (* Some fp: quotient snapshot — fp is the Symmetry.fingerprint of
+         the group the arena was canonicalized under. *)
 }
 
 let magic = "QSYNCKP1"
 
-(* v2: quotient snapshots — a symmetry-group fingerprint after the
-   library fingerprint, and a per-state conjugator byte in the meta.
-   v3: unquotiented snapshots (no symmetry section, 11-byte state meta).
-   Both describe binary-image states.  v1 (the same layout as v3, but
-   over full point permutations) is rejected: its parent chains describe
-   states the engine no longer stores. *)
-let version_full_point = 1
-let version_quotient = 2
-let version_image = 3
+(* v4 stores each state's key bytes and each shard's level sizes.
+   Versions 1 to 3 stored parent chains (v1 over full point
+   permutations, v2 quotiented with conjugators, v3 over images), which
+   this build no longer reads. *)
+let version = 4
 
 (* {1 CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320)} *)
 
@@ -125,35 +119,28 @@ let fingerprint library =
 (* {1 Captures}
 
    A capture is a zero-copy snapshot of the store taken at a level
-   boundary: the header plus live references to each shard's metadata
-   columns (see {!State_arena.shard_columns}).  Only the first [count]
-   entries of each column are ever read, and those are immutable for the
+   boundary: the header, each shard's level sizes, and live references
+   to each shard's key arena (see {!State_arena.shard_arena}).  Only the
+   stored keys are ever read, and those bytes are immutable for the
    store's lifetime, so a capture can be serialized from another domain
-   while the search expands the next level.
-
-   Key bytes are deliberately NOT captured or serialized: a state's key
-   is a pure function of its parent chain ([root = identity],
-   [child.(j) = perm_array.(parent.(j))], canonicalized when quotiented),
-   so {!load} replays the recorded gates instead — the dominant cost of
-   checkpointing is bytes CRC-ed, written and fsynced. *)
+   while the search expands the next level. *)
 
 type capture = {
   header : header;
-  shards : (int * int array * int array) array;
-      (* count, packed metas, parents — see State_arena.shard_columns *)
+  shards : (Bytes.t * int array) array; (* key arena, level sizes *)
 }
 
 let capture search =
   let store = Search.store search in
   let library = Search.library search in
+  let depth = Search.depth search in
   let header =
     {
       fingerprint = fingerprint library;
       qubits = Library.qubits library;
       degree = State_arena.degree store;
-      num_binary = Mvl.Encoding.num_binary (Library.encoding library);
       num_gates = Library.size library;
-      depth = Search.depth search;
+      depth;
       states = State_arena.size store;
       frontier_len = Search.frontier_size search;
       symmetry = Option.map Symmetry.fingerprint (Search.symmetry search);
@@ -162,25 +149,27 @@ let capture search =
   {
     header;
     shards =
-      Array.init State_arena.num_shards (State_arena.shard_columns store);
+      Array.init State_arena.num_shards (fun s ->
+          ( State_arena.shard_arena store s,
+            Array.init (depth + 1) (fun d ->
+                State_arena.level_end store ~depth:d s - State_arena.level_start store ~depth:d s)
+          ));
   }
 
 (* {1 Serialization}
 
-   The snapshot size is known exactly up front, so the payload is built
-   in a single pre-sized [Bytes.t] with direct little-endian pokes — no
-   [Buffer] growth doubling and no payload re-copy for the CRC pass. *)
+   Layout (little-endian): magic 8 | version u32 | library fp u64 |
+   symmetry fp u64 (0 when unquotiented) | quotient u32 | qubits, key
+   length, gates, depth u32 | states, frontier u64 | shards u32 | per
+   shard: depth + 1 level sizes u32, then its keys in index order | crc
+   u32.  The size is known up front, so the payload is built in one
+   pre-sized [Bytes.t]. *)
 
-let header_bytes = 8 + 4 + 8 + (6 * 4) + (2 * 8)
-let meta_bytes = 2 + 1 + 8 (* depth u16, via+1 u8, parent+1 u64 *)
-let meta_bytes_q = meta_bytes + 1 (* + conjugator u8 *)
+let header_bytes = 8 + 4 + 8 + 4 + 8 + (4 * 4) + (2 * 8) + 4
 
 let serialized_size c =
-  let mb = if c.header.symmetry = None then meta_bytes else meta_bytes_q in
-  let n = ref (header_bytes + 4) in
-  if c.header.symmetry <> None then n := !n + 8;
-  Array.iter (fun (count, _, _) -> n := !n + 4 + (count * mb)) c.shards;
-  !n
+  let h = c.header in
+  header_bytes + (State_arena.num_shards * (h.depth + 1) * 4) + (h.states * h.degree) + 4
 
 let serialize c =
   let h = c.header in
@@ -191,45 +180,28 @@ let serialize c =
     pos := !pos + 4
   in
   let put_u64 v =
-    Bytes.set_int64_le buf !pos (Int64.of_int v);
+    Bytes.set_int64_le buf !pos v;
     pos := !pos + 8
   in
   Bytes.blit_string magic 0 buf 0 8;
   pos := 8;
-  let quotient = h.symmetry <> None in
-  put_u32 (if quotient then version_quotient else version_image);
-  Bytes.set_int64_le buf !pos h.fingerprint;
-  pos := !pos + 8;
-  (match h.symmetry with
-  | None -> ()
-  | Some fp ->
-      Bytes.set_int64_le buf !pos fp;
-      pos := !pos + 8);
+  put_u32 version;
+  put_u64 h.fingerprint;
+  put_u64 (Option.value ~default:0L h.symmetry);
+  put_u32 (if h.symmetry = None then 0 else 1);
   put_u32 h.qubits;
   put_u32 h.degree;
-  put_u32 h.num_binary;
   put_u32 h.num_gates;
   put_u32 h.depth;
-  put_u64 h.states;
-  put_u64 h.frontier_len;
+  put_u64 (Int64.of_int h.states);
+  put_u64 (Int64.of_int h.frontier_len);
   put_u32 (Array.length c.shards);
   Array.iter
-    (fun (count, metas, parents) ->
-      put_u32 count;
-      for idx = 0 to count - 1 do
-        let m = metas.(idx) in
-        Bytes.set_int16_le buf !pos (State_arena.meta_depth m);
-        (* via and parent are -1 at the root; bias by one so the stored
-           fields are unsigned *)
-        Bytes.set_uint8 buf (!pos + 2) (State_arena.meta_via m + 1);
-        pos := !pos + 3;
-        if quotient then begin
-          Bytes.set_uint8 buf !pos (State_arena.meta_conj m);
-          incr pos
-        end;
-        Bytes.set_int64_le buf !pos (Int64.of_int (parents.(idx) + 1));
-        pos := !pos + 8
-      done)
+    (fun (arena, sizes) ->
+      Array.iter put_u32 sizes;
+      let len = Array.fold_left ( + ) 0 sizes * h.degree in
+      Bytes.blit arena 0 buf !pos len;
+      pos := !pos + len)
     c.shards;
   put_u32 (crc32 buf ~off:0 ~len:(Bytes.length buf - 4));
   assert (!pos = Bytes.length buf);
@@ -372,18 +344,6 @@ let read_u64 r =
     raise (Corrupt "snapshot field out of range");
   Int64.to_int v
 
-let read_u16 r =
-  need r 2;
-  let v = Bytes.get_uint16_le r.buf r.pos in
-  r.pos <- r.pos + 2;
-  v
-
-let read_u8 r =
-  need r 1;
-  let v = Bytes.get_uint8 r.buf r.pos in
-  r.pos <- r.pos + 1;
-  v
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -397,8 +357,7 @@ let read_file path =
 let checked_reader path =
   let buf = read_file path in
   let len = Bytes.length buf in
-  (* magic + version .. frontier_len + num_shards + crc *)
-  if len < 8 + 4 + 8 + (6 * 4) + (2 * 8) + 4 then
+  if len < header_bytes + 4 then
     raise (Corrupt (Printf.sprintf "file too short to be a snapshot (%d bytes)" len));
   if Bytes.sub_string buf 0 8 <> magic then
     raise (Corrupt "bad magic: not a qsynth snapshot");
@@ -416,31 +375,28 @@ let checked_reader path =
 
 let read_header r =
   let v = read_u32 r in
-  if v = version_full_point then
+  if v <> version then
     raise
       (Mismatch
-         "snapshot format version 1 holds full-point states, which this build \
-          no longer stores; re-run the census to regenerate it");
-  if v <> version_quotient && v <> version_image then
-    raise
-      (Mismatch
-         (Printf.sprintf "snapshot format version %d, this build reads %d and %d" v
-            version_quotient version_image));
+         (Printf.sprintf
+            "snapshot format version %d, this build reads version %d only; re-run the \
+             census to regenerate it"
+            v version));
   need r 8;
   let fingerprint = Bytes.get_int64_le r.buf r.pos in
   r.pos <- r.pos + 8;
+  need r 8;
+  let sym_fp = Bytes.get_int64_le r.buf r.pos in
+  r.pos <- r.pos + 8;
+  let quotient = read_u32 r in
   let symmetry =
-    if v = version_image then None
-    else begin
-      need r 8;
-      let fp = Bytes.get_int64_le r.buf r.pos in
-      r.pos <- r.pos + 8;
-      Some fp
-    end
+    match quotient with
+    | 0 -> None
+    | 1 -> Some sym_fp
+    | q -> raise (Corrupt (Printf.sprintf "quotient flag %d is neither 0 nor 1" q))
   in
   let qubits = read_u32 r in
   let degree = read_u32 r in
-  let num_binary = read_u32 r in
   let num_gates = read_u32 r in
   let depth = read_u32 r in
   let states = read_u64 r in
@@ -451,8 +407,7 @@ let read_header r =
       (Mismatch
          (Printf.sprintf "snapshot has %d shards, this build uses %d" num_shards
             State_arena.num_shards));
-  { fingerprint; qubits; degree; num_binary; num_gates; depth; states; frontier_len;
-    symmetry }
+  { fingerprint; qubits; degree; num_gates; depth; states; frontier_len; symmetry }
 
 let peek path =
   let r = checked_reader path in
@@ -478,83 +433,10 @@ let check_library library (h : header) =
        this library is %s = %Lx)"
       h.fingerprint name fp
 
-(* [rebuild_keys] replays the recorded gates to recover every state's
-   key bytes: level-0 states get the identity image, and a level-d
-   state's key is its parent's key mapped through its [via] gate —
-   canonicalized under [sym] for a quotient snapshot — exactly how the
-   search computed it.  Parents sit strictly one level up, so filling
-   levels in depth order sees every parent key before its children need
-   it.  Structural lies in the metadata (bad via, dangling or wrong-level
-   parent) are rejected here, and so is a recorded conjugator that
-   disagrees with the one canonicalization picks: the conjugators are
-   what witness reconstruction conjugates through, so they are never
-   silently re-derived.  A key that lands in the wrong shard is caught by
-   [State_arena.restore_shard] below. *)
-let rebuild_keys sym library ~klen ~max_d ~counts ~depths ~vias ~parents ~conjs =
-  let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt in
-  let perms =
-    Array.map (fun (e : Library.entry) -> e.Library.perm_array) (Library.entries library)
-  in
-  let num_gates = Array.length perms in
-  let num_shards = Array.length counts in
-  let keys = Array.init num_shards (fun s -> Bytes.create (counts.(s) * klen)) in
-  let raw = Bytes.create klen in
-  for d = 0 to max_d do
-    for s = 0 to num_shards - 1 do
-      let ds = depths.(s) in
-      for idx = 0 to counts.(s) - 1 do
-        if ds.(idx) = d then begin
-          let off = idx * klen in
-          if d = 0 then
-            for j = 0 to klen - 1 do
-              Bytes.set keys.(s) (off + j) (Char.chr j)
-            done
-          else begin
-            let via = vias.(s).(idx) in
-            let p = parents.(s).(idx) in
-            if via < 0 || via >= num_gates then
-              corrupt "state has gate index %d outside the %d-gate library" via num_gates;
-            if p < 0 then corrupt "non-root state at level %d has no parent" d;
-            let ps = State_arena.shard_of_handle p in
-            let pi = State_arena.index_of_handle p in
-            if pi >= counts.(ps) then
-              corrupt "parent handle %d points past shard %d (%d states)" p ps counts.(ps);
-            if depths.(ps).(pi) <> d - 1 then
-              corrupt "parent of a level-%d state sits at level %d" d depths.(ps).(pi);
-            let pa = perms.(via) in
-            let pkeys = keys.(ps) in
-            let poff = pi * klen in
-            for j = 0 to klen - 1 do
-              Bytes.unsafe_set raw j
-                (Char.unsafe_chr pa.(Char.code (Bytes.unsafe_get pkeys (poff + j))))
-            done;
-            let conj =
-              match sym with
-              | None ->
-                  Bytes.blit raw 0 keys.(s) off klen;
-                  0
-              | Some sym ->
-                  Symmetry.canon_into sym ~src:raw ~soff:0 ~dst:keys.(s) ~doff:off
-            in
-            if conj <> Char.code (Bytes.get conjs.(s) idx) then
-              corrupt
-                "level-%d state records conjugator %d but its parent chain \
-                 canonicalizes with %d"
-                d
-                (Char.code (Bytes.get conjs.(s) idx))
-                conj
-          end
-        end
-      done
-    done
-  done;
-  keys
-
 let load ?(jobs = 1) library path =
   let r = checked_reader path in
   let header = read_header r in
   check_library library header;
-  let encoding = Library.encoding library in
   (* The quotient group is rebuilt from the library, never trusted from
      the file: the recorded fingerprint only proves the snapshot was
      canonicalized under the {e same} group. *)
@@ -573,34 +455,18 @@ let load ?(jobs = 1) library path =
         Some sym
   in
   let degree = header.degree in
-  let signatures =
-    Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding)
-  in
   let num_shards = State_arena.num_shards in
-  let counts = Array.make num_shards 0 in
-  let depths = Array.make num_shards [||] in
-  let vias = Array.make num_shards [||] in
-  let parents = Array.make num_shards [||] in
-  let conjs = Array.make num_shards Bytes.empty in
-  let total = ref 0 and max_d = ref 0 in
+  let level_sizes = Array.make num_shards [||] in
+  let keys = Array.make num_shards Bytes.empty in
+  let total = ref 0 in
+  need r (num_shards * (header.depth + 1) * 4);
   for shard = 0 to num_shards - 1 do
-    let count = read_u32 r in
-    counts.(shard) <- count;
-    let d = Array.make count 0 in
-    let v = Array.make count 0 in
-    let p = Array.make count 0 in
-    let cj = Bytes.make count '\000' in
-    for idx = 0 to count - 1 do
-      d.(idx) <- read_u16 r;
-      if d.(idx) > !max_d then max_d := d.(idx);
-      v.(idx) <- read_u8 r - 1;
-      if symmetry <> None then Bytes.set cj idx (Char.chr (read_u8 r));
-      p.(idx) <- read_u64 r - 1
-    done;
-    depths.(shard) <- d;
-    vias.(shard) <- v;
-    parents.(shard) <- p;
-    conjs.(shard) <- cj;
+    let sizes = Array.init (header.depth + 1) (fun _ -> read_u32 r) in
+    let count = Array.fold_left ( + ) 0 sizes in
+    need r (count * degree);
+    keys.(shard) <- Bytes.sub r.buf r.pos (count * degree);
+    r.pos <- r.pos + (count * degree);
+    level_sizes.(shard) <- sizes;
     total := !total + count
   done;
   if r.pos <> r.limit then
@@ -610,25 +476,8 @@ let load ?(jobs = 1) library path =
       (Corrupt
          (Printf.sprintf "shard counts sum to %d but the header claims %d states" !total
             header.states));
-  if !max_d > header.depth then
-    raise
-      (Corrupt
-         (Printf.sprintf "a state at level %d exceeds the header's depth %d" !max_d
-            header.depth));
-  let keys =
-    rebuild_keys symmetry library ~klen:degree ~max_d:!max_d ~counts ~depths ~vias
-      ~parents ~conjs
-  in
-  let store = State_arena.create ~degree ~signatures in
-  for shard = 0 to num_shards - 1 do
-    try
-      State_arena.restore_shard store ~shard ~count:counts.(shard) ~keys:keys.(shard)
-        ~depths:depths.(shard) ~vias:vias.(shard) ~parents:parents.(shard)
-        ~conjs:conjs.(shard)
-    with Invalid_argument msg -> raise (Corrupt msg)
-  done;
   let search =
-    try Search.of_store ~jobs ?symmetry library ~depth:header.depth store
+    try Search.of_store ~jobs ?symmetry library (State_arena.restore ~degree ~keys ~level_sizes)
     with Invalid_argument msg -> raise (Corrupt msg)
   in
   let frontier_len = Search.frontier_size search in

@@ -1,21 +1,18 @@
 (** Durable snapshots of a BFS search at a level boundary.
 
     A checkpoint is a versioned, CRC-checked binary file holding the
-    {!State_arena}'s per-state metadata (depth, via gate, parent handle)
-    plus the completed BFS depth and a fingerprint of the compiled gate
-    library.  Key bytes are {e not} stored: a key (the state's
-    binary-image vector) is a pure function of its parent chain, so
-    loading replays the recorded gates from the identity root (and
-    hashes, signatures and the probe tables are in turn recomputed from
-    the keys).  Snapshots are therefore 11 bytes per state whatever the
-    qubit count (12 for quotient snapshots, which add a per-state
-    conjugator byte).  Restoring yields a
-    {!Search.t} whose subsequent levels are {e byte-identical} to the
-    ones the snapshotted engine would have produced: the arena columns
-    are restored in index order, so every handle survives, and the
-    frontier is recomputed in the engine's canonical (shard, index)
-    order.  See doc/ROBUSTNESS.md for the format layout and the
-    determinism-across-resume argument.
+    {!State_arena}'s key bytes, shard by shard in index order, with each
+    shard's level sizes, plus the completed BFS depth and a fingerprint
+    of the compiled gate library.  A state is its key, so that is the
+    whole store: loading replays nothing, and the probe tables are
+    recomputed from the keys.  A snapshot costs the key length per state
+    (8 bytes at 3 qubits, 16 at 4) plus 4 bytes per shard and level.
+    Restoring yields a {!Search.t} whose subsequent levels are {e
+    byte-identical} to the ones the snapshotted engine would have
+    produced: the keys are restored in index order, so every handle
+    survives, and the frontier is recomputed in the engine's canonical
+    (shard, index) order.  See doc/ROBUSTNESS.md for the format layout
+    and the determinism-across-resume argument.
 
     Writes are atomic: the snapshot is serialized to [path ^ ".tmp"],
     fsynced, and renamed over [path] (the directory is fsynced best
@@ -23,17 +20,16 @@
     ["checkpoint"] fault — leaves any previous snapshot at [path]
     intact.
 
-    Two format versions share the [QSYNCKP1] magic: v3 is an
-    unquotiented snapshot ([header.symmetry = None]) and v2 a quotient
-    snapshot, which additionally records the {!Symmetry.fingerprint} of
-    the canonicalizing group and each state's conjugator index.  Loading
-    a v2 file rebuilds the group from the given library and rejects the
-    file with {!Mismatch} if the recorded fingerprint differs; the
-    replay also re-canonicalizes every parent chain and rejects with
-    {!Corrupt} any state whose recorded conjugator disagrees.  v1 files
-    held full point permutations, which the engine no longer stores:
-    loading one raises {!Mismatch} naming format version 1 (rerun the
-    census to regenerate it). *)
+    The format is version 4 of the [QSYNCKP1] magic.  A quotient
+    snapshot records the {!Symmetry.fingerprint} of its canonicalizing
+    group; loading rebuilds the group from the given library and rejects
+    the file with {!Mismatch} if the fingerprint differs.  Loading
+    checks the structure, not the search: every key belongs to its
+    shard, is unique, holds only points of the encoding and, quotiented,
+    is its own canonical form; level 0 is the identity alone; the counts
+    agree with the header.  Versions 1 to 3 stored parent chains; loading
+    one raises {!Mismatch} naming its version (rerun the census to
+    regenerate it). *)
 
 (** Raised on a snapshot that is damaged: truncated, failing its CRC, or
     structurally inconsistent.  The payload names the defect. *)
@@ -50,15 +46,13 @@ type header = {
   fingerprint : int64;  (** {!fingerprint} of the producing library *)
   qubits : int;
   degree : int;  (** stored key length, the library's [num_binary] *)
-  num_binary : int;
   num_gates : int;
   depth : int;  (** completed BFS levels *)
   states : int;  (** total stored states *)
   frontier_len : int;  (** states at [depth] *)
   symmetry : int64 option;
-      (** [Some fp]: quotient snapshot (format v2), canonicalized under
-          the symmetry group fingerprinted [fp]; [None]: unquotiented
-          snapshot (format v3). *)
+      (** [Some fp]: quotient snapshot, canonicalized under the symmetry
+          group fingerprinted [fp]; [None]: unquotiented snapshot. *)
 }
 
 (** [fingerprint library] digests everything the search outcome depends
@@ -94,7 +88,7 @@ val read_file : string -> Bytes.t
 val save : Search.t -> string -> unit
 
 (** [save_async search path] captures [search]'s store at the current
-    level boundary (zero-copy — see {!State_arena.shard_columns}) and
+    level boundary (zero-copy — see {!State_arena.shard_arena}) and
     writes the snapshot on a background domain, overlapping the write
     with the expansion of the next level.  Concurrent writes from
     successive boundaries each fsync their own uniquely-named temp file
@@ -117,8 +111,8 @@ val drain : unit -> unit
 val peek : string -> header
 
 (** [load ?jobs library path] restores a snapshot into a live search — a
-    quotiented one for v2 files (the symmetry group is rebuilt from
-    [library] and checked against the recorded fingerprint).
+    quotiented one for quotient snapshots (the symmetry group is rebuilt
+    from [library] and checked against the recorded fingerprint).
     @raise Mismatch when the snapshot belongs to a different library,
     format version or symmetry group (the message names the differing
     field);

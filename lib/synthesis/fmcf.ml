@@ -38,8 +38,6 @@ type t = {
   library : Library.t;
   search : Search.t;
   levels : level list;
-  signatures : int array; (* mixed signature of each encoding point *)
-  canon_buf : Bytes.t; (* canonical-image scratch of [locate] *)
   mutable steps : steps option;
 }
 
@@ -51,10 +49,6 @@ let describe_stop = function
   | Budget_mem -> "memory budget exhausted (--max-mem)"
   | Timed_out -> "wall-clock budget exhausted (--timeout)"
   | Cancelled -> "cancelled (SIGINT/SIGTERM)"
-
-(* A state computes a function when it maps the binary block onto itself:
-   when no image point carries a mixed value, i.e. its signature is 0. *)
-let is_function store h = State_arena.signature_of store h = 0
 
 (* |G[k]|: keys are unique across the arena, so each function state of
    a level is a distinct function of that minimal cost.  A quotiented
@@ -71,7 +65,8 @@ let level_functions search ~cost =
           ~soff:(State_arena.key_offset store h)
   in
   let n = ref 0 in
-  Search.iter_level search cost (fun h -> if is_function store h then n := !n + weight h);
+  Search.iter_level search cost (fun h ->
+      if Search.is_function search h then n := !n + weight h);
   !n
 
 let process_level search ~cost =
@@ -164,16 +159,7 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
           (describe_stop reason));
   if Telemetry.enabled () then
     Telemetry.Span.set_attr "stop_reason" (Telemetry.Json.String (describe_stop reason));
-  let encoding = Library.encoding library in
-  ( {
-      library;
-      search;
-      levels = List.rev !levels;
-      signatures =
-        Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding);
-      canon_buf = Bytes.create (Mvl.Encoding.num_binary encoding);
-      steps = None;
-    },
+  ( { library; search; levels = List.rev !levels; steps = None },
     reason )
 
 let run ?max_depth ?jobs ?quotient library =
@@ -198,12 +184,12 @@ let iter_images t ~cost f =
   match Search.symmetry t.search with
   | None ->
       Search.iter_level t.search cost (fun h ->
-          if is_function store h then f (arena h) (State_arena.key_offset store h) h 0)
+          if Search.is_function t.search h then f (arena h) (State_arena.key_offset store h) h 0)
   | Some sym ->
       let nb = Search.key_length t.search in
       let img = Bytes.create nb and canon = Bytes.create nb in
       Search.iter_level t.search cost (fun h ->
-          if is_function store h then begin
+          if Search.is_function t.search h then begin
             let seen = ref 0 in
             for i = 0 to Symmetry.order sym - 1 do
               Symmetry.conjugate_into sym i ~src:(arena h)
@@ -316,33 +302,14 @@ let s8_counts t =
 
 let total_found t = List.fold_left (fun acc l -> acc + l.functions) 0 t.levels
 
-(* [locate t src soff] probes the arena for the image at [src.[soff ..]],
-   canonicalized under the quotient (minimal depths are constant on
-   orbits): [(handle lsl conj_bits) lor conjugator], or -1 when absent. *)
-let conj_bits = 5
-
-let locate t src soff =
-  let nb = Search.key_length t.search in
-  let store = Search.store t.search in
-  match Search.symmetry t.search with
-  | None -> (
-      let hash = State_arena.hash_key src ~off:soff ~len:nb in
-      match State_arena.find store src ~off:soff ~hash with
-      | -1 -> -1
-      | h -> h lsl conj_bits)
-  | Some sym -> (
-      let conj = Symmetry.canon_into sym ~src ~soff ~dst:t.canon_buf ~doff:0 in
-      let hash = State_arena.hash_key t.canon_buf ~off:0 ~len:nb in
-      match State_arena.find store t.canon_buf ~off:0 ~hash with
-      | -1 -> -1
-      | h -> (h lsl conj_bits) lor conj)
+let conj_bits = Search.conj_bits
 
 (* A function's image vector is its func_key. *)
 let find t func =
   if Reversible.Revfun.bits func <> Library.qubits t.library then None
   else
     let image = Permgroup.Perm.key (Reversible.Revfun.to_perm func) in
-    match locate t (Bytes.unsafe_of_string image) 0 with
+    match Search.locate t.search (Bytes.unsafe_of_string image) 0 with
     | -1 -> None
     | r ->
         let cost = State_arena.depth_of (Search.store t.search) (r lsr conj_bits) in
@@ -377,7 +344,7 @@ let find t func =
    The table is allocated on the first witness read, so a census that
    emits none pays nothing. *)
 
-let gate_bits = 7 (* library entry indices fit the arena's via field *)
+let gate_bits = 7 (* library entry indices of every registered library *)
 
 let steps t =
   match t.steps with
@@ -402,6 +369,8 @@ let steps t =
       in
       let order = max 1 (Array.length maps) in
       let nb = Search.key_length t.search in
+      if Library.size t.library > 1 lsl gate_bits then
+        invalid_arg "Fmcf: library too large for the step table's gate field";
       let s =
         {
           order;
@@ -422,31 +391,12 @@ let dense s h = s.base.(State_arena.shard_of_handle h) + State_arena.index_of_ha
 let image_id s h conj = (dense s h * s.order) + conj
 let conj_mask = (1 lsl conj_bits) - 1
 
-(* [back_probe t s e src soff ~depth trials] applies entry [e]'s inverse
-   to the image at [src.[soff ..]], into [s.u], and is the [locate] of
-   the pre-image when the step is legal and the pre-image has minimal
-   depth [depth], else -1. *)
-let back_probe t s (e : Library.entry) src soff ~depth trials =
-  let nb = Search.key_length t.search in
-  let inv = e.Library.inverse_array and mask = e.Library.purity_mask in
-  let b = ref 0 in
-  while
-    !b < nb
-    &&
-    let x = inv.(Char.code (Bytes.unsafe_get src (soff + !b))) in
-    Bytes.unsafe_set s.u !b (Char.unsafe_chr x);
-    t.signatures.(x) land mask = 0
-  do
-    incr b
-  done;
-  if !b < nb then -1
-  else begin
-    incr trials;
-    let r = locate t s.u 0 in
-    if r >= 0 && State_arena.depth_of (Search.store t.search) (r lsr conj_bits) = depth
-    then r
-    else -1
-  end
+(* [back_probe t s e src soff ~depth trials] is {!Search.back_probe}
+   into [s.u], counting each arena probe it makes. *)
+let back_probe t s e src soff ~depth trials =
+  let r = Search.back_probe t.search e src soff ~depth ~dst:s.u in
+  if r <> -1 then incr trials;
+  r
 
 (* Under the quotient: whether gate [g] steps the image of conjugator
    [conj] on representative [h] down to [depth], probed on the
@@ -528,7 +478,7 @@ let witness_gates t (member : member) =
   let src = Bytes.unsafe_of_string image in
   let r =
     if String.length image = nb && String.for_all (fun c -> Char.code c < nb) image then
-      locate t src 0
+      Search.locate t.search src 0
     else -1
   in
   if r < 0 || State_arena.depth_of (Search.store t.search) (r lsr conj_bits) <> member.cost

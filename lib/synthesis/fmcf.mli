@@ -166,9 +166,11 @@ val find : t -> Reversible.Revfun.t -> member option
     {e the same bytes with and without the quotient}.  Read backward from
     the member's image, each step peels the least library gate landing
     on an image of minimal census depth exactly one lower; the quotient
-    preserves that relation exactly.  Steps are kept in [t]'s step
-    table, a flat int array over image ids allocated on the first
-    witness read, so all members' witnesses together cost one step
+    preserves that relation exactly.  The step is {!Search.back_probe},
+    so the witness is the one {!Search.cascade_of_key} reads for the
+    member's image: forward and index answers agree.  Steps are kept in
+    [t]'s step table, a flat int array over image ids allocated on the
+    first witness read, so all members' witnesses together cost one step
     search per distinct image reached.  Not domain-safe.
     @raise Invalid_argument when [member] is not a member of this
     census (its image is absent or has another minimal depth). *)

@@ -57,9 +57,9 @@ let search_until ~max_depth ~jobs ~should_stop library remainder =
   Telemetry.Span.with_span "mce.search"
     ~attrs:[ ("max_depth", Telemetry.Json.Int max_depth) ]
   @@ fun () ->
-  (* Never quotiented: MCE walks via/parent chains directly for one
-     target's witness, and answers must stay byte-identical whether or
-     not the census that planned us ran under --quotient. *)
+  (* Never quotiented: the target is looked up by its exact image, and
+     its witness is the backward step's from that image — the cascade a
+     census index holds for it, with or without --quotient. *)
   let search = Search.create ~jobs library in
   let target =
     String.init (Search.key_length search) (fun j -> Char.chr (Revfun.apply remainder j))

@@ -26,38 +26,28 @@ type handle = int
 let num_shards = State_arena.num_shards
 
 (* Candidate children produced by one (domain, target shard) pair during
-   the expansion phase: packed keys plus, per candidate, the full key hash
-   and the (parent handle, gate index) provenance packed into one int. *)
+   the expansion phase: packed keys plus each candidate's key hash.  A
+   candidate carries no provenance: the stored state is its key. *)
 type candbuf = {
   mutable ckeys : Bytes.t; (* clen * key_length bytes *)
-  mutable cmeta : int array; (* (parent lsl (via_bits+conj_bits)) lor (conj lsl via_bits) lor via *)
   mutable chashes : int array;
   mutable clen : int;
 }
 
-let via_bits = 6 (* a library holds <= 64 gates (36 at 4 qubits); checked at create *)
-let conj_bits = 5 (* qubits! wire relabelings: 24 at 4 qubits; checked at create *)
-
 let make_candbuf degree =
-  { ckeys = Bytes.create (64 * degree); cmeta = Array.make 64 0; chashes = Array.make 64 0; clen = 0 }
+  { ckeys = Bytes.create (64 * degree); chashes = Array.make 64 0; clen = 0 }
 
-let grow_ints a len =
-  let a' = Array.make (2 * len) 0 in
-  Array.blit a 0 a' 0 len;
-  a'
-
-let cand_append buf ~degree key ~off ~hash ~meta =
+let cand_append buf ~degree key ~off ~hash =
   let i = buf.clen in
-  if i = Array.length buf.cmeta then begin
-    let cap = 2 * i in
-    buf.cmeta <- grow_ints buf.cmeta i;
-    buf.chashes <- grow_ints buf.chashes i;
-    let keys' = Bytes.create (cap * degree) in
+  if i = Array.length buf.chashes then begin
+    let hashes' = Array.make (2 * i) 0 in
+    Array.blit buf.chashes 0 hashes' 0 i;
+    buf.chashes <- hashes';
+    let keys' = Bytes.create (2 * i * degree) in
     Bytes.blit buf.ckeys 0 keys' 0 (i * degree);
     buf.ckeys <- keys'
   end;
   Bytes.blit key off buf.ckeys (i * degree) degree;
-  buf.cmeta.(i) <- meta;
   buf.chashes.(i) <- hash;
   buf.clen <- i + 1
 
@@ -67,13 +57,16 @@ type t = {
   jobs : int;
   klen : int; (* stored key length: the encoding's [num_binary] *)
   sym : Symmetry.t option; (* Some: quotient mode — keys are canonical image vectors *)
+  entries : Library.entry array;
   perm_arrays : int array array; (* hoisted from the library entries *)
   purity_masks : int array;
+  signatures : int array; (* mixed signature of each encoding point *)
   (* quotient-mode tallies, kept on the engine (unlike the telemetry
      counters these are live even with telemetry disabled, so [census
      --stats] can report the collapse factor of a plain run) *)
   mutable orbit_fresh : int;
   mutable orbit_hits : int;
+  mutable kids_per_parent : float; (* the last level's candidates per parent, 0 until known *)
   (* per-step scratch, reused across levels *)
   cand : candbuf array array; (* jobs x shards *)
   fpos : int array; (* the frontier's first position in each shard, then its size *)
@@ -82,7 +75,7 @@ type t = {
   raw : Bytes.t array; (* a child's image before canonicalization (quotient mode) *)
   kids : Bytes.t array; (* ngates * klen key bytes *)
   kid_hashes : int array array;
-  kid_gates : int array array; (* (conj lsl via_bits) lor via *)
+  canon_buf : Bytes.t; (* the canonical image a backward step probes for *)
   rejected_d : int array; (* per-domain counters, summed after the join *)
   fresh_d : int array;
   dup_d : int array;
@@ -113,6 +106,10 @@ let effective_jobs t n =
   let cap = min t.jobs (Lazy.force hardware_jobs) in
   max 1 (min cap ((n + min_chunk - 1) / min_chunk))
 
+(* A backward step packs a located state as [(handle lsl conj_bits) lor
+   conjugator]: up to 32 wire relabelings (24 at 4 qubits). *)
+let conj_bits = 5
+
 (* The stored key is the binary-image vector: [num_binary] bytes, byte
    [j] the encoding point binary code [j] is mapped to.  Legality of the
    next gate (Definition 1) and the function a circuit computes depend
@@ -122,8 +119,6 @@ let key_length_of ~symmetry library =
   if Mvl.Encoding.size encoding > 255 then
     invalid_arg "Search.create: encoding too large for byte keys";
   let num_binary = Mvl.Encoding.num_binary encoding in
-  if Library.size library > 1 lsl via_bits then
-    invalid_arg "Search: library too large for the gate field";
   (match symmetry with
   | None -> ()
   | Some sym ->
@@ -135,6 +130,7 @@ let key_length_of ~symmetry library =
 
 let make_engine ~jobs ~symmetry library ~store =
   let entries = Library.entries library in
+  let encoding = Library.encoding library in
   let klen = key_length_of ~symmetry library in
   Telemetry.Gauge.set_int g_jobs jobs;
   {
@@ -143,17 +139,20 @@ let make_engine ~jobs ~symmetry library ~store =
     jobs;
     klen;
     sym = symmetry;
+    entries;
     perm_arrays = Array.map (fun e -> e.Library.perm_array) entries;
     purity_masks = Array.map (fun e -> e.Library.purity_mask) entries;
+    signatures = Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding);
     orbit_fresh = 0;
     orbit_hits = 0;
+    kids_per_parent = 0.;
     cand = Array.init jobs (fun _ -> Array.init num_shards (fun _ -> make_candbuf klen));
     fpos = Array.make (num_shards + 1) 0;
     fstart = Array.make num_shards 0;
     raw = Array.init jobs (fun _ -> Bytes.create klen);
     kids = Array.init jobs (fun _ -> Bytes.create (Array.length entries * klen));
     kid_hashes = Array.init jobs (fun _ -> Array.make (Array.length entries) 0);
-    kid_gates = Array.init jobs (fun _ -> Array.make (Array.length entries) 0);
+    canon_buf = Bytes.create klen;
     rejected_d = Array.make jobs 0;
     fresh_d = Array.make jobs 0;
     dup_d = Array.make jobs 0;
@@ -164,26 +163,23 @@ let create ?(jobs = 1) ?symmetry library =
   if jobs < 1 then invalid_arg "Search.create: jobs must be >= 1";
   let jobs = min jobs max_jobs in
   let klen = key_length_of ~symmetry library in
-  let encoding = Library.encoding library in
-  let signatures =
-    Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding)
-  in
-  let store = State_arena.create ~degree:klen ~signatures in
+  let store = State_arena.create ~degree:klen in
   (* The identity's key: the identity image vector, which is its own
      canonical form (it is fixed by every wire relabeling). *)
   let root_key = Bytes.init klen Char.chr in
   let root_hash = State_arena.hash_key root_key ~off:0 ~len:klen in
   State_arena.open_level store ~reserve:1;
-  ignore
-    (State_arena.try_insert store ~key:root_key ~off:0 ~hash:root_hash ~depth:0 ~via:(-1)
-       ~conj:0 ~parent:(-1));
+  ignore (State_arena.try_insert store ~key:root_key ~off:0 ~hash:root_hash);
   make_engine ~jobs ~symmetry library ~store
 
-(* [of_store] rebuilds a live engine around a restored arena: the
-   levels are re-indexed from the stored depths, so the frontier is the
-   depth-[depth] states in the canonical (shard, index) order the live
-   engine held, and a resumed search continues byte-identically. *)
-let of_store ?(jobs = 1) ?symmetry library ~depth store =
+(* [of_store] rebuilds a live engine around a restored arena, whose
+   levels are already recorded, so the frontier is its newest level in
+   the canonical (shard, index) order the live engine held, and a
+   resumed search continues byte-identically.  Every key is checked to
+   be an image the engine could hold: each byte a point of the encoding
+   (expansion indexes the gates' point maps with them) and, quotiented,
+   its own canonical form. *)
+let of_store ?(jobs = 1) ?symmetry library store =
   if jobs < 1 then invalid_arg "Search.of_store: jobs must be >= 1";
   let jobs = min jobs max_jobs in
   let klen = key_length_of ~symmetry library in
@@ -193,10 +189,21 @@ let of_store ?(jobs = 1) ?symmetry library ~depth store =
          "Search.of_store: store key length %d does not match the library \
           encoding (%d)"
          (State_arena.degree store) klen);
-  if depth < 0 then invalid_arg "Search.of_store: negative depth";
-  (* a depth beyond the deepest stored state is legal: an engine whose
-     reachable set is exhausted sits there, with an empty frontier *)
-  State_arena.index_levels store ~depth;
+  let points = Mvl.Encoding.size (Library.encoding library) in
+  let canon = Bytes.create klen in
+  for d = 0 to State_arena.levels store - 1 do
+    State_arena.iter_level store ~depth:d (fun h ->
+        let src = State_arena.shard_arena store (State_arena.shard_of_handle h) in
+        let off = State_arena.key_offset store h in
+        for j = off to off + klen - 1 do
+          if Char.code (Bytes.get src j) >= points then
+            invalid_arg "Search.of_store: a key byte lies outside the encoding"
+        done;
+        match symmetry with
+        | Some sym when Symmetry.canon_into sym ~src ~soff:off ~dst:canon ~doff:0 <> 0 ->
+            invalid_arg "Search.of_store: a quotient key is not its own canonical form"
+        | _ -> ())
+  done;
   (* the identity circuit must be the sole depth-0 state *)
   let root_key = Bytes.init klen Char.chr in
   let root_hash = State_arena.hash_key root_key ~off:0 ~len:klen in
@@ -209,7 +216,6 @@ let of_store ?(jobs = 1) ?symmetry library ~depth store =
 let store t = t.store
 let symmetry t = t.sym
 let key_length t = t.klen
-let conj_of_handle t h = State_arena.conj_of t.store h
 
 let quotient_collapsed t =
   match t.sym with None -> None | Some _ -> Some (t.orbit_fresh, t.orbit_hits)
@@ -271,16 +277,22 @@ let cancel_poll_mask = 63
 
 (* [expand_parent t r h] writes every legal child of frontier state [h]
    into rank [r]'s child buffers, in gate order: its key (the canonical
-   form in quotient mode), the key's hash, and its gate word [(conj lsl
-   via_bits) lor via].  Returns the number of children.  Composing a
-   parent's children before any of them is probed lets the probes run
-   back to back, so their cache misses overlap. *)
+   form in quotient mode) and the key's hash.  Returns the number of
+   children.  The parent's signature, which decides the legal gates, is
+   the OR of its key bytes' point signatures.  Composing a parent's
+   children before any of them is probed lets the probes run back to
+   back, so their cache misses overlap. *)
 let expand_parent t r h =
   let klen = t.klen in
-  let kids = t.kids.(r) and hashes = t.kid_hashes.(r) and gates = t.kid_gates.(r) in
-  let signature = State_arena.signature_of t.store h in
+  let kids = t.kids.(r) and hashes = t.kid_hashes.(r) in
   let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
   let soff = State_arena.key_offset t.store h in
+  let signature = ref 0 in
+  for j = soff to soff + klen - 1 do
+    signature :=
+      !signature lor Array.unsafe_get t.signatures (Char.code (Bytes.unsafe_get src j))
+  done;
+  let signature = !signature in
   let k = ref 0 in
   for via = 0 to Array.length t.perm_arrays - 1 do
     if signature land t.purity_masks.(via) = 0 then begin
@@ -299,8 +311,7 @@ let expand_parent t r h =
           let hv = hv lxor (hv lsr 23) in
           let hv = hv * 0x2545F4914F6CDD1 in
           let hv = hv lxor (hv lsr 29) in
-          Array.unsafe_set hashes !k (hv land max_int);
-          Array.unsafe_set gates !k via
+          Array.unsafe_set hashes !k (hv land max_int)
       | Some sym ->
           (* Quotiented: the stored key is a canonical image vector, so
              applying the gate gives the child's raw image; hash only its
@@ -311,16 +322,12 @@ let expand_parent t r h =
               (Char.unsafe_chr
                  (Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j)))))
           done;
-          let conj = Symmetry.canon_into sym ~src:raw ~soff:0 ~dst:kids ~doff:off in
-          Array.unsafe_set hashes !k (State_arena.hash_key kids ~off ~len:klen);
-          Array.unsafe_set gates !k ((conj lsl via_bits) lor via));
+          ignore (Symmetry.canon_into sym ~src:raw ~soff:0 ~dst:kids ~doff:off);
+          Array.unsafe_set hashes !k (State_arena.hash_key kids ~off ~len:klen));
       incr k
     end
   done;
   !k
-
-let via_mask = (1 lsl via_bits) - 1
-let conj_mask = (1 lsl conj_bits) - 1
 
 (* [index_frontier t] fills [t.fstart] with each shard's first frontier
    index and [t.fpos]: [fpos.(s)] is the position of shard [s]'s first
@@ -364,9 +371,9 @@ let walk t ~lo ~hi ~cancel f =
    within any given shard that is exactly the order in which the chunked
    path replays its candidates, so the stored states and their handles
    coincide with the parallel engine's.  [false] when [cancel] fired. *)
-let expand_insert_sequential t ~next_depth ~cancel =
+let expand_insert_sequential t ~cancel =
   let klen = t.klen in
-  let kids = t.kids.(0) and hashes = t.kid_hashes.(0) and gates = t.kid_gates.(0) in
+  let kids = t.kids.(0) and hashes = t.kid_hashes.(0) in
   let ngates = Array.length t.perm_arrays in
   let rejected = ref 0 and fresh = ref 0 and dup = ref 0 in
   let completed =
@@ -374,11 +381,7 @@ let expand_insert_sequential t ~next_depth ~cancel =
         let k = expand_parent t 0 h in
         rejected := !rejected + ngates - k;
         for c = 0 to k - 1 do
-          let g = gates.(c) in
-          if
-            State_arena.try_insert t.store ~key:kids ~off:(c * klen) ~hash:hashes.(c)
-              ~depth:next_depth ~via:(g land via_mask) ~conj:(g lsr via_bits) ~parent:h
-            >= 0
+          if State_arena.try_insert t.store ~key:kids ~off:(c * klen) ~hash:hashes.(c) >= 0
           then incr fresh
           else incr dup
         done)
@@ -393,6 +396,29 @@ let expand_insert_sequential t ~next_depth ~cancel =
    candidate buffers hold one chunk's children rather than a level's. *)
 let chunk_parents = 8192
 
+(* [reserve_rows t ~e ~n] sizes candidate rows [0 .. e-1] for one chunk
+   of a level of [n] parents: a rank's slice of the chunk times the last
+   level's candidates per parent, spread over the shards as a uniform
+   hash spreads them.  Rows are emptied at every chunk, so a row below
+   its share is replaced, not copied, and a chunk that outgrows its
+   share falls back to doubling.  Nothing is reserved before a level
+   has been expanded. *)
+let reserve_rows t ~e ~n =
+  if t.kids_per_parent > 0. then begin
+    let slice = (min n chunk_parents + e - 1) / e in
+    let kids = Float.ceil (float_of_int slice *. t.kids_per_parent) in
+    let want = State_arena.shard_share (int_of_float kids) in
+    for r = 0 to e - 1 do
+      Array.iter
+        (fun buf ->
+          if Array.length buf.chashes < want then begin
+            buf.chashes <- Array.make want 0;
+            buf.ckeys <- Bytes.create (want * t.klen)
+          end)
+        t.cand.(r)
+    done
+  end
+
 (* Phase 1: rank [r] expands its contiguous share of the chunk [lo ..
    hi-1] into per-shard candidate buffers.  Read-only on the store.
    Sets [stop] when [cancel] fires. *)
@@ -402,7 +428,7 @@ let expand_chunk t r ~e ~lo ~hi ~stop ~cancel =
   for s = 0 to num_shards - 1 do
     row.(s).clen <- 0
   done;
-  let kids = t.kids.(r) and hashes = t.kid_hashes.(r) and gates = t.kid_gates.(r) in
+  let kids = t.kids.(r) and hashes = t.kid_hashes.(r) in
   let ngates = Array.length t.perm_arrays in
   let rejected = ref 0 in
   let len = hi - lo in
@@ -412,10 +438,7 @@ let expand_chunk t r ~e ~lo ~hi ~stop ~cancel =
         rejected := !rejected + ngates - k;
         for c = 0 to k - 1 do
           let hash = hashes.(c) in
-          cand_append
-            row.(State_arena.shard_of_hash hash)
-            ~degree:klen kids ~off:(c * klen) ~hash
-            ~meta:((h lsl (via_bits + conj_bits)) lor gates.(c))
+          cand_append row.(State_arena.shard_of_hash hash) ~degree:klen kids ~off:(c * klen) ~hash
         done)
   in
   if not completed then Atomic.set stop true;
@@ -428,7 +451,7 @@ let expand_chunk t r ~e ~lo ~hi ~stop ~cancel =
    domains.  Only rows [0 .. e-1] are scanned: rows beyond the step's
    effective rank count were not cleared this step and may hold stale
    candidates from an earlier, wider level. *)
-let dedupe_shards t r ~e ~next_depth =
+let dedupe_shards t r ~e =
   let klen = t.klen in
   let fresh = ref 0 and dup = ref 0 in
   let s = ref r in
@@ -436,14 +459,9 @@ let dedupe_shards t r ~e ~next_depth =
     for d = 0 to e - 1 do
       let buf = t.cand.(d).(!s) in
       for i = 0 to buf.clen - 1 do
-        let meta = buf.cmeta.(i) in
-        let h =
-          State_arena.try_insert t.store ~key:buf.ckeys ~off:(i * klen)
-            ~hash:buf.chashes.(i) ~depth:next_depth ~via:(meta land via_mask)
-            ~conj:((meta asr via_bits) land conj_mask)
-            ~parent:(meta asr (via_bits + conj_bits))
-        in
-        if h >= 0 then incr fresh else incr dup
+        if State_arena.try_insert t.store ~key:buf.ckeys ~off:(i * klen) ~hash:buf.chashes.(i) >= 0
+        then incr fresh
+        else incr dup
       done
     done;
     s := !s + e
@@ -454,7 +472,7 @@ let dedupe_shards t r ~e ~next_depth =
 (* The chunked level: phase 1 then phase 2 for each chunk in frontier
    order, so every shard still sees its candidates in global frontier
    order.  [false] when [cancel] fired, before that chunk's phase 2. *)
-let expand_insert_chunked t ~e ~next_depth ~cancel =
+let expand_insert_chunked t ~e ~cancel =
   let n = t.fpos.(num_shards) in
   let parallel = e > 1 in
   let stop = Atomic.make false in
@@ -466,7 +484,7 @@ let expand_insert_chunked t ~e ~next_depth ~cancel =
         run_workers ~parallel e (fun r -> expand_chunk t r ~e ~lo:lo' ~hi ~stop ~cancel));
     if not (Atomic.get stop) then
       Telemetry.Histogram.time h_merge (fun () ->
-          run_workers ~parallel e (fun r -> dedupe_shards t r ~e ~next_depth));
+          run_workers ~parallel e (fun r -> dedupe_shards t r ~e));
     lo := hi
   done;
   not (Atomic.get stop)
@@ -492,8 +510,11 @@ let try_step t ~cancel =
   let completed =
     if t.jobs = 1 then
       Telemetry.Histogram.time h_expand (fun () ->
-          expand_insert_sequential t ~next_depth ~cancel)
-    else expand_insert_chunked t ~e ~next_depth ~cancel
+          expand_insert_sequential t ~cancel)
+    else begin
+      reserve_rows t ~e ~n;
+      expand_insert_chunked t ~e ~cancel
+    end
   in
   if not completed then begin
     State_arena.abandon_level t.store;
@@ -507,6 +528,7 @@ let try_step t ~cancel =
   Faultsim.hit "merge";
   let sum a = Array.fold_left ( + ) 0 a in
   let fresh = sum t.fresh_d and dup = sum t.dup_d and rejected = sum t.rejected_d in
+  if n > 0 then t.kids_per_parent <- float_of_int (fresh + dup) /. float_of_int n;
   for r = 0 to t.jobs - 1 do
     t.domain_states.(r) <- t.domain_states.(r) + t.fresh_d.(r)
   done;
@@ -569,6 +591,16 @@ let handle_of_key t key = match find_key t key with -1 -> None | h -> Some h
 
 (* The function an image computes, when it maps the binary block onto
    itself. *)
+let is_function t h =
+  let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
+  let off = State_arena.key_offset t.store h in
+  let stop = off + t.klen in
+  let j = ref off in
+  while !j < stop && t.signatures.(Char.code (Bytes.unsafe_get src !j)) = 0 do
+    incr j
+  done;
+  !j = stop
+
 let restriction_of_key t key =
   let nb = t.klen in
   if String.length key = nb && String.for_all (fun c -> Char.code c < nb) key then
@@ -579,70 +611,98 @@ let restriction_of_key t key =
 let depth_of_key t key =
   match find_key t key with -1 -> None | h -> Some (State_arena.depth_of t.store h)
 
-let cascade_of_handle t h =
-  let entries = Library.entries t.library in
+(* {1 The backward step}
+
+   A state's witness is read backward from its image: at minimal depth
+   k, the step peels the least library gate [g] whose inverse maps the
+   image to a pre-image that admits [g] (the reasonable-product
+   constraint) and lies at level k - 1.  The choice depends only on the
+   image -> minimal-depth relation, which the quotient preserves, so it
+   needs nothing stored beside the keys. *)
+
+let locate t src soff =
+  let nb = t.klen in
   match t.sym with
-  | None ->
-      let rec walk h acc =
-        let via = State_arena.via_of t.store h in
-        if via < 0 then acc
-        else
-          walk (State_arena.parent_of t.store h) (entries.(via).Library.gate :: acc)
-      in
-      walk h []
-  | Some sym ->
-      (* Witness reconstruction by conjugation.  A stored child is
-         [canon (g . parent)] with conjugator [c], and conjugation
-         transports cascades gate-by-gate
-         ([conj_c (g . v) = gate_map(c)(g) . conj_c v]), so walking the
-         via/parent chain while composing the per-step gate maps yields a
-         cascade implementing the representative's own image. *)
-      let ngates = Array.length entries in
-      let m = Array.init ngates Fun.id in
-      let rec walk h acc =
-        let via = State_arena.via_of t.store h in
-        if via < 0 then acc
-        else begin
-          let gm = Symmetry.gate_map sym (State_arena.conj_of t.store h) in
-          let g = m.(gm.(via)) in
-          let m' = Array.init ngates (fun i -> m.(gm.(i))) in
-          Array.blit m' 0 m 0 ngates;
-          walk (State_arena.parent_of t.store h) (entries.(g).Library.gate :: acc)
-        end
-      in
-      walk h []
+  | None -> (
+      let hash = State_arena.hash_key src ~off:soff ~len:nb in
+      match State_arena.find t.store src ~off:soff ~hash with
+      | -1 -> -1
+      | h -> h lsl conj_bits)
+  | Some sym -> (
+      let conj = Symmetry.canon_into sym ~src ~soff ~dst:t.canon_buf ~doff:0 in
+      let hash = State_arena.hash_key t.canon_buf ~off:0 ~len:nb in
+      match State_arena.find t.store t.canon_buf ~off:0 ~hash with
+      | -1 -> -1
+      | h -> (h lsl conj_bits) lor conj)
+
+let back_probe t (e : Library.entry) src soff ~depth ~dst =
+  let nb = t.klen in
+  let inv = e.Library.inverse_array and mask = e.Library.purity_mask in
+  let b = ref 0 in
+  while
+    !b < nb
+    &&
+    let x = inv.(Char.code (Bytes.unsafe_get src (soff + !b))) in
+    Bytes.unsafe_set dst !b (Char.unsafe_chr x);
+    t.signatures.(x) land mask = 0
+  do
+    incr b
+  done;
+  if !b < nb then -1
+  else
+    let r = locate t dst 0 in
+    if r >= 0 && State_arena.in_level t.store (r lsr conj_bits) ~depth then r else -2
+
+(* [cascade_of_image t img off ~depth] walks the backward step from the
+   image at [img.[off ..]], of minimal depth [depth], to the identity.
+   Each step lowers the depth by one, so the walk ends; a state with no
+   predecessor (a forged store) raises. *)
+let cascade_of_image t img off ~depth =
+  let v = Bytes.sub img off t.klen and u = Bytes.create t.klen in
+  let gates = ref [] in
+  for k = depth downto 1 do
+    let g = ref 0 and r = ref (-1) in
+    while !r < 0 do
+      if !g >= Array.length t.entries then
+        invalid_arg "Search: no backward step (the state has no predecessor one level up)";
+      r := back_probe t t.entries.(!g) v 0 ~depth:(k - 1) ~dst:u;
+      if !r < 0 then incr g
+    done;
+    gates := t.entries.(!g).Library.gate :: !gates;
+    Bytes.blit u 0 v 0 t.klen
+  done;
+  !gates
+
+let cascade_of_handle t h =
+  cascade_of_image t
+    (State_arena.shard_arena t.store (State_arena.shard_of_handle h))
+    (State_arena.key_offset t.store h)
+    ~depth:(State_arena.depth_of t.store h)
 
 let cascade_of_key t key =
-  match find_key t key with
-  | -1 -> invalid_arg "Search.cascade_of_key: unknown key"
-  | h -> cascade_of_handle t h
+  let points = Array.length t.signatures in
+  let r =
+    if String.length key = t.klen && String.for_all (fun c -> Char.code c < points) key then
+      locate t (Bytes.unsafe_of_string key) 0
+    else -1
+  in
+  if r < 0 then invalid_arg "Search.cascade_of_key: unknown key";
+  cascade_of_image t (Bytes.unsafe_of_string key) 0
+    ~depth:(State_arena.depth_of t.store (r lsr conj_bits))
 
 (* [minimal_parents t h f] calls [f parent entry] for every minimal
    predecessor of [h]: a stored state one level up whose image admits
-   the connecting gate and steps to [h]'s image through it.  The inverse
-   image arrays are pre-computed once per library (Library.compile). *)
+   the connecting gate and steps to [h]'s image through it. *)
 let minimal_parents t h f =
-  let klen = t.klen in
-  let scratch = Bytes.create klen in
+  let u = Bytes.create t.klen in
   let depth = State_arena.depth_of t.store h in
   let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
   let soff = State_arena.key_offset t.store h in
   Array.iter
     (fun entry ->
-      let inv = entry.Library.inverse_array in
-      for j = 0 to klen - 1 do
-        Bytes.unsafe_set scratch j
-          (Char.unsafe_chr inv.(Char.code (Bytes.unsafe_get src (soff + j))))
-      done;
-      let hash = State_arena.hash_key scratch ~off:0 ~len:klen in
-      match State_arena.find t.store scratch ~off:0 ~hash with
-      | -1 -> ()
-      | parent ->
-          if
-            State_arena.depth_of t.store parent = depth - 1
-            && State_arena.signature_of t.store parent land entry.Library.purity_mask = 0
-          then f parent entry)
-    (Library.entries t.library)
+      let r = back_probe t entry src soff ~depth:(depth - 1) ~dst:u in
+      if r >= 0 then f (r lsr conj_bits) entry)
+    t.entries
 
 let minimal_dag_root name t key =
   if t.sym <> None then invalid_arg (name ^ ": unavailable in quotient mode");

@@ -11,15 +11,18 @@
     per-state heap objects.  Level [k] of the search discovers the images
     first reached with [k] gates under the reasonable-product constraint;
     a function of minimal cost [k] is exactly an image of level [k] that
-    maps the binary block onto itself.  Parent pointers record one
-    minimal cascade per state for factorization.
+    maps the binary block onto itself.  A stored state is its key and
+    nothing else: its depth is the level holding it, its signature the
+    OR of its bytes' point signatures, and its witness is read backward
+    from its image by the {e backward step} ({!back_probe}), which every
+    witness in the engine shares.
 
     The engine keeps no frontier list: a level is one index range per
     shard of the store (see {!State_arena}), and its canonical order is
     shard by shard, each range in index order.  Before each level the
     store reserves room for the level's predicted size once (the
     frontier times the last level's new states per parent), so a level
-    copies the columns at most once; that prediction is also what a
+    copies the key arenas at most once; that prediction is also what a
     memory cap checks ({!predicted_bytes}).
 
     Frontier expansion is domain-parallel ([?jobs]): a level runs as
@@ -50,8 +53,7 @@ type handle = int
 
     With [?symmetry] the search runs {e quotiented}: each image is
     canonicalized under the wire-relabeling group (see {!Symmetry}) and
-    one representative per orbit is stored, with the conjugating element
-    recorded next to depth/via/parent.  Level [k] then discovers one
+    one representative per orbit is stored.  Level [k] then discovers one
     state per orbit (minimal depths are constant on orbits, so the level
     structure is preserved); the jobs-determinism contract is unchanged.
     Key-facing APIs take and return canonical images;
@@ -60,20 +62,18 @@ type handle = int
     built for a different encoding. *)
 val create : ?jobs:int -> ?symmetry:Symmetry.t -> Library.t -> t
 
-(** [of_store ?jobs ?symmetry library ~depth store] rebuilds a live
-    engine around a restored arena (see {!Checkpoint}): the store's level
-    ranges [0 .. depth] are rebuilt from the stored depths
-    ({!State_arena.index_levels}), so the frontier is every depth-[depth]
-    state in canonical order, and
+(** [of_store ?jobs ?symmetry library store] rebuilds a live engine
+    around a restored arena (see {!Checkpoint}) whose levels are already
+    recorded ({!State_arena.restore}): the frontier is its newest level
+    (possibly empty — an exhausted search) in canonical order, and
     stepping the result produces byte-identical levels to the search the
     store came from.  Pass the same [?symmetry] the store was built
     under (a quotient checkpoint records its group fingerprint).
     @raise Invalid_argument when the store's key length is not the
-    library's [num_binary], some shard's states are not in level order,
-    its deepest level exceeds [depth] (a depth beyond it is legal — an
-    exhausted search has an empty frontier), or it lacks the identity
-    root. *)
-val of_store : ?jobs:int -> ?symmetry:Symmetry.t -> Library.t -> depth:int -> State_arena.t -> t
+    library's [num_binary], a key byte is not a point of the encoding,
+    a quotient key is not its own canonical form, or level 0 is not the
+    identity root alone. *)
+val of_store : ?jobs:int -> ?symmetry:Symmetry.t -> Library.t -> State_arena.t -> t
 
 (** [store t] is the underlying packed state store (used by
     {!Checkpoint.save}; treat as read-only). *)
@@ -85,12 +85,6 @@ val symmetry : t -> Symmetry.t option
 (** [key_length t] is the byte length of stored state keys: the
     encoding's number of binary codes. *)
 val key_length : t -> int
-
-(** [conj_of_handle t h] is the conjugator index recorded for the state:
-    the {!Symmetry} element that canonicalized it when it was first
-    reached (0 for the representative's own expansion, and always 0 in a
-    raw search). *)
-val conj_of_handle : t -> handle -> int
 
 (** [quotient_collapsed t] is [Some (orbits, hits)] for a quotient
     engine: [orbits] states stored (one per orbit) and [hits]
@@ -118,9 +112,8 @@ val depth : t -> int
 (** [size t] is the number of distinct circuit states discovered. *)
 val size : t -> int
 
-(** [arena_bytes t] is what the store holds, in bytes: keys, metadata
-    and parent columns and probe tables at their reserved capacities
-    ({!State_arena.bytes}). *)
+(** [arena_bytes t] is what the store holds, in bytes: key arenas and
+    probe tables at their reserved capacities ({!State_arena.bytes}). *)
 val arena_bytes : t -> int
 
 (** [predicted_bytes t] is what {!arena_bytes} will be once the next
@@ -168,14 +161,47 @@ val try_step : t -> cancel:(unit -> bool) -> int option
 val handles_at_depth : t -> int -> handle array
 
 val key_of_handle : t -> handle -> string
+
+(** [depth_of_handle t h] is the level holding [h]
+    ({!State_arena.depth_of}). *)
 val depth_of_handle : t -> handle -> int
 
-(** [cascade_of_handle t h] rebuilds the recorded minimal cascade.  In
-    quotient mode the stored via/parent chain connects orbit
-    representatives, so the chain's gates are transported through the
-    recorded conjugators ({!Symmetry.gate_map}) step by step; the result
-    implements the representative's own image. *)
+(** [cascade_of_handle t h] is the state's canonical minimal cascade,
+    read backward from its key by the backward step: at depth [k], the
+    least library gate whose inverse takes the image to a pre-image that
+    admits the gate and lies at level [k - 1].  In quotient mode the
+    steps walk the representative's own image (canonicalizing each
+    pre-image only to find its level), so the result implements it.
+    {!Fmcf.cascade_of_member} takes the same steps, so a forward answer
+    and an index answer carry the same witness.
+    @raise Invalid_argument when some step finds no predecessor (a
+    store that no search built); each step lowers the depth, so this
+    never loops. *)
 val cascade_of_handle : t -> handle -> Cascade.t
+
+(** {1 The backward step}
+
+    The primitives behind {!cascade_of_handle}, shared with {!Fmcf}'s
+    step table.  Both use scratch held in [t], so neither is
+    domain-safe. *)
+
+(** A located state is packed as [(handle lsl conj_bits) lor conj]. *)
+val conj_bits : int
+
+(** [locate t src soff] is the stored state of the image at
+    [src.[soff ..]] — canonicalized under the quotient, [conj] being the
+    canonicalizing element (0 for a raw search) — packed with
+    {!conj_bits}, or -1 when absent. *)
+val locate : t -> Bytes.t -> int -> int
+
+(** [back_probe t e src soff ~depth ~dst] applies entry [e]'s inverse to
+    the image at [src.[soff ..]], writing the pre-image to [dst.[0 ..]]
+    ([dst] must not overlap [src]).  It is the pre-image's {!locate}
+    when every pre-image point admits [e] (the reasonable-product
+    constraint) and its state lies at level [depth]; -1 when a point
+    breaks [e]'s purity mask (the scan stops there, nothing is probed);
+    -2 when the probed pre-image is absent or at another level. *)
+val back_probe : t -> Library.entry -> Bytes.t -> int -> depth:int -> dst:Bytes.t -> int
 
 (** {1 String-key interface (legacy, kept for existing callers)} *)
 
@@ -191,6 +217,12 @@ val step : t -> string list
 (** [handle_of_key t key] is the stored state with image [key], if any. *)
 val handle_of_key : t -> string -> handle option
 
+(** [is_function t h] is whether the state maps the binary block onto
+    itself: no point of its key carries a mixed value (the OR of its
+    bytes' point signatures is 0).  The scan stops at the first mixed
+    point. *)
+val is_function : t -> handle -> bool
+
 (** [restriction_of_key t key] is the binary reversible function computed
     by the state, when it maps the binary block onto itself. *)
 val restriction_of_key : t -> string -> Reversible.Revfun.t option
@@ -201,8 +233,9 @@ val depth_of_key : t -> string -> int option
 
 (** {1 Factorization} *)
 
-(** [cascade_of_key t key] rebuilds the recorded minimal cascade reaching
-    the state.
+(** [cascade_of_key t key] is the canonical minimal cascade of the image
+    [key] (see {!cascade_of_handle}); under the quotient [key] may be any
+    image of a stored orbit, and the cascade implements [key] itself.
     @raise Invalid_argument when the key is unknown. *)
 val cascade_of_key : t -> string -> Cascade.t
 

@@ -1,30 +1,6 @@
 let shard_bits = 6
 let num_shards = 1 lsl shard_bits
 
-(* One packed int of metadata per state, low to high: the conjugator
-   index, the last gate's library index plus one (0 at the root), the
-   memoized mixed signature, and the BFS depth in the remaining bits. *)
-let conj_bits = 5
-let via_bits = 7
-let sig_bits = 16
-let via_shift = conj_bits
-let sig_shift = via_shift + via_bits
-let depth_shift = sig_shift + sig_bits
-let max_conj = (1 lsl conj_bits) - 1
-let max_via = (1 lsl via_bits) - 2
-let max_depth_field = max_int lsr depth_shift
-
-let meta_conj m = m land max_conj
-let meta_via m = ((m lsr via_shift) land ((1 lsl via_bits) - 1)) - 1
-let meta_signature m = (m lsr sig_shift) land ((1 lsl sig_bits) - 1)
-let meta_depth m = m lsr depth_shift
-
-let pack ~depth ~via ~conj ~signature =
-  if depth < 0 || depth > max_depth_field then invalid_arg "State_arena: depth out of range";
-  if via < -1 || via > max_via then invalid_arg "State_arena: via out of range";
-  if conj < 0 || conj > max_conj then invalid_arg "State_arena: conjugator out of range";
-  (depth lsl depth_shift) lor (signature lsl sig_shift) lor ((via + 1) lsl via_shift) lor conj
-
 (* A table slot is -1 when empty, else [(local_index lsl tag_bits) lor
    tag]: the tag is the top [tag_bits] of the key hash (bits the shard
    and slot position never use), so most non-matching slots are rejected
@@ -34,10 +10,10 @@ let tag_mask = (1 lsl tag_bits) - 1
 let tag_of_hash h = h lsr (62 - tag_bits)
 let slot_of idx hash = (idx lsl tag_bits) lor tag_of_hash hash
 
+(* A stored state is its key bytes and its probe-table slot; nothing
+   else.  Its depth is the level whose range holds it. *)
 type shard = {
   mutable arena : Bytes.t; (* capacity * degree key bytes *)
-  mutable metas : int array; (* packed depth | signature | via + 1 | conj *)
-  mutable parents : int array;
   mutable count : int;
   mutable table : int array; (* open addressing: -1 empty, else index and tag *)
   mutable mask : int; (* table capacity - 1, a power of two minus one *)
@@ -49,7 +25,6 @@ type shard = {
    end) index range per shard and no frontier list is needed. *)
 type t = {
   degree : int;
-  signatures : int array;
   shards : shard array;
   mutable levels : int; (* levels opened; starts.(0 .. levels-1) are valid *)
 }
@@ -62,18 +37,15 @@ let initial_slots = 256
 let make_shard degree =
   {
     arena = Bytes.create (initial_states * degree);
-    metas = Array.make initial_states 0;
-    parents = Array.make initial_states 0;
     count = 0;
     table = Array.make initial_slots (-1);
     mask = initial_slots - 1;
     starts = Array.make 16 0;
   }
 
-let create ~degree ~signatures =
-  if Array.exists (fun s -> s < 0 || s lsr sig_bits <> 0) signatures then
-    invalid_arg "State_arena.create: a signature does not fit the packed field";
-  { degree; signatures; shards = Array.init num_shards (fun _ -> make_shard degree); levels = 0 }
+let create ~degree =
+  if degree < 1 then invalid_arg "State_arena.create: keys need at least one byte";
+  { degree; shards = Array.init num_shards (fun _ -> make_shard degree); levels = 0 }
 
 let degree t = t.degree
 
@@ -82,14 +54,14 @@ let size t =
   Array.iter (fun s -> n := !n + s.count) t.shards;
   !n
 
-(* What a shard holds, in bytes: its key arena, its two int columns
-   and its probe table. *)
-let shard_bytes ~degree ~capacity ~slots = (capacity * (degree + 16)) + (8 * slots)
+let capacity t sh = Bytes.length sh.arena / t.degree
+
+(* What a shard holds, in bytes: its key arena and its probe table. *)
+let shard_bytes ~degree ~capacity ~slots = (capacity * degree) + (8 * slots)
 
 let bytes t =
   Array.fold_left
-    (fun n sh ->
-      n + shard_bytes ~degree:t.degree ~capacity:(Array.length sh.metas) ~slots:(sh.mask + 1))
+    (fun n sh -> n + shard_bytes ~degree:t.degree ~capacity:(capacity t sh) ~slots:(sh.mask + 1))
     0 t.shards
 
 let table_capacity t =
@@ -112,10 +84,6 @@ let hash_key b ~off ~len =
   h land max_int
 
 let shard_of_hash h = h land (num_shards - 1)
-
-let shard_columns t s =
-  let sh = t.shards.(s) in
-  (sh.count, sh.metas, sh.parents)
 let shard_of_handle h = h land (num_shards - 1)
 let index_of_handle h = h asr shard_bits
 let handle ~shard ~index = (index lsl shard_bits) lor shard
@@ -125,13 +93,6 @@ let key_offset t h = index_of_handle h * t.degree
 let key_of t h =
   let s = t.shards.(shard_of_handle h) in
   Bytes.sub_string s.arena (index_of_handle h * t.degree) t.degree
-
-let meta_of t h = t.shards.(shard_of_handle h).metas.(index_of_handle h)
-let depth_of t h = meta_depth (meta_of t h)
-let via_of t h = meta_via (meta_of t h)
-let parent_of t h = t.shards.(shard_of_handle h).parents.(index_of_handle h)
-let signature_of t h = meta_signature (meta_of t h)
-let conj_of t h = meta_conj (meta_of t h)
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
@@ -176,18 +137,12 @@ let find t key ~off ~hash =
   let slot = sh.table.(probe t sh key ~off ~hash) in
   if slot < 0 then -1 else handle ~shard:s ~index:(slot lsr tag_bits)
 
-(* [resize_states t sh capacity] moves a shard's columns into storage
-   for [capacity] states: the one copy a level's reservation makes, or
-   the fallback when a level outgrows it. *)
+(* [resize_states t sh capacity] moves a shard's keys into storage for
+   [capacity] states: the one copy a level's reservation makes, or the
+   fallback when a level outgrows it.  The new arena is not filled, so a
+   reserved tail that is never written is never resident. *)
 let resize_states t sh capacity =
   Faultsim.hit "grow";
-  let extend a =
-    let a' = Array.make capacity 0 in
-    Array.blit a 0 a' 0 sh.count;
-    a'
-  in
-  sh.metas <- extend sh.metas;
-  sh.parents <- extend sh.parents;
   let arena' = Bytes.create (capacity * t.degree) in
   Bytes.blit sh.arena 0 arena' 0 (sh.count * t.degree);
   sh.arena <- arena'
@@ -231,10 +186,10 @@ let shard_share n =
 
 (* A shard's [(capacity, slots)] once room for [share] more states is
    reserved.  A capacity that must grow grows at least by half, so a run
-   of small levels does not copy the columns at every level. *)
-let plan sh share =
+   of small levels does not copy the keys at every level. *)
+let plan t sh share =
   let want = sh.count + share in
-  let cap = Array.length sh.metas in
+  let cap = capacity t sh in
   let capacity = if want <= cap then cap else max want (cap + (cap / 2)) in
   (capacity, slots_for want (sh.mask + 1))
 
@@ -242,22 +197,25 @@ let reserve_bytes t n =
   let share = shard_share n in
   Array.fold_left
     (fun acc sh ->
-      let capacity, slots = plan sh share in
+      let capacity, slots = plan t sh share in
       acc + shard_bytes ~degree:t.degree ~capacity ~slots)
     0 t.shards
+
+let push_start sh levels =
+  if levels = Array.length sh.starts then begin
+    let starts = Array.make (2 * levels) 0 in
+    Array.blit sh.starts 0 starts 0 levels;
+    sh.starts <- starts
+  end;
+  sh.starts.(levels) <- sh.count
 
 let open_level t ~reserve =
   let share = shard_share reserve in
   Array.iter
     (fun sh ->
-      if t.levels = Array.length sh.starts then begin
-        let starts = Array.make (2 * t.levels) 0 in
-        Array.blit sh.starts 0 starts 0 t.levels;
-        sh.starts <- starts
-      end;
-      sh.starts.(t.levels) <- sh.count;
-      let capacity, slots = plan sh share in
-      if capacity > Array.length sh.metas then resize_states t sh capacity;
+      push_start sh t.levels;
+      let capacity, slots = plan t sh share in
+      if capacity > Bytes.length sh.arena / t.degree then resize_states t sh capacity;
       if slots > sh.mask + 1 then rehash t sh slots)
     t.shards;
   t.levels <- t.levels + 1
@@ -280,9 +238,28 @@ let level_size t ~depth =
     !n
   end
 
+let in_level t h ~depth =
+  depth >= 0
+  && depth < t.levels
+  &&
+  let s = shard_of_handle h and idx = index_of_handle h in
+  level_start t ~depth s <= idx && idx < level_end t ~depth s
+
+(* The deepest level starting at or before the handle's index: levels
+   are consecutive ranges, so it is the one holding it (an empty level
+   starts where the next one does and is skipped). *)
+let depth_of t h =
+  let starts = t.shards.(shard_of_handle h).starts and idx = index_of_handle h in
+  let lo = ref 0 and hi = ref (t.levels - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if starts.(mid) <= idx then lo := mid else hi := mid - 1
+  done;
+  !lo
+
 (* [abandon_level t] rolls every shard back to the start of the newest
    level and forgets it: the level-abandon path of cooperative
-   cancellation.  Metadata beyond the count is dead by construction; the
+   cancellation.  Keys beyond the count are dead by construction; the
    open-addressing table is rebuilt over the kept entries (same capacity
    — the load factor only shrinks).  Reserved capacity is kept. *)
 let abandon_level t =
@@ -318,95 +295,62 @@ let handles_at_depth t d =
       incr pos);
   out
 
-(* [index_levels t ~depth] rebuilds the level starts of a restored store
-   from its metas, in one pass over each shard; the levels past its
-   deepest state, up to [depth], are empty. *)
-let index_levels t ~depth =
-  if depth < 0 then invalid_arg "State_arena.index_levels: negative depth";
-  Array.iter
-    (fun sh ->
-      let starts = Array.make (max 16 (depth + 1)) sh.count in
-      starts.(0) <- 0;
-      let d = ref 0 in
-      for idx = 0 to sh.count - 1 do
-        let level = meta_depth sh.metas.(idx) in
-        if level < !d then
-          invalid_arg "State_arena.index_levels: a shard's states are not in level order";
-        if level > depth then
-          invalid_arg
-            (Printf.sprintf "State_arena.index_levels: a state of depth %d lies beyond level %d"
-               level depth);
-        while !d < level do
-          incr d;
-          starts.(!d) <- idx
-        done
-      done;
-      sh.starts <- starts)
-    t.shards;
-  t.levels <- depth + 1
-
-let key_signature t key ~off =
-  let sg = ref 0 in
-  for i = off to off + t.degree - 1 do
-    sg := !sg lor t.signatures.(Char.code (Bytes.unsafe_get key i))
-  done;
-  !sg
-
-(* [restore_shard] rebuilds one shard from serialized columns.  Hashes,
-   signatures and the probe table are {e recomputed} from the key bytes —
-   they are pure functions of the keys, so a snapshot only carries keys,
-   depths, vias and parents, and a restored store is bit-for-bit the
-   store the engine would have built (capacities aside, which are not
-   observable).  Every key is re-validated to hash into this shard; a
+(* [restore] rebuilds a store from each shard's keys and level sizes.
+   The probe tables are recomputed from the key bytes — hashes are pure
+   functions of the keys — so a restored store is the store the engine
+   built (capacities aside, which are not observable).  Every key is
+   re-validated to hash into its shard and to be unique there; a
    corrupted key almost surely fails that check even before the CRC. *)
-let restore_shard t ~shard ~count ~keys ~depths ~vias ~parents ~conjs =
-  let sh = t.shards.(shard) in
-  if sh.count <> 0 then invalid_arg "State_arena.restore_shard: shard not empty";
-  if count < 0 then invalid_arg "State_arena.restore_shard: negative count";
-  if Bytes.length keys <> count * t.degree then
-    invalid_arg "State_arena.restore_shard: key bytes do not match count";
-  if
-    Array.length depths <> count
-    || Array.length vias <> count
-    || Array.length parents <> count
-    || Bytes.length conjs <> count
-  then invalid_arg "State_arena.restore_shard: column lengths do not match count";
-  if count > Array.length sh.metas then resize_states t sh count;
-  let slots = slots_for count (sh.mask + 1) in
-  if slots > sh.mask + 1 then rehash t sh slots;
-  Bytes.blit keys 0 sh.arena 0 (count * t.degree);
-  Array.blit parents 0 sh.parents 0 count;
-  for idx = 0 to count - 1 do
-    let off = idx * t.degree in
-    for i = off to off + t.degree - 1 do
-      if Char.code (Bytes.get keys i) >= Array.length t.signatures then
-        invalid_arg "State_arena.restore_shard: key byte outside the encoding"
-    done;
-    let hash = hash_key keys ~off ~len:t.degree in
-    if shard_of_hash hash <> shard then
-      invalid_arg "State_arena.restore_shard: key does not belong to this shard";
-    let slot = probe t sh keys ~off ~hash in
-    if sh.table.(slot) >= 0 then invalid_arg "State_arena.restore_shard: duplicate key";
-    sh.metas.(idx) <-
-      pack ~depth:depths.(idx) ~via:vias.(idx) ~conj:(Char.code (Bytes.get conjs idx))
-        ~signature:(key_signature t keys ~off);
-    sh.table.(slot) <- slot_of idx hash
-  done;
-  sh.count <- count
+let restore ~degree ~keys ~level_sizes =
+  let fail msg = invalid_arg ("State_arena.restore: " ^ msg) in
+  if Array.length keys <> num_shards || Array.length level_sizes <> num_shards then
+    fail "one key arena and one size list per shard";
+  let levels = Array.length level_sizes.(0) in
+  if levels < 1 then fail "no level";
+  let t = create ~degree in
+  Array.iteri
+    (fun s sizes ->
+      let sh = t.shards.(s) in
+      if Array.length sizes <> levels then fail "shards disagree on the level count";
+      let starts = Array.make (max 16 levels) 0 in
+      let count = ref 0 in
+      Array.iteri
+        (fun d n ->
+          if n < 0 then fail "negative level size";
+          starts.(d) <- !count;
+          count := !count + n)
+        sizes;
+      let count = !count in
+      let arena = keys.(s) in
+      if Bytes.length arena <> count * degree then fail "key bytes do not match the level sizes";
+      sh.arena <- (if count = 0 then Bytes.create (initial_states * degree) else arena);
+      sh.starts <- starts;
+      let slots = slots_for count initial_slots in
+      sh.table <- Array.make slots (-1);
+      sh.mask <- slots - 1;
+      for idx = 0 to count - 1 do
+        let off = idx * degree in
+        let hash = hash_key arena ~off ~len:degree in
+        if shard_of_hash hash <> s then fail "a key does not belong to its shard";
+        let slot = probe t sh arena ~off ~hash in
+        if sh.table.(slot) >= 0 then fail "duplicate key";
+        sh.table.(slot) <- slot_of idx hash;
+        sh.count <- idx + 1
+      done)
+    level_sizes;
+  t.levels <- levels;
+  t
 
-let try_insert t ~key ~off ~hash ~depth ~via ~conj ~parent =
+let try_insert t ~key ~off ~hash =
   let s = shard_of_hash hash in
   let sh = t.shards.(s) in
   let slot = probe t sh key ~off ~hash in
   if sh.table.(slot) >= 0 then -1
   else begin
     let idx = sh.count in
-    let meta = pack ~depth ~via ~conj ~signature:(key_signature t key ~off) in
     (* the fallback when a level outgrows its reservation *)
-    if idx = Array.length sh.metas then resize_states t sh (max 8 (2 * idx));
+    if (idx + 1) * t.degree > Bytes.length sh.arena then resize_states t sh (max 8 (2 * idx));
     Bytes.blit key off sh.arena (idx * t.degree) t.degree;
-    sh.metas.(idx) <- meta;
-    sh.parents.(idx) <- parent;
     sh.table.(slot) <- slot_of idx hash;
     sh.count <- idx + 1;
     (* keep the load factor under 3/4 *)

@@ -1,14 +1,14 @@
 (** Sharded, arena-packed store of BFS circuit states.
 
     [2^{!shard_bits}] shards, each holding a [Bytes] arena of packed
-    binary-image vectors (see {!Search}) plus two flat [int] columns: the
-    parent handle, and one packed metadata word (BFS depth, the memoized
-    binary-block signature, the library index of the last gate and the
-    symmetry conjugator).  A state costs its key bytes plus 16 bytes in
-    the columns, plus its share of the probe table (8 bytes a slot, at a
-    load factor between 3/8 and 3/4).  A state is addressed by an integer
-    {e handle} [(local_index lsl shard_bits) lor shard]; no per-state heap
-    object exists.
+    binary-image vectors (see {!Search}) and an open-addressing probe
+    table.  A stored state is its key bytes plus its probe-table slot (8
+    bytes a slot, at a load factor between 3/8 and 3/4) and nothing
+    else: its depth is the level whose range holds it ({!depth_of}), and
+    everything else the engine knows about a state (its signature, the
+    gate that reached it) is derived from its key.  A state is addressed
+    by an integer {e handle} [(local_index lsl shard_bits) lor shard]; no
+    per-state heap object exists.
 
     {b Levels.}  A BFS inserts level by level, and each shard appends its
     states in the order the engine inserts them, so one level of the
@@ -16,17 +16,19 @@
     store records those starts ({!open_level}); a frontier is read from
     them ({!level_start}, {!level_end}) and never kept as a list.
 
-    {b Reservations.}  {!open_level} also reserves every shard's columns
-    and probe table once for the level's predicted size, so a level
-    copies each column at most once.  When a shard outgrows its
+    {b Reservations.}  {!open_level} also reserves every shard's key
+    arena and probe table once for the level's predicted size, so a
+    level copies each arena at most once.  Reserved key bytes are not
+    written until a state arrives, so an over-predicted tail costs
+    address space, not resident memory.  When a shard outgrows its
     reservation, insertion falls back to doubling.  Capacities are never
     observable: handles, keys and levels do not depend on them.
 
     Each open-addressing slot holds a state's local index together with a
     tag of its key hash, so a probe rejects most non-matching slots
     without reading the key arena, and keys are compared a 64-bit word at
-    a time.  No hash is stored: growth, {!abandon_level} and
-    {!restore_shard} recompute it from the key bytes.
+    a time.  No hash is stored: growth, {!abandon_level} and {!restore}
+    recompute it from the key bytes.
 
     A state's shard is a pure function of its key bytes
     ({!shard_of_hash} of {!hash_key}), so the store's contents — including
@@ -44,22 +46,17 @@ val shard_bits : int
 
 val num_shards : int
 
-(** [create ~degree ~signatures] is an empty store for state vectors of
-    [degree] bytes; [signatures.(p)] is the mixed signature of encoding
-    point [p], OR-ed over the bytes of a key to form the memoized
-    reasonable-product signature.
-    @raise Invalid_argument if some signature does not fit the packed
-    16-bit field (a per-wire mask of more than 16 qubits). *)
-val create : degree:int -> signatures:int array -> t
+(** [create ~degree] is an empty store for state keys of [degree] bytes.
+    @raise Invalid_argument if [degree < 1]. *)
+val create : degree:int -> t
 
 val degree : t -> int
 
 (** [size t] is the number of states stored across all shards. *)
 val size : t -> int
 
-(** [bytes t] is what the store holds, in bytes: every shard's key
-    arena, metadata and parent columns and probe table, at their reserved
-    capacities. *)
+(** [bytes t] is what the store holds, in bytes: every shard's key arena
+    and probe table, at their reserved capacities. *)
 val bytes : t -> int
 
 (** [table_capacity t] is the total number of open-addressing slots
@@ -91,8 +88,13 @@ val handle : shard:int -> index:int -> int
 
 (** [shard_arena t shard] is the current key arena of [shard]; state
     [idx] of the shard occupies bytes [idx*degree .. (idx+1)*degree-1].
-    The returned value is invalidated by the next insertion that grows
-    the shard. *)
+    An insertion that grows the shard replaces the arena, and no
+    insertion rewrites the bytes of a stored state, so the first
+    [shard_count t shard * degree] bytes of a returned arena never change
+    while the store lives — {!abandon_level} never rolls a shard below a
+    level boundary already passed.  A capture taken at a level boundary
+    may therefore be read from another domain while the next level is
+    being expanded (the zero-copy snapshot of {!Checkpoint.save_async}). *)
 val shard_arena : t -> int -> Bytes.t
 
 (** [key_offset t handle] is the byte offset of [handle]'s key inside
@@ -103,36 +105,14 @@ val key_offset : t -> int -> int
     interface; the hot paths read the arena directly). *)
 val key_of : t -> int -> string
 
+(** [depth_of t handle] is the level holding the stored state [handle],
+    found by a binary search over its shard's level starts. *)
 val depth_of : t -> int -> int
 
-(** [via_of t handle] is the library index of the last gate, -1 at the
-    root. *)
-val via_of : t -> int -> int
-
-(** [parent_of t handle] is the parent handle, -1 at the root. *)
-val parent_of : t -> int -> int
-
-(** [signature_of t handle] is the memoized binary-block mixed signature
-    (the OR that the seed engine recomputed per expansion). *)
-val signature_of : t -> int -> int
-
-(** [conj_of t handle] is the conjugating symmetry-group element index
-    recorded at insertion (see {!Symmetry}): in a quotiented search the
-    state's key is the canonical form of [conjugate_image conj] of the
-    raw candidate that discovered it.  0 for every state of an
-    unquotiented store. *)
-val conj_of : t -> int -> int
-
-(** {1 Packed metadata}
-
-    The fields of a state's packed metadata word, as returned in the
-    [metas] column of {!shard_columns}.  Field ranges: depth below
-    [2^34], via in [-1 .. 126], conjugator in [0 .. 31]; {!try_insert}
-    and {!restore_shard} reject values outside them. *)
-
-val meta_depth : int -> int
-val meta_via : int -> int
-val meta_conj : int -> int
+(** [in_level t handle ~depth] is whether the stored state [handle] lies
+    in level [depth] (false for a level not opened): two comparisons
+    against the shard's level range. *)
+val in_level : t -> int -> depth:int -> bool
 
 (** {1 Lookup and insertion} *)
 
@@ -141,26 +121,11 @@ val meta_conj : int -> int
     bytes), or -1. *)
 val find : t -> Bytes.t -> off:int -> hash:int -> int
 
-(** [try_insert t ~key ~off ~hash ~depth ~via ~conj ~parent] inserts
-    the state into the shard dictated by [hash] and returns its new
-    handle, or -1 if an equal key is already present.  [conj] is the
-    symmetry conjugator index stored alongside the metadata (see
-    {!conj_of}; 0 outside quotient mode).  Only the addressed shard is
-    mutated.  Allocation-free.
-    @raise Invalid_argument if [depth], [via] or [conj] is outside its
-    packed field (see {!meta_depth}). *)
-val try_insert :
-  t ->
-  key:Bytes.t ->
-  off:int ->
-  hash:int ->
-  depth:int ->
-  via:int ->
-  conj:int ->
-  parent:int ->
-  int
-
-(** {1 Durability support (checkpoint/resume and cancellation)} *)
+(** [try_insert t ~key ~off ~hash] inserts the key into the newest level,
+    in the shard dictated by [hash], and returns its new handle, or -1 if
+    an equal key is already present.  Only the addressed shard is
+    mutated.  Allocation-free. *)
+val try_insert : t -> key:Bytes.t -> off:int -> hash:int -> int
 
 (** [shard_count t s] is the number of states stored in shard [s]. *)
 val shard_count : t -> int -> int
@@ -171,10 +136,15 @@ val shard_count : t -> int -> int
     from now on belongs to it.  It also reserves room for [reserve] more
     states, spread over the shards as a uniform hash spreads them (each
     shard's mean share plus three standard deviations), growing each
-    shard's columns and probe table at most once.  [reserve] only sizes
+    shard's arena and probe table at most once.  [reserve] only sizes
     storage: a wrong guess costs memory or a fallback doubling, never a
     different result. *)
 val open_level : t -> reserve:int -> unit
+
+(** [shard_share n] is the room one shard reserves for [n] keys hashed
+    uniformly over the shards: the mean share plus three standard
+    deviations, and a few keys of slack. *)
+val shard_share : int -> int
 
 (** [reserve_bytes t n] is what {!bytes} would be after [open_level t
     ~reserve:n] — the check a memory cap makes before the reservation. *)
@@ -202,17 +172,6 @@ val level_size : t -> depth:int -> int
     @raise Invalid_argument if no level is open. *)
 val abandon_level : t -> unit
 
-(** [shard_columns t s] is shard [s]'s live column storage [(count,
-    metas, parents)] — a zero-copy capture for serialization; decode a
-    [metas] entry with {!meta_depth}, {!meta_via} and {!meta_conj}.  The
-    first [count] entries of each column are immutable for the store's
-    lifetime: insertions only append past [count] (growth replaces the
-    column objects, leaving captured ones intact) and {!abandon_level} never
-    rolls a shard below a level boundary captured at one.  A capture taken
-    at a level boundary may therefore be read from another domain while
-    the next level is being expanded. *)
-val shard_columns : t -> int -> int * int array * int array
-
 (** [iter_level t ~depth f] calls [f] on the handle of every state of
     level [depth], in (shard, local index) order — the engine's canonical
     frontier order.  Nothing for a level not opened. *)
@@ -221,32 +180,16 @@ val iter_level : t -> depth:int -> (int -> unit) -> unit
 (** [handles_at_depth t d] is a fresh array of {!iter_level}'s handles. *)
 val handles_at_depth : t -> int -> int array
 
-(** [index_levels t ~depth] rebuilds the level starts of a store filled
-    by {!restore_shard}, from the stored depths, in one pass: level [d]
-    is the states of depth [d], for [d] from 0 to [depth] (the levels
-    past the deepest state are empty: an exhausted search).
-    @raise Invalid_argument if [depth] is negative, some state lies
-    deeper than [depth], or some shard's depths decrease (its states are
-    not in the order a BFS inserts them). *)
-val index_levels : t -> depth:int -> unit
+(** {1 Durability support (checkpoint/resume)} *)
 
-(** [restore_shard t ~shard ~count ~keys ~depths ~vias ~parents ~conjs]
-    rebuilds shard [shard] of an {e empty} store from serialized columns
-    ([keys] holds [count * degree] bytes, [conjs] holds [count]
-    conjugator indices — all zero outside quotient mode).  Hashes,
-    signatures and the probe table are recomputed from the keys; every
-    key is validated to belong to [shard] and to be unique within it.
-    @raise Invalid_argument on any inconsistency (shard not empty,
-    column length mismatch, foreign or duplicate key, byte outside the
-    encoding, a field outside its packed range).  Call {!index_levels}
-    once every shard is restored. *)
-val restore_shard :
-  t ->
-  shard:int ->
-  count:int ->
-  keys:Bytes.t ->
-  depths:int array ->
-  vias:int array ->
-  parents:int array ->
-  conjs:Bytes.t ->
-  unit
+(** [restore ~degree ~keys ~level_sizes] rebuilds a store from each
+    shard's key bytes ([keys.(s)], its states in index order, which the
+    store takes over and must not be reused) and level sizes
+    ([level_sizes.(s).(d)] states of level [d] in shard [s]; every shard
+    lists the same number of levels, at least one).  The probe tables
+    are recomputed from the keys; every key is validated to belong to
+    its shard and to be unique within it.
+    @raise Invalid_argument on any inconsistency (shard count, level
+    count, negative size, key bytes not matching the sizes, foreign or
+    duplicate key). *)
+val restore : degree:int -> keys:Bytes.t array -> level_sizes:int array array -> t

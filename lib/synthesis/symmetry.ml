@@ -212,11 +212,6 @@ let canon t img =
   let gi = canon_into t ~src:(Bytes.unsafe_of_string img) ~soff:0 ~dst ~doff:0 in
   (Bytes.unsafe_to_string dst, gi)
 
-let orbit_images t img =
-  List.init t.order (fun i -> conjugate_image t i img)
-  |> List.fold_left (fun acc c -> if List.mem c acc then acc else c :: acc) []
-  |> List.rev
-
 (* Orbit–stabilizer: the orbit has [order / |stabilizer|] images, and the
    stabilizer is tallied in place, with no image materialized. *)
 let orbit_size t ~src ~soff =

@@ -99,14 +99,9 @@ val canon_into : t -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> int
     exercise. *)
 val canon : t -> string -> string * int
 
-(** [orbit_images t img] is the distinct conjugates of [img] in element
-    order (the orbit of its image under the group, between 1 and
-    [order t] vectors). *)
-val orbit_images : t -> string -> string list
-
 (** [orbit_size t ~src ~soff] is the size of the orbit of the
-    [num_binary]-byte image at [src.[soff ..]] — [List.length
-    (orbit_images t img)], computed as [order t] over the size of the
+    [num_binary]-byte image at [src.[soff ..]] — the number of its
+    distinct conjugates, computed as [order t] over the size of the
     image's stabilizer.  Allocation-free: {!Fmcf} counts each quotiented
     level with it, reading images in place from the arena. *)
 val orbit_size : t -> src:Bytes.t -> soff:int -> int

@@ -168,6 +168,18 @@ let test_version_gate () =
   expect_mismatch "future format version" ~substring:"version" (fun () ->
       Checkpoint.load library3 path)
 
+(* A version-3 snapshot as the previous format's CLI wrote it ([census -d
+   3 --checkpoint]): parent chains instead of keys.  It is intact, so it
+   is rejected as a mismatch naming its version, by [peek] and [load]
+   alike. *)
+let test_v3_fixture_rejected () =
+  let path = "checkpoint_v3_d3.bin" in
+  check Alcotest.int "fixture length" 9076 (String.length (read_file path));
+  expect_mismatch "peek a version-3 snapshot" ~substring:"format version 3" (fun () ->
+      Checkpoint.peek path);
+  expect_mismatch "load a version-3 snapshot" ~substring:"format version 3" (fun () ->
+      Checkpoint.load library3 path)
+
 let test_library_mismatch () =
   with_temp_file @@ fun path ->
   Checkpoint.save (search_at library3 2) path;
@@ -374,9 +386,9 @@ let qcheck_round_trip =
 (* {1 Golden bytes}
 
    QSYNCKP1 files pinned by length and CRC-32 trailer, as written by
-   [census -d 6] and [census -q 4 -d 4], plain and with [--quotient]: a
-   change to the arena's handles, frontier order, packed metadata or
-   conjugators shows up here. *)
+   [census -d 6 --checkpoint] and [census -q 4 -d 4 --checkpoint], plain
+   and with [--quotient]: a change to the arena's handles, frontier
+   order, level sizes or keys shows up here. *)
 
 let test_golden_checkpoint_bytes () =
   List.iter
@@ -393,10 +405,10 @@ let test_golden_checkpoint_bytes () =
       check Alcotest.string (name ^ ": CRC-32 trailer") (Printf.sprintf "%08lx" crc)
         (Printf.sprintf "%08lx" (Bytes.get_int32_le bytes (Bytes.length bytes - 4))))
     [
-      ("census -d 6", library3, false, 6, 119_912, 0xb2cc515cl);
-      ("census -d 6 --quotient", library3, true, 6, 22_348, 0xb4833e3dl);
-      ("census -q 4 -d 4", library4, false, 4, 820_447, 0xfca9c1a5l);
-      ("census -q 4 -d 4 --quotient", library4, true, 4, 38_788, 0x56d2b4e6l);
+      ("census -d 6", library3, false, 6, 88_840, 0xa49f6683l);
+      ("census -d 6 --quotient", library3, true, 6, 16_544, 0x1aec0542l);
+      ("census -q 4 -d 4", library4, false, 4, 1_194_264, 0xf0051e53l);
+      ("census -q 4 -d 4 --quotient", library4, true, 4, 52_632, 0xa578edccl);
     ]
 
 let () =
@@ -414,6 +426,7 @@ let () =
           Alcotest.test_case "truncation" `Quick test_truncation_rejected;
           Alcotest.test_case "bit flips" `Quick test_bitflip_rejected;
           Alcotest.test_case "version gate" `Quick test_version_gate;
+          Alcotest.test_case "version-3 fixture" `Quick test_v3_fixture_rejected;
           Alcotest.test_case "library mismatch" `Quick test_library_mismatch;
           Alcotest.test_case "atomic save under crash" `Quick test_atomic_save_crash;
         ] );

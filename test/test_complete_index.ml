@@ -195,6 +195,67 @@ let test_witnesses_match_reference () =
       ("4-wire nct -d 3 --quotient", nct4_quot);
     ]
 
+(* One witness rule for every plan: the engine's backward step, read
+   from a member's image ([Search.cascade_of_key], the forward plan's
+   witness) or from its stored state ([Search.cascade_of_handle]), gives
+   the index's witness ([Fmcf.cascade_of_member]) for every member of
+   each closure. *)
+let test_engine_witnesses_match_index () =
+  List.iter
+    (fun (name, census) ->
+      let census = Lazy.force census in
+      let search = Fmcf.search census in
+      let handles = ref 0 in
+      Fmcf.iter_members census (fun ~cost m ->
+          let want = Fmcf.cascade_of_member census m in
+          let same got = List.equal Gate.equal got want in
+          if not (same (Search.cascade_of_key search m.Fmcf.image)) then
+            Alcotest.failf "%s: cost-%d image witness differs from %s" name cost
+              (Cascade.to_string want);
+          match Search.handle_of_key search m.Fmcf.image with
+          | None -> ()
+          | Some h ->
+              incr handles;
+              if not (same (Search.cascade_of_handle search h)) then
+                Alcotest.failf "%s: cost-%d state witness differs from %s" name cost
+                  (Cascade.to_string want));
+      checkb (name ^ ": some members are stored states") true (!handles > 0))
+    [
+      ("paper18 -d 13", paper18_raw);
+      ("paper18 -d 13 --quotient", closure);
+      ("nct -d 8", nct8);
+      ("nft -d 7", nft7);
+    ]
+
+(* A store no search built: level 1 holds a real one-gate image and
+   level 2 the Toffoli image, which no gate reaches from it.  Loading
+   checks structure, not reachability, so the engine accepts the store;
+   asking the forged state for a witness raises instead of looping (each
+   backward step lowers the depth), and the real state still has one. *)
+let test_forged_store_has_no_witness () =
+  let nb = 8 in
+  let image f = Bytes.init nb (fun b -> Char.chr (f b)) in
+  let identity = image Fun.id in
+  let toffoli = image (Revfun.apply Reversible.Gates.toffoli3) in
+  let one_gate = image (fun b -> (Library.entries library3).(0).Library.perm_array.(b)) in
+  let store = State_arena.create ~degree:nb in
+  List.iter
+    (fun key ->
+      State_arena.open_level store ~reserve:1;
+      let hash = State_arena.hash_key key ~off:0 ~len:nb in
+      checkb "forged state stored" true (State_arena.try_insert store ~key ~off:0 ~hash >= 0))
+    [ identity; one_gate; toffoli ];
+  let search = Search.of_store library3 store in
+  let h = Option.get (Search.handle_of_key search (Bytes.to_string toffoli)) in
+  check Alcotest.int "forged state's depth" 2 (Search.depth_of_handle search h);
+  checkb "no witness for the forged state" true
+    (match Search.cascade_of_handle search h with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let real = Option.get (Search.handle_of_key search (Bytes.to_string one_gate)) in
+  check Alcotest.int "the real state keeps its witness" 1
+    (List.length (Search.cascade_of_handle search real))
+
 let test_foreign_member_rejected () =
   (* a cost-5 member of a deeper census is absent from a depth-3 one, and
      an nct member (it moves code 0) is absent from the paper's
@@ -409,6 +470,10 @@ let () =
           Alcotest.test_case "golden index bytes" `Quick test_golden_index_bytes;
           Alcotest.test_case "foreign members have no witness" `Quick
             test_foreign_member_rejected;
+          Alcotest.test_case "engine witnesses equal index witnesses" `Quick
+            test_engine_witnesses_match_index;
+          Alcotest.test_case "a forged store gives no witness" `Quick
+            test_forged_store_has_no_witness;
         ] );
       ( "planner",
         [

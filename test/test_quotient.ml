@@ -185,10 +185,15 @@ let test_four_wire_nct_parity () =
     Array.iter
       (fun h ->
         let img = Search.key_of_handle search h in
-        let expected = List.length (Symmetry.orbit_images sym img) in
+        (* the orbit by brute force: the distinct conjugates *)
+        let expected =
+          List.length
+            (List.sort_uniq compare
+               (List.init (Symmetry.order sym) (fun i -> Symmetry.conjugate_image sym i img)))
+        in
         let got = Symmetry.orbit_size sym ~src:(Bytes.of_string img) ~soff:0 in
         if got <> expected then
-          Alcotest.failf "orbit_size %d, orbit_images %d at depth %d" got expected d)
+          Alcotest.failf "orbit_size %d, distinct conjugates %d at depth %d" got expected d)
       (Search.handles_at_depth search d)
   done
 
@@ -283,7 +288,7 @@ let test_canon_brute_force qubits () =
   done;
   checkb "some images have a non-trivial stabilizer" true (!stabilized > 0)
 
-(* {1 Quotient checkpoints (v2)} *)
+(* {1 Quotient checkpoints} *)
 
 let quotient_search_at ?(jobs = 1) depth =
   let s = Search.create ~jobs ~symmetry:(Lazy.force sym3) library3 in
@@ -293,7 +298,7 @@ let quotient_search_at ?(jobs = 1) depth =
   s
 
 let keys_at s d = Array.map (Search.key_of_handle s) (Search.handles_at_depth s d)
-let conjs_at s d = Array.map (Search.conj_of_handle s) (Search.handles_at_depth s d)
+let cascades_at s d = Array.map (Search.cascade_of_handle s) (Search.handles_at_depth s d)
 
 let test_v2_round_trip () =
   with_temp_file @@ fun path ->
@@ -311,9 +316,10 @@ let test_v2_round_trip () =
     check Alcotest.(array string)
       (Printf.sprintf "level %d keys" d)
       (keys_at s d) (keys_at r d);
-    check Alcotest.(array int)
-      (Printf.sprintf "level %d conjugators" d)
-      (conjs_at s d) (conjs_at r d)
+    checkb
+      (Printf.sprintf "level %d witnesses" d)
+      true
+      (cascades_at s d = cascades_at r d)
   done;
   (* continuing both engines stays byte-identical *)
   let e = Search.step_handles s and g = Search.step_handles r in
@@ -347,8 +353,9 @@ let reseal buf =
   Bytes.set_int32_le buf (n - 4)
     (Int32.of_int (Checkpoint.crc32 buf ~off:0 ~len:(n - 4)))
 
-(* A v1 file held full-point states; its layout is the v3 one, so an
-   unquotiented snapshot relabeled as version 1 stands in for it. *)
+(* Versions 1 to 3 stored parent chains; a current snapshot relabeled
+   with an old version stands in for one, and the committed fixture is a
+   real version-3 file (see test_checkpoint). *)
 let test_v1_rejected () =
   with_temp_file @@ fun path ->
   let s = Search.create library3 in
@@ -358,26 +365,32 @@ let test_v1_rejected () =
   Checkpoint.save s path;
   checkb "unquotiented snapshot has no symmetry section" true
     ((Checkpoint.peek path).Checkpoint.symmetry = None);
-  let buf = Bytes.of_string (read_file path) in
-  Bytes.set_int32_le buf 8 1l;
-  reseal buf;
-  write_file path (Bytes.to_string buf);
-  match Checkpoint.load library3 path with
-  | exception Checkpoint.Mismatch msg ->
-      checkb "message names format version 1" true
-        (contains ~sub:"format version 1" msg)
-  | exception Checkpoint.Corrupt msg ->
-      Alcotest.failf "raised Corrupt (%s) instead of Mismatch" msg
-  | _ -> Alcotest.fail "a v1 snapshot loaded"
+  let current = read_file path in
+  List.iter
+    (fun v ->
+      let buf = Bytes.of_string current in
+      Bytes.set_int32_le buf 8 (Int32.of_int v);
+      reseal buf;
+      write_file path (Bytes.to_string buf);
+      match Checkpoint.load library3 path with
+      | exception Checkpoint.Mismatch msg ->
+          checkb
+            (Printf.sprintf "message names format version %d" v)
+            true
+            (contains ~sub:(Printf.sprintf "format version %d" v) msg)
+      | exception Checkpoint.Corrupt msg ->
+          Alcotest.failf "raised Corrupt (%s) instead of Mismatch" msg
+      | _ -> Alcotest.failf "a v%d snapshot loaded" v)
+    [ 1; 2; 3 ]
 
 (* {1 Damaged symmetry sections} *)
 
-(* v2 layout: magic 8 | version u32 | library fp u64 | symmetry fp u64 at
-   offset 20 | 5 u32 (qubits, degree, num_binary, num_gates, depth) |
+(* v4 layout: magic 8 | version u32 | library fp u64 | symmetry fp u64 at
+   offset 20 | quotient u32 | 4 u32 (qubits, key length, gates, depth) |
    states u64 | frontier u64 | num_shards u32 at offset 64 | per shard:
-   count u32 then count x 12-byte records (depth u16, via u8, conj u8,
-   parent u64) | crc u32.  Patches below re-seal the CRC so the format
-   gates, not the checksum, must reject the file. *)
+   depth + 1 level sizes u32, then its keys | crc u32.  Patches below
+   re-seal the CRC so the format gates, not the checksum, must reject
+   the file. *)
 
 let test_symmetry_fingerprint_mismatch () =
   with_temp_file @@ fun path ->
@@ -393,35 +406,54 @@ let test_symmetry_fingerprint_mismatch () =
       Alcotest.failf "raised Corrupt (%s) instead of Mismatch" msg
   | _ -> Alcotest.fail "mismatched symmetry fingerprint loaded without error"
 
-let test_conjugator_corruption () =
+(* A quotient store holds canonical keys only.  A stored key replaced by
+   one of its other conjugates that hashes into the same shard (and is
+   not stored) passes every shard and uniqueness check, so only the
+   canonical-form check can reject it. *)
+let test_non_canonical_key () =
   with_temp_file @@ fun path ->
-  Checkpoint.save (quotient_search_at 3) path;
-  let buf = Bytes.of_string (read_file path) in
-  let num_shards = Int32.to_int (Bytes.get_int32_le buf 64) in
-  (* find the first stored state of depth >= 1 and damage its conjugator *)
-  let patched = ref false in
-  let pos = ref 68 in
-  for _ = 1 to num_shards do
-    let count = Int32.to_int (Bytes.get_int32_le buf !pos) in
-    pos := !pos + 4;
-    for _ = 1 to count do
-      if (not !patched) && Bytes.get_uint16_le buf !pos >= 1 then begin
-        let conj = Bytes.get_uint8 buf (!pos + 3) in
-        Bytes.set_uint8 buf (!pos + 3)
-          ((conj + 1) mod Symmetry.order (Lazy.force sym3));
-        patched := true
-      end;
-      pos := !pos + 12
-    done
+  let s = quotient_search_at 3 in
+  Checkpoint.save s path;
+  let sym = Lazy.force sym3 in
+  let store = Search.store s in
+  let nb = Search.key_length s in
+  let depth = Search.depth s in
+  let shard_offset = Array.make (State_arena.num_shards + 1) 68 in
+  for sh = 0 to State_arena.num_shards - 1 do
+    shard_offset.(sh + 1) <-
+      shard_offset.(sh) + (4 * (depth + 1)) + (nb * State_arena.shard_count store sh)
   done;
-  checkb "found a record to damage" true !patched;
+  let forged = ref None in
+  for d = 1 to depth do
+    Array.iter
+      (fun h ->
+        let key = Search.key_of_handle s h in
+        for i = 1 to Symmetry.order sym - 1 do
+          let c = Symmetry.conjugate_image sym i key in
+          let hash = State_arena.hash_key (Bytes.of_string c) ~off:0 ~len:nb in
+          if
+            !forged = None && c <> key
+            && State_arena.shard_of_hash hash = State_arena.shard_of_handle h
+            && Search.handle_of_key s c = None
+          then forged := Some (h, c)
+        done)
+      (Search.handles_at_depth s d)
+  done;
+  let h, c = Option.get !forged in
+  let sh = State_arena.shard_of_handle h in
+  let pos = shard_offset.(sh) + (4 * (depth + 1)) + State_arena.key_offset store h in
+  let buf = Bytes.of_string (read_file path) in
+  check Alcotest.string "the patched bytes are the stored key" (Search.key_of_handle s h)
+    (Bytes.sub_string buf pos nb);
+  Bytes.blit_string c 0 buf pos nb;
   reseal buf;
   write_file path (Bytes.to_string buf);
   match Checkpoint.load library3 path with
-  | exception Checkpoint.Corrupt _ -> ()
+  | exception Checkpoint.Corrupt msg ->
+      checkb "message names the canonical form" true (contains ~sub:"canonical" msg)
   | exception Checkpoint.Mismatch msg ->
       Alcotest.failf "raised Mismatch (%s) instead of Corrupt" msg
-  | _ -> Alcotest.fail "damaged conjugator loaded without error"
+  | _ -> Alcotest.fail "a non-canonical key loaded without error"
 
 let () =
   Alcotest.run "quotient"
@@ -463,7 +495,6 @@ let () =
           Alcotest.test_case "v1 is rejected" `Quick test_v1_rejected;
           Alcotest.test_case "symmetry fingerprint mismatch" `Quick
             test_symmetry_fingerprint_mismatch;
-          Alcotest.test_case "conjugator corruption" `Quick
-            test_conjugator_corruption;
+          Alcotest.test_case "non-canonical key" `Quick test_non_canonical_key;
         ] );
     ]

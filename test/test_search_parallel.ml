@@ -171,13 +171,9 @@ let test_effective_jobs () =
 (* {1 State arena against a Hashtbl reference} *)
 
 let arena_degree = 16
-let arena_signatures = Array.init 256 (fun p -> p land 0x3FF)
 
 let random_key rng = String.init arena_degree (fun _ -> Char.chr (Random.State.int rng 256))
 let hash_of key = State_arena.hash_key (Bytes.of_string key) ~off:0 ~len:arena_degree
-
-let key_sig key =
-  String.fold_left (fun acc c -> acc lor arena_signatures.(Char.code c)) 0 key
 
 (* 65536 distinct random 16-byte keys over 64 shards and 16-bit tags:
    about n^2 / 2^23 = 512 pairs share a (shard, tag), so the probe's
@@ -197,20 +193,15 @@ let arena_keys =
      done;
      Array.of_list !keys)
 
-type ref_state = { r_handle : int; r_depth : int; r_via : int; r_conj : int; r_parent : int }
+type ref_state = { r_handle : int; r_depth : int }
 
-let insert_all store reference keys ~lo ~hi =
+(* Inserts keys [lo .. hi-1] into the newest level, [depth]. *)
+let insert_all store reference keys ~lo ~hi ~depth =
   for i = lo to hi - 1 do
     let key = keys.(i) in
-    let depth = i land 0xFFF and via = (i mod 128) - 1 and conj = i mod 32 in
-    let parent = i - 1 in
-    let h =
-      State_arena.try_insert store ~key:(Bytes.of_string key) ~off:0 ~hash:(hash_of key)
-        ~depth ~via ~conj ~parent
-    in
+    let h = State_arena.try_insert store ~key:(Bytes.of_string key) ~off:0 ~hash:(hash_of key) in
     if h < 0 then Alcotest.failf "fresh key %d rejected as a duplicate" i;
-    Hashtbl.replace reference key
-      { r_handle = h; r_depth = depth; r_via = via; r_conj = conj; r_parent = parent }
+    Hashtbl.replace reference key { r_handle = h; r_depth = depth }
   done
 
 let check_against store reference keys =
@@ -225,12 +216,23 @@ let check_against store reference keys =
           if
             State_arena.key_of store h <> key
             || State_arena.depth_of store h <> r.r_depth
-            || State_arena.via_of store h <> r.r_via
-            || State_arena.conj_of store h <> r.r_conj
-            || State_arena.parent_of store h <> r.r_parent
-            || State_arena.signature_of store h <> key_sig key
-          then Alcotest.failf "fields of handle %d disagree with the reference" h)
+            || not (State_arena.in_level store h ~depth:r.r_depth)
+          then Alcotest.failf "key or level of handle %d disagrees with the reference" h)
     keys
+
+(* [restore_copy store] is a store rebuilt from copies of [store]'s keys
+   and level sizes, as a checkpoint load rebuilds one. *)
+let restore_copy store =
+  let degree = State_arena.degree store in
+  State_arena.restore ~degree
+    ~keys:
+      (Array.init State_arena.num_shards (fun s ->
+           Bytes.sub (State_arena.shard_arena store s) 0
+             (State_arena.shard_count store s * degree)))
+    ~level_sizes:
+      (Array.init State_arena.num_shards (fun s ->
+           Array.init (State_arena.levels store) (fun d ->
+               State_arena.level_end store ~depth:d s - State_arena.level_start store ~depth:d s)))
 
 let test_arena_reference () =
   let keys = Lazy.force arena_keys in
@@ -243,20 +245,20 @@ let test_arena_reference () =
       Hashtbl.replace buckets b (1 + Option.value ~default:0 (Hashtbl.find_opt buckets b)))
     keys;
   checkb "some keys share a shard and a tag" true (Hashtbl.length buckets < n);
-  let store = State_arena.create ~degree:arena_degree ~signatures:arena_signatures in
+  let store = State_arena.create ~degree:arena_degree in
   let reference = Hashtbl.create n in
-  insert_all store reference keys ~lo:0 ~hi:(n / 2);
+  State_arena.open_level store ~reserve:(n / 2);
+  insert_all store reference keys ~lo:0 ~hi:(n / 2) ~depth:0;
   (* the second half is one level, opened with no reservation, so every
      shard grows by the doubling fallback *)
   State_arena.open_level store ~reserve:0;
-  insert_all store reference keys ~lo:(n / 2) ~hi:n;
+  insert_all store reference keys ~lo:(n / 2) ~hi:n ~depth:1;
   check_against store reference keys;
   (* every key again: all duplicates, the store unchanged *)
   Array.iter
     (fun key ->
       if
         State_arena.try_insert store ~key:(Bytes.of_string key) ~off:0 ~hash:(hash_of key)
-          ~depth:0 ~via:0 ~conj:0 ~parent:0
         <> -1
       then Alcotest.fail "duplicate key inserted")
     keys;
@@ -268,23 +270,14 @@ let test_arena_reference () =
   Array.iteri (fun i key -> if i >= n / 2 then Hashtbl.remove reference key) keys;
   check_against store reference keys;
   State_arena.open_level store ~reserve:0;
-  insert_all store reference keys ~lo:(n / 2) ~hi:n;
+  insert_all store reference keys ~lo:(n / 2) ~hi:n ~depth:1;
   Hashtbl.iter
     (fun key r ->
       if (Hashtbl.find reference key).r_handle <> r.r_handle then
         Alcotest.fail "replayed insert moved a handle")
     full;
-  (* rebuild every shard from its columns *)
-  let restored = State_arena.create ~degree:arena_degree ~signatures:arena_signatures in
-  for s = 0 to State_arena.num_shards - 1 do
-    let count, metas, parents = State_arena.shard_columns store s in
-    State_arena.restore_shard restored ~shard:s ~count
-      ~keys:(Bytes.sub (State_arena.shard_arena store s) 0 (count * arena_degree))
-      ~depths:(Array.init count (fun i -> State_arena.meta_depth metas.(i)))
-      ~vias:(Array.init count (fun i -> State_arena.meta_via metas.(i)))
-      ~parents:(Array.sub parents 0 count)
-      ~conjs:(Bytes.init count (fun i -> Char.chr (State_arena.meta_conj metas.(i))))
-  done;
+  (* rebuild the store from its keys and level sizes *)
+  let restored = restore_copy store in
   check_against restored reference keys
 
 (* Two keys in the same shard, home slot and tag meet in one probe
@@ -294,7 +287,6 @@ let test_arena_reference () =
    tail, so both halves of the comparison must decide. *)
 let test_arena_tag_collisions () =
   let degree = 13 in
-  let signatures = Array.make 256 0 in
   let collide vary =
     let rng = Random.State.make [| degree; vary |] in
     let fixed = Bytes.init degree (fun _ -> Char.chr (Random.State.int rng 256)) in
@@ -318,11 +310,11 @@ let test_arena_tag_collisions () =
   in
   List.iter
     (fun (name, (a, b)) ->
-      let store = State_arena.create ~degree ~signatures in
+      let store = State_arena.create ~degree in
+      State_arena.open_level store ~reserve:0;
       let insert k =
         State_arena.try_insert store ~key:k ~off:0
           ~hash:(State_arena.hash_key k ~off:0 ~len:degree)
-          ~depth:1 ~via:0 ~conj:0 ~parent:0
       in
       let find k =
         State_arena.find store k ~off:0 ~hash:(State_arena.hash_key k ~off:0 ~len:degree)
@@ -336,31 +328,48 @@ let test_arena_tag_collisions () =
 
 let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
 
-let test_arena_field_bounds () =
-  let signatures = Array.make 256 0 in
-  signatures.(7) <- 0x3FF (* a 10-qubit mixed signature *);
-  let store = State_arena.create ~degree:arena_degree ~signatures in
-  let key = Bytes.make arena_degree '\007' in
-  let hash = State_arena.hash_key key ~off:0 ~len:arena_degree in
-  let deep = (1 lsl 34) - 1 in
-  let insert ~depth ~via ~conj =
-    State_arena.try_insert store ~key ~off:0 ~hash ~depth ~via ~conj ~parent:max_int
-  in
-  checkb "depth out of range" true (raises_invalid (fun () -> insert ~depth:(deep + 1) ~via:0 ~conj:0));
-  checkb "negative depth" true (raises_invalid (fun () -> insert ~depth:(-1) ~via:0 ~conj:0));
-  checkb "via out of range" true (raises_invalid (fun () -> insert ~depth:0 ~via:127 ~conj:0));
-  checkb "via below -1" true (raises_invalid (fun () -> insert ~depth:0 ~via:(-2) ~conj:0));
-  checkb "conj out of range" true (raises_invalid (fun () -> insert ~depth:0 ~via:0 ~conj:32));
-  check Alcotest.int "nothing stored by a rejected insert" 0 (State_arena.size store);
-  let h = insert ~depth:deep ~via:63 ~conj:31 in
-  check Alcotest.int "depth" deep (State_arena.depth_of store h);
-  check Alcotest.int "via" 63 (State_arena.via_of store h);
-  check Alcotest.int "conj" 31 (State_arena.conj_of store h);
-  check Alcotest.int "signature" 0x3FF (State_arena.signature_of store h);
-  check Alcotest.int "parent" max_int (State_arena.parent_of store h);
-  checkb "a 17-bit signature is rejected at create" true
+(* A state's depth is the level whose range holds it.  A store of 40
+   levels, some of them empty, answers every state's level by its shard's
+   level starts (the binary search must skip the empty levels), and a
+   store restored from its keys and level sizes answers the same. *)
+let test_arena_level_depths () =
+  let rng = Random.State.make [| 40 |] in
+  let store = State_arena.create ~degree:arena_degree in
+  let placed = ref [] in
+  for d = 0 to 39 do
+    State_arena.open_level store ~reserve:0;
+    for _ = 1 to (d * 7) mod 5 * 40 do
+      let key = random_key rng in
+      let h =
+        State_arena.try_insert store ~key:(Bytes.of_string key) ~off:0 ~hash:(hash_of key)
+      in
+      if h >= 0 then placed := (h, d) :: !placed
+    done
+  done;
+  check Alcotest.int "levels" 40 (State_arena.levels store);
+  check Alcotest.int "empty level" 0 (State_arena.level_size store ~depth:5);
+  let restored = restore_copy store in
+  List.iter
+    (fun (h, d) ->
+      List.iter
+        (fun st ->
+          if State_arena.depth_of st h <> d then
+            Alcotest.failf "handle %d: depth %d, expected %d" h (State_arena.depth_of st h) d;
+          if
+            (not (State_arena.in_level st h ~depth:d))
+            || State_arena.in_level st h ~depth:(d - 1)
+            || State_arena.in_level st h ~depth:(d + 1)
+          then Alcotest.failf "handle %d: in_level disagrees with depth %d" h d)
+        [ store; restored ])
+    !placed;
+  checkb "a key-less store is rejected" true
+    (raises_invalid (fun () -> State_arena.create ~degree:0));
+  checkb "shards disagreeing on the level count are rejected" true
     (raises_invalid (fun () ->
-         State_arena.create ~degree:arena_degree ~signatures:[| 1 lsl 16 |]))
+         State_arena.restore ~degree:arena_degree
+           ~keys:(Array.make State_arena.num_shards Bytes.empty)
+           ~level_sizes:
+             (Array.init State_arena.num_shards (fun s -> Array.make (1 + (s land 1)) 0))))
 
 (* The expand kernel allocates nothing per child: one 4-wire level (about
    150k children) stays far under one minor-heap word per child, plain
@@ -373,14 +382,18 @@ let test_step_allocation quotient () =
   for _ = 1 to 3 do
     ignore (Search.step_handles s)
   done;
-  let store = Search.store s in
+  let encoding = Library.encoding library4 in
   let children =
     Array.fold_left
       (fun n h ->
+        let signature =
+          String.fold_left
+            (fun acc c -> acc lor Mvl.Encoding.mixed_signature encoding (Char.code c))
+            0 (Search.key_of_handle s h)
+        in
         Array.fold_left
           (fun n (e : Library.entry) ->
-            if State_arena.signature_of store h land e.Library.purity_mask = 0 then n + 1
-            else n)
+            if signature land e.Library.purity_mask = 0 then n + 1 else n)
           n (Library.entries library4))
       0 (Search.frontier_handles s)
   in
@@ -449,27 +462,24 @@ let test_frontiers_four_wires jobs () =
    are replayed level by level into fresh stores, each level opened with
    no reservation (every shard grows by the doubling fallback) or with
    far more room than the level needs (no shard grows mid-level): every
-   state gets its original handle, and every level its original ranges. *)
+   state gets its original handle, and every level its original ranges,
+   and an engine around the replayed store gives its states the
+   original's witnesses. *)
 let test_reservation_sizes () =
   let search, _ = run4 ~jobs:1 ~quotient:false ~depth:4 in
   let src = Search.store search in
   let replay reserve =
-    let store =
-      State_arena.create ~degree:(State_arena.degree src) ~signatures:(Array.make 256 0)
-    in
+    let store = State_arena.create ~degree:(State_arena.degree src) in
     for d = 0 to Search.depth search do
       State_arena.open_level store ~reserve:(reserve (Search.level_size search d));
       Search.iter_level search d (fun h ->
           let key = Bytes.of_string (State_arena.key_of src h) in
           let hash = State_arena.hash_key key ~off:0 ~len:(Bytes.length key) in
-          let got =
-            State_arena.try_insert store ~key ~off:0 ~hash ~depth:d
-              ~via:(State_arena.via_of src h) ~conj:(State_arena.conj_of src h)
-              ~parent:(State_arena.parent_of src h)
-          in
+          let got = State_arena.try_insert store ~key ~off:0 ~hash in
           if got <> h then Alcotest.failf "level %d: handle %d replayed as %d" d h got)
     done;
     check Alcotest.int "states" (State_arena.size src) (State_arena.size store);
+    let replayed = Search.of_store library4 store in
     for d = 0 to Search.depth search do
       Search.iter_level search d (fun h ->
           let key = State_arena.key_of src h in
@@ -478,9 +488,14 @@ let test_reservation_sizes () =
           if
             State_arena.find store b ~off:0 ~hash <> h
             || State_arena.key_of store h <> key
-            || State_arena.parent_of store h <> State_arena.parent_of src h
-            || State_arena.via_of store h <> State_arena.via_of src h
-          then Alcotest.failf "level %d: handle %d holds another state" d h);
+            || State_arena.depth_of store h <> d
+          then Alcotest.failf "level %d: handle %d holds another state" d h;
+          (* one state in eight keeps the witness walks cheap; every
+             level and shard is still sampled *)
+          if
+            State_arena.index_of_handle h land 7 = 0
+            && Search.cascade_of_handle replayed h <> Search.cascade_of_handle search h
+          then Alcotest.failf "level %d: handle %d has another witness" d h);
       for s = 0 to State_arena.num_shards - 1 do
         if
           State_arena.level_start store ~depth:d s <> State_arena.level_start src ~depth:d s
@@ -554,7 +569,7 @@ let () =
         [
           Alcotest.test_case "Hashtbl reference, 65536 keys" `Quick test_arena_reference;
           Alcotest.test_case "shard, slot and tag collisions" `Quick test_arena_tag_collisions;
-          Alcotest.test_case "packed fields at their bounds" `Quick test_arena_field_bounds;
+          Alcotest.test_case "derived depth at level bounds" `Quick test_arena_level_depths;
           Alcotest.test_case "step allocation, plain" `Quick (test_step_allocation false);
           Alcotest.test_case "step allocation, quotient" `Quick (test_step_allocation true);
         ] );

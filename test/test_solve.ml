@@ -137,6 +137,26 @@ let decision_table () =
     (List.length rows);
   List.iter2 (fun w g -> check Alcotest.string "row" w g) want rows
 
+(* Every synthesized answer in the table, whichever plan produced it,
+   is a witness that replays exactly: reasonable, the right restriction,
+   and an exact unitary implementing the target. *)
+let table_witnesses_replay () =
+  let n = ref 0 in
+  List.iter
+    (fun row ->
+      let resp = List.nth (String.split_on_char '\t' row) 5 in
+      match Mce.Response.of_string resp with
+      | Error e -> Alcotest.failf "row does not decode (%s): %s" e resp
+      | Ok r -> (
+          match Mce.Response.result_of r with
+          | None -> ()
+          | Some result ->
+              incr n;
+              if not (Verify.result_valid library3 result) then
+                Alcotest.failf "witness does not replay exactly: %s" resp))
+    (Lazy.force table);
+  Alcotest.(check bool) "some rows carry witnesses" true (!n > 0)
+
 (* {1 Codec fuzzing} *)
 
 let qtest ?(count = 500) name gen prop =
@@ -262,7 +282,11 @@ let table_responses_roundtrip () =
 let () =
   Alcotest.run "solve"
     [
-      ("decision table", [ Alcotest.test_case "golden rows" `Quick decision_table ]);
+      ( "decision table",
+        [
+          Alcotest.test_case "golden rows" `Quick decision_table;
+          Alcotest.test_case "witnesses replay exactly" `Quick table_witnesses_replay;
+        ] );
       ( "codec fuzz",
         [
           fuzz_random_strings;

@@ -412,7 +412,7 @@ let test_mce_forward_replay () =
     ];
   checkb "toffoli witness" true
     (Cascade.equal (forward "toffoli").Mce.cascade
-       (Cascade.of_string ~qubits:3 "FBA*VCB*V+CA*FBA*V+CB"))
+       (Cascade.of_string ~qubits:3 "FAB*V+CA*FAB*VCB*VCA"))
 
 let test_mce_all_realizations () =
   let results = Mce.all_realizations library3 Reversible.Gates.toffoli3 in
