@@ -157,6 +157,37 @@ let table_witnesses_replay () =
     (Lazy.force table);
   Alcotest.(check bool) "some rows carry witnesses" true (!n > 0)
 
+(* One witness rule: wherever a forward search and an index probe both
+   synthesize a target (every task, resource and plan of the table), they
+   return the same cascade for it. *)
+let forward_and_index_agree () =
+  let witness = Hashtbl.create 16 and pairs = ref 0 in
+  List.iter
+    (fun row ->
+      match Mce.Response.of_string (List.nth (String.split_on_char '\t' row) 5) with
+      | Ok
+          {
+            Mce.Response.body =
+              Ok
+                {
+                  plan = (Mce.Response.Index_hit | Forward_bfs) as plan;
+                  payload = Synthesized { target; not_mask; cascade; _ };
+                };
+            _;
+          } -> (
+          let key = (Permgroup.Perm.key (Reversible.Revfun.to_perm target), not_mask) in
+          match Hashtbl.find_opt witness key with
+          | None -> Hashtbl.replace witness key (plan, cascade)
+          | Some (plan', cascade') ->
+              if plan <> plan' then incr pairs;
+              if not (Cascade.equal cascade cascade') then
+                Alcotest.failf "%s answer %s differs from %s answer %s"
+                  (Mce.Response.plan_to_string plan) (Cascade.to_string cascade)
+                  (Mce.Response.plan_to_string plan') (Cascade.to_string cascade'))
+      | _ -> ())
+    (Lazy.force table);
+  Alcotest.(check bool) "some targets answered by both plans" true (!pairs > 0)
+
 (* {1 Codec fuzzing} *)
 
 let qtest ?(count = 500) name gen prop =
@@ -286,6 +317,8 @@ let () =
         [
           Alcotest.test_case "golden rows" `Quick decision_table;
           Alcotest.test_case "witnesses replay exactly" `Quick table_witnesses_replay;
+          Alcotest.test_case "forward and index witnesses agree" `Quick
+            forward_and_index_agree;
         ] );
       ( "codec fuzz",
         [
