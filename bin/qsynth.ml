@@ -472,7 +472,7 @@ let census_cmd =
   let max_mem_arg =
     Arg.(value & opt (some byte_size) None & info [ "max-mem" ] ~docv:"BYTES"
            ~doc:"Stop before expanding the next level when the state store \
-                 (keys, metadata, parents and probe tables) would hold more than \
+                 (keys and probe tables) would hold more than \
                  $(docv) bytes once room for that level's predicted size is \
                  reserved (K/M/G suffixes accepted); the census is reported as \
                  partial (exit 125).")
