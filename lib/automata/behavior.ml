@@ -45,22 +45,31 @@ let synthesize ?(max_depth = 7) library spec =
   let encoding = Library.encoding library in
   let nb = Mvl.Encoding.num_binary encoding in
   if Array.length spec <> nb then invalid_arg "Behavior.synthesize: spec arity";
-  let key_matches key =
+  let search = Search.create library in
+  let store = Search.store search in
+  let key_matches h =
+    let src = State_arena.shard_arena store (State_arena.shard_of_handle h) in
+    let off = State_arena.key_offset store h in
     let rec go input =
       input >= nb
-      || (matches spec ~input (Mvl.Encoding.pattern encoding (Char.code key.[input]))
-         && go (input + 1))
+      || matches spec ~input
+           (Mvl.Encoding.pattern encoding (Char.code (Bytes.get src (off + input))))
+         && go (input + 1)
     in
     go 0
   in
-  let search = Search.create library in
+  (* the first match of the newest level, in the canonical order *)
   let rec run () =
-    match List.filter key_matches (Search.frontier search) with
-    | key :: _ -> Some (Prob_circuit.of_cascade library (Search.cascade_of_key search key))
-    | [] ->
-        if Search.depth search >= max_depth then None
-        else if Search.step search = [] then None
-        else run ()
+    let found = ref (-1) in
+    Search.iter_level search (Search.depth search) (fun h ->
+        if !found < 0 && key_matches h then found := h);
+    if !found >= 0 then
+      Some (Prob_circuit.of_cascade library (Search.cascade_of_handle search !found))
+    else if Search.depth search >= max_depth then None
+    else
+      match Search.try_step search ~cancel:(fun () -> false) with
+      | Some fresh when fresh > 0 -> run ()
+      | Some _ | None -> None
   in
   run ()
 

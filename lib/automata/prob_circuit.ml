@@ -57,20 +57,18 @@ let point_spec library spec =
 
 let synthesize ?(max_depth = 7) library spec =
   let points = point_spec library spec in
-  let nb = Array.length points in
-  let matches key =
-    let rec go i = i >= nb || (Char.code key.[i] = points.(i) && go (i + 1)) in
-    go 0
-  in
+  (* the spec is one exact image: look it up after each level *)
+  let target = String.init (Array.length points) (fun i -> Char.chr points.(i)) in
   let search = Search.create library in
   let rec run () =
-    let matching = List.filter matches (Search.frontier search) in
-    match matching with
-    | key :: _ -> Some (of_cascade library (Search.cascade_of_key search key))
-    | [] ->
+    match Search.handle_of_key search target with
+    | Some h -> Some (of_cascade library (Search.cascade_of_handle search h))
+    | None -> (
         if Search.depth search >= max_depth then None
-        else if Search.step search = [] then None
-        else run ()
+        else
+          match Search.try_step search ~cancel:(fun () -> false) with
+          | Some fresh when fresh > 0 -> run ()
+          | Some _ | None -> None)
   in
   run ()
 

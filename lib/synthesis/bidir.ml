@@ -9,6 +9,7 @@ let m_joins = Telemetry.Counter.create "bidir.joins"
 let m_bwd_states = Telemetry.Counter.create "bidir.backward.states"
 let g_fwd_depth = Telemetry.Gauge.create "bidir.forward.depth"
 let g_bwd_depth = Telemetry.Gauge.create "bidir.backward.depth"
+let g_bwd_bytes = Telemetry.Gauge.create "bidir.backward.bytes"
 let h_query = Telemetry.Histogram.create "bidir.query.seconds"
 
 (* Why both waves run over image vectors.
@@ -48,8 +49,7 @@ type t = {
   search : Search.t; (* the shared forward wave, grown lazily *)
   nb : int;
   signatures : int array; (* mixed signature per encoding point *)
-  inverse_arrays : int array array;
-  purity_masks : int array;
+  entries : Library.entry array;
   max_fwd_depth : int;
   mutable fwd_exhausted : bool;
 }
@@ -62,15 +62,13 @@ let create ?(jobs = 1) ?(max_fwd_depth = 7) library =
      pipeline runs under --quotient. *)
   let search = Search.create ~jobs library in
   let encoding = Library.encoding library in
-  let degree = Mvl.Encoding.size encoding in
-  let entries = Library.entries library in
   {
     library;
     search;
     nb = Mvl.Encoding.num_binary encoding;
-    signatures = Array.init degree (Mvl.Encoding.mixed_signature encoding);
-    inverse_arrays = Array.map (fun e -> e.Library.inverse_array) entries;
-    purity_masks = Array.map (fun e -> e.Library.purity_mask) entries;
+    signatures =
+      Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding);
+    entries = Library.entries library;
     max_fwd_depth;
     fwd_exhausted = false;
   }
@@ -79,62 +77,53 @@ let fwd_depth t = Search.depth t.search
 
 exception Cancelled
 
-(* Backward states, stored in parallel growable columns: the image
-   vector, the gate that leads forward out of it, the successor id, and
-   the depth (suffix length to the target).  Ids are insertion order. *)
-type bwd = {
-  mutable vec : string array;
-  mutable via : int array;
-  mutable next : int array; (* successor state id, -1 at the target root *)
-  mutable dep : int array;
-  mutable len : int;
-  seen : (string, int) Hashtbl.t; (* vector -> id *)
-}
+(* The backward wave is a store of image vectors like the forward one:
+   level d holds the vectors whose shortest legal suffix to the target
+   has d gates, level 0 the target alone.  A state is its key; its depth
+   is its level, and its suffix is derived below. *)
 
-let bwd_create root =
-  let b =
-    {
-      vec = Array.make 256 root;
-      via = Array.make 256 (-1);
-      next = Array.make 256 (-1);
-      dep = Array.make 256 0;
-      len = 1;
-      seen = Hashtbl.create 1024;
-    }
+(* [legal t v g] is whether gate [g] may be applied at the image [v]:
+   no point of [v] is mixed on a wire [g] needs pure. *)
+let legal t v g =
+  let mask = t.entries.(g).Library.purity_mask in
+  let rec go j =
+    j >= t.nb
+    || (t.signatures.(Char.code (Bytes.unsafe_get v j)) land mask = 0 && go (j + 1))
   in
-  Hashtbl.add b.seen root 0;
-  b
+  go 0
 
-let bwd_push b v ~via ~next ~dep =
-  if b.len = Array.length b.vec then begin
-    let grow a fill =
-      let a' = Array.make (2 * b.len) fill in
-      Array.blit a 0 a' 0 b.len;
-      a'
+(* [bwd_suffix t bwd bid] is the forward-order gate suffix from backward
+   state [bid] to the target: at depth d, the least gate that is legal at
+   the vector and takes it into level d - 1; then the same from there.
+   The gate that inserted the vector is one such gate, so each step
+   exists, and each lowers the depth. *)
+let bwd_suffix t bwd bid =
+  let nb = t.nb in
+  let v = Bytes.create nb and w = Bytes.create nb in
+  Bytes.blit
+    (State_arena.shard_arena bwd (State_arena.shard_of_handle bid))
+    (State_arena.key_offset bwd bid) v 0 nb;
+  let gates = ref [] in
+  for d = State_arena.depth_of bwd bid downto 1 do
+    let rec least g =
+      if g >= Array.length t.entries then
+        invalid_arg "Bidir: no backward state one level closer to the target"
+      else if not (legal t v g) then least (g + 1)
+      else begin
+        let perm = t.entries.(g).Library.perm_array in
+        for j = 0 to nb - 1 do
+          Bytes.unsafe_set w j (Char.unsafe_chr perm.(Char.code (Bytes.unsafe_get v j)))
+        done;
+        let hash = State_arena.hash_key w ~off:0 ~len:nb in
+        let h = State_arena.find bwd w ~off:0 ~hash in
+        if h >= 0 && State_arena.in_level bwd h ~depth:(d - 1) then g else least (g + 1)
+      end
     in
-    b.vec <- grow b.vec v;
-    b.via <- grow b.via 0;
-    b.next <- grow b.next 0;
-    b.dep <- grow b.dep 0
-  end;
-  let id = b.len in
-  b.vec.(id) <- v;
-  b.via.(id) <- via;
-  b.next.(id) <- next;
-  b.dep.(id) <- dep;
-  b.len <- id + 1;
-  Hashtbl.add b.seen v id;
-  id
-
-(* The forward-order gate suffix recorded by a backward state: its own
-   via gate (applied at its vector), then its successor's, up to the
-   target root. *)
-let bwd_suffix entries b id =
-  let rec walk id acc =
-    let g = b.via.(id) in
-    if g < 0 then List.rev acc else walk b.next.(id) (entries.(g).Library.gate :: acc)
-  in
-  walk id []
+    let g = least 0 in
+    gates := t.entries.(g).Library.gate :: !gates;
+    Bytes.blit w 0 v 0 nb
+  done;
+  List.rev !gates
 
 type outcome = {
   cascade : Cascade.t;
@@ -160,70 +149,78 @@ let synthesize ?(max_cost = 14) ?(lower_bound = 0) ?(should_stop = no_stop) t re
     ~attrs:[ ("max_cost", Telemetry.Json.Int max_cost) ]
   @@ fun () ->
   let nb = t.nb in
-  let entries = Library.entries t.library in
-  let ngates = Array.length t.purity_masks in
-  let target = String.init nb (fun j -> Char.chr (Revfun.apply remainder j)) in
-  let bwd = bwd_create target in
+  let ngates = Array.length t.entries in
+  let fwd = Search.store t.search in
+  let target = Bytes.init nb (fun j -> Char.chr (Revfun.apply remainder j)) in
+  let bwd = State_arena.create ~degree:nb in
+  State_arena.open_level bwd ~reserve:1;
+  let root =
+    State_arena.try_insert bwd ~key:target ~off:0
+      ~hash:(State_arena.hash_key target ~off:0 ~len:nb)
+  in
   let bwd_depth = ref 0 in
-  let bwd_frontier = ref [ 0 ] in
-  (* best join so far: (total cost, forward handle, backward id) *)
+  let bwd_frontier () = State_arena.level_size bwd ~depth:!bwd_depth in
+  (* best join so far: (total cost, forward handle, backward handle) *)
   let best = ref None in
   let consider fh bid =
     Telemetry.Counter.incr m_joins;
-    let total = Search.depth_of_handle t.search fh + bwd.dep.(bid) in
+    let total = Search.depth_of_handle t.search fh + State_arena.depth_of bwd bid in
     match !best with
     | Some (c, _, _) when c <= total -> ()
     | _ -> best := Some (total, fh, bid)
   in
+  (* The forward state of the image at [v.[0 ..]], or -1. *)
+  let forward_handle v =
+    match Search.locate t.search v 0 with -1 -> -1 | r -> r lsr Search.conj_bits
+  in
   (* seed: the target vector may already be a forward image (a grown
      wave answers any cost <= Df query with a single lookup here) *)
-  (match Search.handle_of_key t.search target with
-  | Some fh -> consider fh 0
-  | None -> ());
+  (match forward_handle target with
+  | -1 -> ()
+  | fh -> consider fh root);
   let grow_forward () =
     match Search.try_step t.search ~cancel:should_stop with
     | None -> raise Cancelled
     | Some 0 -> t.fwd_exhausted <- true
     | Some _ ->
         Search.iter_level t.search (Search.depth t.search) (fun fh ->
-            match Hashtbl.find_opt bwd.seen (Search.key_of_handle t.search fh) with
-            | Some bid -> consider fh bid
-            | None -> ())
+            let src = State_arena.shard_arena fwd (State_arena.shard_of_handle fh) in
+            let off = State_arena.key_offset fwd fh in
+            let hash = State_arena.hash_key src ~off ~len:nb in
+            match State_arena.find bwd src ~off ~hash with
+            | -1 -> ()
+            | bid -> consider fh bid)
   in
-  let scratch = Bytes.create nb in
+  let parent = Bytes.create nb and pre = Bytes.create nb in
   let grow_backward () =
     let d = !bwd_depth + 1 in
-    let next = ref [] in
-    List.iter
-      (fun id ->
+    State_arena.open_level bwd ~reserve:(State_arena.predicted_level bwd ~fanout:ngates);
+    State_arena.iter_level bwd ~depth:(d - 1) (fun id ->
         if should_stop () then raise Cancelled;
-        let w = bwd.vec.(id) in
+        (* inserts may move the shard arenas: read the parent from a copy *)
+        Bytes.blit
+          (State_arena.shard_arena bwd (State_arena.shard_of_handle id))
+          (State_arena.key_offset bwd id) parent 0 nb;
         for g = 0 to ngates - 1 do
-          let inv = t.inverse_arrays.(g) in
-          let sg = ref 0 in
+          let inv = t.entries.(g).Library.inverse_array in
           for j = 0 to nb - 1 do
-            let p = Array.unsafe_get inv (Char.code (String.unsafe_get w j)) in
-            Bytes.unsafe_set scratch j (Char.unsafe_chr p);
-            sg := !sg lor Array.unsafe_get t.signatures p
+            Bytes.unsafe_set pre j
+              (Char.unsafe_chr
+                 (Array.unsafe_get inv (Char.code (Bytes.unsafe_get parent j))))
           done;
-          if !sg land t.purity_masks.(g) = 0 then begin
-            let v = Bytes.to_string scratch in
-            if not (Hashtbl.mem bwd.seen v) then begin
-              let vid = bwd_push bwd v ~via:g ~next:id ~dep:d in
-              (match Search.handle_of_key t.search v with
-              | Some fh -> consider fh vid
-              | None -> ());
-              next := vid :: !next
-            end
-          end
-        done)
-      !bwd_frontier;
-    bwd_frontier := List.rev !next;
+          if legal t pre g then
+            match
+              State_arena.try_insert bwd ~key:pre ~off:0
+                ~hash:(State_arena.hash_key pre ~off:0 ~len:nb)
+            with
+            | -1 -> ()
+            | vid -> ( match forward_handle pre with -1 -> () | fh -> consider fh vid)
+        done);
     bwd_depth := d
   in
   let reach () =
     (if t.fwd_exhausted then infinite else Search.depth t.search)
-    + if !bwd_frontier = [] then infinite else !bwd_depth
+    + if bwd_frontier () = 0 then infinite else !bwd_depth
   in
   let answered () =
     match !best with
@@ -236,13 +233,13 @@ let synthesize ?(max_cost = 14) ?(lower_bound = 0) ?(should_stop = no_stop) t re
        let can_fwd =
          (not t.fwd_exhausted) && Search.depth t.search < t.max_fwd_depth
        in
-       let can_bwd = !bwd_frontier <> [] in
+       let can_bwd = bwd_frontier () > 0 in
        if not (can_fwd || can_bwd) then raise Exit
        else if
          (* grow the side whose next level looks cheaper *)
          can_fwd
          && ((not can_bwd)
-            || Search.frontier_size t.search <= List.length !bwd_frontier)
+            || Search.frontier_size t.search <= bwd_frontier ())
        then grow_forward ()
        else grow_backward ()
      done
@@ -253,28 +250,30 @@ let synthesize ?(max_cost = 14) ?(lower_bound = 0) ?(should_stop = no_stop) t re
           m "query cancelled at forward depth %d, backward depth %d"
             (Search.depth t.search) !bwd_depth);
       best := None);
-  Telemetry.Counter.add m_bwd_states bwd.len;
+  let bwd_states = State_arena.size bwd in
+  Telemetry.Counter.add m_bwd_states bwd_states;
   Telemetry.Gauge.set_int g_fwd_depth (Search.depth t.search);
   Telemetry.Gauge.set_int g_bwd_depth !bwd_depth;
+  Telemetry.Gauge.set_int g_bwd_bytes (State_arena.bytes bwd);
   if Telemetry.enabled () then begin
     Telemetry.Span.set_attr "fwd_depth" (Telemetry.Json.Int (Search.depth t.search));
     Telemetry.Span.set_attr "bwd_depth" (Telemetry.Json.Int !bwd_depth);
-    Telemetry.Span.set_attr "bwd_states" (Telemetry.Json.Int bwd.len)
+    Telemetry.Span.set_attr "bwd_states" (Telemetry.Json.Int bwd_states)
   end;
   match !best with
   | Some (cost, fh, bid) when cost <= max_cost ->
-      let cascade = Search.cascade_of_handle t.search fh @ bwd_suffix entries bwd bid in
+      let cascade = Search.cascade_of_handle t.search fh @ bwd_suffix t bwd bid in
       Telemetry.Span.set_attr "cost" (Telemetry.Json.Int cost);
       Log.info (fun m ->
           m "join at cost %d (forward %d + backward %d; %d backward states)" cost
             (Search.depth_of_handle t.search fh)
-            bwd.dep.(bid) bwd.len);
+            (State_arena.depth_of bwd bid) bwd_states);
       Some
         {
           cascade;
           cost;
           fwd_depth = Search.depth t.search;
           bwd_depth = !bwd_depth;
-          bwd_states = bwd.len;
+          bwd_states;
         }
   | Some _ | None -> None

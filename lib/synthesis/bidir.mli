@@ -8,8 +8,10 @@
     sequence may legally follow a circuit and which binary function the
     composite computes depend only on that vector, so the backward wave
     searches the same vector space as the forward one: vector [v] steps backward to every pre-image
-    [inverse_array(g) v] whose signature admits [g].  Each fresh state
-    on either side probes the other side's table; the first join found
+    [inverse_array(g) v] whose signature admits [g].  Each query keeps
+    its backward wave in a {!State_arena} of its own, level [d] holding
+    the vectors [d] gates from the target.  Each fresh state on either
+    side probes the other side's store; the first join found
     is already a {e minimum}-cost realization, because every realization
     of cost [<= fwd_depth + bwd_depth] is provably discovered (see the
     completeness argument in [bidir.ml]).
@@ -18,7 +20,7 @@
     engine — two depth-D waves certify costs up to [2·D] — while the
     forward wave is shared across the queries of one context: once a
     query has grown it to depth [Df], a later cost [<= Df] query answers
-    with a single hashtable lookup and certifies deeper costs by growing
+    with a single probe of the forward store and certifies deeper costs by growing
     only the (cheap) backward side.  Because the wave a query finds
     depends on the queries before it, a shared context may return a
     different minimum-cost witness for the same target; the cost never

@@ -234,22 +234,9 @@ let frontier_size t = level_size t (depth t)
 let frontier_handles t = handles_at_depth t (depth t)
 let key_of_handle t h = State_arena.key_of t.store h
 let depth_of_handle t h = State_arena.depth_of t.store h
-let frontier t = Array.to_list (Array.map (key_of_handle t) (frontier_handles t))
 
-(* The next level's predicted size: the frontier times the last level's
-   new states per parent, plus an eighth, or the frontier times the gate
-   count from the root; never more than one state per legal child.  The
-   eighth covers a growth ratio that rises again: level 10 of the 4-wire
-   quotient census is 4.5% above the plain prediction, and a level that
-   outgrows its reservation copies every shard's columns a second time. *)
 let predicted_level t =
-  let n = frontier_size t in
-  let bound = n * Array.length t.perm_arrays in
-  if depth t = 0 then bound
-  else
-    let prev = max 1 (level_size t (depth t - 1)) in
-    let guess = ((n * n) + prev - 1) / prev in
-    min bound (guess + (guess / 8))
+  State_arena.predicted_level t.store ~fanout:(Array.length t.perm_arrays)
 
 let predicted_bytes t = State_arena.reserve_bytes t.store (predicted_level t)
 
@@ -576,9 +563,7 @@ let step_handles t =
   | Some _ -> frontier_handles t
   | None -> assert false (* never_cancel cannot fire *)
 
-let step t = Array.to_list (Array.map (key_of_handle t) (step_handles t))
-
-(* {1 Key-based lookups (legacy string interface)} *)
+(* {1 Key-based lookups} *)
 
 let find_key t key =
   if String.length key <> t.klen then -1
@@ -607,9 +592,6 @@ let restriction_of_key t key =
     let perm = Perm.unsafe_of_array (Array.init nb (fun i -> Char.code key.[i])) in
     Some (Reversible.Revfun.of_perm ~bits:(Library.qubits t.library) perm)
   else None
-
-let depth_of_key t key =
-  match find_key t key with -1 -> None | h -> Some (State_arena.depth_of t.store h)
 
 (* {1 The backward step}
 

@@ -160,6 +160,8 @@ val try_step : t -> cancel:(unit -> bool) -> int option
     them when level [d] was expanded). *)
 val handles_at_depth : t -> int -> handle array
 
+(** [key_of_handle t h] is the state's key as a fresh string
+    ({!State_arena.key_of}). *)
 val key_of_handle : t -> handle -> string
 
 (** [depth_of_handle t h] is the level holding [h]
@@ -203,15 +205,6 @@ val locate : t -> Bytes.t -> int -> int
     -2 when the probed pre-image is absent or at another level. *)
 val back_probe : t -> Library.entry -> Bytes.t -> int -> depth:int -> dst:Bytes.t -> int
 
-(** {1 String-key interface (legacy, kept for existing callers)} *)
-
-(** [frontier t] is the keys of the states discovered at [depth t]. *)
-val frontier : t -> string list
-
-(** [step t] expands one level and returns the new frontier (the keys of
-    B[depth+1]); an empty result means the reachable set is exhausted. *)
-val step : t -> string list
-
 (** {1 Key decoding} *)
 
 (** [handle_of_key t key] is the stored state with image [key], if any. *)
@@ -226,10 +219,6 @@ val is_function : t -> handle -> bool
 (** [restriction_of_key t key] is the binary reversible function computed
     by the state, when it maps the binary block onto itself. *)
 val restriction_of_key : t -> string -> Reversible.Revfun.t option
-
-(** [depth_of_key t key] is the level at which the state was discovered
-    (its minimal gate count), or [None] for unseen states. *)
-val depth_of_key : t -> string -> int option
 
 (** {1 Factorization} *)
 

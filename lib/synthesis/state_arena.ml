@@ -238,6 +238,22 @@ let level_size t ~depth =
     !n
   end
 
+(* The newest level's size times the last level's new states per
+   parent, plus an eighth, or times [fanout] from the root; never more
+   than [fanout] states per parent.  The eighth covers a growth ratio
+   that rises again: level 10 of the 4-wire quotient census is 4.5%
+   above the plain prediction, and a level that outgrows its
+   reservation copies every shard's arena a second time. *)
+let predicted_level t ~fanout =
+  let depth = t.levels - 1 in
+  let n = level_size t ~depth in
+  let bound = n * fanout in
+  if depth = 0 then bound
+  else
+    let prev = max 1 (level_size t ~depth:(depth - 1)) in
+    let guess = ((n * n) + prev - 1) / prev in
+    min bound (guess + (guess / 8))
+
 let in_level t h ~depth =
   depth >= 0
   && depth < t.levels

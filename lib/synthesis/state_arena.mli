@@ -101,8 +101,8 @@ val shard_arena : t -> int -> Bytes.t
     [shard_arena t (shard_of_handle handle)]. *)
 val key_offset : t -> int -> int
 
-(** [key_of t handle] materializes the key as a fresh string (legacy
-    interface; the hot paths read the arena directly). *)
+(** [key_of t handle] is the key as a fresh string.  The engine reads
+    keys in place ({!shard_arena} at {!key_offset}) instead. *)
 val key_of : t -> int -> string
 
 (** [depth_of t handle] is the level holding the stored state [handle],
@@ -153,6 +153,14 @@ val reserve_bytes : t -> int -> int
 (** [levels t] is the number of levels opened (the deepest level plus
     one). *)
 val levels : t -> int
+
+(** [predicted_level t ~fanout] is the predicted size of the next level
+    of a search that expands each state of the newest level into at
+    most [fanout] children: the newest level times the last level's new
+    states per parent, plus an eighth ([fanout] times the newest level
+    when only the root is stored, and never more).  It only sizes
+    {!open_level}'s reservation. *)
+val predicted_level : t -> fanout:int -> int
 
 (** [level_start t ~depth s] and [level_end t ~depth s] bound level
     [depth]'s local indexes in shard [s]: the level's states there are

@@ -18,6 +18,11 @@ let pattern_gen qubits =
 
 let library3 = Synthesis.Library.make (Mvl.Encoding.make ~qubits:3)
 
+(* The synthesizers return the first match of the shallowest level in
+   the search's canonical order, and its backward-step witness: the
+   exact cascade is pinned, not only its cost. *)
+let cascade_string circuit = Synthesis.Cascade.to_string (Prob_circuit.cascade circuit)
+
 (* Measurement *)
 
 let test_wire_distribution () =
@@ -93,6 +98,7 @@ let test_synthesize_two_coin () =
   match Prob_circuit.synthesize library3 spec with
   | Some circuit ->
       check Alcotest.int "cost 2" 2 (Synthesis.Cascade.cost (Prob_circuit.cascade circuit));
+      check Alcotest.string "cascade" "VCA*VBA" (cascade_string circuit);
       (* The synthesized circuit matches the spec on every input. *)
       Array.iteri
         (fun input expected ->
@@ -108,7 +114,8 @@ let test_synthesize_deterministic_spec () =
   in
   match Prob_circuit.synthesize library3 spec with
   | Some circuit ->
-      check Alcotest.int "cost 0" 0 (Synthesis.Cascade.cost (Prob_circuit.cascade circuit))
+      check Alcotest.int "cost 0" 0 (Synthesis.Cascade.cost (Prob_circuit.cascade circuit));
+      check Alcotest.string "cascade" "()" (cascade_string circuit)
   | None -> Alcotest.fail "identity spec realizable"
 
 let test_spec_errors () =
@@ -367,6 +374,7 @@ let test_behavior_synthesize () =
   | Some circuit ->
       check Alcotest.int "cost 2" 2
         (Synthesis.Cascade.cost (Prob_circuit.cascade circuit));
+      check Alcotest.string "cascade" "V+CA*V+BA" (cascade_string circuit);
       checkb "satisfied" true (Behavior.satisfied_by spec circuit)
   | None -> Alcotest.fail "behaviour realizable"
 
@@ -383,6 +391,8 @@ let test_behavior_dont_cares_help () =
   in
   match (Behavior.synthesize library3 strict, Behavior.synthesize library3 relaxed) with
   | Some s, Some r ->
+      check Alcotest.string "strict cascade" "V+CA" (cascade_string s);
+      check Alcotest.string "relaxed cascade" "V+CA" (cascade_string r);
       checkb "relaxed not costlier" true
         (Synthesis.Cascade.cost (Prob_circuit.cascade r)
         <= Synthesis.Cascade.cost (Prob_circuit.cascade s))
@@ -398,6 +408,7 @@ let test_behavior_observe_roundtrip () =
   (* re-synthesis from the observed behaviour costs no more *)
   match Behavior.synthesize library3 observed with
   | Some resynth ->
+      check Alcotest.string "cascade" "V+CA" (cascade_string resynth);
       checkb "cost preserved" true
         (Synthesis.Cascade.cost (Prob_circuit.cascade resynth)
         <= Synthesis.Cascade.cost (Prob_circuit.cascade coin))

@@ -67,7 +67,9 @@ let test_exhaustive_census_costs () =
             Alcotest.failf "cascade length %d differs from cost %d"
               (List.length o.Bidir.cascade) cost;
           if not (realizes m.Fmcf.func o.Bidir.cascade) then
-            Alcotest.failf "illegal or wrong cascade for a cost-%d member" cost);
+            Alcotest.failf "illegal or wrong cascade for a cost-%d member" cost;
+          if not (Verify.cascade_implements ~qubits:3 o.Bidir.cascade m.Fmcf.func) then
+            Alcotest.failf "exact unitary replay fails for a cost-%d member" cost);
   check Alcotest.int "census members queried" census_total !total;
   checkb "forward wave stayed capped" true (Bidir.fwd_depth engine <= 4)
 
@@ -115,6 +117,43 @@ let test_cost8_beyond_census () =
       (match Bidir.synthesize ~max_cost:14 ~lower_bound:8 engine cost8 with
       | Some o' -> check Alcotest.int "cost with lower bound" 8 o'.Bidir.cost
       | None -> Alcotest.fail "lower-bound query found nothing")
+
+(* The backward wave's size and depth on a fresh context, pinned: the
+   schedule (which side grows next) and every level of the backward wave
+   are fixed by the library and the target, whatever stores them.  An
+   unrealizable query returns [None], so its wave is read from the
+   [bidir.backward.states] counter. *)
+let library4 = Library.make (Mvl.Encoding.make ~qubits:4)
+let two_cnots4 = Spec.parse ~bits:4 "0,1,2,3,4,5,7,6,8,9,10,11,12,13,15,14"
+let c3not = Spec.parse ~bits:4 "0,1,2,3,4,5,6,7,8,9,10,11,12,13,15,14"
+
+let test_backward_wave_pins () =
+  let pin name ?max_cost library target ~cost ~states ~depth =
+    match Bidir.synthesize ?max_cost (Bidir.create library) target with
+    | None -> Alcotest.failf "%s: no realization found" name
+    | Some o ->
+        check Alcotest.int (name ^ " cost") cost o.Bidir.cost;
+        check Alcotest.int (name ^ " bwd_states") states o.Bidir.bwd_states;
+        check Alcotest.int (name ^ " bwd_depth") depth o.Bidir.bwd_depth;
+        checkb (name ^ " unitary") true
+          (Verify.cascade_implements ~qubits:(Library.qubits library) o.Bidir.cascade
+             target)
+  in
+  pin "fredkin" library3 fredkin ~cost:7 ~states:796 ~depth:3;
+  pin "cost 8" ~max_cost:14 library3 cost8 ~cost:8 ~states:2626 ~depth:4;
+  pin "4-wire cost 5" library4 two_cnots4 ~cost:5 ~states:685 ~depth:2;
+  let counter = Telemetry.Counter.create "bidir.backward.states" in
+  let depth = Telemetry.Gauge.create "bidir.backward.depth" in
+  Telemetry.set_enabled true;
+  let before = Telemetry.Counter.value counter in
+  let answer =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_enabled false)
+      (fun () -> Bidir.synthesize ~max_cost:8 (Bidir.create library4) c3not)
+  in
+  checkb "C3NOT unrealizable within 8" true (answer = None);
+  check Alcotest.int "C3NOT bwd_states" 74_557 (Telemetry.Counter.value counter - before);
+  check Alcotest.int "C3NOT bwd_depth" 4 (int_of_float (Telemetry.Gauge.value depth))
 
 let test_determinism_across_jobs () =
   let run jobs =
@@ -359,6 +398,7 @@ let () =
             test_cost8_beyond_census;
           Alcotest.test_case "deterministic across jobs" `Quick
             test_determinism_across_jobs;
+          Alcotest.test_case "backward wave sizes pinned" `Quick test_backward_wave_pins;
         ] );
       ( "census index",
         [

@@ -129,9 +129,12 @@ let reference_cascade census (member : Fmcf.member) =
     Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding)
   in
   let depth_of img =
-    match Search.symmetry search with
-    | Some sym -> Search.depth_of_key search (fst (Symmetry.canon sym img))
-    | None -> Search.depth_of_key search img
+    let key =
+      match Search.symmetry search with
+      | Some sym -> fst (Symmetry.canon sym img)
+      | None -> img
+    in
+    Option.map (Search.depth_of_handle search) (Search.handle_of_key search key)
   in
   let v = Bytes.init nb (fun b -> Char.chr (Revfun.apply member.Fmcf.func b)) in
   let u = Bytes.create nb in

@@ -141,7 +141,7 @@ let qcheck_arena_compose =
         String.init (Search.key_length s) (fun b -> Char.chr (Permgroup.Perm.apply p b))
       in
       let img = image !perm in
-      match Search.depth_of_key s img with
+      match Option.map (Search.depth_of_handle s) (Search.handle_of_key s img) with
       | None -> false
       | Some d ->
           d <= List.length vias

@@ -208,9 +208,9 @@ let search_to ?(max_depth = max_int) library =
 
 let test_search_levels () =
   let search = Search.create library3 in
-  check Alcotest.int "B1" 18 (List.length (Search.step search));
-  check Alcotest.int "B2" 144 (List.length (Search.step search));
-  check Alcotest.int "B3" 633 (List.length (Search.step search));
+  check Alcotest.int "B1" 18 (Array.length (Search.step_handles search));
+  check Alcotest.int "B2" 144 (Array.length (Search.step_handles search));
+  check Alcotest.int "B3" 633 (Array.length (Search.step_handles search));
   check Alcotest.int "size after 3 levels" (1 + 18 + 144 + 633) (Search.size search);
   check Alcotest.int "3 wires, depth 7" 20_748
     (Search.size (Fmcf.search (Lazy.force census7)));
@@ -244,9 +244,8 @@ let test_search_factorization () =
 
 let test_search_all_cascades () =
   let search = Search.create library3 in
-  ignore (Search.step search);
-  ignore (Search.step search);
-  let key = List.hd (Search.frontier search) in
+  ignore (Search.step_handles search);
+  let key = Search.key_of_handle search (Search.step_handles search).(0) in
   let all = Search.all_cascades search key in
   checkb "non-empty" true (all <> []);
   checkb "recorded cascade among them" true
@@ -260,12 +259,12 @@ let test_search_all_cascades () =
 
 let test_search_restriction_of_key () =
   let search = Search.create library3 in
-  let root = List.hd (Search.frontier search) in
+  let root = Search.key_of_handle search (Search.frontier_handles search).(0) in
   (match Search.restriction_of_key search root with
   | Some f -> checkb "root is identity" true (Reversible.Revfun.is_identity f)
   | None -> Alcotest.fail "root restricts");
   check (Alcotest.option Alcotest.int) "root depth" (Some 0)
-    (Search.depth_of_key search root)
+    (Option.map (Search.depth_of_handle search) (Search.handle_of_key search root))
 
 (* FMCF *)
 
@@ -730,15 +729,8 @@ let test_census_io_library_header () =
    with End_of_file -> close_in ic);
   checkb "header records the library" true
     (List.exists (fun l -> l = "# library: nct") !lines);
-  (* same library loads and re-validates *)
-  check Alcotest.int "entries load back" (Fmcf.total_found census)
-    (List.length (Census_io.load nct path));
-  (* a different universe is refused with both names in the message *)
-  checkb "cross-library load refused" true
-    (match Census_io.load library3 path with
-    | exception Checkpoint.Mismatch msg ->
-        has_sub msg "nct" && has_sub msg "paper18"
-    | _ -> false)
+  check Alcotest.int "one line per member" (Fmcf.total_found census)
+    (List.length (List.filter (fun l -> l <> "" && l.[0] <> '#') !lines))
 
 let test_checkpoint_names_library () =
   let path = Filename.temp_file "qsynth_ckpt" ".snap" in
