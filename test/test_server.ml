@@ -93,9 +93,14 @@ let request_unknown_field_rejected () =
   let doc =
     {|{"v":1,"qubits":3,"spec":"toffoli","task":"synthesize","max_depth":7,"plan":"auto","bogus":1}|}
   in
-  match Mce.Request.of_json (Telemetry.Json.of_string doc) with
+  (match Mce.Request.of_json (Telemetry.Json.of_string doc) with
   | Ok _ -> Alcotest.fail "unknown field accepted"
-  | Error _ -> ()
+  | Error msg -> check Alcotest.string "message" {|unknown request field "bogus"|} msg);
+  (* the first unknown field in document order is the one named *)
+  let doc = {|{"spec":"toffoli","zz":1,"max_depth":-1,"aa":2}|} in
+  match Mce.Request.of_json (Telemetry.Json.of_string doc) with
+  | Ok _ -> Alcotest.fail "unknown fields accepted"
+  | Error msg -> check Alcotest.string "first unknown" {|unknown request field "zz"|} msg
 
 let request_defaults () =
   let doc = {|{"spec":"fredkin"}|} in
@@ -103,6 +108,52 @@ let request_defaults () =
   | Error e -> Alcotest.fail e
   | Ok r ->
       checkb "defaults" true (Mce.Request.equal r (Mce.Request.make "fredkin"))
+
+(* Strings the request decoder meets, with each value or error message
+   as pinned: plain strings, escapes, \u with surrogate pairs and lone
+   surrogates (U+FFFD), raw UTF-8, raw control characters and truncation. *)
+let json_string_cases =
+  [
+    ("\"plain\"", Ok "plain");
+    ("\"\"", Ok "");
+    ("\"a\\\"b\"", Ok "a\"b");
+    ("\"a\\\\b\"", Ok "a\\b");
+    ("\"\\/\\b\\f\\n\\r\\t\"", Ok "/\b\012\n\r\t");
+    ("\"\\u00e9\"", Ok "\195\169");
+    ("\"caf\195\169\"", Ok "caf\195\169");
+    ("\"\\ud83d\\ude00\"", Ok "\240\159\152\128");
+    ("\"\\ud83d\\u0041\"", Ok "\239\191\189");
+    ("\"\\ud83d\"", Ok "\239\191\189");
+    ("\"\\ude00x\"", Ok "\239\191\189x");
+    ("\"\\ud83dA\"", Ok "\239\191\189A");
+    ("\"a\nb\"", Error "control character in string at offset 2");
+    ("\"a\001b\"", Error "control character in string at offset 2");
+    ("\"abc", Error "unterminated string at offset 4");
+    ("\"ab\\", Error "truncated escape at offset 4");
+    ("\"\\q\"", Error "unknown escape at offset 3");
+    ("\"\\u12\"", Error "truncated \\u escape at offset 3");
+    ("\"\\u12zz\"", Error "malformed \\u escape at offset 7");
+    ("{\"spec\":\"0,1\001\"}", Error "control character in string at offset 12");
+    ("{\"spec\":\"0,1", Error "unterminated string at offset 12");
+  ]
+
+let json_strings_pinned () =
+  let module Json = Telemetry.Json in
+  List.iter
+    (fun (doc, want) ->
+      let got =
+        match Json.of_string doc with
+        | Json.String s -> Ok s
+        | j -> Ok ("non-string " ^ Json.to_string j)
+        | exception Json.Parse_error msg -> Error msg
+      in
+      check Alcotest.(result string string) (String.escaped doc) want got)
+    json_string_cases;
+  (* keys take the same path as values *)
+  checkb "escaped key" true
+    (Json.equal
+       (Json.of_string {|{"sp\u0065c":"0,1","x\"y":"a\\b"}|})
+       (Json.Obj [ ("spec", Json.String "0,1"); ("x\"y", Json.String "a\\b") ]))
 
 let has_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -761,6 +812,25 @@ let index_first_matches_solve () =
     (timing.Service.source = `Computed && timing.Service.cache_s = 0.);
   check Alcotest.(option string) "plan" (Some "index") timing.Service.plan;
   checkb "still no cache traffic" true (traffic0 = cache_traffic ())
+
+(* The bytes of every S8 answer from the complete paper18 index, in
+   [s8_specs] order with one newline each: any change to the request
+   path (spec parse, NOT strip, probe, witness decode, encode) that
+   moves one byte moves this digest. *)
+let s8_answers_digest = "20ffea28c92f69c1f1b5a9b7af4db76a"
+
+let index_answers_digest_pinned () =
+  let svc = Service.create ~index:(Lazy.force complete_index) library3 in
+  let b = Buffer.create (40320 * 160) in
+  List.iter
+    (fun spec ->
+      Buffer.add_string b
+        (Mce.Response.to_string
+           (Service.answer svc (Mce.Request.make ~max_depth:13 spec)));
+      Buffer.add_char b '\n')
+    s8_specs;
+  check Alcotest.string "MD5 of the 40320 answers" s8_answers_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let index_first_pinned_plans_keyed () =
   (* Search answers keep the keyed path on the same service. *)
@@ -1461,6 +1531,8 @@ let () =
             request_unknown_field_rejected;
           Alcotest.test_case "missing fields take defaults" `Quick
             request_defaults;
+          Alcotest.test_case "JSON strings: values and errors pinned" `Quick
+            json_strings_pinned;
           Alcotest.test_case "key canonicalizes spec" `Quick key_canonicalizes;
           Alcotest.test_case "unknown library rejected" `Quick
             request_unknown_library_rejected;
@@ -1512,6 +1584,8 @@ let () =
         [
           Alcotest.test_case "all of S8 matches solve, cache untouched" `Quick
             index_first_matches_solve;
+          Alcotest.test_case "all of S8 answer digest pinned" `Quick
+            index_answers_digest_pinned;
           Alcotest.test_case "pinned forward plan stays cached" `Quick
             index_first_pinned_plans_keyed;
           Alcotest.test_case "reload switches the answering index" `Quick
