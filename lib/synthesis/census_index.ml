@@ -240,35 +240,49 @@ let build census =
 
 (* {1 Lookup} *)
 
-(* Compare record [i]'s key against the probe function in place: no key
-   bytes are materialized, so a binary search allocates nothing. *)
-let record_key_compare_probe t i func =
+(* Compare record [i]'s key with the probe's nb key bytes in place:
+   big-endian 64-bit words compared unsigned, which orders them as their
+   bytes (one word per step at 3 wires, two at 4), then the bytes past
+   the last whole word.  Nothing is allocated. *)
+let compare_record t i probe =
   let base = t.records_off + (i * rec_size t.nb) in
-  let rec go j =
-    if j = t.nb then 0
-    else
-      let c = compare (Bytes.get_uint8 t.buf (base + j)) (Revfun.apply func j) in
-      if c <> 0 then c else go (j + 1)
-  in
-  go 0
+  let c = ref 0 and j = ref 0 in
+  while !c = 0 && !j + 8 <= t.nb do
+    c :=
+      Int64.unsigned_compare
+        (Bytes.get_int64_be t.buf (base + !j))
+        (Bytes.get_int64_be probe !j);
+    j := !j + 8
+  done;
+  while !c = 0 && !j < t.nb do
+    c := Int.compare (Bytes.get_uint8 t.buf (base + !j)) (Bytes.get_uint8 probe !j);
+    incr j
+  done;
+  !c
 
 let witness_of_record t i =
   let entries = Library.entries t.library in
   let base = t.records_off + (i * rec_size t.nb) in
   let cost = Bytes.get_uint8 t.buf (base + t.nb) in
-  let off = get_u32 t.buf (base + t.nb + 1) in
-  ( cost,
-    List.init cost (fun k ->
-        entries.(Bytes.get_uint8 t.buf (t.log_off + off + k)).Library.gate) )
+  let log = t.log_off + get_u32 t.buf (base + t.nb + 1) in
+  let cascade = ref [] in
+  for k = cost - 1 downto 0 do
+    cascade := entries.(Bytes.get_uint8 t.buf (log + k)).Library.gate :: !cascade
+  done;
+  (cost, !cascade)
 
 let find t func =
   Telemetry.Counter.incr m_lookups;
   if Revfun.bits func <> Library.qubits t.library then None
   else begin
+    let probe = Bytes.create t.nb in
+    for j = 0 to t.nb - 1 do
+      Bytes.set_uint8 probe j (Revfun.apply func j)
+    done;
     let lo = ref 0 and hi = ref (t.count - 1) and found = ref (-1) in
     while !lo <= !hi do
       let mid = (!lo + !hi) / 2 in
-      let c = record_key_compare_probe t mid func in
+      let c = compare_record t mid probe in
       if c = 0 then begin
         found := mid;
         lo := !hi + 1

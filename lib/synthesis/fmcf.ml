@@ -55,18 +55,12 @@ let describe_stop = function
    state stands for its orbit: conjugates are distinct functions of the
    same minimal cost, and distinct representatives' orbits are disjoint. *)
 let level_functions search ~cost =
-  let store = Search.store search in
-  let weight h =
-    match Search.symmetry search with
-    | None -> 1
-    | Some sym ->
-        Symmetry.orbit_size sym
-          ~src:(State_arena.shard_arena store (State_arena.shard_of_handle h))
-          ~soff:(State_arena.key_offset store h)
-  in
   let n = ref 0 in
-  Search.iter_level search cost (fun h ->
-      if Search.is_function search h then n := !n + weight h);
+  (match Search.symmetry search with
+  | None -> Search.iter_functions search ~depth:cost (fun _ _ _ -> incr n)
+  | Some sym ->
+      Search.iter_functions search ~depth:cost (fun key off _ ->
+          n := !n + Symmetry.orbit_size sym ~src:key ~soff:off));
   !n
 
 let process_level search ~cost =
@@ -179,28 +173,21 @@ let counts t = List.map (fun l -> (l.cost, l.functions)) t.levels
    the call), its state's handle and its canonicalizing conjugator —
    distinct conjugates of one state have distinct conjugators. *)
 let iter_images t ~cost f =
-  let store = Search.store t.search in
-  let arena h = State_arena.shard_arena store (State_arena.shard_of_handle h) in
   match Search.symmetry t.search with
-  | None ->
-      Search.iter_level t.search cost (fun h ->
-          if Search.is_function t.search h then f (arena h) (State_arena.key_offset store h) h 0)
+  | None -> Search.iter_functions t.search ~depth:cost (fun key off h -> f key off h 0)
   | Some sym ->
       let nb = Search.key_length t.search in
       let img = Bytes.create nb and canon = Bytes.create nb in
-      Search.iter_level t.search cost (fun h ->
-          if Search.is_function t.search h then begin
-            let seen = ref 0 in
-            for i = 0 to Symmetry.order sym - 1 do
-              Symmetry.conjugate_into sym i ~src:(arena h)
-                ~soff:(State_arena.key_offset store h) ~dst:img ~doff:0;
-              let conj = Symmetry.canon_into sym ~src:img ~soff:0 ~dst:canon ~doff:0 in
-              if !seen land (1 lsl conj) = 0 then begin
-                seen := !seen lor (1 lsl conj);
-                f img 0 h conj
-              end
-            done
-          end)
+      Search.iter_functions t.search ~depth:cost (fun key off h ->
+          let seen = ref 0 in
+          for i = 0 to Symmetry.order sym - 1 do
+            Symmetry.conjugate_into sym i ~src:key ~soff:off ~dst:img ~doff:0;
+            let conj = Symmetry.canon_into sym ~src:img ~soff:0 ~dst:canon ~doff:0 in
+            if !seen land (1 lsl conj) = 0 then begin
+              seen := !seen lor (1 lsl conj);
+              f img 0 h conj
+            end
+          done)
 
 let iter_level t ~cost f =
   let nb = Search.key_length t.search in

@@ -219,29 +219,30 @@ let wire_letter w =
   if w < 0 || w > 25 then invalid_arg "Gate.wire_letter: wire out of range";
   Char.chr (Char.code 'A' + w)
 
+(* A gate's name is a kind prefix and its wire letters: target then
+   control for the two-wire kinds, target, control, second control for
+   Toffoli, both targets then the control for Fredkin. *)
+let add_wire b w = Buffer.add_char b (wire_letter w)
+
 let write_name b g =
-  let wire w = Buffer.add_char b (wire_letter w) in
-  let pair prefix =
-    Buffer.add_string b prefix;
-    wire g.target;
-    wire g.control
-  in
+  (match g.kind with
+  | Controlled_v -> Buffer.add_char b 'V'
+  | Controlled_v_dag -> Buffer.add_string b "V+"
+  | Feynman -> Buffer.add_char b 'F'
+  | Swap -> Buffer.add_char b 'S'
+  | Not -> Buffer.add_char b 'N'
+  | Toffoli -> Buffer.add_char b 'T'
+  | Fredkin -> Buffer.add_string b "FR");
+  add_wire b g.target;
   match g.kind with
-  | Controlled_v -> pair "V"
-  | Controlled_v_dag -> pair "V+"
-  | Feynman -> pair "F"
-  | Swap -> pair "S"
-  | Not ->
-      Buffer.add_char b 'N';
-      wire g.target
+  | Not -> ()
+  | Controlled_v | Controlled_v_dag | Feynman | Swap -> add_wire b g.control
   | Toffoli ->
-      pair "T";
-      wire g.control2
+      add_wire b g.control;
+      add_wire b g.control2
   | Fredkin ->
-      Buffer.add_string b "FR";
-      wire g.target;
-      wire g.control2;
-      wire g.control
+      add_wire b g.control2;
+      add_wire b g.control
 
 let name g =
   let b = Buffer.create 5 in

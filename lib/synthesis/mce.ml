@@ -41,9 +41,19 @@ type result = {
 let strip_not_layer target =
   let bits = Revfun.bits target in
   (* Want remainder(0) = 0 where target = d0 * remainder, i.e.
-     remainder(x) = target(x XOR mask): pick mask = target^-1(0). *)
-  let mask = Revfun.apply (Revfun.inverse target) 0 in
-  let remainder = Revfun.compose (Revfun.xor_layer ~bits mask) target in
+     remainder(x) = target(x XOR mask): pick mask = target^-1(0), the
+     position of 0 in the output column. *)
+  let column = Permgroup.Perm.to_array (Revfun.to_perm target) in
+  let mask = ref 0 in
+  while column.(!mask) <> 0 do
+    incr mask
+  done;
+  let mask = !mask in
+  let remainder =
+    Revfun.of_perm ~bits
+      (Permgroup.Perm.unsafe_of_array
+         (Array.init (Array.length column) (fun x -> column.(x lxor mask))))
+  in
   assert (Revfun.fixes_zero remainder);
   (mask, remainder)
 
@@ -174,19 +184,20 @@ module Request = struct
 
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
+  let known_field = function
+    | "v" | "id" | "qubits" | "library" | "spec" | "task" | "max_depth" | "plan"
+    | "deadline_ms" ->
+        true
+    | _ -> false
+
   let of_json = function
     | Json.Obj fields ->
         let get k = List.assoc_opt k fields in
         let* () =
-          List.fold_left
-            (fun acc (k, _) ->
-              let* () = acc in
-              match k with
-              | "v" | "id" | "qubits" | "library" | "spec" | "task"
-              | "max_depth" | "plan" | "deadline_ms" ->
-                  Ok ()
-              | other -> Error (Printf.sprintf "unknown request field %S" other))
-            (Ok ()) fields
+          match List.find_opt (fun (k, _) -> not (known_field k)) fields with
+          | None -> Ok ()
+          | Some (other, _) ->
+              Error (Printf.sprintf "unknown request field %S" other)
         in
         let* () =
           match get "v" with
@@ -365,10 +376,12 @@ module Response = struct
     end
 
   let add_column b f =
+    let column = Permgroup.Perm.to_array (Revfun.to_perm f) in
     Buffer.add_char b '"';
-    for x = 0 to (1 lsl Revfun.bits f) - 1 do
+    for x = 0 to Array.length column - 1 do
       if x > 0 then Buffer.add_char b ',';
-      add_int b (Revfun.apply f x)
+      let v = column.(x) in
+      if v < 10 then Buffer.add_char b (Char.unsafe_chr (48 + v)) else add_int b v
     done;
     Buffer.add_char b '"'
 

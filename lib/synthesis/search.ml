@@ -574,17 +574,30 @@ let find_key t key =
 
 let handle_of_key t key = match find_key t key with -1 -> None | h -> Some h
 
-(* The function an image computes, when it maps the binary block onto
-   itself. *)
-let is_function t h =
-  let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
-  let off = State_arena.key_offset t.store h in
-  let stop = off + t.klen in
-  let j = ref off in
-  while !j < stop && t.signatures.(Char.code (Bytes.unsafe_get src !j)) = 0 do
-    incr j
-  done;
-  !j = stop
+(* Level [depth]'s function states, one range scan per shard over the
+   level's key bytes: each key's point signatures are tested inline and
+   the test stops at the first mixed point, so no per-state call is
+   made for the (many) states that leave the binary block. *)
+let iter_functions t ~depth f =
+  if depth >= 0 && depth < State_arena.levels t.store then begin
+    let klen = t.klen and signatures = t.signatures in
+    for s = 0 to State_arena.num_shards - 1 do
+      let src = State_arena.shard_arena t.store s in
+      for idx = State_arena.level_start t.store ~depth s
+          to State_arena.level_end t.store ~depth s - 1 do
+        let off = idx * klen in
+        let stop = off + klen in
+        let j = ref off in
+        while
+          !j < stop
+          && Array.unsafe_get signatures (Char.code (Bytes.unsafe_get src !j)) = 0
+        do
+          incr j
+        done;
+        if !j = stop then f src off (State_arena.handle ~shard:s ~index:idx)
+      done
+    done
+  end
 
 let restriction_of_key t key =
   let nb = t.klen in

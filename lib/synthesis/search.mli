@@ -135,6 +135,14 @@ val level_size : t -> int -> int
     canonical frontier order.  Allocates nothing. *)
 val iter_level : t -> int -> (handle -> unit) -> unit
 
+(** [iter_functions t ~depth f] calls [f key off h] on every state of
+    depth [depth] that maps the binary block onto itself (no point of
+    its image carries a mixed value), in the canonical frontier order:
+    the state's image is [key.[off .. off + key_length t)], valid only
+    during the call.  One scan per shard over the level's key bytes;
+    a key's test stops at its first mixed point. *)
+val iter_functions : t -> depth:int -> (Bytes.t -> int -> handle -> unit) -> unit
+
 (** [frontier_handles t] is a fresh array of the states discovered at
     [depth t], in the engine's canonical order. *)
 val frontier_handles : t -> handle array
@@ -210,11 +218,6 @@ val back_probe : t -> Library.entry -> Bytes.t -> int -> depth:int -> dst:Bytes.
 (** [handle_of_key t key] is the stored state with image [key], if any. *)
 val handle_of_key : t -> string -> handle option
 
-(** [is_function t h] is whether the state maps the binary block onto
-    itself: no point of its key carries a mixed value (the OR of its
-    bytes' point signatures is 0).  The scan stops at the first mixed
-    point. *)
-val is_function : t -> handle -> bool
 
 (** [restriction_of_key t key] is the binary reversible function computed
     by the state, when it maps the binary block onto itself. *)

@@ -123,53 +123,72 @@ let of_string s =
   in
   let parse_string () =
     expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' ->
-          incr pos;
-          Buffer.contents b
-      | '\\' ->
-          incr pos;
-          if !pos >= n then fail "truncated escape";
-          let c = s.[!pos] in
-          incr pos;
-          (match c with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'n' -> Buffer.add_char b '\n'
-          | 'r' -> Buffer.add_char b '\r'
-          | 't' -> Buffer.add_char b '\t'
-          | 'u' ->
-              let code = hex4 () in
-              let code =
-                (* combine surrogate pairs; lone surrogates become U+FFFD *)
-                if code >= 0xD800 && code <= 0xDBFF then
-                  if !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
-                    pos := !pos + 2;
-                    let low = hex4 () in
-                    if low >= 0xDC00 && low <= 0xDFFF then
-                      0x10000 + (((code - 0xD800) lsl 10) lor (low - 0xDC00))
+    (* A string with no escape and no control character is one copy;
+       anything else takes the buffer path from where the scan stopped,
+       which reports an error at the same offset. *)
+    let start = !pos in
+    while
+      !pos < n
+      &&
+      let c = String.unsafe_get s !pos in
+      c <> '"' && c <> '\\' && Char.code c >= 0x20
+    do
+      incr pos
+    done;
+    if !pos < n && String.unsafe_get s !pos = '"' then begin
+      incr pos;
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let b = Buffer.create 16 in
+      Buffer.add_substring b s start (!pos - start);
+      let rec go () =
+        if !pos >= n then fail "unterminated string";
+        match s.[!pos] with
+        | '"' ->
+            incr pos;
+            Buffer.contents b
+        | '\\' ->
+            incr pos;
+            if !pos >= n then fail "truncated escape";
+            let c = s.[!pos] in
+            incr pos;
+            (match c with
+            | '"' -> Buffer.add_char b '"'
+            | '\\' -> Buffer.add_char b '\\'
+            | '/' -> Buffer.add_char b '/'
+            | 'b' -> Buffer.add_char b '\b'
+            | 'f' -> Buffer.add_char b '\012'
+            | 'n' -> Buffer.add_char b '\n'
+            | 'r' -> Buffer.add_char b '\r'
+            | 't' -> Buffer.add_char b '\t'
+            | 'u' ->
+                let code = hex4 () in
+                let code =
+                  (* combine surrogate pairs; lone surrogates become U+FFFD *)
+                  if code >= 0xD800 && code <= 0xDBFF then
+                    if !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
+                      pos := !pos + 2;
+                      let low = hex4 () in
+                      if low >= 0xDC00 && low <= 0xDFFF then
+                        0x10000 + (((code - 0xD800) lsl 10) lor (low - 0xDC00))
+                      else 0xFFFD
+                    end
                     else 0xFFFD
-                  end
-                  else 0xFFFD
-                else if code >= 0xDC00 && code <= 0xDFFF then 0xFFFD
-                else code
-              in
-              Buffer.add_utf_8_uchar b (Uchar.of_int code)
-          | _ -> fail "unknown escape");
-          go ()
-      | c when Char.code c < 0x20 -> fail "control character in string"
-      | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ()
+                  else if code >= 0xDC00 && code <= 0xDFFF then 0xFFFD
+                  else code
+                in
+                Buffer.add_utf_8_uchar b (Uchar.of_int code)
+            | _ -> fail "unknown escape");
+            go ()
+        | c when Char.code c < 0x20 -> fail "control character in string"
+        | c ->
+            Buffer.add_char b c;
+            incr pos;
+            go ()
+      in
+      go ()
+    end
   in
   let parse_number () =
     let start = !pos in

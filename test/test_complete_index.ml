@@ -452,6 +452,139 @@ let test_solve_certifies_beyond_depth_bound () =
   | Ok _ -> Alcotest.fail "expected an index hit at the diameter"
   | Error _ -> Alcotest.fail "hit failed"
 
+(* {1 The probe against a linear scan} *)
+
+(* A saved index's records, read straight from the file per the
+   documented QSYNIDX2 layout (64 header bytes, the cost histogram, then
+   key, cost and gate-log offset per record): (key, cost, witness). *)
+let records_of_index library idx =
+  with_temp_file @@ fun path ->
+  Census_index.save idx path;
+  let buf = Checkpoint.read_file path in
+  let u32 off = Int32.to_int (Bytes.get_int32_le buf off) land 0xFFFFFFFF in
+  let nb = u32 32 and count = u32 44 and hist_len = u32 60 in
+  let records_off = 64 + (4 * hist_len) in
+  let log_off = records_off + (count * (nb + 5)) in
+  let entries = Library.entries library in
+  Array.init count (fun i ->
+      let base = records_off + (i * (nb + 5)) in
+      let cost = Bytes.get_uint8 buf (base + nb) and log = log_off + u32 (base + nb + 1) in
+      ( Bytes.sub_string buf base nb,
+        cost,
+        List.init cost (fun k -> entries.(Bytes.get_uint8 buf (log + k)).Library.gate) ))
+
+(* What a front-to-back scan of the records answers for [key]. *)
+let linear_find records key =
+  Array.find_map
+    (fun (k, cost, witness) -> if String.equal k key then Some (cost, witness) else None)
+    records
+
+let func_of_key ~bits key =
+  Revfun.of_perm ~bits
+    (Permgroup.Perm.of_array (Array.init (String.length key) (fun j -> Char.code key.[j])))
+
+let key_of_func f =
+  String.init (1 lsl Revfun.bits f) (fun j -> Char.chr (Revfun.apply f j))
+
+let answer_string = function
+  | None -> "miss"
+  | Some (cost, witness) -> Printf.sprintf "%d %s" cost (Cascade.to_string witness)
+
+let test_probe_matches_linear_scan () =
+  List.iter
+    (fun (name, library, idx) ->
+      let idx = Lazy.force idx in
+      let records = records_of_index library idx in
+      let bits = Library.qubits library in
+      check Alcotest.int (name ^ ": record count") (Census_index.size idx)
+        (Array.length records);
+      (* keys strictly increase, so the scan's first match for record i's
+         key is record i itself *)
+      Array.iteri
+        (fun i (key, cost, witness) ->
+          if i > 0 then begin
+            let prev, _, _ = records.(i - 1) in
+            if String.compare prev key >= 0 then
+              Alcotest.failf "%s: records %d and %d out of order" name (i - 1) i
+          end;
+          let got = Census_index.find idx (func_of_key ~bits key) in
+          if got <> Some (cost, witness) then
+            Alcotest.failf "%s: record %d probes as %s, scan says %s" name i
+              (answer_string got)
+              (answer_string (Some (cost, witness))))
+        records)
+    [
+      ("paper18 closure", library3, complete);
+      ("nct closure", Library.of_name "nct", lazy (Census_index.build (Lazy.force nct8)));
+      ("nft closure", Library.of_name "nft", lazy (Census_index.build (Lazy.force nft7)));
+      ("4-wire paper18 -d 4", library4, lazy (Census_index.build (Lazy.force paper4_raw)));
+    ]
+
+let test_probe_misses_match_linear_scan () =
+  (* the two-word compare at nb = 16: seeded zero-fixing 4-wire
+     functions, and record keys with two outputs swapped, which land
+     next to a stored key in key order — hits and misses both must
+     agree with the scan *)
+  let idx = Census_index.build (Lazy.force paper4_raw) in
+  let records = records_of_index library4 idx in
+  let rng = Random.State.make [| 0x9e3779b9 |] in
+  let hits = ref 0 and misses = ref 0 in
+  let probe key =
+    let got = Census_index.find idx (func_of_key ~bits:4 key) in
+    let want = linear_find records key in
+    if got <> want then
+      Alcotest.failf "%S probes as %s, scan says %s" key (answer_string got)
+        (answer_string want);
+    if got = None then incr misses else incr hits
+  in
+  for _ = 1 to 1000 do
+    let a = Array.init 16 Fun.id in
+    for j = 15 downto 2 do
+      let k = 1 + Random.State.int rng j in
+      let t = a.(j) in
+      a.(j) <- a.(k);
+      a.(k) <- t
+    done;
+    probe (String.init 16 (fun j -> Char.chr a.(j)))
+  done;
+  Array.iteri
+    (fun i (key, _, _) ->
+      if i mod 3 = 0 then begin
+        let b = Bytes.of_string key in
+        let j = 1 + Random.State.int rng 15 and k = 1 + Random.State.int rng 15 in
+        let t = Bytes.get b j in
+        Bytes.set b j (Bytes.get b k);
+        Bytes.set b k t;
+        probe (Bytes.to_string b)
+      end)
+    records;
+  checkb "misses probed" true (!misses >= 1000);
+  checkb "hits probed" true (!hits >= 1);
+  (* a probe of another width is no key of the file *)
+  checkb "4-wire probe of a 3-wire index" true
+    (Census_index.find (Lazy.force complete) (Revfun.identity ~bits:4) = None);
+  checkb "3-wire probe of a 4-wire index" true
+    (Census_index.find idx Gates.toffoli3 = None)
+
+let test_strip_not_layer_matches_definition () =
+  (* target = xor_layer mask ∘ remainder, computed the long way: the
+     mask is target^-1(0) *)
+  let reference target =
+    let mask = Revfun.apply (Revfun.inverse target) 0 in
+    (mask, Revfun.compose (Revfun.xor_layer ~bits:3 mask) target)
+  in
+  let n = ref 0 in
+  iter_universe (fun f ->
+      for m = 0 to 7 do
+        let target = Revfun.compose (Revfun.xor_layer ~bits:3 m) f in
+        let mask, remainder = Mce.strip_not_layer target in
+        let mask', remainder' = reference target in
+        if mask <> mask' || not (Revfun.equal remainder remainder') then
+          Alcotest.failf "strip_not_layer %s disagrees" (key_of_func target);
+        incr n
+      done);
+  check Alcotest.int "all of S8" coverage_s8 !n
+
 let () =
   Alcotest.run "complete_index"
     [
@@ -484,5 +617,14 @@ let () =
             test_solve_always_hits;
           Alcotest.test_case "probe cost certifies depth bounds" `Quick
             test_solve_certifies_beyond_depth_bound;
+        ] );
+      ( "probe",
+        [
+          Alcotest.test_case "every record probes as the linear scan finds it"
+            `Quick test_probe_matches_linear_scan;
+          Alcotest.test_case "4-wire misses and wrong widths match the scan" `Quick
+            test_probe_misses_match_linear_scan;
+          Alcotest.test_case "NOT-layer strip matches its definition on S8" `Quick
+            test_strip_not_layer_matches_definition;
         ] );
     ]

@@ -180,6 +180,97 @@ let test_spec_parse () =
     (Invalid_argument "Spec.of_output_list: wrong number of outputs") (fun () ->
       ignore (Spec.parse ~bits:3 "0,1,2"))
 
+(* The list-based output-column parser the scanner replaced, kept as
+   the oracle: every spelling must give the same function or the same
+   [Invalid_argument] message. *)
+let reference_of_output_list ~bits s =
+  let outputs =
+    String.split_on_char ',' s
+    |> List.map (fun part ->
+           match int_of_string_opt (String.trim part) with
+           | Some v -> v
+           | None -> invalid_arg ("Spec.of_output_list: bad entry " ^ part))
+  in
+  if List.length outputs <> 1 lsl bits then
+    invalid_arg "Spec.of_output_list: wrong number of outputs";
+  Revfun.of_outputs ~bits outputs
+
+let outcome parse ~bits s =
+  match parse ~bits s with
+  | f -> Ok (Format.asprintf "%a" Revfun.pp f)
+  | exception Invalid_argument msg -> Error msg
+
+let agrees_with_reference ~bits s =
+  let want = outcome reference_of_output_list ~bits s
+  and got = outcome Spec.of_output_list ~bits s in
+  want = got
+  || QCheck2.Test.fail_reportf "bits %d, %S: reference %s, scanner %s" bits s
+       (match want with Ok f -> f | Error e -> "error " ^ e)
+       (match got with Ok f -> f | Error e -> "error " ^ e)
+
+let test_spec_output_list_edges () =
+  List.iter
+    (fun (bits, s) ->
+      ignore (agrees_with_reference ~bits s : bool))
+    [
+      (3, "");
+      (3, ",");
+      (3, "0,1,2,3,4,5,7,6,");
+      (3, ",0,1,2,3,4,5,7,6");
+      (3, "0,1,2,3,4,5,7");
+      (3, "0,1,2,3,4,5,7,6,8");
+      (3, "0,1,2,3,4,5,7,x,9");
+      (3, "0,1,2,3,4,5,7,6,x");
+      (3, "0,1,2,3,4,5,6,7,99999999999999999999");
+      (3, "0,1,2,3,4,5,7,4611686018427387904");
+      (3, "0,1,2,3,4,5,7,9999999999999999999");
+      (3, "0,1,2,3,4,5,6,7,9999999999999999999");
+      (3, "0,1,2,3,4,5,7,4611686018427387903");
+      (3, "0,1,2,3,4,5,7,999999999999999999");
+      (3, "0,1,2,3,4,5,7,1000000000000000000");
+      (3, "0,1,2,3,4,5,7,000000000000000000006");
+      (3, " 0 ,+1,0x2,0_3,04,5,\t7\t,6");
+      (3, "0,1,2,3,4,5,7,-6");
+      (3, "0,1,1,3,4,5,7,6");
+      (0, "0");
+      (1, "1,0");
+      (2, "0,1,3,2");
+      (4, "0,1,2,3,4,5,6,7,8,9,10,11,12,13,15,14");
+    ];
+  check revfun "scanned column" Gates.toffoli3
+    (Spec.of_output_list ~bits:3 "0,01,+2,0x3, 4,5 ,007,6")
+
+let spec_oracle_props =
+  let open QCheck2.Gen in
+  let bits = int_range 1 4 in
+  let noise =
+    string_size ~gen:(oneofl [ '0'; '1'; '2'; '3'; '7'; '9'; ' '; ','; '+'; '-'; '_'; 'x'; '\t' ])
+      (int_range 0 40)
+  in
+  (* a valid permutation, each entry spelled one of the ways
+     int_of_string reads the same number *)
+  let spelled =
+    bits >>= fun bits ->
+    let n = 1 lsl bits in
+    shuffle_a (Array.init n Fun.id) >>= fun perm ->
+    list_repeat n (int_range 0 5) >|= fun styles ->
+    let spell v = function
+      | 0 -> string_of_int v
+      | 1 -> Printf.sprintf " %d\t" v
+      | 2 -> Printf.sprintf "+%d" v
+      | 3 -> Printf.sprintf "0x%x" v
+      | 4 -> Printf.sprintf "000%d" v
+      | _ -> Printf.sprintf "%d_" v
+    in
+    (bits, String.concat "," (List.mapi (fun i st -> spell perm.(i) st) styles))
+  in
+  [
+    qcheck_test ~count:2000 "of_output_list = reference on noise" (pair (int_range 0 4) noise)
+      (fun (bits, s) -> agrees_with_reference ~bits s);
+    qcheck_test ~count:1000 "of_output_list = reference on spelled permutations" spelled
+      (fun (bits, s) -> agrees_with_reference ~bits s);
+  ]
+
 let () =
   Alcotest.run "reversible"
     [
@@ -209,5 +300,8 @@ let () =
         [
           Alcotest.test_case "names" `Quick test_spec_names;
           Alcotest.test_case "parse" `Quick test_spec_parse;
+          Alcotest.test_case "output list edge cases match the reference" `Quick
+            test_spec_output_list_edges;
         ] );
+      ("spec oracle", spec_oracle_props);
     ]
