@@ -380,8 +380,7 @@ module Response = struct
     Buffer.add_char b '"';
     for x = 0 to Array.length column - 1 do
       if x > 0 then Buffer.add_char b ',';
-      let v = column.(x) in
-      if v < 10 then Buffer.add_char b (Char.unsafe_chr (48 + v)) else add_int b v
+      add_int b column.(x)
     done;
     Buffer.add_char b '"'
 
