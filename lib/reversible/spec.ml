@@ -1,10 +1,3 @@
-(* One scan over the spec, no intermediate list.  An entry of 1 to 18
-   plain decimal digits (below 10^18, so it cannot overflow) is read
-   digit by digit; any other spelling — padding, a sign, [0x], [_], an
-   overflow, an empty entry — goes through [int_of_string_opt] on the
-   trimmed entry, so every spelling is accepted or refused exactly as
-   that function does.  A bad entry is reported before a wrong count,
-   the first bad entry in order. *)
 (* The value of the plain decimal digits [s.[i .. b)], or -1. *)
 let rec digits s b i v =
   if i = b then v
@@ -21,6 +14,13 @@ let entry s a b =
     | Some v -> v
     | None -> invalid_arg ("Spec.of_output_list: bad entry " ^ String.sub s a (b - a))
 
+(* One scan over the spec, no intermediate list.  An entry of 1 to 18
+   plain decimal digits (below 10^18, so it cannot overflow) is read
+   digit by digit; any other spelling — padding, a sign, [0x], [_], an
+   overflow, an empty entry — goes through [int_of_string_opt] on the
+   trimmed entry, so every spelling is accepted or refused exactly as
+   that function does.  A bad entry is reported before a wrong count,
+   the first bad entry in order. *)
 let of_output_list ~bits s =
   let n = 1 lsl bits in
   let len = String.length s in

@@ -218,7 +218,6 @@ val back_probe : t -> Library.entry -> Bytes.t -> int -> depth:int -> dst:Bytes.
 (** [handle_of_key t key] is the stored state with image [key], if any. *)
 val handle_of_key : t -> string -> handle option
 
-
 (** [restriction_of_key t key] is the binary reversible function computed
     by the state, when it maps the binary block onto itself. *)
 val restriction_of_key : t -> string -> Reversible.Revfun.t option
