@@ -235,17 +235,30 @@ let reproduce_rewrite () =
     (Cascade.cost slim)
     (Rewrite.equivalent_unitary ~qubits:3 bloated slim)
 
+(* E5: every classical library is a registry census universe.  Gate
+   counts are its Fmcf levels run to closure; quantum costs its Weighted
+   census under Cost_model.quantum (NOT 0, CNOT 1, Peres 4, Toffoli 5). *)
 let reproduce_classical_libraries () =
   hr "Conclusion claim: Peres libraries beat Toffoli libraries";
+  let pp_histogram ppf = List.iter (fun (k, n) -> Format.fprintf ppf " %d:%d" k n) in
   List.iter
-    (fun library ->
-      Format.printf "%a@." Reversible.Classical_synth.pp_result
-        (Reversible.Classical_synth.census ~bits:3 library))
-    [
-      Reversible.Classical_synth.ncp_linear;
-      Reversible.Classical_synth.ncp_toffoli;
-      Reversible.Classical_synth.ncp_peres;
-    ];
+    (fun name ->
+      let library = Library.of_name name in
+      let by_gates =
+        List.filter (fun (_, n) -> n > 0) (Fmcf.counts (Fmcf.run ~max_depth:16 library))
+      in
+      let by_cost = Weighted.census ~max_cost:64 library ~model:Cost_model.quantum in
+      let reachable = List.fold_left (fun acc (_, n) -> acc + n) 0 by_gates in
+      let average histogram =
+        float_of_int (List.fold_left (fun acc (k, n) -> acc + (k * n)) 0 histogram)
+        /. float_of_int reachable
+      in
+      Format.printf
+        "library %s (%d gates):@.  reachable functions: %d@.  by gate count:%a@.  \
+         average gates: %.3f@.  by quantum cost:%a@.  average quantum cost: %.3f@."
+        name (Library.size library) reachable pp_histogram by_gates (average by_gates)
+        pp_histogram by_cost (average by_cost))
+    [ "nc"; "nct"; "ncp" ];
   (* the paper's own formula notation for the Peres gate *)
   Format.printf "ANF of Peres (paper: P = A, Q = B xor A, R = C xor AB): %s@."
     (Reversible.Anf.describe Reversible.Gates.g1)

@@ -1247,54 +1247,6 @@ let simulate_cmd =
              measurement distributions.")
     Term.(const run $ qubits_arg $ cascade_arg $ input_arg)
 
-(* classical *)
-
-let classical_cmd =
-  let run spec_opt =
-    guarded @@ fun () ->
-    let libraries =
-      [
-        Reversible.Classical_synth.ncp_linear;
-        Reversible.Classical_synth.ncp_toffoli;
-        Reversible.Classical_synth.ncp_peres;
-      ]
-    in
-    (match spec_opt with
-    | None ->
-        List.iter
-          (fun library ->
-            let result = Reversible.Classical_synth.census ~bits:3 library in
-            Format.printf "%a@.@." Reversible.Classical_synth.pp_result result)
-          libraries
-    | Some spec ->
-        let target = Reversible.Spec.parse ~bits:3 spec in
-        List.iter
-          (fun library ->
-            match Reversible.Classical_synth.synthesize ~bits:3 library target with
-            | Some (gates, count) ->
-                Format.printf "%-18s %d gates: %s@."
-                  library.Reversible.Classical_synth.label count
-                  (String.concat "*"
-                     (List.map
-                        (fun g -> g.Reversible.Classical_synth.name)
-                        gates))
-            | None ->
-                Format.printf "%-18s unreachable@."
-                  library.Reversible.Classical_synth.label)
-          libraries);
-    exit_ok
-  in
-  let spec_arg =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"SPEC"
-           ~doc:"Optional circuit to factor into classical library gates; \
-                 without it, census all three libraries.")
-  in
-  Cmd.v
-    (Cmd.info "classical"
-       ~doc:"Classical gate-library synthesis over all 40320 3-bit reversible \
-             functions: the paper's Peres-vs-Toffoli library comparison.")
-    Term.(const run $ spec_arg)
-
 (* describe *)
 
 let describe_cmd =
@@ -1515,7 +1467,6 @@ let () =
             draw_cmd;
             weighted_cmd;
             ablation_cmd;
-            classical_cmd;
             describe_cmd;
             libraries_cmd;
       ]

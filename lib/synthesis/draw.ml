@@ -17,6 +17,8 @@ let gate_cell gate wire =
     | Gate.Feynman | Gate.Toffoli -> centered "(+)"
     | Gate.Not -> centered "[N]"
     | Gate.Swap | Gate.Fredkin -> centered "x"
+    | Gate.Peres -> centered "[P]"
+    | Gate.Peres_dag -> centered "[P+]"
   else if wire = Gate.control gate then
     match Gate.kind gate with
     | Gate.Swap -> centered "x"
@@ -24,6 +26,7 @@ let gate_cell gate wire =
   else if wire = Gate.control2 gate then
     match Gate.kind gate with
     | Gate.Fredkin -> centered "x"
+    | Gate.Peres | Gate.Peres_dag -> centered "(+)"
     | _ -> centered "*"
   else
     let touched = Gate.wires gate in

@@ -11,10 +11,11 @@
     {!Mce}.
 
     For the pluggable classical census universes ({!Library.Registry})
-    four {e classical} kinds exist as well: NOT, Toffoli, SWAP and
-    Fredkin (controlled swap).  Together with Feynman they assemble the
-    NCT and NFT gate sets of the reversible-synthesis literature
-    (Shende et al.; Younes, arXiv:1304.5804).  Classical gates are basis
+    six {e classical} kinds exist as well: NOT, Toffoli, SWAP, Fredkin
+    (controlled swap), Peres and inverse Peres.  Together with Feynman
+    they assemble the NC, NCT, NFT and NCP gate sets of the
+    reversible-synthesis literature (Shende et al.; Younes,
+    arXiv:1304.5804; the paper's own Peres-family library).  Classical gates are basis
     permutations; they are meant for the {e binary} pattern encoding
     ({!Mvl.Encoding.make_binary}) — on the paper's mixed encoding a bare
     NOT leaves the permutable domain and the library compile rejects
@@ -28,6 +29,10 @@ type kind =
   | Toffoli  (** CCX: two controls, one target *)
   | Swap  (** exchanges two wires; no control *)
   | Fredkin  (** CSWAP: one control, swaps two wires *)
+  | Peres
+      (** Peres[abc]: P = a, Q = b XOR a, R = c XOR ab — the Toffoli with
+          controls a, b and target c, then the CNOT from a into b *)
+  | Peres_dag  (** inverse Peres: the CNOT from a into b, then the Toffoli *)
 
 type t = private {
   kind : kind;
@@ -43,7 +48,7 @@ type t = private {
     wire order does not matter).
     @raise Invalid_argument if [target = control], a wire is negative,
     or the kind needs a different arity (use {!make_not},
-    {!make_toffoli}, {!make_fredkin}). *)
+    {!make_toffoli}, {!make_fredkin}, {!make_peres}). *)
 val make : kind -> target:int -> control:int -> t
 
 (** [make_not ~target] is the NOT (Pauli X) on one wire. *)
@@ -62,9 +67,19 @@ val make_swap : int -> int -> t
     @raise Invalid_argument unless the three wires are distinct. *)
 val make_fredkin : targets:int * int -> control:int -> t
 
+(** [make_peres ~target:c ~controls:(a, b)] is the Peres gate Peres[abc]
+    ({!Peres}); the controls are ordered, [a] being the CNOT's control
+    and [b] its target.  {!adjoint} gives the inverse Peres.
+    @raise Invalid_argument unless the three wires are distinct. *)
+val make_peres : target:int -> controls:int * int -> t
+
 (** [all ~qubits] is the paper's library L for an n-qubit circuit:
     [3 * n * (n-1)] gates (18 when n = 3), ordered V, V{^ +}, F. *)
 val all : qubits:int -> t list
+
+(** [nc ~qubits] is NOT + CNOT (Feynman) — 9 gates when n = 3, ordered
+    N, F.  It generates exactly the affine-linear functions. *)
+val nc : qubits:int -> t list
 
 (** [nct ~qubits] is the classical NCT library: NOT, CNOT (Feynman) and
     Toffoli gates — 12 gates when n = 3 — ordered N, F, T. *)
@@ -75,6 +90,10 @@ val nct : qubits:int -> t list
     Toffoli) plus the generalized-Fredkin family (SWAP, Fredkin) —
     18 gates when n = 3 — ordered N, F, T, S, FR. *)
 val nft : qubits:int -> t list
+
+(** [ncp ~qubits] is NOT + CNOT + every placement of the Peres gate and
+    of its inverse — 21 gates when n = 3 — ordered N, F, P, P{^ +}. *)
+val ncp : qubits:int -> t list
 
 val kind : t -> kind
 val target : t -> int
@@ -89,8 +108,8 @@ val wires : t -> int list
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-(** [adjoint g] is the Hermitian adjoint: V and V{^ +} swap; every other
-    kind is self-adjoint. *)
+(** [adjoint g] is the Hermitian adjoint: V and V{^ +} swap, so do Peres
+    and inverse Peres; every other kind is self-adjoint. *)
 val adjoint : t -> t
 
 (** [purity_wires g] lists the wires that must carry pure binary values
@@ -112,8 +131,9 @@ val purity_mask : t -> int
       flips; any other case (including mixed values, again don't-care) is
       the identity;
     - the classical kinds act classically (NOT/Toffoli flip a binary
-      target, Swap/Fredkin exchange values) and are the identity
-      whenever a flip would need a mixed target. *)
+      target, Swap/Fredkin exchange values, Peres kinds run their
+      Toffoli and CNOT in turn) and leave a wire unchanged whenever a
+      flip would need a mixed target. *)
 val apply : t -> Mvl.Pattern.t -> Mvl.Pattern.t
 
 (** [matrix ~qubits g] is the exact unitary of the gate (a 0/1
@@ -122,14 +142,17 @@ val matrix : qubits:int -> t -> Qmath.Dmatrix.t
 
 (** [name g] renders the subscript naming with wires A..Z: ["VBA"],
     ["V+AB"], ["FCA"]; classical gates print ["NA"], ["TCAB"] (target
-    then controls), ["SAB"], ["FRBCA"] (swapped pair then control). *)
+    then controls), ["SAB"], ["FRBCA"] (swapped pair then control),
+    ["PCAB"] and ["P+CAB"] (Peres target, then the CNOT's control and
+    target: TCAB followed by FBA). *)
 val name : t -> string
 
 (** [write_name b g] appends [name g] to [b]. *)
 val write_name : Buffer.t -> t -> unit
 
 (** [of_name ~qubits s] parses {!name} output (case-insensitive;
-    longest prefix wins, so ["FR"] is Fredkin and ["F"] Feynman).
+    longest prefix wins, so ["FR"] is Fredkin and ["F"] Feynman, ["P+"]
+    inverse Peres and ["P"] Peres).
     @raise Invalid_argument on malformed names or out-of-range wires. *)
 val of_name : qubits:int -> string -> t
 

@@ -122,7 +122,27 @@ module Registry = struct
       coset_reduction = false;
     }
 
-  let all = [ paper18; nct; nft ]
+  let nc =
+    {
+      name = "nc";
+      summary = "classical NOT + CNOT library: the affine-linear functions (binary encoding)";
+      gates = (fun ~qubits -> Gate.nc ~qubits);
+      encoding = (fun ~qubits -> Encoding.make_binary ~qubits);
+      coset_reduction = false;
+    }
+
+  let ncp =
+    {
+      name = "ncp";
+      summary =
+        "classical NOT, CNOT, Peres and inverse Peres library of the paper's \
+         conclusion (binary encoding)";
+      gates = (fun ~qubits -> Gate.ncp ~qubits);
+      encoding = (fun ~qubits -> Encoding.make_binary ~qubits);
+      coset_reduction = false;
+    }
+
+  let all = [ paper18; nct; nft; nc; ncp ]
   let names = List.map (fun d -> d.name) all
   let find n = List.find_opt (fun d -> String.equal d.name n) all
 

@@ -123,6 +123,13 @@ module Registry : sig
   (** Younes's NFT library (arXiv:1304.5804): NCT plus SWAP and Fredkin. *)
   val nft : descriptor
 
+  (** NOT + CNOT on the binary encoding: the affine-linear functions. *)
+  val nc : descriptor
+
+  (** NOT + CNOT + Peres + inverse Peres on the binary encoding: the
+      Peres-family library the paper's conclusion advocates. *)
+  val ncp : descriptor
+
   (** Every registered descriptor, [paper18] first. *)
   val all : descriptor list
 

@@ -40,6 +40,12 @@ type result = {
     [target = xor_layer mask ∘ remainder] and [remainder] fixing zero. *)
 val strip_not_layer : Reversible.Revfun.t -> int * Reversible.Revfun.t
 
+(** [coset_split library target] is {!strip_not_layer} when
+    {!Library.coset_reduction} holds, else [(0, target)]: a full-group
+    library (NCT, NFT, ...) has no free NOT layer and searches the target
+    whole. *)
+val coset_split : Library.t -> Reversible.Revfun.t -> int * Reversible.Revfun.t
+
 (** {1 The unified query API} *)
 
 module Request : sig

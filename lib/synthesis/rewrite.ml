@@ -17,7 +17,8 @@ let is_v_kind g =
    wire sets are disjoint. *)
 let is_classical g =
   match Gate.kind g with
-  | Gate.Not | Gate.Toffoli | Gate.Swap | Gate.Fredkin -> true
+  | Gate.Not | Gate.Toffoli | Gate.Swap | Gate.Fredkin | Gate.Peres | Gate.Peres_dag ->
+      true
   | Gate.Controlled_v | Gate.Controlled_v_dag | Gate.Feynman -> false
 
 let kind_compatible a b =
@@ -36,8 +37,9 @@ let commute a b =
 (* Adjacent-pair rules, sound over the unitary semantics. *)
 let pair_rule a b =
   if is_classical a || is_classical b then
-    (* every classical kind is self-inverse; no other local rule applies *)
-    if Gate.equal a b then Some [] else None
+    (* a classical gate cancels against its adjoint (itself, but for the
+       Peres pair); no other local rule applies *)
+    if Gate.equal a (Gate.adjoint b) then Some [] else None
   else if not (same_wires a b) then None
   else
     match (Gate.kind a, Gate.kind b) with

@@ -13,7 +13,9 @@ type node = { cost : int; via : int; parent : string }
    [Search]).  Settles states in order of increasing total cost and calls
    [on_settle key cost]; the callback returns [true] to continue, [false]
    to stop.  Returns the table of best-known nodes for reconstruction
-   (entries of settled states are final). *)
+   (entries of settled states are final).  A cost-0 gate pushes its
+   children into the bucket being drained, so each bucket is drained
+   until it stays empty. *)
 let dijkstra ~max_cost library ~model ~on_settle =
   let encoding = Library.encoding library in
   let degree = Mvl.Encoding.size encoding in
@@ -43,41 +45,41 @@ let dijkstra ~max_cost library ~model ~on_settle =
     Bytes.unsafe_to_string child
   in
   let continue = ref true in
+  let settle c key =
+    match Hashtbl.find_opt best key with
+    | Some node when node.cost = c && not (Hashtbl.mem settled key) ->
+        Hashtbl.add settled key ();
+        if not (on_settle key c) then continue := false
+        else begin
+          let signature = image_signature key in
+          Array.iteri
+            (fun via entry ->
+              if Library.signature_allows ~signature entry then begin
+                let child_cost = c + costs.(via) in
+                if child_cost <= max_cost then begin
+                  let child = compose key entry.Library.perm_array in
+                  let better =
+                    match Hashtbl.find_opt best child with
+                    | Some existing -> child_cost < existing.cost
+                    | None -> true
+                  in
+                  if better && not (Hashtbl.mem settled child) then begin
+                    Hashtbl.replace best child { cost = child_cost; via; parent = key };
+                    buckets.(child_cost) <- child :: buckets.(child_cost)
+                  end
+                end
+              end)
+            entries
+        end
+    | Some _ | None -> ()
+  in
   let c = ref 0 in
   while !continue && !c <= max_cost do
-    let bucket = buckets.(!c) in
-    buckets.(!c) <- [];
-    List.iter
-      (fun key ->
-        if !continue then
-          match Hashtbl.find_opt best key with
-          | Some node when node.cost = !c && not (Hashtbl.mem settled key) ->
-              Hashtbl.add settled key ();
-              if not (on_settle key !c) then continue := false
-              else begin
-                let signature = image_signature key in
-                Array.iteri
-                  (fun via entry ->
-                    if Library.signature_allows ~signature entry then begin
-                      let child_cost = !c + costs.(via) in
-                      if child_cost <= max_cost then begin
-                        let child = compose key entry.Library.perm_array in
-                        let better =
-                          match Hashtbl.find_opt best child with
-                          | Some existing -> child_cost < existing.cost
-                          | None -> true
-                        in
-                        if better && not (Hashtbl.mem settled child) then begin
-                          Hashtbl.replace best child
-                            { cost = child_cost; via; parent = key };
-                          buckets.(child_cost) <- child :: buckets.(child_cost)
-                        end
-                      end
-                    end)
-                  entries
-              end
-          | Some _ | None -> ())
-      bucket;
+    while !continue && buckets.(!c) <> [] do
+      let bucket = buckets.(!c) in
+      buckets.(!c) <- [];
+      List.iter (fun key -> if !continue then settle !c key) bucket
+    done;
     incr c
   done;
   best
@@ -103,7 +105,7 @@ let restriction_of library key =
   else None
 
 let express ?(max_cost = 7) library ~model target =
-  let mask, remainder = Mce.strip_not_layer target in
+  let mask, remainder = Mce.coset_split library target in
   if Revfun.is_identity remainder then
     Some { target; not_mask = mask; cascade = []; cost = 0 }
   else begin

@@ -15,7 +15,9 @@ type result = {
 }
 
 (** [express ?max_cost library ~model target] finds a cascade of minimal
-    total cost implementing [target] (with a free input NOT layer), or
+    total cost implementing [target] (with a free input NOT layer when
+    {!Library.coset_reduction} holds; other libraries pay for their NOT
+    gates and answer [not_mask = 0]), or
     [None] if none exists within [max_cost] (default 7, like the paper's cb; raise with care — the state space grows geometrically in the cost bound). *)
 val express :
   ?max_cost:int ->
@@ -26,7 +28,8 @@ val express :
 
 (** [census ?max_cost library ~model] is the weighted analogue of the
     paper's Table 2: [(c, n)] pairs counting the reversible functions
-    whose minimal model cost is exactly [c] (NOT-free, zero-fixing
-    functions, as in Theorem 1). *)
+    whose minimal model cost is exactly [c] at most [max_cost] (NOT-free,
+    zero-fixing functions, as in Theorem 1, for the paper's library; all
+    reachable functions for the classical ones).  Gates may cost 0. *)
 val census :
   ?max_cost:int -> Library.t -> model:Cost_model.t -> (int * int) list

@@ -321,6 +321,22 @@ let jsonl_emit sp =
 module Span = struct
   let max_spans = 50_000
 
+  (* [keep ()] claims a place in the in-memory span forest, [false] once
+     [max_spans] are kept.  A span past the cap is still streamed to the
+     JSONL sink and the live trace; it is only left out of the snapshot. *)
+  let keep () =
+    Atomic.get span_count < max_spans
+    && (ignore (Atomic.fetch_and_add span_count 1);
+        true)
+
+  let streamed () = Option.is_some !jsonl_ref || !trace_ref
+
+  let attach kept stack sp =
+    if kept then
+      match stack with
+      | parent :: _ -> parent.sp_children <- sp :: parent.sp_children
+      | [] -> with_lock span_mutex (fun () -> span_roots := sp :: !span_roots)
+
   let set_attr key v =
     if spans_enabled () then
       match open_spans () with
@@ -328,62 +344,61 @@ module Span = struct
       | [] -> ()
 
   let with_span ?(attrs = []) name f =
-    if (not (spans_enabled ())) || Atomic.get span_count >= max_spans then f ()
-    else begin
-      ignore (Atomic.fetch_and_add span_count 1);
-      let stack = span_stack () in
-      let depth = List.length !stack in
-      let sp =
-        {
-          sp_name = name;
-          sp_start = now_s ();
-          sp_end = Float.nan;
-          sp_attrs = List.rev attrs;
-          sp_children = [];
-          sp_depth = depth;
-        }
-      in
-      (match !stack with
-      | parent :: _ -> parent.sp_children <- sp :: parent.sp_children
-      | [] -> with_lock span_mutex (fun () -> span_roots := sp :: !span_roots));
-      stack := sp :: !stack;
-      if !trace_ref then
-        Printf.eprintf "%s> %s\n%!" (String.make (2 * depth) ' ') name;
-      Fun.protect
-        ~finally:(fun () ->
-          sp.sp_end <- now_s ();
-          (match !stack with
-          | top :: rest when top == sp -> stack := rest
-          | _ -> ());
-          if !stack = [] then drop_span_stack ();
-          if !trace_ref then
-            Printf.eprintf "%s< %s (%.3f ms)\n%!"
-              (String.make (2 * depth) ' ')
-              name
-              (1e3 *. span_dur sp);
-          jsonl_emit sp)
-        f
-    end
+    if not (spans_enabled ()) then f ()
+    else
+      let kept = keep () in
+      if (not kept) && not (streamed ()) then f ()
+      else begin
+        let stack = span_stack () in
+        let depth = List.length !stack in
+        let sp =
+          {
+            sp_name = name;
+            sp_start = now_s ();
+            sp_end = Float.nan;
+            sp_attrs = List.rev attrs;
+            sp_children = [];
+            sp_depth = depth;
+          }
+        in
+        attach kept !stack sp;
+        stack := sp :: !stack;
+        if !trace_ref then
+          Printf.eprintf "%s> %s\n%!" (String.make (2 * depth) ' ') name;
+        Fun.protect
+          ~finally:(fun () ->
+            sp.sp_end <- now_s ();
+            (match !stack with
+            | top :: rest when top == sp -> stack := rest
+            | _ -> ());
+            if !stack = [] then drop_span_stack ();
+            if !trace_ref then
+              Printf.eprintf "%s< %s (%.3f ms)\n%!"
+                (String.make (2 * depth) ' ')
+                name
+                (1e3 *. span_dur sp);
+            jsonl_emit sp)
+          f
+      end
 
   let record ?(attrs = []) name ~start_s ~dur_s =
-    if spans_enabled () && Atomic.get span_count < max_spans then begin
-      ignore (Atomic.fetch_and_add span_count 1);
-      let stack = open_spans () in
-      let depth = List.length stack in
-      let sp =
-        {
-          sp_name = name;
-          sp_start = start_s;
-          sp_end = start_s +. dur_s;
-          sp_attrs = List.rev attrs;
-          sp_children = [];
-          sp_depth = depth;
-        }
-      in
-      (match stack with
-      | parent :: _ -> parent.sp_children <- sp :: parent.sp_children
-      | [] -> with_lock span_mutex (fun () -> span_roots := sp :: !span_roots));
-      jsonl_emit sp
+    if spans_enabled () then begin
+      let kept = keep () in
+      if kept || Option.is_some !jsonl_ref then begin
+        let stack = open_spans () in
+        let sp =
+          {
+            sp_name = name;
+            sp_start = start_s;
+            sp_end = start_s +. dur_s;
+            sp_attrs = List.rev attrs;
+            sp_children = [];
+            sp_depth = List.length stack;
+          }
+        in
+        attach kept stack sp;
+        jsonl_emit sp
+      end
     end
 end
 

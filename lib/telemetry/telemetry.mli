@@ -125,8 +125,10 @@ end
 module Span : sig
   (** [with_span ?attrs name f] runs [f ()] inside a named span nested
       under the currently open span.  Disabled mode runs [f] directly.
-      Spans are capped process-wide (see {!val-max_spans}); beyond the
-      cap, [f] still runs but no span is recorded. *)
+      The spans kept in memory for {!snapshot} are capped process-wide
+      (see {!val-max_spans}); beyond the cap a span is still written to
+      the JSONL sink and the live trace, and without either of them [f]
+      simply runs. *)
   val with_span : ?attrs:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
 
   (** [set_attr key v] attaches an attribute to the innermost open span
@@ -143,7 +145,8 @@ module Span : sig
   val record :
     ?attrs:(string * Json.t) list -> string -> start_s:float -> dur_s:float -> unit
 
-  (** Recording cap on the total number of spans kept in memory. *)
+  (** Cap on the number of spans kept in memory (until {!reset}); it does
+      not bound the spans streamed to {!set_jsonl}'s sink. *)
   val max_spans : int
 end
 

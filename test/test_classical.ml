@@ -1,7 +1,14 @@
 (* Tests for ANF extraction and classical gate-library synthesis — the
-   machinery behind the paper's Peres-vs-Toffoli library claim. *)
+   machinery behind the paper's Peres-vs-Toffoli library claim.  The
+   NOT+CNOT ("nc"), NOT+CNOT+Toffoli ("nct") and NOT+CNOT+Peres ("ncp")
+   libraries are registry census universes; a small breadth-first search
+   over Revfun values, written here from Reversible.Gates alone, is the
+   independent oracle for their gate-count spectra. *)
 
 open Reversible
+module Library = Synthesis.Library
+module Gate = Synthesis.Gate
+module Fmcf = Synthesis.Fmcf
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
@@ -25,6 +32,9 @@ let revfun_gen bits =
         done;
         Revfun.of_perm ~bits (Permgroup.Perm.of_array a))
       int)
+
+(* The nc library run to closure (diameter 7). *)
+let nc_closure = lazy (Fmcf.run ~max_depth:8 (Library.of_name "nc"))
 
 (* Anf *)
 
@@ -66,15 +76,7 @@ let anf_props =
           [ 0; 1; 2 ]);
     qcheck_test "linear iff in the CNOT/NOT closure" (revfun_gen 3) (fun f ->
         (* the affine group on 3 bits has 1344 elements *)
-        let linear = Anf.is_linear f in
-        let affine_reachable =
-          match
-            Classical_synth.synthesize ~bits:3 Classical_synth.ncp_linear f
-          with
-          | Some _ -> true
-          | None -> false
-        in
-        linear = affine_reachable);
+        Anf.is_linear f = (Fmcf.find (Lazy.force nc_closure) f <> None));
   ]
 
 (* Boolexpr *)
@@ -251,91 +253,207 @@ let gf2_props =
         Anf.is_linear f = (Gf2.of_revfun f <> None));
   ]
 
-(* Classical_synth *)
+(* Classical libraries *)
+
+let wires = [ 0; 1; 2 ]
+
+let ordered_pairs =
+  List.concat_map
+    (fun a -> List.filter_map (fun b -> if a <> b then Some (a, b) else None) wires)
+    wires
+
+(* [peres (a, b)] is Peres[abc]: a into b, and c XOR ab. *)
+let peres (a, b) = Gates.peres ~bits:3 ~control1:a ~control2:b ~target:(3 - a - b)
+
+let oracle_nc =
+  List.map (fun wire -> Gates.not_ ~bits:3 ~wire) wires
+  @ List.map (fun (control, target) -> Gates.cnot ~bits:3 ~control ~target) ordered_pairs
+
+let oracle_nct =
+  oracle_nc
+  @ List.map
+      (fun target ->
+        match List.filter (( <> ) target) wires with
+        | [ control1; control2 ] -> Gates.toffoli ~bits:3 ~control1 ~control2 ~target
+        | _ -> assert false)
+      wires
+
+let oracle_ncp =
+  oracle_nc @ List.map peres ordered_pairs
+  @ List.map (fun pair -> Revfun.inverse (peres pair)) ordered_pairs
+
+(* The oracle: breadth-first search over S8 by gate count; [(k, n)] for
+   every nonempty level. *)
+let oracle_spectrum generators =
+  let seen = Hashtbl.create 65536 in
+  let fresh f =
+    let key = Permgroup.Perm.key (Revfun.to_perm f) in
+    (not (Hashtbl.mem seen key)) && (Hashtbl.replace seen key (); true)
+  in
+  let identity = Revfun.identity ~bits:3 in
+  ignore (fresh identity);
+  let rec levels k frontier acc =
+    if frontier = [] then List.rev acc
+    else
+      let next =
+        List.concat_map
+          (fun f ->
+            List.filter_map
+              (fun g ->
+                let h = Revfun.compose f g in
+                if fresh h then Some h else None)
+              generators)
+          frontier
+      in
+      levels (k + 1) next ((k, List.length frontier) :: acc)
+  in
+  levels 0 [ identity ] []
+
+(* The oracle Revfun of one registry gate, from its wires alone. *)
+let oracle_gate g =
+  let target = Gate.target g and control = Gate.control g in
+  match Gate.kind g with
+  | Gate.Not -> Gates.not_ ~bits:3 ~wire:target
+  | Gate.Feynman -> Gates.cnot ~bits:3 ~control ~target
+  | Gate.Toffoli ->
+      Gates.toffoli ~bits:3 ~control1:control ~control2:(Gate.control2 g) ~target
+  | Gate.Peres -> peres (control, Gate.control2 g)
+  | Gate.Peres_dag -> Revfun.inverse (peres (control, Gate.control2 g))
+  | _ -> Alcotest.failf "%s is in no classical library here" (Gate.name g)
+
+let spectra =
+  let memo = Hashtbl.create 3 in
+  fun name ->
+    match Hashtbl.find_opt memo name with
+    | Some s -> s
+    | None ->
+        let library = Library.of_name name in
+        let by_gates =
+          List.filter (fun (_, n) -> n > 0) (Fmcf.counts (Fmcf.run ~max_depth:16 library))
+        in
+        let by_cost =
+          Synthesis.Weighted.census ~max_cost:64 library ~model:Synthesis.Cost_model.quantum
+        in
+        Hashtbl.replace memo name (by_gates, by_cost);
+        (by_gates, by_cost)
+
+let histogram = Alcotest.(list (pair int int))
+let total h = List.fold_left (fun acc (_, n) -> acc + n) 0 h
+
+let average h =
+  float_of_int (List.fold_left (fun acc (k, n) -> acc + (k * n)) 0 h)
+  /. float_of_int (total h)
+
+let of_row row = List.mapi (fun k n -> (k, n)) row
+
+(* One library's spectra: gate counts equal to the pin and the oracle,
+   quantum costs and both averages equal to the pins. *)
+let check_library name ~oracle ~gates ~quantum ~average_gates ~average_quantum =
+  let by_gates, by_cost = spectra name in
+  check histogram (name ^ " gate counts") (of_row gates) by_gates;
+  check histogram (name ^ " oracle") (oracle_spectrum oracle) by_gates;
+  check histogram (name ^ " quantum costs") quantum by_cost;
+  let printed h = Printf.sprintf "%.3f" (average h) in
+  check Alcotest.string (name ^ " average gates") average_gates (printed by_gates);
+  check Alcotest.string (name ^ " average quantum cost") average_quantum
+    (printed by_cost)
 
 let test_placements () =
-  check Alcotest.int "toffoli placements" 3
-    (List.length
-       (Classical_synth.all_placements ~bits:3 ~name:"To" ~quantum_cost:5
-          Gates.toffoli3));
-  check Alcotest.int "peres placements" 6
-    (List.length
-       (Classical_synth.all_placements ~bits:3 ~name:"Pe" ~quantum_cost:4 Gates.g1));
-  check Alcotest.int "fredkin placements" 3
-    (List.length
-       (Classical_synth.all_placements ~bits:3 ~name:"Fr" ~quantum_cost:5
-          Gates.fredkin3))
+  (* every gate of the three libraries acts as its oracle placement *)
+  List.iter
+    (fun name ->
+      let library = Library.of_name name in
+      Array.iter
+        (fun e ->
+          let g = e.Library.gate in
+          checkb (name ^ " " ^ Gate.name g) true
+            (Permgroup.Perm.equal e.Library.perm (Revfun.to_perm (oracle_gate g))))
+        (Library.entries library))
+    [ "nc"; "nct"; "ncp" ];
+  let count kind name =
+    Array.fold_left
+      (fun acc e -> if Gate.kind e.Library.gate = kind then acc + 1 else acc)
+      0
+      (Library.entries (Library.of_name name))
+  in
+  check Alcotest.int "toffoli placements" 3 (count Gate.Toffoli "nct");
+  check Alcotest.int "peres placements" 6 (count Gate.Peres "ncp");
+  check Alcotest.int "inverse peres placements" 6 (count Gate.Peres_dag "ncp")
 
 let test_library_sizes () =
-  check Alcotest.int "linear" 9
-    (List.length Classical_synth.ncp_linear.Classical_synth.gates);
-  check Alcotest.int "toffoli" 12
-    (List.length Classical_synth.ncp_toffoli.Classical_synth.gates);
-  check Alcotest.int "peres" 21
-    (List.length Classical_synth.ncp_peres.Classical_synth.gates)
+  List.iter
+    (fun (name, oracle, size) ->
+      check Alcotest.int name size (Library.size (Library.of_name name));
+      check Alcotest.int (name ^ " oracle") size
+        (List.length
+           (List.sort_uniq compare
+              (List.map (fun f -> Permgroup.Perm.key (Revfun.to_perm f)) oracle))))
+    [ ("nc", oracle_nc, 9); ("nct", oracle_nct, 12); ("ncp", oracle_ncp, 21) ]
 
 let test_linear_census () =
-  let result = Classical_synth.census ~bits:3 Classical_synth.ncp_linear in
+  check_library "nc" ~oracle:oracle_nc ~gates:[ 1; 9; 51; 187; 393; 474; 215; 14 ]
+    ~quantum:[ (0, 8); (1, 48); (2, 192); (3, 408); (4, 480); (5, 192); (6, 16) ]
+    ~average_gates:"4.466" ~average_quantum:"3.446";
   (* affine group: 2^3 * |GL(3,2)| = 8 * 168 *)
-  check Alcotest.int "affine functions" 1344 result.Classical_synth.reachable
+  check Alcotest.int "affine functions" 1344 (total (fst (spectra "nc")))
 
 let test_toffoli_census () =
-  let result = Classical_synth.census ~bits:3 Classical_synth.ncp_toffoli in
-  check Alcotest.int "all of S8" 40320 result.Classical_synth.reachable;
   (* Shende et al.: every 3-bit reversible function needs at most 8
      NOT/CNOT/Toffoli gates. *)
-  let worst = List.fold_left (fun acc (k, _) -> max acc k) 0 result.Classical_synth.by_gate_count in
-  check Alcotest.int "worst case 8 gates" 8 worst
+  check_library "nct" ~oracle:oracle_nct
+    ~gates:[ 1; 12; 102; 625; 2780; 8921; 17049; 10253; 577 ]
+    ~quantum:
+      [ (0, 8); (1, 48); (2, 192); (3, 408); (4, 480); (5, 288); (6, 592); (7, 2016);
+        (8, 4128); (9, 2496); (10, 672); (11, 2880); (12, 7488); (13, 7488);
+        (14, 384); (15, 1600); (16, 5568); (17, 3584) ]
+    ~average_gates:"5.866" ~average_quantum:"11.983";
+  check Alcotest.int "all of S8" 40320 (total (fst (spectra "nct")))
 
 let test_peres_census_beats_toffoli () =
-  let toffoli = Classical_synth.census ~bits:3 Classical_synth.ncp_toffoli in
-  let peres = Classical_synth.census ~bits:3 Classical_synth.ncp_peres in
-  check Alcotest.int "peres reaches everything" 40320 peres.Classical_synth.reachable;
+  check_library "ncp" ~oracle:oracle_ncp
+    ~gates:[ 1; 21; 300; 3001; 14329; 22013; 655 ]
+    ~quantum:
+      [ (0, 8); (1, 48); (2, 192); (3, 408); (4, 672); (5, 1248); (6, 3184);
+        (7, 4320); (8, 3552); (9, 11520); (10, 4416); (12, 9856); (13, 896) ]
+    ~average_gates:"4.487" ~average_quantum:"9.080";
+  let ncp_gates, ncp_cost = spectra "ncp" and nct_gates, nct_cost = spectra "nct" in
+  check Alcotest.int "peres reaches everything" 40320 (total ncp_gates);
   (* The paper's conclusion: Peres libraries need fewer gates... *)
-  checkb "fewer gates on average" true
-    (peres.Classical_synth.average_gates < toffoli.Classical_synth.average_gates);
+  checkb "fewer gates on average" true (average ncp_gates < average nct_gates);
   (* ...and lower total quantum cost. *)
-  checkb "lower quantum cost on average" true
-    (peres.Classical_synth.average_quantum_cost
-    < toffoli.Classical_synth.average_quantum_cost);
-  let worst = List.fold_left (fun acc (k, _) -> max acc k) 0 peres.Classical_synth.by_gate_count in
-  check Alcotest.int "peres worst case 6 gates" 6 worst
+  checkb "lower quantum cost on average" true (average ncp_cost < average nct_cost)
 
 let test_quantum_cost_histogram_matches_elementary_census () =
-  (* The Peres-library quantum-cost census agrees with the
-     elementary-gate census |S8[k]| for every k the census covers — the
-     two models measure the same quantity. *)
-  let peres = Classical_synth.census ~bits:3 Classical_synth.ncp_peres in
-  let library = Synthesis.Library.make (Mvl.Encoding.make ~qubits:3) in
-  let elementary = Synthesis.Fmcf.run ~max_depth:6 library in
-  List.iter
-    (fun (k, n) ->
-      match List.assoc_opt k peres.Classical_synth.by_quantum_cost with
-      | Some m -> check Alcotest.int (Printf.sprintf "cost %d" k) (8 * n) m
-      | None -> if n > 0 then Alcotest.fail "missing cost bucket")
-    (Synthesis.Fmcf.counts elementary)
+  (* The Peres-library quantum-cost census is 8 |G[k]| of the paper's
+     library run to closure at every cost — the NOT layer is free in
+     both, and the two models measure the same quantity. *)
+  let closure = Fmcf.run ~max_depth:13 ~quotient:true (Library.of_name "paper18") in
+  check histogram "8 |G[k]|"
+    (List.filter (fun (_, n) -> n > 0) (Fmcf.s8_counts closure))
+    (snd (spectra "ncp"))
 
 let test_synthesize_known () =
-  (match Classical_synth.synthesize ~bits:3 Classical_synth.ncp_peres Gates.fredkin3 with
-  | Some (gates, count) ->
-      check Alcotest.int "fredkin = 3 peres" 3 count;
-      (* verify the factorization *)
+  (* synth --library ncp fredkin: three Peres-family gates, replayed
+     exactly as a unitary and as the oracle's Revfun product *)
+  let ncp = Library.of_name "ncp" in
+  (match Synthesis.Mce.express ncp Gates.fredkin3 with
+  | Some r ->
+      check Alcotest.int "fredkin = 3 peres" 3 r.Synthesis.Mce.cost;
+      checkb "replays as a unitary" true
+        (Synthesis.Verify.cascade_implements ~qubits:3 ~not_mask:r.Synthesis.Mce.not_mask
+           r.Synthesis.Mce.cascade Gates.fredkin3);
       let product =
         List.fold_left
-          (fun acc g -> Revfun.compose acc g.Classical_synth.func)
-          (Revfun.identity ~bits:3) gates
+          (fun acc g -> Revfun.compose acc (oracle_gate g))
+          (Revfun.identity ~bits:3) r.Synthesis.Mce.cascade
       in
       checkb "factorization valid" true (Revfun.equal product Gates.fredkin3)
   | None -> Alcotest.fail "fredkin reachable");
-  (match Classical_synth.synthesize ~bits:3 Classical_synth.ncp_linear Gates.toffoli3 with
-  | Some _ -> Alcotest.fail "toffoli is not affine"
-  | None -> ());
-  match
-    Classical_synth.synthesize ~bits:3 Classical_synth.ncp_toffoli
-      (Revfun.identity ~bits:3)
-  with
-  | Some ([], 0) -> ()
-  | _ -> Alcotest.fail "identity is free"
+  checkb "toffoli is not affine" true
+    (Synthesis.Mce.express ~max_depth:8 (Library.of_name "nc") Gates.toffoli3 = None);
+  match Synthesis.Mce.express (Library.of_name "nct") (Revfun.identity ~bits:3) with
+  | Some r -> check Alcotest.int "identity is free" 0 r.Synthesis.Mce.cost
+  | None -> Alcotest.fail "identity is free"
 
 let () =
   Alcotest.run "classical"

@@ -820,8 +820,8 @@ let index_first_matches_solve () =
 let s8_answers_digest = "20ffea28c92f69c1f1b5a9b7af4db76a"
 
 let index_answers_digest_pinned () =
-  (* untraced: 40320 more spans would exhaust the process's span budget
-     that the tracing tests below rely on *)
+  (* untraced: 40320 more spans would fill the process's in-memory span
+     cap, leaving later snapshots without the spans of the tests below *)
   let was_enabled = Telemetry.enabled () in
   Telemetry.set_enabled false;
   let svc = Service.create ~index:(Lazy.force complete_index) library3 in

@@ -577,7 +577,8 @@ let test_classical_gate_names () =
     (fun s ->
       let g = Gate.of_name ~qubits:3 s in
       check Alcotest.string "name round-trip" s (Gate.name g))
-    [ "NA"; "NB"; "NC"; "TABC"; "TBAC"; "TCAB"; "SAB"; "SBC"; "FRBCA" ];
+    [ "NA"; "NB"; "NC"; "TABC"; "TBAC"; "TCAB"; "SAB"; "SBC"; "FRBCA"; "PCAB"; "PCBA";
+      "P+CAB"; "P+ABC" ];
   (* canonicalization: controls and swapped pairs are order-insensitive *)
   checkb "Toffoli controls sorted" true
     (Gate.equal (Gate.of_name ~qubits:3 "TABC") (Gate.of_name ~qubits:3 "TACB"));
@@ -590,7 +591,14 @@ let test_classical_gate_names () =
     (fun s ->
       let g = Gate.of_name ~qubits:3 s in
       checkb (s ^ " self-adjoint") true (Gate.equal g (Gate.adjoint g)))
-    [ "NA"; "TABC"; "SAB"; "FRBCA" ]
+    [ "NA"; "TABC"; "SAB"; "FRBCA" ];
+  (* Peres controls are ordered, and its adjoint is the inverse kind *)
+  checkb "Peres controls ordered" false
+    (Gate.equal (Gate.of_name ~qubits:3 "PCAB") (Gate.of_name ~qubits:3 "PCBA"));
+  check Alcotest.string "Peres adjoint" "P+CAB"
+    (Gate.name (Gate.adjoint (Gate.of_name ~qubits:3 "PCAB")));
+  check Alcotest.string "inverse Peres adjoint" "PCAB"
+    (Gate.name (Gate.adjoint (Gate.of_name ~qubits:3 "P+CAB")))
 
 let test_classical_gate_matrices () =
   (* Hand-computed permutation matrices over the computational basis,
@@ -606,12 +614,15 @@ let test_classical_gate_matrices () =
   expect "TCAB" [| 0; 1; 2; 3; 4; 5; 7; 6 |];
   expect "TABC" [| 0; 1; 2; 7; 4; 5; 6; 3 |];
   expect "SAB" [| 0; 1; 4; 5; 2; 3; 6; 7 |];
-  expect "FRBCA" [| 0; 1; 2; 3; 4; 6; 5; 7 |]
+  expect "FRBCA" [| 0; 1; 2; 3; 4; 6; 5; 7 |];
+  (* the paper's g1 = (5,7,6,8): P = A, Q = B xor A, R = C xor AB *)
+  expect "PCAB" [| 0; 1; 2; 3; 6; 7; 5; 4 |];
+  expect "P+CAB" [| 0; 1; 2; 3; 7; 6; 4; 5 |]
 
 let test_library_registry () =
   check
     (Alcotest.list Alcotest.string)
-    "registry names" [ "paper18"; "nct"; "nft" ] Library.Registry.names;
+    "registry names" [ "paper18"; "nct"; "nft"; "nc"; "ncp" ] Library.Registry.names;
   checkb "unknown name raises, listing the registry" true
     (match Library.of_name "bogus" with
     | exception Invalid_argument msg -> has_sub msg "paper18"

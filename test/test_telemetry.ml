@@ -274,6 +274,49 @@ let test_jsonl_export () =
       | _ -> Alcotest.fail "missing type tag")
     parsed
 
+(* The span cap bounds the in-memory forest only: a long-running traced
+   daemon must keep streaming span lines after max_spans. *)
+let test_jsonl_past_span_cap () =
+  fresh ();
+  let path = Filename.temp_file "telemetry" ".jsonl" in
+  let oc = open_out path in
+  set_jsonl (Some oc);
+  let total = Span.max_spans + 10 in
+  for i = 1 to total do
+    Span.with_span ~attrs:[ ("i", Json.Int i) ] "s" ignore
+  done;
+  Span.with_span "outer" (fun () ->
+      Span.record "late" ~start_s:0. ~dur_s:0.;
+      Span.with_span "inner" ignore);
+  set_jsonl None;
+  close_out oc;
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  Sys.remove path;
+  checki "every span streamed" (total + 3) (List.length lines);
+  let name_of line =
+    match Json.member "name" (Json.of_string line) with
+    | Some (Json.String s) -> s
+    | _ -> Alcotest.fail "span line without a name"
+  in
+  let last_numbered =
+    Json.member "attrs" (Json.of_string (List.nth lines (total - 1)))
+    |> Option.map (Json.member "i")
+  in
+  checkb "the last numbered span is written" true
+    (last_numbered = Some (Some (Json.Int total)));
+  check
+    Alcotest.(list string)
+    "late spans nest and close in order" [ "late"; "inner"; "outer" ]
+    (List.map name_of (List.filteri (fun i _ -> i >= total) lines));
+  (* the snapshot still keeps only max_spans *)
+  let kept =
+    match Json.member "spans" (snapshot ()) with
+    | Some (Json.List l) -> List.length l
+    | _ -> Alcotest.fail "snapshot without spans"
+  in
+  checki "in-memory spans capped" Span.max_spans kept;
+  fresh ()
+
 (* Two systhreads of one domain, each inside its own span while the
    other runs: a per-domain stack would nest the second thread's span
    under the first's.  Each must close as a root carrying its own trace
@@ -435,6 +478,7 @@ let () =
           Alcotest.test_case "nesting and timing" `Quick test_span_nesting_and_timing;
           Alcotest.test_case "exception safety" `Quick test_span_exception_safety;
           Alcotest.test_case "jsonl export" `Quick test_jsonl_export;
+          Alcotest.test_case "jsonl past the span cap" `Quick test_jsonl_past_span_cap;
           Alcotest.test_case "stacks are per thread" `Quick test_span_per_thread;
         ] );
       ( "switch",

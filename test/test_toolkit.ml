@@ -34,10 +34,13 @@ let test_cost_models () =
   check Alcotest.string "name" "unit" (Cost_model.name Cost_model.unit)
 
 let test_cost_model_validation () =
-  let broken = Cost_model.make ~name:"broken" (fun _ -> 0) in
-  Alcotest.check_raises "non-positive"
-    (Invalid_argument "Cost_model.gate_cost: non-positive cost") (fun () ->
-      ignore (Cost_model.gate_cost broken (Gate.of_name ~qubits:3 "VBA")))
+  let broken = Cost_model.make ~name:"broken" (fun _ -> -1) in
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Cost_model.gate_cost: negative cost") (fun () ->
+      ignore (Cost_model.gate_cost broken (Gate.of_name ~qubits:3 "VBA")));
+  (* a free gate is legal: the NOT layer of Theorem 2 costs nothing *)
+  check Alcotest.int "free NOT" 0
+    (Cost_model.gate_cost Cost_model.quantum (Gate.make_not ~target:0))
 
 (* Weighted *)
 
@@ -99,6 +102,40 @@ let test_weighted_identity_and_not () =
       check Alcotest.int "mask" 6 r.Weighted.not_mask
   | None -> Alcotest.fail "not layer"
 
+(* nct has no free NOT layer: its NOT gates are priced like any other
+   gate, so Weighted answers a bare NOT as Mce does. *)
+let test_weighted_nct_not () =
+  let nct = Library.of_name "nct" in
+  let not_c = Reversible.Spec.parse ~bits:3 "1,0,3,2,5,4,7,6" in
+  (match Weighted.express nct ~model:Cost_model.unit not_c with
+  | Some r ->
+      check Alcotest.int "priced NOT" 1 r.Weighted.cost;
+      check Alcotest.int "no free layer" 0 r.Weighted.not_mask;
+      check Alcotest.string "cascade" "NC" (Cascade.to_string r.Weighted.cascade)
+  | None -> Alcotest.fail "NOT reachable");
+  match Mce.express nct not_c with
+  | Some m -> check Alcotest.int "Mce agrees" 1 m.Mce.cost
+  | None -> Alcotest.fail "NOT reachable"
+
+(* A cost-0 gate's children land in the bucket being drained; they must
+   be settled at that cost, not dropped. *)
+let test_weighted_free_gates () =
+  let nct = Library.of_name "nct" in
+  let not_layer = Reversible.Revfun.xor_layer ~bits:3 5 in
+  (match Weighted.express nct ~model:Cost_model.quantum not_layer with
+  | Some r ->
+      check Alcotest.int "NOT layer settled free" 0 r.Weighted.cost;
+      check Alcotest.int "two NOT gates" 2 (List.length r.Weighted.cascade);
+      checkb "replays" true
+        (Verify.cascade_implements ~qubits:3 r.Weighted.cascade not_layer)
+  | None -> Alcotest.fail "NOT layer reachable");
+  (* NOT 0, CNOT 1: the 8 NOT layers are free, one CNOT between them
+     makes 48 functions *)
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "quantum census to cost 1" [ (0, 8); (1, 48) ]
+    (Weighted.census ~max_cost:1 nct ~model:Cost_model.quantum)
+
 let test_weighted_census () =
   (* Unit-model weighted census must equal the FMCF census. *)
   let weighted = Weighted.census ~max_cost:4 library3 ~model:Cost_model.unit in
@@ -155,7 +192,9 @@ let test_cancel_rules () =
   check Alcotest.string "V+ V+ merges to F" "FBA" (norm "V+BA*V+BA");
   check Alcotest.string "triple V" "FBA*VBA" (norm "VBA*VBA*VBA");
   check Alcotest.string "commuting detour" "()" (norm "VBA*FCA*V+BA*FCA");
-  check Alcotest.string "non-cancelling stays" "VBA*FBA" (norm "VBA*FBA")
+  check Alcotest.string "non-cancelling stays" "VBA*FBA" (norm "VBA*FBA");
+  check Alcotest.string "Peres and its inverse cancel" "()" (norm "PCAB*P+CAB");
+  check Alcotest.string "Peres twice stays" "PCAB*PCAB" (norm "PCAB*PCAB")
 
 let test_cancel_once () =
   checkb "no rule fires" true (Rewrite.cancel_once (Cascade.of_string ~qubits:3 "VBA*FBA") = None);
@@ -198,6 +237,14 @@ let test_draw_peres () =
      B: --*----(+)----|-----*---\n\
      C: -[V]---------[V]---[V+]-"
     (Draw.to_ascii ~qubits:3 peres)
+
+let test_draw_classical_peres () =
+  (* the Peres gate as one column: A controls, B takes A, C takes AB *)
+  check Alcotest.string "PCAB then P+CAB"
+    "A: --*-----*---\n\
+     B: -(+)---(+)--\n\
+     C: -[P]---[P+]-"
+    (Draw.to_ascii ~qubits:3 (Cascade.of_string ~qubits:3 "PCAB*P+CAB"))
 
 let test_draw_not_mask () =
   (* not_mask is a code mask: 4 = wire A on 3 qubits. *)
@@ -405,6 +452,8 @@ let () =
           Alcotest.test_case "unit census matches" `Quick test_weighted_census;
           Alcotest.test_case "v-cheap census" `Quick test_weighted_census_v_cheap;
           Alcotest.test_case "cost bound" `Quick test_weighted_depth_bound;
+          Alcotest.test_case "nct NOT is priced" `Quick test_weighted_nct_not;
+          Alcotest.test_case "cost-0 gates settle" `Quick test_weighted_free_gates;
         ] );
       ("weighted properties", weighted_props);
       ( "rewrite",
@@ -417,6 +466,7 @@ let () =
       ( "draw",
         [
           Alcotest.test_case "peres figure" `Quick test_draw_peres;
+          Alcotest.test_case "classical Peres" `Quick test_draw_classical_peres;
           Alcotest.test_case "NOT layer" `Quick test_draw_not_mask;
           Alcotest.test_case "labels" `Quick test_draw_labels;
           Alcotest.test_case "crossing" `Quick test_draw_crossing;
