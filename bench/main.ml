@@ -154,6 +154,11 @@ let reproduce_group_results census =
   in
   Format.printf "wire-relabeling orbits: %s (paper: 4 families g1..g4 of 6)@."
     (String.concat " + " (List.map (fun o -> string_of_int (List.length o)) orbits));
+  List.iteri
+    (fun i orbit ->
+      Format.printf "  orbit %d representative: %a@." (i + 1) Reversible.Revfun.pp
+        (List.hd orbit))
+    orbits;
   let g_size, h_size = Universality.theorem2_check ~bits:3 in
   Format.printf "|G| = %d, |S8| = %d (paper: 5040 and 40320)@." g_size h_size
 
@@ -213,18 +218,25 @@ let reproduce_ablation () =
   Format.printf "@.unconstrained |G[k]|:";
   List.iter (fun (_, n) -> Format.printf " %4d" n) (Fmcf.counts unconstrained);
   Format.printf "@.";
-  let unsound = ref 0 in
+  let unsound = ref 0 and first = ref None in
   Fmcf.iter_members unconstrained (fun ~cost:_ m ->
-      if
-        not
-          (Verify.cascade_implements ~qubits:3
-             (Fmcf.cascade_of_member unconstrained m)
-             m.Fmcf.func)
-      then incr unsound);
+      let cascade = Fmcf.cascade_of_member unconstrained m in
+      if not (Verify.cascade_implements ~qubits:3 cascade m.Fmcf.func) then begin
+        incr unsound;
+        if !first = None then first := Some (cascade, m.Fmcf.func)
+      end);
   Format.printf
     "unsound members within depth 4: %d (their multiple-valued permutations are not \
      implemented by their cascades' unitaries) — the constraint is load-bearing@."
-    !unsound
+    !unsound;
+  Option.iter
+    (fun (cascade, func) ->
+      Format.printf
+        "unsound witness: %a claims %a in the multiple-valued model but its exact \
+         unitary does not implement it — this is why Definition 1 bans mixed \
+         control values.@."
+        Cascade.pp cascade Reversible.Revfun.pp func)
+    !first
 
 let reproduce_rewrite () =
   hr "Extension: peephole rewriting";

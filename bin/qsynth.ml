@@ -134,14 +134,17 @@ let install_cancel () =
 
 (* {1 Argument converters with up-front validation} *)
 
-let pos_int ~what =
+let int_at_least least ~what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ -> Error (`Msg (Printf.sprintf "%s must be at least 1" what))
+    | Some n when n >= least -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "%s must be at least %d" what least))
     | None -> Error (`Msg (Printf.sprintf "invalid %s value %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let pos_int = int_at_least 1
+let nonneg_int = int_at_least 0
 
 let byte_size =
   let parse s =
@@ -209,7 +212,7 @@ let qubits_arg =
 
 let depth_arg =
   let doc = "Search depth bound (the paper's cb)." in
-  Arg.(value & opt int 7 & info [ "d"; "depth" ] ~docv:"K" ~doc)
+  Arg.(value & opt (nonneg_int ~what:"K") 7 & info [ "d"; "depth" ] ~docv:"K" ~doc)
 
 let jobs_arg =
   let doc =
@@ -495,7 +498,7 @@ let census_cmd =
 
 (* {1 The unified query surface}
 
-   synth, query, batch and serve all speak Mce.Request/Mce.Response; a
+   synth, batch and serve all speak Mce.Request/Mce.Response; a
    response rendered with --json is byte-identical no matter which
    transport produced it (doc/API.md). *)
 
@@ -509,8 +512,8 @@ let response_exit (resp : Mce.Response.t) =
   | Error Mce.Response.Cancelled -> exit_interrupt
   | Error _ -> exit_runtime
 
-(* Human rendering shared by synth and query; verification runs here, on
-   the client side — the wire carries cost certificates, not trust. *)
+(* synth's human rendering; verification runs here, on the client
+   side — a response carries cost certificates, not trust. *)
 let print_response_human library t0 (resp : Mce.Response.t) =
   let elapsed = Unix.gettimeofday () -. t0 in
   let pp_one (r : Mce.result) =
@@ -879,7 +882,7 @@ let serve_cmd =
                  Complete-index answers are never queued.")
   in
   let cache_arg =
-    Arg.(value & opt int 1024 & info [ "cache" ] ~docv:"N"
+    Arg.(value & opt (nonneg_int ~what:"N") 1024 & info [ "cache" ] ~docv:"N"
            ~doc:"LRU response-cache capacity (0 disables).  Hits and misses \
                  appear as $(b,server.cache.hit)/$(b,server.cache.miss) in \
                  $(b,--metrics) snapshots.")
@@ -910,16 +913,7 @@ let serve_cmd =
                  span tree is appended to $(docv) as JSON lines.")
   in
   let slow_arg =
-    let nonneg =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n >= 0 -> Ok n
-        | Some _ -> Error (`Msg "N must be >= 0")
-        | None -> Error (`Msg (Printf.sprintf "invalid value %S" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
-    Arg.(value & opt (some nonneg) None & info [ "slow-ms" ] ~docv:"N"
+    Arg.(value & opt (some (nonneg_int ~what:"N")) None & info [ "slow-ms" ] ~docv:"N"
            ~doc:"Log every request whose total latency (queueing included) \
                  reaches $(docv) milliseconds as one structured JSON line on \
                  stderr: trace id, request key, plan, per-stage breakdown, \
@@ -940,78 +934,6 @@ let serve_cmd =
       $ also_library_arg $ socket_arg $ index_arg $ verify_index_arg
       $ workers_arg $ queue_arg $ cache_arg
       $ metrics_port_arg $ trace_file_arg $ slow_arg)
-
-(* query *)
-
-let query_cmd =
-  let run socket qubits depth plan count enumerate id deadline_ms spec =
-    guarded @@ fun () ->
-    let task =
-      match (count, enumerate) with
-      | true, Some _ ->
-          failwith "--count and --enumerate are mutually exclusive"
-      | true, None -> Mce.Request.Count_witnesses
-      | false, Some limit -> Mce.Request.Enumerate { limit }
-      | false, None -> Mce.Request.Synthesize
-    in
-    let req =
-      Mce.Request.make ?id ~qubits ~task ~max_depth:depth ~plan ?deadline_ms spec
-    in
-    let fd = Server.Protocol.connect socket in
-    Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    @@ fun () ->
-    match Server.Protocol.call fd req with
-    | Error msg -> failwith msg
-    | Ok resp ->
-        print_endline (Mce.Response.to_string resp);
-        response_exit resp
-  in
-  let plan_arg =
-    let plans =
-      [
-        ("auto", Mce.Request.Auto);
-        ("index", Mce.Request.Index);
-        ("bidir", Mce.Request.Bidir);
-        ("forward", Mce.Request.Forward);
-      ]
-    in
-    Arg.(value & opt (enum plans) Mce.Request.Auto & info [ "plan" ] ~docv:"PLAN"
-           ~doc:(Printf.sprintf
-                   "Pin the execution plan: %s.  $(b,auto) picks the cheapest \
-                    sound plan the daemon holds; pinned plans fail with the \
-                    'unsupported' error when the daemon lacks the engine."
-                   (Arg.doc_alts_enum plans)))
-  in
-  let count_flag =
-    Arg.(value & flag & info [ "count" ]
-           ~doc:"Ask for the number of distinct minimal witnesses instead of a \
-                 cascade.")
-  in
-  let enumerate_arg =
-    Arg.(value & opt (some int) None & info [ "enumerate" ] ~docv:"LIMIT"
-           ~doc:"Ask for every minimal realization, up to $(docv).")
-  in
-  let id_arg =
-    Arg.(value & opt (some string) None & info [ "id" ] ~docv:"ID"
-           ~doc:"Correlation token echoed verbatim in the response.")
-  in
-  let deadline_arg =
-    Arg.(value & opt (some (pos_int ~what:"MS")) None & info [ "deadline" ] ~docv:"MS"
-           ~doc:"Per-request compute budget in milliseconds; past it the \
-                 daemon answers the 'deadline-exceeded' error.")
-  in
-  let spec_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC"
-           ~doc:"Target (same formats as synth).")
-  in
-  Cmd.v
-    (Cmd.info "query" ~exits:contract_exits
-       ~doc:"Send one request to a running $(b,qsynth serve) daemon and print \
-             the JSON response line — byte-identical to $(b,qsynth synth \
-             --json) under the same engine resources.")
-    Term.(
-      const run $ socket_arg $ qubits_arg $ depth_arg $ plan_arg
-      $ count_flag $ enumerate_arg $ id_arg $ deadline_arg $ spec_arg)
 
 (* batch *)
 
@@ -1116,8 +1038,10 @@ let batch_cmd =
   in
   let socket_opt_arg =
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
-           ~doc:"Send the batch to a running daemon instead of evaluating \
-                 locally.")
+           ~doc:"Send the batch to a running $(b,qsynth serve) daemon \
+                 instead of evaluating locally.  $(b,--socket) $(docv) $(b,-) \
+                 is the daemon's command-line client: one JSON request per \
+                 line in, its response line out (schema: doc/API.md).")
   in
   let file_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
@@ -1139,73 +1063,19 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch" ~exits:contract_exits
        ~doc:"Evaluate a JSONL file of requests — locally against one \
-             engine, or through a daemon with $(b,--socket).")
+             engine, or through a daemon with $(b,--socket).  Each \
+             request's outcome is in-band, in its response's \"ok\" or \
+             \"error\" member; the exit status is 1 only when a line fails \
+             to decode as a request, or when the daemon connection fails.")
     Term.(
       const run $ telemetry_term $ qubits_arg $ jobs_arg $ library_arg
       $ socket_opt_arg $ index_arg $ verify_index_arg $ max_retries_arg
       $ file_arg)
 
-(* table1 *)
-
-let table1_cmd =
-  let run () =
-    guarded @@ fun () ->
-    let gate = Gate.make Gate.Controlled_v ~target:1 ~control:0 in
-    let rows =
-      Mvl.Truth_table.labeled_rows ~order:Mvl.Truth_table.table1_order (Gate.apply gate)
-    in
-    Format.printf "Table 1: truth table of the 2-qubit controlled-V gate@.";
-    Mvl.Truth_table.pp_table ~wires:[ "A"; "B" ] Format.std_formatter rows;
-    (* The paper prints the permutation over Table 1's own row order. *)
-    let img = Array.make (List.length rows) 0 in
-    List.iter (fun (li, _, _, lo) -> img.(li - 1) <- lo - 1) rows;
-    Format.printf "permutation representation: %a@." Permgroup.Perm.pp
-      (Permgroup.Perm.of_array img);
-    exit_ok
-  in
-  Cmd.v (Cmd.info "table1" ~doc:"Reproduce Table 1 (2-qubit controlled-V truth table).")
-    Term.(const run $ const ())
-
-(* universal *)
-
-let universal_cmd =
-  let run finish_telemetry jobs =
-    guarded ~finish:finish_telemetry @@ fun () ->
-    let library = make_library 3 in
-    let census = Fmcf.run ~max_depth:4 ~jobs library in
-    let linear, family = Universality.split_g4 census in
-    Format.printf "G[4]: %d circuits = %d Feynman-realizable + %d Peres-family@."
-      (List.length linear + List.length family)
-      (List.length linear) (List.length family);
-    let universal =
-      List.filter (fun (m : Fmcf.member) -> Universality.is_universal m.Fmcf.func) family
-    in
-    Format.printf "universal Peres-family circuits: %d@." (List.length universal);
-    let orbits =
-      Universality.wire_orbits (List.map (fun (m : Fmcf.member) -> m.Fmcf.func) family)
-    in
-    Format.printf "wire-relabeling orbits: %s@."
-      (String.concat " + "
-         (List.map (fun o -> string_of_int (List.length o)) orbits));
-    List.iteri
-      (fun i orbit ->
-        Format.printf "  orbit %d representative: %a@." (i + 1) Reversible.Revfun.pp
-          (List.hd orbit))
-      orbits;
-    let g_size, h_size = Universality.theorem2_check ~bits:3 in
-    Format.printf "|G| = %d, |S8| = %d (Theorem 2 coset checks passed)@." g_size h_size;
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "universal"
-       ~doc:"Reproduce the Section 5 group-theory results: the 24 universal \
-             cost-4 circuits, their orbits, |G| = 5040 and Theorem 2.")
-    Term.(const run $ telemetry_term $ jobs_arg)
-
 (* simulate *)
 
 let simulate_cmd =
-  let run qubits cascade_str input_str =
+  let run qubits cascade_str input =
     guarded @@ fun () ->
     let library = make_library qubits in
     let cascade = Cascade.of_string ~qubits cascade_str in
@@ -1214,8 +1084,8 @@ let simulate_cmd =
       (Cascade.is_reasonable library cascade);
     let circuit = Automata.Prob_circuit.of_cascade library cascade in
     let inputs =
-      match input_str with
-      | Some s -> [ int_of_string s ]
+      match input with
+      | Some code -> [ code ]
       | None -> List.init (1 lsl qubits) Fun.id
     in
     List.iter
@@ -1238,7 +1108,7 @@ let simulate_cmd =
            ~doc:"Gate cascade, e.g. 'VCB*FBA*VCA*V+CB'.")
   in
   let input_arg =
-    Arg.(value & opt (some string) None & info [ "i"; "input" ] ~docv:"CODE"
+    Arg.(value & opt (some int) None & info [ "i"; "input" ] ~docv:"CODE"
            ~doc:"Binary input code (default: all).")
   in
   Cmd.v
@@ -1336,7 +1206,7 @@ let weighted_cmd =
              (Printf.sprintf "Cost model: %s." (Arg.doc_alts_enum models)))
   in
   let max_cost_arg =
-    Arg.(value & opt int 8 & info [ "c"; "max-cost" ] ~docv:"C"
+    Arg.(value & opt (nonneg_int ~what:"C") 8 & info [ "c"; "max-cost" ] ~docv:"C"
            ~doc:"Total cost bound for the Dijkstra search.")
   in
   let spec_arg =
@@ -1348,53 +1218,6 @@ let weighted_cmd =
        ~doc:"Minimum-cost synthesis under a non-uniform gate cost model \
              (uniform-cost search).")
     Term.(const run $ qubits_arg $ max_cost_arg $ model_arg $ spec_arg)
-
-(* ablation *)
-
-let ablation_cmd =
-  let run depth =
-    guarded @@ fun () ->
-    let library = make_library 3 in
-    let constrained = Fmcf.run ~max_depth:depth library in
-    let unconstrained = Fmcf.run ~max_depth:depth (Library.unconstrained library) in
-    Format.printf "census with and without the reasonable-product constraint:@.";
-    Format.printf "%-16s" "cost k";
-    List.iter (fun (k, _) -> Format.printf " %6d" k) (Fmcf.counts constrained);
-    Format.printf "@.%-16s" "constrained";
-    List.iter (fun (_, n) -> Format.printf " %6d" n) (Fmcf.counts constrained);
-    Format.printf "@.%-16s" "unconstrained";
-    List.iter (fun (_, n) -> Format.printf " %6d" n) (Fmcf.counts unconstrained);
-    Format.printf "@.";
-    (* exhibit an unsound witness *)
-    let unsound =
-      List.find_map
-        (fun (cost, _) ->
-          List.find_map
-            (fun (m : Fmcf.member) ->
-              let cascade = Fmcf.cascade_of_member unconstrained m in
-              if Verify.cascade_implements ~qubits:3 cascade m.Fmcf.func then None
-              else Some (cascade, m.Fmcf.func))
-            (Fmcf.members_at unconstrained ~cost))
-        (Fmcf.counts unconstrained)
-    in
-    (match unsound with
-    | Some (cascade, func) ->
-        Format.printf
-          "unsound witness: %a claims %a in the multiple-valued model but its exact \
-           unitary does not implement it — this is why Definition 1 bans mixed \
-           control values.@."
-          Cascade.pp cascade Reversible.Revfun.pp func
-    | None -> Format.printf "no unsound witness within this depth.@.");
-    exit_ok
-  in
-  let depth_arg =
-    Arg.(value & opt int 4 & info [ "d"; "depth" ] ~docv:"K" ~doc:"Census depth.")
-  in
-  Cmd.v
-    (Cmd.info "ablation"
-       ~doc:"Ablate the reasonable-product constraint and show the search \
-             becomes unsound.")
-    Term.(const run $ depth_arg)
 
 (* libraries *)
 
@@ -1459,14 +1282,10 @@ let () =
             census_cmd;
             synth_cmd;
             serve_cmd;
-            query_cmd;
             batch_cmd;
-            table1_cmd;
-            universal_cmd;
             simulate_cmd;
             draw_cmd;
             weighted_cmd;
-            ablation_cmd;
             describe_cmd;
             libraries_cmd;
       ]

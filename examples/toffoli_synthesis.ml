@@ -4,7 +4,7 @@
 
    Every question goes through the unified query API: build a
    [Mce.Request.t], call [Mce.solve], read the typed [Mce.Response.t] —
-   the same records [qsynth synth --json], [qsynth query] and the
+   the same records [qsynth synth --json], [qsynth batch] and the
    [qsynth serve] daemon exchange as JSON.
 
    Run with: dune exec examples/toffoli_synthesis.exe *)

@@ -145,6 +145,10 @@ let write_frame ?(max_len = default_max_frame) fd payload =
   go 0
 
 let connect path =
+  (* A write to a daemon that has gone away must come back as EPIPE —
+     [call]'s "send failed" — not kill the client with SIGPIPE. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.connect fd (Unix.ADDR_UNIX path)
    with e ->

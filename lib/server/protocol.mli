@@ -72,11 +72,14 @@ end
 (** {1 Client side} *)
 
 (** [connect path] opens a stream connection to the daemon's socket.
+    It sets SIGPIPE to ignored for the process, so a write to a daemon
+    that has closed the connection fails with [EPIPE] instead of
+    killing the client.
     @raise Unix.Unix_error when nothing is serving there. *)
 val connect : string -> Unix.file_descr
 
 (** [call fd request] sends one request frame and blocks for its
-    response frame — the simple lock-step client used by [qsynth query]
-    and [qsynth batch].  [Error] covers transport failures and
+    response frame — the simple lock-step client used by
+    [qsynth batch --socket].  [Error] covers transport failures and
     undecodable response documents. *)
 val call : ?max_len:int -> Unix.file_descr -> Synthesis.Mce.Request.t -> (Synthesis.Mce.Response.t, string) Stdlib.result

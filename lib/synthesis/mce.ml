@@ -667,6 +667,8 @@ let solve ?(jobs = 1) ?(should_stop = no_stop) ?index ?bidir library
   else
     match Request.target req with
     | Error msg -> fail (Response.Bad_request msg)
+    | Ok _ when req.max_depth < 0 ->
+        fail (Response.Bad_request "max_depth must be non-negative")
     | Ok target -> (
         let mask, remainder = coset_split library target in
         let synthesized cascade =

@@ -13,10 +13,11 @@
     cost certificate or a typed error.  {!solve} evaluates a request
     against whatever engine resources the caller holds (a
     {!Census_index}, a {!Bidir} context, or nothing but the
-    library).  The same pair travels over all four transports: the
-    one-shot [qsynth synth --json] command, the [qsynth serve] daemon's
-    socket protocol, the [qsynth query] client, and [qsynth batch]
-    JSONL files — see doc/API.md for the wire schema.
+    library).  The same pair travels over all three transports: the
+    one-shot [qsynth synth --json] command, [qsynth batch] JSONL files,
+    and the [qsynth serve] daemon's socket protocol, which
+    [qsynth batch --socket] speaks — see doc/API.md for the wire
+    schema.
 
     Three execution plans produce a synthesis answer, tried cheapest
     first under {!Request.plan} [Auto]:
@@ -226,7 +227,8 @@ end
 
 (** [solve ?jobs ?should_stop ?index ?bidir library request] evaluates a
     request against the caller's engine resources and never raises:
-    every failure mode is a typed {!Response.error}.  It is the only
+    every failure mode is a typed {!Response.error} (a negative
+    [max_depth] is a [Bad_request]).  It is the only
     code that computes an answer; every transport and every wrapper
     below goes through it.
 

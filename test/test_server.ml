@@ -922,6 +922,11 @@ let failed_reload_keeps_old_index () =
 
 (* {1 qsynth batch over a pipe} *)
 
+let temp_socket_path () =
+  let path = Filename.temp_file "qsynth_sock" ".s" in
+  Sys.remove path;
+  path
+
 let qsynth_exe =
   List.fold_left Filename.concat
     (Filename.dirname Sys.executable_name)
@@ -988,12 +993,57 @@ let batch_stdin_streams () =
   checkb "same exit status (1: two bad lines)" true
     (stdin_status = file_status && file_status = Unix.WEXITED 1)
 
-(* {1 Live daemon: concurrent stress with byte-identity} *)
+(* [batch --socket PATH -] whose daemon drains between two requests:
+   the next send hits a closed connection, and the client must report
+   that (a "qsynth:" line, exit 1) instead of dying of SIGPIPE. *)
+let batch_socket_daemon_gone () =
+  let svc = Service.create ~jobs:jobs_under_test library3 in
+  let socket = temp_socket_path () in
+  let daemon = Daemon.start ~workers:1 ~socket svc in
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
+  (* Daemon.start left SIGPIPE ignored in this process, and exec keeps
+     an ignored signal ignored: the child starts with the default
+     disposition, as it would from a shell, or the test proves nothing. *)
+  let previous = Sys.signal Sys.sigpipe Sys.Signal_default in
+  let pid =
+    Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe previous)
+    @@ fun () ->
+    Unix.create_process qsynth_exe
+      [| qsynth_exe; "batch"; "--socket"; socket; "-" |]
+      in_r out_w err_w
+  in
+  List.iter Unix.close [ in_r; out_w; err_w ];
+  let oc = Unix.out_channel_of_descr in_w and ic = Unix.in_channel_of_descr out_r in
+  let send line =
+    output_string oc (line ^ "\n");
+    flush oc
+  in
+  send {|{"id":"a","spec":"toffoli"}|};
+  checkb "answered while the daemon runs" true
+    (has_sub (input_line_within out_r ic 60.) {|"cost":5|});
+  Daemon.stop daemon;
+  Daemon.wait daemon;
+  (* the client may exit on the first of these, closing its stdin *)
+  (try
+     send {|{"id":"b","spec":"fredkin"}|};
+     send {|{"id":"c","spec":"peres"}|};
+     close_out oc
+   with Sys_error _ -> close_out_noerr oc);
+  let _, status = Unix.waitpid [] pid in
+  let stderr = In_channel.input_all (Unix.in_channel_of_descr err_r) in
+  Unix.close err_r;
+  close_in ic;
+  (match status with
+  | Unix.WEXITED 1 -> ()
+  | Unix.WEXITED n -> Alcotest.failf "exit %d, want 1" n
+  | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+      Alcotest.failf "client stopped by %s"
+        (if n = Sys.sigpipe then "SIGPIPE" else Printf.sprintf "signal %d" n));
+  checkb "error reported on stderr" true (has_sub stderr "qsynth: ")
 
-let temp_socket_path () =
-  let path = Filename.temp_file "qsynth_sock" ".s" in
-  Sys.remove path;
-  path
+(* {1 Live daemon: concurrent stress with byte-identity} *)
 
 (* The mixed workload: every plan family, both error paths, counting and
    enumeration.  Depths stay small (index horizon 4) so the whole stress
@@ -1604,6 +1654,8 @@ let () =
         [
           Alcotest.test_case "stdin streams, file mode identical" `Quick
             batch_stdin_streams;
+          Alcotest.test_case "daemon gone mid-stream: exit 1, no SIGPIPE" `Quick
+            batch_socket_daemon_gone;
         ] );
       ( "daemon",
         [

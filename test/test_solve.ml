@@ -6,7 +6,8 @@
      index, the complete index, a one-shot [Bidir.create] context, the
      partial index with a context) and target (identity, a CNOT,
      Toffoli, Fredkin, a cost-8 function, a NOT-coset member, a bad
-     spec, a qubit mismatch, a wrong library, two lowered depth bounds).
+     spec, a qubit mismatch, a wrong library, two lowered depth bounds,
+     a negative one).
      Each row records the full response bytes and the [mce.plan.*]
      counter deltas; [solve_table.expected] holds the rows.  Regenerate
      it only for a deliberate contract change (the run that writes the
@@ -59,7 +60,8 @@ let resources =
 (* (label, qubits, library, max_depth, spec).  Two rows lower the depth
    bound: cost-5 Toffoli under bound 3 is a miss the depth-4 index
    certifies by its horizon alone, and bound 0 certifies any
-   non-identity target without an index. *)
+   non-identity target without an index.  Bound -1 certifies nothing:
+   it is a bad request whatever the plan, task or resources. *)
 let targets =
   let d = Library.default_name in
   [
@@ -74,6 +76,7 @@ let targets =
     ("bad-spec", 3, d, 7, "not a spec");
     ("qubit-mismatch", 2, d, 7, "toffoli");
     ("wrong-library", 3, "nct", 7, "toffoli");
+    ("negative-depth", 3, d, -1, "toffoli");
   ]
 
 let counters =
