@@ -35,12 +35,9 @@ let load_mix path =
         List.rev acc
     | line when String.trim line = "" -> loop (n + 1) acc
     | line -> (
-        match Mce.Request.of_json (Json.of_string line) with
+        match Mce.Request.of_string line with
         | Ok req -> loop (n + 1) (req :: acc)
         | Error e ->
-            close_in ic;
-            failwith (Printf.sprintf "%s:%d: %s" path n e)
-        | exception Json.Parse_error e ->
             close_in ic;
             failwith (Printf.sprintf "%s:%d: %s" path n e))
   in

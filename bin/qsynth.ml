@@ -206,9 +206,20 @@ let snapshot_path =
   in
   Arg.conv (parse, Format.pp_print_string)
 
+(* bounded by Cmdliner, so a width no encoding supports is a usage
+   error (exit 2) before any subcommand prints *)
 let qubits_arg =
-  let doc = "Number of qubits." in
-  Arg.(value & opt int 3 & info [ "q"; "qubits" ] ~docv:"N" ~doc)
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= Mvl.Encoding.max_qubits -> Ok n
+    | Some _ ->
+        Error
+          (`Msg (Printf.sprintf "N must be between 1 and %d" Mvl.Encoding.max_qubits))
+    | None -> Error (`Msg (Printf.sprintf "invalid N value %S" s))
+  in
+  let doc = Printf.sprintf "Number of qubits, 1 to %d." Mvl.Encoding.max_qubits in
+  Arg.(value & opt (conv (parse, Format.pp_print_int)) 3
+       & info [ "q"; "qubits" ] ~docv:"N" ~doc)
 
 let depth_arg =
   let doc = "Search depth bound (the paper's cb)." in
@@ -563,20 +574,33 @@ let print_response_human library t0 (resp : Mce.Response.t) =
   | Error Mce.Response.Shutting_down ->
       Format.eprintf "qsynth: server is shutting down@."
 
-let index_arg =
+(* [index_arg ~miss] is --index, [miss] saying what a miss does in the
+   command's own terms: synth bounds by --depth, batch and serve by each
+   request's max_depth. *)
+let index_arg ~miss =
   Arg.(value & opt (some snapshot_path) None & info [ "index" ] ~docv:"FILE"
-         ~doc:"Answer from a census index written by $(b,qsynth census \
-               --emit-index): an indexed function costs one binary search \
-               (no BFS at all), and a miss proves the cost exceeds the index \
-               depth — certifying 'no realization' outright when the index \
-               covers $(b,--depth), or priming the bidirectional engine with \
-               the bound.  An index built from a census run to closure \
-               never misses: every realizable request is answered from the \
-               file.  \
-               Integrity (CRC, library and symmetry fingerprints, record \
-               structure, cost histogram) is always validated at load, plus \
-               a deterministic sample of witness replays; $(b,--verify-index) \
-               replays them all.")
+         ~doc:("Answer from a census index written by $(b,qsynth census \
+                --emit-index): an indexed function costs one binary search \
+                (no BFS at all), and a miss proves the cost exceeds the index \
+                depth — " ^ miss ^ "  An index built from a census run to \
+                closure never misses: every realizable request is answered \
+                from the file.  \
+                Integrity (CRC, library and symmetry fingerprints, record \
+                structure, cost histogram) is always validated at load, plus \
+                a deterministic sample of witness replays; $(b,--verify-index) \
+                replays them all."))
+
+let synth_index_arg =
+  index_arg
+    ~miss:"certifying 'no realization' outright when the index covers \
+           $(b,--depth), or priming the bidirectional engine with the bound."
+
+(* batch and serve have no --depth: each request carries its bound *)
+let request_index_arg =
+  index_arg
+    ~miss:"certifying 'no realization' outright when the index covers the \
+           request's max_depth, and otherwise leaving the request to the \
+           forward search."
 
 let verify_index_arg =
   Arg.(value & flag & info [ "verify-index" ]
@@ -656,7 +680,7 @@ let synth_cmd =
              (the paper's MCE algorithm).")
     Term.(
       const run $ telemetry_term $ qubits_arg $ depth_arg $ jobs_arg
-      $ library_arg $ all_flag $ json_flag $ index_arg $ verify_index_arg
+      $ library_arg $ all_flag $ json_flag $ synth_index_arg $ verify_index_arg
       $ bidir_flag $ spec_arg)
 
 (* serve *)
@@ -931,7 +955,7 @@ let serve_cmd =
              without dropping in-flight requests.")
     Term.(
       const run $ serve_telemetry_term $ qubits_arg $ jobs_arg $ library_arg
-      $ also_library_arg $ socket_arg $ index_arg $ verify_index_arg
+      $ also_library_arg $ socket_arg $ request_index_arg $ verify_index_arg
       $ workers_arg $ queue_arg $ cache_arg
       $ metrics_port_arg $ trace_file_arg $ slow_arg)
 
@@ -992,14 +1016,16 @@ let batch_cmd =
     in
     let failures = ref 0 in
     let lineno = ref 0 in
+    let out = Buffer.create 256 in
     (try
        while true do
          let line = input_line ic in
          incr lineno;
          if String.trim line <> "" then begin
            let resp =
-             match Telemetry.Json.of_string line with
-             | exception Telemetry.Json.Parse_error msg ->
+             match Mce.Request.of_string line with
+             | Ok req -> answer req
+             | Error msg ->
                  incr failures;
                  {
                    Mce.Response.id = None;
@@ -1008,25 +1034,13 @@ let batch_cmd =
                    body =
                      Error
                        (Mce.Response.Bad_request
-                          (Printf.sprintf "line %d: invalid JSON: %s" !lineno msg));
+                          (Printf.sprintf "line %d: %s" !lineno msg));
                  }
-             | json -> (
-                 match Mce.Request.of_json json with
-                 | Error msg ->
-                     incr failures;
-                     {
-                       Mce.Response.id = None;
-                       trace = None;
-                       qubits = 0;
-                       body =
-                         Error
-                           (Mce.Response.Bad_request
-                              (Printf.sprintf "line %d: %s" !lineno msg));
-                     }
-                 | Ok req -> answer req)
            in
-           print_string (Mce.Response.to_string resp);
-           print_char '\n';
+           Buffer.clear out;
+           Mce.Response.write out resp;
+           Buffer.add_char out '\n';
+           Buffer.output_buffer stdout out;
            (* a file batch rides the stdout buffer; a stdin batch may
               be a co-process waiting on each answer before it writes
               the next request, so it gets every line as it is made *)
@@ -1069,13 +1083,13 @@ let batch_cmd =
              to decode as a request, or when the daemon connection fails.")
     Term.(
       const run $ telemetry_term $ qubits_arg $ jobs_arg $ library_arg
-      $ socket_opt_arg $ index_arg $ verify_index_arg $ max_retries_arg
+      $ socket_opt_arg $ request_index_arg $ verify_index_arg $ max_retries_arg
       $ file_arg)
 
 (* simulate *)
 
 let simulate_cmd =
-  let run qubits cascade_str input =
+  let simulate qubits cascade_str input =
     guarded @@ fun () ->
     let library = make_library qubits in
     let cascade = Cascade.of_string ~qubits cascade_str in
@@ -1103,19 +1117,31 @@ let simulate_cmd =
       inputs;
     exit_ok
   in
+  (* an input code outside the register is a usage error, reported
+     before the cascade line is printed *)
+  let run qubits cascade_str input =
+    match input with
+    | Some code when code < 0 || code >= 1 lsl qubits ->
+        `Error
+          ( true,
+            Printf.sprintf "input code %d is outside 0..%d for %d qubits" code
+              ((1 lsl qubits) - 1)
+              qubits )
+    | _ -> `Ok (simulate qubits cascade_str input)
+  in
   let cascade_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"CASCADE"
            ~doc:"Gate cascade, e.g. 'VCB*FBA*VCA*V+CB'.")
   in
   let input_arg =
     Arg.(value & opt (some int) None & info [ "i"; "input" ] ~docv:"CODE"
-           ~doc:"Binary input code (default: all).")
+           ~doc:"Binary input code, 0 to 2^N - 1 (default: all).")
   in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Run a cascade on binary inputs; print quaternary outputs and exact \
              measurement distributions.")
-    Term.(const run $ qubits_arg $ cascade_arg $ input_arg)
+    Term.(ret (const run $ qubits_arg $ cascade_arg $ input_arg))
 
 (* describe *)
 

@@ -316,19 +316,13 @@ let enqueue t conn req arrival =
 
 let handle_frame t conn payload =
   let arrival = Unix.gettimeofday () in
-  match Json.of_string payload with
-  | exception Json.Parse_error msg ->
+  match Mce.Request.of_string payload with
+  | Error msg ->
       Telemetry.Counter.incr m_bad_frames;
-      write_response t conn (undecodable_response ("invalid JSON: " ^ msg))
-  | json -> (
-      match Mce.Request.of_json json with
-      | Error msg ->
-          Telemetry.Counter.incr m_bad_frames;
-          write_response t conn (undecodable_response msg)
-      | Ok req ->
-          if Service.index_first t.service req then
-            answer_inline t conn req arrival
-          else enqueue t conn req arrival)
+      write_response t conn (undecodable_response msg)
+  | Ok req ->
+      if Service.index_first t.service req then answer_inline t conn req arrival
+      else enqueue t conn req arrival
 
 let rec retry_select fd timeout =
   match Unix.select [ fd ] [] [] timeout with

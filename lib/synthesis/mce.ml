@@ -108,6 +108,32 @@ let search_until ~max_depth ~jobs ~should_stop library remainder =
 
 let column_spec f = String.concat "," (List.map string_of_int (Revfun.output_column f))
 
+(* {2 Wire writers}
+
+   Requests' keys and responses are written straight into a buffer:
+   fields in fixed order, no insignificant whitespace, dynamic strings
+   escaped by [Json.write_string] — byte-identical to printing the
+   equivalent [Json.t] tree with [Json.to_string], without building it. *)
+
+(* Digits straight into the buffer: [string_of_int] goes through the
+   C printf machinery, and a response carries a dozen small integers. *)
+let rec add_int b n =
+  if n < 0 then Buffer.add_string b (string_of_int n)
+  else begin
+    if n >= 10 then add_int b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+(* a function's output column as a JSON string: [column_spec f], quoted *)
+let add_column b f =
+  let column = Permgroup.Perm.to_array (Revfun.to_perm f) in
+  Buffer.add_char b '"';
+  for x = 0 to Array.length column - 1 do
+    if x > 0 then Buffer.add_char b ',';
+    add_int b column.(x)
+  done;
+  Buffer.add_char b '"'
+
 module Request = struct
   type plan = Auto | Index | Bidir | Forward
   type task = Synthesize | Count_witnesses | Enumerate of { limit : int }
@@ -154,14 +180,6 @@ module Request = struct
     | Enumerate { limit } ->
         Json.Obj [ ("enumerate", Json.Obj [ ("limit", Json.Int limit) ]) ]
 
-  let task_of_json = function
-    | Json.String "synthesize" -> Ok Synthesize
-    | Json.String "count-witnesses" -> Ok Count_witnesses
-    | Json.Obj [ ("enumerate", Json.Obj [ ("limit", Json.Int limit) ]) ] ->
-        Ok (Enumerate { limit })
-    | Json.String s -> Error (Printf.sprintf "unknown task %S" s)
-    | _ -> Error "malformed task"
-
   let to_json t =
     Json.Obj
       ((("v", Json.Int 1)
@@ -182,102 +200,248 @@ module Request = struct
       | Some ms -> [ ("deadline_ms", Json.Int ms) ]
       | None -> [])
 
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+  (* {2 Decoding}
 
-  let known_field = function
-    | "v" | "id" | "qubits" | "library" | "spec" | "task" | "max_depth" | "plan"
-    | "deadline_ms" ->
-        true
-    | _ -> false
+     One validator over the nine members' values (a slot each, [None]
+     when absent) and the first unknown member name, filled from a parsed
+     object by [of_json] or straight from the text by [of_string].  The
+     first occurrence of a repeated member wins, as [List.assoc_opt] finds
+     it.  Checks run in a fixed order, so the first failing one names the
+     error. *)
+
+  type slots = {
+    mutable s_v : Json.t option;
+    mutable s_id : Json.t option;
+    mutable s_qubits : Json.t option;
+    mutable s_library : Json.t option;
+    mutable s_spec : Json.t option;
+    mutable s_task : Json.t option;
+    mutable s_max_depth : Json.t option;
+    mutable s_plan : Json.t option;
+    mutable s_deadline_ms : Json.t option;
+    mutable s_unknown : string option;
+  }
+
+  let empty_slots () =
+    {
+      s_v = None; s_id = None; s_qubits = None; s_library = None; s_spec = None;
+      s_task = None; s_max_depth = None; s_plan = None; s_deadline_ms = None;
+      s_unknown = None;
+    }
+
+  let rec bytes_match s off lit i =
+    i = String.length lit
+    || String.unsafe_get s (off + i) = String.unsafe_get lit i
+       && bytes_match s off lit (i + 1)
+
+  let span_is s off len lit = len = String.length lit && bytes_match s off lit 0
+
+  (* the slot of the member named by the [len] bytes of [s] at [off],
+     matched in place; -1 for an unknown name *)
+  let slot_of s off len =
+    match len with
+    | 1 -> if span_is s off len "v" then 0 else -1
+    | 2 -> if span_is s off len "id" then 1 else -1
+    | 4 ->
+        if span_is s off len "spec" then 4
+        else if span_is s off len "task" then 5
+        else if span_is s off len "plan" then 7
+        else -1
+    | 6 -> if span_is s off len "qubits" then 2 else -1
+    | 7 -> if span_is s off len "library" then 3 else -1
+    | 9 -> if span_is s off len "max_depth" then 6 else -1
+    | 11 -> if span_is s off len "deadline_ms" then 8 else -1
+    | _ -> -1
+
+  let first j = function None -> Some j | kept -> kept
+
+  let fill sl slot j =
+    match slot with
+    | 0 -> sl.s_v <- first j sl.s_v
+    | 1 -> sl.s_id <- first j sl.s_id
+    | 2 -> sl.s_qubits <- first j sl.s_qubits
+    | 3 -> sl.s_library <- first j sl.s_library
+    | 4 -> sl.s_spec <- first j sl.s_spec
+    | 5 -> sl.s_task <- first j sl.s_task
+    | 6 -> sl.s_max_depth <- first j sl.s_max_depth
+    | 7 -> sl.s_plan <- first j sl.s_plan
+    | _ -> sl.s_deadline_ms <- first j sl.s_deadline_ms
+
+  let note_unknown sl name = if Option.is_none sl.s_unknown then sl.s_unknown <- Some name
+
+  exception Invalid of string
+
+  let invalid msg = raise (Invalid msg)
+
+  let task_of_json = function
+    | Json.String "synthesize" -> Synthesize
+    | Json.String "count-witnesses" -> Count_witnesses
+    | Json.Obj [ ("enumerate", Json.Obj [ ("limit", Json.Int limit) ]) ] ->
+        Enumerate { limit }
+    | Json.String s -> invalid (Printf.sprintf "unknown task %S" s)
+    | _ -> invalid "malformed task"
+
+  let decode sl =
+    (match sl.s_unknown with
+    | Some other -> invalid (Printf.sprintf "unknown request field %S" other)
+    | None -> ());
+    (match sl.s_v with
+    | None | Some (Json.Int 1) -> ()
+    | Some (Json.Int v) -> invalid (Printf.sprintf "unsupported protocol version %d" v)
+    | Some _ -> invalid "malformed version field");
+    let id =
+      match sl.s_id with
+      | None -> None
+      | Some (Json.String s) -> Some s
+      | Some _ -> invalid "malformed id field (want a string)"
+    in
+    let qubits =
+      match sl.s_qubits with
+      | None -> 3
+      (* bounded here, at the parse boundary: a spec is parsed
+         against a 2^qubits domain, so an unbounded width would
+         allocate before any engine could reject the request *)
+      | Some (Json.Int n) when n >= 1 && n <= Mvl.Encoding.max_qubits -> n
+      | Some _ ->
+          invalid
+            (Printf.sprintf "malformed qubits field (want an integer in 1..%d)"
+               Mvl.Encoding.max_qubits)
+    in
+    let library =
+      match sl.s_library with
+      | None -> Library.default_name
+      | Some (Json.String s) ->
+          if List.mem s Library.Registry.names then s
+          else
+            invalid
+              (Printf.sprintf "unknown library %S (known: %s)" s
+                 (String.concat ", " Library.Registry.names))
+      | Some _ -> invalid "malformed library field (want a string)"
+    in
+    let spec =
+      match sl.s_spec with
+      | Some (Json.String s) -> s
+      | Some _ -> invalid "malformed spec field (want a string)"
+      | None -> invalid "missing spec field"
+    in
+    let task = match sl.s_task with None -> Synthesize | Some j -> task_of_json j in
+    let max_depth =
+      match sl.s_max_depth with
+      | None -> 7
+      | Some (Json.Int n) when n >= 0 -> n
+      | Some _ -> invalid "malformed max_depth field (want a non-negative integer)"
+    in
+    let plan =
+      match sl.s_plan with
+      | None -> Auto
+      | Some (Json.String s) -> (
+          match plan_of_string s with Ok p -> p | Error msg -> invalid msg)
+      | Some _ -> invalid "malformed plan field (want a string)"
+    in
+    let deadline_ms =
+      match sl.s_deadline_ms with
+      | None -> None
+      | Some (Json.Int ms) when ms >= 1 -> Some ms
+      | Some _ -> invalid "malformed deadline_ms field (want a positive integer)"
+    in
+    { id; qubits; library; spec; task; max_depth; plan; deadline_ms }
+
+  let of_slots sl = match decode sl with t -> Ok t | exception Invalid msg -> Error msg
 
   let of_json = function
-    | Json.Obj fields ->
-        let get k = List.assoc_opt k fields in
-        let* () =
-          match List.find_opt (fun (k, _) -> not (known_field k)) fields with
-          | None -> Ok ()
-          | Some (other, _) ->
-              Error (Printf.sprintf "unknown request field %S" other)
-        in
-        let* () =
-          match get "v" with
-          | None | Some (Json.Int 1) -> Ok ()
-          | Some (Json.Int v) ->
-              Error (Printf.sprintf "unsupported protocol version %d" v)
-          | Some _ -> Error "malformed version field"
-        in
-        let* id =
-          match get "id" with
-          | None -> Ok None
-          | Some (Json.String s) -> Ok (Some s)
-          | Some _ -> Error "malformed id field (want a string)"
-        in
-        let* qubits =
-          match get "qubits" with
-          | None -> Ok 3
-          (* bounded here, at the parse boundary: a spec is parsed
-             against a 2^qubits domain, so an unbounded width would
-             allocate before any engine could reject the request *)
-          | Some (Json.Int n) when n >= 1 && n <= Mvl.Encoding.max_qubits ->
-              Ok n
-          | Some _ ->
-              Error
-                (Printf.sprintf "malformed qubits field (want an integer in 1..%d)"
-                   Mvl.Encoding.max_qubits)
-        in
-        let* library =
-          match get "library" with
-          | None -> Ok Library.default_name
-          | Some (Json.String s) ->
-              if List.mem s Library.Registry.names then Ok s
-              else
-                Error
-                  (Printf.sprintf "unknown library %S (known: %s)" s
-                     (String.concat ", " Library.Registry.names))
-          | Some _ -> Error "malformed library field (want a string)"
-        in
-        let* spec =
-          match get "spec" with
-          | Some (Json.String s) -> Ok s
-          | Some _ -> Error "malformed spec field (want a string)"
-          | None -> Error "missing spec field"
-        in
-        let* task =
-          match get "task" with None -> Ok Synthesize | Some j -> task_of_json j
-        in
-        let* max_depth =
-          match get "max_depth" with
-          | None -> Ok 7
-          | Some (Json.Int n) when n >= 0 -> Ok n
-          | Some _ -> Error "malformed max_depth field (want a non-negative integer)"
-        in
-        let* plan =
-          match get "plan" with
-          | None -> Ok Auto
-          | Some (Json.String s) -> plan_of_string s
-          | Some _ -> Error "malformed plan field (want a string)"
-        in
-        let* deadline_ms =
-          match get "deadline_ms" with
-          | None -> Ok None
-          | Some (Json.Int ms) when ms >= 1 -> Ok (Some ms)
-          | Some _ -> Error "malformed deadline_ms field (want a positive integer)"
-        in
-        Ok { id; qubits; library; spec; task; max_depth; plan; deadline_ms }
+    | Json.Obj members ->
+        let sl = empty_slots () in
+        List.iter
+          (fun (name, j) ->
+            let slot = slot_of name 0 (String.length name) in
+            if slot < 0 then note_unknown sl name else fill sl slot j)
+          members;
+        of_slots sl
     | _ -> Error "request must be a JSON object"
 
+  module Cursor = Json.Cursor
+
+  (* The members of an object whose '{' is read, through its '}': each
+     name is matched in place when it needs no decoding, and every value
+     is read by the cursor, so a malformed document fails as
+     [Json.of_string] does before any field is checked. *)
+  let rec scan_members c sl =
+    Cursor.skip_ws c;
+    let start = Cursor.string_start c in
+    let slot =
+      if Cursor.next_is c '"' then begin
+        let s = Cursor.source c and len = Cursor.pos c - start in
+        Cursor.advance c;
+        let slot = slot_of s start len in
+        if slot < 0 then note_unknown sl (String.sub s start len);
+        slot
+      end
+      else begin
+        let name = Cursor.string_rest c start in
+        let slot = slot_of name 0 (String.length name) in
+        if slot < 0 then note_unknown sl name;
+        slot
+      end
+    in
+    Cursor.skip_ws c;
+    Cursor.expect c ':';
+    let j = Cursor.value c in
+    if slot >= 0 then fill sl slot j;
+    Cursor.skip_ws c;
+    if Cursor.next_is c ',' then begin
+      Cursor.advance c;
+      scan_members c sl
+    end
+    else Cursor.expect c '}'
+
+  let scan c =
+    Cursor.skip_ws c;
+    if Cursor.next_is c '{' then begin
+      Cursor.advance c;
+      Cursor.skip_ws c;
+      let sl = empty_slots () in
+      if Cursor.next_is c '}' then Cursor.advance c else scan_members c sl;
+      Cursor.finish c;
+      Some sl
+    end
+    else begin
+      ignore (Cursor.value c);
+      Cursor.finish c;
+      None
+    end
+
+  let of_string s =
+    match scan (Cursor.create s) with
+    | Some sl -> of_slots sl
+    | None -> Error "request must be a JSON object"
+    | exception Json.Parse_error msg -> Error ("invalid JSON: " ^ msg)
+
+  let write_task b = function
+    | Synthesize -> Buffer.add_string b {|"synthesize"|}
+    | Count_witnesses -> Buffer.add_string b {|"count-witnesses"|}
+    | Enumerate { limit } ->
+        Buffer.add_string b {|{"enumerate":{"limit":|};
+        add_int b limit;
+        Buffer.add_string b "}}"
+
   let key t =
-    let spec = match target t with Ok f -> column_spec f | Error _ -> t.spec in
-    Json.to_string
-      (Json.Obj
-         [
-           ("qubits", Json.Int t.qubits);
-           ("library", Json.String t.library);
-           ("spec", Json.String spec);
-           ("task", task_to_json t.task);
-           ("max_depth", Json.Int t.max_depth);
-           ("plan", Json.String (plan_to_string t.plan));
-         ])
+    let b = Buffer.create 128 in
+    Buffer.add_string b {|{"qubits":|};
+    add_int b t.qubits;
+    Buffer.add_string b {|,"library":|};
+    Json.write_string b t.library;
+    Buffer.add_string b {|,"spec":|};
+    (match target t with
+    | Ok f -> add_column b f
+    | Error _ -> Json.write_string b t.spec);
+    Buffer.add_string b {|,"task":|};
+    write_task b t.task;
+    Buffer.add_string b {|,"max_depth":|};
+    add_int b t.max_depth;
+    Buffer.add_string b {|,"plan":"|};
+    Buffer.add_string b (plan_to_string t.plan);
+    Buffer.add_string b {|"}|};
+    Buffer.contents b
 end
 
 module Response = struct
@@ -359,30 +523,7 @@ module Response = struct
     | "forward" -> Ok Forward_bfs
     | s -> Error (Printf.sprintf "unknown plan %S" s)
 
-  (* {2 Wire encoder}
-
-     Writes the canonical encoding straight into a buffer: fields in
-     fixed order, no insignificant whitespace, dynamic strings escaped by
-     [Json.write_string] — byte-identical to printing the equivalent
-     [Json.t] tree with [Json.to_string], without building it. *)
-
-  (* Digits straight into the buffer: [string_of_int] goes through the
-     C printf machinery, and a response carries a dozen small integers. *)
-  let rec add_int b n =
-    if n < 0 then Buffer.add_string b (string_of_int n)
-    else begin
-      if n >= 10 then add_int b (n / 10);
-      Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
-    end
-
-  let add_column b f =
-    let column = Permgroup.Perm.to_array (Revfun.to_perm f) in
-    Buffer.add_char b '"';
-    for x = 0 to Array.length column - 1 do
-      if x > 0 then Buffer.add_char b ',';
-      add_int b column.(x)
-    done;
-    Buffer.add_char b '"'
+  (* {2 Wire encoder} *)
 
   (* gate names are drawn from [A-Z+] and the identity is "()": nothing
      in a cascade string ever needs escaping *)
@@ -445,8 +586,7 @@ module Response = struct
     | Shutting_down -> Buffer.add_string b {|{"kind":"shutting-down"}|}
     | Cancelled -> Buffer.add_string b {|{"kind":"cancelled"}|}
 
-  let to_string t =
-    let b = Buffer.create 192 in
+  let write b t =
     Buffer.add_string b {|{"v":1|};
     Option.iter
       (fun id ->
@@ -470,7 +610,11 @@ module Response = struct
     | Error e ->
         Buffer.add_string b {|,"error":|};
         write_error b e);
-    Buffer.add_char b '}';
+    Buffer.add_char b '}'
+
+  let to_string t =
+    let b = Buffer.create 192 in
+    write b t;
     Buffer.contents b
 
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e

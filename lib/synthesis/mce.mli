@@ -133,6 +133,14 @@ module Request : sig
       defaults.  [of_json (to_json t) = Ok t] for every [t] whose
       library is registered and whose width is in range. *)
   val of_json : Telemetry.Json.t -> (t, string) Stdlib.result
+
+  (** [of_string s] is the wire decoder: [of_json] applied to the parsed
+      document, in one pass over the text with no {!Telemetry.Json.t}
+      tree for the members it knows.  It accepts and rejects exactly what
+      [Json.of_string s |> of_json] does, with the same message; a
+      malformed document is [Error ("invalid JSON: " ^ msg)], [msg] being
+      the {!Telemetry.Json.Parse_error} text. *)
+  val of_string : string -> (t, string) Stdlib.result
 end
 
 module Response : sig
@@ -217,6 +225,9 @@ module Response : sig
       responses encode to equal bytes on every transport.  Written
       straight into one buffer; no intermediate {!Telemetry.Json.t}. *)
   val to_string : t -> string
+
+  (** [write b t] appends [to_string t] to [b]. *)
+  val write : Buffer.t -> t -> unit
 
   (** [of_string s] parses and decodes; [of_string (to_string t) = Ok t]. *)
   val of_string : string -> (t, string) Stdlib.result

@@ -90,195 +90,227 @@ let to_channel ?(pretty = false) oc v = output_string oc (to_string ~pretty v)
 
 (* parsing *)
 
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let skip_ws () =
+(* One cursor over the document: every reader below is a top-level
+   function of it, so a parse allocates the cursor and the values it
+   returns, not a closure per reader. *)
+module Cursor = struct
+  type t = { s : string; n : int; mutable pos : int }
+
+  let create s = { s; n = String.length s; pos = 0 }
+  let source c = c.s
+  let pos c = c.pos
+  let fail c msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg c.pos))
+  let next_is c ch = c.pos < c.n && String.unsafe_get c.s c.pos = ch
+  let advance c = c.pos <- c.pos + 1
+
+  let skip_ws c =
     while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+      c.pos < c.n
+      && (match String.unsafe_get c.s c.pos with
+         | ' ' | '\t' | '\n' | '\r' -> true
+         | _ -> false)
     do
-      incr pos
+      c.pos <- c.pos + 1
     done
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal lit v =
+
+  let expect c ch = if next_is c ch then advance c else fail c (Printf.sprintf "expected '%c'" ch)
+
+  let literal c lit v =
     let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
+    if c.pos + l <= c.n && String.sub c.s c.pos l = lit then begin
+      c.pos <- c.pos + l;
       v
     end
-    else fail ("expected " ^ lit)
-  in
-  let hex4 () =
-    if !pos + 4 > n then fail "truncated \\u escape";
-    let h = String.sub s !pos 4 in
-    pos := !pos + 4;
+    else fail c ("expected " ^ lit)
+
+  let hex4 c =
+    if c.pos + 4 > c.n then fail c "truncated \\u escape";
+    let h = String.sub c.s c.pos 4 in
+    c.pos <- c.pos + 4;
     match int_of_string_opt ("0x" ^ h) with
-    | Some c -> c
-    | None -> fail "malformed \\u escape"
-  in
-  let parse_string () =
-    expect '"';
-    (* A string with no escape and no control character is one copy;
-       anything else takes the buffer path from where the scan stopped,
-       which reports an error at the same offset. *)
-    let start = !pos in
+    | Some code -> code
+    | None -> fail c "malformed \\u escape"
+
+  let string_start c =
+    expect c '"';
+    let start = c.pos in
     while
-      !pos < n
+      c.pos < c.n
       &&
-      let c = String.unsafe_get s !pos in
-      c <> '"' && c <> '\\' && Char.code c >= 0x20
+      let ch = String.unsafe_get c.s c.pos in
+      ch <> '"' && ch <> '\\' && Char.code ch >= 0x20
     do
-      incr pos
+      c.pos <- c.pos + 1
     done;
-    if !pos < n && String.unsafe_get s !pos = '"' then begin
-      incr pos;
-      String.sub s start (!pos - 1 - start)
-    end
-    else begin
-      let b = Buffer.create 16 in
-      Buffer.add_substring b s start (!pos - start);
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        match s.[!pos] with
-        | '"' ->
-            incr pos;
-            Buffer.contents b
-        | '\\' ->
-            incr pos;
-            if !pos >= n then fail "truncated escape";
-            let c = s.[!pos] in
-            incr pos;
-            (match c with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | '/' -> Buffer.add_char b '/'
-            | 'b' -> Buffer.add_char b '\b'
-            | 'f' -> Buffer.add_char b '\012'
-            | 'n' -> Buffer.add_char b '\n'
-            | 'r' -> Buffer.add_char b '\r'
-            | 't' -> Buffer.add_char b '\t'
-            | 'u' ->
-                let code = hex4 () in
-                let code =
-                  (* combine surrogate pairs; lone surrogates become U+FFFD *)
-                  if code >= 0xD800 && code <= 0xDBFF then
-                    if !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
-                      pos := !pos + 2;
-                      let low = hex4 () in
-                      if low >= 0xDC00 && low <= 0xDFFF then
-                        0x10000 + (((code - 0xD800) lsl 10) lor (low - 0xDC00))
-                      else 0xFFFD
-                    end
+    start
+
+  (* the buffer path: decodes escapes from where [string_start] stopped,
+     reporting any error at the offset the one-pass parser did *)
+  let string_rest c start =
+    let b = Buffer.create 16 in
+    Buffer.add_substring b c.s start (c.pos - start);
+    let rec go () =
+      if c.pos >= c.n then fail c "unterminated string";
+      match c.s.[c.pos] with
+      | '"' ->
+          advance c;
+          Buffer.contents b
+      | '\\' ->
+          advance c;
+          if c.pos >= c.n then fail c "truncated escape";
+          let ch = c.s.[c.pos] in
+          advance c;
+          (match ch with
+          | '"' -> Buffer.add_char b '"'
+          | '\\' -> Buffer.add_char b '\\'
+          | '/' -> Buffer.add_char b '/'
+          | 'b' -> Buffer.add_char b '\b'
+          | 'f' -> Buffer.add_char b '\012'
+          | 'n' -> Buffer.add_char b '\n'
+          | 'r' -> Buffer.add_char b '\r'
+          | 't' -> Buffer.add_char b '\t'
+          | 'u' ->
+              let code = hex4 c in
+              let code =
+                (* combine surrogate pairs; lone surrogates become U+FFFD *)
+                if code >= 0xD800 && code <= 0xDBFF then
+                  if c.pos + 1 < c.n && c.s.[c.pos] = '\\' && c.s.[c.pos + 1] = 'u'
+                  then begin
+                    c.pos <- c.pos + 2;
+                    let low = hex4 c in
+                    if low >= 0xDC00 && low <= 0xDFFF then
+                      0x10000 + (((code - 0xD800) lsl 10) lor (low - 0xDC00))
                     else 0xFFFD
-                  else if code >= 0xDC00 && code <= 0xDFFF then 0xFFFD
-                  else code
-                in
-                Buffer.add_utf_8_uchar b (Uchar.of_int code)
-            | _ -> fail "unknown escape");
-            go ()
-        | c when Char.code c < 0x20 -> fail "control character in string"
-        | c ->
-            Buffer.add_char b c;
-            incr pos;
-            go ()
-      in
-      go ()
+                  end
+                  else 0xFFFD
+                else if code >= 0xDC00 && code <= 0xDFFF then 0xFFFD
+                else code
+              in
+              Buffer.add_utf_8_uchar b (Uchar.of_int code)
+          | _ -> fail c "unknown escape");
+          go ()
+      | ch when Char.code ch < 0x20 -> fail c "control character in string"
+      | ch ->
+          Buffer.add_char b ch;
+          advance c;
+          go ()
+    in
+    go ()
+
+  (* A string with no escape and no control character is one copy. *)
+  let string c =
+    let start = string_start c in
+    if next_is c '"' then begin
+      advance c;
+      String.sub c.s start (c.pos - 1 - start)
     end
-  in
-  let parse_number () =
-    let start = !pos in
-    if !pos < n && s.[!pos] = '-' then incr pos;
+    else string_rest c start
+
+  let number c =
+    let start = c.pos in
+    if next_is c '-' then advance c;
+    let digits = c.pos in
     let is_float = ref false in
     while
-      !pos < n
+      c.pos < c.n
       &&
-      match s.[!pos] with
+      match String.unsafe_get c.s c.pos with
       | '0' .. '9' -> true
       | '.' | 'e' | 'E' | '+' | '-' ->
           is_float := true;
           true
       | _ -> false
     do
-      incr pos
+      c.pos <- c.pos + 1
     done;
-    let text = String.sub s start (!pos - start) in
-    if !is_float then
-      match float_of_string_opt text with
-      | Some f -> Float f
-      | None -> fail "malformed number"
+    let len = c.pos - digits in
+    if (not !is_float) && len >= 1 && len <= 18 then begin
+      (* at most 18 decimal digits always fit in 63 bits: read them in
+         place, as int_of_string would *)
+      let v = ref 0 in
+      for i = digits to c.pos - 1 do
+        v := (!v * 10) + (Char.code (String.unsafe_get c.s i) - 48)
+      done;
+      Int (if digits > start then - !v else !v)
+    end
     else
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> (
-          match float_of_string_opt text with
-          | Some f -> Float f
-          | None -> fail "malformed number")
-  in
-  let rec parse_value () =
-    skip_ws ();
-    if !pos >= n then fail "unexpected end of input";
-    match s.[!pos] with
+      let text = String.sub c.s start (c.pos - start) in
+      if !is_float then
+        match float_of_string_opt text with
+        | Some f -> Float f
+        | None -> fail c "malformed number"
+      else
+        match int_of_string_opt text with
+        | Some i -> Int i
+        | None -> (
+            match float_of_string_opt text with
+            | Some f -> Float f
+            | None -> fail c "malformed number")
+
+  let rec value c =
+    skip_ws c;
+    if c.pos >= c.n then fail c "unexpected end of input";
+    match String.unsafe_get c.s c.pos with
     | '{' ->
-        incr pos;
-        skip_ws ();
-        if !pos < n && s.[!pos] = '}' then begin
-          incr pos;
+        advance c;
+        skip_ws c;
+        if next_is c '}' then begin
+          advance c;
           Obj []
         end
-        else
-          let rec fields acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            if !pos < n && s.[!pos] = ',' then begin
-              incr pos;
-              fields ((key, v) :: acc)
-            end
-            else begin
-              expect '}';
-              List.rev ((key, v) :: acc)
-            end
-          in
-          Obj (fields [])
+        else Obj (fields c [])
     | '[' ->
-        incr pos;
-        skip_ws ();
-        if !pos < n && s.[!pos] = ']' then begin
-          incr pos;
+        advance c;
+        skip_ws c;
+        if next_is c ']' then begin
+          advance c;
           List []
         end
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            if !pos < n && s.[!pos] = ',' then begin
-              incr pos;
-              items (v :: acc)
-            end
-            else begin
-              expect ']';
-              List.rev (v :: acc)
-            end
-          in
-          List (items [])
-    | '"' -> String (parse_string ())
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | '-' | '0' .. '9' -> parse_number ()
-    | c -> fail (Printf.sprintf "unexpected character '%c'" c)
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
+        else List (items c [])
+    | '"' -> String (string c)
+    | 't' -> literal c "true" (Bool true)
+    | 'f' -> literal c "false" (Bool false)
+    | 'n' -> literal c "null" Null
+    | '-' | '0' .. '9' -> number c
+    | ch -> fail c (Printf.sprintf "unexpected character '%c'" ch)
+
+  and fields c acc =
+    skip_ws c;
+    let key = string c in
+    skip_ws c;
+    expect c ':';
+    let v = value c in
+    skip_ws c;
+    if next_is c ',' then begin
+      advance c;
+      fields c ((key, v) :: acc)
+    end
+    else begin
+      expect c '}';
+      List.rev ((key, v) :: acc)
+    end
+
+  and items c acc =
+    let v = value c in
+    skip_ws c;
+    if next_is c ',' then begin
+      advance c;
+      items c (v :: acc)
+    end
+    else begin
+      expect c ']';
+      List.rev (v :: acc)
+    end
+
+  let finish c =
+    skip_ws c;
+    if c.pos <> c.n then fail c "trailing garbage"
+end
+
+let of_string s =
+  let c = Cursor.create s in
+  let v = Cursor.value c in
+  Cursor.finish c;
   v
 
 let member key = function

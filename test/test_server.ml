@@ -155,6 +155,37 @@ let json_strings_pinned () =
        (Json.of_string {|{"sp\u0065c":"0,1","x\"y":"a\\b"}|})
        (Json.Obj [ ("spec", Json.String "0,1"); ("x\"y", Json.String "a\\b") ]))
 
+(* Numbers as the request decoder reads them: up to 18 digits are read
+   in place, longer ones through int_of_string, and a value past 63 bits
+   becomes a float, whichever path read it. *)
+let json_numbers_pinned () =
+  let module Json = Telemetry.Json in
+  List.iter
+    (fun (doc, want) ->
+      let got =
+        match Json.of_string doc with
+        | j -> Ok (Json.to_string j)
+        | exception Json.Parse_error msg -> Error msg
+      in
+      check Alcotest.(result string string) doc want got)
+    [
+      ("0", Ok "0");
+      ("-0", Ok "0");
+      ("0123", Ok "123");
+      ("999999999999999999", Ok "999999999999999999");
+      ("-999999999999999999", Ok "-999999999999999999");
+      ("4611686018427387903", Ok "4611686018427387903");
+      ("-4611686018427387904", Ok "-4611686018427387904");
+      ("4611686018427387904", Ok "4.6116860184273879e+18");
+      ("9999999999999999999", Ok "1e+19");
+      ("-4611686018427387905", Ok "-4.6116860184273879e+18");
+      ("1e2", Ok "100.0");
+      ("13.0", Ok "13.0");
+      ("-", Error "malformed number at offset 1");
+      ("1-3", Error "malformed number at offset 3");
+      ("12x", Error "trailing garbage at offset 2");
+    ]
+
 let has_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -1590,6 +1621,8 @@ let () =
             request_defaults;
           Alcotest.test_case "JSON strings: values and errors pinned" `Quick
             json_strings_pinned;
+          Alcotest.test_case "JSON numbers: values and errors pinned" `Quick
+            json_numbers_pinned;
           Alcotest.test_case "key canonicalizes spec" `Quick key_canonicalizes;
           Alcotest.test_case "unknown library rejected" `Quick
             request_unknown_library_rejected;

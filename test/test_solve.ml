@@ -18,7 +18,15 @@
      [Response.of_string] may only answer [Ok]/[Error] or raise
      [Json.Parse_error]; every accepted request has a total [key] and
      [target]; generated requests round-trip; every response of the
-     table round-trips byte for byte. *)
+     table round-trips byte for byte.
+   - One request decoder: [Request.of_string s] answers exactly what
+     [Json.of_string s |> Request.of_json] does (a parse error as
+     ["invalid JSON: " ^ msg]) on the same fuzzed strings, and
+     [qsynth batch] over [request_errors.jsonl] prints
+     [request_errors.expected] byte for byte.
+   - Cache keys: [Request.key] equals the [Json.t] tree it once printed,
+     over the table's requests, the spellings file and generated
+     requests. *)
 
 open Synthesis
 module Json = Telemetry.Json
@@ -216,7 +224,27 @@ let decode_response s =
   total "response decode" (fun () ->
       match Mce.Response.of_string s with Ok _ | Error _ -> ())
 
-let decoders s = decode_request s && decode_response s
+(* the tree decoder, with the wire decoder's message on a parse error *)
+let decode_by_tree s =
+  match Json.of_string s with
+  | j -> Mce.Request.of_json j
+  | exception Json.Parse_error msg -> Error ("invalid JSON: " ^ msg)
+
+let one_decoder s =
+  total "Request.of_string" (fun () ->
+      let got = Mce.Request.of_string s and want = decode_by_tree s in
+      match (got, want) with
+      | Ok a, Ok b when Mce.Request.equal a b -> ()
+      | Error a, Error b when String.equal a b -> ()
+      | _ ->
+          let show = function
+            | Ok r -> "Ok " ^ Mce.Request.key r
+            | Error e -> "Error " ^ e
+          in
+          QCheck2.Test.fail_reportf "%S: of_string %s, tree %s" s (show got)
+            (show want))
+
+let decoders s = decode_request s && decode_response s && one_decoder s
 
 (* one byte replaced, at any position, by any byte *)
 let mutate_gen frame_gen =
@@ -288,6 +316,14 @@ let fuzz_mutated_requests =
   qtest ~count:2000 "mutated request frames decode totally"
     (mutate_gen request_frame_gen) decoders
 
+let request_error_lines () = read_lines "request_errors.jsonl"
+
+let fuzz_mutated_error_lines () =
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:2000 ~name:"mutated request_errors lines decode alike"
+       (mutate_gen (QCheck2.Gen.oneofl (request_error_lines ())))
+       decoders)
+
 let fuzz_mutated_responses () =
   QCheck2.Test.check_exn
     (QCheck2.Test.make ~count:2000 ~name:"mutated response frames decode totally"
@@ -304,6 +340,103 @@ let request_roundtrip =
       match Mce.Request.of_json (Mce.Request.to_json r) with
       | Ok r' -> Mce.Request.equal r r'
       | Error e -> QCheck2.Test.fail_reportf "decode failed: %s" e)
+
+(* {1 One request decoder, pinned} *)
+
+(* Every line of request_errors.jsonl as [qsynth batch --index] answers
+   it from the complete index: parse errors at several offsets, non-object
+   documents, unknown, escaped and repeated member names, a wrong type
+   for each field, out-of-range values and task objects.  The expected
+   bytes were printed by the two-stage decoder this one replaced. *)
+let request_errors_pinned () =
+  let index = Filename.temp_file "qsynth_complete" ".idx" in
+  Fun.protect ~finally:(fun () -> Sys.remove index) @@ fun () ->
+  Census_index.save (Lazy.force complete) index;
+  let exe =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "qsynth.exe" ]
+  in
+  let ic =
+    Unix.open_process_args_in exe
+      [| exe; "batch"; "--index"; index; "request_errors.jsonl" |]
+  in
+  let got = In_channel.input_all ic in
+  let status = Unix.close_process_in ic in
+  check Alcotest.string "responses" (In_channel.with_open_bin "request_errors.expected" In_channel.input_all) got;
+  Alcotest.(check bool) "exit 1: some lines do not decode" true (status = Unix.WEXITED 1)
+
+let request_errors_in_process () =
+  List.iter
+    (fun line -> ignore (one_decoder line))
+    (request_error_lines () @ read_lines "spec_spellings.jsonl")
+
+(* {1 Cache keys} *)
+
+(* The key as it was printed before it was written straight into a
+   buffer: a [Json.t] tree with the spec canonicalized to its column. *)
+let reference_key (r : Mce.Request.t) =
+  let spec =
+    match Mce.Request.target r with
+    | Ok f ->
+        String.concat "," (List.map string_of_int (Reversible.Revfun.output_column f))
+    | Error _ -> r.spec
+  in
+  let task =
+    match r.task with
+    | Mce.Request.Synthesize -> Json.String "synthesize"
+    | Count_witnesses -> Json.String "count-witnesses"
+    | Enumerate { limit } ->
+        Json.Obj [ ("enumerate", Json.Obj [ ("limit", Json.Int limit) ]) ]
+  in
+  let plan =
+    match r.plan with
+    | Mce.Request.Auto -> "auto"
+    | Index -> "index"
+    | Bidir -> "bidir"
+    | Forward -> "forward"
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("qubits", Json.Int r.qubits);
+         ("library", Json.String r.library);
+         ("spec", Json.String spec);
+         ("task", task);
+         ("max_depth", Json.Int r.max_depth);
+         ("plan", Json.String plan);
+       ])
+
+let key_matches_tree () =
+  let keyed = ref 0 in
+  let check_key r =
+    incr keyed;
+    check Alcotest.string r.Mce.Request.spec (reference_key r) (Mce.Request.key r)
+  in
+  List.iter
+    (fun (_, plan) ->
+      List.iter
+        (fun (_, task) ->
+          List.iter
+            (fun (_, qubits, library, max_depth, spec) ->
+              check_key (Mce.Request.make ~qubits ~library ~task ~max_depth ~plan spec))
+            targets)
+        tasks)
+    plans;
+  List.iter
+    (fun line ->
+      match Mce.Request.of_string line with
+      | Ok r -> check_key r
+      | Error _ -> ())
+    (read_lines "spec_spellings.jsonl");
+  Alcotest.(check bool) "every spelling line keyed" true
+    (!keyed >= (List.length plans * List.length tasks * List.length targets) + 15)
+
+let key_matches_tree_generated =
+  qtest ~count:2000 "generated request keys equal the tree key" request_gen (fun r ->
+      String.equal (Mce.Request.key r) (reference_key r)
+      || QCheck2.Test.fail_reportf "key %s, tree %s" (Mce.Request.key r)
+           (reference_key r))
 
 let table_responses_roundtrip () =
   List.iter
@@ -333,5 +466,18 @@ let () =
           request_roundtrip;
           Alcotest.test_case "table responses round-trip" `Quick
             table_responses_roundtrip;
+          Alcotest.test_case "mutated request_errors lines decode alike" `Quick
+            fuzz_mutated_error_lines;
+        ] );
+      ( "request decoder",
+        [
+          Alcotest.test_case "request_errors bytes pinned" `Quick request_errors_pinned;
+          Alcotest.test_case "pinned lines decode alike" `Quick
+            request_errors_in_process;
+        ] );
+      ( "request key",
+        [
+          Alcotest.test_case "key equals the tree key" `Quick key_matches_tree;
+          key_matches_tree_generated;
         ] );
     ]
