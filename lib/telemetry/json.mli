@@ -76,9 +76,6 @@ module Cursor : sig
       at [start], decoding escapes, and steps over its closing quote. *)
   val string_rest : t -> int -> string
 
-  (** [string c] reads one string. *)
-  val string : t -> string
-
   (** [value c] skips whitespace and reads one value. *)
   val value : t -> json
 
