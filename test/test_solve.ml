@@ -466,7 +466,7 @@ let () =
           Alcotest.test_case "mutated request_errors lines decode alike" `Quick
             fuzz_mutated_error_lines;
         ] );
-      ( "request decoder",
+      ( "decoder pins",
         [
           Alcotest.test_case "request_errors bytes pinned" `Quick request_errors_pinned;
           Alcotest.test_case "pinned lines decode alike" `Quick
