@@ -1,24 +1,43 @@
 let shard_bits = 6
 let num_shards = 1 lsl shard_bits
 
-(* A table slot is -1 when empty, else [(local_index lsl tag_bits) lor
-   tag]: the tag is the top [tag_bits] of the key hash (bits the shard
-   and slot position never use), so most non-matching slots are rejected
-   without touching the key arena. *)
-let tag_bits = 16
-let tag_mask = (1 lsl tag_bits) - 1
-let tag_of_hash h = h lsr (62 - tag_bits)
-let slot_of idx hash = (idx lsl tag_bits) lor tag_of_hash hash
+(* A probe-table slot is a 32-bit word of a byte table, in native byte
+   order (the table is never written out): -1 (all ones) when empty,
+   else [(local_index lsl w) lor tag].  The tag is the top [w] bits of
+   the key hash (bits the shard and slot position never use), so most
+   non-matching slots are rejected without touching the key arena.  [w]
+   is [31 - log2 slots]: the 3/4 load factor keeps every local index
+   below the slot count, so the index fits in the other [31 - w] bits
+   and a filled slot is never negative.  The tag narrows only as the
+   table grows.  A byte table is never scanned by the GC. *)
+let slot_bytes = 4
+
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let slot_get table i = Int32.to_int (get32u table (i * slot_bytes))
+let slot_set table i v = set32u table (i * slot_bytes) (Int32.of_int v)
+let empty_table slots = Bytes.make (slots * slot_bytes) '\xff'
+let tag_of_hash ~bits h = h lsr (62 - bits)
+
+let tag_bits_for slots =
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
+  let w = 31 - log2 slots in
+  if w < 0 then failwith "State_arena: a shard's probe table outgrew 32-bit slots";
+  w
 
 (* A stored state is its key bytes and its probe-table slot; nothing
    else.  Its depth is the level whose range holds it. *)
 type shard = {
   mutable arena : Bytes.t; (* capacity * degree key bytes *)
   mutable count : int;
-  mutable table : int array; (* open addressing: -1 empty, else index and tag *)
+  mutable table : Bytes.t; (* open addressing, 32-bit slots: -1 empty, else index and tag *)
   mutable mask : int; (* table capacity - 1, a power of two minus one *)
+  mutable tag_bits : int; (* [tag_bits_for (mask + 1)] *)
   mutable starts : int array; (* starts.(d): local index of level d's first state *)
 }
+
+let slot_of sh idx hash = (idx lsl sh.tag_bits) lor tag_of_hash ~bits:sh.tag_bits hash
 
 (* A store keeps its states in level order: every state inserted after
    [open_level] belongs to the newest level, so a level is one [start,
@@ -38,8 +57,9 @@ let make_shard degree =
   {
     arena = Bytes.create (initial_states * degree);
     count = 0;
-    table = Array.make initial_slots (-1);
+    table = empty_table initial_slots;
     mask = initial_slots - 1;
+    tag_bits = tag_bits_for initial_slots;
     starts = Array.make 16 0;
   }
 
@@ -57,7 +77,7 @@ let size t =
 let capacity t sh = Bytes.length sh.arena / t.degree
 
 (* What a shard holds, in bytes: its key arena and its probe table. *)
-let shard_bytes ~degree ~capacity ~slots = (capacity * degree) + (8 * slots)
+let shard_bytes ~degree ~capacity ~slots = (capacity * degree) + (slot_bytes * slots)
 
 let bytes t =
   Array.fold_left
@@ -112,20 +132,20 @@ let key_equal a aoff b boff len =
   end
 
 (* Finds the slot holding an equal key, or the first empty slot; the
-   caller inspects [table.(slot)] to tell the two apart.  Terminates
-   because the load factor is kept under 3/4. *)
+   caller reads the slot to tell the two apart.  Terminates because the
+   load factor is kept under 3/4. *)
 let probe t sh key ~off ~hash =
   let degree = t.degree in
-  let mask = sh.mask and table = sh.table and arena = sh.arena in
-  let tag = tag_of_hash hash in
+  let mask = sh.mask and table = sh.table and arena = sh.arena and bits = sh.tag_bits in
+  let tag = tag_of_hash ~bits hash and tag_mask = (1 lsl bits) - 1 in
   let i = ref ((hash lsr shard_bits) land mask) in
   let looking = ref true in
   while !looking do
-    let slot = Array.unsafe_get table !i in
+    let slot = slot_get table !i in
     if slot < 0 then looking := false
     else if
       slot land tag_mask = tag
-      && key_equal arena ((slot lsr tag_bits) * degree) key off degree
+      && key_equal arena ((slot lsr bits) * degree) key off degree
     then looking := false
     else i := (!i + 1) land mask
   done;
@@ -134,8 +154,8 @@ let probe t sh key ~off ~hash =
 let find t key ~off ~hash =
   let s = shard_of_hash hash in
   let sh = t.shards.(s) in
-  let slot = sh.table.(probe t sh key ~off ~hash) in
-  if slot < 0 then -1 else handle ~shard:s ~index:(slot lsr tag_bits)
+  let slot = slot_get sh.table (probe t sh key ~off ~hash) in
+  if slot < 0 then -1 else handle ~shard:s ~index:(slot lsr sh.tag_bits)
 
 (* [resize_states t sh capacity] moves a shard's keys into storage for
    [capacity] states: the one copy a level's reservation makes, or the
@@ -154,14 +174,19 @@ let resize_states t sh capacity =
 let place t sh idx =
   let hash = hash_key sh.arena ~off:(idx * t.degree) ~len:t.degree in
   let i = ref ((hash lsr shard_bits) land sh.mask) in
-  while sh.table.(!i) >= 0 do
+  while slot_get sh.table !i >= 0 do
     i := (!i + 1) land sh.mask
   done;
-  sh.table.(!i) <- slot_of idx hash
+  slot_set sh.table !i (slot_of sh idx hash)
+
+(* An empty table of [slots] slots, and the tag width that goes with it. *)
+let reset_table sh slots =
+  sh.table <- empty_table slots;
+  sh.mask <- slots - 1;
+  sh.tag_bits <- tag_bits_for slots
 
 let rehash t sh slots =
-  sh.table <- Array.make slots (-1);
-  sh.mask <- slots - 1;
+  reset_table sh slots;
   for idx = 0 to sh.count - 1 do
     place t sh idx
   done
@@ -286,7 +311,7 @@ let abandon_level t =
       let target = sh.starts.(depth) in
       if target < sh.count then begin
         sh.count <- target;
-        Array.fill sh.table 0 (sh.mask + 1) (-1);
+        Bytes.fill sh.table 0 (Bytes.length sh.table) '\xff';
         for idx = 0 to target - 1 do
           place t sh idx
         done
@@ -341,16 +366,14 @@ let restore ~degree ~keys ~level_sizes =
       if Bytes.length arena <> count * degree then fail "key bytes do not match the level sizes";
       sh.arena <- (if count = 0 then Bytes.create (initial_states * degree) else arena);
       sh.starts <- starts;
-      let slots = slots_for count initial_slots in
-      sh.table <- Array.make slots (-1);
-      sh.mask <- slots - 1;
+      reset_table sh (slots_for count initial_slots);
       for idx = 0 to count - 1 do
         let off = idx * degree in
         let hash = hash_key arena ~off ~len:degree in
         if shard_of_hash hash <> s then fail "a key does not belong to its shard";
         let slot = probe t sh arena ~off ~hash in
-        if sh.table.(slot) >= 0 then fail "duplicate key";
-        sh.table.(slot) <- slot_of idx hash;
+        if slot_get sh.table slot >= 0 then fail "duplicate key";
+        slot_set sh.table slot (slot_of sh idx hash);
         sh.count <- idx + 1
       done)
     level_sizes;
@@ -361,13 +384,13 @@ let try_insert t ~key ~off ~hash =
   let s = shard_of_hash hash in
   let sh = t.shards.(s) in
   let slot = probe t sh key ~off ~hash in
-  if sh.table.(slot) >= 0 then -1
+  if slot_get sh.table slot >= 0 then -1
   else begin
     let idx = sh.count in
     (* the fallback when a level outgrows its reservation *)
     if (idx + 1) * t.degree > Bytes.length sh.arena then resize_states t sh (max 8 (2 * idx));
     Bytes.blit key off sh.arena (idx * t.degree) t.degree;
-    sh.table.(slot) <- slot_of idx hash;
+    slot_set sh.table slot (slot_of sh idx hash);
     sh.count <- idx + 1;
     (* keep the load factor under 3/4 *)
     if 4 * sh.count > 3 * (sh.mask + 1) then rehash t sh (2 * (sh.mask + 1));

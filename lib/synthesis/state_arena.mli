@@ -2,7 +2,7 @@
 
     [2^{!shard_bits}] shards, each holding a [Bytes] arena of packed
     binary-image vectors (see {!Search}) and an open-addressing probe
-    table.  A stored state is its key bytes plus its probe-table slot (8
+    table.  A stored state is its key bytes plus its probe-table slot (4
     bytes a slot, at a load factor between 3/8 and 3/4) and nothing
     else: its depth is the level whose range holds it ({!depth_of}), and
     everything else the engine knows about a state (its signature, the
@@ -24,11 +24,18 @@
     reservation, insertion falls back to doubling.  Capacities are never
     observable: handles, keys and levels do not depend on them.
 
-    Each open-addressing slot holds a state's local index together with a
-    tag of its key hash, so a probe rejects most non-matching slots
-    without reading the key arena, and keys are compared a 64-bit word at
-    a time.  No hash is stored: growth, {!abandon_level} and {!restore}
-    recompute it from the key bytes.
+    {b Slots.}  A probe table is a byte table of 32-bit slots, which the
+    GC never scans.  A filled slot is [(local_index lsl w) lor tag]; an
+    empty one is all ones.  The tag is the top [w] bits of the key hash,
+    with [w = 31 - log2 (slots in the shard)], set at each rehash and
+    kept with the shard.  The 3/4 load factor keeps every local index
+    below the slot count, so the index always fits in the other
+    [31 - w] bits.  The tag narrows only as the table grows: 23 bits in
+    a fresh shard's 256 slots, 17 at 16,384 slots, 9 at 4M.  A probe
+    rejects most non-matching slots by their tag without reading the key
+    arena, and keys are compared a 64-bit word at a time.  No hash is
+    stored: growth, {!abandon_level} and {!restore} recompute it from
+    the key bytes.
 
     A state's shard is a pure function of its key bytes
     ({!shard_of_hash} of {!hash_key}), so the store's contents — including
@@ -71,11 +78,12 @@ val hash_key : Bytes.t -> off:int -> len:int -> int
 
 val shard_of_hash : int -> int
 
-(** [tag_of_hash h] is the part of [h] kept in a probe-table slot next
-    to the state's index: its top 16 bits, disjoint from the bits that
-    pick the shard and the home slot.  Two keys with the same shard and
+(** [tag_of_hash ~bits h] is the part of [h] kept in a probe-table slot
+    next to the state's index: its top [bits] bits, disjoint from the
+    bits that pick the shard and the home slot.  A shard of [2^k] slots
+    keeps [bits = 31 - k].  Two keys with the same shard, home slot and
     tag are told apart only by comparing their bytes. *)
-val tag_of_hash : int -> int
+val tag_of_hash : bits:int -> int -> int
 
 (** {1 Handle accessors} *)
 

@@ -123,13 +123,24 @@ module Cursor = struct
     end
     else fail c ("expected " ^ lit)
 
+  let hex_digit = function
+    | '0' .. '9' as ch -> Char.code ch - Char.code '0'
+    | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
+    | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
+    | _ -> -1
+
+  (* Exactly four hex digits, nothing else: [int_of_string "0x..."]
+     would also take '_'. *)
   let hex4 c =
     if c.pos + 4 > c.n then fail c "truncated \\u escape";
-    let h = String.sub c.s c.pos 4 in
+    let code = ref 0 and valid = ref true in
+    for i = c.pos to c.pos + 3 do
+      let d = hex_digit (String.unsafe_get c.s i) in
+      if d < 0 then valid := false;
+      code := (!code lsl 4) + d
+    done;
     c.pos <- c.pos + 4;
-    match int_of_string_opt ("0x" ^ h) with
-    | Some code -> code
-    | None -> fail c "malformed \\u escape"
+    if !valid then !code else fail c "malformed \\u escape"
 
   let string_start c =
     expect c '"';

@@ -175,10 +175,7 @@ let arena_degree = 16
 let random_key rng = String.init arena_degree (fun _ -> Char.chr (Random.State.int rng 256))
 let hash_of key = State_arena.hash_key (Bytes.of_string key) ~off:0 ~len:arena_degree
 
-(* 65536 distinct random 16-byte keys over 64 shards and 16-bit tags:
-   about n^2 / 2^23 = 512 pairs share a (shard, tag), so the probe's
-   byte comparison behind an equal tag is exercised; the test asserts
-   that at least one such pair occurs. *)
+(* 65536 distinct random 16-byte keys. *)
 let arena_keys =
   lazy
     (let rng = Random.State.make [| 20 |] in
@@ -237,14 +234,6 @@ let restore_copy store =
 let test_arena_reference () =
   let keys = Lazy.force arena_keys in
   let n = Array.length keys in
-  let buckets = Hashtbl.create n in
-  Array.iter
-    (fun k ->
-      let h = hash_of k in
-      let b = (State_arena.shard_of_hash h, State_arena.tag_of_hash h) in
-      Hashtbl.replace buckets b (1 + Option.value ~default:0 (Hashtbl.find_opt buckets b)))
-    keys;
-  checkb "some keys share a shard and a tag" true (Hashtbl.length buckets < n);
   let store = State_arena.create ~degree:arena_degree in
   let reference = Hashtbl.create n in
   State_arena.open_level store ~reserve:(n / 2);
@@ -280,11 +269,64 @@ let test_arena_reference () =
   let restored = restore_copy store in
   check_against restored reference keys
 
+(* A store grown from a fresh shard's 256 slots by doubling alone, over
+   four levels opened with no reservation: every shard's table doubles
+   three times, to 2048 slots, and the tag narrows from 23 bits to 20 at
+   each rehash.  About n^2 / 2^27 = 32 pairs of the 65536 keys share a
+   shard and a 20-bit tag, so the byte comparison behind an equal tag is
+   exercised.  The store agrees with the reference after every level,
+   after abandoning the last one, after replaying it and after a
+   restore. *)
+let test_arena_doublings () =
+  let keys = Lazy.force arena_keys in
+  let n = Array.length keys in
+  let final_slots = 2048 in
+  let bits = 31 - 11 in
+  let buckets = Hashtbl.create n in
+  Array.iter
+    (fun k ->
+      let h = hash_of k in
+      let b = (State_arena.shard_of_hash h, State_arena.tag_of_hash ~bits h) in
+      Hashtbl.replace buckets b ())
+    keys;
+  checkb "some keys share a shard and a tag" true (Hashtbl.length buckets < n);
+  let store = State_arena.create ~degree:arena_degree in
+  let reference = Hashtbl.create n in
+  let bounds = [ (0, n / 16); (n / 16, n / 4); (n / 4, n / 2); (n / 2, n) ] in
+  List.iteri
+    (fun depth (lo, hi) ->
+      State_arena.open_level store ~reserve:0;
+      insert_all store reference keys ~lo ~hi ~depth;
+      check_against store reference keys)
+    bounds;
+  check Alcotest.int "every shard doubled to 2048 slots"
+    (State_arena.num_shards * final_slots)
+    (State_arena.table_capacity store);
+  let full = Hashtbl.copy reference in
+  State_arena.abandon_level store;
+  Array.iteri (fun i key -> if i >= n / 2 then Hashtbl.remove reference key) keys;
+  check_against store reference keys;
+  State_arena.open_level store ~reserve:0;
+  insert_all store reference keys ~lo:(n / 2) ~hi:n ~depth:3;
+  Hashtbl.iter
+    (fun key r ->
+      if (Hashtbl.find reference key).r_handle <> r.r_handle then
+        Alcotest.fail "replayed insert moved a handle")
+    full;
+  let restored = restore_copy store in
+  check Alcotest.int "a restored store sizes its tables alike"
+    (State_arena.table_capacity store)
+    (State_arena.table_capacity restored);
+  check_against restored reference keys
+
 (* Two keys in the same shard, home slot and tag meet in one probe
    sequence, where only their bytes tell them apart.  Such pairs are
    searched for among 13-byte keys (one 64-bit word plus a 5-byte tail)
    that differ only in the word, and among keys that differ only in the
-   tail, so both halves of the comparison must decide. *)
+   tail, so both halves of the comparison must decide.  A fresh shard
+   has 256 slots, so its slots keep 23-bit tags: 6 shard bits, 8
+   home-slot bits and the tag make 37 bits to collide on, about 2^18.5
+   keys by the birthday bound. *)
 let test_arena_tag_collisions () =
   let degree = 13 in
   let collide vary =
@@ -298,8 +340,9 @@ let test_arena_tag_collisions () =
         Bytes.set k i (Char.chr (Random.State.int rng 256))
       done;
       let h = State_arena.hash_key k ~off:0 ~len:degree in
-      (* the shard and the home slot of a fresh shard's 256-slot table *)
-      let place = (h land 0x3FFF, State_arena.tag_of_hash h) in
+      (* the shard and the home slot of a fresh shard's 256-slot table,
+         and the tag its slots keep *)
+      let place = h land 0x3FFF lor (State_arena.tag_of_hash ~bits:23 h lsl 14) in
       match Hashtbl.find_opt seen place with
       | Some k' when not (Bytes.equal k k') -> (k', k)
       | _ ->
@@ -537,14 +580,18 @@ let test_cancel_rollback jobs () =
 
 (* One reservation per level: a 4-wire depth-5 census allocates at most
    1.5x its final store in major-heap words (doubling columns and tables
-   as they fill allocates about 2.5x). *)
+   as they fill allocates about 2.5x).  The store itself, 16-byte keys
+   and 4-byte probe slots at reserved capacity, stays under 16,000,000
+   bytes (31.1 bytes a state; 8-byte slots made it 20,156,368). *)
 let test_major_allocation () =
   Gc.compact ();
   let before = (Gc.quick_stat ()).Gc.major_words in
   let census = Fmcf.run ~max_depth:5 library4 in
   let words = (Gc.quick_stat ()).Gc.major_words -. before in
-  let store = float_of_int (Search.arena_bytes (Fmcf.search census) / 8) in
+  let bytes = Search.arena_bytes (Fmcf.search census) in
+  let store = float_of_int (bytes / 8) in
   check Alcotest.int "states" 513_129 (Search.size (Fmcf.search census));
+  if bytes > 16_000_000 then Alcotest.failf "the store holds %d bytes" bytes;
   if words > 1.5 *. store then
     Alcotest.failf "%.0f major words for a store of %.0f words (%.2fx)" words store
       (words /. store)
@@ -568,6 +615,7 @@ let () =
       ( "state arena",
         [
           Alcotest.test_case "Hashtbl reference, 65536 keys" `Quick test_arena_reference;
+          Alcotest.test_case "doublings narrow the tag" `Quick test_arena_doublings;
           Alcotest.test_case "shard, slot and tag collisions" `Quick test_arena_tag_collisions;
           Alcotest.test_case "derived depth at level bounds" `Quick test_arena_level_depths;
           Alcotest.test_case "step allocation, plain" `Quick (test_step_allocation false);

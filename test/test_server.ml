@@ -133,6 +133,7 @@ let json_string_cases =
     ("\"\\q\"", Error "unknown escape at offset 3");
     ("\"\\u12\"", Error "truncated \\u escape at offset 3");
     ("\"\\u12zz\"", Error "malformed \\u escape at offset 7");
+    ("\"\\u0_41\"", Error "malformed \\u escape at offset 7");
     ("{\"spec\":\"0,1\001\"}", Error "control character in string at offset 12");
     ("{\"spec\":\"0,1", Error "unterminated string at offset 12");
   ]
