@@ -9,7 +9,9 @@ let num_shards = 1 lsl shard_bits
    is [31 - log2 slots]: the 3/4 load factor keeps every local index
    below the slot count, so the index fits in the other [31 - w] bits
    and a filled slot is never negative.  The tag narrows only as the
-   table grows.  A byte table is never scanned by the GC. *)
+   table grows; [w] stays non-negative up to 2^31 slots a shard, far
+   past any table that fits in memory.  A byte table is never scanned by
+   the GC. *)
 let slot_bytes = 4
 
 external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
@@ -22,9 +24,7 @@ let tag_of_hash ~bits h = h lsr (62 - bits)
 
 let tag_bits_for slots =
   let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
-  let w = 31 - log2 slots in
-  if w < 0 then failwith "State_arena: a shard's probe table outgrew 32-bit slots";
-  w
+  31 - log2 slots
 
 (* A stored state is its key bytes and its probe-table slot; nothing
    else.  Its depth is the level whose range holds it. *)

@@ -175,13 +175,15 @@ let arena_degree = 16
 let random_key rng = String.init arena_degree (fun _ -> Char.chr (Random.State.int rng 256))
 let hash_of key = State_arena.hash_key (Bytes.of_string key) ~off:0 ~len:arena_degree
 
-(* 65536 distinct random 16-byte keys. *)
+let arena_key_count = 65536
+
+(* [arena_key_count] distinct random 16-byte keys. *)
 let arena_keys =
   lazy
     (let rng = Random.State.make [| 20 |] in
-     let seen = Hashtbl.create 65536 in
+     let seen = Hashtbl.create arena_key_count in
      let keys = ref [] in
-     while Hashtbl.length seen < 65536 do
+     while Hashtbl.length seen < arena_key_count do
        let k = random_key rng in
        if not (Hashtbl.mem seen k) then begin
          Hashtbl.replace seen k ();
@@ -231,19 +233,23 @@ let restore_copy store =
            Array.init (State_arena.levels store) (fun d ->
                State_arena.level_end store ~depth:d s - State_arena.level_start store ~depth:d s)))
 
-let test_arena_reference () =
+(* [arena_reference levels] inserts the keys level by level, each
+   [(lo, hi, reserve)] opening a level with that reservation, and checks
+   the store against a Hashtbl reference after every level, after every
+   key is inserted again (all duplicates), after the last level is
+   abandoned, after it is replayed (the same handles come back) and in a
+   store restored from its keys and level sizes.  It returns the store
+   and the restored one. *)
+let arena_reference levels =
   let keys = Lazy.force arena_keys in
-  let n = Array.length keys in
   let store = State_arena.create ~degree:arena_degree in
-  let reference = Hashtbl.create n in
-  State_arena.open_level store ~reserve:(n / 2);
-  insert_all store reference keys ~lo:0 ~hi:(n / 2) ~depth:0;
-  (* the second half is one level, opened with no reservation, so every
-     shard grows by the doubling fallback *)
-  State_arena.open_level store ~reserve:0;
-  insert_all store reference keys ~lo:(n / 2) ~hi:n ~depth:1;
-  check_against store reference keys;
-  (* every key again: all duplicates, the store unchanged *)
+  let reference = Hashtbl.create (Array.length keys) in
+  List.iteri
+    (fun depth (lo, hi, reserve) ->
+      State_arena.open_level store ~reserve;
+      insert_all store reference keys ~lo ~hi ~depth;
+      check_against store reference keys)
+    levels;
   Array.iter
     (fun key ->
       if
@@ -252,72 +258,54 @@ let test_arena_reference () =
       then Alcotest.fail "duplicate key inserted")
     keys;
   check_against store reference keys;
-  (* abandon the second level, then replay it: the same handles come
-     back *)
+  let last = List.length levels - 1 in
+  let lo, hi, _ = List.nth levels last in
   let full = Hashtbl.copy reference in
   State_arena.abandon_level store;
-  Array.iteri (fun i key -> if i >= n / 2 then Hashtbl.remove reference key) keys;
+  for i = lo to hi - 1 do
+    Hashtbl.remove reference keys.(i)
+  done;
   check_against store reference keys;
   State_arena.open_level store ~reserve:0;
-  insert_all store reference keys ~lo:(n / 2) ~hi:n ~depth:1;
+  insert_all store reference keys ~lo ~hi ~depth:last;
   Hashtbl.iter
     (fun key r ->
       if (Hashtbl.find reference key).r_handle <> r.r_handle then
         Alcotest.fail "replayed insert moved a handle")
     full;
-  (* rebuild the store from its keys and level sizes *)
   let restored = restore_copy store in
-  check_against restored reference keys
+  check_against restored reference keys;
+  (store, restored)
+
+(* The second half of the keys is one level, opened with no
+   reservation, so every shard grows by the doubling fallback. *)
+let test_arena_reference () =
+  let n = arena_key_count in
+  ignore (arena_reference [ (0, n / 2, n / 2); (n / 2, n, 0) ])
 
 (* A store grown from a fresh shard's 256 slots by doubling alone, over
    four levels opened with no reservation: every shard's table doubles
-   three times, to 2048 slots, and the tag narrows from 23 bits to 20 at
-   each rehash.  About n^2 / 2^27 = 32 pairs of the 65536 keys share a
-   shard and a 20-bit tag, so the byte comparison behind an equal tag is
-   exercised.  The store agrees with the reference after every level,
-   after abandoning the last one, after replaying it and after a
-   restore. *)
+   three times, to 2048 slots, and the tag narrows from 23 bits to 20.
+   About n^2 / 2^27 = 32 pairs of the keys share a shard and a 20-bit
+   tag, so the byte comparison behind an equal tag is exercised. *)
 let test_arena_doublings () =
-  let keys = Lazy.force arena_keys in
-  let n = Array.length keys in
-  let final_slots = 2048 in
-  let bits = 31 - 11 in
+  let n = arena_key_count in
+  let bits = 31 - 11 (* 2048 = 2^11 slots a shard *) in
   let buckets = Hashtbl.create n in
   Array.iter
     (fun k ->
       let h = hash_of k in
-      let b = (State_arena.shard_of_hash h, State_arena.tag_of_hash ~bits h) in
-      Hashtbl.replace buckets b ())
-    keys;
+      Hashtbl.replace buckets (State_arena.shard_of_hash h, State_arena.tag_of_hash ~bits h) ())
+    (Lazy.force arena_keys);
   checkb "some keys share a shard and a tag" true (Hashtbl.length buckets < n);
-  let store = State_arena.create ~degree:arena_degree in
-  let reference = Hashtbl.create n in
-  let bounds = [ (0, n / 16); (n / 16, n / 4); (n / 4, n / 2); (n / 2, n) ] in
-  List.iteri
-    (fun depth (lo, hi) ->
-      State_arena.open_level store ~reserve:0;
-      insert_all store reference keys ~lo ~hi ~depth;
-      check_against store reference keys)
-    bounds;
-  check Alcotest.int "every shard doubled to 2048 slots"
-    (State_arena.num_shards * final_slots)
+  let store, restored =
+    arena_reference [ (0, n / 16, 0); (n / 16, n / 4, 0); (n / 4, n / 2, 0); (n / 2, n, 0) ]
+  in
+  check Alcotest.int "every shard doubled to 2048 slots" (State_arena.num_shards * 2048)
     (State_arena.table_capacity store);
-  let full = Hashtbl.copy reference in
-  State_arena.abandon_level store;
-  Array.iteri (fun i key -> if i >= n / 2 then Hashtbl.remove reference key) keys;
-  check_against store reference keys;
-  State_arena.open_level store ~reserve:0;
-  insert_all store reference keys ~lo:(n / 2) ~hi:n ~depth:3;
-  Hashtbl.iter
-    (fun key r ->
-      if (Hashtbl.find reference key).r_handle <> r.r_handle then
-        Alcotest.fail "replayed insert moved a handle")
-    full;
-  let restored = restore_copy store in
   check Alcotest.int "a restored store sizes its tables alike"
     (State_arena.table_capacity store)
-    (State_arena.table_capacity restored);
-  check_against restored reference keys
+    (State_arena.table_capacity restored)
 
 (* Two keys in the same shard, home slot and tag meet in one probe
    sequence, where only their bytes tell them apart.  Such pairs are
@@ -342,7 +330,7 @@ let test_arena_tag_collisions () =
       let h = State_arena.hash_key k ~off:0 ~len:degree in
       (* the shard and the home slot of a fresh shard's 256-slot table,
          and the tag its slots keep *)
-      let place = h land 0x3FFF lor (State_arena.tag_of_hash ~bits:23 h lsl 14) in
+      let place = (h land 0x3FFF) lor (State_arena.tag_of_hash ~bits:23 h lsl 14) in
       match Hashtbl.find_opt seen place with
       | Some k' when not (Bytes.equal k k') -> (k', k)
       | _ ->
