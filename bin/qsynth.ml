@@ -442,7 +442,10 @@ let census_cmd =
     Arg.(value & flag & info [ "stats" ]
            ~doc:"After a $(b,--quotient) census, print the per-depth \
                  symmetry-quotient analysis: stored orbits vs the images \
-                 they stand for, and the measured reduction factor.")
+                 they stand for, and the measured reduction factor.  The \
+                 final level is stored as functions only, so its row counts \
+                 the orbits of G[depth], not of every image first reached \
+                 there.")
   in
   let save_arg =
     Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE"
@@ -465,7 +468,11 @@ let census_cmd =
     Arg.(value & opt (some checkpoint_path) None & info [ "checkpoint" ] ~docv:"FILE"
            ~doc:"Write a crash-safe snapshot of the search to $(docv) at level \
                  boundaries (atomically: temp file + rename), and a final one \
-                 on any early stop.  Resume with $(b,--resume).")
+                 on any early stop.  Resume with $(b,--resume).  A snapshot \
+                 holds complete levels only: the final level is stored as \
+                 functions only, so the last snapshot of a completed run \
+                 sits at level depth-1; resumed to the same or a deeper \
+                 --depth, it re-runs the final level.")
   in
   let every_arg =
     Arg.(value & opt (pos_int ~what:"K") 1 & info [ "checkpoint-every" ] ~docv:"K"
@@ -481,7 +488,9 @@ let census_cmd =
   let max_states_arg =
     Arg.(value & opt (some (pos_int ~what:"N")) None & info [ "max-states" ] ~docv:"N"
            ~doc:"Stop before expanding the next level once $(docv) search states \
-                 are stored; the census is reported as partial (exit 125).")
+                 are stored; the census is reported as partial (exit 125).  \
+                 The count is the 'search states:' figure, in which the final \
+                 level counts only its functions.")
   in
   let max_mem_arg =
     Arg.(value & opt (some byte_size) None & info [ "max-mem" ] ~docv:"BYTES"

@@ -31,7 +31,7 @@ let () =
   let census = Fmcf.run ~max_depth:3 library in
   Format.printf "census to depth 3 (%.2fs): " (Unix.gettimeofday () -. t0);
   List.iter (fun (k, n) -> Format.printf "|G[%d]| = %d  " k n) (Fmcf.counts census);
-  Format.printf "@.search states: %d (3-qubit depth 3 had 1198)@."
+  Format.printf "@.search states: %d (level 3 keeps only its functions)@."
     (Search.size (Fmcf.search census));
 
   (* Synthesis on the wider register: gates acting on any wire pair. *)

@@ -201,50 +201,49 @@ let cacheable (resp : Mce.Response.t) =
       | Mce.Response.Internal _ ) ->
       false
 
-let evaluate t ~should_stop (req : Mce.Request.t) =
-  let deadline =
-    Option.map
-      (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.))
-      req.Mce.Request.deadline_ms
-  in
-  let deadline_hit () =
-    match deadline with Some d -> Unix.gettimeofday () > d | None -> false
-  in
-  let stop () = should_stop () || deadline_hit () in
-  let resp =
-    match List.assoc_opt req.Mce.Request.library t.engines with
-    | None ->
-        (* deterministic per configuration, so cacheable like any other
-           Bad_request *)
+let solve_on t ~stop (req : Mce.Request.t) =
+  match List.assoc_opt req.Mce.Request.library t.engines with
+  | None ->
+      (* deterministic per configuration, so cacheable like any other
+         Bad_request *)
+      {
+        Mce.Response.id = req.Mce.Request.id;
+        trace = None;
+        qubits = req.Mce.Request.qubits;
+        body =
+          Error
+            (Mce.Response.Bad_request
+               (Printf.sprintf
+                  "this daemon serves libraries %s; the request asks for %s"
+                  (String.concat ", " (List.map fst t.engines))
+                  req.Mce.Request.library));
+      }
+  | Some engine -> (
+      try
+        Mce.solve ~jobs:t.jobs ~should_stop:stop
+          ?index:(Atomic.get engine.e_index) engine.e_library req
+      with exn ->
         {
           Mce.Response.id = req.Mce.Request.id;
           trace = None;
           qubits = req.Mce.Request.qubits;
-          body =
-            Error
-              (Mce.Response.Bad_request
-                 (Printf.sprintf
-                    "this daemon serves libraries %s; the request asks for %s"
-                    (String.concat ", " (List.map fst t.engines))
-                    req.Mce.Request.library));
-        }
-    | Some engine -> (
-        try
-          Mce.solve ~jobs:t.jobs ~should_stop:stop
-            ?index:(Atomic.get engine.e_index) engine.e_library req
-        with exn ->
-          {
-            Mce.Response.id = req.Mce.Request.id;
-            trace = None;
-            qubits = req.Mce.Request.qubits;
-            body = Error (Mce.Response.Internal (Printexc.to_string exn));
-          })
-  in
-  match resp.Mce.Response.body with
-  | Error Mce.Response.Cancelled when deadline_hit () && not (should_stop ()) ->
-      Telemetry.Counter.incr m_deadline;
-      { resp with body = Error Mce.Response.Deadline_exceeded }
-  | _ -> resp
+          body = Error (Mce.Response.Internal (Printexc.to_string exn));
+        })
+
+(* A request without [deadline_ms] is solved under [should_stop] as is,
+   with no deadline closures. *)
+let evaluate t ~should_stop (req : Mce.Request.t) =
+  match req.Mce.Request.deadline_ms with
+  | None -> solve_on t ~stop:should_stop req
+  | Some ms -> (
+      let deadline = Unix.gettimeofday () +. (float_of_int ms /. 1000.) in
+      let deadline_hit () = Unix.gettimeofday () > deadline in
+      let resp = solve_on t ~stop:(fun () -> should_stop () || deadline_hit ()) req in
+      match resp.Mce.Response.body with
+      | Error Mce.Response.Cancelled when deadline_hit () && not (should_stop ()) ->
+          Telemetry.Counter.incr m_deadline;
+          { resp with body = Error Mce.Response.Deadline_exceeded }
+      | _ -> resp)
 
 (* Index-first admission: a synthesis request the primary engine's
    complete index answers by itself.  The index already is the cache —
@@ -404,4 +403,8 @@ let answer_timed ?(should_stop = no_stop) t req =
         in
         computed ~cache_s t1 (stamp body)
 
-let answer ?should_stop t req = fst (answer_timed ?should_stop t req)
+(* Unobserved index-first requests skip the timing record and the span
+   and clock closures: with telemetry off they would all be dropped. *)
+let answer ?(should_stop = no_stop) t req =
+  if (not (Telemetry.enabled ())) && index_first t req then evaluate t ~should_stop req
+  else fst (answer_timed ~should_stop t req)

@@ -117,7 +117,11 @@ val index_first : t -> Synthesis.Mce.Request.t -> bool
     the daemon's concern): when it expires the search stops
     cooperatively and the response is the [Deadline_exceeded] error.
     [should_stop] additionally cancels on behalf of the caller
-    (SIGINT), producing [Cancelled]. *)
+    (SIGINT), producing [Cancelled].  While telemetry is off, an
+    index-first request is evaluated with no clock, timing record or
+    span: it allocates a few words beyond {!Synthesis.Mce.solve}.  With
+    telemetry on, every request goes through {!answer_timed}, so
+    [server.answer.seconds] observes it. *)
 val answer : ?should_stop:(unit -> bool) -> t -> Synthesis.Mce.Request.t -> Synthesis.Mce.Response.t
 
 (** Stage breakdown of one {!answer_timed} call, the raw material of the
@@ -138,8 +142,9 @@ type timing = {
     spans (the latter carrying a [plan] attribute).  Index-first
     answers report [`Computed] with [cache_s = 0] and only an
     [mce.solve] span.  It is the one admission path: {!answer} is this
-    function with the timing dropped, so both return the same bytes.
-    Spans cost nothing while tracing is off. *)
+    function with the timing dropped (or, unobserved and index-first,
+    the same evaluation without the clocks), so both return the same
+    bytes.  Spans cost nothing while tracing is off. *)
 val answer_timed :
   ?should_stop:(unit -> bool) ->
   t ->

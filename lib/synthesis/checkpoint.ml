@@ -130,10 +130,18 @@ type capture = {
   shards : (Bytes.t * int array) array; (* key arena, level sizes *)
 }
 
+(* A closed engine's newest level holds functions only, which no
+   search could extend, so its capture stops at the level before: a
+   snapshot holds complete levels only, and resuming it re-runs the
+   final level. *)
 let capture search =
   let store = Search.store search in
   let library = Search.library search in
-  let depth = Search.depth search in
+  let depth = if Search.closed search then Search.depth search - 1 else Search.depth search in
+  let states = ref 0 in
+  for d = 0 to depth do
+    states := !states + Search.level_size search d
+  done;
   let header =
     {
       fingerprint = fingerprint library;
@@ -141,8 +149,8 @@ let capture search =
       degree = State_arena.degree store;
       num_gates = Library.size library;
       depth;
-      states = State_arena.size store;
-      frontier_len = Search.frontier_size search;
+      states = !states;
+      frontier_len = Search.level_size search depth;
       symmetry = Option.map Symmetry.fingerprint (Search.symmetry search);
     }
   in

@@ -83,8 +83,13 @@ val read_file : string -> Bytes.t
 
 (** [save search path] atomically writes a snapshot of [search] (which
     must sit at a level boundary, as it always does between
-    {!Search.step_handles} calls).  Any in-flight {!save_async} write is
-    drained first (re-raising its failure, if any). *)
+    {!Search.step_handles} calls).  A snapshot holds complete levels
+    only: of a closed engine ({!Search.closed}, after a functions-only
+    final level) it holds the levels before the newest, so its depth is
+    one less than the engine's and resuming it to any depth re-runs the
+    final level as an uninterrupted run would.  Any in-flight
+    {!save_async} write is drained first (re-raising its failure, if
+    any). *)
 val save : Search.t -> string -> unit
 
 (** [save_async search path] captures [search]'s store at the current

@@ -118,8 +118,13 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
   let over_states () =
     match max_states with None -> false | Some n -> Search.size search >= n
   in
+  (* The final level is stepped functions only: B[max_depth] is never
+     extended, and G[max_depth] is all the census reads from it. *)
+  let last () = Search.depth search + 1 = max_depth in
   let over_mem () =
-    match max_mem with None -> false | Some n -> Search.predicted_bytes search > n
+    match max_mem with
+    | None -> false
+    | Some n -> Search.predicted_bytes ~last:(last ()) search > n
   in
   let stop = ref None in
   while !stop = None && Search.depth search < max_depth do
@@ -128,7 +133,7 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
     else if over_states () then stop := Some Budget_states
     else if over_mem () then stop := Some Budget_mem
     else
-      match Search.try_step search ~cancel with
+      match Search.try_step ~last:(last ()) search ~cancel with
       | None ->
           (* mid-level abandon: the engine rolled back to the last
              complete level; decide which guard fired *)

@@ -20,7 +20,12 @@
 
     The census runs on the image-keyed {!Search} engine, optionally
     quotiented by wire relabeling; both modes give identical counts,
-    members and witnesses.  The arena is the only census store: a level
+    members and witnesses.  B[k] is needed only to build level k+1, so
+    the final level B[max_depth] is never stored: it is stepped
+    functions only ({!Search.try_step} [~last:true]), and the engine
+    keeps exactly G[max_depth] there.  A level's [frontier_size] is
+    therefore |B[k]| below the final level and the final level's
+    function states at it.  The arena is the only census store: a level
     keeps two counts, and members are built from the arena on demand.
     Witnesses are read from a step table (one canonical backward step
     per image reached) that the first witness read allocates. *)
@@ -35,7 +40,9 @@ type member = {
 
 type level = {
   cost : int;
-  frontier_size : int; (** distinct binary images first built with k gates *)
+  frontier_size : int;
+      (** distinct binary images first built with k gates — of the final
+          level of a completed run, only the functions among them *)
   functions : int;
       (** |G[k]| under as-specified semantics, counted from the level's
           states ({!Symmetry.orbit_size} each when quotiented) *)
@@ -96,13 +103,19 @@ val run : ?max_depth:int -> ?jobs:int -> ?quotient:bool -> Library.t -> t
       levels and every 64 frontier states; must be cheap, domain-safe
       and monotonic (an [Atomic.t] set by a signal handler qualifies).
     - [on_level]: called as soon as each {e newly expanded} level
-      completes (not for replayed levels), with the engine sitting at
-      the level boundary and before the level is counted — the
-      checkpoint-writing hook ({!Checkpoint.save_async} overlaps its
-      write with that count).
+      completes (not for replayed levels), the final one included, with
+      the engine sitting at the level boundary and before the level is
+      counted — the checkpoint-writing hook ({!Checkpoint.save_async}
+      overlaps its write with that count).
+
+    The level [max_depth] is stepped functions only, after which the
+    engine is closed ({!Search.closed}); a checkpoint written then holds
+    levels 0 .. [max_depth - 1] and resumes to any depth.  The memory
+    guard checks that level's own, smaller reservation.
 
     @raise Invalid_argument when [resume] was built for a different
-    library or already sits beyond [max_depth]. *)
+    library, already sits beyond [max_depth], or is a closed engine
+    below [max_depth]. *)
 val run_guarded :
   ?max_depth:int ->
   ?jobs:int ->

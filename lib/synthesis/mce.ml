@@ -84,7 +84,11 @@ let search_until ~max_depth ~jobs ~should_stop library remainder =
       None
     end
     else begin
-      match Search.try_step search ~cancel:should_stop with
+      (* The target is a function, so the last allowed level need hold
+         functions only; every witness walk from it steps back into
+         complete levels. *)
+      let last = Search.depth search + 1 = max_depth in
+      match Search.try_step ~last search ~cancel:should_stop with
       | None ->
           Log.info (fun m ->
               m "search cancelled mid-level at depth %d" (Search.depth search));

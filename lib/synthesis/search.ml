@@ -7,6 +7,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 let m_states_new = Telemetry.Counter.create "search.states.new"
 let m_states_dup = Telemetry.Counter.create "search.states.duplicate"
 let m_sig_rejected = Telemetry.Counter.create "search.expansions.signature_rejected"
+let m_mixed_dropped = Telemetry.Counter.create "search.expansions.mixed_dropped"
 let g_frontier = Telemetry.Gauge.create "search.frontier.size"
 let g_table_size = Telemetry.Gauge.create "search.table.size"
 let g_table_load = Telemetry.Gauge.create "search.table.load"
@@ -67,6 +68,7 @@ type t = {
   mutable orbit_fresh : int;
   mutable orbit_hits : int;
   mutable kids_per_parent : float; (* the last level's candidates per parent, 0 until known *)
+  mutable closed : bool; (* the newest level was stepped [~last]: functions only *)
   (* per-step scratch, reused across levels *)
   cand : candbuf array array; (* jobs x shards *)
   fpos : int array; (* the frontier's first position in each shard, then its size *)
@@ -77,6 +79,7 @@ type t = {
   kid_hashes : int array array;
   canon_buf : Bytes.t; (* the canonical image a backward step probes for *)
   rejected_d : int array; (* per-domain counters, summed after the join *)
+  mixed_d : int array; (* legal children of a [~last] step dropped as non-functions *)
   fresh_d : int array;
   dup_d : int array;
   domain_states : int array; (* cumulative states inserted per domain *)
@@ -146,6 +149,7 @@ let make_engine ~jobs ~symmetry library ~store =
     orbit_fresh = 0;
     orbit_hits = 0;
     kids_per_parent = 0.;
+    closed = false;
     cand = Array.init jobs (fun _ -> Array.init num_shards (fun _ -> make_candbuf klen));
     fpos = Array.make (num_shards + 1) 0;
     fstart = Array.make num_shards 0;
@@ -154,6 +158,7 @@ let make_engine ~jobs ~symmetry library ~store =
     kid_hashes = Array.init jobs (fun _ -> Array.make (Array.length entries) 0);
     canon_buf = Bytes.create klen;
     rejected_d = Array.make jobs 0;
+    mixed_d = Array.make jobs 0;
     fresh_d = Array.make jobs 0;
     dup_d = Array.make jobs 0;
     domain_states = Array.make jobs 0;
@@ -214,6 +219,7 @@ let of_store ?(jobs = 1) ?symmetry library store =
   make_engine ~jobs ~symmetry library ~store
 
 let store t = t.store
+let closed t = t.closed
 let symmetry t = t.sym
 let key_length t = t.klen
 
@@ -235,10 +241,47 @@ let frontier_handles t = handles_at_depth t (depth t)
 let key_of_handle t h = State_arena.key_of t.store h
 let depth_of_handle t h = State_arena.depth_of t.store h
 
-let predicted_level t =
-  State_arena.predicted_level t.store ~fanout:(Array.length t.perm_arrays)
+(* Level [depth]'s function states, one range scan per shard over the
+   level's key bytes: each key's point signatures are tested inline and
+   the test stops at the first mixed point, so no per-state call is
+   made for the (many) states that leave the binary block. *)
+let iter_functions t ~depth f =
+  if depth >= 0 && depth < State_arena.levels t.store then begin
+    let klen = t.klen and signatures = t.signatures in
+    for s = 0 to State_arena.num_shards - 1 do
+      let src = State_arena.shard_arena t.store s in
+      for idx = State_arena.level_start t.store ~depth s
+          to State_arena.level_end t.store ~depth s - 1 do
+        let off = idx * klen in
+        let stop = off + klen in
+        let j = ref off in
+        while
+          !j < stop
+          && Array.unsafe_get signatures (Char.code (Bytes.unsafe_get src !j)) = 0
+        do
+          incr j
+        done;
+        if !j = stop then f src off (State_arena.handle ~shard:s ~index:idx)
+      done
+    done
+  end
 
-let predicted_bytes t = State_arena.reserve_bytes t.store (predicted_level t)
+(* A [~last] level keeps only its function states, so its reservation
+   is the usual prediction scaled by the newest level's function share.
+   The share falls with depth wherever a level holds non-functions, so
+   the estimate errs on the large side; where every state is a
+   function (nct, nft) it is the usual prediction. *)
+let predicted_level ?(last = false) t =
+  let p = State_arena.predicted_level t.store ~fanout:(Array.length t.perm_arrays) in
+  let n = frontier_size t in
+  if (not last) || n = 0 then p
+  else begin
+    let functions = ref 0 in
+    iter_functions t ~depth:(depth t) (fun _ _ _ -> incr functions);
+    ((p * !functions) + n - 1) / n
+  end
+
+let predicted_bytes ?last t = State_arena.reserve_bytes t.store (predicted_level ?last t)
 
 (* [run_workers ~parallel jobs f] runs [f 0 .. f (jobs-1)], either on
    [jobs] domains or sequentially on the calling one.  Every [f r] writes
@@ -262,14 +305,34 @@ let run_workers ~parallel jobs f =
    set by a signal handler qualifies. *)
 let cancel_poll_mask = 63
 
-(* [expand_parent t r h] writes every legal child of frontier state [h]
-   into rank [r]'s child buffers, in gate order: its key (the canonical
-   form in quotient mode) and the key's hash.  Returns the number of
-   children.  The parent's signature, which decides the legal gates, is
-   the OR of its key bytes' point signatures.  Composing a parent's
-   children before any of them is probed lets the probes run back to
-   back, so their cache misses overlap. *)
-let expand_parent t r h =
+(* [maps_binary t pa src soff] is whether the child image [pa] composed
+   onto the key at [src.[soff ..]] is a function: every point it maps a
+   binary code to carries signature 0.  Stops at the first mixed point. *)
+let maps_binary t pa src soff =
+  let stop = soff + t.klen in
+  let j = ref soff in
+  while
+    !j < stop
+    && Array.unsafe_get t.signatures
+         (Array.unsafe_get pa (Char.code (Bytes.unsafe_get src !j)))
+       = 0
+  do
+    incr j
+  done;
+  !j = stop
+
+(* [expand_parent t r h ~last] writes every legal child of frontier
+   state [h] into rank [r]'s child buffers, in gate order: its key (the
+   canonical form in quotient mode) and the key's hash.  Returns the
+   number of children.  The parent's signature, which decides the legal
+   gates, is the OR of its key bytes' point signatures.  With [last]
+   only function children are written, tested on the raw image before
+   any hashing or canonicalization (a wire relabeling maps binary points
+   to binary points, so the canonical form is a function exactly when
+   the raw image is); the others are counted in [t.mixed_d.(r)].
+   Composing a parent's children before any of them is probed lets the
+   probes run back to back, so their cache misses overlap. *)
+let expand_parent t r h ~last =
   let klen = t.klen in
   let kids = t.kids.(r) and hashes = t.kid_hashes.(r) in
   let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
@@ -280,10 +343,12 @@ let expand_parent t r h =
       !signature lor Array.unsafe_get t.signatures (Char.code (Bytes.unsafe_get src j))
   done;
   let signature = !signature in
-  let k = ref 0 in
+  let k = ref 0 and mixed = ref 0 in
   for via = 0 to Array.length t.perm_arrays - 1 do
-    if signature land t.purity_masks.(via) = 0 then begin
-      let pa = t.perm_arrays.(via) in
+    let pa = t.perm_arrays.(via) in
+    if signature land t.purity_masks.(via) <> 0 then ()
+    else if last && not (maps_binary t pa src soff) then incr mixed
+    else begin
       let off = !k * klen in
       (match t.sym with
       | None ->
@@ -314,6 +379,7 @@ let expand_parent t r h =
       incr k
     end
   done;
+  if !mixed > 0 then t.mixed_d.(r) <- t.mixed_d.(r) + !mixed;
   !k
 
 (* [index_frontier t] fills [t.fstart] with each shard's first frontier
@@ -358,14 +424,14 @@ let walk t ~lo ~hi ~cancel f =
    within any given shard that is exactly the order in which the chunked
    path replays its candidates, so the stored states and their handles
    coincide with the parallel engine's.  [false] when [cancel] fired. *)
-let expand_insert_sequential t ~cancel =
+let expand_insert_sequential t ~last ~cancel =
   let klen = t.klen in
   let kids = t.kids.(0) and hashes = t.kid_hashes.(0) in
   let ngates = Array.length t.perm_arrays in
   let rejected = ref 0 and fresh = ref 0 and dup = ref 0 in
   let completed =
     walk t ~lo:0 ~hi:t.fpos.(num_shards) ~cancel (fun h ->
-        let k = expand_parent t 0 h in
+        let k = expand_parent t 0 h ~last in
         rejected := !rejected + ngates - k;
         for c = 0 to k - 1 do
           if State_arena.try_insert t.store ~key:kids ~off:(c * klen) ~hash:hashes.(c) >= 0
@@ -409,7 +475,7 @@ let reserve_rows t ~e ~n =
 (* Phase 1: rank [r] expands its contiguous share of the chunk [lo ..
    hi-1] into per-shard candidate buffers.  Read-only on the store.
    Sets [stop] when [cancel] fires. *)
-let expand_chunk t r ~e ~lo ~hi ~stop ~cancel =
+let expand_chunk t r ~e ~lo ~hi ~last ~stop ~cancel =
   let klen = t.klen in
   let row = t.cand.(r) in
   for s = 0 to num_shards - 1 do
@@ -421,7 +487,7 @@ let expand_chunk t r ~e ~lo ~hi ~stop ~cancel =
   let len = hi - lo in
   let completed =
     walk t ~lo:(lo + (r * len / e)) ~hi:(lo + ((r + 1) * len / e)) ~cancel (fun h ->
-        let k = expand_parent t r h in
+        let k = expand_parent t r h ~last in
         rejected := !rejected + ngates - k;
         for c = 0 to k - 1 do
           let hash = hashes.(c) in
@@ -459,7 +525,7 @@ let dedupe_shards t r ~e =
 (* The chunked level: phase 1 then phase 2 for each chunk in frontier
    order, so every shard still sees its candidates in global frontier
    order.  [false] when [cancel] fired, before that chunk's phase 2. *)
-let expand_insert_chunked t ~e ~cancel =
+let expand_insert_chunked t ~e ~last ~cancel =
   let n = t.fpos.(num_shards) in
   let parallel = e > 1 in
   let stop = Atomic.make false in
@@ -468,7 +534,7 @@ let expand_insert_chunked t ~e ~cancel =
     let hi = min n (!lo + chunk_parents) in
     let lo' = !lo in
     Telemetry.Histogram.time h_expand (fun () ->
-        run_workers ~parallel e (fun r -> expand_chunk t r ~e ~lo:lo' ~hi ~stop ~cancel));
+        run_workers ~parallel e (fun r -> expand_chunk t r ~e ~lo:lo' ~hi ~last ~stop ~cancel));
     if not (Atomic.get stop) then
       Telemetry.Histogram.time h_merge (fun () ->
           run_workers ~parallel e (fun r -> dedupe_shards t r ~e));
@@ -476,7 +542,9 @@ let expand_insert_chunked t ~e ~cancel =
   done;
   not (Atomic.get stop)
 
-let try_step t ~cancel =
+let try_step ?(last = false) t ~cancel =
+  if t.closed then
+    invalid_arg "Search.try_step: the engine is closed (its newest level holds functions only)";
   Telemetry.Histogram.time h_step @@ fun () ->
   Telemetry.Span.with_span "search.step" @@ fun () ->
   let next_depth = depth t + 1 in
@@ -493,14 +561,15 @@ let try_step t ~cancel =
   Array.fill t.fresh_d 0 t.jobs 0;
   Array.fill t.dup_d 0 t.jobs 0;
   Array.fill t.rejected_d 0 t.jobs 0;
-  State_arena.open_level t.store ~reserve:(predicted_level t);
+  Array.fill t.mixed_d 0 t.jobs 0;
+  State_arena.open_level t.store ~reserve:(predicted_level ~last t);
   let completed =
     if t.jobs = 1 then
       Telemetry.Histogram.time h_expand (fun () ->
-          expand_insert_sequential t ~cancel)
+          expand_insert_sequential t ~last ~cancel)
     else begin
       reserve_rows t ~e ~n;
-      expand_insert_chunked t ~e ~cancel
+      expand_insert_chunked t ~e ~last ~cancel
     end
   in
   if not completed then begin
@@ -514,14 +583,17 @@ let try_step t ~cancel =
   else begin
   Faultsim.hit "merge";
   let sum a = Array.fold_left ( + ) 0 a in
-  let fresh = sum t.fresh_d and dup = sum t.dup_d and rejected = sum t.rejected_d in
+  let fresh = sum t.fresh_d and dup = sum t.dup_d and mixed = sum t.mixed_d in
+  let rejected = sum t.rejected_d - mixed in
   if n > 0 then t.kids_per_parent <- float_of_int (fresh + dup) /. float_of_int n;
+  t.closed <- last;
   for r = 0 to t.jobs - 1 do
     t.domain_states.(r) <- t.domain_states.(r) + t.fresh_d.(r)
   done;
   Telemetry.Counter.add m_states_new fresh;
   Telemetry.Counter.add m_states_dup dup;
   Telemetry.Counter.add m_sig_rejected rejected;
+  Telemetry.Counter.add m_mixed_dropped mixed;
   (match t.sym with
   | None -> ()
   | Some _ ->
@@ -547,6 +619,10 @@ let try_step t ~cancel =
     Telemetry.Span.set_attr "new" (Telemetry.Json.Int fresh);
     Telemetry.Span.set_attr "duplicate" (Telemetry.Json.Int dup);
     Telemetry.Span.set_attr "signature_rejected" (Telemetry.Json.Int rejected);
+    if last then begin
+      Telemetry.Span.set_attr "last" (Telemetry.Json.Bool true);
+      Telemetry.Span.set_attr "mixed_dropped" (Telemetry.Json.Int mixed)
+    end;
     Telemetry.Span.set_attr "parallel" (Telemetry.Json.Bool parallel);
     Telemetry.Span.set_attr "effective_jobs" (Telemetry.Json.Int e)
   end;
@@ -573,31 +649,6 @@ let find_key t key =
     State_arena.find t.store b ~off:0 ~hash
 
 let handle_of_key t key = match find_key t key with -1 -> None | h -> Some h
-
-(* Level [depth]'s function states, one range scan per shard over the
-   level's key bytes: each key's point signatures are tested inline and
-   the test stops at the first mixed point, so no per-state call is
-   made for the (many) states that leave the binary block. *)
-let iter_functions t ~depth f =
-  if depth >= 0 && depth < State_arena.levels t.store then begin
-    let klen = t.klen and signatures = t.signatures in
-    for s = 0 to State_arena.num_shards - 1 do
-      let src = State_arena.shard_arena t.store s in
-      for idx = State_arena.level_start t.store ~depth s
-          to State_arena.level_end t.store ~depth s - 1 do
-        let off = idx * klen in
-        let stop = off + klen in
-        let j = ref off in
-        while
-          !j < stop
-          && Array.unsafe_get signatures (Char.code (Bytes.unsafe_get src !j)) = 0
-        do
-          incr j
-        done;
-        if !j = stop then f src off (State_arena.handle ~shard:s ~index:idx)
-      done
-    done
-  end
 
 let restriction_of_key t key =
   let nb = t.klen in

@@ -25,6 +25,19 @@
     copies the key arenas at most once; that prediction is also what a
     memory cap checks ({!predicted_bytes}).
 
+    {b Functions-only final level.}  A bounded census never extends its
+    last level, and reads only the functions from it.  [try_step
+    ~last:true] therefore drops every child whose image has a mixed
+    point before it is hashed, canonicalized or probed, and stores only
+    the level's function states: exactly the function keys the full
+    level holds, in the same canonical order.  After such a step the
+    engine is {e closed}: its newest level is not a frontier, and it
+    cannot be stepped again ({!closed}).  Every level before the
+    newest is complete, so backward steps ({!cascade_of_key},
+    {!all_cascades}, {!count_point_perms}) from a function of the
+    closed level walk complete levels only, and a snapshot of a closed
+    engine holds its complete levels ({!Checkpoint.save}).
+
     Frontier expansion is domain-parallel ([?jobs]): a level runs as
     consecutive fixed-size chunks of the frontier; each chunk is expanded
     in contiguous slices across domains into per-(domain, shard)
@@ -116,11 +129,18 @@ val size : t -> int
     probe tables at their reserved capacities ({!State_arena.bytes}). *)
 val arena_bytes : t -> int
 
-(** [predicted_bytes t] is what {!arena_bytes} will be once the next
-    level's reservation is made: the figure a memory cap checks before
-    expanding a level.  A level larger than predicted grows past it by
-    doubling. *)
-val predicted_bytes : t -> int
+(** [predicted_bytes ?last t] is what {!arena_bytes} will be once the
+    next level's reservation is made: the figure a memory cap checks
+    before expanding a level.  With [~last:true] (default [false]) it is
+    the reservation of a functions-only level ({!try_step}): the usual
+    prediction scaled by the newest level's share of function states.
+    A level larger than predicted grows past it by doubling. *)
+val predicted_bytes : ?last:bool -> t -> int
+
+(** [closed t] holds once a [~last:true] step completed: the newest
+    level holds function states only and {!try_step} refuses to extend
+    it. *)
+val closed : t -> bool
 
 (** {1 Handle interface (hot paths)} *)
 
@@ -152,16 +172,26 @@ val frontier_handles : t -> handle array
     means the reachable set is exhausted. *)
 val step_handles : t -> handle array
 
-(** [try_step t ~cancel] expands one level, like
+(** [try_step ?last t ~cancel] expands one level, like
     {!step_handles}, and returns the new level's size (no handle array
     is built; read the level with {!iter_level}).  [cancel] is polled
     every 64 frontier states (and must be cheap, domain-safe and
     monotonic — an [Atomic.t] flag set by a signal handler qualifies).
     When it fires the level is abandoned cleanly — its insertions are
     rolled back and the engine is exactly at the level boundary it
-    started from — and the result is [None].  A retried level is
-    byte-identical to an uninterrupted one. *)
-val try_step : t -> cancel:(unit -> bool) -> int option
+    started from, still open — and the result is [None].  A retried
+    level is byte-identical to an uninterrupted one.
+
+    [last] (default [false]) steps the final level of a bounded search
+    as functions only (see above): the result counts function states,
+    the stored states, their handles and their order are the function
+    subset of the full level's for every [jobs] value, and the engine
+    is closed afterwards.  Only a caller that reads nothing but
+    functions from the new level may pass it: the census ({!Fmcf}) and
+    the forward plan of {!Mce}.  Searches that read non-function images
+    ({!Bidir}, the automata) step without it.
+    @raise Invalid_argument when the engine is closed. *)
+val try_step : ?last:bool -> t -> cancel:(unit -> bool) -> int option
 
 (** [handles_at_depth t d] is a fresh array of every state of depth [d]
     in the canonical frontier order (the order [step_handles] returned

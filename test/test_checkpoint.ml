@@ -271,7 +271,9 @@ let test_async_save () =
   checkpointed Checkpoint.save_async async_path;
   Checkpoint.drain ();
   checkpointed Checkpoint.save sync_path;
-  check Alcotest.int "last snapshot sits at the final level" census_depth
+  (* the final level holds functions only, so the last snapshot keeps
+     the complete levels before it *)
+  check Alcotest.int "last snapshot holds the complete levels" (census_depth - 1)
     (Checkpoint.peek async_path).Checkpoint.depth;
   checkb "async and sync snapshots byte-identical" true
     (String.equal (read_file async_path) (read_file sync_path));
@@ -290,6 +292,54 @@ let test_async_save () =
     (from_async = census_sig (Lazy.force clean_census))
 
 (* {1 Resource guards} *)
+
+(* A census closes its engine at the final level, which holds functions
+   only, so its snapshot keeps levels 0..d-1: depth d-1, their states,
+   and level d-1 as the frontier.  Resumed to d it re-runs the final
+   level, and resumed to d+1 it runs on; either way the census is the
+   uninterrupted one's, member for member. *)
+let closed_sig c =
+  List.map
+    (fun (l : Fmcf.level) ->
+      ( l.Fmcf.cost,
+        l.Fmcf.frontier_size,
+        l.Fmcf.functions,
+        List.map member_sig (Fmcf.members_at c ~cost:l.Fmcf.cost) ))
+    (Fmcf.levels c)
+
+let test_closed_snapshot (library, depth) quotient jobs () =
+  with_temp_file @@ fun path ->
+  let name =
+    Printf.sprintf "%d wires%s, jobs=%d" (Library.qubits library)
+      (if quotient then " quotient" else "")
+      jobs
+  in
+  let run ?resume max_depth =
+    let census, reason = Fmcf.run_guarded ~max_depth ~jobs ~quotient ?resume library in
+    checkb (Printf.sprintf "%s: depth %d completed" name max_depth) true
+      (reason = Fmcf.Completed);
+    census
+  in
+  let census = run depth in
+  let s = Fmcf.search census in
+  checkb (name ^ ": closed") true (Search.closed s);
+  Checkpoint.save s path;
+  let h = Checkpoint.peek path in
+  check Alcotest.int (name ^ ": snapshot depth") (depth - 1) h.Checkpoint.depth;
+  check Alcotest.int (name ^ ": snapshot states")
+    (Search.size s - Search.level_size s depth)
+    h.Checkpoint.states;
+  check Alcotest.int (name ^ ": snapshot frontier")
+    (Search.level_size s (depth - 1))
+    h.Checkpoint.frontier_len;
+  List.iter
+    (fun d ->
+      let resumed = run ~resume:(Checkpoint.load ~jobs library path) d in
+      checkb
+        (Printf.sprintf "%s: resumed to %d = uninterrupted" name d)
+        true
+        (closed_sig resumed = closed_sig (if d = depth then census else run d)))
+    [ depth; depth + 1 ]
 
 let prefix_of_clean census =
   let depth = Search.depth (Fmcf.search census) in
@@ -383,6 +433,59 @@ let qcheck_round_trip =
              && keys_at s d = keys_at r d)
            (List.init (depth + 1) Fun.id))
 
+(* {1 Loader fuzz}
+
+   Random bytes of a valid snapshot are overwritten and the CRC is
+   sealed again, so the damage reaches the structural checks.  The
+   loader must then return a search or raise [Corrupt] or [Mismatch];
+   any other exception fails the property.  Half the writes land in the
+   68-byte header, whose fields steer the reader; the rest anywhere
+   before the CRC, where a shard's level sizes sit between the keys of
+   its neighbours (a third of the open snapshot's body).  The snapshots
+   are one of
+   an open engine (raw, depth 3) and one of a closed engine (a quotient
+   census to depth 4, whose snapshot holds levels 0..3). *)
+
+let reseal b =
+  let len = Bytes.length b in
+  Bytes.set_int32_le b (len - 4) (Int32.of_int (Checkpoint.crc32 b ~off:0 ~len:(len - 4)))
+
+let fuzz_sources =
+  lazy
+    (List.map
+       (fun s ->
+         with_temp_file @@ fun path ->
+         Checkpoint.save s path;
+         read_file path)
+       [ search_at library3 3; Fmcf.search (Fmcf.run ~max_depth:4 ~quotient:true library3) ])
+
+(* which snapshot, then writes: (in the first [head] bytes?, position
+   seed, byte) *)
+let mutations =
+  QCheck2.Gen.(
+    pair bool (list_size (int_range 1 6) (triple bool (int_bound 1_000_000) (int_bound 255))))
+
+let mutate src (_, writes) ~head =
+  let b = Bytes.of_string src in
+  let body = Bytes.length b - 4 in
+  List.iter
+    (fun (in_head, pos, v) ->
+      Bytes.set b ((if in_head then pos mod min head body else pos mod body)) (Char.chr v))
+    writes;
+  reseal b;
+  b
+
+let qcheck_loader_fuzz =
+  qcheck_test ~count:400 "mutated snapshots load or raise typed" mutations
+    (fun ((closed, _) as m) ->
+      let src = List.nth (Lazy.force fuzz_sources) (if closed then 1 else 0) in
+      let damaged = mutate src m ~head:68 in
+      with_temp_file @@ fun path ->
+      write_file path (Bytes.to_string damaged);
+      match Checkpoint.load library3 path with
+      | _ -> true
+      | exception (Checkpoint.Corrupt _ | Checkpoint.Mismatch _) -> true)
+
 (* {1 Golden bytes}
 
    QSYNCKP1 files pinned by length and CRC-32 trailer, as written by
@@ -436,7 +539,23 @@ let () =
             Alcotest.test_case (Printf.sprintf "crash at level %d" k) `Quick
               (test_crash_resume k))
           [ 1; 2; 3; 4; 5; 6 ]
-        @ [ Alcotest.test_case "background saves" `Quick test_async_save ] );
+        @ [ Alcotest.test_case "background saves" `Quick test_async_save ]
+        @ List.concat_map
+            (fun ((library, depth) as case) ->
+              List.concat_map
+                (fun quotient ->
+                  List.map
+                    (fun jobs ->
+                      Alcotest.test_case
+                        (Printf.sprintf "closed q%d -d %d %s (jobs=%d)"
+                           (Library.qubits library) depth
+                           (if quotient then "quotient" else "raw")
+                           jobs)
+                        `Quick
+                        (test_closed_snapshot case quotient jobs))
+                    [ 1; 2 ])
+                [ false; true ])
+            [ (library3, 6); (library4, 4) ] );
       ( "resource guards",
         [
           Alcotest.test_case "max states" `Quick test_budget_states;
@@ -445,7 +564,7 @@ let () =
           Alcotest.test_case "cancel immediately" `Quick test_cancel_immediate;
           Alcotest.test_case "cancel mid-level" `Quick test_cancel_mid_level;
         ] );
-      ("properties", [ qcheck_round_trip ]);
+      ("properties", [ qcheck_round_trip; qcheck_loader_fuzz ]);
       ( "golden bytes",
         [ Alcotest.test_case "QSYNCKP1 length and CRC" `Quick test_golden_checkpoint_bytes ] );
     ]

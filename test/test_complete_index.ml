@@ -585,6 +585,43 @@ let test_strip_not_layer_matches_definition () =
       done);
   check Alcotest.int "all of S8" coverage_s8 !n
 
+(* {1 Loader fuzz}
+
+   Random bytes of the depth-4 index are overwritten and the CRC is
+   sealed again, so the damage reaches the structural checks and the
+   witness replay.  [Census_index.load ~verify:Full] must then return an
+   index or raise [Checkpoint.Corrupt] or [Checkpoint.Mismatch]; any
+   other exception fails the property.  Half the writes land in the
+   84-byte header (magic, version, fingerprints, shape and the five
+   histogram counts), the rest
+   anywhere before the CRC: records, costs, witness offsets and the
+   gate log. *)
+
+let depth4_index =
+  lazy
+    (with_temp_file @@ fun path ->
+     Census_index.save (Census_index.build (Fmcf.run ~max_depth:4 library3)) path;
+     Checkpoint.read_file path)
+
+let qcheck_index_fuzz =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:400 ~name:"mutated -d 4 index loads or raises typed"
+       QCheck2.Gen.(
+         list_size (int_range 1 6) (triple bool (int_bound 1_000_000) (int_bound 255)))
+       (fun writes ->
+         let b = Bytes.copy (Lazy.force depth4_index) in
+         let body = Bytes.length b - 4 in
+         List.iter
+           (fun (in_head, pos, v) ->
+             Bytes.set b (if in_head then pos mod 84 else pos mod body) (Char.chr v))
+           writes;
+         Bytes.set_int32_le b body (Int32.of_int (Checkpoint.crc32 b ~off:0 ~len:body));
+         with_temp_file @@ fun path ->
+         Checkpoint.write_atomic path b;
+         match Census_index.load ~verify:Census_index.Full library3 path with
+         | _ -> true
+         | exception (Checkpoint.Corrupt _ | Checkpoint.Mismatch _) -> true))
+
 let () =
   Alcotest.run "complete_index"
     [
@@ -627,4 +664,5 @@ let () =
           Alcotest.test_case "NOT-layer strip matches its definition on S8" `Quick
             test_strip_not_layer_matches_definition;
         ] );
+      ("loader fuzz", [ qcheck_index_fuzz ]);
     ]

@@ -568,9 +568,11 @@ let test_cancel_rollback jobs () =
 
 (* One reservation per level: a 4-wire depth-5 census allocates at most
    1.5x its final store in major-heap words (doubling columns and tables
-   as they fill allocates about 2.5x).  The store itself, 16-byte keys
-   and 4-byte probe slots at reserved capacity, stays under 16,000,000
-   bytes (31.1 bytes a state; 8-byte slots made it 20,156,368). *)
+   as they fill allocates about 2.5x).  The census stores levels 0..4
+   whole (74,557 states) and level 5 as its 6,804 functions, 81,361
+   states.  The store itself, 16-byte keys and 4-byte probe slots at
+   reserved capacity, is 2,955,056 bytes, and the test fails above it
+   (the full level 5 made it 15,962,064 bytes, 513,129 states). *)
 let test_major_allocation () =
   Gc.compact ();
   let before = (Gc.quick_stat ()).Gc.major_words in
@@ -578,11 +580,141 @@ let test_major_allocation () =
   let words = (Gc.quick_stat ()).Gc.major_words -. before in
   let bytes = Search.arena_bytes (Fmcf.search census) in
   let store = float_of_int (bytes / 8) in
-  check Alcotest.int "states" 513_129 (Search.size (Fmcf.search census));
-  if bytes > 16_000_000 then Alcotest.failf "the store holds %d bytes" bytes;
+  check Alcotest.int "states" (74_557 + 6_804) (Search.size (Fmcf.search census));
+  if bytes > 2_955_056 then Alcotest.failf "the store holds %d bytes" bytes;
   if words > 1.5 *. store then
     Alcotest.failf "%.0f major words for a store of %.0f words (%.2fx)" words store
       (words /. store)
+
+(* {1 The functions-only final level}
+
+   A census steps its final level [~last:true]: only the children whose
+   image maps the binary block onto itself are deduplicated and stored.
+   Against a search stepped without it, levels 0..d-1 hold the same
+   handles and keys, level d holds exactly the full level's function
+   keys in the same canonical order, the final handles are the same for
+   every jobs value, and every final state's witness is the one the
+   full search reads for its key. *)
+
+let stepped library ~jobs ~quotient ~depth ~last =
+  let symmetry = if quotient then Some (Symmetry.create library) else None in
+  let s = Search.create ~jobs ?symmetry library in
+  for d = 1 to depth do
+    ignore (Search.try_step ~last:(last && d = depth) s ~cancel:never)
+  done;
+  s
+
+let keys_of s d = Array.map (Search.key_of_handle s) (Search.handles_at_depth s d)
+
+let function_keys s d =
+  let keys = ref [] in
+  Search.iter_functions s ~depth:d (fun key off _ ->
+      keys := Bytes.sub_string key off (Search.key_length s) :: !keys);
+  Array.of_list (List.rev !keys)
+
+(* the full searches every comparison is against, computed once each *)
+let full_runs = Hashtbl.create 4
+
+let full_run library ~quotient ~depth =
+  let key = (Library.qubits library, quotient, depth) in
+  match Hashtbl.find_opt full_runs key with
+  | Some s -> s
+  | None ->
+      let s = stepped library ~jobs:1 ~quotient ~depth ~last:false in
+      Hashtbl.replace full_runs key s;
+      s
+
+let final_cases = [ (library3, 7); (library4, 5) ]
+
+let test_functions_only_level jobs () =
+  List.iter
+    (fun ((library, depth), quotient) ->
+      let name =
+        Printf.sprintf "%d wires%s, jobs=%d" (Library.qubits library)
+          (if quotient then " quotient" else "")
+          jobs
+      in
+      let full = full_run library ~quotient ~depth in
+      let last = stepped library ~jobs ~quotient ~depth ~last:true in
+      checkb (name ^ ": closed") true (Search.closed last);
+      checkb (name ^ ": the full search stays open") false (Search.closed full);
+      for d = 0 to depth - 1 do
+        check
+          Alcotest.(array int)
+          (Printf.sprintf "%s: level %d handles" name d)
+          (Search.handles_at_depth full d) (Search.handles_at_depth last d);
+        check
+          Alcotest.(array string)
+          (Printf.sprintf "%s: level %d keys" name d)
+          (keys_of full d) (keys_of last d)
+      done;
+      let functions = function_keys full depth in
+      check
+        Alcotest.(array string)
+        (name ^ ": final level = the full level's functions")
+        functions (keys_of last depth);
+      check Alcotest.int (name ^ ": states")
+        (Search.size full - Search.level_size full depth + Array.length functions)
+        (Search.size last);
+      if jobs > 1 then begin
+        let sequential = stepped library ~jobs:1 ~quotient ~depth ~last:true in
+        check
+          Alcotest.(array int)
+          (name ^ ": final handles as at jobs=1")
+          (Search.handles_at_depth sequential depth)
+          (Search.handles_at_depth last depth)
+      end;
+      Search.iter_level last depth (fun h ->
+          if State_arena.index_of_handle h land 7 = 0 then begin
+            let key = Search.key_of_handle last h in
+            if Search.cascade_of_handle last h <> Search.cascade_of_key full key then
+              Alcotest.failf "%s: handle %d has another witness" name h
+          end))
+    (List.concat_map (fun c -> [ (c, false); (c, true) ]) final_cases)
+
+(* A closed engine refuses another step, while a [~last] level that is
+   cancelled partway rolls back to an open engine at the level before,
+   whose retried step matches an uninterrupted one. *)
+let test_closed_engine jobs () =
+  let expected = stepped library4 ~jobs:1 ~quotient:false ~depth:5 ~last:true in
+  let s = stepped library4 ~jobs ~quotient:false ~depth:4 ~last:false in
+  let size = Search.size s in
+  let polls = ref 0 in
+  let cancel () =
+    incr polls;
+    !polls > 600
+  in
+  checkb "cancelled final level returns None" true
+    (Search.try_step ~last:true s ~cancel = None);
+  checkb "still open" false (Search.closed s);
+  check Alcotest.int "depth" 4 (Search.depth s);
+  check Alcotest.int "size rolled back" size (Search.size s);
+  checkb "retried final level completes" true
+    (Search.try_step ~last:true s ~cancel:never <> None);
+  checkb "closed" true (Search.closed s);
+  check Alcotest.(array string) "retried final level" (keys_of expected 5) (keys_of s 5);
+  (match Search.try_step s ~cancel:never with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a closed engine stepped again");
+  match Search.step_handles s with
+  | exception Invalid_argument _ -> check Alcotest.int "depth unchanged" 5 (Search.depth s)
+  | _ -> Alcotest.fail "a closed engine stepped again"
+
+(* The memory guard checks exactly what the final level reserves: at
+   four wires to depth 4, one byte under it stops the census at level 3,
+   and at it the census completes with no shard outgrowing its
+   reservation (531,840 bytes, against 2,955,056 for the full level). *)
+let test_final_reservation () =
+  let at3 = stepped library4 ~jobs:1 ~quotient:false ~depth:3 ~last:false in
+  let cap = Search.predicted_bytes ~last:true at3 in
+  checkb "the final reservation is below a full level's" true
+    (cap < Search.predicted_bytes at3);
+  let census, reason = Fmcf.run_guarded ~max_depth:4 ~max_mem:(cap - 1) library4 in
+  checkb "one byte under: Budget_mem" true (reason = Fmcf.Budget_mem);
+  check Alcotest.int "stopped at level 3" 3 (Search.depth (Fmcf.search census));
+  let census, reason = Fmcf.run_guarded ~max_depth:4 ~max_mem:cap library4 in
+  checkb "at the cap: completed" true (reason = Fmcf.Completed);
+  check Alcotest.int "store = reservation" cap (Search.arena_bytes (Fmcf.search census))
 
 let per_jobs name f =
   List.map
@@ -619,6 +751,18 @@ let () =
               Alcotest.test_case (Printf.sprintf "cancel mid-level (jobs=%d)" jobs) `Quick
                 (test_cancel_rollback jobs))
             (1 :: jobs_under_test) );
+      ( "final level",
+        List.map
+          (fun jobs ->
+            Alcotest.test_case (Printf.sprintf "functions only (jobs=%d)" jobs) `Quick
+              (test_functions_only_level jobs))
+          [ 1; 2 ]
+        @ List.map
+            (fun jobs ->
+              Alcotest.test_case (Printf.sprintf "closed engine (jobs=%d)" jobs) `Quick
+                (test_closed_engine jobs))
+            [ 1; 2 ]
+        @ [ Alcotest.test_case "guarded reservation" `Quick test_final_reservation ] );
       ( "adaptation",
         [ Alcotest.test_case "effective jobs at depth 7" `Quick test_effective_jobs ] );
     ]

@@ -871,6 +871,30 @@ let index_answers_digest_pinned () =
   check Alcotest.string "MD5 of the 40320 answers" s8_answers_digest
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* Unobserved index-first requests go straight to the evaluator: over
+   the 40320 S8 requests, [Service.answer] allocates at most 8 minor
+   words a request beyond the [Mce.solve] it wraps (the answer-timing
+   record, its clocks and span closures took about 50). *)
+let index_first_answer_allocation () =
+  let was_enabled = Telemetry.enabled () in
+  Telemetry.set_enabled false;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was_enabled) @@ fun () ->
+  let index = Lazy.force complete_index in
+  let svc = Service.create ~index library3 in
+  let reqs = List.map (fun spec -> Mce.Request.make ~max_depth:13 spec) s8_specs in
+  let words f =
+    List.iter (fun r -> ignore (Sys.opaque_identity (f r))) reqs;
+    let before = Gc.minor_words () in
+    List.iter (fun r -> ignore (Sys.opaque_identity (f r))) reqs;
+    Gc.minor_words () -. before
+  in
+  let solve = words (fun r -> Mce.solve ~index library3 r) in
+  let answer = words (fun r -> Service.answer svc r) in
+  let extra = (answer -. solve) /. float_of_int (List.length reqs) in
+  Printf.printf "minor words a request: solve %.1f, answer %.1f (+%.1f)\n"
+    (solve /. 40320.) (answer /. 40320.) extra;
+  if extra > 8. then Alcotest.failf "Service.answer allocates %.1f words more a request" extra
+
 let index_first_pinned_plans_keyed () =
   (* Search answers keep the keyed path on the same service. *)
   Telemetry.set_enabled true;
@@ -1677,6 +1701,8 @@ let () =
             index_first_matches_solve;
           Alcotest.test_case "all of S8 answer digest pinned" `Quick
             index_answers_digest_pinned;
+          Alcotest.test_case "unobserved answers allocate as solve" `Quick
+            index_first_answer_allocation;
           Alcotest.test_case "pinned forward plan stays cached" `Quick
             index_first_pinned_plans_keyed;
           Alcotest.test_case "reload switches the answering index" `Quick

@@ -212,7 +212,9 @@ let test_search_levels () =
   check Alcotest.int "B2" 144 (Array.length (Search.step_handles search));
   check Alcotest.int "B3" 633 (Array.length (Search.step_handles search));
   check Alcotest.int "size after 3 levels" (1 + 18 + 144 + 633) (Search.size search);
-  check Alcotest.int "3 wires, depth 7" 20_748
+  (* the census steps its final level as functions only: levels 0..6
+     hold 10,872 images, and level 7 keeps its 540 functions of 9,876 *)
+  check Alcotest.int "3 wires, depth 7" (10_872 + 540)
     (Search.size (Fmcf.search (Lazy.force census7)));
   let closure = search_to library3 in
   check Alcotest.int "paper18 diameter-13 images" 304
@@ -430,6 +432,47 @@ let test_mce_all_realizations () =
       "FAB*V+CA*FAB*VCA*VCB";
       "FAB*VCA*FAB*V+CA*V+CB";
     ]
+
+(* The forward plan steps its last allowed level functions only.  At
+   four wires, every 97th zero-fixing function of cost 4 is asked for at
+   max_depth 4, so it sits in that functions-only level: the witness,
+   the witness count and the enumerated cascades are the ones a search
+   that stored the whole level reads for the same image. *)
+let test_mce_four_wire_forward () =
+  let library4 = Library.make (Mvl.Encoding.make ~qubits:4) in
+  let full = search_to ~max_depth:4 library4 in
+  let asked = ref 0 in
+  Search.iter_functions full ~depth:4 (fun key off h ->
+      if Bytes.get key off = '\000' && h mod 97 = 0 then begin
+        incr asked;
+        let image = Bytes.sub_string key off 16 in
+        let spec =
+          String.concat "," (List.init 16 (fun j -> string_of_int (Char.code image.[j])))
+        in
+        let solve task =
+          (Mce.solve library4
+             (Mce.Request.make ~qubits:4 ~plan:Mce.Request.Forward ~task ~max_depth:4 spec))
+            .Mce.Response.body
+        in
+        (match solve Mce.Request.Synthesize with
+        | Ok { payload = Mce.Response.Synthesized { cascade; cost; _ }; _ } ->
+            check Alcotest.int (spec ^ " cost") 4 cost;
+            checkb (spec ^ " witness") true
+              (Cascade.equal cascade (Search.cascade_of_key full image))
+        | _ -> Alcotest.failf "%s: no forward answer" spec);
+        (match solve Mce.Request.Count_witnesses with
+        | Ok { payload = Mce.Response.Witnesses { count }; _ } ->
+            check Alcotest.int (spec ^ " witness count")
+              (Search.count_point_perms full image) count
+        | _ -> Alcotest.failf "%s: no witness count" spec);
+        match solve (Mce.Request.Enumerate { limit = 10_000 }) with
+        | Ok { payload = Mce.Response.Realizations { cascades; _ }; _ } ->
+            check Alcotest.int (spec ^ " realizations")
+              (List.length (Search.all_cascades full image))
+              (List.length cascades)
+        | _ -> Alcotest.failf "%s: no realizations" spec
+      end);
+  checkb "some functions asked" true (!asked > 0)
 
 let test_mce_strip_not_layer () =
   let target = Reversible.Revfun.xor_layer ~bits:3 3 in
@@ -812,6 +855,7 @@ let () =
           Alcotest.test_case "witness counts" `Quick test_mce_witness_counts;
           Alcotest.test_case "forward answers replay" `Quick test_mce_forward_replay;
           Alcotest.test_case "all realizations" `Quick test_mce_all_realizations;
+          Alcotest.test_case "four wires, final level" `Quick test_mce_four_wire_forward;
           Alcotest.test_case "strip NOT layer" `Quick test_mce_strip_not_layer;
           Alcotest.test_case "depth bound" `Quick test_mce_depth_bound;
         ] );
