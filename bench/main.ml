@@ -1,10 +1,10 @@
 (* Paper-reproduction report: regenerates every table and figure of the
    paper — Table 1, Table 2, Figures 4-9, the Section 5 group results and
    the Peres/Toffoli timing ratio — followed by the extension experiments
-   of EXPERIMENTS.md (X1 closure spectrum, X2 two-qubit census, Fredkin,
-   weighted costs, classical libraries, behaviour synthesis, ablation,
-   peephole rewriting, QRNG).  Writes nothing; exits non-zero when the X1
-   spectrum check fails.  Performance is measured by perfbench/.
+   of EXPERIMENTS.md (X1 closure spectrum, X2 two-qubit census, X3
+   Fredkin, X4 weighted costs, X6 classical libraries, X9 behaviour
+   synthesis, X5 ablation) and the Section 4 controlled coin.  Writes
+   nothing; exits non-zero when the X1 spectrum check fails.  Performance is measured by perfbench/.
 
    Paper: Yang, Hung, Song, Perkowski, "Exact Synthesis of 3-qubit Quantum
    Circuits from Non-binary Quantum Gates Using Multiple-Valued Logic and
@@ -238,16 +238,7 @@ let reproduce_ablation () =
         Cascade.pp cascade Reversible.Revfun.pp func)
     !first
 
-let reproduce_rewrite () =
-  hr "Extension: peephole rewriting";
-  let bloated = Cascade.of_string ~qubits:3 "VBA*FCA*V+BA*FCB*FCB*VCA*VCA" in
-  let slim = Rewrite.normalize bloated in
-  Format.printf "%s (%d gates) -> %s (%d gates), unitary preserved: %b@."
-    (Cascade.to_string bloated) (Cascade.cost bloated) (Cascade.to_string slim)
-    (Cascade.cost slim)
-    (Rewrite.equivalent_unitary ~qubits:3 bloated slim)
-
-(* E5: every classical library is a registry census universe.  Gate
+(* X6: every classical library is a registry census universe.  Gate
    counts are its Fmcf levels run to closure; quantum costs its Weighted
    census under Cost_model.quantum (NOT 0, CNOT 1, Peres 4, Toffoli 5). *)
 let reproduce_classical_libraries () =
@@ -321,18 +312,7 @@ let reproduce_qrng () =
   let coin = Automata.Prob_circuit.controlled_coin library3 in
   let dist = Automata.Prob_circuit.output_distribution coin ~input:4 in
   Format.printf "controlled coin, armed: P(C=0) = %a, P(C=1) = %a (exact)@." Qsim.Prob.pp
-    dist.(4) Qsim.Prob.pp dist.(5);
-  let machine =
-    Automata.Qfsm.make
-      ~circuit:
-        (Automata.Prob_circuit.of_cascade library3
-           (Cascade.of_string ~qubits:3 "VCA*VAB"))
-      ~state_wires:[ 0 ] ~input_wires:[ 1 ] ~obs_wires:[ 2 ]
-  in
-  let hmm = Automata.Hmm.of_machine machine ~input:1 in
-  let init = [| Qsim.Prob.half; Qsim.Prob.half |] in
-  Format.printf "HMM forward P(obs = 101) = %a (exact dyadic)@." Qsim.Prob.pp
-    (Automata.Hmm.forward hmm ~init ~observations:[ 1; 0; 1 ])
+    dist.(4) Qsim.Prob.pp dist.(5)
 
 let () =
   Format.printf "Reproduction harness: exact 3-qubit quantum circuit synthesis@.";
@@ -350,5 +330,4 @@ let () =
   reproduce_closure_census ();
   reproduce_behavior ();
   reproduce_ablation ();
-  reproduce_rewrite ();
   reproduce_qrng ()

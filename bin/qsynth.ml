@@ -1155,7 +1155,7 @@ let simulate_cmd =
 (* describe *)
 
 let describe_cmd =
-  let run qubits spec =
+  let run qubits depth spec =
     guarded @@ fun () ->
     let library = make_library qubits in
     let target = Reversible.Spec.parse ~bits:qubits spec in
@@ -1167,11 +1167,11 @@ let describe_cmd =
         Format.printf "affine decomposition: NOT(mask=%d) then %d CNOT(s)@." not_mask
           (List.length cnots)
     | None -> ());
-    (match Mce.express library target with
+    (match Mce.express ~max_depth:depth library target with
     | Some r ->
         Format.printf "quantum cost: %d@.@.%s@." r.Mce.cost
           (Draw.to_ascii ~qubits ~not_mask:r.Mce.not_mask r.Mce.cascade)
-    | None -> Format.printf "quantum cost: beyond the default depth bound@.");
+    | None -> Format.printf "no realization within depth %d@." depth);
     exit_ok
   in
   let spec_arg =
@@ -1182,29 +1182,6 @@ let describe_cmd =
     (Cmd.info "describe"
        ~doc:"Everything about one reversible function: cycle form, per-output \
              formulas (ANF), linearity, minimal quantum cascade and its drawing.")
-    Term.(const run $ qubits_arg $ spec_arg)
-
-(* draw *)
-
-let draw_cmd =
-  let run qubits depth spec =
-    guarded @@ fun () ->
-    let library = make_library qubits in
-    let target = Reversible.Spec.parse ~bits:qubits spec in
-    (match Mce.express ~max_depth:depth library target with
-    | None -> Format.printf "no realization within depth %d@." depth
-    | Some r ->
-        Format.printf "%a  (cost %d)@.@." Reversible.Revfun.pp target r.Mce.cost;
-        Format.printf "%s@."
-          (Draw.to_ascii ~qubits ~not_mask:r.Mce.not_mask r.Mce.cascade));
-    exit_ok
-  in
-  let spec_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC"
-           ~doc:"Circuit to synthesize and draw (same formats as synth).")
-  in
-  Cmd.v
-    (Cmd.info "draw" ~doc:"Synthesize a circuit and render it as ASCII art.")
     Term.(const run $ qubits_arg $ depth_arg $ spec_arg)
 
 (* weighted *)
@@ -1319,7 +1296,6 @@ let () =
             serve_cmd;
             batch_cmd;
             simulate_cmd;
-            draw_cmd;
             weighted_cmd;
             describe_cmd;
             libraries_cmd;

@@ -1,6 +1,6 @@
-(* Circuit toolkit tour: ASCII rendering, peephole rewriting, and
-   minimum-cost synthesis under non-uniform gate cost models (the paper's
-   "easily modified to take into account the precise NMR costs" claim).
+(* Circuit toolkit tour: ASCII rendering and minimum-cost synthesis
+   under non-uniform gate cost models (the paper's "easily modified to
+   take into account the precise NMR costs" claim).
 
    Run with: dune exec examples/circuit_toolkit.exe *)
 
@@ -29,20 +29,7 @@ let () =
   show "Figure 4, Peres" (Cascade.of_string ~qubits:3 "VCB*FBA*VCA*V+CB");
   show "Figure 9(a), Toffoli" (Cascade.of_string ~qubits:3 "FBA*V+CB*FBA*VCA*VCB");
 
-  (* 2. Peephole rewriting: gratuitous detours cancel away. *)
-  let bloated = Cascade.of_string ~qubits:3 "VBA*FCA*V+BA*FCB*FCB*VCA*VCA" in
-  let slim = Rewrite.normalize bloated in
-  Format.printf "@.rewrite: %s  ->  %s (%d -> %d gates), same unitary: %b@."
-    (Cascade.to_string bloated) (Cascade.to_string slim) (Cascade.cost bloated)
-    (Cascade.cost slim)
-    (Rewrite.equivalent_unitary ~qubits:3 bloated slim);
-
-  (* The V.V -> Feynman merge is a matrix identity. *)
-  let doubled = Cascade.of_string ~qubits:3 "VCA*VCA" in
-  Format.printf "V_CA*V_CA normalizes to %s (controlled V^2 = CNOT)@."
-    (Cascade.to_string (Rewrite.normalize doubled));
-
-  (* 3. Weighted synthesis: how the optimal circuit changes with the cost
+  (* 2. Weighted synthesis: how the optimal circuit changes with the cost
      model. *)
   let report model target name =
     match Weighted.express ~max_cost:10 library ~model target with
@@ -64,7 +51,7 @@ let () =
       ("swap(A,B)", Reversible.Gates.swap ~bits:3 ~wire1:0 ~wire2:1);
     ];
 
-  (* 4. The unit model agrees with the paper's BFS algorithms. *)
+  (* 3. The unit model agrees with the paper's BFS algorithms. *)
   let agreement =
     List.for_all
       (fun target ->

@@ -1,7 +1,6 @@
 (* Reproduction of the paper's Section 4: probabilistic circuits, a
    controlled quantum random number generator, and quantum-realized
-   probabilistic state machines / hidden Markov models — all with exact
-   dyadic probabilities.
+   probabilistic state machines — all with exact dyadic probabilities.
 
    Run with: dune exec examples/quantum_rng.exe *)
 
@@ -63,41 +62,7 @@ let () =
         (Qfsm.transition_matrix machine ~input))
     [ 0; 1 ];
 
-  (* The observed wire is a fair coin whenever the state is 1: run the
-     exact joint distribution. *)
-  let joint = Qfsm.joint_row machine ~input:0 ~state:1 in
-  Format.printf "  state 1 joint (next-state, observation):@.";
-  Array.iteri
-    (fun s' per_obs ->
-      Array.iteri
-        (fun obs p ->
-          if not (Qsim.Prob.is_zero p) then
-            Format.printf "    next=%d obs=%d : %a@." s' obs Qsim.Prob.pp p)
-        per_obs)
-    joint;
-
-  (* 4. Hidden Markov model: hide the state, observe C; exact forward
-     likelihoods and Viterbi decoding. *)
-  let hmm = Hmm.of_machine machine ~input:0 in
-  let init = [| Qsim.Prob.zero; Qsim.Prob.one |] in
-  (* start in state 1 *)
-  List.iter
-    (fun word ->
-      let likelihood = Hmm.forward hmm ~init ~observations:word in
-      let path, p = Hmm.viterbi hmm ~init ~observations:word in
-      Format.printf "  observations %s: likelihood %a, best path %s (p = %a)@."
-        (String.concat "" (List.map string_of_int word))
-        Qsim.Prob.pp likelihood
-        (String.concat "" (List.map string_of_int path))
-        Qsim.Prob.pp p)
-    [ [ 1 ]; [ 1; 1 ]; [ 1; 0; 1 ] ];
-
-  (* 5. Stationary behaviour under a constant randomizing input. *)
-  let pi = Qfsm.stationary machine ~input:1 in
-  Format.printf "  stationary distribution: [%s]@."
-    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%.3f") pi)));
-
-  (* 6. Synthesis from behaviour examples (the paper's Section 6 program):
+  (* 4. Synthesis from behaviour examples (the paper's Section 6 program):
      specify only what an observer measures — '?' is a fair coin, '*' a
      don't-care — and search for the cheapest circuit consistent with it. *)
   let behaviour =

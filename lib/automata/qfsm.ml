@@ -74,44 +74,6 @@ let transition_row t ~input ~state =
 let transition_matrix t ~input =
   Array.init (num_states t) (fun state -> transition_row t ~input ~state)
 
-let joint_row t ~input ~state =
-  let pattern = Prob_circuit.output_pattern t.circuit ~input:(assemble t ~input ~state) in
-  (* When an observation wire is also a state wire the two marginals are
-     not independent; recompute jointly over the union of wires. *)
-  Array.init (num_states t) (fun next ->
-      Array.init (num_obs t) (fun obs ->
-          let consistent = ref true in
-          Array.iteri
-            (fun j w ->
-              let obs_bit = (obs lsr (Array.length t.obs_wires - 1 - j)) land 1 in
-              match Array.to_list t.state_wires |> List.find_index (( = ) w) with
-              | Some k ->
-                  let state_bit =
-                    (next lsr (Array.length t.state_wires - 1 - k)) land 1
-                  in
-                  if state_bit <> obs_bit then consistent := false
-              | None -> ())
-            t.obs_wires;
-          if not !consistent then Prob.zero
-          else
-            let extra_obs_wires, extra_obs_bits =
-              let pairs = ref [] in
-              Array.iteri
-                (fun j w ->
-                  if not (Array.exists (( = ) w) t.state_wires) then
-                    pairs :=
-                      (w, (obs lsr (Array.length t.obs_wires - 1 - j)) land 1) :: !pairs)
-                t.obs_wires;
-              let pairs = List.rev !pairs in
-              (Array.of_list (List.map fst pairs), List.map snd pairs)
-            in
-            let obs_value =
-              List.fold_left (fun acc b -> (acc lsl 1) lor b) 0 extra_obs_bits
-            in
-            Prob.mul
-              (marginal pattern t.state_wires next)
-              (marginal pattern extra_obs_wires obs_value)))
-
 let step t ~input dist =
   let n = num_states t in
   if Array.length dist <> n then invalid_arg "Qfsm.step: distribution arity";
@@ -127,20 +89,3 @@ let step t ~input dist =
   next
 
 let run t ~inputs dist = List.fold_left (fun d input -> step t ~input d) dist inputs
-
-let stationary ?(iterations = 1000) t ~input =
-  let n = num_states t in
-  let matrix =
-    Array.map (Array.map Prob.to_float) (transition_matrix t ~input)
-  in
-  let dist = ref (Array.make n (1.0 /. float_of_int n)) in
-  for _ = 1 to iterations do
-    let next = Array.make n 0.0 in
-    for s = 0 to n - 1 do
-      for s' = 0 to n - 1 do
-        next.(s') <- next.(s') +. (!dist.(s) *. matrix.(s).(s'))
-      done
-    done;
-    dist := next
-  done;
-  !dist

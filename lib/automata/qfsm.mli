@@ -51,19 +51,8 @@ val transition_row : t -> input:int -> state:int -> Qsim.Prob.t array
     for a fixed input symbol. *)
 val transition_matrix : t -> input:int -> Qsim.Prob.t array array
 
-(** [joint_row t ~input ~state] is the exact joint distribution over
-    (next state, observation) pairs; state and observation wires are
-    disjoint wires of a product state, so the joint factorizes and stays
-    dyadic. *)
-val joint_row : t -> input:int -> state:int -> Qsim.Prob.t array array
-
 (** [step t ~input dist] evolves a state distribution one clock, exactly. *)
 val step : t -> input:int -> Qsim.Prob.t array -> Qsim.Prob.t array
 
 (** [run t ~inputs dist] folds {!step} over an input word. *)
 val run : t -> inputs:int list -> Qsim.Prob.t array -> Qsim.Prob.t array
-
-(** [stationary ?iterations t ~input] approximates the stationary
-    distribution under a constant input by power iteration (floating
-    point; default 1000 iterations). *)
-val stationary : ?iterations:int -> t -> input:int -> float array

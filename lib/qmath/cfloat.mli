@@ -1,8 +1,8 @@
 (** Floating-point complex numbers.
 
     The exact {!Dyadic} ring covers everything the synthesis pipeline needs;
-    this module exists for the probabilistic-automata numerics (stationary
-    distributions, entropies) and for cross-checking the exact arithmetic. *)
+    this module is the floating-point reference the exact arithmetic is
+    checked against. *)
 
 type t = { re : float; im : float }
 

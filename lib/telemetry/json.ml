@@ -217,6 +217,38 @@ module Cursor = struct
     end
     else string_rest c start
 
+  (* whether [s.[start] .. s.[stop - 1]] matches RFC 8259's number
+     grammar: an optional minus, then 0 or a digit string without a
+     leading zero, then optionally a dot and digits, then optionally an
+     exponent (e or E, an optional sign, digits) *)
+  let grammatical s start stop =
+    let pos = ref start in
+    let at ch = !pos < stop && String.unsafe_get s !pos = ch in
+    let digits () =
+      let from = !pos in
+      while
+        !pos < stop
+        && match String.unsafe_get s !pos with '0' .. '9' -> true | _ -> false
+      do
+        incr pos
+      done;
+      !pos > from
+    in
+    if at '-' then incr pos;
+    (if at '0' then begin
+       incr pos;
+       true
+     end
+     else digits ())
+    && ((not (at '.')) || (incr pos; digits ()))
+    && ((not (at 'e' || at 'E'))
+       || begin
+            incr pos;
+            if at '+' || at '-' then incr pos;
+            digits ()
+          end)
+    && !pos = stop
+
   let number c =
     let start = c.pos in
     if next_is c '-' then advance c;
@@ -235,7 +267,14 @@ module Cursor = struct
       c.pos <- c.pos + 1
     done;
     let len = c.pos - digits in
-    if (not !is_float) && len >= 1 && len <= 18 then begin
+    if !is_float then
+      if grammatical c.s start c.pos then
+        Float (float_of_string (String.sub c.s start (c.pos - start)))
+      else fail c "malformed number"
+    else if len = 0 || (len > 1 && String.unsafe_get c.s digits = '0') then
+      (* an integer is one or more digits without a leading zero *)
+      fail c "malformed number"
+    else if len <= 18 then begin
       (* at most 18 decimal digits always fit in 63 bits: read them in
          place, as int_of_string would *)
       let v = ref 0 in
@@ -245,18 +284,11 @@ module Cursor = struct
       Int (if digits > start then - !v else !v)
     end
     else
+      (* past 63 bits an integer becomes a float *)
       let text = String.sub c.s start (c.pos - start) in
-      if !is_float then
-        match float_of_string_opt text with
-        | Some f -> Float f
-        | None -> fail c "malformed number"
-      else
-        match int_of_string_opt text with
-        | Some i -> Int i
-        | None -> (
-            match float_of_string_opt text with
-            | Some f -> Float f
-            | None -> fail c "malformed number")
+      match int_of_string_opt text with
+      | Some i -> Int i
+      | None -> Float (float_of_string text)
 
   let rec value c =
     skip_ws c;

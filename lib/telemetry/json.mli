@@ -5,7 +5,8 @@
     escaped, non-finite floats become [null], and finite integral floats
     keep a [".0"] suffix so a value round-trips to the same constructor.
     The parser accepts any RFC 8259 document (including [\uXXXX] escapes
-    and surrogate pairs) and rejects trailing garbage. *)
+    and surrogate pairs) and rejects trailing garbage and numbers outside
+    RFC 8259's grammar, such as [013], [-.5] and [1.]. *)
 
 type t =
   | Null

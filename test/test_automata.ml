@@ -1,5 +1,5 @@
 (* Tests for the automata library: measurement, probabilistic circuits,
-   quantum state machines and hidden Markov models. *)
+   quantum state machines and behaviour specifications. *)
 
 open Automata
 open Qsim
@@ -174,18 +174,6 @@ let test_qfsm_rows_stochastic () =
         (Qfsm.transition_matrix walk_machine ~input))
     [ 0; 1 ]
 
-let test_qfsm_joint_marginalizes () =
-  (* Summing the joint over observations recovers the transition row. *)
-  List.iter
-    (fun (input, state) ->
-      let joint = Qfsm.joint_row walk_machine ~input ~state in
-      let row = Qfsm.transition_row walk_machine ~input ~state in
-      Array.iteri
-        (fun s' per_obs ->
-          check prob "marginal" row.(s') (Prob.sum (Array.to_list per_obs)))
-        joint)
-    [ (0, 0); (0, 1); (1, 0); (1, 1) ]
-
 let test_qfsm_step () =
   let start = [| Prob.one; Prob.zero |] in
   let after = Qfsm.step walk_machine ~input:1 start in
@@ -193,10 +181,6 @@ let test_qfsm_step () =
   check prob "randomized" Prob.half after.(1);
   let stay = Qfsm.run walk_machine ~inputs:[ 0; 0; 0 ] start in
   check prob "deterministic run" Prob.one stay.(0)
-
-let test_qfsm_stationary () =
-  let pi = Qfsm.stationary walk_machine ~input:1 in
-  check (Alcotest.float 1e-9) "uniform" 0.5 pi.(0)
 
 let test_qfsm_errors () =
   Alcotest.check_raises "overlap" (Invalid_argument "Qfsm.make: overlapping wires")
@@ -211,128 +195,6 @@ let test_qfsm_errors () =
         (Qfsm.make
            ~circuit:(Prob_circuit.controlled_coin library3)
            ~state_wires:[] ~input_wires:[ 0 ] ~obs_wires:[]))
-
-(* Hmm *)
-
-let coin_hmm =
-  (* state wire A fixed, obs wire C: state 0 emits 0 surely; state 1
-     emits a fair coin — the classic two-state emission test. *)
-  let machine =
-    Qfsm.make
-      ~circuit:
-        (Prob_circuit.of_cascade library3 (Synthesis.Cascade.of_string ~qubits:3 "VCA"))
-      ~state_wires:[ 0 ] ~input_wires:[] ~obs_wires:[ 2 ]
-  in
-  Hmm.of_machine machine ~input:0
-
-let test_hmm_shape () =
-  check Alcotest.int "states" 2 (Hmm.num_states coin_hmm);
-  check Alcotest.int "obs" 2 (Hmm.num_obs coin_hmm)
-
-let test_hmm_forward () =
-  let uniform = [| Prob.half; Prob.half |] in
-  (* P(obs=1) = P(state 1) * 1/2 = 1/4 *)
-  check prob "single obs" (Prob.make 1 2) (Hmm.forward coin_hmm ~init:uniform ~observations:[ 1 ]);
-  (* P(obs=11) = 1/2 * (1/2)^2 = 1/8 *)
-  check prob "two obs" (Prob.make 1 3)
-    (Hmm.forward coin_hmm ~init:uniform ~observations:[ 1; 1 ]);
-  (* empty word *)
-  check prob "empty word" Prob.one (Hmm.forward coin_hmm ~init:uniform ~observations:[])
-
-let test_hmm_forward_zero () =
-  (* Starting surely in state 0, observing a 1 is impossible. *)
-  let init = [| Prob.one; Prob.zero |] in
-  check prob "impossible" Prob.zero (Hmm.forward coin_hmm ~init ~observations:[ 1 ])
-
-let test_hmm_viterbi () =
-  let uniform = [| Prob.half; Prob.half |] in
-  let path, p = Hmm.viterbi coin_hmm ~init:uniform ~observations:[ 1; 1 ] in
-  check (Alcotest.list Alcotest.int) "must pass through state 1" [ 1; 1 ] path;
-  check prob "path probability" (Prob.make 1 3) p;
-  let empty_path, empty_p = Hmm.viterbi coin_hmm ~init:uniform ~observations:[] in
-  check (Alcotest.list Alcotest.int) "empty path" [] empty_path;
-  check prob "empty prob" Prob.one empty_p
-
-let test_hmm_viterbi_against_brute_force () =
-  (* Enumerate every state path for short observation words and check
-     Viterbi finds the maximum joint probability. *)
-  let machine =
-    Qfsm.make
-      ~circuit:
-        (Prob_circuit.of_cascade library3
-           (Synthesis.Cascade.of_string ~qubits:3 "VCA*VAB"))
-      ~state_wires:[ 0 ] ~input_wires:[ 1 ] ~obs_wires:[ 2 ]
-  in
-  let hmm = Hmm.of_machine machine ~input:1 in
-  let init = [| Prob.half; Prob.half |] in
-  let joint s = Hmm.joint hmm ~state:s in
-  let brute_force observations =
-    (* max over state paths of init(s0) * prod P(s_{t+1}, obs_t | s_t) *)
-    let rec go s prob = function
-      | [] -> prob
-      | obs :: rest ->
-          List.fold_left
-            (fun best s' ->
-              let p = Prob.mul prob (joint s).(s').(obs) in
-              let candidate = go s' p rest in
-              if Prob.compare candidate best > 0 then candidate else best)
-            Prob.zero [ 0; 1 ]
-    in
-    List.fold_left
-      (fun best s0 ->
-        let candidate = go s0 init.(s0) observations in
-        if Prob.compare candidate best > 0 then candidate else best)
-      Prob.zero [ 0; 1 ]
-  in
-  List.iter
-    (fun word ->
-      let _, p = Hmm.viterbi hmm ~init ~observations:word in
-      check prob
-        (Printf.sprintf "viterbi max for %s"
-           (String.concat "" (List.map string_of_int word)))
-        (brute_force word) p)
-    [ [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 1; 1; 0 ]; [ 0; 0; 1; 1 ] ]
-
-let test_hmm_forward_against_brute_force () =
-  (* Forward likelihood = sum over all state paths. *)
-  let machine =
-    Qfsm.make
-      ~circuit:
-        (Prob_circuit.of_cascade library3
-           (Synthesis.Cascade.of_string ~qubits:3 "VCA*VAB"))
-      ~state_wires:[ 0 ] ~input_wires:[ 1 ] ~obs_wires:[ 2 ]
-  in
-  let hmm = Hmm.of_machine machine ~input:1 in
-  let init = [| Prob.half; Prob.half |] in
-  let joint s = Hmm.joint hmm ~state:s in
-  let rec total s prob = function
-    | [] -> prob
-    | obs :: rest ->
-        Prob.sum
-          (List.map (fun s' -> total s' (Prob.mul prob (joint s).(s').(obs)) rest) [ 0; 1 ])
-  in
-  List.iter
-    (fun word ->
-      let by_paths =
-        Prob.sum (List.map (fun s0 -> total s0 init.(s0) word) [ 0; 1 ])
-      in
-      check prob "forward = path sum" by_paths (Hmm.forward hmm ~init ~observations:word))
-    [ [ 1 ]; [ 0; 1 ]; [ 1; 0; 1 ] ]
-
-let test_hmm_make_validation () =
-  checkb "non-stochastic rejected" true
-    (match Hmm.make ~joint:[| [| [| Prob.half |] |] |] with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  let ok = Hmm.make ~joint:[| [| [| Prob.half; Prob.half |] |] |] in
-  check Alcotest.int "one state" 1 (Hmm.num_states ok)
-
-let test_hmm_state_distribution () =
-  let uniform = [| Prob.half; Prob.half |] in
-  let alpha = Hmm.state_distribution coin_hmm ~init:uniform ~observations:[ 1 ] in
-  (* only state 1 can emit a 1, and it self-loops *)
-  check prob "state 0" Prob.zero alpha.(0);
-  check prob "state 1" (Prob.make 1 2) alpha.(1)
 
 (* Behavior *)
 
@@ -452,9 +314,7 @@ let () =
           Alcotest.test_case "sizes" `Quick test_qfsm_sizes;
           Alcotest.test_case "transitions" `Quick test_qfsm_transitions;
           Alcotest.test_case "stochastic rows" `Quick test_qfsm_rows_stochastic;
-          Alcotest.test_case "joint marginalizes" `Quick test_qfsm_joint_marginalizes;
           Alcotest.test_case "step and run" `Quick test_qfsm_step;
-          Alcotest.test_case "stationary" `Quick test_qfsm_stationary;
           Alcotest.test_case "errors" `Quick test_qfsm_errors;
         ] );
       ( "behavior",
@@ -465,18 +325,5 @@ let () =
           Alcotest.test_case "don't-cares help" `Quick test_behavior_dont_cares_help;
           Alcotest.test_case "observe roundtrip" `Quick test_behavior_observe_roundtrip;
           Alcotest.test_case "unsatisfiable" `Quick test_behavior_unsatisfiable;
-        ] );
-      ( "hmm",
-        [
-          Alcotest.test_case "shape" `Quick test_hmm_shape;
-          Alcotest.test_case "forward" `Quick test_hmm_forward;
-          Alcotest.test_case "forward impossible" `Quick test_hmm_forward_zero;
-          Alcotest.test_case "viterbi" `Quick test_hmm_viterbi;
-          Alcotest.test_case "make validation" `Quick test_hmm_make_validation;
-          Alcotest.test_case "viterbi vs brute force" `Quick
-            test_hmm_viterbi_against_brute_force;
-          Alcotest.test_case "forward vs brute force" `Quick
-            test_hmm_forward_against_brute_force;
-          Alcotest.test_case "state distribution" `Quick test_hmm_state_distribution;
         ] );
     ]

@@ -9,7 +9,8 @@
      empty payload), the oversized-announcement guard, truncation and
      clean-close detection; the buffered server-side reader on
      pipelined, dribbled and stalled frames, agreeing with [read_frame]
-     on every EOF and oversized verdict.
+     on every EOF and oversized verdict; both readers fuzzed with
+     arbitrary bytes and headers.
    - Service semantics: cache hits, the hit+coalesced+miss accounting
      invariant under concurrent identical requests, cancellation and
      deadline mapping.
@@ -158,7 +159,7 @@ let json_strings_pinned () =
 
 (* Numbers as the request decoder reads them: up to 18 digits are read
    in place, longer ones through int_of_string, and a value past 63 bits
-   becomes a float, whichever path read it. *)
+   becomes a float, whichever path read it; a leading zero is malformed. *)
 let json_numbers_pinned () =
   let module Json = Telemetry.Json in
   List.iter
@@ -172,7 +173,7 @@ let json_numbers_pinned () =
     [
       ("0", Ok "0");
       ("-0", Ok "0");
-      ("0123", Ok "123");
+      ("0123", Error "malformed number at offset 4");
       ("999999999999999999", Ok "999999999999999999");
       ("-999999999999999999", Ok "-999999999999999999");
       ("4611686018427387903", Ok "4611686018427387903");
@@ -645,6 +646,67 @@ let reader_stall () =
       in
       check Alcotest.int "idles before giving up"
         (Protocol.Reader.max_stalled_reads - 1) (until_failed 0))
+
+(* Arbitrary bytes, well-formed frames and arbitrary 4-byte headers
+   (negative, beyond the cap, at it) in any order: both readers return
+   frames no longer than [max_len] and then one typed verdict, the same
+   one, and never raise. *)
+let frame_fuzz_gen =
+  let open QCheck2.Gen in
+  let header n =
+    let h = Bytes.create 4 in
+    Bytes.set_int32_be h 0 n;
+    Bytes.to_string h
+  in
+  let length =
+    oneof
+      [
+        map Int32.of_int (int_range (-80) 80);
+        oneofl [ Int32.max_int; Int32.min_int; 0x0100_0000l; 0x0100_0001l ];
+        int32;
+      ]
+  in
+  let chunk =
+    oneof
+      [
+        string_size (int_range 0 40);
+        map frame_bytes (string_size (int_range 0 70));
+        map header length;
+      ]
+  in
+  pair
+    (oneof [ int_range 0 64; pure Protocol.default_max_frame ])
+    (map (String.concat "") (list_size (int_range 0 8) chunk))
+
+let frame_fuzz (max_len, bytes) =
+  let on_stream f =
+    with_socketpair (fun a b ->
+        write_all a bytes;
+        Unix.shutdown a Unix.SHUTDOWN_SEND;
+        f b)
+  in
+  let verdict acc = function
+    | Protocol.(Closed | Truncated | Oversized _) as e -> Some (List.rev (Error e :: acc))
+    | Protocol.Timed_out -> None
+  in
+  let rec plain b acc =
+    match Protocol.read_frame ~max_len b with
+    | Ok p -> if String.length p > max_len then None else plain b (Ok p :: acc)
+    | Error e -> verdict acc e
+  in
+  let rec buffered r acc =
+    match Protocol.Reader.next r with
+    | Protocol.Reader.Frame p ->
+        if String.length p > max_len then None else buffered r (Ok p :: acc)
+    | Protocol.Reader.Idle -> None
+    | Protocol.Reader.Failed e -> verdict acc e
+  in
+  match
+    ( on_stream (fun b -> plain b []),
+      on_stream (fun b -> buffered (Protocol.Reader.create ~max_len b) []) )
+  with
+  | Some a, Some b -> a = b
+  | _ -> false
 
 (* {1 Service semantics} *)
 
@@ -1679,6 +1741,8 @@ let () =
           Alcotest.test_case "EOF verdicts agree with read_frame" `Quick
             reader_eof_verdicts;
           Alcotest.test_case "stall budget" `Quick reader_stall;
+          qtest ~count:500 "fuzzed streams: typed verdicts only" frame_fuzz_gen
+            frame_fuzz;
         ] );
       ( "service",
         [

@@ -74,6 +74,39 @@ let test_json_parse () =
     | Some (Json.Int i) -> Some i
     | _ -> None)
 
+(* Numbers follow RFC 8259: no leading zero, no bare or trailing dot,
+   digits after an exponent; a token that breaks the grammar is
+   rejected at the offset where its scan stopped. *)
+let test_json_number_grammar () =
+  List.iter
+    (fun (doc, want) ->
+      let got =
+        match Json.of_string doc with
+        | j -> Ok (Json.to_string j)
+        | exception Json.Parse_error msg -> Error msg
+      in
+      check Alcotest.(result string string) doc want got)
+    [
+      ("0", Ok "0");
+      ("-0", Ok "0");
+      ("10", Ok "10");
+      ("0.5", Ok "0.5");
+      ("-0.5", Ok "-0.5");
+      ("0e1", Ok "0.0");
+      ("1E+2", Ok "100.0");
+      ("25e-2", Ok "0.25");
+      ("013", Error "malformed number at offset 3");
+      ("00", Error "malformed number at offset 2");
+      ("-01", Error "malformed number at offset 3");
+      ("-.5", Error "malformed number at offset 3");
+      ("1.", Error "malformed number at offset 2");
+      ("01.5", Error "malformed number at offset 4");
+      ("1.e3", Error "malformed number at offset 4");
+      ("1e", Error "malformed number at offset 2");
+      ("1e+", Error "malformed number at offset 3");
+      ("[1,013]", Error "malformed number at offset 6");
+    ]
+
 (* counters, gauges, histograms, series *)
 
 let test_counter_arithmetic () =
@@ -466,6 +499,7 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse" `Quick test_json_parse;
+          Alcotest.test_case "number grammar" `Quick test_json_number_grammar;
         ] );
       ( "instruments",
         [

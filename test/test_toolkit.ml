@@ -1,5 +1,5 @@
 (* Tests for the toolkit extensions: cost models, weighted synthesis,
-   peephole rewriting, ASCII drawing, and the no-pruning ablation. *)
+   ASCII drawing, and the no-pruning ablation. *)
 
 open Synthesis
 
@@ -10,11 +10,6 @@ let qcheck_test ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 let library3 = Library.make (Mvl.Encoding.make ~qubits:3)
-
-let gate_gen =
-  QCheck2.Gen.(map (fun i -> List.nth (Gate.all ~qubits:3) (abs i mod 18)) int)
-
-let cascade_gen = QCheck2.Gen.(list_size (int_range 0 8) gate_gen)
 
 (* Cost_model *)
 
@@ -181,52 +176,6 @@ let test_weighted_depth_bound () =
     (Weighted.express ~max_cost:4 library3 ~model:Cost_model.unit
        Reversible.Gates.toffoli3
     = None)
-
-(* Rewrite *)
-
-let test_cancel_rules () =
-  let norm s = Cascade.to_string (Rewrite.normalize (Cascade.of_string ~qubits:3 s)) in
-  check Alcotest.string "V V+ cancels" "()" (norm "VBA*V+BA");
-  check Alcotest.string "F F cancels" "()" (norm "FCA*FCA");
-  check Alcotest.string "V V merges to F" "FBA" (norm "VBA*VBA");
-  check Alcotest.string "V+ V+ merges to F" "FBA" (norm "V+BA*V+BA");
-  check Alcotest.string "triple V" "FBA*VBA" (norm "VBA*VBA*VBA");
-  check Alcotest.string "commuting detour" "()" (norm "VBA*FCA*V+BA*FCA");
-  check Alcotest.string "non-cancelling stays" "VBA*FBA" (norm "VBA*FBA");
-  check Alcotest.string "Peres and its inverse cancel" "()" (norm "PCAB*P+CAB");
-  check Alcotest.string "Peres twice stays" "PCAB*PCAB" (norm "PCAB*PCAB")
-
-let test_cancel_once () =
-  checkb "no rule fires" true (Rewrite.cancel_once (Cascade.of_string ~qubits:3 "VBA*FBA") = None);
-  match Rewrite.cancel_once (Cascade.of_string ~qubits:3 "FCA*VBA*V+BA*FCB") with
-  | Some c -> check Alcotest.string "inner pair removed" "FCA*FCB" (Cascade.to_string c)
-  | None -> Alcotest.fail "rule must fire"
-
-let test_commute_structure () =
-  let g = Gate.of_name ~qubits:3 in
-  checkb "disjoint" true (Rewrite.commute (g "VBA") (g "VBA"));
-  checkb "same control" true (Rewrite.commute (g "VBA") (g "FCA"));
-  checkb "same target both V" true (Rewrite.commute (g "VBA") (g "V+BC"));
-  checkb "same target both F" true (Rewrite.commute (g "FBA") (g "FBC"));
-  checkb "same target V vs F" false (Rewrite.commute (g "VBA") (g "FBC"));
-  checkb "control feeds target" false (Rewrite.commute (g "FBA") (g "FAC"))
-
-let rewrite_props =
-  [
-    qcheck_test "commute is sound on unitaries" (QCheck2.Gen.pair gate_gen gate_gen)
-      (fun (a, b) ->
-        (not (Rewrite.commute a b))
-        || Qmath.Dmatrix.equal
-             (Cascade.unitary ~qubits:3 [ a; b ])
-             (Cascade.unitary ~qubits:3 [ b; a ]));
-    qcheck_test ~count:60 "normalize preserves the unitary" cascade_gen (fun c ->
-        Rewrite.equivalent_unitary ~qubits:3 c (Rewrite.normalize c));
-    qcheck_test "normalize never grows" cascade_gen (fun c ->
-        Cascade.cost (Rewrite.normalize c) <= Cascade.cost c);
-    qcheck_test ~count:60 "normalize is idempotent" cascade_gen (fun c ->
-        let once = Rewrite.normalize c in
-        Cascade.equal once (Rewrite.normalize once));
-  ]
 
 (* Draw *)
 
@@ -456,13 +405,6 @@ let () =
           Alcotest.test_case "cost-0 gates settle" `Quick test_weighted_free_gates;
         ] );
       ("weighted properties", weighted_props);
-      ( "rewrite",
-        [
-          Alcotest.test_case "cancellation rules" `Quick test_cancel_rules;
-          Alcotest.test_case "cancel_once" `Quick test_cancel_once;
-          Alcotest.test_case "commutation structure" `Quick test_commute_structure;
-        ] );
-      ("rewrite properties", rewrite_props);
       ( "draw",
         [
           Alcotest.test_case "peres figure" `Quick test_draw_peres;
