@@ -1195,12 +1195,11 @@ let weighted_cmd =
     | None -> Format.printf "no realization within cost %d@." max_cost
     | Some r ->
         Format.printf "model %s: cost %d, cascade %s%a  [verified: %b]@."
-          (Cost_model.name model) r.Weighted.cost
-          (if r.Weighted.not_mask = 0 then ""
-           else Printf.sprintf "NOT(mask=%d) * " r.Weighted.not_mask)
-          Cascade.pp r.Weighted.cascade
-          (Verify.cascade_implements ~qubits ~not_mask:r.Weighted.not_mask
-             r.Weighted.cascade target));
+          (Cost_model.name model) r.Mce.cost
+          (if r.Mce.not_mask = 0 then ""
+           else Printf.sprintf "NOT(mask=%d) * " r.Mce.not_mask)
+          Cascade.pp r.Mce.cascade
+          (Verify.cascade_implements ~qubits ~not_mask:r.Mce.not_mask r.Mce.cascade target));
     exit_ok
   in
   let model_arg =
@@ -1219,7 +1218,7 @@ let weighted_cmd =
   in
   let max_cost_arg =
     Arg.(value & opt (nonneg_int ~what:"C") 8 & info [ "c"; "max-cost" ] ~docv:"C"
-           ~doc:"Total cost bound for the Dijkstra search.")
+           ~doc:"Total cost bound for the search.")
   in
   let spec_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC"
@@ -1228,7 +1227,7 @@ let weighted_cmd =
   Cmd.v
     (Cmd.info "weighted"
        ~doc:"Minimum-cost synthesis under a non-uniform gate cost model \
-             (uniform-cost search).")
+             (Dial's bucketed search).")
     Term.(const run $ qubits_arg $ max_cost_arg $ model_arg $ spec_arg)
 
 (* libraries *)

@@ -35,8 +35,7 @@ let () =
     match Weighted.express ~max_cost:10 library ~model target with
     | Some r ->
         Format.printf "  %-14s %-16s cost %2d  %s@." (Cost_model.name model) name
-          r.Weighted.cost
-          (Cascade.to_string r.Weighted.cascade)
+          r.Mce.cost (Cascade.to_string r.Mce.cascade)
     | None -> Format.printf "  %-14s %-16s (not found)@." (Cost_model.name model) name
   in
   Format.printf "@.minimum costs under three gate-cost models:@.";
@@ -59,8 +58,8 @@ let () =
           ( Weighted.express library ~model:Cost_model.unit target,
             synthesize library target )
         with
-        | Some w, Some m -> w.Weighted.cost = m.Mce.cost
+        | Some w, Some m -> Cascade.equal w.Mce.cascade m.Mce.cascade
         | _ -> false)
       [ Reversible.Gates.g1; Reversible.Gates.g2; Reversible.Gates.toffoli3 ]
   in
-  Format.printf "@.unit-model Dijkstra agrees with the paper's BFS: %b@." agreement
+  Format.printf "@.unit-model weighted search agrees with the paper's BFS: %b@." agreement

@@ -3,7 +3,6 @@ open Permgroup
 type t = Gate.t list
 
 let cost = List.length
-let weighted_cost ~gate_cost cascade = List.fold_left (fun acc g -> acc + gate_cost g) 0 cascade
 let adjoint cascade = List.rev_map Gate.adjoint cascade
 
 let swap_v_dag cascade = List.map Gate.adjoint cascade

@@ -10,10 +10,6 @@ type t = Gate.t list
     gates (every library gate counts 1). *)
 val cost : t -> int
 
-(** [weighted_cost ~gate_cost cascade] generalizes the cost model (e.g. to
-    the NMR costs the paper cites); the default model is [fun _ -> 1]. *)
-val weighted_cost : gate_cost:(Gate.t -> int) -> t -> int
-
 (** [adjoint cascade] is the true Hermitian adjoint: each gate adjointed
     {e and} the order reversed; implements the inverse function. *)
 val adjoint : t -> t

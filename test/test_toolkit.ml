@@ -26,6 +26,10 @@ let test_cost_models () =
   check Alcotest.int "cascade cost" 6
     (Cost_model.cascade_cost Cost_model.v_cheap
        (Cascade.of_string ~qubits:3 "VBA*FAB*VCA*FBC"));
+  (* the paper's Peres cascade under NMR-style costs: V 1, Feynman 2 *)
+  check Alcotest.int "paper Peres" 5
+    (Cost_model.cascade_cost Cost_model.v_cheap
+       (Cascade.of_string ~qubits:3 "VCB*FBA*VCA*V+CB"));
   check Alcotest.string "name" "unit" (Cost_model.name Cost_model.unit)
 
 let test_cost_model_validation () =
@@ -39,19 +43,38 @@ let test_cost_model_validation () =
 
 (* Weighted *)
 
+let s8_sample n =
+  let rng = Random.State.make [| 2005 |] in
+  List.init n (fun _ ->
+      let a = Array.init 8 Fun.id in
+      for i = 7 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- x
+      done;
+      Reversible.Revfun.of_perm ~bits:3 (Permgroup.Perm.of_array a))
+
+(* At the unit model the levels are the BFS levels and the backward step
+   is Search's, so the whole answer, cascade included, is Mce's. *)
 let test_weighted_unit_matches_bfs () =
-  List.iter
-    (fun target ->
-      match
-        ( Weighted.express library3 ~model:Cost_model.unit target,
-          Mce.express library3 target )
-      with
-      | Some w, Some m ->
-          check Alcotest.int "unit model = BFS cost" m.Mce.cost w.Weighted.cost;
-          checkb "verified" true
-            (Verify.cascade_implements ~qubits:3 ~not_mask:w.Weighted.not_mask
-               w.Weighted.cascade target)
-      | _ -> Alcotest.fail "both searches must succeed")
+  let nct = Library.of_name "nct" in
+  let same ?(realizable = false) library ~max_cost target =
+    match
+      ( Weighted.express ~max_cost library ~model:Cost_model.unit target,
+        Mce.express ~max_depth:max_cost library target )
+    with
+    | Some w, Some m ->
+        check Alcotest.int "unit model = BFS cost" m.Mce.cost w.Mce.cost;
+        check Alcotest.int "NOT layer" m.Mce.not_mask w.Mce.not_mask;
+        check Alcotest.string "BFS cascade" (Cascade.to_string m.Mce.cascade)
+          (Cascade.to_string w.Mce.cascade);
+        checkb "verified" true
+          (Verify.cascade_implements ~qubits:3 ~not_mask:w.Mce.not_mask w.Mce.cascade target)
+    | None, None when not realizable -> ()
+    | _ -> Alcotest.fail "the searches disagree, or miss a realizable target"
+  in
+  List.iter (same ~realizable:true library3 ~max_cost:7)
     [
       Reversible.Gates.g1;
       Reversible.Gates.g2;
@@ -60,20 +83,23 @@ let test_weighted_unit_matches_bfs () =
       Reversible.Gates.toffoli3;
       Reversible.Gates.cnot ~bits:3 ~control:1 ~target:2;
       Reversible.Gates.swap ~bits:3 ~wire1:0 ~wire2:2;
-    ]
+    ];
+  let sample = s8_sample 100 in
+  List.iter (same library3 ~max_cost:7) sample;
+  List.iter (same nct ~max_cost:8) sample
 
 let test_weighted_known_costs () =
   (* Minimal Toffoli circuits use 2 Feynman + 3 controlled gates, so the
      v-cheap optimum is 3*1 + 2*2 = 7 and the feynman-cheap optimum is
      2*1 + 3*2 = 8. *)
   (match Weighted.express library3 ~model:Cost_model.v_cheap Reversible.Gates.toffoli3 with
-  | Some r -> check Alcotest.int "toffoli v-cheap" 7 r.Weighted.cost
+  | Some r -> check Alcotest.int "toffoli v-cheap" 7 r.Mce.cost
   | None -> Alcotest.fail "found");
   (match
      Weighted.express ~max_cost:9 library3 ~model:Cost_model.feynman_cheap
        Reversible.Gates.toffoli3
    with
-  | Some r -> check Alcotest.int "toffoli feynman-cheap" 8 r.Weighted.cost
+  | Some r -> check Alcotest.int "toffoli feynman-cheap" 8 r.Mce.cost
   | None -> Alcotest.fail "found");
   (* swap = 3 CNOTs; no V-realization beats 3 Feynman gates even when V is
      cheap (6 = 3 * 2). *)
@@ -81,20 +107,20 @@ let test_weighted_known_costs () =
     Weighted.express library3 ~model:Cost_model.v_cheap
       (Reversible.Gates.swap ~bits:3 ~wire1:0 ~wire2:1)
   with
-  | Some r -> check Alcotest.int "swap v-cheap" 6 r.Weighted.cost
+  | Some r -> check Alcotest.int "swap v-cheap" 6 r.Mce.cost
   | None -> Alcotest.fail "found"
 
 let test_weighted_identity_and_not () =
   (match Weighted.express library3 ~model:Cost_model.v_cheap (Reversible.Revfun.identity ~bits:3) with
-  | Some r -> check Alcotest.int "identity" 0 r.Weighted.cost
+  | Some r -> check Alcotest.int "identity" 0 r.Mce.cost
   | None -> Alcotest.fail "identity");
   match
     Weighted.express library3 ~model:Cost_model.v_cheap
       (Reversible.Revfun.xor_layer ~bits:3 6)
   with
   | Some r ->
-      check Alcotest.int "free NOT" 0 r.Weighted.cost;
-      check Alcotest.int "mask" 6 r.Weighted.not_mask
+      check Alcotest.int "free NOT" 0 r.Mce.cost;
+      check Alcotest.int "mask" 6 r.Mce.not_mask
   | None -> Alcotest.fail "not layer"
 
 (* nct has no free NOT layer: its NOT gates are priced like any other
@@ -104,9 +130,9 @@ let test_weighted_nct_not () =
   let not_c = Reversible.Spec.parse ~bits:3 "1,0,3,2,5,4,7,6" in
   (match Weighted.express nct ~model:Cost_model.unit not_c with
   | Some r ->
-      check Alcotest.int "priced NOT" 1 r.Weighted.cost;
-      check Alcotest.int "no free layer" 0 r.Weighted.not_mask;
-      check Alcotest.string "cascade" "NC" (Cascade.to_string r.Weighted.cascade)
+      check Alcotest.int "priced NOT" 1 r.Mce.cost;
+      check Alcotest.int "no free layer" 0 r.Mce.not_mask;
+      check Alcotest.string "cascade" "NC" (Cascade.to_string r.Mce.cascade)
   | None -> Alcotest.fail "NOT reachable");
   match Mce.express nct not_c with
   | Some m -> check Alcotest.int "Mce agrees" 1 m.Mce.cost
@@ -119,10 +145,10 @@ let test_weighted_free_gates () =
   let not_layer = Reversible.Revfun.xor_layer ~bits:3 5 in
   (match Weighted.express nct ~model:Cost_model.quantum not_layer with
   | Some r ->
-      check Alcotest.int "NOT layer settled free" 0 r.Weighted.cost;
-      check Alcotest.int "two NOT gates" 2 (List.length r.Weighted.cascade);
+      check Alcotest.int "NOT layer settled free" 0 r.Mce.cost;
+      check Alcotest.int "two NOT gates" 2 (List.length r.Mce.cascade);
       checkb "replays" true
-        (Verify.cascade_implements ~qubits:3 r.Weighted.cascade not_layer)
+        (Verify.cascade_implements ~qubits:3 r.Mce.cascade not_layer)
   | None -> Alcotest.fail "NOT layer reachable");
   (* NOT 0, CNOT 1: the 8 NOT layers are free, one CNOT between them
      makes 48 functions *)
@@ -133,13 +159,31 @@ let test_weighted_free_gates () =
 
 let test_weighted_census () =
   (* Unit-model weighted census must equal the FMCF census. *)
-  let weighted = Weighted.census ~max_cost:4 library3 ~model:Cost_model.unit in
-  let bfs =
-    List.filter (fun (_, n) -> n > 0) (Fmcf.counts (Fmcf.run ~max_depth:4 library3))
+  let agree name ~max_cost library =
+    let bfs =
+      List.filter (fun (_, n) -> n > 0) (Fmcf.counts (Fmcf.run ~max_depth:max_cost library))
+    in
+    check
+      (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+      name bfs
+      (Weighted.census ~max_cost library ~model:Cost_model.unit)
   in
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "censuses agree" bfs weighted
+  agree "paper18 closure" ~max_cost:13 library3;
+  agree "nct past closure" ~max_cost:9 (Library.of_name "nct");
+  agree "4-wire paper18" ~max_cost:4 (Library.make (Mvl.Encoding.make ~qubits:4))
+
+(* The bound sizes nothing: the search ends when the target is found or
+   the universe closes, so a huge bound costs what the answer costs. *)
+let test_weighted_huge_bound () =
+  let before = (Gc.quick_stat ()).Gc.top_heap_words in
+  (match
+     Weighted.express ~max_cost:100_000_000 library3 ~model:Cost_model.unit
+       Reversible.Gates.toffoli3
+   with
+  | Some r -> check Alcotest.int "toffoli" 5 r.Mce.cost
+  | None -> Alcotest.fail "found");
+  let grown = (Gc.quick_stat ()).Gc.top_heap_words - before in
+  checkb (Printf.sprintf "heap grew by %d words" grown) true (grown < 10_000_000)
 
 let test_weighted_census_v_cheap () =
   (* With v-cheap costs the cheapest non-trivial functions cost 2 (one
@@ -165,7 +209,7 @@ let weighted_props =
             | Some weighted, Some unit_result ->
                 (* the model-optimal cascade costs no more, under the
                    model, than the gate-count-optimal cascade does *)
-                weighted.Weighted.cost
+                weighted.Mce.cost
                 <= Cost_model.cascade_cost model unit_result.Mce.cascade
             | _ -> false)
           [ Reversible.Gates.g1; Reversible.Gates.cnot ~bits:3 ~control:1 ~target:0 ]);
@@ -401,6 +445,7 @@ let () =
           Alcotest.test_case "unit census matches" `Quick test_weighted_census;
           Alcotest.test_case "v-cheap census" `Quick test_weighted_census_v_cheap;
           Alcotest.test_case "cost bound" `Quick test_weighted_depth_bound;
+          Alcotest.test_case "huge cost bound" `Quick test_weighted_huge_bound;
           Alcotest.test_case "nct NOT is priced" `Quick test_weighted_nct_not;
           Alcotest.test_case "cost-0 gates settle" `Quick test_weighted_free_gates;
         ] );
