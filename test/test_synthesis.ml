@@ -155,6 +155,14 @@ let test_cascade_parse_print () =
   checkb "empty" true (Cascade.equal [] (Cascade.of_string ~qubits:3 "()"));
   check Alcotest.string "empty prints" "()" (Cascade.to_string [])
 
+let test_cascade_weighted_cost () =
+  (* An NMR-style cost model: V gates cheaper than Feynman. *)
+  let model =
+    Cost_model.make ~name:"nmr" (fun g ->
+        match Gate.kind g with Gate.Feynman -> 2 | _ -> 1)
+  in
+  check Alcotest.int "weighted" 5 (Cost_model.cascade_cost model paper_peres)
+
 let test_cascade_restriction () =
   (match Cascade.restriction library3 paper_peres with
   | Some f -> check revfun "peres" Reversible.Gates.g1 f
@@ -825,6 +833,7 @@ let () =
       ( "cascade",
         [
           Alcotest.test_case "parse and print" `Quick test_cascade_parse_print;
+          Alcotest.test_case "weighted cost" `Quick test_cascade_weighted_cost;
           Alcotest.test_case "restriction" `Quick test_cascade_restriction;
           Alcotest.test_case "reasonable product" `Quick test_cascade_reasonable;
           Alcotest.test_case "swap V/V+" `Quick test_cascade_swap_v_dag;

@@ -26,10 +26,6 @@ let test_cost_models () =
   check Alcotest.int "cascade cost" 6
     (Cost_model.cascade_cost Cost_model.v_cheap
        (Cascade.of_string ~qubits:3 "VBA*FAB*VCA*FBC"));
-  (* the paper's Peres cascade under NMR-style costs: V 1, Feynman 2 *)
-  check Alcotest.int "paper Peres" 5
-    (Cost_model.cascade_cost Cost_model.v_cheap
-       (Cascade.of_string ~qubits:3 "VCB*FBA*VCA*V+CB"));
   check Alcotest.string "name" "unit" (Cost_model.name Cost_model.unit)
 
 let test_cost_model_validation () =
