@@ -279,14 +279,7 @@ let print_quotient_stats census =
 let census_cmd =
   let run finish_telemetry qubits depth jobs library_name paper_variant quotient
       stats save emit_index checkpoint every resume max_states max_mem timeout =
-    (* An async checkpoint write may be in flight when an exception
-       escapes; let it finish (best effort) so the file keeps the last
-       boundary — the primary error is what gets reported. *)
-    let finish () =
-      (try Checkpoint.drain () with _ -> ());
-      finish_telemetry ()
-    in
-    guarded ~finish @@ fun () ->
+    guarded ~finish:finish_telemetry @@ fun () ->
     let library = Library.of_name ~qubits library_name in
     if paper_variant && not (Library.coset_reduction library) then
       failwith
@@ -294,7 +287,6 @@ let census_cmd =
            "--paper-variant reproduces the paper's Table 2 and only applies \
             to its own library (%s); library %s counts a different universe"
            Library.default_name library_name);
-    let last_saved = ref (-1) in
     let resume_search =
       match resume with
       | None -> (
@@ -307,45 +299,32 @@ let census_cmd =
               in
               let s = Search.create ~jobs ?symmetry library in
               Checkpoint.save s path;
-              last_saved := 0;
               Some s
           | Some _ | None -> None)
       | Some path ->
-          let h = Checkpoint.peek path in
-          if h.Checkpoint.depth > depth then
+          let s = Checkpoint.load ~jobs library path in
+          if Search.depth s > depth then
             failwith
               (Printf.sprintf
                  "snapshot %s is already at level %d, beyond --depth %d; pass a \
                   deeper --depth to continue it"
-                 path h.Checkpoint.depth depth);
+                 path (Search.depth s) depth);
           (* The snapshot's own mode wins: a quotient snapshot resumes
              quotiented, an unquotiented one unquotiented, whatever
              --quotient says. *)
-          (match (h.Checkpoint.symmetry, quotient) with
+          (match (Search.symmetry s, quotient) with
           | None, true ->
               Format.eprintf
                 "warning: %s is an unquotiented snapshot; resuming unquotiented@." path
           | Some _, false ->
               Format.eprintf "warning: %s is a quotient snapshot; resuming quotiented@." path
           | _ -> ());
-          Some (Checkpoint.load ~jobs library path)
+          Some s
     in
     let should_stop = install_cancel () in
-    let save_checkpoint search =
-      match checkpoint with
-      | Some path when Search.depth search <> !last_saved ->
-          Checkpoint.save search path;
-          last_saved := Search.depth search
-      | Some _ | None ->
-          (* Nothing new to write, but the last async write must land
-             before we report success. *)
-          Checkpoint.drain ()
-    in
     let on_level search ~cost =
       match checkpoint with
-      | Some path when cost mod every = 0 ->
-          Checkpoint.save_async search path;
-          last_saved := cost
+      | Some path when cost mod every = 0 -> Checkpoint.save search path
       | Some _ | None -> ()
     in
     let t0 = Unix.gettimeofday () in
@@ -357,7 +336,7 @@ let census_cmd =
     let reached = Search.depth (Fmcf.search census) in
     (* final checkpoint at the boundary we stopped on, whatever the
        reason — interrupted runs keep their progress *)
-    save_checkpoint (Fmcf.search census);
+    Option.iter (Checkpoint.save (Fmcf.search census)) checkpoint;
     let note =
       match reason with
       | Fmcf.Completed -> None

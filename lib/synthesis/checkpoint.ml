@@ -55,11 +55,14 @@ let crc_tables =
      done;
      t)
 
-let crc32 bytes ~off ~len =
+(* [crc_update c bytes ~off ~len] advances the (pre-inverted) register
+   [c] over the given byte range, so a CRC can run across a file written
+   in pieces. *)
+let crc_update c bytes ~off ~len =
   let t = Lazy.force crc_tables in
   let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3) in
   let t4 = t.(4) and t5 = t.(5) and t6 = t.(6) and t7 = t.(7) in
-  let c = ref 0xFFFFFFFF in
+  let c = ref c in
   let i = ref off in
   let stop = off + len in
   while !i + 8 <= stop do
@@ -81,25 +84,27 @@ let crc32 bytes ~off ~len =
     c := t0.((!c lxor Char.code (Bytes.unsafe_get bytes !i)) land 0xFF) lxor (!c lsr 8);
     i := !i + 1
   done;
-  !c lxor 0xFFFFFFFF
+  !c
+
+let crc32 bytes ~off ~len = crc_update 0xFFFFFFFF bytes ~off ~len lxor 0xFFFFFFFF
 
 (* {1 Library fingerprint (FNV-1a 64)} *)
 
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
+(* The fields are gathered into a buffer and hashed in one loop, where
+   the 64-bit register stays unboxed.  Every save computes the
+   fingerprint; hashing byte by byte through closures boxed two [Int64]s
+   a byte, 1.3 MB at four wires. *)
 let fingerprint library =
-  let h = ref fnv_offset in
-  let feed_byte b =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xFF))) fnv_prime
-  in
+  let b = Buffer.create 4096 in
   let feed_int v =
     for shift = 0 to 7 do
-      feed_byte (v lsr (8 * shift))
+      Buffer.add_char b (Char.unsafe_chr ((v lsr (8 * shift)) land 0xFF))
     done
   in
-  let feed_string s = String.iter (fun c -> feed_byte (Char.code c)) s in
-  feed_string "qsynth-library-v1";
+  Buffer.add_string b "qsynth-library-v1";
   let encoding = Library.encoding library in
   feed_int (Library.qubits library);
   let degree = Mvl.Encoding.size encoding in
@@ -110,110 +115,15 @@ let fingerprint library =
   done;
   Array.iter
     (fun (e : Library.entry) ->
-      feed_string (Gate.name e.Library.gate);
+      Buffer.add_string b (Gate.name e.Library.gate);
       feed_int e.Library.purity_mask;
       Array.iter feed_int e.Library.perm_array)
     (Library.entries library);
-  !h
-
-(* {1 Captures}
-
-   A capture is a zero-copy snapshot of the store taken at a level
-   boundary: the header, each shard's level sizes, and live references
-   to each shard's key arena (see {!State_arena.shard_arena}).  Only the
-   stored keys are ever read, and those bytes are immutable for the
-   store's lifetime, so a capture can be serialized from another domain
-   while the search expands the next level. *)
-
-type capture = {
-  header : header;
-  shards : (Bytes.t * int array) array; (* key arena, level sizes *)
-}
-
-(* A closed engine's newest level holds functions only, which no
-   search could extend, so its capture stops at the level before: a
-   snapshot holds complete levels only, and resuming it re-runs the
-   final level. *)
-let capture search =
-  let store = Search.store search in
-  let library = Search.library search in
-  let depth = if Search.closed search then Search.depth search - 1 else Search.depth search in
-  let states = ref 0 in
-  for d = 0 to depth do
-    states := !states + Search.level_size search d
+  let h = ref fnv_offset in
+  for i = 0 to Buffer.length b - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Buffer.nth b i)))) fnv_prime
   done;
-  let header =
-    {
-      fingerprint = fingerprint library;
-      qubits = Library.qubits library;
-      degree = State_arena.degree store;
-      num_gates = Library.size library;
-      depth;
-      states = !states;
-      frontier_len = Search.level_size search depth;
-      symmetry = Option.map Symmetry.fingerprint (Search.symmetry search);
-    }
-  in
-  {
-    header;
-    shards =
-      Array.init State_arena.num_shards (fun s ->
-          ( State_arena.shard_arena store s,
-            Array.init (depth + 1) (fun d ->
-                State_arena.level_end store ~depth:d s - State_arena.level_start store ~depth:d s)
-          ));
-  }
-
-(* {1 Serialization}
-
-   Layout (little-endian): magic 8 | version u32 | library fp u64 |
-   symmetry fp u64 (0 when unquotiented) | quotient u32 | qubits, key
-   length, gates, depth u32 | states, frontier u64 | shards u32 | per
-   shard: depth + 1 level sizes u32, then its keys in index order | crc
-   u32.  The size is known up front, so the payload is built in one
-   pre-sized [Bytes.t]. *)
-
-let header_bytes = 8 + 4 + 8 + 4 + 8 + (4 * 4) + (2 * 8) + 4
-
-let serialized_size c =
-  let h = c.header in
-  header_bytes + (State_arena.num_shards * (h.depth + 1) * 4) + (h.states * h.degree) + 4
-
-let serialize c =
-  let h = c.header in
-  let buf = Bytes.create (serialized_size c) in
-  let pos = ref 0 in
-  let put_u32 v =
-    Bytes.set_int32_le buf !pos (Int32.of_int v);
-    pos := !pos + 4
-  in
-  let put_u64 v =
-    Bytes.set_int64_le buf !pos v;
-    pos := !pos + 8
-  in
-  Bytes.blit_string magic 0 buf 0 8;
-  pos := 8;
-  put_u32 version;
-  put_u64 h.fingerprint;
-  put_u64 (Option.value ~default:0L h.symmetry);
-  put_u32 (if h.symmetry = None then 0 else 1);
-  put_u32 h.qubits;
-  put_u32 h.degree;
-  put_u32 h.num_gates;
-  put_u32 h.depth;
-  put_u64 (Int64.of_int h.states);
-  put_u64 (Int64.of_int h.frontier_len);
-  put_u32 (Array.length c.shards);
-  Array.iter
-    (fun (arena, sizes) ->
-      Array.iter put_u32 sizes;
-      let len = Array.fold_left ( + ) 0 sizes * h.degree in
-      Bytes.blit arena 0 buf !pos len;
-      pos := !pos + len)
-    c.shards;
-  put_u32 (crc32 buf ~off:0 ~len:(Bytes.length buf - 4));
-  assert (!pos = Bytes.length buf);
-  buf
+  !h
 
 (* {1 Atomic write} *)
 
@@ -225,110 +135,129 @@ let fsync_dir path =
           try Unix.fsync fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
-(* Writes and fsyncs [bytes] to [tmp], removing it on error. *)
-let write_tmp tmp bytes =
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  try
-    let len = Bytes.length bytes in
-    let written = ref 0 in
-    while !written < len do
-      written := !written + Unix.write fd bytes !written (len - !written)
-    done;
-    Unix.fsync fd;
-    Unix.close fd
-  with e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
-
-let write_atomic path bytes =
-  write_tmp (path ^ ".tmp") bytes;
+(* [atomically path write] runs [write] on [path ^ ".tmp"], fsyncs it
+   and renames it over [path], then fsyncs the directory.  On an error
+   before the rename the temp file is removed. *)
+let atomically path write =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp in
+  (try
+     write oc;
+     flush oc;
+     Unix.fsync (Unix.descr_of_out_channel oc);
+     close_out oc
+   with e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
   (* The injected "checkpoint" fault models a crash in the window where
      the temp file exists but the rename has not happened: a previous
-     snapshot at [path] must still load. *)
-  Faultsim.hit "checkpoint";
-  Unix.rename (path ^ ".tmp") path;
-  fsync_dir path
-
-let record_write ~async (h : header) path bytes seconds =
-  Telemetry.Counter.incr c_count;
-  Telemetry.Counter.add c_bytes bytes;
-  Telemetry.Histogram.observe h_write seconds;
-  Log.info (fun m ->
-      m "checkpoint%s: level %d, %d states, %d bytes -> %s"
-        (if async then " (async)" else "")
-        h.depth h.states bytes path)
-
-(* {1 Asynchronous writes}
-
-   Each [save_async] spawns its own writer domain.  Writers serialize
-   and fsync a uniquely-named temp file independently — concurrent
-   fsyncs batch into shared journal commits instead of paying their
-   latency serially, which is what dominates checkpoint-every-1 on the
-   fast early levels — and each writer joins its predecessor {e before
-   renaming}, so snapshots land at [path] strictly in boundary order and
-   an older snapshot can never overwrite a newer one.  The directory
-   fsync is deferred to {!drain}/{!save}: one commit at the end covers
-   the whole chain (each snapshot's data is durable when its rename
-   happens; only the last rename's directory entry needs syncing, since
-   a crash before it leaves the previous — complete — snapshot at
-   [path]).
-
-   Writers run no telemetry or logging (both are single-threaded by
-   design); they return write records that the coordinator logs when it
-   joins the chain. *)
-
-type write_record = { w_header : header; w_path : string; w_bytes : int; w_seconds : float }
-
-type pending = { p_path : string; p_dom : write_record list Domain.t }
-
-let pending : pending option ref = ref None
-let tmp_seq = ref 0
-
-let run_writer c path tmp prev =
-  let t0 = Unix.gettimeofday () in
-  let bytes = serialize c in
-  write_tmp tmp bytes;
-  let seconds = Unix.gettimeofday () -. t0 in
-  (* Ordering barrier: re-raises a predecessor's failure (after which
-     our tmp file is an orphan the next [save] overwrites — the chain is
-     already broken, so no rename happens here either). *)
-  let earlier = match prev with None -> [] | Some p -> Domain.join p.p_dom in
+     file at [path] must still load. *)
   Faultsim.hit "checkpoint";
   Unix.rename tmp path;
-  earlier @ [ { w_header = c.header; w_path = path; w_bytes = Bytes.length bytes; w_seconds = seconds } ]
+  fsync_dir path
 
-let drain () =
-  match !pending with
-  | None -> ()
-  | Some { p_path; p_dom } ->
-      pending := None;
-      (* Re-raises any exception a chained writer died with (injected
-         fault, I/O error) on the coordinator. *)
-      let records = Domain.join p_dom in
-      fsync_dir p_path;
-      List.iter
-        (fun r -> record_write ~async:true r.w_header r.w_path r.w_bytes r.w_seconds)
-        records
+let write_atomic path bytes = atomically path (fun oc -> output_bytes oc bytes)
+
+(* {1 Streamed snapshots}
+
+   Layout (little-endian): magic 8 | version u32 | library fp u64 |
+   symmetry fp u64 (0 when unquotiented) | quotient u32 | qubits, key
+   length, gates, depth u32 | states, frontier u64 | shards u32 | per
+   shard: depth + 1 level sizes u32, then its keys in index order | crc
+   u32.  The keys are written straight from each shard's key arena, so
+   a save holds no buffer the size of the snapshot. *)
+
+let header_bytes = 8 + 4 + 8 + 4 + 8 + (4 * 4) + (2 * 8) + 4
+
+(* A closed engine's newest level holds functions only, which no
+   search could extend, so its snapshot stops at the level before: a
+   snapshot holds complete levels only, and resuming it re-runs the
+   final level. *)
+let header_of search =
+  let library = Search.library search in
+  let depth = if Search.closed search then Search.depth search - 1 else Search.depth search in
+  let states = ref 0 in
+  for d = 0 to depth do
+    states := !states + Search.level_size search d
+  done;
+  {
+    fingerprint = fingerprint library;
+    qubits = Library.qubits library;
+    degree = State_arena.degree (Search.store search);
+    num_gates = Library.size library;
+    depth;
+    states = !states;
+    frontier_len = Search.level_size search depth;
+    symmetry = Option.map Symmetry.fingerprint (Search.symmetry search);
+  }
+
+(* The path and header of the last snapshot this process wrote.  The
+   closed-engine rule makes a census's final save repeat the snapshot
+   of the level before it, which is then not written again. *)
+let last_written = ref None
 
 let save search path =
-  drain ();
-  Telemetry.Span.with_span "search.checkpoint.write" @@ fun () ->
-  let c = capture search in
-  let t0 = Unix.gettimeofday () in
-  let bytes = serialize c in
-  write_atomic path bytes;
-  record_write ~async:false c.header path (Bytes.length bytes) (Unix.gettimeofday () -. t0);
-  if Telemetry.enabled () then
-    Telemetry.Span.set_attr "bytes" (Telemetry.Json.Int (Bytes.length bytes))
-
-let save_async search path =
-  let c = capture search in
-  let prev = !pending in
-  incr tmp_seq;
-  let tmp = Printf.sprintf "%s.tmp.%d" path !tmp_seq in
-  let dom = Domain.spawn (fun () -> run_writer c path tmp prev) in
-  pending := Some { p_path = path; p_dom = dom }
+  let h = header_of search in
+  if !last_written <> Some (path, h) then begin
+    Telemetry.Span.with_span "search.checkpoint.write" @@ fun () ->
+    let t0 = Unix.gettimeofday () in
+    let store = Search.store search in
+    let scratch = Bytes.create (max header_bytes (4 * (h.depth + 1))) in
+    let crc = ref 0xFFFFFFFF and written = ref 0 in
+    atomically path (fun oc ->
+        let put buf len =
+          crc := crc_update !crc buf ~off:0 ~len;
+          output oc buf 0 len;
+          written := !written + len
+        in
+        let pos = ref 0 in
+        let put_u32 v =
+          Bytes.set_int32_le scratch !pos (Int32.of_int v);
+          pos := !pos + 4
+        in
+        let put_u64 v =
+          Bytes.set_int64_le scratch !pos v;
+          pos := !pos + 8
+        in
+        Bytes.blit_string magic 0 scratch 0 8;
+        pos := 8;
+        put_u32 version;
+        put_u64 h.fingerprint;
+        put_u64 (Option.value ~default:0L h.symmetry);
+        put_u32 (if h.symmetry = None then 0 else 1);
+        put_u32 h.qubits;
+        put_u32 h.degree;
+        put_u32 h.num_gates;
+        put_u32 h.depth;
+        put_u64 (Int64.of_int h.states);
+        put_u64 (Int64.of_int h.frontier_len);
+        put_u32 State_arena.num_shards;
+        put scratch header_bytes;
+        for s = 0 to State_arena.num_shards - 1 do
+          pos := 0;
+          let count = ref 0 in
+          for d = 0 to h.depth do
+            let size =
+              State_arena.level_end store ~depth:d s - State_arena.level_start store ~depth:d s
+            in
+            put_u32 size;
+            count := !count + size
+          done;
+          put scratch !pos;
+          put (State_arena.shard_arena store s) (!count * h.degree)
+        done;
+        Bytes.set_int32_le scratch 0 (Int32.of_int (!crc lxor 0xFFFFFFFF));
+        output oc scratch 0 4;
+        written := !written + 4);
+    last_written := Some (path, h);
+    Telemetry.Counter.incr c_count;
+    Telemetry.Counter.add c_bytes !written;
+    Telemetry.Histogram.observe h_write (Unix.gettimeofday () -. t0);
+    Log.info (fun m ->
+        m "checkpoint: level %d, %d states, %d bytes -> %s" h.depth h.states !written path);
+    if Telemetry.enabled () then Telemetry.Span.set_attr "bytes" (Telemetry.Json.Int !written)
+  end
 
 (* {1 Reading} *)
 
@@ -416,10 +345,6 @@ let read_header r =
          (Printf.sprintf "snapshot has %d shards, this build uses %d" num_shards
             State_arena.num_shards));
   { fingerprint; qubits; degree; num_gates; depth; states; frontier_len; symmetry }
-
-let peek path =
-  let r = checked_reader path in
-  read_header r
 
 let check_library library (h : header) =
   let fp = fingerprint library in

@@ -14,11 +14,13 @@
     (shard, index) order.  See doc/ROBUSTNESS.md for the format layout
     and the determinism-across-resume argument.
 
-    Writes are atomic: the snapshot is serialized to [path ^ ".tmp"],
-    fsynced, and renamed over [path] (the directory is fsynced best
-    effort), so a crash during {!save} — including an injected
-    ["checkpoint"] fault — leaves any previous snapshot at [path]
-    intact.
+    Writes are atomic and streamed: {!save} writes the snapshot to
+    [path ^ ".tmp"] straight from the store's key arenas, keeping a
+    running CRC, fsyncs it and renames it over [path] (the directory is
+    fsynced best effort), so a crash during {!save} — including an
+    injected ["checkpoint"] fault — leaves any previous snapshot at
+    [path] intact, and a save allocates no buffer the size of the
+    snapshot.
 
     The format is version 4 of the [QSYNCKP1] magic.  A quotient
     snapshot records the {!Symmetry.fingerprint} of its canonicalizing
@@ -40,20 +42,6 @@ exception Corrupt of string
     qubit count / key length differing from the library given to
     {!load}.  The payload names the mismatched field and both values. *)
 exception Mismatch of string
-
-(** Snapshot metadata, stored in the CRC-protected header. *)
-type header = {
-  fingerprint : int64;  (** {!fingerprint} of the producing library *)
-  qubits : int;
-  degree : int;  (** stored key length, the library's [num_binary] *)
-  num_gates : int;
-  depth : int;  (** completed BFS levels *)
-  states : int;  (** total stored states *)
-  frontier_len : int;  (** states at [depth] *)
-  symmetry : int64 option;
-      (** [Some fp]: quotient snapshot, canonicalized under the symmetry
-          group fingerprinted [fp]; [None]: unquotiented snapshot. *)
-}
 
 (** [fingerprint library] digests everything the search outcome depends
     on — encoding size and signatures, and each gate's name, point
@@ -87,33 +75,11 @@ val read_file : string -> Bytes.t
     only: of a closed engine ({!Search.closed}, after a functions-only
     final level) it holds the levels before the newest, so its depth is
     one less than the engine's and resuming it to any depth re-runs the
-    final level as an uninterrupted run would.  Any in-flight
-    {!save_async} write is drained first (re-raising its failure, if
-    any). *)
+    final level as an uninterrupted run would.  A snapshot of the same
+    level (the same header) as the last one this process wrote to
+    [path] is not written again: after a census whose level hook saved
+    every level, the closed engine's snapshot is already on disk. *)
 val save : Search.t -> string -> unit
-
-(** [save_async search path] captures [search]'s store at the current
-    level boundary (zero-copy — see {!State_arena.shard_arena}) and
-    writes the snapshot on a background domain, overlapping the write
-    with the expansion of the next level.  Concurrent writes from
-    successive boundaries each fsync their own uniquely-named temp file
-    independently, but rename into [path] strictly in boundary order, so
-    an older snapshot never overwrites a newer one; the directory fsync
-    is deferred to {!drain}.  The produced file is byte-identical to
-    what {!save} would have written at the same boundary. *)
-val save_async : Search.t -> string -> unit
-
-(** [drain ()] waits for every in-flight {!save_async} write, fsyncs the
-    target directory, and re-raises any exception a writer died with
-    ({!exception:Faultsim.Injected}, I/O errors).  Call before exiting
-    and before reading back a file a [save_async] may still be writing.
-    Idempotent; {!save} drains implicitly. *)
-val drain : unit -> unit
-
-(** [peek path] reads and CRC-validates just the snapshot at [path] and
-    returns its header.
-    @raise Corrupt or {!Mismatch} as {!load} would. *)
-val peek : string -> header
 
 (** [load ?jobs library path] restores a snapshot into a live search — a
     quotiented one for quotient snapshots (the symmetry group is rebuilt
@@ -123,5 +89,7 @@ val peek : string -> header
     field);
     @raise Corrupt when the file is truncated, fails its CRC, or is
     structurally inconsistent — never a crash or a silently wrong
-    search. *)
+    search.
+    The file is read and CRC-checked once; the restored engine carries
+    the snapshot's depth ({!Search.depth}) and mode ({!Search.symmetry}). *)
 val load : ?jobs:int -> Library.t -> string -> Search.t

@@ -140,8 +140,8 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
           stop := Some (if should_stop () then Cancelled else Timed_out)
       | Some _ ->
           let cost = Search.depth search in
-          (* The hook fires before the level is counted so an
-             asynchronous checkpoint write can overlap that processing. *)
+          (* The hook fires before the level is counted, so a level
+             checkpointed here is on disk even if counting it fails. *)
           (match on_level with None -> () | Some f -> f search ~cost);
           levels := process_level search ~cost :: !levels
   done;

@@ -105,8 +105,9 @@ val run : ?max_depth:int -> ?jobs:int -> ?quotient:bool -> Library.t -> t
     - [on_level]: called as soon as each {e newly expanded} level
       completes (not for replayed levels), the final one included, with
       the engine sitting at the level boundary and before the level is
-      counted — the checkpoint-writing hook ({!Checkpoint.save_async}
-      overlaps its write with that count).
+      counted — the checkpoint-writing hook ({!Checkpoint.save}, a
+      synchronous write, so the level is on disk before it is
+      counted).
 
     The level [max_depth] is stepped functions only, after which the
     engine is closed ({!Search.closed}); a checkpoint written then holds

@@ -100,9 +100,9 @@ val handle : shard:int -> index:int -> int
     insertion rewrites the bytes of a stored state, so the first
     [shard_count t shard * degree] bytes of a returned arena never change
     while the store lives — {!abandon_level} never rolls a shard below a
-    level boundary already passed.  A capture taken at a level boundary
-    may therefore be read from another domain while the next level is
-    being expanded (the zero-copy snapshot of {!Checkpoint.save_async}). *)
+    level boundary already passed.  {!Checkpoint.save} streams a
+    snapshot straight from these prefixes, with no snapshot-sized
+    buffer. *)
 val shard_arena : t -> int -> Bytes.t
 
 (** [key_offset t handle] is the byte offset of [handle]'s key inside

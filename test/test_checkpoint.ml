@@ -66,18 +66,23 @@ let test_round_trip depth () =
       (Array.map (Search.key_of_handle r) g)
   done
 
-let test_peek () =
+(* The header's fields come back through [load]: depth, states and
+   frontier from the restored engine, qubits and fingerprint from its
+   library. *)
+let test_header_on_load () =
   with_temp_file @@ fun path ->
   let s = search_at library3 3 in
   Checkpoint.save s path;
-  let h = Checkpoint.peek path in
-  check Alcotest.int "peek depth" 3 h.Checkpoint.depth;
-  check Alcotest.int "peek states" (Search.size s) h.Checkpoint.states;
-  check Alcotest.int "peek frontier" (Array.length (Search.frontier_handles s))
-    h.Checkpoint.frontier_len;
-  check Alcotest.int "peek qubits" 3 h.Checkpoint.qubits;
-  checkb "peek fingerprint" true
-    (Int64.equal h.Checkpoint.fingerprint (Checkpoint.fingerprint library3))
+  let r = Checkpoint.load library3 path in
+  check Alcotest.int "depth" 3 (Search.depth r);
+  check Alcotest.int "states" (Search.size s) (Search.size r);
+  check Alcotest.int "frontier" (Array.length (Search.frontier_handles s))
+    (Search.frontier_size r);
+  check Alcotest.int "qubits" 3 (Library.qubits (Search.library r));
+  checkb "fingerprint" true
+    (Int64.equal
+       (Checkpoint.fingerprint (Search.library r))
+       (Checkpoint.fingerprint library3))
 
 (* {1 Damaged snapshots} *)
 
@@ -170,13 +175,10 @@ let test_version_gate () =
 
 (* A version-3 snapshot as the previous format's CLI wrote it ([census -d
    3 --checkpoint]): parent chains instead of keys.  It is intact, so it
-   is rejected as a mismatch naming its version, by [peek] and [load]
-   alike. *)
+   is rejected as a mismatch naming its version. *)
 let test_v3_fixture_rejected () =
   let path = "checkpoint_v3_d3.bin" in
   check Alcotest.int "fixture length" 9076 (String.length (read_file path));
-  expect_mismatch "peek a version-3 snapshot" ~substring:"format version 3" (fun () ->
-      Checkpoint.peek path);
   expect_mismatch "load a version-3 snapshot" ~substring:"format version 3" (fun () ->
       Checkpoint.load library3 path)
 
@@ -239,9 +241,8 @@ let test_crash_resume k () =
   | exception Faultsim.Injected "merge" -> ()
   | _ -> Alcotest.failf "fault merge:%d did not fire" k);
   Faultsim.configure None;
-  let h = Checkpoint.peek path in
   check Alcotest.int "snapshot sits at the last complete level" (k - 1)
-    h.Checkpoint.depth;
+    (Search.depth (Checkpoint.load library3 path));
   let census, reason =
     Fmcf.run_guarded ~max_depth:census_depth
       ~resume:(Checkpoint.load library3 path)
@@ -253,43 +254,91 @@ let test_crash_resume k () =
     true
     (census_sig census = census_sig (Lazy.force clean_census))
 
-(* Background snapshots: a census checkpointed at every level through
-   save_async completes, and its last snapshot is the one a synchronous
-   save writes at the same boundary — the same bytes, resuming to the
-   same census. *)
-let test_async_save () =
-  with_temp_file @@ fun async_path ->
-  with_temp_file @@ fun sync_path ->
-  let checkpointed save path =
-    let _, reason =
-      Fmcf.run_guarded ~max_depth:census_depth
-        ~on_level:(fun s ~cost:_ -> save s path)
-        library3
-    in
-    checkb "checkpointed census completed" true (reason = Fmcf.Completed)
+(* [checkpointed_census ?every ?quotient library depth path] is [census
+   -d depth --checkpoint path --checkpoint-every every] on a fresh path:
+   a level-0 snapshot, one from the level hook every [every] levels, and
+   a final save at the boundary the census stopped on. *)
+let checkpointed_census ?(every = 1) ?(quotient = false) library depth path =
+  Sys.remove path;
+  let symmetry = if quotient then Some (Symmetry.create library) else None in
+  let seed = Search.create ?symmetry library in
+  Checkpoint.save seed path;
+  let census, reason =
+    Fmcf.run_guarded ~max_depth:depth ~resume:seed
+      ~on_level:(fun s ~cost -> if cost mod every = 0 then Checkpoint.save s path)
+      library
   in
-  checkpointed Checkpoint.save_async async_path;
-  Checkpoint.drain ();
-  checkpointed Checkpoint.save sync_path;
-  (* the final level holds functions only, so the last snapshot keeps
-     the complete levels before it *)
-  check Alcotest.int "last snapshot holds the complete levels" (census_depth - 1)
-    (Checkpoint.peek async_path).Checkpoint.depth;
-  checkb "async and sync snapshots byte-identical" true
-    (String.equal (read_file async_path) (read_file sync_path));
-  let resumed path =
-    let census, reason =
-      Fmcf.run_guarded ~max_depth:census_depth
-        ~resume:(Checkpoint.load library3 path)
-        library3
-    in
-    checkb "resumed census completed" true (reason = Fmcf.Completed);
-    census_sig census
+  checkb "checkpointed census completed" true (reason = Fmcf.Completed);
+  Checkpoint.save (Fmcf.search census) path;
+  census
+
+(* The snapshot a checkpointed census leaves, pinned by length and MD5
+   ([census -d 6 --checkpoint F] and [census -q 4 -d 5 --quotient
+   --checkpoint F]): the final level holds functions only, so it keeps
+   the complete levels before it, and resuming it gives the
+   uninterrupted census. *)
+let test_checkpointed_census_bytes () =
+  List.iter
+    (fun (name, library, quotient, depth, len, md5) ->
+      with_temp_file @@ fun path ->
+      ignore (checkpointed_census ~quotient library depth path);
+      check Alcotest.int (name ^ ": file length") len (String.length (read_file path));
+      check Alcotest.string (name ^ ": MD5") md5 (Digest.to_hex (Digest.file path));
+      let r = Checkpoint.load library path in
+      check Alcotest.int (name ^ ": snapshot depth") (depth - 1) (Search.depth r))
+    [
+      ("census -d 6", library3, false, 6, 49_544, "77f0f0b2499b69b2cb3d31ddc352977e");
+      ( "census -q 4 -d 5 --quotient",
+        library4,
+        true,
+        5,
+        52_632,
+        "0ee87f5b49e8de99cccdbd4e270ea094" );
+    ];
+  with_temp_file @@ fun path ->
+  ignore (checkpointed_census library3 census_depth path);
+  let census, reason =
+    Fmcf.run_guarded ~max_depth:census_depth ~resume:(Checkpoint.load library3 path) library3
   in
-  let from_async = resumed async_path in
-  checkb "async resume = sync resume" true (from_async = resumed sync_path);
-  checkb "async resume = uninterrupted census" true
-    (from_async = census_sig (Lazy.force clean_census))
+  checkb "resumed census completed" true (reason = Fmcf.Completed);
+  checkb "resumed census = uninterrupted census" true
+    (census_sig census = census_sig (Lazy.force clean_census))
+
+(* One write per level: the final level's snapshot is the level before
+   it, which the level hook already wrote, so [census -d 7] writes
+   levels 0-6 and [--checkpoint-every 3] levels 0, 3 and 6. *)
+let test_one_write_per_level () =
+  let writes = Telemetry.Counter.create "search.checkpoint.count" in
+  List.iter
+    (fun (every, expected) ->
+      with_temp_file @@ fun path ->
+      Telemetry.set_enabled true;
+      let before = Telemetry.Counter.value writes in
+      Fun.protect
+        ~finally:(fun () -> Telemetry.set_enabled false)
+        (fun () -> ignore (checkpointed_census ~every library3 census_depth path));
+      check Alcotest.int
+        (Printf.sprintf "snapshots written, every %d" every)
+        expected
+        (Telemetry.Counter.value writes - before);
+      check Alcotest.int "last snapshot" (census_depth - 1)
+        (Search.depth (Checkpoint.load library3 path)))
+    [ (1, 7); (3, 3) ]
+
+(* A save streams the store's key arenas into the file: it allocates a
+   header and one shard's level sizes, not a buffer the size of the
+   snapshot. *)
+let test_save_allocation () =
+  with_temp_file @@ fun path ->
+  let census = Fmcf.run ~max_depth:5 library4 in
+  let before = Gc.allocated_bytes () in
+  Checkpoint.save (Fmcf.search census) path;
+  let allocated = Gc.allocated_bytes () -. before in
+  let written = String.length (read_file path) in
+  checkb
+    (Printf.sprintf "%.0f bytes allocated to write %d" allocated written)
+    true
+    (allocated < float_of_int written /. 4.)
 
 (* {1 Resource guards} *)
 
@@ -324,14 +373,14 @@ let test_closed_snapshot (library, depth) quotient jobs () =
   let s = Fmcf.search census in
   checkb (name ^ ": closed") true (Search.closed s);
   Checkpoint.save s path;
-  let h = Checkpoint.peek path in
-  check Alcotest.int (name ^ ": snapshot depth") (depth - 1) h.Checkpoint.depth;
+  let r = Checkpoint.load ~jobs library path in
+  check Alcotest.int (name ^ ": snapshot depth") (depth - 1) (Search.depth r);
   check Alcotest.int (name ^ ": snapshot states")
     (Search.size s - Search.level_size s depth)
-    h.Checkpoint.states;
+    (Search.size r);
   check Alcotest.int (name ^ ": snapshot frontier")
     (Search.level_size s (depth - 1))
-    h.Checkpoint.frontier_len;
+    (Search.frontier_size r);
   List.iter
     (fun d ->
       let resumed = run ~resume:(Checkpoint.load ~jobs library path) d in
@@ -523,7 +572,7 @@ let () =
             Alcotest.test_case (Printf.sprintf "depth %d" d) `Quick
               (test_round_trip d))
           [ 0; 1; 2; 3; 4 ]
-        @ [ Alcotest.test_case "peek" `Quick test_peek ] );
+        @ [ Alcotest.test_case "header on load" `Quick test_header_on_load ] );
       ( "damage rejection",
         [
           Alcotest.test_case "truncation" `Quick test_truncation_rejected;
@@ -539,7 +588,7 @@ let () =
             Alcotest.test_case (Printf.sprintf "crash at level %d" k) `Quick
               (test_crash_resume k))
           [ 1; 2; 3; 4; 5; 6 ]
-        @ [ Alcotest.test_case "background saves" `Quick test_async_save ]
+        @ [ Alcotest.test_case "checkpointed census bytes" `Quick test_checkpointed_census_bytes ]
         @ List.concat_map
             (fun ((library, depth) as case) ->
               List.concat_map
@@ -556,6 +605,11 @@ let () =
                     [ 1; 2 ])
                 [ false; true ])
             [ (library3, 6); (library4, 4) ] );
+      ( "streamed save",
+        [
+          Alcotest.test_case "one write per level" `Quick test_one_write_per_level;
+          Alcotest.test_case "allocation bound" `Quick test_save_allocation;
+        ] );
       ( "resource guards",
         [
           Alcotest.test_case "max states" `Quick test_budget_states;
