@@ -100,7 +100,11 @@ let setup_telemetry verbosity metrics trace =
 
 let telemetry_term = Term.(const setup_telemetry $ verbose_arg $ metrics_arg $ trace_arg)
 
-let make_library qubits = Library.make (Mvl.Encoding.make ~qubits)
+(* a search command's library: an unsearchable width is a usage error *)
+let library_of ~qubits name =
+  match Library.searchable ~qubits name with
+  | Ok library -> library
+  | Error msg -> Format.eprintf "qsynth: %s@." msg; exit exit_usage
 
 (* --library: validated by Cmdliner as an enum over the registry, so an
    unknown name is a usage error (exit 2) listing the alternatives —
@@ -207,7 +211,7 @@ let snapshot_path =
   Arg.conv (parse, Format.pp_print_string)
 
 (* bounded by Cmdliner, so a width no encoding supports is a usage
-   error (exit 2) before any subcommand prints *)
+   error (exit 2) before any subcommand prints; see also [library_of] *)
 let qubits_arg =
   let parse s =
     match int_of_string_opt s with
@@ -217,7 +221,13 @@ let qubits_arg =
           (`Msg (Printf.sprintf "N must be between 1 and %d" Mvl.Encoding.max_qubits))
     | None -> Error (`Msg (Printf.sprintf "invalid N value %S" s))
   in
-  let doc = Printf.sprintf "Number of qubits, 1 to %d." Mvl.Encoding.max_qubits in
+  let doc =
+    Printf.sprintf
+      "Number of qubits, 1 to %d.  A search key holds one encoding point a byte, so \
+       census, synth, describe, weighted, batch and serve take paper18 up to 4 qubits and \
+       nct, nft, nc and ncp up to 7; a wider N is a usage error."
+      Mvl.Encoding.max_qubits
+  in
   Arg.(value & opt (conv (parse, Format.pp_print_int)) 3
        & info [ "q"; "qubits" ] ~docv:"N" ~doc)
 
@@ -280,7 +290,7 @@ let census_cmd =
   let run finish_telemetry qubits depth jobs library_name paper_variant quotient
       stats save emit_index checkpoint every resume max_states max_mem timeout =
     guarded ~finish:finish_telemetry @@ fun () ->
-    let library = Library.of_name ~qubits library_name in
+    let library = library_of ~qubits library_name in
     if paper_variant && not (Library.coset_reduction library) then
       failwith
         (Printf.sprintf
@@ -605,7 +615,7 @@ let synth_cmd =
   let run finish_telemetry qubits depth jobs library_name all json index_path
       verify_index use_bidir spec =
     guarded ~finish:finish_telemetry @@ fun () ->
-    let library = Library.of_name ~qubits library_name in
+    let library = library_of ~qubits library_name in
     let should_stop = install_cancel () in
     (* the load validates magic/CRC/fingerprints/structure (and witnesses
        per --verify-index) and raises Checkpoint.Corrupt/Mismatch —
@@ -693,6 +703,11 @@ let serve_cmd =
       also_libraries socket index_path verify_index workers
       queue_capacity cache_capacity metrics_port trace_file slow_ms =
     guarded ~finish:finish_telemetry @@ fun () ->
+    let library = library_of ~qubits library_name in
+    let secondary =
+      List.map (library_of ~qubits)
+        (List.filter (( <> ) library_name) (List.sort_uniq String.compare also_libraries))
+    in
     (* Readiness: false until the index is loaded and the daemon
        accepting; false again the moment the drain begins —
        scrapers see the flip before the Unix socket unlinks. *)
@@ -732,14 +747,6 @@ let serve_cmd =
           Telemetry.set_jsonl (Some oc);
           oc)
         trace_file
-    in
-    let library = Library.of_name ~qubits library_name in
-    let secondary =
-      List.filter_map
-        (fun n ->
-          if String.equal n library_name then None
-          else Some (Library.of_name ~qubits n))
-        (List.sort_uniq String.compare also_libraries)
     in
     let verify =
       if verify_index then Census_index.Full else Census_index.Sample
@@ -989,7 +996,7 @@ let batch_cmd =
       | None ->
           (* no daemon: evaluate locally against one service, so a
              whole file shares one response cache, as a daemon would *)
-          let library = Library.of_name ~qubits library_name in
+          let library = library_of ~qubits library_name in
           let verify =
             if verify_index then Census_index.Full else Census_index.Sample
           in
@@ -1079,7 +1086,7 @@ let batch_cmd =
 let simulate_cmd =
   let simulate qubits cascade_str input =
     guarded @@ fun () ->
-    let library = make_library qubits in
+    let library = Library.of_name ~qubits Library.default_name in
     let cascade = Cascade.of_string ~qubits cascade_str in
     Format.printf "cascade: %a (cost %d, reasonable: %b)@." Cascade.pp cascade
       (Cascade.cost cascade)
@@ -1136,7 +1143,7 @@ let simulate_cmd =
 let describe_cmd =
   let run qubits depth spec =
     guarded @@ fun () ->
-    let library = make_library qubits in
+    let library = library_of ~qubits Library.default_name in
     let target = Reversible.Spec.parse ~bits:qubits spec in
     Format.printf "cycles:   %a@." Reversible.Revfun.pp target;
     Format.printf "formulas: %s@." (Reversible.Anf.describe target);
@@ -1168,7 +1175,7 @@ let describe_cmd =
 let weighted_cmd =
   let run qubits max_cost model spec =
     guarded @@ fun () ->
-    let library = make_library qubits in
+    let library = library_of ~qubits Library.default_name in
     let target = Reversible.Spec.parse ~bits:qubits spec in
     (match Weighted.express ~max_cost library ~model target with
     | None -> Format.printf "no realization within cost %d@." max_cost

@@ -10,6 +10,11 @@ let pattern_key p =
 
 let max_qubits = 10
 
+let of_points ~qubits points =
+  let index = Hashtbl.create (2 * Array.length points) in
+  Array.iteri (fun i p -> Hashtbl.add index (pattern_key p) i) points;
+  { qubits; points; index; signatures = Array.map Pattern.mixed_signature points }
+
 let make ~qubits =
   if qubits < 1 || qubits > max_qubits then invalid_arg "Encoding.make: qubits out of range";
   let everything = Pattern.all ~qubits in
@@ -19,22 +24,13 @@ let make ~qubits =
   in
   (* [Pattern.all] is sorted and [Zero < One], so the binary block is in
      numeric order: point i < 2^qubits is binary code i. *)
-  let points = Array.of_list (binary @ mixed) in
-  let index = Hashtbl.create (2 * Array.length points) in
-  Array.iteri (fun i p -> Hashtbl.add index (pattern_key p) i) points;
-  let signatures = Array.map Pattern.mixed_signature points in
-  { qubits; points; index; signatures }
+  of_points ~qubits (Array.of_list (binary @ mixed))
 
 let make_binary ~qubits =
   if qubits < 1 || qubits > max_qubits then
     invalid_arg "Encoding.make_binary: qubits out of range";
-  let binary = List.filter Pattern.is_binary (Pattern.all ~qubits) in
-  (* sorted with [Zero < One], so point i is binary code i, as in [make] *)
-  let points = Array.of_list binary in
-  let index = Hashtbl.create (2 * Array.length points) in
-  Array.iteri (fun i p -> Hashtbl.add index (pattern_key p) i) points;
-  let signatures = Array.map Pattern.mixed_signature points in
-  { qubits; points; index; signatures }
+  (* point i is binary code i, as in [make] *)
+  of_points ~qubits (Array.init (1 lsl qubits) (Pattern.of_binary_code ~qubits))
 
 let qubits e = e.qubits
 let size e = Array.length e.points

@@ -42,6 +42,7 @@ let make ?(name = default_name) ?(coset_reduction = true) ?gates encoding =
   Array.iteri (fun i e -> Hashtbl.replace by_gate e.gate i) entries;
   { name; encoding; entries; by_gate; coset_reduction }
 
+let byte_keys encoding = Encoding.size encoding <= 255
 let name t = t.name
 let encoding t = t.encoding
 let entries t = t.entries
@@ -146,16 +147,32 @@ module Registry = struct
   let names = List.map (fun d -> d.name) all
   let find n = List.find_opt (fun d -> String.equal d.name n) all
 
-  let instantiate ?(qubits = 3) d =
+  let compile d encoding =
     make ~name:d.name ~coset_reduction:d.coset_reduction
-      ~gates:(d.gates ~qubits)
-      (d.encoding ~qubits)
+      ~gates:(d.gates ~qubits:(Encoding.qubits encoding))
+      encoding
+
+  let instantiate ?(qubits = 3) d = compile d (d.encoding ~qubits)
 end
 
-let of_name ?qubits n =
+let descriptor n =
   match Registry.find n with
-  | Some d -> Registry.instantiate ?qubits d
+  | Some d -> d
   | None ->
       invalid_arg
         (Printf.sprintf "Library.of_name: unknown library %S (known: %s)" n
            (String.concat ", " Registry.names))
+
+let of_name ?qubits n = Registry.instantiate ?qubits (descriptor n)
+
+let searchable ~qubits n =
+  let d = descriptor n in
+  let encoding = d.encoding ~qubits in
+  if byte_keys encoding then Ok (Registry.compile d encoding)
+  else
+    let rec widest q = if byte_keys (d.encoding ~qubits:(q + 1)) then widest (q + 1) else q in
+    Error
+      (Printf.sprintf
+         "library %s is searchable up to %d qubits (a search stores one encoding point a \
+          key byte); %d qubits is too wide"
+         n (widest 1) qubits)

@@ -45,6 +45,15 @@ val make : ?name:string -> ?coset_reduction:bool -> ?gates:Gate.t list ->
     @raise Invalid_argument for names outside {!Registry.names}. *)
 val of_name : ?qubits:int -> string -> t
 
+(** [byte_keys encoding]: at most 255 points, so a search key holds a
+    point a byte (paper18 has 176 at 4 wires and 782 at 5). *)
+val byte_keys : Mvl.Encoding.t -> bool
+
+(** [searchable ~qubits n] is {!of_name} when its encoding has
+    {!byte_keys}; else an error naming the widest width that has (4 for
+    paper18, 7 for the binary libraries), with no gate compiled. *)
+val searchable : qubits:int -> string -> (t, string) result
+
 (** [name t] is the library's registry name (e.g. ["paper18"], ["nft"]). *)
 val name : t -> string
 

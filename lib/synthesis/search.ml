@@ -59,8 +59,6 @@ type t = {
   klen : int; (* stored key length: the encoding's [num_binary] *)
   sym : Symmetry.t option; (* Some: quotient mode — keys are canonical image vectors *)
   entries : Library.entry array;
-  perm_arrays : int array array; (* hoisted from the library entries *)
-  purity_masks : int array;
   signatures : int array; (* mixed signature of each encoding point *)
   (* quotient-mode tallies, kept on the engine (unlike the telemetry
      counters these are live even with telemetry disabled, so [census
@@ -71,8 +69,11 @@ type t = {
   mutable closed : bool; (* the newest level was stepped [~last]: functions only *)
   (* per-step scratch, reused across levels *)
   cand : candbuf array array; (* jobs x shards *)
-  fpos : int array; (* the frontier's first position in each shard, then its size *)
-  fstart : int array; (* the frontier's first local index in each shard *)
+  (* the step's parents, one segment per (source, shard) *)
+  mutable fpos : int array; (* each segment's first position in the step, then the step's size *)
+  mutable fstart : int array; (* each segment's first local index in its shard *)
+  mutable src_perms : int array array array; (* each source's gates, hoisted *)
+  mutable src_masks : int array array;
   (* per-domain children of one parent (see expand_parent) *)
   raw : Bytes.t array; (* a child's image before canonicalization (quotient mode) *)
   kids : Bytes.t array; (* ngates * klen key bytes *)
@@ -119,7 +120,7 @@ let conj_bits = 5
    only on these bytes, so circuits with equal images are one state. *)
 let key_length_of ~symmetry library =
   let encoding = Library.encoding library in
-  if Mvl.Encoding.size encoding > 255 then
+  if not (Library.byte_keys encoding) then
     invalid_arg "Search.create: encoding too large for byte keys";
   let num_binary = Mvl.Encoding.num_binary encoding in
   (match symmetry with
@@ -143,16 +144,16 @@ let make_engine ~jobs ~symmetry library ~store =
     klen;
     sym = symmetry;
     entries;
-    perm_arrays = Array.map (fun e -> e.Library.perm_array) entries;
-    purity_masks = Array.map (fun e -> e.Library.purity_mask) entries;
     signatures = Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding);
     orbit_fresh = 0;
     orbit_hits = 0;
     kids_per_parent = 0.;
     closed = false;
     cand = Array.init jobs (fun _ -> Array.init num_shards (fun _ -> make_candbuf klen));
-    fpos = Array.make (num_shards + 1) 0;
-    fstart = Array.make num_shards 0;
+    fpos = [||];
+    fstart = [||];
+    src_perms = [||];
+    src_masks = [||];
     raw = Array.init jobs (fun _ -> Bytes.create klen);
     kids = Array.init jobs (fun _ -> Bytes.create (Array.length entries * klen));
     kid_hashes = Array.init jobs (fun _ -> Array.make (Array.length entries) 0);
@@ -231,7 +232,6 @@ let level_size t d = State_arena.level_size t.store ~depth:d
 let iter_level t d f = State_arena.iter_level t.store ~depth:d f
 
 let library t = t.library
-let jobs t = t.jobs
 (* the frontier is the store's newest level *)
 let depth t = State_arena.levels t.store - 1
 let size t = State_arena.size t.store
@@ -272,7 +272,7 @@ let iter_functions t ~depth f =
    the estimate errs on the large side; where every state is a
    function (nct, nft) it is the usual prediction. *)
 let predicted_level ?(last = false) t =
-  let p = State_arena.predicted_level t.store ~fanout:(Array.length t.perm_arrays) in
+  let p = State_arena.predicted_level t.store ~fanout:(Array.length t.entries) in
   let n = frontier_size t in
   if (not last) || n = 0 then p
   else begin
@@ -321,19 +321,21 @@ let maps_binary t pa src soff =
   done;
   !j = stop
 
-(* [expand_parent t r h ~last] writes every legal child of frontier
-   state [h] into rank [r]'s child buffers, in gate order: its key (the
+(* [expand_parent t r i h ~last] writes every legal child of state [h]
+   through source [i]'s gates into rank [r]'s child buffers, in gate
+   order: its key (the
    canonical form in quotient mode) and the key's hash.  Returns the
    number of children.  The parent's signature, which decides the legal
    gates, is the OR of its key bytes' point signatures.  With [last]
    only function children are written, tested on the raw image before
    any hashing or canonicalization (a wire relabeling maps binary points
    to binary points, so the canonical form is a function exactly when
-   the raw image is); the others are counted in [t.mixed_d.(r)].
+   the raw image is); the others are counted in [t.mixed_d.(r)], and
+   every gate not taken in [t.rejected_d.(r)].
    Composing a parent's children before any of them is probed lets the
    probes run back to back, so their cache misses overlap. *)
-let expand_parent t r h ~last =
-  let klen = t.klen in
+let expand_parent t r i h ~last =
+  let klen = t.klen and pas = t.src_perms.(i) and masks = t.src_masks.(i) in
   let kids = t.kids.(r) and hashes = t.kid_hashes.(r) in
   let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
   let soff = State_arena.key_offset t.store h in
@@ -344,9 +346,9 @@ let expand_parent t r h ~last =
   done;
   let signature = !signature in
   let k = ref 0 and mixed = ref 0 in
-  for via = 0 to Array.length t.perm_arrays - 1 do
-    let pa = t.perm_arrays.(via) in
-    if signature land t.purity_masks.(via) <> 0 then ()
+  for via = 0 to Array.length pas - 1 do
+    let pa = Array.unsafe_get pas via in
+    if signature land Array.unsafe_get masks via <> 0 then ()
     else if last && not (maps_binary t pa src soff) then incr mixed
     else begin
       let off = !k * klen in
@@ -380,40 +382,61 @@ let expand_parent t r h ~last =
     end
   done;
   if !mixed > 0 then t.mixed_d.(r) <- t.mixed_d.(r) + !mixed;
+  t.rejected_d.(r) <- t.rejected_d.(r) + Array.length pas - !k;
   !k
 
-(* [index_frontier t] fills [t.fstart] with each shard's first frontier
-   index and [t.fpos]: [fpos.(s)] is the position of shard [s]'s first
-   frontier state in the canonical order (shard by shard, each shard's
-   level range in index order), [fpos.(num_shards)] the frontier's size.
-   Called before the next level is opened. *)
-let index_frontier t =
-  let depth = depth t in
-  for s = 0 to num_shards - 1 do
-    let start = State_arena.level_start t.store ~depth s in
-    t.fstart.(s) <- start;
-    t.fpos.(s + 1) <- t.fpos.(s) + State_arena.level_end t.store ~depth s - start
-  done
+(* [set_sources t sources] hoists each source's gates and splits the
+   step's parents, source by source and each level in its canonical
+   order, into one segment per (source, shard).  Called before the next
+   level is opened; the most children the sources can make. *)
+let set_sources t sources =
+  let valid (d, gates) =
+    let prev = ref (-1) in
+    d >= 0 && d <= depth t
+    && Array.for_all (fun g -> !prev < g && g < Array.length t.entries && (prev := g; true)) gates
+  in
+  if sources = [] || not (List.for_all valid sources) then
+    invalid_arg "Search.try_step: sources are stored levels, each with increasing entry indices";
+  let sources = Array.of_list sources in
+  let hoist f = Array.map (fun (_, gates) -> Array.map (fun g -> f t.entries.(g)) gates) sources in
+  t.src_perms <- hoist (fun e -> e.Library.perm_array);
+  t.src_masks <- hoist (fun e -> e.Library.purity_mask);
+  let segments = Array.length sources * num_shards in
+  t.fstart <- Array.make segments 0;
+  t.fpos <- Array.make (segments + 1) 0;
+  Array.iteri
+    (fun i (depth, _) ->
+      for s = 0 to num_shards - 1 do
+        let g = (i * num_shards) + s in
+        let start = State_arena.level_start t.store ~depth s in
+        t.fstart.(g) <- start;
+        t.fpos.(g + 1) <- t.fpos.(g) + State_arena.level_end t.store ~depth s - start
+      done)
+    sources;
+  Array.fold_left (fun n (d, gates) -> n + (level_size t d * Array.length gates)) 0 sources
 
-(* [walk t ~lo ~hi ~cancel f] calls [f h] on the frontier states at
-   canonical positions [lo .. hi-1], polling [cancel] at every position
-   that is a multiple of [cancel_poll_mask + 1]; [false] when it fired. *)
+(* [walk t ~lo ~hi ~cancel f] calls [f i h] on the step's parents at
+   positions [lo .. hi-1] ([i] is [h]'s source), polling [cancel] at
+   every multiple of [cancel_poll_mask + 1]; [false] when it fired. *)
 let walk t ~lo ~hi ~cancel f =
   let fpos = t.fpos in
-  let s = ref 0 in
-  while !s < num_shards - 1 && fpos.(!s + 1) <= lo do
-    incr s
+  let g = ref 0 in
+  while !g < Array.length t.fstart - 1 && fpos.(!g + 1) <= lo do
+    incr g
   done;
-  let base = ref (t.fstart.(!s) - fpos.(!s)) in
+  let base = ref (t.fstart.(!g) - fpos.(!g)) in
+  let shard = ref (!g land (num_shards - 1)) and src = ref (!g / num_shards) in
   let p = ref lo and live = ref true in
   while !live && !p < hi do
     if !p land cancel_poll_mask = 0 && cancel () then live := false
     else begin
-      while !p >= fpos.(!s + 1) do
-        incr s;
-        base := t.fstart.(!s) - fpos.(!s)
+      while !p >= fpos.(!g + 1) do
+        incr g;
+        base := t.fstart.(!g) - fpos.(!g);
+        shard := !g land (num_shards - 1);
+        src := !g / num_shards
       done;
-      f (State_arena.handle ~shard:!s ~index:(!base + !p));
+      f !src (State_arena.handle ~shard:!shard ~index:(!base + !p));
       incr p
     end
   done;
@@ -427,19 +450,16 @@ let walk t ~lo ~hi ~cancel f =
 let expand_insert_sequential t ~last ~cancel =
   let klen = t.klen in
   let kids = t.kids.(0) and hashes = t.kid_hashes.(0) in
-  let ngates = Array.length t.perm_arrays in
-  let rejected = ref 0 and fresh = ref 0 and dup = ref 0 in
+  let fresh = ref 0 and dup = ref 0 in
   let completed =
-    walk t ~lo:0 ~hi:t.fpos.(num_shards) ~cancel (fun h ->
-        let k = expand_parent t 0 h ~last in
-        rejected := !rejected + ngates - k;
+    walk t ~lo:0 ~hi:t.fpos.(Array.length t.fstart) ~cancel (fun i h ->
+        let k = expand_parent t 0 i h ~last in
         for c = 0 to k - 1 do
           if State_arena.try_insert t.store ~key:kids ~off:(c * klen) ~hash:hashes.(c) >= 0
           then incr fresh
           else incr dup
         done)
   in
-  t.rejected_d.(0) <- !rejected;
   t.fresh_d.(0) <- !fresh;
   t.dup_d.(0) <- !dup;
   completed
@@ -482,20 +502,16 @@ let expand_chunk t r ~e ~lo ~hi ~last ~stop ~cancel =
     row.(s).clen <- 0
   done;
   let kids = t.kids.(r) and hashes = t.kid_hashes.(r) in
-  let ngates = Array.length t.perm_arrays in
-  let rejected = ref 0 in
   let len = hi - lo in
   let completed =
-    walk t ~lo:(lo + (r * len / e)) ~hi:(lo + ((r + 1) * len / e)) ~cancel (fun h ->
-        let k = expand_parent t r h ~last in
-        rejected := !rejected + ngates - k;
+    walk t ~lo:(lo + (r * len / e)) ~hi:(lo + ((r + 1) * len / e)) ~cancel (fun i h ->
+        let k = expand_parent t r i h ~last in
         for c = 0 to k - 1 do
           let hash = hashes.(c) in
           cand_append row.(State_arena.shard_of_hash hash) ~degree:klen kids ~off:(c * klen) ~hash
         done)
   in
-  if not completed then Atomic.set stop true;
-  t.rejected_d.(r) <- t.rejected_d.(r) + !rejected
+  if not completed then Atomic.set stop true
 
 (* Phase 2: rank [r] dedupes and inserts the candidates of its owned
    shards (s mod e = r), scanning domain rows in rank order so each
@@ -526,7 +542,7 @@ let dedupe_shards t r ~e =
    order, so every shard still sees its candidates in global frontier
    order.  [false] when [cancel] fired, before that chunk's phase 2. *)
 let expand_insert_chunked t ~e ~last ~cancel =
-  let n = t.fpos.(num_shards) in
+  let n = t.fpos.(Array.length t.fstart) in
   let parallel = e > 1 in
   let stop = Atomic.make false in
   let lo = ref 0 in
@@ -542,14 +558,19 @@ let expand_insert_chunked t ~e ~last ~cancel =
   done;
   not (Atomic.get stop)
 
-let try_step ?(last = false) t ~cancel =
+let try_step ?(last = false) ?sources t ~cancel =
   if t.closed then
     invalid_arg "Search.try_step: the engine is closed (its newest level holds functions only)";
+  let sources =
+    Option.value sources ~default:[ (depth t, Array.init (Array.length t.entries) Fun.id) ]
+  in
+  let most = set_sources t sources in
   Telemetry.Histogram.time h_step @@ fun () ->
   Telemetry.Span.with_span "search.step" @@ fun () ->
   let next_depth = depth t + 1 in
-  index_frontier t;
-  let n = t.fpos.(num_shards) in
+  let n = t.fpos.(Array.length t.fstart) in
+  (* the newest level's prediction binds unless other sources make fewer *)
+  let reserve = min (predicted_level ~last t) most in
   (* The step's effective rank count: small frontiers collapse to one
      rank (run inline — spawning domains for them costs more than it
      saves), and the configured jobs are capped by the core count.  The
@@ -562,7 +583,7 @@ let try_step ?(last = false) t ~cancel =
   Array.fill t.dup_d 0 t.jobs 0;
   Array.fill t.rejected_d 0 t.jobs 0;
   Array.fill t.mixed_d 0 t.jobs 0;
-  State_arena.open_level t.store ~reserve:(predicted_level ~last t);
+  State_arena.open_level t.store ~reserve;
   let completed =
     if t.jobs = 1 then
       Telemetry.Histogram.time h_expand (fun () ->
@@ -681,7 +702,7 @@ let locate t src soff =
       | -1 -> -1
       | h -> (h lsl conj_bits) lor conj)
 
-let back_probe t (e : Library.entry) src soff ~depth ~dst =
+let pre_image t (e : Library.entry) src soff ~dst =
   let nb = t.klen in
   let inv = e.Library.inverse_array and mask = e.Library.purity_mask in
   let b = ref 0 in
@@ -694,10 +715,11 @@ let back_probe t (e : Library.entry) src soff ~depth ~dst =
   do
     incr b
   done;
-  if !b < nb then -1
-  else
-    let r = locate t dst 0 in
-    if r >= 0 && State_arena.in_level t.store (r lsr conj_bits) ~depth then r else -2
+  if !b < nb then -1 else match locate t dst 0 with -1 -> -2 | r -> r
+
+let back_probe t e src soff ~depth ~dst =
+  let r = pre_image t e src soff ~dst in
+  if r >= 0 && not (State_arena.in_level t.store (r lsr conj_bits) ~depth) then -2 else r
 
 (* [cascade_of_image t img off ~depth] walks the backward step from the
    image at [img.[off ..]], of minimal depth [depth], to the identity.

@@ -110,14 +110,6 @@ val quotient_collapsed : t -> (int * int) option
 
 val library : t -> Library.t
 
-(** [jobs t] is the configured worker count (after clamping to the shard
-    count).  The {e effective} rank count of any given step may be lower:
-    steps collapse to fewer ranks when the frontier is too small to give
-    each rank a substantial chunk, and are capped by the machine's
-    recommended domain count (see doc/PERFORMANCE.md, "Adaptive
-    parallelism").  Results are identical either way. *)
-val jobs : t -> int
-
 (** [depth t] is the last expanded level (0 after [create]): the store's
     newest level, [State_arena.levels - 1]. *)
 val depth : t -> int
@@ -172,11 +164,15 @@ val frontier_handles : t -> handle array
     means the reachable set is exhausted. *)
 val step_handles : t -> handle array
 
-(** [try_step ?last t ~cancel] expands one level, like
+(** [try_step ?last ?sources t ~cancel] expands one level, like
     {!step_handles}, and returns the new level's size (no handle array
-    is built; read the level with {!iter_level}).  [cancel] is polled
-    every 64 frontier states (and must be cheap, domain-safe and
-    monotonic — an [Atomic.t] flag set by a signal handler qualifies).
+    is built; read the level with {!iter_level}).  [sources] (default
+    [[(depth t, every entry)]]) are the stored levels to step from, each
+    with the increasing entry indices of the gates to apply: the new
+    level holds their children not stored before, source by source, each
+    level in its canonical order ({!Weighted} pulls a cost bucket from
+    the earlier ones so).  [cancel] is polled every 64 parents (and must
+    be cheap, domain-safe and monotonic — an [Atomic.t] flag set by a signal handler qualifies).
     When it fires the level is abandoned cleanly — its insertions are
     rolled back and the engine is exactly at the level boundary it
     started from, still open — and the result is [None].  A retried
@@ -190,8 +186,10 @@ val step_handles : t -> handle array
     functions from the new level may pass it: the census ({!Fmcf}) and
     the forward plan of {!Mce}.  Searches that read non-function images
     ({!Bidir}, the automata) step without it.
-    @raise Invalid_argument when the engine is closed. *)
-val try_step : ?last:bool -> t -> cancel:(unit -> bool) -> int option
+    @raise Invalid_argument when the engine is closed, or [sources] is
+    not a non-empty list of stored levels with increasing entry indices. *)
+val try_step :
+  ?last:bool -> ?sources:(int * int array) list -> t -> cancel:(unit -> bool) -> int option
 
 (** [handles_at_depth t d] is a fresh array of every state of depth [d]
     in the canonical frontier order (the order [step_handles] returned
@@ -234,13 +232,17 @@ val conj_bits : int
     {!conj_bits}, or -1 when absent. *)
 val locate : t -> Bytes.t -> int -> int
 
-(** [back_probe t e src soff ~depth ~dst] applies entry [e]'s inverse to
-    the image at [src.[soff ..]], writing the pre-image to [dst.[0 ..]]
-    ([dst] must not overlap [src]).  It is the pre-image's {!locate}
-    when every pre-image point admits [e] (the reasonable-product
-    constraint) and its state lies at level [depth]; -1 when a point
-    breaks [e]'s purity mask (the scan stops there, nothing is probed);
-    -2 when the probed pre-image is absent or at another level. *)
+(** [pre_image t e src soff ~dst] applies entry [e]'s inverse to the
+    image at [src.[soff ..]], writing the pre-image to [dst.[0 ..]]
+    ([dst] must not overlap [src]).  It is the pre-image's {!locate},
+    at whatever level it is stored, when every pre-image point admits
+    [e] (the reasonable-product constraint); -1 when a point breaks
+    [e]'s purity mask (the scan stops there, nothing is probed); -2
+    when the probed pre-image is absent. *)
+val pre_image : t -> Library.entry -> Bytes.t -> int -> dst:Bytes.t -> int
+
+(** [back_probe t e src soff ~depth ~dst] is {!pre_image} held to level
+    [depth]: -2 also when the pre-image is stored at another level. *)
 val back_probe : t -> Library.entry -> Bytes.t -> int -> depth:int -> dst:Bytes.t -> int
 
 (** {1 Key decoding} *)

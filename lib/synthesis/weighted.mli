@@ -3,16 +3,17 @@
     The paper's FMCF/MCE are breadth-first searches, correct only when
     every gate costs the same.  This module generalizes them to integer
     gate costs — the paper's "easily modified to take into account the
-    precise NMR costs" claim, made concrete — with Dial's algorithm over
-    the census store: states are {!Search}'s binary-image vectors in one
-    {!State_arena}, and each level is one round of one cost bucket (round
-    0: the states first reached at that cost through a priced gate; round
-    [r + 1]: what round [r] reaches through a cost-0 gate).  Priced
-    children wait in a ring of (largest gate cost + 1) buckets, so the
-    cost bound sizes nothing.  A witness comes from the backward step:
-    the least gate [g] whose pre-image admits [g], is stored at an
-    earlier level and lies in bucket [cost - cost g].  At the unit model
-    the answers, cascades included, are {!Mce.express}'s (tested). *)
+    precise NMR costs" claim, made concrete — with Dial's algorithm
+    stepped by the census engine: each level is one {!Search.try_step}
+    round of one cost bucket.  Round 0 of bucket [c] steps every level of
+    each bucket [c - k] through the gates of cost [k]; round [r + 1]
+    steps round [r] through the cost-0 gates.  Nothing waits between
+    buckets, so the cost bound sizes nothing.  A witness comes from the
+    backward step: the least gate [g] whose pre-image
+    ({!Search.pre_image}) admits [g], is stored at an earlier level and
+    lies in bucket [cost - cost g].  At the unit model the levels are
+    the census's and the answers, cascades included, {!Mce.express}'s
+    (tested). *)
 
 (** [express ?max_cost library ~model target] is a cascade of minimal
     total model cost implementing [target] (after a free input NOT layer

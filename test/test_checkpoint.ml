@@ -328,17 +328,32 @@ let test_one_write_per_level () =
 (* A save streams the store's key arenas into the file: it allocates a
    header and one shard's level sizes, not a buffer the size of the
    snapshot. *)
+(* Bytes allocated since [before], a [Gc.counters] reading: minor plus
+   major words less the promoted ones, which both count. *)
+let allocated_since (minor, promoted, major) =
+  let minor', promoted', major' = Gc.counters () in
+  (minor' -. minor +. (major' -. major) -. (promoted' -. promoted))
+  *. float_of_int (Sys.word_size / 8)
+
 let test_save_allocation () =
   with_temp_file @@ fun path ->
   let census = Fmcf.run ~max_depth:5 library4 in
-  let before = Gc.allocated_bytes () in
+  let before = Gc.counters () in
   Checkpoint.save (Fmcf.search census) path;
-  let allocated = Gc.allocated_bytes () -. before in
+  let allocated = allocated_since before in
   let written = String.length (read_file path) in
   checkb
     (Printf.sprintf "%.0f bytes allocated to write %d" allocated written)
     true
-    (allocated < float_of_int written /. 4.)
+    (allocated < float_of_int written /. 4.);
+  (* the bound catches a snapshot-sized buffer *)
+  let before = Gc.counters () in
+  ignore (Sys.opaque_identity (Bytes.create written));
+  let buffered = allocated_since before in
+  checkb
+    (Printf.sprintf "a %d-byte buffer reads %.0f bytes" written buffered)
+    true
+    (buffered >= float_of_int written /. 4.)
 
 (* {1 Resource guards} *)
 

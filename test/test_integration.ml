@@ -200,6 +200,84 @@ let test_rng_against_state_vector () =
       mv_dist
   done
 
+(* {1 Widths a search cannot store}
+
+   A search key holds one encoding point a byte: paper18 has 782 points
+   at 5 wires and the binary encoding 256 at 8.  Every search command
+   refuses the first such width as a usage error (exit 2) that names the
+   widest searchable one, before it prints anything. *)
+
+let qsynth_exe =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "qsynth.exe" ]
+
+(* [run_qsynth args] is qsynth's exit code, stdout and stderr; a run
+   still alive after ten seconds is killed and fails the test. *)
+let run_qsynth args =
+  let out = Filename.temp_file "qsynth" ".out" and err = Filename.temp_file "qsynth" ".err" in
+  let fd path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let fd_out = fd out and fd_err = fd err in
+  let pid =
+    Unix.create_process qsynth_exe (Array.of_list (qsynth_exe :: args)) Unix.stdin fd_out fd_err
+  in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  let rec wait n =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when n = 0 ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.failf "qsynth %s did not exit" (String.concat " " args)
+    | 0, _ ->
+        Unix.sleepf 0.05;
+        wait (n - 1)
+    | _, Unix.WEXITED code -> code
+    | _ -> Alcotest.failf "qsynth %s was killed" (String.concat " " args)
+  in
+  let code = wait 200 in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let result = (code, read out, read err) in
+  Sys.remove out;
+  Sys.remove err;
+  result
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* the 3-wire Toffoli on the last three of five wires *)
+let toffoli5 = String.concat "," (List.map string_of_int (List.init 32 (fun i -> if i >= 24 then i lxor 1 else i)))
+
+let test_too_wide (args, widest) () =
+  let requests = Filename.temp_file "qsynth" ".jsonl" in
+  Out_channel.with_open_bin requests (fun oc -> output_string oc "{\"spec\":\"toffoli\"}\n");
+  let socket = Filename.concat (Filename.get_temp_dir_name ()) "qsynth-too-wide.sock" in
+  let args =
+    List.map (function "REQUESTS" -> requests | "SOCKET" -> socket | a -> a) args
+  in
+  let code, out, err = run_qsynth args in
+  Sys.remove requests;
+  check Alcotest.int "exit" 2 code;
+  check Alcotest.string "stdout" "" out;
+  checkb
+    (Printf.sprintf "stderr names %d qubits: %s" widest err)
+    true
+    (contains err (Printf.sprintf "up to %d qubits" widest))
+
+let too_wide_cases =
+  [
+    ("census -q 5", [ "census"; "-q"; "5"; "-d"; "2" ], 4);
+    ("census -q 5 --quotient", [ "census"; "-q"; "5"; "-d"; "2"; "--quotient" ], 4);
+    ("census --library nct -q 8", [ "census"; "--library"; "nct"; "-q"; "8"; "-d"; "1" ], 7);
+    ("synth -q 5", [ "synth"; "-q"; "5"; toffoli5 ], 4);
+    ("describe -q 5", [ "describe"; "-q"; "5"; toffoli5 ], 4);
+    ("weighted -q 5", [ "weighted"; "-q"; "5"; "--max-cost"; "5"; toffoli5 ], 4);
+    ("batch -q 5", [ "batch"; "-q"; "5"; "REQUESTS" ], 4);
+    ("serve -q 5", [ "serve"; "-q"; "5"; "--socket"; "SOCKET" ], 4);
+  ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -210,6 +288,11 @@ let () =
           Alcotest.test_case "random S8 elements" `Slow test_express_random_s8_elements;
           Alcotest.test_case "NOT layers are free" `Slow test_not_layer_never_changes_cost;
         ] );
+      ( "command line",
+        List.map
+          (fun (name, args, widest) ->
+            Alcotest.test_case (name ^ " is a usage error") `Quick (test_too_wide (args, widest)))
+          too_wide_cases );
       ( "cross-layer",
         [
           Alcotest.test_case "probabilistic = deterministic on specs" `Slow

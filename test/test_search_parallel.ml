@@ -716,6 +716,91 @@ let test_final_reservation () =
   checkb "at the cap: completed" true (reason = Fmcf.Completed);
   check Alcotest.int "store = reservation" cap (Search.arena_bytes (Fmcf.search census))
 
+(* {1 Stepping from chosen sources} *)
+
+let all_gates library = Array.init (Library.size library) Fun.id
+
+(* Naming the default source, the newest level through every gate,
+   steps exactly as a plain step does. *)
+let test_default_source jobs () =
+  List.iter
+    (fun (quotient, depth) ->
+      let symmetry = if quotient then Some (Symmetry.create library4) else None in
+      let s = Search.create ~jobs ?symmetry library4 in
+      for d = 1 to depth do
+        ignore
+          (Search.try_step ~sources:[ (Search.depth s, all_gates library4) ] s ~cancel:never);
+        check_level
+          (Printf.sprintf "%s level %d, jobs=%d" (if quotient then "quotient" else "raw") d jobs)
+          (List.nth (sequential4 ~quotient ~depth:5) (d - 1))
+          (level_print s)
+      done)
+    [ (false, 4); (true, 5) ]
+
+(* Two sources with gate subsets: level 1 through the even entries and
+   level 3 through the odd ones.  The new level is every legal child
+   not stored before, in source order, parents in canonical order and
+   each parent's children in gate order, and jobs changes nothing. *)
+let test_two_sources () =
+  let entries = Library.entries library4 in
+  let evens = Array.of_list (List.filter (fun g -> g mod 2 = 0) (Array.to_list (all_gates library4))) in
+  let odds = Array.of_list (List.filter (fun g -> g mod 2 = 1) (Array.to_list (all_gates library4))) in
+  let sources = [ (1, evens); (3, odds) ] in
+  let step jobs =
+    let s = Search.create ~jobs library4 in
+    for _ = 1 to 3 do
+      ignore (Search.try_step s ~cancel:never)
+    done;
+    let expected = ref [] and seen = Hashtbl.create 4096 in
+    let encoding = Library.encoding library4 in
+    List.iter
+      (fun (d, gates) ->
+        Array.iter
+          (fun h ->
+            let key = Search.key_of_handle s h in
+            let signature =
+              String.fold_left
+                (fun acc c -> acc lor Mvl.Encoding.mixed_signature encoding (Char.code c))
+                0 key
+            in
+            Array.iter
+              (fun g ->
+                let e = entries.(g) in
+                if signature land e.Library.purity_mask = 0 then begin
+                  let child = String.map (fun c -> Char.chr e.Library.perm_array.(Char.code c)) key in
+                  if Search.handle_of_key s child = None && not (Hashtbl.mem seen child) then begin
+                    Hashtbl.replace seen child ();
+                    expected := child :: !expected
+                  end
+                end)
+              gates)
+          (Search.handles_at_depth s d))
+      sources;
+    (match Search.try_step ~sources s ~cancel:never with
+    | Some n -> check Alcotest.int (Printf.sprintf "new states, jobs=%d" jobs) (List.length !expected) n
+    | None -> Alcotest.fail "never cancelled");
+    (* the canonical order is shard by shard, each in insertion order *)
+    let shard key =
+      State_arena.shard_of_hash
+        (State_arena.hash_key (Bytes.of_string key) ~off:0 ~len:(String.length key))
+    in
+    check
+      Alcotest.(list string)
+      (Printf.sprintf "new level's keys, jobs=%d" jobs)
+      (List.stable_sort (fun a b -> compare (shard a) (shard b)) (List.rev !expected))
+      (Array.to_list (keys_of s 4));
+    level_print s
+  in
+  let sequential = step 1 in
+  List.iter (fun jobs -> check_level (Printf.sprintf "jobs=%d" jobs) sequential (step jobs)) jobs_under_test;
+  List.iter
+    (fun (name, sources) ->
+      match Search.try_step ~sources (Search.create library4) ~cancel:never with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "stepped from %s" name)
+    [ ("no source", []); ("a level not stored", [ (1, [| 0 |]) ]);
+      ("gates out of order", [ (0, [| 3; 2 |]) ]) ]
+
 let per_jobs name f =
   List.map
     (fun jobs ->
@@ -763,6 +848,13 @@ let () =
                 (test_closed_engine jobs))
             [ 1; 2 ]
         @ [ Alcotest.test_case "guarded reservation" `Quick test_final_reservation ] );
+      ( "sources",
+        List.map
+          (fun jobs ->
+            Alcotest.test_case (Printf.sprintf "default source (jobs=%d)" jobs) `Quick
+              (test_default_source jobs))
+          [ 1; 2 ]
+        @ [ Alcotest.test_case "two sources, gate subsets" `Quick test_two_sources ] );
       ( "adaptation",
         [ Alcotest.test_case "effective jobs at depth 7" `Quick test_effective_jobs ] );
     ]

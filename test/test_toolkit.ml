@@ -168,6 +168,24 @@ let test_weighted_census () =
   agree "nct past closure" ~max_cost:9 (Library.of_name "nct");
   agree "4-wire paper18" ~max_cost:4 (Library.make (Mvl.Encoding.make ~qubits:4))
 
+(* Four-wire spectra whose buckets pull from several earlier levels
+   (v-cheap: V 1, Feynman 2; feynman-cheap the other way round) and
+   settle cost-0 rounds (the quantum model's free NOT gates on nct). *)
+let test_weighted_four_wires () =
+  let pin name expected census =
+    check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) name expected census
+  in
+  let paper4 = Library.make (Mvl.Encoding.make ~qubits:4) in
+  pin "paper18 v-cheap to 8"
+    [ (0, 1); (2, 12); (4, 96); (5, 96); (6, 542); (7, 1488); (8, 2826) ]
+    (Weighted.census ~max_cost:8 paper4 ~model:Cost_model.v_cheap);
+  pin "paper18 feynman-cheap to 6"
+    [ (0, 1); (1, 12); (2, 96); (3, 542); (4, 2058); (5, 5316); (6, 7530) ]
+    (Weighted.census ~max_cost:6 paper4 ~model:Cost_model.feynman_cheap);
+  pin "nct quantum to 5"
+    [ (0, 16); (1, 192); (2, 1536); (3, 8672); (4, 32928); (5, 85824) ]
+    (Weighted.census ~max_cost:5 (Library.of_name ~qubits:4 "nct") ~model:Cost_model.quantum)
+
 (* The bound sizes nothing: the search ends when the target is found or
    the universe closes, so a huge bound costs what the answer costs. *)
 let test_weighted_huge_bound () =
@@ -444,6 +462,7 @@ let () =
           Alcotest.test_case "huge cost bound" `Quick test_weighted_huge_bound;
           Alcotest.test_case "nct NOT is priced" `Quick test_weighted_nct_not;
           Alcotest.test_case "cost-0 gates settle" `Quick test_weighted_free_gates;
+          Alcotest.test_case "four-wire spectra" `Quick test_weighted_four_wires;
         ] );
       ("weighted properties", weighted_props);
       ( "draw",
