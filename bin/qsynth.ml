@@ -431,10 +431,11 @@ let census_cmd =
     Arg.(value & flag & info [ "stats" ]
            ~doc:"After a $(b,--quotient) census, print the per-depth \
                  symmetry-quotient analysis: stored orbits vs the images \
-                 they stand for, and the measured reduction factor.  The \
-                 final level is stored as functions only, so its row counts \
-                 the orbits of G[depth], not of every image first reached \
-                 there.")
+                 they stand for, and the measured reduction factor.  A \
+                 census keeps at each level only the states that can still \
+                 become functions within --depth, so the rows of those \
+                 levels count the orbits it keeps (of G[depth] at the \
+                 final level), not of every image first reached there.")
   in
   let save_arg =
     Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE"
@@ -458,10 +459,13 @@ let census_cmd =
            ~doc:"Write a crash-safe snapshot of the search to $(docv) at level \
                  boundaries (atomically: temp file + rename), and a final one \
                  on any early stop.  Resume with $(b,--resume).  A snapshot \
-                 holds complete levels only: the final level is stored as \
-                 functions only, so the last snapshot of a completed run \
-                 sits at level depth-1; resumed to the same or a deeper \
-                 --depth, it re-runs the final level.")
+                 holds whole levels only.  A census keeps at each level \
+                 only the states that can still become functions within \
+                 --depth (the final level holds functions only), so the \
+                 last snapshot of a completed run sits at the deepest \
+                 whole level: depth-N+1 (or 0) for the paper's library on N \
+                 wires, depth-1 for a classical one.  Resumed to the same \
+                 or a deeper --depth, it re-runs the levels after it.")
   in
   let every_arg =
     Arg.(value & opt (pos_int ~what:"K") 1 & info [ "checkpoint-every" ] ~docv:"K"
@@ -478,8 +482,9 @@ let census_cmd =
     Arg.(value & opt (some (pos_int ~what:"N")) None & info [ "max-states" ] ~docv:"N"
            ~doc:"Stop before expanding the next level once $(docv) search states \
                  are stored; the census is reported as partial (exit 125).  \
-                 The count is the 'search states:' figure, in which the final \
-                 level counts only its functions.")
+                 The count is the 'search states:' figure, which counts at \
+                 each level only the states that can still become \
+                 functions within --depth.")
   in
   let max_mem_arg =
     Arg.(value & opt (some byte_size) None & info [ "max-mem" ] ~docv:"BYTES"

@@ -32,6 +32,8 @@ let make_binary ~qubits =
   (* point i is binary code i, as in [make] *)
   of_points ~qubits (Array.init (1 lsl qubits) (Pattern.of_binary_code ~qubits))
 
+let rec power b n = if n = 0 then 1 else b * power b (n - 1)
+let points ~qubits = power 4 qubits - power 3 qubits + 1
 let qubits e = e.qubits
 let size e = Array.length e.points
 let num_binary e = 1 lsl e.qubits

@@ -32,6 +32,10 @@ val make_binary : qubits:int -> t
 
 val qubits : t -> int
 
+(** [points ~qubits] is [size (make ~qubits)], 4^n - 3^n + 1, computed
+    without building a pattern. *)
+val points : qubits:int -> int
+
 (** [size e] is the number of permutable points (38 for 3 qubits). *)
 val size : t -> int
 

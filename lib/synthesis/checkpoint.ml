@@ -170,13 +170,13 @@ let write_atomic path bytes = atomically path (fun oc -> output_bytes oc bytes)
 
 let header_bytes = 8 + 4 + 8 + 4 + 8 + (4 * 4) + (2 * 8) + 4
 
-(* A closed engine's newest level holds functions only, which no
-   search could extend, so its snapshot stops at the level before: a
-   snapshot holds complete levels only, and resuming it re-runs the
-   final level. *)
+(* A bounded level holds only the states within its bound, which no
+   deeper search could extend alike, so a snapshot stops at the deepest
+   whole level: it holds whole levels only, and resuming it re-runs
+   the bounded ones. *)
 let header_of search =
   let library = Search.library search in
-  let depth = if Search.closed search then Search.depth search - 1 else Search.depth search in
+  let depth = Search.whole_depth search in
   let states = ref 0 in
   for d = 0 to depth do
     states := !states + Search.level_size search d
@@ -193,8 +193,9 @@ let header_of search =
   }
 
 (* The path and header of the last snapshot this process wrote.  The
-   closed-engine rule makes a census's final save repeat the snapshot
-   of the level before it, which is then not written again. *)
+   whole-level rule makes a census's saves after its deepest whole
+   level repeat that level's snapshot, which is then not written
+   again. *)
 let last_written = ref None
 
 let save search path =

@@ -71,14 +71,13 @@ val read_file : string -> Bytes.t
 
 (** [save search path] atomically writes a snapshot of [search] (which
     must sit at a level boundary, as it always does between
-    {!Search.step_handles} calls).  A snapshot holds complete levels
-    only: of a closed engine ({!Search.closed}, after a functions-only
-    final level) it holds the levels before the newest, so its depth is
-    one less than the engine's and resuming it to any depth re-runs the
-    final level as an uninterrupted run would.  A snapshot of the same
-    level (the same header) as the last one this process wrote to
-    [path] is not written again: after a census whose level hook saved
-    every level, the closed engine's snapshot is already on disk. *)
+    {!Search.step_handles} calls).  A snapshot holds whole levels only:
+    levels 0 .. {!Search.whole_depth}, the bounded levels after them
+    left out, so resuming it to any depth re-runs those levels as an
+    uninterrupted run would.  A snapshot of the same level (the same
+    header) as the last one this process wrote to [path] is not written
+    again: after a census whose level hook saved every level, the
+    snapshot of a bounded level is already on disk. *)
 val save : Search.t -> string -> unit
 
 (** [load ?jobs library path] restores a snapshot into a live search — a

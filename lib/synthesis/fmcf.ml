@@ -118,13 +118,15 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
   let over_states () =
     match max_states with None -> false | Some n -> Search.size search >= n
   in
-  (* The final level is stepped functions only: B[max_depth] is never
-     extended, and G[max_depth] is all the census reads from it. *)
-  let last () = Search.depth search + 1 = max_depth in
+  (* The census reads only functions, and a state mixed on m wires
+     needs at least m more gates to become one: a level k + 1 keeps the
+     states mixed on at most max_depth - (k + 1) wires, and B[max_depth]
+     only its functions. *)
+  let bound () = max_depth - Search.depth search - 1 in
   let over_mem () =
     match max_mem with
     | None -> false
-    | Some n -> Search.predicted_bytes ~last:(last ()) search > n
+    | Some n -> Search.predicted_bytes ~bound:(bound ()) search > n
   in
   let stop = ref None in
   while !stop = None && Search.depth search < max_depth do
@@ -133,7 +135,7 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
     else if over_states () then stop := Some Budget_states
     else if over_mem () then stop := Some Budget_mem
     else
-      match Search.try_step ~last:(last ()) search ~cancel with
+      match Search.try_step ~bound:(bound ()) search ~cancel with
       | None ->
           (* mid-level abandon: the engine rolled back to the last
              complete level; decide which guard fired *)

@@ -20,12 +20,15 @@
 
     The census runs on the image-keyed {!Search} engine, optionally
     quotiented by wire relabeling; both modes give identical counts,
-    members and witnesses.  B[k] is needed only to build level k+1, so
-    the final level B[max_depth] is never stored: it is stepped
-    functions only ({!Search.try_step} [~last:true]), and the engine
-    keeps exactly G[max_depth] there.  A level's [frontier_size] is
-    therefore |B[k]| below the final level and the final level's
-    function states at it.  The arena is the only census store: a level
+    members and witnesses.  B[k] is needed only to build the functions
+    of the levels after it, and a state mixed on m wires needs at least
+    m more gates to become a function, so level k is stepped with the
+    bound [max_depth - k] ({!Search.try_step} [~bound]): it keeps the
+    states of B[k] mixed on at most that many wires, and the final
+    level exactly G[max_depth].  A level's [frontier_size] is therefore
+    |B[k]| where the bound binds nothing (levels up to
+    [max_depth - n + 1] on n wires, for the paper's library) and the
+    states within the bound after that.  The arena is the only census store: a level
     keeps two counts, and members are built from the arena on demand.
     Witnesses are read from a step table (one canonical backward step
     per image reached) that the first witness read allocates. *)
@@ -41,8 +44,9 @@ type member = {
 type level = {
   cost : int;
   frontier_size : int;
-      (** distinct binary images first built with k gates — of the final
-          level of a completed run, only the functions among them *)
+      (** distinct binary images first built with k gates — of a
+          bounded level, only those within its bound ({!Search.bound}),
+          and of the final level of a completed run only the functions *)
   functions : int;
       (** |G[k]| under as-specified semantics, counted from the level's
           states ({!Symmetry.orbit_size} each when quotiented) *)
@@ -109,14 +113,16 @@ val run : ?max_depth:int -> ?jobs:int -> ?quotient:bool -> Library.t -> t
       synchronous write, so the level is on disk before it is
       counted).
 
-    The level [max_depth] is stepped functions only, after which the
-    engine is closed ({!Search.closed}); a checkpoint written then holds
-    levels 0 .. [max_depth - 1] and resumes to any depth.  The memory
-    guard checks that level's own, smaller reservation.
+    Level k + 1 is stepped with the bound [max_depth - k - 1], so the
+    level [max_depth] holds functions only and the engine cannot be
+    stepped after it ({!Search.bound}); a checkpoint written then holds
+    the whole levels 0 .. {!Search.whole_depth} and resumes to any
+    depth.  The memory guard checks each bounded level's own, smaller
+    reservation.
 
     @raise Invalid_argument when [resume] was built for a different
-    library, already sits beyond [max_depth], or is a closed engine
-    below [max_depth]. *)
+    library, already sits beyond [max_depth], or has a bounded newest
+    level below [max_depth]. *)
 val run_guarded :
   ?max_depth:int ->
   ?jobs:int ->

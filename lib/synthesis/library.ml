@@ -42,7 +42,8 @@ let make ?(name = default_name) ?(coset_reduction = true) ?gates encoding =
   Array.iteri (fun i e -> Hashtbl.replace by_gate e.gate i) entries;
   { name; encoding; entries; by_gate; coset_reduction }
 
-let byte_keys encoding = Encoding.size encoding <= 255
+let max_key_points = 255
+let byte_keys encoding = Encoding.size encoding <= max_key_points
 let name t = t.name
 let encoding t = t.encoding
 let entries t = t.entries
@@ -84,6 +85,7 @@ module Registry = struct
     summary : string;
     gates : qubits:int -> Gate.t list;
     encoding : qubits:int -> Encoding.t;
+    points : qubits:int -> int; (* the encoding's size, without building it *)
     coset_reduction : bool;
   }
 
@@ -99,6 +101,7 @@ module Registry = struct
          free NOT layer)";
       gates = (fun ~qubits -> Gate.all ~qubits);
       encoding = (fun ~qubits -> Encoding.make ~qubits);
+      points = Encoding.points;
       coset_reduction = true;
     }
 
@@ -109,6 +112,7 @@ module Registry = struct
         "classical NCT library: NOT, CNOT, Toffoli (binary encoding)";
       gates = (fun ~qubits -> Gate.nct ~qubits);
       encoding = (fun ~qubits -> Encoding.make_binary ~qubits);
+      points = (fun ~qubits -> 1 lsl qubits);
       coset_reduction = false;
     }
 
@@ -120,6 +124,7 @@ module Registry = struct
          Toffoli + generalized Fredkin families (binary encoding)";
       gates = (fun ~qubits -> Gate.nft ~qubits);
       encoding = (fun ~qubits -> Encoding.make_binary ~qubits);
+      points = (fun ~qubits -> 1 lsl qubits);
       coset_reduction = false;
     }
 
@@ -129,6 +134,7 @@ module Registry = struct
       summary = "classical NOT + CNOT library: the affine-linear functions (binary encoding)";
       gates = (fun ~qubits -> Gate.nc ~qubits);
       encoding = (fun ~qubits -> Encoding.make_binary ~qubits);
+      points = (fun ~qubits -> 1 lsl qubits);
       coset_reduction = false;
     }
 
@@ -140,6 +146,7 @@ module Registry = struct
          conclusion (binary encoding)";
       gates = (fun ~qubits -> Gate.ncp ~qubits);
       encoding = (fun ~qubits -> Encoding.make_binary ~qubits);
+      points = (fun ~qubits -> 1 lsl qubits);
       coset_reduction = false;
     }
 
@@ -165,12 +172,14 @@ let descriptor n =
 
 let of_name ?qubits n = Registry.instantiate ?qubits (descriptor n)
 
+(* The point count is checked before the encoding is built: paper18's
+   has 4^n patterns to enumerate, 1,048,576 at ten wires. *)
 let searchable ~qubits n =
   let d = descriptor n in
-  let encoding = d.encoding ~qubits in
-  if byte_keys encoding then Ok (Registry.compile d encoding)
+  let fits q = d.points ~qubits:q <= max_key_points in
+  if fits qubits then Ok (Registry.compile d (d.encoding ~qubits))
   else
-    let rec widest q = if byte_keys (d.encoding ~qubits:(q + 1)) then widest (q + 1) else q in
+    let rec widest q = if fits (q + 1) then widest (q + 1) else q in
     Error
       (Printf.sprintf
          "library %s is searchable up to %d qubits (a search stores one encoding point a \

@@ -51,7 +51,8 @@ val byte_keys : Mvl.Encoding.t -> bool
 
 (** [searchable ~qubits n] is {!of_name} when its encoding has
     {!byte_keys}; else an error naming the widest width that has (4 for
-    paper18, 7 for the binary libraries), with no gate compiled. *)
+    paper18, 7 for the binary libraries), decided from the point count
+    alone: no pattern is enumerated and no gate compiled. *)
 val searchable : qubits:int -> string -> (t, string) result
 
 (** [name t] is the library's registry name (e.g. ["paper18"], ["nft"]). *)

@@ -84,11 +84,12 @@ let search_until ~max_depth ~jobs ~should_stop library remainder =
       None
     end
     else begin
-      (* The target is a function, so the last allowed level need hold
-         functions only; every witness walk from it steps back into
-         complete levels. *)
-      let last = Search.depth search + 1 = max_depth in
-      match Search.try_step ~last search ~cancel:should_stop with
+      (* The target is a function, so a level needs only the states
+         that can still become one within [max_depth] gates, and the
+         last allowed level only functions; every witness walk from the
+         target finds the parents the full search would. *)
+      let bound = max_depth - Search.depth search - 1 in
+      match Search.try_step ~bound search ~cancel:should_stop with
       | None ->
           Log.info (fun m ->
               m "search cancelled mid-level at depth %d" (Search.depth search));

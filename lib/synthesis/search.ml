@@ -21,6 +21,8 @@ let s_domain_states = Telemetry.Series.create "search.domain.states"
 let m_orbits = Telemetry.Counter.create "search.quotient.orbits"
 let m_orbit_hits = Telemetry.Counter.create "search.quotient.hits"
 let s_orbits = Telemetry.Series.create "search.quotient.orbits.per_level"
+let s_kept = Telemetry.Series.create "search.level.kept"
+let s_dropped = Telemetry.Series.create "search.level.mixed_dropped"
 
 type handle = int
 
@@ -60,13 +62,17 @@ type t = {
   sym : Symmetry.t option; (* Some: quotient mode — keys are canonical image vectors *)
   entries : Library.entry array;
   signatures : int array; (* mixed signature of each encoding point *)
+  popcount : int array; (* signature -> its number of mixed wires *)
+  changes : int array; (* each entry's changeable-wire mask (see [change_mask]) *)
+  max_mixed : int; (* the most mixed wires a stored state can have *)
   (* quotient-mode tallies, kept on the engine (unlike the telemetry
      counters these are live even with telemetry disabled, so [census
      --stats] can report the collapse factor of a plain run) *)
   mutable orbit_fresh : int;
   mutable orbit_hits : int;
   mutable kids_per_parent : float; (* the last level's candidates per parent, 0 until known *)
-  mutable closed : bool; (* the newest level was stepped [~last]: functions only *)
+  mutable bound : int; (* the newest level's bound, [max_int] when whole *)
+  mutable whole_depth : int; (* the deepest whole level *)
   (* per-step scratch, reused across levels *)
   cand : candbuf array array; (* jobs x shards *)
   (* the step's parents, one segment per (source, shard) *)
@@ -74,13 +80,14 @@ type t = {
   mutable fstart : int array; (* each segment's first local index in its shard *)
   mutable src_perms : int array array array; (* each source's gates, hoisted *)
   mutable src_masks : int array array;
+  mutable src_changes : int array array;
   (* per-domain children of one parent (see expand_parent) *)
   raw : Bytes.t array; (* a child's image before canonicalization (quotient mode) *)
   kids : Bytes.t array; (* ngates * klen key bytes *)
   kid_hashes : int array array;
   canon_buf : Bytes.t; (* the canonical image a backward step probes for *)
   rejected_d : int array; (* per-domain counters, summed after the join *)
-  mixed_d : int array; (* legal children of a [~last] step dropped as non-functions *)
+  mixed_d : int array; (* legal children of a bounded step dropped by its bound *)
   fresh_d : int array;
   dup_d : int array;
   domain_states : int array; (* cumulative states inserted per domain *)
@@ -132,10 +139,40 @@ let key_length_of ~symmetry library =
         invalid_arg "Search: symmetry group too large for the conjugator field");
   num_binary
 
+(* A gate's changeable-wire mask: the wires whose mixedness it changes
+   at some point, the OR over points [p] of [sig p lxor sig (pa p)].  A
+   child's mixed wires are its parent's, except those of this mask; a
+   controlled-V or V-dagger changes its target, every classical gate
+   nothing. *)
+let change_mask signatures pa =
+  let m = ref 0 in
+  Array.iteri (fun p s -> m := !m lor (s lxor signatures.(pa.(p)))) signatures;
+  !m
+
 let make_engine ~jobs ~symmetry library ~store =
   let entries = Library.entries library in
   let encoding = Library.encoding library in
   let klen = key_length_of ~symmetry library in
+  let signatures =
+    Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding)
+  in
+  let qubits = Library.qubits library in
+  let popcount =
+    Array.init (1 lsl qubits) (fun s ->
+        let rec pop s = if s = 0 then 0 else (s land 1) + pop (s lsr 1) in
+        pop s)
+  in
+  let changes = Array.map (fun e -> change_mask signatures e.Library.perm_array) entries in
+  (* A gate keeps binary the wires its purity mask demands binary and it
+     does not change, so its children have at most the others mixed. *)
+  let max_mixed =
+    if Array.for_all (( = ) 0) signatures then 0
+    else
+      Array.fold_left max 0
+        (Array.mapi
+           (fun g e -> qubits - popcount.(e.Library.purity_mask land lnot changes.(g)))
+           entries)
+  in
   Telemetry.Gauge.set_int g_jobs jobs;
   {
     library;
@@ -144,16 +181,21 @@ let make_engine ~jobs ~symmetry library ~store =
     klen;
     sym = symmetry;
     entries;
-    signatures = Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding);
+    signatures;
+    popcount;
+    changes;
+    max_mixed;
     orbit_fresh = 0;
     orbit_hits = 0;
     kids_per_parent = 0.;
-    closed = false;
+    bound = max_int;
+    whole_depth = State_arena.levels store - 1;
     cand = Array.init jobs (fun _ -> Array.init num_shards (fun _ -> make_candbuf klen));
     fpos = [||];
     fstart = [||];
     src_perms = [||];
     src_masks = [||];
+    src_changes = [||];
     raw = Array.init jobs (fun _ -> Bytes.create klen);
     kids = Array.init jobs (fun _ -> Bytes.create (Array.length entries * klen));
     kid_hashes = Array.init jobs (fun _ -> Array.make (Array.length entries) 0);
@@ -220,7 +262,8 @@ let of_store ?(jobs = 1) ?symmetry library store =
   make_engine ~jobs ~symmetry library ~store
 
 let store t = t.store
-let closed t = t.closed
+let bound t = if t.bound = max_int then None else Some t.bound
+let whole_depth t = t.whole_depth
 let symmetry t = t.sym
 let key_length t = t.klen
 
@@ -266,22 +309,52 @@ let iter_functions t ~depth f =
     done
   end
 
-(* A [~last] level keeps only its function states, so its reservation
-   is the usual prediction scaled by the newest level's function share.
-   The share falls with depth wherever a level holds non-functions, so
-   the estimate errs on the large side; where every state is a
-   function (nct, nft) it is the usual prediction. *)
-let predicted_level ?(last = false) t =
+(* [level_bound t bound] is the bound a step keeps, [max_int] for a
+   whole level.  A bound no state can exceed is whole, except bound 0,
+   which makes the level final: on a binary encoding it keeps every
+   child, but nothing may be stepped after it. *)
+let level_bound t = function
+  | None -> max_int
+  | Some b when b < 0 -> invalid_arg "Search.try_step: a bound is at least 0"
+  | Some b -> if b > 0 && b >= t.max_mixed then max_int else b
+
+(* [within t ~depth ~bound] counts level [depth]'s states with at most
+   [bound] mixed wires, each key's scan stopping once it has more. *)
+let within t ~depth ~bound =
+  let klen = t.klen and signatures = t.signatures and popcount = t.popcount in
+  let n = ref 0 in
+  for s = 0 to State_arena.num_shards - 1 do
+    let src = State_arena.shard_arena t.store s in
+    for idx = State_arena.level_start t.store ~depth s
+        to State_arena.level_end t.store ~depth s - 1 do
+      let off = idx * klen in
+      let stop = off + klen in
+      let j = ref off and signature = ref 0 in
+      while !j < stop && Array.unsafe_get popcount !signature <= bound do
+        signature :=
+          !signature lor Array.unsafe_get signatures (Char.code (Bytes.unsafe_get src !j));
+        incr j
+      done;
+      if Array.unsafe_get popcount !signature <= bound then incr n
+    done
+  done;
+  !n
+
+(* A bounded level keeps only the children within its bound, so its
+   reservation is the usual prediction scaled by the newest level's
+   share of states within that bound.  The share falls with depth
+   wherever a level holds mixed states, so the estimate errs on the
+   large side; where no state can exceed the bound (nct, nft, and
+   every bound at least [max_mixed]) it is the usual prediction.
+   [bound] is [level_bound]'s. *)
+let predicted_level t ~bound =
   let p = State_arena.predicted_level t.store ~fanout:(Array.length t.entries) in
   let n = frontier_size t in
-  if (not last) || n = 0 then p
-  else begin
-    let functions = ref 0 in
-    iter_functions t ~depth:(depth t) (fun _ _ _ -> incr functions);
-    ((p * !functions) + n - 1) / n
-  end
+  if bound >= t.max_mixed || n = 0 then p
+  else ((p * within t ~depth:(depth t) ~bound) + n - 1) / n
 
-let predicted_bytes ?last t = State_arena.reserve_bytes t.store (predicted_level ?last t)
+let predicted_bytes ?bound t =
+  State_arena.reserve_bytes t.store (predicted_level t ~bound:(level_bound t bound))
 
 (* [run_workers ~parallel jobs f] runs [f 0 .. f (jobs-1)], either on
    [jobs] domains or sequentially on the calling one.  Every [f r] writes
@@ -321,64 +394,108 @@ let maps_binary t pa src soff =
   done;
   !j = stop
 
-(* [expand_parent t r i h ~last] writes every legal child of state [h]
+(* [expand_parent t r i h ~bound] writes every legal child of state [h]
    through source [i]'s gates into rank [r]'s child buffers, in gate
-   order: its key (the
-   canonical form in quotient mode) and the key's hash.  Returns the
-   number of children.  The parent's signature, which decides the legal
-   gates, is the OR of its key bytes' point signatures.  With [last]
-   only function children are written, tested on the raw image before
-   any hashing or canonicalization (a wire relabeling maps binary points
-   to binary points, so the canonical form is a function exactly when
-   the raw image is); the others are counted in [t.mixed_d.(r)], and
-   every gate not taken in [t.rejected_d.(r)].
+   order: its key (the canonical form in quotient mode) and the key's
+   hash.  Returns the number of children.  The parent's signature,
+   which decides the legal gates, is the OR of its key bytes' point
+   signatures.  Below [max_mixed], a child with more than [bound] mixed
+   wires is dropped before it is hashed, canonicalized or probed (a
+   wire relabeling permutes wires, so the raw image's count is the
+   canonical form's): a gate whose changeable wires cannot bring the
+   parent's mixed wires within [bound] is skipped before composing, one
+   that cannot take them past it is composed unchecked, and otherwise
+   the child's signature is ORed while composing (bound 0 tests the
+   image point by point, stopping at the first mixed one).  The dropped
+   children are counted in [t.mixed_d.(r)], and every gate not taken in
+   [t.rejected_d.(r)].
    Composing a parent's children before any of them is probed lets the
    probes run back to back, so their cache misses overlap. *)
-let expand_parent t r i h ~last =
+let keep = 0
+let check = 1
+let drop = 2
+
+let expand_parent t r i h ~bound =
   let klen = t.klen and pas = t.src_perms.(i) and masks = t.src_masks.(i) in
+  let changes = t.src_changes.(i) and signatures = t.signatures and popcount = t.popcount in
   let kids = t.kids.(r) and hashes = t.kid_hashes.(r) in
   let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
   let soff = State_arena.key_offset t.store h in
   let signature = ref 0 in
   for j = soff to soff + klen - 1 do
     signature :=
-      !signature lor Array.unsafe_get t.signatures (Char.code (Bytes.unsafe_get src j))
+      !signature lor Array.unsafe_get signatures (Char.code (Bytes.unsafe_get src j))
   done;
   let signature = !signature in
+  let bounded = bound < t.max_mixed in
   let k = ref 0 and mixed = ref 0 in
   for via = 0 to Array.length pas - 1 do
     let pa = Array.unsafe_get pas via in
     if signature land Array.unsafe_get masks via <> 0 then ()
-    else if last && not (maps_binary t pa src soff) then incr mixed
     else begin
-      let off = !k * klen in
-      (match t.sym with
-      | None ->
-          let acc = ref 0 in
-          for j = 0 to klen - 1 do
-            let b = Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j))) in
-            Bytes.unsafe_set kids (off + j) (Char.unsafe_chr b);
-            acc := (!acc * 131) + b
-          done;
-          (* finalize exactly as State_arena.hash_key *)
-          let hv = !acc in
-          let hv = hv lxor (hv lsr 23) in
-          let hv = hv * 0x2545F4914F6CDD1 in
-          let hv = hv lxor (hv lsr 29) in
-          Array.unsafe_set hashes !k (hv land max_int)
-      | Some sym ->
-          (* Quotiented: the stored key is a canonical image vector, so
-             applying the gate gives the child's raw image; hash only its
-             canonical form. *)
-          let raw = t.raw.(r) in
-          for j = 0 to klen - 1 do
-            Bytes.unsafe_set raw j
-              (Char.unsafe_chr
-                 (Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j)))))
-          done;
-          ignore (Symmetry.canon_into sym ~src:raw ~soff:0 ~dst:kids ~doff:off);
-          Array.unsafe_set hashes !k (State_arena.hash_key kids ~off ~len:klen));
-      incr k
+      let verdict =
+        if not bounded then keep
+        else
+          let change = Array.unsafe_get changes via in
+          if Array.unsafe_get popcount (signature land lnot change) > bound then drop
+          else if Array.unsafe_get popcount (signature lor change) <= bound then keep
+          else if bound = 0 then if maps_binary t pa src soff then keep else drop
+          else check
+      in
+      if verdict = drop then incr mixed
+      else begin
+        let off = !k * klen in
+        let csig = ref 0 in
+        match t.sym with
+        | None ->
+            let acc = ref 0 in
+            if verdict = keep then
+              for j = 0 to klen - 1 do
+                let b = Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j))) in
+                Bytes.unsafe_set kids (off + j) (Char.unsafe_chr b);
+                acc := (!acc * 131) + b
+              done
+            else
+              for j = 0 to klen - 1 do
+                let b = Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j))) in
+                Bytes.unsafe_set kids (off + j) (Char.unsafe_chr b);
+                acc := (!acc * 131) + b;
+                csig := !csig lor Array.unsafe_get signatures b
+              done;
+            if verdict = check && Array.unsafe_get popcount !csig > bound then incr mixed
+            else begin
+              (* finalize exactly as State_arena.hash_key *)
+              let hv = !acc in
+              let hv = hv lxor (hv lsr 23) in
+              let hv = hv * 0x2545F4914F6CDD1 in
+              let hv = hv lxor (hv lsr 29) in
+              Array.unsafe_set hashes !k (hv land max_int);
+              incr k
+            end
+        | Some sym ->
+            (* Quotiented: the stored key is a canonical image vector, so
+               applying the gate gives the child's raw image; hash only its
+               canonical form. *)
+            let raw = t.raw.(r) in
+            if verdict = keep then
+              for j = 0 to klen - 1 do
+                Bytes.unsafe_set raw j
+                  (Char.unsafe_chr
+                     (Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j)))))
+              done
+            else
+              for j = 0 to klen - 1 do
+                let b = Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j))) in
+                Bytes.unsafe_set raw j (Char.unsafe_chr b);
+                csig := !csig lor Array.unsafe_get signatures b
+              done;
+            if verdict = check && Array.unsafe_get popcount !csig > bound then incr mixed
+            else begin
+              ignore (Symmetry.canon_into sym ~src:raw ~soff:0 ~dst:kids ~doff:off);
+              Array.unsafe_set hashes !k (State_arena.hash_key kids ~off ~len:klen);
+              incr k
+            end
+      end
     end
   done;
   if !mixed > 0 then t.mixed_d.(r) <- t.mixed_d.(r) + !mixed;
@@ -398,9 +515,10 @@ let set_sources t sources =
   if sources = [] || not (List.for_all valid sources) then
     invalid_arg "Search.try_step: sources are stored levels, each with increasing entry indices";
   let sources = Array.of_list sources in
-  let hoist f = Array.map (fun (_, gates) -> Array.map (fun g -> f t.entries.(g)) gates) sources in
-  t.src_perms <- hoist (fun e -> e.Library.perm_array);
-  t.src_masks <- hoist (fun e -> e.Library.purity_mask);
+  let hoist f = Array.map (fun (_, gates) -> Array.map f gates) sources in
+  t.src_perms <- hoist (fun g -> t.entries.(g).Library.perm_array);
+  t.src_masks <- hoist (fun g -> t.entries.(g).Library.purity_mask);
+  t.src_changes <- hoist (fun g -> t.changes.(g));
   let segments = Array.length sources * num_shards in
   t.fstart <- Array.make segments 0;
   t.fpos <- Array.make (segments + 1) 0;
@@ -447,13 +565,13 @@ let walk t ~lo ~hi ~cancel f =
    within any given shard that is exactly the order in which the chunked
    path replays its candidates, so the stored states and their handles
    coincide with the parallel engine's.  [false] when [cancel] fired. *)
-let expand_insert_sequential t ~last ~cancel =
+let expand_insert_sequential t ~bound ~cancel =
   let klen = t.klen in
   let kids = t.kids.(0) and hashes = t.kid_hashes.(0) in
   let fresh = ref 0 and dup = ref 0 in
   let completed =
     walk t ~lo:0 ~hi:t.fpos.(Array.length t.fstart) ~cancel (fun i h ->
-        let k = expand_parent t 0 i h ~last in
+        let k = expand_parent t 0 i h ~bound in
         for c = 0 to k - 1 do
           if State_arena.try_insert t.store ~key:kids ~off:(c * klen) ~hash:hashes.(c) >= 0
           then incr fresh
@@ -495,7 +613,7 @@ let reserve_rows t ~e ~n =
 (* Phase 1: rank [r] expands its contiguous share of the chunk [lo ..
    hi-1] into per-shard candidate buffers.  Read-only on the store.
    Sets [stop] when [cancel] fires. *)
-let expand_chunk t r ~e ~lo ~hi ~last ~stop ~cancel =
+let expand_chunk t r ~e ~lo ~hi ~bound ~stop ~cancel =
   let klen = t.klen in
   let row = t.cand.(r) in
   for s = 0 to num_shards - 1 do
@@ -505,7 +623,7 @@ let expand_chunk t r ~e ~lo ~hi ~last ~stop ~cancel =
   let len = hi - lo in
   let completed =
     walk t ~lo:(lo + (r * len / e)) ~hi:(lo + ((r + 1) * len / e)) ~cancel (fun i h ->
-        let k = expand_parent t r i h ~last in
+        let k = expand_parent t r i h ~bound in
         for c = 0 to k - 1 do
           let hash = hashes.(c) in
           cand_append row.(State_arena.shard_of_hash hash) ~degree:klen kids ~off:(c * klen) ~hash
@@ -541,7 +659,7 @@ let dedupe_shards t r ~e =
 (* The chunked level: phase 1 then phase 2 for each chunk in frontier
    order, so every shard still sees its candidates in global frontier
    order.  [false] when [cancel] fired, before that chunk's phase 2. *)
-let expand_insert_chunked t ~e ~last ~cancel =
+let expand_insert_chunked t ~e ~bound ~cancel =
   let n = t.fpos.(Array.length t.fstart) in
   let parallel = e > 1 in
   let stop = Atomic.make false in
@@ -550,7 +668,7 @@ let expand_insert_chunked t ~e ~last ~cancel =
     let hi = min n (!lo + chunk_parents) in
     let lo' = !lo in
     Telemetry.Histogram.time h_expand (fun () ->
-        run_workers ~parallel e (fun r -> expand_chunk t r ~e ~lo:lo' ~hi ~last ~stop ~cancel));
+        run_workers ~parallel e (fun r -> expand_chunk t r ~e ~lo:lo' ~hi ~bound ~stop ~cancel));
     if not (Atomic.get stop) then
       Telemetry.Histogram.time h_merge (fun () ->
           run_workers ~parallel e (fun r -> dedupe_shards t r ~e));
@@ -558,9 +676,18 @@ let expand_insert_chunked t ~e ~last ~cancel =
   done;
   not (Atomic.get stop)
 
-let try_step ?(last = false) ?sources t ~cancel =
-  if t.closed then
-    invalid_arg "Search.try_step: the engine is closed (its newest level holds functions only)";
+(* Every bounded level is exact (it holds the full level's states
+   within its bound) when each bound is below the one before: a gate
+   changes the mixedness of at most one wire, so a state with [b]
+   mixed wires has its shortest-path parents within [b + 1]. *)
+let try_step ?bound ?sources t ~cancel =
+  let bound = level_bound t bound in
+  if t.bound < max_int && bound >= t.bound then
+    invalid_arg
+      (Printf.sprintf "Search.try_step: the newest level is bounded by %d; the next bound must be lower"
+         t.bound);
+  if bound < t.max_mixed && Array.exists (fun c -> t.popcount.(c) > 1) t.changes then
+    invalid_arg "Search.try_step: a bounded level needs gates that each change one wire's mixedness";
   let sources =
     Option.value sources ~default:[ (depth t, Array.init (Array.length t.entries) Fun.id) ]
   in
@@ -570,7 +697,7 @@ let try_step ?(last = false) ?sources t ~cancel =
   let next_depth = depth t + 1 in
   let n = t.fpos.(Array.length t.fstart) in
   (* the newest level's prediction binds unless other sources make fewer *)
-  let reserve = min (predicted_level ~last t) most in
+  let reserve = min (predicted_level t ~bound) most in
   (* The step's effective rank count: small frontiers collapse to one
      rank (run inline — spawning domains for them costs more than it
      saves), and the configured jobs are capped by the core count.  The
@@ -587,10 +714,10 @@ let try_step ?(last = false) ?sources t ~cancel =
   let completed =
     if t.jobs = 1 then
       Telemetry.Histogram.time h_expand (fun () ->
-          expand_insert_sequential t ~last ~cancel)
+          expand_insert_sequential t ~bound ~cancel)
     else begin
       reserve_rows t ~e ~n;
-      expand_insert_chunked t ~e ~last ~cancel
+      expand_insert_chunked t ~e ~bound ~cancel
     end
   in
   if not completed then begin
@@ -607,7 +734,8 @@ let try_step ?(last = false) ?sources t ~cancel =
   let fresh = sum t.fresh_d and dup = sum t.dup_d and mixed = sum t.mixed_d in
   let rejected = sum t.rejected_d - mixed in
   if n > 0 then t.kids_per_parent <- float_of_int (fresh + dup) /. float_of_int n;
-  t.closed <- last;
+  t.bound <- bound;
+  if bound = max_int then t.whole_depth <- next_depth;
   for r = 0 to t.jobs - 1 do
     t.domain_states.(r) <- t.domain_states.(r) + t.fresh_d.(r)
   done;
@@ -615,6 +743,8 @@ let try_step ?(last = false) ?sources t ~cancel =
   Telemetry.Counter.add m_states_dup dup;
   Telemetry.Counter.add m_sig_rejected rejected;
   Telemetry.Counter.add m_mixed_dropped mixed;
+  Telemetry.Series.set s_kept ~index:next_depth fresh;
+  Telemetry.Series.set s_dropped ~index:next_depth mixed;
   (match t.sym with
   | None -> ()
   | Some _ ->
@@ -640,8 +770,8 @@ let try_step ?(last = false) ?sources t ~cancel =
     Telemetry.Span.set_attr "new" (Telemetry.Json.Int fresh);
     Telemetry.Span.set_attr "duplicate" (Telemetry.Json.Int dup);
     Telemetry.Span.set_attr "signature_rejected" (Telemetry.Json.Int rejected);
-    if last then begin
-      Telemetry.Span.set_attr "last" (Telemetry.Json.Bool true);
+    if bound < max_int then begin
+      Telemetry.Span.set_attr "bound" (Telemetry.Json.Int bound);
       Telemetry.Span.set_attr "mixed_dropped" (Telemetry.Json.Int mixed)
     end;
     Telemetry.Span.set_attr "parallel" (Telemetry.Json.Bool parallel);

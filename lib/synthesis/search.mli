@@ -25,18 +25,26 @@
     copies the key arenas at most once; that prediction is also what a
     memory cap checks ({!predicted_bytes}).
 
-    {b Functions-only final level.}  A bounded census never extends its
-    last level, and reads only the functions from it.  [try_step
-    ~last:true] therefore drops every child whose image has a mixed
-    point before it is hashed, canonicalized or probed, and stores only
-    the level's function states: exactly the function keys the full
-    level holds, in the same canonical order.  After such a step the
-    engine is {e closed}: its newest level is not a frontier, and it
-    cannot be stepped again ({!closed}).  Every level before the
-    newest is complete, so backward steps ({!cascade_of_key},
-    {!all_cascades}, {!count_point_perms}) from a function of the
-    closed level walk complete levels only, and a snapshot of a closed
-    engine holds its complete levels ({!Checkpoint.save}).
+    {b Bounded levels.}  A state is {e mixed} on a wire when some point
+    of its image carries a mixed value there.  A gate's controls must be
+    binary on every image point (Definition 1), so one gate clears mixed
+    values from at most one wire, its target: a state mixed on [m]
+    wires needs at least [m] more gates to become a function.  A census
+    to depth [d] reads only functions, so level [k] needs only the
+    states mixed on at most [d - k] wires.  [try_step ~bound:b] keeps
+    exactly those children: a child mixed on more than [b] wires is
+    dropped before it is hashed, canonicalized or probed, and a gate
+    that cannot bring its parent within [b] is skipped before
+    composing.  The level then holds the full level's states within
+    [b], in the same canonical order, provided each bound is below the
+    one before: a state within [b] has its shortest-path parents within
+    [b + 1] ({!try_step} refuses any other bound).  Bound 0 is the
+    functions-only final level; after it the engine cannot be stepped
+    again ({!bound}).  Backward steps ({!cascade_of_key},
+    {!all_cascades}, {!count_point_perms}) from a state of a bounded
+    level find the parents the full search would (a legal pre-image is
+    mixed on at most one more wire), and a snapshot holds the whole
+    levels only ({!whole_depth}, {!Checkpoint.save}).
 
     Frontier expansion is domain-parallel ([?jobs]): a level runs as
     consecutive fixed-size chunks of the frontier; each chunk is expanded
@@ -121,18 +129,24 @@ val size : t -> int
     probe tables at their reserved capacities ({!State_arena.bytes}). *)
 val arena_bytes : t -> int
 
-(** [predicted_bytes ?last t] is what {!arena_bytes} will be once the
+(** [predicted_bytes ?bound t] is what {!arena_bytes} will be once the
     next level's reservation is made: the figure a memory cap checks
-    before expanding a level.  With [~last:true] (default [false]) it is
-    the reservation of a functions-only level ({!try_step}): the usual
-    prediction scaled by the newest level's share of function states.
-    A level larger than predicted grows past it by doubling. *)
-val predicted_bytes : ?last:bool -> t -> int
+    before expanding a level.  With [~bound] it is the reservation of a
+    level stepped with that bound ({!try_step}): the usual prediction
+    scaled by the newest level's share of states mixed on at most
+    [bound] wires.  A level larger than predicted grows past it by
+    doubling. *)
+val predicted_bytes : ?bound:int -> t -> int
 
-(** [closed t] holds once a [~last:true] step completed: the newest
-    level holds function states only and {!try_step} refuses to extend
-    it. *)
-val closed : t -> bool
+(** [bound t] is the newest level's bound ({!try_step}), [None] when
+    the level is whole.  [Some 0]: the newest level holds function
+    states only and {!try_step} refuses to extend it. *)
+val bound : t -> int option
+
+(** [whole_depth t] is the deepest whole level: every level up to it
+    holds every state first reached at its depth, and the levels after
+    it are bounded. *)
+val whole_depth : t -> int
 
 (** {1 Handle interface (hot paths)} *)
 
@@ -164,7 +178,7 @@ val frontier_handles : t -> handle array
     means the reachable set is exhausted. *)
 val step_handles : t -> handle array
 
-(** [try_step ?last ?sources t ~cancel] expands one level, like
+(** [try_step ?bound ?sources t ~cancel] expands one level, like
     {!step_handles}, and returns the new level's size (no handle array
     is built; read the level with {!iter_level}).  [sources] (default
     [[(depth t, every entry)]]) are the stored levels to step from, each
@@ -178,18 +192,23 @@ val step_handles : t -> handle array
     started from, still open — and the result is [None].  A retried
     level is byte-identical to an uninterrupted one.
 
-    [last] (default [false]) steps the final level of a bounded search
-    as functions only (see above): the result counts function states,
-    the stored states, their handles and their order are the function
-    subset of the full level's for every [jobs] value, and the engine
-    is closed afterwards.  Only a caller that reads nothing but
-    functions from the new level may pass it: the census ({!Fmcf}) and
-    the forward plan of {!Mce}.  Searches that read non-function images
-    ({!Bidir}, the automata) step without it.
-    @raise Invalid_argument when the engine is closed, or [sources] is
-    not a non-empty list of stored levels with increasing entry indices. *)
+    [bound] (default: none, a whole level) keeps only the children
+    mixed on at most [bound] wires (see above): the result counts the
+    kept states, and the stored states, their handles and their order
+    are that subset of the full level's for every [jobs] value.  A
+    bound no state can exceed leaves the level whole, except 0: a
+    bound-0 level is final.  Only a caller that reads nothing but
+    functions within [bound] more gates may pass it: the census
+    ({!Fmcf}), the forward plan of {!Mce} and the last bucket of
+    {!Weighted}.  Searches that read every image ({!Bidir}, the
+    automata) step without it.
+    @raise Invalid_argument when the newest level is bounded and
+    [bound] is not below its bound (a whole level only follows a whole
+    one), [bound] is negative or, bounding the level, some gate changes
+    the mixedness of more than one wire, or [sources] is not a
+    non-empty list of stored levels with increasing entry indices. *)
 val try_step :
-  ?last:bool -> ?sources:(int * int array) list -> t -> cancel:(unit -> bool) -> int option
+  ?bound:int -> ?sources:(int * int array) list -> t -> cancel:(unit -> bool) -> int option
 
 (** [handles_at_depth t d] is a fresh array of every state of depth [d]
     in the canonical frontier order (the order [step_handles] returned

@@ -23,10 +23,10 @@ let run ~max_cost library ~model ~stop =
   let search = Search.create library and level_cost = ref [ 0 ] (* newest first *) in
   (* Steps bucket [c]'s next level from [sources] and drops it when it
      is empty.  With no free gate nothing at the bound is expanded and
-     only its functions are read, so that level is stepped [~last]. *)
+     only its functions are read, so that level is stepped with bound 0. *)
   let step c sources =
-    let last = c = max_cost && free = [||] in
-    match Search.try_step ~last ~sources search ~cancel:(fun () -> false) with
+    let bound = if c = max_cost && free = [||] then Some 0 else None in
+    match Search.try_step ?bound ~sources search ~cancel:(fun () -> false) with
     | Some 0 -> State_arena.abandon_level (Search.store search); false
     | _ -> level_cost := c :: !level_cost; true
   in

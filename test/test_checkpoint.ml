@@ -24,10 +24,13 @@ let with_temp_file f =
         [ path; path ^ ".tmp" ])
     (fun () -> f path)
 
-let search_at library depth =
+(* [search_at ?horizon library depth]: levels 1..depth stepped whole,
+   or bounded as a census to depth [horizon] bounds them *)
+let search_at ?horizon library depth =
   let s = Search.create library in
-  for _ = 1 to depth do
-    ignore (Search.step_handles s)
+  for d = 1 to depth do
+    let bound = Option.map (fun h -> h - d) horizon in
+    ignore (Search.try_step ?bound s ~cancel:(fun () -> false))
   done;
   s
 
@@ -274,9 +277,9 @@ let checkpointed_census ?(every = 1) ?(quotient = false) library depth path =
 
 (* The snapshot a checkpointed census leaves, pinned by length and MD5
    ([census -d 6 --checkpoint F] and [census -q 4 -d 5 --quotient
-   --checkpoint F]): the final level holds functions only, so it keeps
-   the complete levels before it, and resuming it gives the
-   uninterrupted census. *)
+   --checkpoint F]): levels past d - n + 1 are bounded, so it keeps the
+   whole levels 0..d-n+1, and resuming it gives the uninterrupted
+   census. *)
 let test_checkpointed_census_bytes () =
   List.iter
     (fun (name, library, quotient, depth, len, md5) ->
@@ -285,15 +288,20 @@ let test_checkpointed_census_bytes () =
       check Alcotest.int (name ^ ": file length") len (String.length (read_file path));
       check Alcotest.string (name ^ ": MD5") md5 (Digest.to_hex (Digest.file path));
       let r = Checkpoint.load library path in
-      check Alcotest.int (name ^ ": snapshot depth") (depth - 1) (Search.depth r))
+      check Alcotest.int (name ^ ": snapshot depth")
+        (depth - Library.qubits library + 1)
+        (Search.depth r))
     [
-      ("census -d 6", library3, false, 6, 49_544, "77f0f0b2499b69b2cb3d31ddc352977e");
+      (* levels 0-4: 68-byte header, 64 shards x 5 level sizes x 4 bytes,
+         2,626 keys x 8 bytes and the 4-byte CRC *)
+      ("census -d 6", library3, false, 6, 22_360, "811b4feedde80f1daea5ce20fee709ab");
+      (* levels 0-2: 68 + 64 x 3 x 4 + 37 orbits x 16 + 4 *)
       ( "census -q 4 -d 5 --quotient",
         library4,
         true,
         5,
-        52_632,
-        "0ee87f5b49e8de99cccdbd4e270ea094" );
+        1_432,
+        "5307ebbbd5ea5111a2b566c220dd6deb" );
     ];
   with_temp_file @@ fun path ->
   ignore (checkpointed_census library3 census_depth path);
@@ -304,9 +312,10 @@ let test_checkpointed_census_bytes () =
   checkb "resumed census = uninterrupted census" true
     (census_sig census = census_sig (Lazy.force clean_census))
 
-(* One write per level: the final level's snapshot is the level before
-   it, which the level hook already wrote, so [census -d 7] writes
-   levels 0-6 and [--checkpoint-every 3] levels 0, 3 and 6. *)
+(* One write per whole level: a bounded level's snapshot is the deepest
+   whole level's, level 5 of [census -d 7], which is written once, so
+   [census -d 7] writes levels 0-5 and [--checkpoint-every 3] levels 0
+   and 3, then 5 from the hook at level 6. *)
 let test_one_write_per_level () =
   let writes = Telemetry.Counter.create "search.checkpoint.count" in
   List.iter
@@ -321,9 +330,9 @@ let test_one_write_per_level () =
         (Printf.sprintf "snapshots written, every %d" every)
         expected
         (Telemetry.Counter.value writes - before);
-      check Alcotest.int "last snapshot" (census_depth - 1)
+      check Alcotest.int "last snapshot" (census_depth - 2)
         (Search.depth (Checkpoint.load library3 path)))
-    [ (1, 7); (3, 3) ]
+    [ (1, 6); (3, 3) ]
 
 (* A save streams the store's key arenas into the file: it allocates a
    header and one shard's level sizes, not a buffer the size of the
@@ -337,9 +346,10 @@ let allocated_since (minor, promoted, major) =
 
 let test_save_allocation () =
   with_temp_file @@ fun path ->
-  let census = Fmcf.run ~max_depth:5 library4 in
+  (* whole levels 0..4 at four wires: 74,557 states, 1.19 MB *)
+  let s = search_at library4 4 in
   let before = Gc.counters () in
-  Checkpoint.save (Fmcf.search census) path;
+  Checkpoint.save s path;
   let allocated = allocated_since before in
   let written = String.length (read_file path) in
   checkb
@@ -357,10 +367,13 @@ let test_save_allocation () =
 
 (* {1 Resource guards} *)
 
-(* A census closes its engine at the final level, which holds functions
-   only, so its snapshot keeps levels 0..d-1: depth d-1, their states,
-   and level d-1 as the frontier.  Resumed to d it re-runs the final
-   level, and resumed to d+1 it runs on; either way the census is the
+(* A census to depth d bounds level k by the d - k mixed wires a state
+   may still clear, which binds once d - k falls below n - 1 (a paper18
+   state is mixed on at most n - 1 of its n wires: every gate keeps a
+   binary control), and its final level holds functions only.  So its snapshot
+   keeps the whole levels 0..d-n+1: that depth, their states, and level
+   d-n+1 as the frontier.  Resumed to d it re-runs the bounded levels,
+   and resumed to d+1 it runs on; either way the census is the
    uninterrupted one's, member for member. *)
 let closed_sig c =
   List.map
@@ -386,15 +399,17 @@ let test_closed_snapshot (library, depth) quotient jobs () =
   in
   let census = run depth in
   let s = Fmcf.search census in
-  checkb (name ^ ": closed") true (Search.closed s);
+  checkb (name ^ ": final") true (Search.bound s = Some 0);
+  let whole = depth - Library.qubits library + 1 in
+  check Alcotest.int (name ^ ": deepest whole level") whole (Search.whole_depth s);
   Checkpoint.save s path;
   let r = Checkpoint.load ~jobs library path in
-  check Alcotest.int (name ^ ": snapshot depth") (depth - 1) (Search.depth r);
+  check Alcotest.int (name ^ ": snapshot depth") whole (Search.depth r);
   check Alcotest.int (name ^ ": snapshot states")
-    (Search.size s - Search.level_size s depth)
+    (List.fold_left ( + ) 0 (List.init (whole + 1) (Search.level_size s)))
     (Search.size r);
   check Alcotest.int (name ^ ": snapshot frontier")
-    (Search.level_size s (depth - 1))
+    (Search.level_size s whole)
     (Search.frontier_size r);
   List.iter
     (fun d ->
@@ -427,12 +442,15 @@ let test_budget_mem () =
     (prefix_of_clean census)
 
 (* Four wires: the cap sits one byte under what the store would hold
-   once level 4's reservation is made, so levels 1-3 run and the census
-   stops PARTIAL at that boundary, before reserving, with the store
-   under the cap and every level exactly the uncapped run's. *)
+   once level 4's reservation is made (bounded by the one mixed wire a
+   depth-5 census leaves it), so levels 1-3 run and the census stops
+   PARTIAL at that boundary, before reserving, with the store under the
+   cap and every level exactly the uncapped run's: levels 0-2 whole, and
+   level 3's 7,174 states within two mixed wires. *)
 let test_budget_mem_four_wires () =
-  let clean = search_at library4 3 in
-  let cap = Search.predicted_bytes clean - 1 in
+  let clean = search_at ~horizon:5 library4 3 in
+  check Alcotest.int "level 3 within two mixed wires" 7_174 (Search.level_size clean 3);
+  let cap = Search.predicted_bytes ~bound:1 clean - 1 in
   let census, reason = Fmcf.run_guarded ~max_depth:5 ~max_mem:cap library4 in
   checkb "stop reason" true (reason = Fmcf.Budget_mem);
   let s = Fmcf.search census in
@@ -507,8 +525,9 @@ let qcheck_round_trip =
    before the CRC, where a shard's level sizes sit between the keys of
    its neighbours (a third of the open snapshot's body).  The snapshots
    are one of
-   an open engine (raw, depth 3) and one of a closed engine (a quotient
-   census to depth 4, whose snapshot holds levels 0..3). *)
+   an open engine (raw, depth 3) and one of a bounded census (a
+   quotient census to depth 4, whose snapshot holds its whole levels
+   0..2). *)
 
 let reseal b =
   let len = Bytes.length b in
@@ -541,8 +560,8 @@ let mutate src (_, writes) ~head =
 
 let qcheck_loader_fuzz =
   qcheck_test ~count:400 "mutated snapshots load or raise typed" mutations
-    (fun ((closed, _) as m) ->
-      let src = List.nth (Lazy.force fuzz_sources) (if closed then 1 else 0) in
+    (fun ((bounded, _) as m) ->
+      let src = List.nth (Lazy.force fuzz_sources) (if bounded then 1 else 0) in
       let damaged = mutate src m ~head:68 in
       with_temp_file @@ fun path ->
       write_file path (Bytes.to_string damaged);

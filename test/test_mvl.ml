@@ -143,7 +143,15 @@ let test_encoding_one_qubit () =
 let test_encoding_sizes () =
   check Alcotest.int "n=2: 16-9+1" 8 (Encoding.size (Encoding.make ~qubits:2));
   check Alcotest.int "n=3: 64-27+1" 38 (Encoding.size (Encoding.make ~qubits:3));
-  check Alcotest.int "n=4: 256-81+1" 176 (Encoding.size (Encoding.make ~qubits:4))
+  check Alcotest.int "n=4: 256-81+1" 176 (Encoding.size (Encoding.make ~qubits:4));
+  (* the count a width check reads before enumerating any pattern *)
+  for qubits = 1 to 6 do
+    check Alcotest.int
+      (Printf.sprintf "points ~qubits:%d" qubits)
+      (Encoding.size (Encoding.make ~qubits))
+      (Encoding.points ~qubits)
+  done;
+  check Alcotest.int "n=10: 4^10-3^10+1" 989_528 (Encoding.points ~qubits:10)
 
 let test_encoding_binary_block () =
   let e = Encoding.make ~qubits:3 in

@@ -109,13 +109,16 @@ let test_save_byte_identity () =
 
 (* State counts under the same 1 GiB arena guard, raw and quotiented, at
    depths 7 and 8: the quotient keeps about one state in six, and both
-   modes count the same functions.  A census stores its final level as
-   functions only, so each count is levels 0..d-1 plus the final level's
-   function states (orbits when quotiented):
-   - depth 7: raw 10,872 + 540, quotient 1,835 + 94;
-   - depth 8: raw 20,748 + 444, quotient 3,493 + 77.
-   (The full levels 7 and 8 hold 9,876 and 20,172 images, 1,658 and
-   3,379 orbits.) *)
+   modes count the same functions.  A census to depth d keeps at level
+   k the states mixed on at most d - k wires, which binds from level
+   d - 1 on at 3 wires, and the final level holds functions only, so
+   each count is the whole levels 0..d-2, then level d-1's states within
+   one mixed wire, then level d's function states (orbits when
+   quotiented):
+   - depth 7: raw 5,992 + 2,420 + 540, quotient 1,014 + 410 + 94;
+   - depth 8: raw 10,872 + 5,700 + 444, quotient 1,835 + 960 + 77.
+   (The full levels 6, 7 and 8 hold 4,880, 9,876 and 20,172 images,
+   821, 1,658 and 3,379 orbits.) *)
 let test_state_counts () =
   let guarded ~depth ~quotient =
     let census, reason =
@@ -142,7 +145,7 @@ let test_state_counts () =
         Alcotest.(list (pair int int))
         (Printf.sprintf "depth %d |G[k]|" depth)
         (Fmcf.counts raw) (Fmcf.counts quot))
-    [ (7, 11_412, 1_929); (8, 21_192, 3_570) ]
+    [ (7, 8_952, 1_518); (8, 17_016, 2_872) ]
 
 (* {1 Four wires: the S4 quotient} *)
 

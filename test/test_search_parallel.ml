@@ -568,11 +568,13 @@ let test_cancel_rollback jobs () =
 
 (* One reservation per level: a 4-wire depth-5 census allocates at most
    1.5x its final store in major-heap words (doubling columns and tables
-   as they fill allocates about 2.5x).  The census stores levels 0..4
-   whole (74,557 states) and level 5 as its 6,804 functions, 81,361
+   as they fill allocates about 2.5x).  The census stores levels 0..2
+   whole (685 states), level k = 3, 4 within 5 - k mixed wires (7,174
+   and 24,018 states) and level 5 as its 6,804 functions, 38,681
    states.  The store itself, 16-byte keys and 4-byte probe slots at
-   reserved capacity, is 2,955,056 bytes, and the test fails above it
-   (the full level 5 made it 15,962,064 bytes, 513,129 states). *)
+   reserved capacity, is 1,511,216 bytes, and the test fails above it
+   (whole levels 0..4 made it 2,955,056 bytes, 81,361 states, and the
+   full level 5 15,962,064 bytes, 513,129 states). *)
 let test_major_allocation () =
   Gc.compact ();
   let before = (Gc.quick_stat ()).Gc.major_words in
@@ -580,37 +582,48 @@ let test_major_allocation () =
   let words = (Gc.quick_stat ()).Gc.major_words -. before in
   let bytes = Search.arena_bytes (Fmcf.search census) in
   let store = float_of_int (bytes / 8) in
-  check Alcotest.int "states" (74_557 + 6_804) (Search.size (Fmcf.search census));
-  if bytes > 2_955_056 then Alcotest.failf "the store holds %d bytes" bytes;
+  check Alcotest.int "states" (685 + 7_174 + 24_018 + 6_804) (Search.size (Fmcf.search census));
+  if bytes > 1_511_216 then Alcotest.failf "the store holds %d bytes" bytes;
   if words > 1.5 *. store then
     Alcotest.failf "%.0f major words for a store of %.0f words (%.2fx)" words store
       (words /. store)
 
-(* {1 The functions-only final level}
+(* {1 Bounded levels}
 
-   A census steps its final level [~last:true]: only the children whose
-   image maps the binary block onto itself are deduplicated and stored.
-   Against a search stepped without it, levels 0..d-1 hold the same
-   handles and keys, level d holds exactly the full level's function
-   keys in the same canonical order, the final handles are the same for
-   every jobs value, and every final state's witness is the one the
-   full search reads for its key. *)
+   A census to depth [horizon] steps level d with bound [horizon - d]:
+   only the children mixed on at most that many wires are deduplicated
+   and stored, and the final level (bound 0) holds functions only.  A
+   bound of at least n - 1 leaves the level whole (a state is mixed on
+   at most n - 1 of its n wires: every gate keeps a binary control).
+   Against a search stepped whole, the whole levels hold the same
+   handles and keys, each bounded level holds exactly the full level's
+   keys within its bound in the same canonical order, the bounded
+   handles are the same for every jobs value, and every bounded state's
+   witness is the one the full search reads for its key. *)
 
-let stepped library ~jobs ~quotient ~depth ~last =
+let stepped ?horizon library ~jobs ~quotient ~depth =
   let symmetry = if quotient then Some (Symmetry.create library) else None in
   let s = Search.create ~jobs ?symmetry library in
   for d = 1 to depth do
-    ignore (Search.try_step ~last:(last && d = depth) s ~cancel:never)
+    let bound = Option.map (fun h -> h - d) horizon in
+    ignore (Search.try_step ?bound s ~cancel:never)
   done;
   s
 
 let keys_of s d = Array.map (Search.key_of_handle s) (Search.handles_at_depth s d)
 
-let function_keys s d =
-  let keys = ref [] in
-  Search.iter_functions s ~depth:d (fun key off _ ->
-      keys := Bytes.sub_string key off (Search.key_length s) :: !keys);
-  Array.of_list (List.rev !keys)
+(* the number of wires some point of the image carries a mixed value on *)
+let mixed_wires library key =
+  let encoding = Library.encoding library in
+  let signature =
+    String.fold_left (fun acc c -> acc lor Mvl.Encoding.mixed_signature encoding (Char.code c)) 0 key
+  in
+  let rec pop s = if s = 0 then 0 else (s land 1) + pop (s lsr 1) in
+  pop signature
+
+let keys_within library s d ~bound =
+  Array.of_list
+    (List.filter (fun key -> mixed_wires library key <= bound) (Array.to_list (keys_of s d)))
 
 (* the full searches every comparison is against, computed once each *)
 let full_runs = Hashtbl.create 4
@@ -620,7 +633,7 @@ let full_run library ~quotient ~depth =
   match Hashtbl.find_opt full_runs key with
   | Some s -> s
   | None ->
-      let s = stepped library ~jobs:1 ~quotient ~depth ~last:false in
+      let s = stepped library ~jobs:1 ~quotient ~depth in
       Hashtbl.replace full_runs key s;
       s
 
@@ -635,86 +648,117 @@ let test_functions_only_level jobs () =
           jobs
       in
       let full = full_run library ~quotient ~depth in
-      let last = stepped library ~jobs ~quotient ~depth ~last:true in
-      checkb (name ^ ": closed") true (Search.closed last);
-      checkb (name ^ ": the full search stays open") false (Search.closed full);
-      for d = 0 to depth - 1 do
+      let bounded = stepped library ~horizon:depth ~jobs ~quotient ~depth in
+      let whole = depth - Library.qubits library + 1 in
+      checkb (name ^ ": final") true (Search.bound bounded = Some 0);
+      checkb (name ^ ": the full search stays whole") true (Search.bound full = None);
+      check Alcotest.int (name ^ ": deepest whole level") whole (Search.whole_depth bounded);
+      check Alcotest.int (name ^ ": the full search's") depth (Search.whole_depth full);
+      for d = 0 to whole do
         check
           Alcotest.(array int)
           (Printf.sprintf "%s: level %d handles" name d)
-          (Search.handles_at_depth full d) (Search.handles_at_depth last d);
+          (Search.handles_at_depth full d) (Search.handles_at_depth bounded d);
         check
           Alcotest.(array string)
           (Printf.sprintf "%s: level %d keys" name d)
-          (keys_of full d) (keys_of last d)
+          (keys_of full d) (keys_of bounded d)
       done;
-      let functions = function_keys full depth in
-      check
-        Alcotest.(array string)
-        (name ^ ": final level = the full level's functions")
-        functions (keys_of last depth);
-      check Alcotest.int (name ^ ": states")
-        (Search.size full - Search.level_size full depth + Array.length functions)
-        (Search.size last);
-      if jobs > 1 then begin
-        let sequential = stepped library ~jobs:1 ~quotient ~depth ~last:true in
+      let states = ref (Search.size full) in
+      for d = whole + 1 to depth do
+        let within = keys_within library full d ~bound:(depth - d) in
         check
-          Alcotest.(array int)
-          (name ^ ": final handles as at jobs=1")
-          (Search.handles_at_depth sequential depth)
-          (Search.handles_at_depth last depth)
+          Alcotest.(array string)
+          (Printf.sprintf "%s: level %d = the full level within bound %d" name d (depth - d))
+          within (keys_of bounded d);
+        states := !states - Search.level_size full d + Array.length within
+      done;
+      check Alcotest.int (name ^ ": states") !states (Search.size bounded);
+      if jobs > 1 then begin
+        let sequential = stepped library ~horizon:depth ~jobs:1 ~quotient ~depth in
+        for d = whole + 1 to depth do
+          check
+            Alcotest.(array int)
+            (Printf.sprintf "%s: level %d handles as at jobs=1" name d)
+            (Search.handles_at_depth sequential d)
+            (Search.handles_at_depth bounded d)
+        done
       end;
-      Search.iter_level last depth (fun h ->
-          if State_arena.index_of_handle h land 7 = 0 then begin
-            let key = Search.key_of_handle last h in
-            if Search.cascade_of_handle last h <> Search.cascade_of_key full key then
-              Alcotest.failf "%s: handle %d has another witness" name h
-          end))
+      for d = whole + 1 to depth do
+        Search.iter_level bounded d (fun h ->
+            if State_arena.index_of_handle h land 7 = 0 then begin
+              let key = Search.key_of_handle bounded h in
+              if Search.cascade_of_handle bounded h <> Search.cascade_of_key full key then
+                Alcotest.failf "%s: handle %d has another witness" name h
+            end)
+      done)
     (List.concat_map (fun c -> [ (c, false); (c, true) ]) final_cases)
 
-(* A closed engine refuses another step, while a [~last] level that is
-   cancelled partway rolls back to an open engine at the level before,
-   whose retried step matches an uninterrupted one. *)
+(* Each bound must be below the newest level's: a bounded level refuses
+   an equal, higher or whole successor, and a final one any successor.
+   A final level cancelled partway rolls back to the level before,
+   still bounded as it was, whose retried step matches an uninterrupted
+   one. *)
 let test_closed_engine jobs () =
-  let expected = stepped library4 ~jobs:1 ~quotient:false ~depth:5 ~last:true in
-  let s = stepped library4 ~jobs ~quotient:false ~depth:4 ~last:false in
+  let expected = stepped library4 ~horizon:5 ~jobs:1 ~quotient:false ~depth:5 in
+  let s = stepped library4 ~jobs ~quotient:false ~depth:3 in
+  checkb "level 4, bound 1" true (Search.try_step ~bound:1 s ~cancel:never <> None);
+  check Alcotest.(array string) "level 4 = the full level within 1"
+    (keys_within library4 (full_run library4 ~quotient:false ~depth:5) 4 ~bound:1)
+    (keys_of s 4);
+  List.iter
+    (fun (name, bound) ->
+      match Search.try_step ?bound s ~cancel:never with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "a level bounded by 1 was followed by %s" name)
+    [ ("bound 1", Some 1); ("bound 2", Some 2); ("a whole level", None) ];
+  check Alcotest.int "depth after refusals" 4 (Search.depth s);
   let size = Search.size s in
   let polls = ref 0 in
   let cancel () =
     incr polls;
-    !polls > 600
+    !polls > 100
   in
   checkb "cancelled final level returns None" true
-    (Search.try_step ~last:true s ~cancel = None);
-  checkb "still open" false (Search.closed s);
+    (Search.try_step ~bound:0 s ~cancel = None);
+  checkb "still bounded by 1" true (Search.bound s = Some 1);
   check Alcotest.int "depth" 4 (Search.depth s);
   check Alcotest.int "size rolled back" size (Search.size s);
   checkb "retried final level completes" true
-    (Search.try_step ~last:true s ~cancel:never <> None);
-  checkb "closed" true (Search.closed s);
+    (Search.try_step ~bound:0 s ~cancel:never <> None);
+  checkb "final" true (Search.bound s = Some 0);
+  check Alcotest.int "whole levels" 3 (Search.whole_depth s);
   check Alcotest.(array string) "retried final level" (keys_of expected 5) (keys_of s 5);
-  (match Search.try_step s ~cancel:never with
+  (match Search.try_step ~bound:0 s ~cancel:never with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "a closed engine stepped again");
+  | _ -> Alcotest.fail "a final level stepped again");
   match Search.step_handles s with
   | exception Invalid_argument _ -> check Alcotest.int "depth unchanged" 5 (Search.depth s)
-  | _ -> Alcotest.fail "a closed engine stepped again"
+  | _ -> Alcotest.fail "a final level stepped again"
 
-(* The memory guard checks exactly what the final level reserves: at
-   four wires to depth 4, one byte under it stops the census at level 3,
-   and at it the census completes with no shard outgrowing its
-   reservation (531,840 bytes, against 2,955,056 for the full level). *)
+(* The memory guard checks exactly what a bounded level reserves.  A
+   four-wire census to depth 5 stores levels 0-2 whole (1, 36 and 648
+   states), level 3 within 2 mixed wires (7,174 of 7,686), level 4
+   within 1 (24,018 of 66,186) and level 5's 6,804 functions.  Level
+   4's reservation, scaled by level 3's share of states within one
+   mixed wire, is 1,511,216 bytes against 2,726,704 for the whole
+   level; one byte under it stops the census at level 3, and at it the
+   census completes: levels 4 and 5 fit in it, so no shard outgrows
+   it. *)
 let test_final_reservation () =
-  let at3 = stepped library4 ~jobs:1 ~quotient:false ~depth:3 ~last:false in
-  let cap = Search.predicted_bytes ~last:true at3 in
-  checkb "the final reservation is below a full level's" true
+  let at3 = stepped library4 ~horizon:5 ~jobs:1 ~quotient:false ~depth:3 in
+  let cap = Search.predicted_bytes ~bound:1 at3 in
+  check Alcotest.int "level 4's reservation" 1_511_216 cap;
+  checkb "the bounded reservation is below a whole level's" true
     (cap < Search.predicted_bytes at3);
-  let census, reason = Fmcf.run_guarded ~max_depth:4 ~max_mem:(cap - 1) library4 in
+  let census, reason = Fmcf.run_guarded ~max_depth:5 ~max_mem:(cap - 1) library4 in
   checkb "one byte under: Budget_mem" true (reason = Fmcf.Budget_mem);
   check Alcotest.int "stopped at level 3" 3 (Search.depth (Fmcf.search census));
-  let census, reason = Fmcf.run_guarded ~max_depth:4 ~max_mem:cap library4 in
+  let census, reason = Fmcf.run_guarded ~max_depth:5 ~max_mem:cap library4 in
   checkb "at the cap: completed" true (reason = Fmcf.Completed);
-  check Alcotest.int "store = reservation" cap (Search.arena_bytes (Fmcf.search census))
+  let s = Fmcf.search census in
+  check Alcotest.int "states" (1 + 36 + 648 + 7_174 + 24_018 + 6_804) (Search.size s);
+  check Alcotest.int "store = reservation" cap (Search.arena_bytes s)
 
 (* {1 Stepping from chosen sources} *)
 

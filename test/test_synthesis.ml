@@ -223,9 +223,12 @@ let test_search_levels () =
   check Alcotest.int "B2" 144 (Array.length (Search.step_handles search));
   check Alcotest.int "B3" 633 (Array.length (Search.step_handles search));
   check Alcotest.int "size after 3 levels" (1 + 18 + 144 + 633) (Search.size search);
-  (* the census steps its final level as functions only: levels 0..6
-     hold 10,872 images, and level 7 keeps its 540 functions of 9,876 *)
-  check Alcotest.int "3 wires, depth 7" (10_872 + 540)
+  (* the census bounds level k by the 7 - k mixed wires a state may
+     still clear: levels 0..5 are whole (5,992 images; a bound of 2 or
+     more binds nothing at 3 wires), level 6 keeps the 2,420 of its
+     4,880 images mixed on at most one wire, and level 7 its 540
+     functions of 9,876 *)
+  check Alcotest.int "3 wires, depth 7" (5_992 + 2_420 + 540)
     (Search.size (Fmcf.search (Lazy.force census7)));
   let closure = search_to library3 in
   check Alcotest.int "paper18 diameter-13 images" 304
@@ -444,45 +447,52 @@ let test_mce_all_realizations () =
       "FAB*VCA*FAB*V+CA*V+CB";
     ]
 
-(* The forward plan steps its last allowed level functions only.  At
-   four wires, every 97th zero-fixing function of cost 4 is asked for at
-   max_depth 4, so it sits in that functions-only level: the witness,
-   the witness count and the enumerated cascades are the ones a search
-   that stored the whole level reads for the same image. *)
+(* The forward plan bounds level k by the max_depth - k mixed wires a
+   state may still clear, and steps its last allowed level functions
+   only.  At four wires, every 97th zero-fixing function of cost 4 is
+   asked for at max_depth 4, where it sits in the functions-only level
+   and levels 2 and 3 are bounded by 2 and 1, and at max_depth 5, where
+   it sits in a level bounded by 1: the witness, the witness count and
+   the enumerated cascades are the ones a search that stored every
+   level whole reads for the same image. *)
 let test_mce_four_wire_forward () =
   let library4 = Library.make (Mvl.Encoding.make ~qubits:4) in
   let full = search_to ~max_depth:4 library4 in
   let asked = ref 0 in
-  Search.iter_functions full ~depth:4 (fun key off h ->
-      if Bytes.get key off = '\000' && h mod 97 = 0 then begin
-        incr asked;
-        let image = Bytes.sub_string key off 16 in
-        let spec =
-          String.concat "," (List.init 16 (fun j -> string_of_int (Char.code image.[j])))
-        in
-        let solve task =
-          (Mce.solve library4
-             (Mce.Request.make ~qubits:4 ~plan:Mce.Request.Forward ~task ~max_depth:4 spec))
-            .Mce.Response.body
-        in
-        (match solve Mce.Request.Synthesize with
-        | Ok { payload = Mce.Response.Synthesized { cascade; cost; _ }; _ } ->
-            check Alcotest.int (spec ^ " cost") 4 cost;
-            checkb (spec ^ " witness") true
-              (Cascade.equal cascade (Search.cascade_of_key full image))
-        | _ -> Alcotest.failf "%s: no forward answer" spec);
-        (match solve Mce.Request.Count_witnesses with
-        | Ok { payload = Mce.Response.Witnesses { count }; _ } ->
-            check Alcotest.int (spec ^ " witness count")
-              (Search.count_point_perms full image) count
-        | _ -> Alcotest.failf "%s: no witness count" spec);
-        match solve (Mce.Request.Enumerate { limit = 10_000 }) with
-        | Ok { payload = Mce.Response.Realizations { cascades; _ }; _ } ->
-            check Alcotest.int (spec ^ " realizations")
-              (List.length (Search.all_cascades full image))
-              (List.length cascades)
-        | _ -> Alcotest.failf "%s: no realizations" spec
-      end);
+  let ask max_depth =
+    Search.iter_functions full ~depth:4 (fun key off h ->
+        if Bytes.get key off = '\000' && h mod 97 = 0 then begin
+          incr asked;
+          let image = Bytes.sub_string key off 16 in
+          let spec =
+            String.concat "," (List.init 16 (fun j -> string_of_int (Char.code image.[j])))
+          in
+          let solve task =
+            (Mce.solve library4
+               (Mce.Request.make ~qubits:4 ~plan:Mce.Request.Forward ~task ~max_depth spec))
+              .Mce.Response.body
+          in
+          (match solve Mce.Request.Synthesize with
+          | Ok { payload = Mce.Response.Synthesized { cascade; cost; _ }; _ } ->
+              check Alcotest.int (spec ^ " cost") 4 cost;
+              checkb (spec ^ " witness") true
+                (Cascade.equal cascade (Search.cascade_of_key full image))
+          | _ -> Alcotest.failf "%s: no forward answer" spec);
+          (match solve Mce.Request.Count_witnesses with
+          | Ok { payload = Mce.Response.Witnesses { count }; _ } ->
+              check Alcotest.int (spec ^ " witness count")
+                (Search.count_point_perms full image) count
+          | _ -> Alcotest.failf "%s: no witness count" spec);
+          match solve (Mce.Request.Enumerate { limit = 10_000 }) with
+          | Ok { payload = Mce.Response.Realizations { cascades; _ }; _ } ->
+              check Alcotest.int (spec ^ " realizations")
+                (List.length (Search.all_cascades full image))
+                (List.length cascades)
+          | _ -> Alcotest.failf "%s: no realizations" spec
+        end)
+  in
+  ask 4;
+  ask 5;
   checkb "some functions asked" true (!asked > 0)
 
 let test_mce_strip_not_layer () =

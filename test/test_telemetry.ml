@@ -452,9 +452,19 @@ let test_census_metrics_snapshot () =
     "paper-variant counts" [ 1; 6; 30; 52 ] (series "fmcf.level.paper_g");
   let frontier = series "fmcf.level.frontier" in
   checki "one frontier entry per level" 4 (List.length frontier);
-  (* the final level is stored as functions only: of B[3]'s 633 images
-     the census keeps the 51 functions of G[3] *)
-  check Alcotest.(list int) "frontier sizes" [ 1; 18; 144; 51 ] frontier;
+  (* level k keeps the images mixed on at most 3 - k wires: of B[2]'s
+     144 images the 108 mixed on at most one wire, of B[3]'s 633 the 51
+     functions of G[3] *)
+  check Alcotest.(list int) "frontier sizes" [ 1; 18; 108; 51 ] frontier;
+  (* the search's own per-level series: the states each level kept and
+     the children its bound dropped (level 0 is the root, never stepped);
+     the counter sums the drops *)
+  check Alcotest.(list int) "kept per level" [ 0; 18; 108; 51 ] (series "search.level.kept");
+  let dropped = series "search.level.mixed_dropped" in
+  check Alcotest.(list int) "dropped per level" [ 0; 0; 48; 1008 ] dropped;
+  (match Json.path [ "counters"; "search.expansions.mixed_dropped" ] snap with
+  | Some (Json.Int n) -> checki "mixed_dropped sums the levels" (List.fold_left ( + ) 0 dropped) n
+  | _ -> Alcotest.fail "missing counter search.expansions.mixed_dropped");
   (* the index build's two stages are timed separately *)
   List.iter
     (fun name ->
@@ -464,7 +474,7 @@ let test_census_metrics_snapshot () =
     [ "census_index.witness.seconds"; "census_index.pack.seconds" ];
   (* counters survived the trip *)
   match Json.path [ "counters"; "search.states.new" ] snap with
-  | Some (Json.Int n) -> checki "state counter" (18 + 144 + 51) n
+  | Some (Json.Int n) -> checki "state counter" (18 + 108 + 51) n
   | _ -> Alcotest.fail "missing search.states.new counter"
 
 (* Census lookup regression: Fmcf.find probes the arena (canonicalized
