@@ -291,6 +291,14 @@ let census_cmd =
       stats save emit_index checkpoint every resume max_states max_mem timeout =
     guarded ~finish:finish_telemetry @@ fun () ->
     let library = library_of ~qubits library_name in
+    (* the index's gate log holds one byte per gate: refuse before any
+       level is stepped *)
+    if emit_index <> None && Library.size library > Census_index.max_gates then begin
+      Format.eprintf "qsynth: --emit-index: library %s has %d gates at %d qubits; an index \
+                      holds at most %d@."
+        library_name (Library.size library) qubits Census_index.max_gates;
+      exit exit_usage
+    end;
     if paper_variant && not (Library.coset_reduction library) then
       failwith
         (Printf.sprintf

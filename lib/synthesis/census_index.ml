@@ -151,8 +151,14 @@ let sort_records buf ~off ~count ~nb =
   done;
   if !src != buf then Bytes.blit !src !soff buf off len
 
+let max_gates = 256
+
 let build census =
   let library = Search.library (Fmcf.search census) in
+  if Library.size library > max_gates then
+    invalid_arg
+      (Printf.sprintf "Census_index.build: library %s has %d gates; an index holds at most %d"
+         (Library.name library) (Library.size library) max_gates);
   let nb = Mvl.Encoding.num_binary (Library.encoding library) in
   let counts = Fmcf.counts census in
   let count = List.fold_left (fun acc (_, n) -> acc + n) 0 counts in

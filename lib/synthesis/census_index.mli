@@ -44,9 +44,14 @@ type verification = Sample | Full
     the diameter the census ran.
     Witnesses are read from the census's step table ({!Fmcf.iter_member_ids}),
     so building allocates it if no witness was read before.
-    @raise Invalid_argument if the members disagree with the level
-    counts or a witness has no backward step (engine bug). *)
+    @raise Invalid_argument if the library has more than {!max_gates}
+    gates, the members disagree with the level counts or a witness has
+    no backward step (engine bug). *)
 val build : Fmcf.t -> t
+
+(** [max_gates] is 256, the most gates a library may have for an index:
+    the gate log stores one byte per gate. *)
+val max_gates : int
 
 (** [depth t] is the cost horizon: every function of cost [<= depth] is
     present, so a miss proves cost [>= depth + 1].  For a complete index

@@ -22,6 +22,7 @@ type level = { cost : int; frontier_size : int; functions : int }
 type steps = {
   order : int; (* |group|, 1 for a raw census *)
   base : int array; (* dense index of each shard's first state *)
+  gate_bits : int; (* the slot's gate field: enough bits for every entry index *)
   slots : int array;
       (* image id -> (pre-image id lsl gate_bits) lor gate, -1 until stepped *)
   maps : int array array;
@@ -338,8 +339,6 @@ let find t func =
    The table is allocated on the first witness read, so a census that
    emits none pays nothing. *)
 
-let gate_bits = 7 (* library entry indices of every registered library *)
-
 let steps t =
   match t.steps with
   | Some s -> s
@@ -363,12 +362,12 @@ let steps t =
       in
       let order = max 1 (Array.length maps) in
       let nb = Search.key_length t.search in
-      if Library.size t.library > 1 lsl gate_bits then
-        invalid_arg "Fmcf: library too large for the step table's gate field";
+      let rec bits n = if n <= 1 then 0 else 1 + bits ((n + 1) / 2) in
       let s =
         {
           order;
           base;
+          gate_bits = max 1 (bits (Library.size t.library));
           slots = Array.make (State_arena.size store * order) (-1);
           maps;
           legal =
@@ -437,7 +436,7 @@ let fill t s ~src ~soff ~h ~conj ~cost =
       if !r < 0 then incr g
     done;
     let pre_h = !r lsr conj_bits and pre_conj = !r land conj_mask in
-    s.slots.(image_id s !h !conj) <- (image_id s pre_h pre_conj lsl gate_bits) lor !g;
+    s.slots.(image_id s !h !conj) <- (image_id s pre_h pre_conj lsl s.gate_bits) lor !g;
     incr images;
     Bytes.blit s.u 0 s.v 0 nb;
     h := pre_h;
@@ -447,14 +446,22 @@ let fill t s ~src ~soff ~h ~conj ~cost =
   Telemetry.Counter.add m_step_images !images;
   Telemetry.Counter.add m_step_trials !trials
 
-let write_witness t ~id ~cost buf off =
+(* [iter_witness t ~id ~cost f] calls [f j g] for the witness of the
+   image with id [id], gate [g] at position [j], from the last gate
+   ([j = cost - 1]) back to the first. *)
+let iter_witness t ~id ~cost f =
   let s = steps t in
   let id = ref id in
   for j = cost - 1 downto 0 do
     let slot = s.slots.(!id) in
-    Bytes.set buf (off + j) (Char.chr (slot land ((1 lsl gate_bits) - 1)));
-    id := slot lsr gate_bits
+    f j (slot land ((1 lsl s.gate_bits) - 1));
+    id := slot lsr s.gate_bits
   done
+
+let write_witness t ~id ~cost buf off =
+  if Library.size t.library > 256 then
+    invalid_arg "Fmcf.write_witness: a library of more than 256 gates has no one-byte witness";
+  iter_witness t ~id ~cost (fun j g -> Bytes.unsafe_set buf (off + j) (Char.unsafe_chr g))
 
 let iter_member_ids t f =
   let s = steps t in
@@ -466,7 +473,9 @@ let iter_member_ids t f =
           f ~cost ~id:(image_id s h conj) img off))
     t.levels
 
-let witness_gates t (member : member) =
+(* [member_id t member] steps [member]'s witness into the step table
+   and is its image id. *)
+let member_id t (member : member) =
   let nb = Search.key_length t.search in
   let image = member.image in
   let src = Bytes.unsafe_of_string image in
@@ -480,12 +489,17 @@ let witness_gates t (member : member) =
   let s = steps t in
   let h = r lsr conj_bits and conj = r land conj_mask in
   fill t s ~src ~soff:0 ~h ~conj ~cost:member.cost;
-  let id = image_id s h conj in
+  image_id s h conj
+
+let witness_gates t member =
+  let id = member_id t member in
   let w = Bytes.create member.cost in
   write_witness t ~id ~cost:member.cost w 0;
   Bytes.unsafe_to_string w
 
 let cascade_of_member t member =
   let entries = Library.entries t.library in
-  let w = witness_gates t member in
-  List.init (String.length w) (fun i -> entries.(Char.code w.[i]).Library.gate)
+  let id = member_id t member in
+  let gates = Array.make member.cost 0 in
+  iter_witness t ~id ~cost:member.cost (fun j g -> gates.(j) <- g);
+  List.map (fun g -> entries.(g).Library.gate) (Array.to_list gates)

@@ -197,7 +197,9 @@ val find : t -> Reversible.Revfun.t -> member option
 val cascade_of_member : t -> member -> Cascade.t
 
 (** [witness_gates t member] is {!cascade_of_member} as library entry
-    indices, one byte per gate — the form {!Census_index} stores. *)
+    indices, one byte per gate — the form {!Census_index} stores.
+    @raise Invalid_argument also when the library has more than 256
+    gates ({!cascade_of_member} has no such limit). *)
 val witness_gates : t -> member -> string
 
 (** {1 Index emission}
@@ -216,7 +218,8 @@ val iter_member_ids : t -> (cost:int -> id:int -> Bytes.t -> int -> unit) -> uni
 (** [write_witness t ~id ~cost buf off] writes the witness of the member
     with image id [id] (as passed by {!iter_member_ids}) into
     [buf.[off .. off+cost)], one library entry index per byte, reading
-    the step table from the last gate back to the first. *)
+    the step table from the last gate back to the first.
+    @raise Invalid_argument when the library has more than 256 gates. *)
 val write_witness : t -> id:int -> cost:int -> Bytes.t -> int -> unit
 
 (** [members_at t ~cost] is G[cost] in {!iter_members} order, rebuilt

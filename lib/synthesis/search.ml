@@ -54,6 +54,15 @@ let cand_append buf ~degree key ~off ~hash =
   buf.chashes.(i) <- hash;
   buf.clen <- i + 1
 
+(* A step's gate plan for one (source, parent signature): the source's
+   gates that are legal for the signature and not excluded by the
+   step's bound, in gate order, each with its test (see [gate_test]). *)
+type plan = {
+  pas : int array array; (* the admitted gates' point maps *)
+  tests : int array; (* 0: keep unchecked; else the wires the child must be binary on *)
+  excluded : int; (* legal gates the bound excludes before composing *)
+}
+
 type t = {
   library : Library.t;
   store : State_arena.t;
@@ -64,6 +73,8 @@ type t = {
   signatures : int array; (* mixed signature of each encoding point *)
   popcount : int array; (* signature -> its number of mixed wires *)
   changes : int array; (* each entry's changeable-wire mask (see [change_mask]) *)
+  function_sigs : int array; (* each entry's child signature on a function parent *)
+  num_sigs : int; (* the parent signatures a plan covers: 0 .. num_sigs - 1 *)
   max_mixed : int; (* the most mixed wires a stored state can have *)
   (* quotient-mode tallies, kept on the engine (unlike the telemetry
      counters these are live even with telemetry disabled, so [census
@@ -78,9 +89,8 @@ type t = {
   (* the step's parents, one segment per (source, shard) *)
   mutable fpos : int array; (* each segment's first position in the step, then the step's size *)
   mutable fstart : int array; (* each segment's first local index in its shard *)
-  mutable src_perms : int array array array; (* each source's gates, hoisted *)
-  mutable src_masks : int array array;
-  mutable src_changes : int array array;
+  mutable src_gates : int array; (* each source's number of gates *)
+  mutable plans : plan array array; (* source -> parent signature -> its gates *)
   (* per-domain children of one parent (see expand_parent) *)
   raw : Bytes.t array; (* a child's image before canonicalization (quotient mode) *)
   kids : Bytes.t array; (* ngates * klen key bytes *)
@@ -163,6 +173,18 @@ let make_engine ~jobs ~symmetry library ~store =
         pop s)
   in
   let changes = Array.map (fun e -> change_mask signatures e.Library.perm_array) entries in
+  (* A function parent's image is the whole binary block (codes 0 ..
+     num_binary - 1), so its child through a gate has one signature. *)
+  let function_sigs =
+    Array.map
+      (fun e ->
+        let s = ref 0 in
+        for x = 0 to klen - 1 do
+          s := !s lor signatures.(e.Library.perm_array.(x))
+        done;
+        !s)
+      entries
+  in
   (* A gate keeps binary the wires its purity mask demands binary and it
      does not change, so its children have at most the others mixed. *)
   let max_mixed =
@@ -184,6 +206,8 @@ let make_engine ~jobs ~symmetry library ~store =
     signatures;
     popcount;
     changes;
+    function_sigs;
+    num_sigs = Array.fold_left ( lor ) 0 signatures + 1;
     max_mixed;
     orbit_fresh = 0;
     orbit_hits = 0;
@@ -193,9 +217,8 @@ let make_engine ~jobs ~symmetry library ~store =
     cand = Array.init jobs (fun _ -> Array.init num_shards (fun _ -> make_candbuf klen));
     fpos = [||];
     fstart = [||];
-    src_perms = [||];
-    src_masks = [||];
-    src_changes = [||];
+    src_gates = [||];
+    plans = [||];
     raw = Array.init jobs (fun _ -> Bytes.create klen);
     kids = Array.init jobs (fun _ -> Bytes.create (Array.length entries * klen));
     kid_hashes = Array.init jobs (fun _ -> Array.make (Array.length entries) 0);
@@ -378,46 +401,99 @@ let run_workers ~parallel jobs f =
    set by a signal handler qualifies. *)
 let cancel_poll_mask = 63
 
-(* [maps_binary t pa src soff] is whether the child image [pa] composed
-   onto the key at [src.[soff ..]] is a function: every point it maps a
-   binary code to carries signature 0.  Stops at the first mixed point. *)
-let maps_binary t pa src soff =
+(* {1 Gate plans}
+
+   Whether a gate may follow a parent, and what the step's bound makes
+   of its child, depend only on the gate, the bound and the parent's
+   signature.  Each step therefore tabulates, per source and per parent
+   signature, the source's gates the signature admits (its purity mask
+   is clear of the signature's mixed wires) and the bound does not
+   exclude, each with the test its child needs.  Below [max_mixed]
+   every gate changes the mixedness of at most one wire ([try_step]
+   refuses other libraries), and a wire outside a gate's change mask
+   is mixed at a child's point exactly when it is at the parent's, so
+   the child of a parent of signature [s] through a gate of change mask
+   [c] is mixed on the wires of [s] outside [c], plus [c] itself when
+   some child point is mixed there.  Hence a gate is
+   - excluded, counted but never composed, when popcount (s land lnot
+     c) > bound: it cannot bring the parent within the bound;
+   - kept unchecked (test 0) when popcount (s lor c) <= bound: it
+     cannot take the parent past the bound;
+   - otherwise tested with [c]: its child is kept when it is binary on
+     [c] at every point, scanned before composing and stopping at the
+     first point mixed there.
+   A function parent (signature 0) has an exact rule: its image is the
+   whole binary block, so its child through gate [g] has signature
+   [function_sigs.(g)], and the gate is kept or excluded outright (at
+   bound 0 every controlled-V or V-dagger is excluded).  A wire
+   relabeling permutes wires, so the raw child's count is its
+   canonical form's. *)
+
+(* [gate_test t ~bound signature g] is gate [g]'s test for a parent of
+   [signature] (0 keeps the child unchecked), [excluded] when the bound
+   excludes it and [illegal] when the signature breaks its purity
+   mask. *)
+let illegal = -2
+let excluded = -1
+
+let gate_test t ~bound signature g =
+  let popcount = t.popcount and change = t.changes.(g) in
+  if signature land t.entries.(g).Library.purity_mask <> 0 then illegal
+  else if bound >= t.max_mixed then 0
+  else if signature = 0 then if popcount.(t.function_sigs.(g)) <= bound then 0 else excluded
+  else if popcount.(signature land lnot change) > bound then excluded
+  else if popcount.(signature lor change) <= bound then 0
+  else change
+
+let plan_row t gates ~bound signature =
+  let admitted = ref 0 and excluded_gates = ref 0 in
+  Array.iter
+    (fun g ->
+      let test = gate_test t ~bound signature g in
+      if test >= 0 then incr admitted else if test = excluded then incr excluded_gates)
+    gates;
+  let pas = Array.make !admitted [||] and tests = Array.make !admitted 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun g ->
+      let test = gate_test t ~bound signature g in
+      if test >= 0 then begin
+        pas.(!k) <- t.entries.(g).Library.perm_array;
+        tests.(!k) <- test;
+        incr k
+      end)
+    gates;
+  { pas; tests; excluded = !excluded_gates }
+
+(* [binary_on t pa mask src soff] is whether the child image [pa]
+   composed onto the key at [src.[soff ..]] is binary on the wires of
+   [mask] at every point.  Stops at the first point mixed there. *)
+let binary_on t pa mask src soff =
   let stop = soff + t.klen in
   let j = ref soff in
   while
     !j < stop
     && Array.unsafe_get t.signatures
          (Array.unsafe_get pa (Char.code (Bytes.unsafe_get src !j)))
+       land mask
        = 0
   do
     incr j
   done;
   !j = stop
 
-(* [expand_parent t r i h ~bound] writes every legal child of state [h]
-   through source [i]'s gates into rank [r]'s child buffers, in gate
-   order: its key (the canonical form in quotient mode) and the key's
-   hash.  Returns the number of children.  The parent's signature,
-   which decides the legal gates, is the OR of its key bytes' point
-   signatures.  Below [max_mixed], a child with more than [bound] mixed
-   wires is dropped before it is hashed, canonicalized or probed (a
-   wire relabeling permutes wires, so the raw image's count is the
-   canonical form's): a gate whose changeable wires cannot bring the
-   parent's mixed wires within [bound] is skipped before composing, one
-   that cannot take them past it is composed unchecked, and otherwise
-   the child's signature is ORed while composing (bound 0 tests the
-   image point by point, stopping at the first mixed one).  The dropped
-   children are counted in [t.mixed_d.(r)], and every gate not taken in
-   [t.rejected_d.(r)].
+(* [expand_parent t r i h] writes every child of state [h] that source
+   [i]'s plan for [h]'s signature keeps into rank [r]'s child buffers,
+   in gate order: its key (the canonical form in quotient mode) and the
+   key's hash.  Returns the number of children.  The parent's signature
+   is the OR of its key bytes' point signatures.  A child the bound
+   drops is dropped before it is composed; the dropped children are
+   counted in [t.mixed_d.(r)], and every gate of the source not taken
+   in [t.rejected_d.(r)].
    Composing a parent's children before any of them is probed lets the
    probes run back to back, so their cache misses overlap. *)
-let keep = 0
-let check = 1
-let drop = 2
-
-let expand_parent t r i h ~bound =
-  let klen = t.klen and pas = t.src_perms.(i) and masks = t.src_masks.(i) in
-  let changes = t.src_changes.(i) and signatures = t.signatures and popcount = t.popcount in
+let expand_parent t r i h =
+  let klen = t.klen and signatures = t.signatures in
   let kids = t.kids.(r) and hashes = t.kid_hashes.(r) in
   let src = State_arena.shard_arena t.store (State_arena.shard_of_handle h) in
   let soff = State_arena.key_offset t.store h in
@@ -426,87 +502,54 @@ let expand_parent t r i h ~bound =
     signature :=
       !signature lor Array.unsafe_get signatures (Char.code (Bytes.unsafe_get src j))
   done;
-  let signature = !signature in
-  let bounded = bound < t.max_mixed in
-  let k = ref 0 and mixed = ref 0 in
+  let plan = Array.unsafe_get (Array.unsafe_get t.plans i) !signature in
+  let pas = plan.pas and tests = plan.tests in
+  let k = ref 0 and mixed = ref plan.excluded in
   for via = 0 to Array.length pas - 1 do
-    let pa = Array.unsafe_get pas via in
-    if signature land Array.unsafe_get masks via <> 0 then ()
+    let pa = Array.unsafe_get pas via and test = Array.unsafe_get tests via in
+    if test <> 0 && not (binary_on t pa test src soff) then incr mixed
     else begin
-      let verdict =
-        if not bounded then keep
-        else
-          let change = Array.unsafe_get changes via in
-          if Array.unsafe_get popcount (signature land lnot change) > bound then drop
-          else if Array.unsafe_get popcount (signature lor change) <= bound then keep
-          else if bound = 0 then if maps_binary t pa src soff then keep else drop
-          else check
-      in
-      if verdict = drop then incr mixed
-      else begin
-        let off = !k * klen in
-        let csig = ref 0 in
-        match t.sym with
-        | None ->
-            let acc = ref 0 in
-            if verdict = keep then
-              for j = 0 to klen - 1 do
-                let b = Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j))) in
-                Bytes.unsafe_set kids (off + j) (Char.unsafe_chr b);
-                acc := (!acc * 131) + b
-              done
-            else
-              for j = 0 to klen - 1 do
-                let b = Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j))) in
-                Bytes.unsafe_set kids (off + j) (Char.unsafe_chr b);
-                acc := (!acc * 131) + b;
-                csig := !csig lor Array.unsafe_get signatures b
-              done;
-            if verdict = check && Array.unsafe_get popcount !csig > bound then incr mixed
-            else begin
-              (* finalize exactly as State_arena.hash_key *)
-              let hv = !acc in
-              let hv = hv lxor (hv lsr 23) in
-              let hv = hv * 0x2545F4914F6CDD1 in
-              let hv = hv lxor (hv lsr 29) in
-              Array.unsafe_set hashes !k (hv land max_int);
-              incr k
-            end
-        | Some sym ->
-            (* Quotiented: the stored key is a canonical image vector, so
-               applying the gate gives the child's raw image; hash only its
-               canonical form. *)
-            let raw = t.raw.(r) in
-            if verdict = keep then
-              for j = 0 to klen - 1 do
-                Bytes.unsafe_set raw j
-                  (Char.unsafe_chr
-                     (Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j)))))
-              done
-            else
-              for j = 0 to klen - 1 do
-                let b = Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j))) in
-                Bytes.unsafe_set raw j (Char.unsafe_chr b);
-                csig := !csig lor Array.unsafe_get signatures b
-              done;
-            if verdict = check && Array.unsafe_get popcount !csig > bound then incr mixed
-            else begin
-              ignore (Symmetry.canon_into sym ~src:raw ~soff:0 ~dst:kids ~doff:off);
-              Array.unsafe_set hashes !k (State_arena.hash_key kids ~off ~len:klen);
-              incr k
-            end
-      end
+      let off = !k * klen in
+      match t.sym with
+      | None ->
+          let acc = ref 0 in
+          for j = 0 to klen - 1 do
+            let b = Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j))) in
+            Bytes.unsafe_set kids (off + j) (Char.unsafe_chr b);
+            acc := (!acc * 131) + b
+          done;
+          (* finalize exactly as State_arena.hash_key *)
+          let hv = !acc in
+          let hv = hv lxor (hv lsr 23) in
+          let hv = hv * 0x2545F4914F6CDD1 in
+          let hv = hv lxor (hv lsr 29) in
+          Array.unsafe_set hashes !k (hv land max_int);
+          incr k
+      | Some sym ->
+          (* Quotiented: the stored key is a canonical image vector, so
+             applying the gate gives the child's raw image; hash only its
+             canonical form. *)
+          let raw = t.raw.(r) in
+          for j = 0 to klen - 1 do
+            Bytes.unsafe_set raw j
+              (Char.unsafe_chr
+                 (Array.unsafe_get pa (Char.code (Bytes.unsafe_get src (soff + j)))))
+          done;
+          ignore (Symmetry.canon_into sym ~src:raw ~soff:0 ~dst:kids ~doff:off);
+          Array.unsafe_set hashes !k (State_arena.hash_key kids ~off ~len:klen);
+          incr k
     end
   done;
   if !mixed > 0 then t.mixed_d.(r) <- t.mixed_d.(r) + !mixed;
-  t.rejected_d.(r) <- t.rejected_d.(r) + Array.length pas - !k;
+  t.rejected_d.(r) <- t.rejected_d.(r) + Array.unsafe_get t.src_gates i - !k;
   !k
 
-(* [set_sources t sources] hoists each source's gates and splits the
-   step's parents, source by source and each level in its canonical
-   order, into one segment per (source, shard).  Called before the next
-   level is opened; the most children the sources can make. *)
-let set_sources t sources =
+(* [set_sources t sources ~bound] builds each source's gate plans for a
+   step bounded by [bound] ([level_bound]'s) and splits the step's
+   parents, source by source and each level in its canonical order,
+   into one segment per (source, shard).  Called before the next level
+   is opened; the most children the sources can make. *)
+let set_sources t sources ~bound =
   let valid (d, gates) =
     let prev = ref (-1) in
     d >= 0 && d <= depth t
@@ -515,10 +558,9 @@ let set_sources t sources =
   if sources = [] || not (List.for_all valid sources) then
     invalid_arg "Search.try_step: sources are stored levels, each with increasing entry indices";
   let sources = Array.of_list sources in
-  let hoist f = Array.map (fun (_, gates) -> Array.map f gates) sources in
-  t.src_perms <- hoist (fun g -> t.entries.(g).Library.perm_array);
-  t.src_masks <- hoist (fun g -> t.entries.(g).Library.purity_mask);
-  t.src_changes <- hoist (fun g -> t.changes.(g));
+  t.src_gates <- Array.map (fun (_, gates) -> Array.length gates) sources;
+  t.plans <-
+    Array.map (fun (_, gates) -> Array.init t.num_sigs (plan_row t gates ~bound)) sources;
   let segments = Array.length sources * num_shards in
   t.fstart <- Array.make segments 0;
   t.fpos <- Array.make (segments + 1) 0;
@@ -565,13 +607,13 @@ let walk t ~lo ~hi ~cancel f =
    within any given shard that is exactly the order in which the chunked
    path replays its candidates, so the stored states and their handles
    coincide with the parallel engine's.  [false] when [cancel] fired. *)
-let expand_insert_sequential t ~bound ~cancel =
+let expand_insert_sequential t ~cancel =
   let klen = t.klen in
   let kids = t.kids.(0) and hashes = t.kid_hashes.(0) in
   let fresh = ref 0 and dup = ref 0 in
   let completed =
     walk t ~lo:0 ~hi:t.fpos.(Array.length t.fstart) ~cancel (fun i h ->
-        let k = expand_parent t 0 i h ~bound in
+        let k = expand_parent t 0 i h in
         for c = 0 to k - 1 do
           if State_arena.try_insert t.store ~key:kids ~off:(c * klen) ~hash:hashes.(c) >= 0
           then incr fresh
@@ -613,7 +655,7 @@ let reserve_rows t ~e ~n =
 (* Phase 1: rank [r] expands its contiguous share of the chunk [lo ..
    hi-1] into per-shard candidate buffers.  Read-only on the store.
    Sets [stop] when [cancel] fires. *)
-let expand_chunk t r ~e ~lo ~hi ~bound ~stop ~cancel =
+let expand_chunk t r ~e ~lo ~hi ~stop ~cancel =
   let klen = t.klen in
   let row = t.cand.(r) in
   for s = 0 to num_shards - 1 do
@@ -623,7 +665,7 @@ let expand_chunk t r ~e ~lo ~hi ~bound ~stop ~cancel =
   let len = hi - lo in
   let completed =
     walk t ~lo:(lo + (r * len / e)) ~hi:(lo + ((r + 1) * len / e)) ~cancel (fun i h ->
-        let k = expand_parent t r i h ~bound in
+        let k = expand_parent t r i h in
         for c = 0 to k - 1 do
           let hash = hashes.(c) in
           cand_append row.(State_arena.shard_of_hash hash) ~degree:klen kids ~off:(c * klen) ~hash
@@ -659,7 +701,7 @@ let dedupe_shards t r ~e =
 (* The chunked level: phase 1 then phase 2 for each chunk in frontier
    order, so every shard still sees its candidates in global frontier
    order.  [false] when [cancel] fired, before that chunk's phase 2. *)
-let expand_insert_chunked t ~e ~bound ~cancel =
+let expand_insert_chunked t ~e ~cancel =
   let n = t.fpos.(Array.length t.fstart) in
   let parallel = e > 1 in
   let stop = Atomic.make false in
@@ -668,7 +710,7 @@ let expand_insert_chunked t ~e ~bound ~cancel =
     let hi = min n (!lo + chunk_parents) in
     let lo' = !lo in
     Telemetry.Histogram.time h_expand (fun () ->
-        run_workers ~parallel e (fun r -> expand_chunk t r ~e ~lo:lo' ~hi ~bound ~stop ~cancel));
+        run_workers ~parallel e (fun r -> expand_chunk t r ~e ~lo:lo' ~hi ~stop ~cancel));
     if not (Atomic.get stop) then
       Telemetry.Histogram.time h_merge (fun () ->
           run_workers ~parallel e (fun r -> dedupe_shards t r ~e));
@@ -691,7 +733,7 @@ let try_step ?bound ?sources t ~cancel =
   let sources =
     Option.value sources ~default:[ (depth t, Array.init (Array.length t.entries) Fun.id) ]
   in
-  let most = set_sources t sources in
+  let most = set_sources t sources ~bound in
   Telemetry.Histogram.time h_step @@ fun () ->
   Telemetry.Span.with_span "search.step" @@ fun () ->
   let next_depth = depth t + 1 in
@@ -714,10 +756,10 @@ let try_step ?bound ?sources t ~cancel =
   let completed =
     if t.jobs = 1 then
       Telemetry.Histogram.time h_expand (fun () ->
-          expand_insert_sequential t ~bound ~cancel)
+          expand_insert_sequential t ~cancel)
     else begin
       reserve_rows t ~e ~n;
-      expand_insert_chunked t ~e ~bound ~cancel
+      expand_insert_chunked t ~e ~cancel
     end
   in
   if not completed then begin

@@ -32,10 +32,17 @@
     wires needs at least [m] more gates to become a function.  A census
     to depth [d] reads only functions, so level [k] needs only the
     states mixed on at most [d - k] wires.  [try_step ~bound:b] keeps
-    exactly those children: a child mixed on more than [b] wires is
-    dropped before it is hashed, canonicalized or probed, and a gate
-    that cannot bring its parent within [b] is skipped before
-    composing.  The level then holds the full level's states within
+    exactly those children: a gate that cannot bring its parent within
+    [b] is skipped, and a child that could exceed [b] is tested point
+    by point on the wire its gate changes, so a child mixed on more
+    than [b] wires is dropped before it is composed.  Which gates a
+    parent admits and what [b] makes of each child depend only on the
+    parent's mixed-wire signature (one of [2^n]), so each step
+    tabulates them once per source and signature, its {e gate plan},
+    and a parent visits only its signature's gates.  A function
+    parent's image is the whole binary block, so its child through
+    each gate has one signature, and the plan keeps or drops that gate
+    outright.  The level then holds the full level's states within
     [b], in the same canonical order, provided each bound is below the
     one before: a state within [b] has its shortest-path parents within
     [b + 1] ({!try_step} refuses any other bound).  Bound 0 is the

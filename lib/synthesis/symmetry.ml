@@ -81,6 +81,13 @@ let create lib =
   let nb = Mvl.Encoding.num_binary encoding in
   let entries = Library.entries lib in
   let fail fmt = Printf.ksprintf invalid_arg fmt in
+  (* each entry's index by its point permutation, the first of equals *)
+  let entry_of_perm = Hashtbl.create (Array.length entries) in
+  Array.iteri
+    (fun j (e : Library.entry) ->
+      let key = Perm.key e.Library.perm in
+      if not (Hashtbl.mem entry_of_perm key) then Hashtbl.add entry_of_perm key j)
+    entries;
   (* the point permutation induced by relabeling wire w to pi.(w): the
      image pattern reads its wire pi.(w) (= old wire w) from the source *)
   let point_perm pi =
@@ -111,15 +118,14 @@ let create lib =
       Array.mapi
         (fun gi (e : Library.entry) ->
           let conj = Perm.conjugate e.Library.perm q in
-          let rec find j =
-            if j >= Array.length entries then
-              fail "Symmetry.create: library is not closed under wire relabeling \
-                    (conjugating gate %d of %d leaves the library)"
-                gi (Array.length entries)
-            else if Perm.equal entries.(j).Library.perm conj then j
-            else find (j + 1)
+          let j =
+            match Hashtbl.find_opt entry_of_perm (Perm.key conj) with
+            | Some j -> j
+            | None ->
+                fail "Symmetry.create: library is not closed under wire relabeling \
+                      (conjugating gate %d of %d leaves the library)"
+                  gi (Array.length entries)
           in
-          let j = find 0 in
           if entries.(j).Library.purity_mask <> permute_wire_bits pi e.Library.purity_mask
           then fail "Symmetry.create: purity masks are not wire-equivariant";
           j)

@@ -280,6 +280,76 @@ let too_wide_cases =
     ("census -q 10", [ "census"; "-q"; "10"; "-d"; "0" ], 4);
   ]
 
+(* {1 Libraries of more than 128 gates}
+
+   The census's step table sizes its gate field from the library, so
+   --save works at every searchable width.  An index's gate log holds
+   one byte per gate: --emit-index on a library of more than 256 gates
+   is a usage error (exit 2, nothing on stdout) made before any level
+   is stepped (no search.step span is traced), and below that the index
+   is written and reloads under batch --verify-index. *)
+
+let with_temp suffix f =
+  let path = Filename.temp_file "qsynth" suffix in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
+
+let lines path = List.length (In_channel.with_open_bin path In_channel.input_lines)
+
+let test_wide_save (library, qubits, gates) () =
+  with_temp ".tsv" @@ fun tsv ->
+  let code, _, err =
+    run_qsynth [ "census"; "--library"; library; "-q"; string_of_int qubits; "-d"; "1"; "--save"; tsv ]
+  in
+  check Alcotest.int ("exit: " ^ err) 0 code;
+  (* two header lines, the identity and one member per gate *)
+  check Alcotest.int "TSV lines" (2 + 1 + gates) (lines tsv)
+
+let test_wide_index (library, qubits, _) () =
+  with_temp ".idx" @@ fun index ->
+  with_temp ".jsonl" @@ fun requests ->
+  let q = string_of_int qubits in
+  let code, out, err =
+    run_qsynth [ "census"; "--library"; library; "-q"; q; "-d"; "1"; "--emit-index"; index ]
+  in
+  check Alcotest.int ("census exit: " ^ err) 0 code;
+  checkb ("index written: " ^ out) true (contains out "census index:");
+  let code, _, err =
+    run_qsynth [ "batch"; "--library"; library; "-q"; q; "--index"; index; "--verify-index"; requests ]
+  in
+  check Alcotest.int ("batch --verify-index exit: " ^ err) 0 code
+
+let test_index_refused (library, qubits, gates) () =
+  with_temp ".idx" @@ fun index ->
+  Sys.remove index;
+  let code, out, err =
+    run_qsynth
+      [ "census"; "--library"; library; "-q"; string_of_int qubits; "-d"; "1"; "--trace";
+        "--emit-index"; index ]
+  in
+  check Alcotest.int "exit" 2 code;
+  check Alcotest.string "stdout" "" out;
+  checkb ("stderr names the gate count: " ^ err) true
+    (contains err (Printf.sprintf "has %d gates" gates));
+  checkb "no level stepped" false (contains err "search.step");
+  checkb "no index written" false (Sys.file_exists index)
+
+let wide_libraries = [ ("nct", 7, 154); ("nft", 6, 171); ("ncp", 5, 145) ]
+let wider_libraries = [ ("nft", 7, 280); ("ncp", 6, 276); ("ncp", 7, 469) ]
+
+let wide_cases =
+  let name (library, qubits, _) = Printf.sprintf "%s -q %d" library qubits in
+  List.concat_map
+    (fun c ->
+      [ Alcotest.test_case (name c ^ " --save") `Quick (test_wide_save c);
+        Alcotest.test_case (name c ^ " --emit-index") `Quick (test_wide_index c) ])
+    wide_libraries
+  @ List.concat_map
+      (fun c ->
+        [ Alcotest.test_case (name c ^ " --save") `Quick (test_wide_save c);
+          Alcotest.test_case (name c ^ " --emit-index is a usage error") `Quick
+            (test_index_refused c) ])
+      wider_libraries
+
 let () =
   Alcotest.run "integration"
     [
@@ -295,6 +365,7 @@ let () =
           (fun (name, args, widest) ->
             Alcotest.test_case (name ^ " is a usage error") `Quick (test_too_wide (args, widest)))
           too_wide_cases );
+      ("many gates", wide_cases);
       ( "cross-layer",
         [
           Alcotest.test_case "probabilistic = deterministic on specs" `Slow

@@ -781,62 +781,203 @@ let test_default_source jobs () =
       done)
     [ (false, 4); (true, 5) ]
 
+(* {1 Gate plans against a child-by-child reference}
+
+   A step tabulates, per source and parent signature, the gates the
+   signature admits and what the bound makes of their children.  The
+   reference below makes every child one by one instead: each parent of
+   the sources in canonical order, through each of its gates in order;
+   an illegal gate is rejected, a legal gate's child mixed on more than
+   [bound] wires is dropped, and any other child (its canonical form,
+   quotiented) is new unless stored before or made earlier in the step.
+   The step must store the new children in the canonical order (shard
+   by shard, each in insertion order) and count exactly the reference's
+   new, duplicate, rejected and dropped children. *)
+
+type reference = {
+  new_keys : string list;
+  duplicates : int;
+  rejected : int;
+  dropped : int;
+}
+
+let signature_of library key =
+  let encoding = Library.encoding library in
+  String.fold_left (fun acc c -> acc lor Mvl.Encoding.mixed_signature encoding (Char.code c)) 0 key
+
+let shard_of_key key =
+  State_arena.shard_of_hash
+    (State_arena.hash_key (Bytes.of_string key) ~off:0 ~len:(String.length key))
+
+let reference_step library s ~sources ~bound =
+  let entries = Library.entries library in
+  let canon key =
+    match Search.symmetry s with
+    | None -> key
+    | Some sym ->
+        let dst = Bytes.create (String.length key) in
+        ignore (Symmetry.canon_into sym ~src:(Bytes.of_string key) ~soff:0 ~dst ~doff:0);
+        Bytes.to_string dst
+  in
+  let fresh = ref [] and seen = Hashtbl.create 4096 in
+  let kept = ref 0 and rejected = ref 0 and dropped = ref 0 in
+  List.iter
+    (fun (d, gates) ->
+      Array.iter
+        (fun h ->
+          let key = Search.key_of_handle s h in
+          let signature = signature_of library key in
+          Array.iter
+            (fun g ->
+              let e = entries.(g) in
+              if signature land e.Library.purity_mask <> 0 then incr rejected
+              else begin
+                let child = String.map (fun c -> Char.chr e.Library.perm_array.(Char.code c)) key in
+                if mixed_wires library child > bound then incr dropped
+                else begin
+                  incr kept;
+                  let child = canon child in
+                  if Search.handle_of_key s child = None && not (Hashtbl.mem seen child) then begin
+                    Hashtbl.replace seen child ();
+                    fresh := child :: !fresh
+                  end
+                end
+              end)
+            gates)
+        (Search.handles_at_depth s d))
+    sources;
+  {
+    new_keys = List.stable_sort (fun a b -> compare (shard_of_key a) (shard_of_key b)) (List.rev !fresh);
+    duplicates = !kept - Hashtbl.length seen;
+    rejected = !rejected;
+    dropped = !dropped;
+  }
+
+let counter_names =
+  [ "search.states.new"; "search.states.duplicate"; "search.expansions.signature_rejected";
+    "search.expansions.mixed_dropped" ]
+
+(* [counted f] runs [f] with the instruments recording (no spans) and
+   is the four counters' growth over it, in [counter_names] order. *)
+let counted f =
+  let counters = List.map Telemetry.Counter.create counter_names in
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled ~spans:false true;
+  let before = List.map Telemetry.Counter.value counters in
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) f;
+  List.map2 (fun c v -> Telemetry.Counter.value c - v) counters before
+
+(* [check_step name s ~sources ~bound] steps [s] and checks the level
+   and the counters against the reference. *)
+let check_step name s ~sources ~bound =
+  let library = Search.library s in
+  let r = reference_step library s ~sources ~bound:(Option.value bound ~default:max_int) in
+  let counts = counted (fun () -> ignore (Search.try_step ?bound ~sources s ~cancel:never)) in
+  check Alcotest.(list string) (name ^ ": new level") r.new_keys
+    (Array.to_list (keys_of s (Search.depth s)));
+  check
+    Alcotest.(list int)
+    (name ^ ": new, duplicate, rejected, dropped")
+    [ List.length r.new_keys; r.duplicates; r.rejected; r.dropped ]
+    counts
+
+(* Every step of a whole search, at every bound from 0 (the final
+   level) to n (whole), at 3 wires to depth 7 and 4 wires to depth 4,
+   raw and quotiented. *)
+let test_plans_every_bound jobs () =
+  List.iter
+    (fun ((library, depth), quotient) ->
+      let n = Library.qubits library in
+      let symmetry = if quotient then Some (Symmetry.create library) else None in
+      let all = all_gates library in
+      for d = 1 to depth do
+        for bound = 0 to n do
+          let s = Search.create ~jobs ?symmetry library in
+          for _ = 1 to d - 1 do
+            ignore (Search.try_step s ~cancel:never)
+          done;
+          check_step
+            (Printf.sprintf "%d wires%s, level %d, bound %d, jobs=%d" n
+               (if quotient then " quotient" else "")
+               d bound jobs)
+            s ~sources:[ (d - 1, all) ] ~bound:(Some bound)
+        done
+      done)
+    (List.concat_map (fun c -> [ (c, false); (c, true) ]) [ (library3, 7); (library4, 4) ])
+
+(* A function parent's image is the whole binary block, so its child
+   through a gate has that gate's binary-block signature: the OR of the
+   point signatures of the gate's images of the binary codes.  Checked
+   on every function state of the 2-, 3- and 4-wire censuses' first
+   levels. *)
+let test_function_parent_signature () =
+  List.iter
+    (fun (qubits, depth) ->
+      let library = Library.make (Mvl.Encoding.make ~qubits) in
+      let encoding = Library.encoding library in
+      let nb = Mvl.Encoding.num_binary encoding in
+      let block e =
+        let s = ref 0 in
+        for x = 0 to nb - 1 do
+          s := !s lor Mvl.Encoding.mixed_signature encoding e.Library.perm_array.(x)
+        done;
+        !s
+      in
+      let s = Search.create library in
+      let functions = ref 0 in
+      for d = 0 to depth do
+        if d > 0 then ignore (Search.try_step s ~cancel:never);
+        Search.iter_functions s ~depth:d (fun key off _ ->
+            incr functions;
+            let key = Bytes.sub_string key off nb in
+            Array.iter
+              (fun (e : Library.entry) ->
+                let child = String.map (fun c -> Char.chr e.Library.perm_array.(Char.code c)) key in
+                if signature_of library child <> block e then
+                  Alcotest.failf "%d wires: gate %s on a function parent" qubits
+                    (Gate.name e.Library.gate))
+              (Library.entries library))
+      done;
+      checkb (Printf.sprintf "%d wires: function parents checked" qubits) true (!functions > 1))
+    [ (2, 4); (3, 5); (4, 3) ]
+
+(* census-s16's work, pinned: a gate the plan misclassifies changes a
+   counter even where the stored states agree. *)
+let test_census_counters jobs () =
+  let counts = counted (fun () -> ignore (Fmcf.run ~max_depth:5 ~jobs library4)) in
+  check
+    Alcotest.(list int)
+    (Printf.sprintf "census -q 4 -d 5 counters, jobs=%d" jobs)
+    [ 38_680; 93_596; 383_904; 631_392 ]
+    counts
+
 (* Two sources with gate subsets: level 1 through the even entries and
    level 3 through the odd ones.  The new level is every legal child
    not stored before, in source order, parents in canonical order and
-   each parent's children in gate order, and jobs changes nothing. *)
+   each parent's children in gate order, whole or bounded, and jobs
+   changes nothing. *)
 let test_two_sources () =
-  let entries = Library.entries library4 in
   let evens = Array.of_list (List.filter (fun g -> g mod 2 = 0) (Array.to_list (all_gates library4))) in
   let odds = Array.of_list (List.filter (fun g -> g mod 2 = 1) (Array.to_list (all_gates library4))) in
   let sources = [ (1, evens); (3, odds) ] in
-  let step jobs =
+  let step jobs bound =
     let s = Search.create ~jobs library4 in
     for _ = 1 to 3 do
       ignore (Search.try_step s ~cancel:never)
     done;
-    let expected = ref [] and seen = Hashtbl.create 4096 in
-    let encoding = Library.encoding library4 in
-    List.iter
-      (fun (d, gates) ->
-        Array.iter
-          (fun h ->
-            let key = Search.key_of_handle s h in
-            let signature =
-              String.fold_left
-                (fun acc c -> acc lor Mvl.Encoding.mixed_signature encoding (Char.code c))
-                0 key
-            in
-            Array.iter
-              (fun g ->
-                let e = entries.(g) in
-                if signature land e.Library.purity_mask = 0 then begin
-                  let child = String.map (fun c -> Char.chr e.Library.perm_array.(Char.code c)) key in
-                  if Search.handle_of_key s child = None && not (Hashtbl.mem seen child) then begin
-                    Hashtbl.replace seen child ();
-                    expected := child :: !expected
-                  end
-                end)
-              gates)
-          (Search.handles_at_depth s d))
-      sources;
-    (match Search.try_step ~sources s ~cancel:never with
-    | Some n -> check Alcotest.int (Printf.sprintf "new states, jobs=%d" jobs) (List.length !expected) n
-    | None -> Alcotest.fail "never cancelled");
-    (* the canonical order is shard by shard, each in insertion order *)
-    let shard key =
-      State_arena.shard_of_hash
-        (State_arena.hash_key (Bytes.of_string key) ~off:0 ~len:(String.length key))
-    in
-    check
-      Alcotest.(list string)
-      (Printf.sprintf "new level's keys, jobs=%d" jobs)
-      (List.stable_sort (fun a b -> compare (shard a) (shard b)) (List.rev !expected))
-      (Array.to_list (keys_of s 4));
+    check_step
+      (Printf.sprintf "jobs=%d, bound %s" jobs
+         (Option.fold ~none:"none" ~some:string_of_int bound))
+      s ~sources ~bound;
     level_print s
   in
-  let sequential = step 1 in
-  List.iter (fun jobs -> check_level (Printf.sprintf "jobs=%d" jobs) sequential (step jobs)) jobs_under_test;
+  List.iter
+    (fun bound ->
+      let sequential = step 1 bound in
+      List.iter
+        (fun jobs -> check_level (Printf.sprintf "jobs=%d" jobs) sequential (step jobs bound))
+        jobs_under_test)
+    [ None; Some 2; Some 1; Some 0 ];
   List.iter
     (fun (name, sources) ->
       match Search.try_step ~sources (Search.create library4) ~cancel:never with
@@ -899,6 +1040,19 @@ let () =
               (test_default_source jobs))
           [ 1; 2 ]
         @ [ Alcotest.test_case "two sources, gate subsets" `Quick test_two_sources ] );
+      ( "gate plans",
+        List.map
+          (fun jobs ->
+            Alcotest.test_case (Printf.sprintf "every step at every bound (jobs=%d)" jobs) `Quick
+              (test_plans_every_bound jobs))
+          [ 1; 2 ]
+        @ [ Alcotest.test_case "function parents' child signatures" `Quick
+              test_function_parent_signature ]
+        @ List.map
+            (fun jobs ->
+              Alcotest.test_case (Printf.sprintf "census -q 4 -d 5 counters (jobs=%d)" jobs) `Quick
+                (test_census_counters jobs))
+            [ 1; 2 ] );
       ( "adaptation",
         [ Alcotest.test_case "effective jobs at depth 7" `Quick test_effective_jobs ] );
     ]
